@@ -112,11 +112,11 @@ def key_for_bytecode(program) -> str:
     identity*: the encoded instruction stream plus the map declarations
     (map handles feed ``ld_imm64`` pseudo relocations).
 
-    This is the key the VM's pre-decode cache (:mod:`repro.vm.engine`)
-    uses, so a program decoded once is shared by every Machine built
+    This is the key the VM's JIT code cache (:mod:`repro.vm.engine`)
+    uses, so a program compiled once is shared by every Machine built
     over the same bytecode — across batch runs, fuzz observations, and
     benchmark loops.  Name, prog type and ctx size do not affect
-    decoding and are deliberately excluded.
+    execution and are deliberately excluded.
     """
     digest = hashlib.sha256()
     digest.update(f"schema={SCHEMA_VERSION};vm-decode;".encode())

@@ -317,10 +317,12 @@ class CompilationCache:
         for mtime, size, path in entries:
             if self.ttl_seconds is not None \
                     and now - mtime > self.ttl_seconds:
-                if self._tombstone(path):
+                claimed = self._tombstone(path)
+                if claimed:
                     self.stats.expired += 1
                     removed["expired"] += 1
                     removed["bytes_freed"] += size
+                if claimed is not None:
                     live_bytes -= size
                 continue
             survivors.append((mtime, size, path))
@@ -330,15 +332,19 @@ class CompilationCache:
             for mtime, size, path in survivors:
                 if live_bytes <= self.max_disk_bytes:
                     break
-                if self._tombstone(path):
+                claimed = self._tombstone(path)
+                if claimed:
                     self.stats.disk_evictions += 1
                     removed["evicted"] += 1
                     removed["bytes_freed"] += size
+                if claimed is not None:
+                    # claimed here, or already removed by a racing
+                    # sweeper: either way its bytes left the tree
                     live_bytes -= size
         removed["bytes"] = live_bytes
         return removed
 
-    def _tombstone(self, path: str) -> bool:
+    def _tombstone(self, path: str) -> Optional[bool]:
         """Atomically claim and remove one disk entry.
 
         The rename either succeeds (this process owns the removal) or
@@ -346,12 +352,18 @@ class CompilationCache:
         sweepers remove the entry exactly once between them, and a
         reader can never observe a half-deleted file: the path either
         resolves to the complete entry or not at all.
+
+        Returns True when this call claimed the entry, False when it
+        was already gone, and None when the claim failed for another
+        reason (the entry may still be on disk).
         """
         tomb = f"{path[:-4]}.tomb-{os.getpid()}-{id(self) & 0xffff}"
         try:
             os.replace(path, tomb)
-        except OSError:
+        except FileNotFoundError:
             return False  # already claimed (or the tree vanished)
+        except OSError:
+            return None
         try:
             os.unlink(tomb)
         except OSError:

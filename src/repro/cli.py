@@ -383,14 +383,12 @@ def cmd_bench_vm(args) -> int:
                 f"MISMATCH ({suite.mismatch})"
             print(f"{suite.suite}: {suite.programs} programs, "
                   f"{ref.runs} runs/engine — {verdict}")
-            for name in ("reference", "fast", "jit"):
-                m = suite.engines[name]
+            for name, m in suite.engines.items():
                 print(f"  {name + ':':10} {m.insns_per_second / 1e3:8.0f} "
                       f"kinsns/s ({m.instructions} insns in "
-                      f"{m.wall_seconds:.3f}s)")
-            print(f"  speedup:   fast {suite.speedup:.2f}x, "
-                  f"jit {suite.jit_speedup:.2f}x "
-                  f"({suite.jit_over_fast:.2f}x over fast)")
+                      f"{m.wall_seconds:.3f}s), bind "
+                      f"{m.bind_seconds:.3f}s")
+            print(f"  speedup:   jit {suite.jit_speedup:.2f}x")
         if args.out:
             print(f"wrote {args.out}")
     return 0 if report.all_identical else 1
@@ -407,8 +405,7 @@ def cmd_bench_layout(args) -> int:
             return 2
 
     report = bench_layout(suites, seed=args.seed, scale=args.scale,
-                          count=args.count, tests_per_program=args.tests,
-                          engine=args.engine)
+                          count=args.count, tests_per_program=args.tests)
     if args.out:
         report.write(args.out)
     if args.json:
@@ -450,8 +447,7 @@ def cmd_bench_superopt(args) -> int:
 
     report = bench_superopt(suites, seed=args.seed, scale=args.scale,
                             count=args.count,
-                            tests_per_program=args.tests,
-                            engine=args.engine)
+                            tests_per_program=args.tests)
     if args.out:
         report.write(args.out)
     if args.json:
@@ -708,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--jobs", type=int, default=1,
                    help="worker processes for program triage (default: 1)")
     f.add_argument("--no-engines", action="store_true",
-                   help="skip the reference-vs-fast VM engine axis")
+                   help="skip the reference-vs-jit VM engine axis")
     f.add_argument("--no-certify", action="store_true",
                    help="skip the per-pass translation-validation axis")
     f.add_argument("--no-layout", action="store_true",
@@ -797,9 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="programs per suite (default: profile-derived)")
     lb.add_argument("--tests", type=int, default=6,
                     help="inputs per program (default: 6)")
-    lb.add_argument("--engine", default="fast",
-                    choices=["reference", "fast"],
-                    help="VM engine for the measurement (default: fast)")
     lb.add_argument("--out", default="BENCH_layout.json",
                     help="result file (default: BENCH_layout.json; "
                          "'' skips)")
@@ -820,10 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="programs per suite (default: profile-derived)")
     sb.add_argument("--tests", type=int, default=6,
                     help="inputs per program (default: 6)")
-    sb.add_argument("--engine", default="fast",
-                    choices=["reference", "fast"],
-                    help="VM engine for the behaviour replay "
-                         "(default: fast)")
     sb.add_argument("--out", default="BENCH_superopt.json",
                     help="result file (default: BENCH_superopt.json; "
                          "'' skips)")

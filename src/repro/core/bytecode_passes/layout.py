@@ -119,7 +119,6 @@ class ExecutionProfile:
 def collect_profile(program: BpfProgram,
                     spec: Optional[PgoSpec] = None,
                     tests: Optional[Sequence] = None,
-                    engine: str = "fast",
                     predictor=None) -> ExecutionProfile:
     """Run *program* on a training battery and return its profile.
 
@@ -131,7 +130,8 @@ def collect_profile(program: BpfProgram,
     optimizes — but the profiling predictor is shared across the
     battery and explicitly ``reset()`` first, so back-to-back
     collections over different programs never leak tallies or predictor
-    state into each other.
+    state into each other.  The battery is a handful of one-shot runs,
+    so it runs on the reference interpreter, which has no bind cost.
     """
     # lazy: repro.vm transitively imports repro.cache/core; keeping the
     # import out of module scope keeps this module cycle-free
@@ -151,7 +151,7 @@ def collect_profile(program: BpfProgram,
     for _ in range(max(spec.runs, 1)):
         for index, test in enumerate(tests):
             machine = Machine(program, branch=predictor, seed=spec.seed,
-                              max_insns=spec.max_insns, engine=engine)
+                              max_insns=spec.max_insns)
             coverage = COVERAGE_CYCLE[index % len(COVERAGE_CYCLE)]
             if coverage:
                 populate_maps(machine, coverage, spec.seed + index)

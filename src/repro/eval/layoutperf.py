@@ -124,7 +124,6 @@ class LayoutBenchReport:
 
     seed: int
     tests_per_program: int
-    engine: str
     suites: List[LayoutSuitePerf] = field(default_factory=list)
 
     @property
@@ -143,7 +142,6 @@ class LayoutBenchReport:
         return {
             "seed": self.seed,
             "tests_per_program": self.tests_per_program,
-            "engine": self.engine,
             "suites_improved": self.suites_improved,
             "all_behavior_identical": self.all_behavior_identical,
             "all_certified": self.all_certified,
@@ -158,12 +156,12 @@ class LayoutBenchReport:
             handle.write(self.to_json() + "\n")
 
 
-def _measure(program: BpfProgram, tests: Sequence[TestCase], engine: str,
-             seed: int, max_insns: int, into: VariantCounters) -> List[Tuple]:
+def _measure(program: BpfProgram, tests: Sequence[TestCase], seed: int,
+             max_insns: int, into: VariantCounters) -> List[Tuple]:
     """Run the battery on a fresh machine per program and accumulate the
     model counters; returns the behaviour trace for comparison."""
     trace: List[Tuple] = []
-    machine = Machine(program, max_insns=max_insns, seed=seed, engine=engine)
+    machine = Machine(program, max_insns=max_insns, seed=seed)
     for test in tests:
         try:
             result = machine.run(ctx=test.ctx, packet=test.packet)
@@ -180,7 +178,6 @@ def _measure(program: BpfProgram, tests: Sequence[TestCase], engine: str,
 def bench_layout_suite(suite: str, seed: int = 2024, scale: float = 0.2,
                        count: Optional[int] = None,
                        tests_per_program: int = 6,
-                       engine: str = "fast",
                        max_insns: int = 200_000) -> LayoutSuitePerf:
     """Measure the layout tier over one suite."""
     from ..tv import WitnessRecorder
@@ -195,8 +192,7 @@ def bench_layout_suite(suite: str, seed: int = 2024, scale: float = 0.2,
     for index, program in enumerate(programs):
         tests = generate_tests(program, count=tests_per_program,
                                seed=seed + index)
-        profile = collect_profile(program, spec=spec, tests=tests,
-                                  engine=engine)
+        profile = collect_profile(program, spec=spec, tests=tests)
         relaid = program.copy()
         layout = ProfileGuidedLayoutPass(profile)
         recorder = WitnessRecorder()
@@ -209,9 +205,9 @@ def bench_layout_suite(suite: str, seed: int = 2024, scale: float = 0.2,
             result.witnesses += 1
             if not validate_bytecode_witness(witness).certified:
                 result.witnesses_certified = False
-        trace_before = _measure(program, tests, engine, seed, max_insns,
+        trace_before = _measure(program, tests, seed, max_insns,
                                 result.before)
-        trace_after = _measure(relaid, tests, engine, seed, max_insns,
+        trace_after = _measure(relaid, tests, seed, max_insns,
                                result.after)
         if trace_before != trace_after and result.behavior_identical:
             result.behavior_identical = False
@@ -225,12 +221,11 @@ def bench_layout_suite(suite: str, seed: int = 2024, scale: float = 0.2,
 
 def bench_layout(suites: Sequence[str] = VM_SUITES, seed: int = 2024,
                  scale: float = 0.2, count: Optional[int] = None,
-                 tests_per_program: int = 6, engine: str = "fast",
+                 tests_per_program: int = 6,
                  max_insns: int = 200_000) -> LayoutBenchReport:
     """The whole ``repro bench-layout`` measurement."""
     report = LayoutBenchReport(seed=seed,
-                               tests_per_program=tests_per_program,
-                               engine=engine)
+                               tests_per_program=tests_per_program)
     for suite in suites:
         if suite not in VM_SUITES:
             raise ValueError(
@@ -239,5 +234,5 @@ def bench_layout(suites: Sequence[str] = VM_SUITES, seed: int = 2024,
         report.suites.append(
             bench_layout_suite(suite, seed=seed, scale=scale, count=count,
                                tests_per_program=tests_per_program,
-                               engine=engine, max_insns=max_insns))
+                               max_insns=max_insns))
     return report

@@ -8,7 +8,7 @@ For every program of a workload suite the harness
    output with a witness recorder attached and a **shared** rewrite
    memo, certifying every witness through :mod:`repro.tv`,
 3. replays the identical oracle battery on fresh machines for both
-   variants under the selected VM engine and requires identical
+   variants on the reference interpreter and requires identical
    behaviour (return value / fault per run),
 4. tabulates per-program NI — the Fig-10-style compactness comparison
    Merlin vs Merlin+superopt — plus the memo hit/search counters that
@@ -119,7 +119,6 @@ class SuperoptBenchReport:
 
     seed: int
     tests_per_program: int
-    engine: str
     spec: str = ""
     suites: List[SuperoptSuitePerf] = field(default_factory=list)
 
@@ -147,7 +146,6 @@ class SuperoptBenchReport:
         return {
             "seed": self.seed,
             "tests_per_program": self.tests_per_program,
-            "engine": self.engine,
             "spec": self.spec,
             "programs_improved": self.programs_improved,
             "all_behavior_identical": self.all_behavior_identical,
@@ -168,7 +166,6 @@ class SuperoptBenchReport:
 def bench_superopt_suite(suite: str, seed: int = 2024, scale: float = 0.2,
                          count: Optional[int] = None,
                          tests_per_program: int = 6,
-                         engine: str = "fast",
                          spec: Optional[SuperoptSpec] = None,
                          memo: Optional[CompilationCache] = None,
                          max_insns: int = 200_000) -> SuperoptSuitePerf:
@@ -204,9 +201,9 @@ def bench_superopt_suite(suite: str, seed: int = 2024, scale: float = 0.2,
             ni_superopt=superopted.ni, rewrites=rewrites))
         tests = generate_tests(merlin, count=tests_per_program,
                                seed=seed + index)
-        trace_before = _measure(merlin, tests, engine, seed, max_insns,
+        trace_before = _measure(merlin, tests, seed, max_insns,
                                 result.before)
-        trace_after = _measure(superopted, tests, engine, seed, max_insns,
+        trace_after = _measure(superopted, tests, seed, max_insns,
                                result.after)
         if trace_before != trace_after and result.behavior_identical:
             result.behavior_identical = False
@@ -220,14 +217,14 @@ def bench_superopt_suite(suite: str, seed: int = 2024, scale: float = 0.2,
 
 def bench_superopt(suites: Sequence[str] = VM_SUITES, seed: int = 2024,
                    scale: float = 0.2, count: Optional[int] = None,
-                   tests_per_program: int = 6, engine: str = "fast",
+                   tests_per_program: int = 6,
                    spec: Optional[SuperoptSpec] = None,
                    max_insns: int = 200_000) -> SuperoptBenchReport:
     """The whole ``repro bench-superopt`` measurement (one shared memo)."""
     spec = spec if spec is not None else SuperoptSpec()
     report = SuperoptBenchReport(seed=seed,
                                  tests_per_program=tests_per_program,
-                                 engine=engine, spec=spec.fingerprint())
+                                 spec=spec.fingerprint())
     memo = CompilationCache()
     for suite in suites:
         if suite not in VM_SUITES:
@@ -237,6 +234,6 @@ def bench_superopt(suites: Sequence[str] = VM_SUITES, seed: int = 2024,
         report.suites.append(
             bench_superopt_suite(suite, seed=seed, scale=scale, count=count,
                                  tests_per_program=tests_per_program,
-                                 engine=engine, spec=spec, memo=memo,
+                                 spec=spec, memo=memo,
                                  max_insns=max_insns))
     return report

@@ -1,25 +1,23 @@
 """VM microbenchmark: interpreted-instructions-per-second per engine.
 
-Measures the three execution engines (``reference`` — the canonical
-if/elif interpreter —, ``fast`` — the pre-decoded fast-dispatch
-engine with superinstructions, :mod:`repro.vm.engine` — and ``jit``
-— the whole-program method JIT, :mod:`repro.vm.engine.jit`) over the
-paper's workload suites, and cross-checks them while doing so: every
-run's return value and full counter tuple must agree with the
-reference, so a benchmark result doubles as an engine-equivalence
-certificate.
+Measures the two execution engines (``reference`` — the canonical
+if/elif interpreter — and ``jit`` — the whole-program method JIT,
+:mod:`repro.vm.engine.jit`) over the paper's workload suites, and
+cross-checks them while doing so: every run's return value and full
+counter tuple must agree with the reference, so a benchmark result
+doubles as an engine-equivalence certificate.
 
 The benchmark defaults to pipeline-baseline bytecode (the engines are
 what is under test), but the Merlin tiers can be layered on with
 ``passes``/``pgo``/``superopt`` so fully optimized programs are
 measured too; the chosen configuration is recorded in the report.
 
-Timing covers the steady-state ``Machine.run`` loop only.  Decode/bind
-cost is excluded deliberately — the decode is content-cached process-
-wide (:func:`repro.vm.engine.decode_program`), so in every consumer
-(fuzz batteries, benchmark loops, repeated attach) it amortizes to
-noise; what the metric answers is "how fast does each engine interpret
-instructions once a program is loaded".
+``insns_per_second`` covers the steady-state ``Machine.run`` loop
+only: it answers "how fast does each engine interpret instructions once
+a program is loaded".  Loading is not free — a cold JIT bind compiles
+the whole program — so each engine also reports ``bind_seconds``, the
+wall time of constructing every ``Machine``, with the JIT code cache
+cleared at the start of each suite.
 
 ``repro bench-vm`` drives this and emits ``BENCH_vm.json``.
 """
@@ -35,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..fuzz.oracle import RUNTIME_FAULTS, TestCase, generate_tests
 from ..isa import BpfProgram
 from ..vm import ENGINES, Machine
+from ..vm.engine import clear_jit_cache
 
 #: suites ``bench_vm`` understands: the three trace suites plus the
 #: curated XDP workload set
@@ -92,6 +91,7 @@ class EngineMeasurement:
     engine: str
     instructions: int = 0
     wall_seconds: float = 0.0
+    bind_seconds: float = 0.0
     runs: int = 0
     faults: int = 0
 
@@ -105,6 +105,7 @@ class EngineMeasurement:
             "engine": self.engine,
             "instructions": self.instructions,
             "wall_seconds": round(self.wall_seconds, 6),
+            "bind_seconds": round(self.bind_seconds, 6),
             "runs": self.runs,
             "faults": self.faults,
             "insns_per_second": round(self.insns_per_second, 1),
@@ -122,26 +123,12 @@ class SuitePerf:
     identical: bool
     mismatch: str = ""
 
-    def speedup_over_reference(self, engine: str) -> float:
-        ref = self.engines["reference"].insns_per_second
-        other = self.engines[engine].insns_per_second
-        return other / ref if ref else 0.0
-
-    @property
-    def speedup(self) -> float:
-        """fast-over-reference (the historical headline key)."""
-        return self.speedup_over_reference("fast")
-
     @property
     def jit_speedup(self) -> float:
-        """jit-over-reference."""
-        return self.speedup_over_reference("jit")
-
-    @property
-    def jit_over_fast(self) -> float:
-        fast = self.engines["fast"].insns_per_second
+        """jit-over-reference steady-state instructions per second."""
+        ref = self.engines["reference"].insns_per_second
         jit = self.engines["jit"].insns_per_second
-        return jit / fast if fast else 0.0
+        return jit / ref if ref else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -149,9 +136,7 @@ class SuitePerf:
             "programs": self.programs,
             "identical": self.identical,
             "mismatch": self.mismatch,
-            "speedup": round(self.speedup, 3),
             "jit_speedup": round(self.jit_speedup, 3),
-            "jit_over_fast": round(self.jit_over_fast, 3),
             "engines": {name: m.to_dict() for name, m in self.engines.items()},
         }
 
@@ -196,8 +181,9 @@ def _run_engine(programs: Sequence[BpfProgram],
     """Time one engine over every (program, battery) pair and record the
     per-run observation trace for cross-engine comparison.
 
-    The first battery pass is untimed: it warms allocator/model caches
-    and records the observation trace.  The timed loop then runs
+    Constructing each ``Machine`` is timed into ``bind_seconds``.  The
+    first battery pass is untimed: it warms allocator/model caches and
+    records the observation trace.  The timed loop then runs
     ``passes`` times and the fastest pass is kept (the ``timeit``
     min-of-N convention), which suppresses scheduler noise on shared
     machines.
@@ -205,8 +191,10 @@ def _run_engine(programs: Sequence[BpfProgram],
     measurement = EngineMeasurement(engine=engine)
     trace: List[Tuple] = []
     for program, tests in zip(programs, batteries):
+        started = time.perf_counter()
         machine = Machine(program, max_insns=max_insns, seed=seed,
                           engine=engine)
+        measurement.bind_seconds += time.perf_counter() - started
         for test in tests:
             try:
                 result = machine.run(ctx=test.ctx, packet=test.packet)
@@ -251,6 +239,7 @@ def bench_suite(suite: str, seed: int = 2024, scale: float = 0.2,
     ]
     engines: Dict[str, EngineMeasurement] = {}
     traces: Dict[str, List[Tuple]] = {}
+    clear_jit_cache()  # every suite pays its own cold JIT binds
     for engine in ENGINES:
         engines[engine], traces[engine] = _run_engine(
             programs, batteries, engine, seed, repeats, max_insns)

@@ -178,11 +178,8 @@ def check_config(case: GeneratedProgram, enabled: FrozenSet[str],
     return None
 
 
-#: pseudo-config name the engine axis reports divergences under
-ENGINE_CONFIG = ("engine=fast",)
-
 #: accelerated engines certified against the reference interpreter
-CHECKED_ENGINES = ("fast", "jit")
+CHECKED_ENGINES = ("jit",)
 
 
 def check_engines(case: GeneratedProgram, baseline: BaselineRecord,
@@ -190,12 +187,12 @@ def check_engines(case: GeneratedProgram, baseline: BaselineRecord,
                   engines: Sequence[str] = CHECKED_ENGINES,
                   ) -> Optional[Divergence]:
     """Engine-vs-engine axis: run the baseline program on the reference
-    interpreter and every accelerated engine (the pre-decoded fast
-    engine and the method JIT) and require *bit-exact* agreement —
-    return value, fault behaviour, map/memory state, and (unlike pass
-    configs, where they legitimately differ) every perf counter.  A
-    mismatch is a bug in :mod:`repro.vm.engine`, not in an optimizer,
-    so callers skip pass bisection for these findings."""
+    interpreter and every accelerated engine (the method JIT) and
+    require *bit-exact* agreement — return value, fault behaviour,
+    map/memory state, and (unlike pass configs, where they legitimately
+    differ) every perf counter.  A mismatch is a bug in
+    :mod:`repro.vm.engine`, not in an optimizer, so callers skip pass
+    bisection for these findings."""
     program = baseline.program
     reference = observe_battery(program, baseline.tests,
                                 seed=baseline.oracle_seed,
@@ -232,8 +229,8 @@ def check_layout(case: GeneratedProgram, baseline: BaselineRecord,
                  ) -> Optional[Divergence]:
     """Layout-on vs layout-off axis: profile the baseline program on
     its own oracle battery, re-lay it out, and require identical return
-    value, fault behaviour, and map/memory state under **both** VM
-    engines (counters legitimately change — layout exists to change
+    value, fault behaviour, and map/memory state on the reference
+    interpreter (counters legitimately change — layout exists to change
     them).  On top of the behavioral check, every rewrite the pass
     performed must carry a witness the TV layer certifies; an
     uncertified layout is a divergence even when behaviour agrees."""
@@ -252,24 +249,23 @@ def check_layout(case: GeneratedProgram, baseline: BaselineRecord,
     except Exception as exc:
         return Divergence(case, LAYOUT_CONFIG, "build",
                           detail=f"{type(exc).__name__}: {exc}")
-    for engine in ("reference", "fast"):
-        reference = observe_battery(baseline.program, baseline.tests,
-                                    seed=baseline.oracle_seed, engine=engine)
-        relaid = observe_battery(program, baseline.tests,
-                                 seed=baseline.oracle_seed, engine=engine)
-        hit = first_divergence(reference, relaid)
-        if hit is not None:
-            index, kind = hit
-            base, opt = reference[index], relaid[index]
-            if kind == "fault":
-                detail = (f"[{engine}] layout-off fault={base.fault} "
-                          f"layout-on fault={opt.fault}")
-            elif kind == "return":
-                detail = (f"[{engine}] layout-off r0={base.return_value:#x} "
-                          f"layout-on r0={opt.return_value:#x}")
-            else:
-                detail = f"[{engine}] map/memory/output state differs"
-            return Divergence(case, LAYOUT_CONFIG, kind, index, detail)
+    reference = observe_battery(baseline.program, baseline.tests,
+                                seed=baseline.oracle_seed)
+    relaid = observe_battery(program, baseline.tests,
+                             seed=baseline.oracle_seed)
+    hit = first_divergence(reference, relaid)
+    if hit is not None:
+        index, kind = hit
+        base, opt = reference[index], relaid[index]
+        if kind == "fault":
+            detail = (f"layout-off fault={base.fault} "
+                      f"layout-on fault={opt.fault}")
+        elif kind == "return":
+            detail = (f"layout-off r0={base.return_value:#x} "
+                      f"layout-on r0={opt.return_value:#x}")
+        else:
+            detail = "map/memory/output state differs"
+        return Divergence(case, LAYOUT_CONFIG, kind, index, detail)
     for witness in recorder.witnesses:
         cert = validate_bytecode_witness(witness)
         if not cert.certified:
@@ -288,8 +284,9 @@ def check_superopt(case: GeneratedProgram, baseline: BaselineRecord,
                    ) -> Optional[Divergence]:
     """Superopt-on vs superopt-off axis: run the windowed
     superoptimizer over the baseline program and require identical
-    return value, fault behaviour, and map/memory state under **both**
-    VM engines.  Every rewrite the pass applied must carry a witness
+    return value, fault behaviour, and map/memory state on the
+    reference interpreter.  Every rewrite the pass applied must carry a
+    witness
     the TV layer certifies; an uncertified rewrite is a divergence
     even when behaviour agrees."""
     from ..core.superopt import SuperoptimizerPass, SuperoptSpec
@@ -305,25 +302,23 @@ def check_superopt(case: GeneratedProgram, baseline: BaselineRecord,
     except Exception as exc:
         return Divergence(case, SUPEROPT_CONFIG, "build",
                           detail=f"{type(exc).__name__}: {exc}")
-    for engine in ("reference", "fast"):
-        reference = observe_battery(baseline.program, baseline.tests,
-                                    seed=baseline.oracle_seed, engine=engine)
-        rewritten = observe_battery(program, baseline.tests,
-                                    seed=baseline.oracle_seed, engine=engine)
-        hit = first_divergence(reference, rewritten)
-        if hit is not None:
-            index, kind = hit
-            base, opt = reference[index], rewritten[index]
-            if kind == "fault":
-                detail = (f"[{engine}] superopt-off fault={base.fault} "
-                          f"superopt-on fault={opt.fault}")
-            elif kind == "return":
-                detail = (f"[{engine}] superopt-off "
-                          f"r0={base.return_value:#x} "
-                          f"superopt-on r0={opt.return_value:#x}")
-            else:
-                detail = f"[{engine}] map/memory/output state differs"
-            return Divergence(case, SUPEROPT_CONFIG, kind, index, detail)
+    reference = observe_battery(baseline.program, baseline.tests,
+                                seed=baseline.oracle_seed)
+    rewritten = observe_battery(program, baseline.tests,
+                                seed=baseline.oracle_seed)
+    hit = first_divergence(reference, rewritten)
+    if hit is not None:
+        index, kind = hit
+        base, opt = reference[index], rewritten[index]
+        if kind == "fault":
+            detail = (f"superopt-off fault={base.fault} "
+                      f"superopt-on fault={opt.fault}")
+        elif kind == "return":
+            detail = (f"superopt-off r0={base.return_value:#x} "
+                      f"superopt-on r0={opt.return_value:#x}")
+        else:
+            detail = "map/memory/output state differs"
+        return Divergence(case, SUPEROPT_CONFIG, kind, index, detail)
     for witness in recorder.witnesses:
         cert = validate_bytecode_witness(witness)
         if not cert.certified:

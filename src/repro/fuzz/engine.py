@@ -138,7 +138,7 @@ def _check_index(index: int, seed: int, layers: Sequence[str],
         status = "roundtrip"
 
     if engines:
-        # engine-vs-engine axis: the fast VM engine must match the
+        # engine-vs-engine axis: the JIT VM engine must match the
         # reference interpreter bit-for-bit (counters included).  A hit
         # here is a VM bug, not an optimizer bug — pass bisection and
         # program minimization against pass pipelines don't apply.
@@ -154,16 +154,16 @@ def _check_index(index: int, seed: int, layers: Sequence[str],
     if divergence is None:
         if layout:
             # layout-on vs layout-off axis: profile-guided re-layout
-            # must preserve behaviour under both engines and certify
-            # every rewrite.  A hit names the layout pass directly, so
+            # must preserve behaviour on the reference interpreter and
+            # certify every rewrite.  A hit names the layout pass directly, so
             # it skips pass bisection like the other pseudo-configs.
             layout_divergence = check_layout(case, baseline, kernel)
             if layout_divergence is not None:
                 return status, FuzzFinding(layout_divergence)
         if superopt:
             # superopt-on vs superopt-off axis: windowed
-            # superoptimization must preserve behaviour under both
-            # engines and certify every rewrite.  A hit names the
+            # superoptimization must preserve behaviour on the
+            # reference interpreter and certify every rewrite.  A hit names the
             # superopt pass directly, so it skips pass bisection.
             superopt_divergence = check_superopt(case, baseline, kernel)
             if superopt_divergence is not None:
@@ -231,7 +231,7 @@ def run_campaign(seed: int = 0, budget: int = 200,
     parent, so the report is identical to a sequential run.
 
     ``engines`` additionally runs every baseline program on both VM
-    execution engines (reference and fast) and requires bit-identical
+    execution engines (reference and jit) and requires bit-identical
     observations, counters included.
 
     ``certify`` additionally runs the full pipeline in translation-
@@ -240,12 +240,14 @@ def run_campaign(seed: int = 0, budget: int = 200,
 
     ``layout`` additionally re-lays every baseline program out under a
     profile collected on its own oracle battery and requires identical
-    behaviour (return/state/fault — counters excluded by design) under
-    both VM engines, plus a certified witness for every layout rewrite.
+    behaviour (return/state/fault — counters excluded by design) on the
+    reference interpreter, plus a certified witness for every layout
+    rewrite.
 
     ``superopt`` additionally runs the windowed superoptimizer over
-    every baseline program and requires identical behaviour under both
-    VM engines, plus a certified witness for every applied rewrite.
+    every baseline program and requires identical behaviour on the
+    reference interpreter, plus a certified witness for every applied
+    rewrite.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

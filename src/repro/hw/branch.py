@@ -54,9 +54,9 @@ class ProfilingBranchPredictor(BranchPredictor):
 
     Prediction behavior (and therefore every counter a measured run
     mirrors) is bit-identical to the base predictor under both VM
-    engines — the fast engine captures ``record`` as a bound method at
-    decode-bind time, so the override is reached either way.  The
-    tallies are what :func:`repro.core.bytecode_passes.layout
+    engines — the JIT inlines the update only for a plain
+    :class:`BranchPredictor` and calls ``record`` for any subclass, so
+    the override is reached either way.  The tallies are what :func:`repro.core.bytecode_passes.layout
     .collect_profile` turns into a weighted CFG.
 
     A predictor instance carries state across every ``Machine`` that

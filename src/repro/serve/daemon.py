@@ -583,17 +583,10 @@ class OptimizationDaemon:
             queue_depth=self._queue.qsize(),
             cache_stats=self.cache.stats.to_dict(),
             config=self.config.describe())
-        from ..vm.engine import decode_cache_stats
         from ..vm.engine.jit import jit_cache_size, jit_cache_stats
 
-        decode = decode_cache_stats()
         jit = jit_cache_stats()
         out["vm"] = {
-            "decode_cache": {
-                "hits": decode.hits,
-                "misses": decode.misses,
-                "hit_rate": round(decode.hit_rate, 4),
-            },
             "jit_cache": {
                 "hits": jit.hits,
                 "misses": jit.misses,

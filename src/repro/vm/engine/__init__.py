@@ -1,67 +1,45 @@
-"""repro.vm.engine — accelerated execution engines for the VM.
+"""repro.vm.engine — the method-JIT execution engine for the VM.
 
-Two tiers above the reference interpreter, both bit-identical to it —
-same return values, counters, fault messages, and memory/map effects:
-
-* ``Machine(program, engine="fast")`` — the program is decoded once
-  into a flat array of specialized handler closures (cached
-  process-wide by bytecode content key), straight-line runs are fused
-  into compiled superinstructions, and the dispatch loop becomes
-  ``pc = handlers[pc](regs)``.
-* ``Machine(program, engine="jit")`` — the whole program is compiled
-  through :mod:`.regions` into one generated-Python function (loops
-  become ``while``, conditionals become ``if``/``else``, helpers and
-  map ops inline behind guards), deoptimizing onto the fast engine's
-  dispatch loop when a guard fails.  Code objects are cached
-  content-keyed exactly like decodes.
+``Machine(program, engine="jit")`` compiles the whole program through
+:mod:`.regions` into one generated-Python function (loops become
+``while``, conditionals become ``if``/``else``, helpers and map ops
+inline behind guards) and deoptimizes onto the reference interpreter
+when a guard fails.  It is bit-identical to the reference — same return
+values, counters, fault messages, and memory/map effects.  Code objects
+are cached process-wide, keyed by bytecode content.
 """
 
-from .decode import (
-    DECODE_CACHE_CAPACITY,
-    DecodedProgram,
-    DecodeCacheStats,
-    FastExecution,
-    bind_machine,
-    check_budget_fault,
-    clear_decode_cache,
-    decode_cache_stats,
-    decode_program,
-)
 from .jit import (
     JIT_CACHE_CAPACITY,
+    JitCacheStats,
     JitExecution,
     JitProgram,
     bind_jit,
+    check_budget_fault,
     clear_jit_cache,
     compile_jit_program,
     jit_cache_stats,
 )
 from .regions import Cfg, CfgBlock, Relooper, StructureError, build_cfg
-from .superblock import MIN_BLOCK_LEN, SuperBlock, find_blocks
+
+#: the JIT code cache is the engine's only content-keyed cache; the
+#: older name reports its counters
+decode_cache_stats = jit_cache_stats
 
 __all__ = [
-    "DECODE_CACHE_CAPACITY",
     "JIT_CACHE_CAPACITY",
     "Cfg",
     "CfgBlock",
-    "DecodedProgram",
-    "DecodeCacheStats",
-    "FastExecution",
+    "JitCacheStats",
     "JitExecution",
     "JitProgram",
-    "MIN_BLOCK_LEN",
     "Relooper",
     "StructureError",
-    "SuperBlock",
     "bind_jit",
-    "bind_machine",
     "build_cfg",
     "check_budget_fault",
-    "clear_decode_cache",
     "clear_jit_cache",
     "compile_jit_program",
     "decode_cache_stats",
-    "decode_program",
-    "find_blocks",
     "jit_cache_stats",
 ]

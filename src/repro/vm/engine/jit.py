@@ -1,10 +1,9 @@
 """Whole-program method JIT: one generated-Python function per program.
 
-Selected with ``Machine(program, engine="jit")``.  Where the fast
-engine (:mod:`.decode`) still pays a dispatch-loop iteration per
-branch, helper call and superblock, this tier compiles the *entire*
-program through :mod:`.regions`: conditionals become real
-``if``/``else``, loops become ``while`` statements with the
+Selected with ``Machine(program, engine="jit")``.  Where the reference
+interpreter re-classifies every instruction on every visit, this tier
+compiles the *entire* program through :mod:`.regions`: conditionals
+become real ``if``/``else``, loops become ``while`` statements with the
 instruction-budget check hoisted to run entries, helper calls and map
 operations are inlined as direct calls into the machine's bound
 runtime objects, and counter/cost accounting is batched per fused run.
@@ -32,47 +31,46 @@ optimizations give the tier its speed:
   non-default caches stay exact); line-straddling accesses fall back
   to the model call.
 
-Bit-identity with the reference interpreter is preserved the same way
-the superblock tier preserves it — validate-then-commit plus
-*deoptimization*:
+Bit-identity with the reference interpreter is preserved by
+validate-then-commit plus *deoptimization* onto that interpreter:
 
 * **Fused runs** (maximal straight-line stretches of ALU / memop /
-  ``ld_imm64``) follow the superblock tier's two-phase discipline with
-  a JIT-native twist: stack-rooted memops (base r10, which the JIT
-  proves the program never writes) have whole-execution-constant
+  ``ld_imm64``) execute in two phases.  Phase 1 resolves every memory
+  address side-effect-free; stack-rooted memops (base r10, which the
+  JIT proves the program never writes) have whole-execution-constant
   addresses, so their bounds validation collapses to the memo lookup.
-  Phase 1 resolves every memory address side-effect-free; if a region
-  faults — the packet shrank, a map value moved, any guard the
-  entry-state validation expresses fails — the function *bails*:
+  If a region faults — the packet shrank, a map value moved, any guard
+  the entry-state validation expresses fails — the function *bails*:
   it raises the internal ``_Bail`` signal with **nothing executed**,
   the epilogue writes registers, budget and counters back, and the
-  caller resumes the fast engine's certified dispatch loop at that
-  exact slot, reproducing the reference fault or continuing
-  bit-identically.  A run whose remaining budget can't cover it bails
-  the same way, so budget exhaustion lands on the exact reference
-  slot even mid-region.
+  caller resumes the reference interpreter (``Machine._execute``) at
+  that exact slot with the budget already consumed, reproducing the
+  reference fault or continuing bit-identically.  A run whose
+  remaining budget can't cover it bails the same way, so budget
+  exhaustion lands on the exact reference slot even mid-region.
+  Phase 2 commits in program order and cannot fault.
 * **Guard-specialized helper calls**: a map helper whose fd argument
   is proven by a dominating same-block ``ld_imm64 r1 = map_fd N`` is
   inlined as a direct ``BpfMap`` method call behind the runtime guard
-  ``_v1 == N``; guard failure bails to the dispatch loop *before* any
+  ``_v1 == N``; guard failure bails to the interpreter *before* any
   accounting.  Clock/task/random helpers inline without guards;
-  everything else calls ``HelperRuntime.call`` exactly like the fast
-  engine's handler.
+  everything else calls ``HelperRuntime.call`` exactly like the
+  reference interpreter.
 * Every deopt cause increments a per-machine bail counter
   (``budget`` / ``memory`` / ``guard`` / ``other``), surfaced through
   ``Machine.stats``.
 
-Compiled code objects are cached content-keyed **exactly like
-decodes**: a process-wide LRU on :func:`repro.cache.keys
-.key_for_bytecode` with :class:`.decode.DecodeCacheStats`-style
-hit/miss counters (:func:`jit_cache_stats`).  Programs the structurer
-or CPython cannot handle (pathological nesting beyond the static
-block limit, oversized functions) fall back to the fast engine in
-full, recorded in the cache entry's ``fallback_reason``.
+Compiled code objects are cached content-keyed: a process-wide LRU on
+:func:`repro.cache.keys.key_for_bytecode` with hit/miss counters
+(:func:`jit_cache_stats`).  Programs the structurer or CPython cannot
+handle (pathological nesting beyond the static block limit, oversized
+functions) run on the reference interpreter in full, recorded in the
+cache entry's ``fallback_reason``.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -83,30 +81,9 @@ from ...isa import opcodes as op
 from ...isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_IDS, HELPER_NAMES
 from ...hw.branch import BranchPredictor
 from .. import cost
-from ..interpreter import VmFault
+from ..interpreter import _BUDGET_MSG, Machine, VmFault
 from ..memory import MemoryFault
-from .decode import (
-    _BUDGET_MSG,
-    DecodedProgram,
-    DecodeCacheStats,
-    FastExecution,
-    _Exit,
-    check_budget_fault,
-    decode_program,
-)
 from .regions import Cfg, CfgBlock, Relooper, StructureError, build_cfg
-from .superblock import (
-    _SB_GLOBALS,
-    _addr_expr,
-    _alu_reads,
-    _alu_source,
-    _base_reg,
-    _fusable,
-    _is_alu,
-    _is_ld64,
-    _is_load,
-    _is_memop,
-)
 
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
@@ -122,7 +99,8 @@ BAIL_OTHER = 3
 BAIL_CAUSES = ("budget", "memory", "guard", "other")
 
 #: re-raise compile errors instead of falling back (tests flip this so
-#: codegen bugs surface instead of silently degrading to "fast")
+#: codegen bugs surface instead of silently degrading to the reference
+#: interpreter)
 STRICT = False
 
 _MAP_HELPERS = {
@@ -142,6 +120,162 @@ class _Bail(Exception):
 
 def _indent(lines: Sequence[str]) -> List[str]:
     return ["    " + line for line in lines]
+
+
+def check_budget_fault(exc: VmFault, executed: int, max_insns: int) -> None:
+    """Runtime guard against batched-accounting drift: a budget-exhaustion
+    fault is only correct if exactly ``max_insns`` instructions were
+    counted when it fired — the reference interpreter counts one at a
+    time, so any batching scheme that loses or double-counts would land
+    the fault on the wrong slot with a different counter total."""
+    if str(exc) == _BUDGET_MSG and executed != max_insns:
+        raise AssertionError(
+            f"budget accounting drift: counted {executed} instructions "
+            f"at exhaustion, expected {max_insns}") from exc
+
+
+# ------------------------------------------------- instruction source codegen
+_PACKERS = {
+    1: struct.Struct("<B"),
+    2: struct.Struct("<H"),
+    4: struct.Struct("<I"),
+    8: struct.Struct("<Q"),
+}
+
+
+def _bswap(value: int, width: int, to_be: bool) -> int:
+    """The reference interpreter's ``_bswap``, parameterised."""
+    data = (value & ((1 << width) - 1)).to_bytes(width // 8, "little")
+    return int.from_bytes(data, "big" if to_be else "little")
+
+
+#: module globals of every compiled program function
+_JIT_GLOBALS: Dict[str, object] = {"_bswap": _bswap}
+for _size, _st in _PACKERS.items():
+    _JIT_GLOBALS[f"_pk{_size}"] = _st.pack_into
+    _JIT_GLOBALS[f"_up{_size}"] = _st.unpack_from
+
+
+def _is_alu(insn: Instruction) -> bool:
+    return (insn.opcode & op.CLASS_MASK) in (op.BPF_ALU, op.BPF_ALU64)
+
+
+def _is_load(insn: Instruction) -> bool:
+    return (insn.opcode & op.CLASS_MASK) == op.BPF_LDX
+
+
+def _is_store(insn: Instruction) -> bool:
+    cls = insn.opcode & op.CLASS_MASK
+    if cls == op.BPF_ST:
+        return True
+    return cls == op.BPF_STX and (insn.opcode & op.MODE_MASK) != op.BPF_ATOMIC
+
+
+def _is_memop(insn: Instruction) -> bool:
+    return _is_load(insn) or _is_store(insn)
+
+
+def _is_ld64(insn: Instruction) -> bool:
+    return (insn.opcode & op.CLASS_MASK) == op.BPF_LD and insn.is_ld_imm64
+
+
+def _base_reg(insn: Instruction) -> int:
+    return insn.src if _is_load(insn) else insn.dst
+
+
+def _fusable(insn: Instruction) -> bool:
+    """Can *insn* live inside a fused run: ALU, plain load/store, or
+    ``ld_imm64`` (a pure constant definition)?"""
+    if _is_alu(insn):
+        aop = insn.opcode & op.ALU_OP_MASK
+        if aop not in cost.ALU_COST:
+            return False  # reference raises; keep it on the slow path
+        if aop == op.BPF_END and insn.imm not in (16, 32, 64):
+            return False
+        return True
+    if _is_memop(insn):
+        return insn.size_bytes in _PACKERS
+    return _is_ld64(insn)
+
+
+def _alu_reads(insn: Instruction) -> Tuple[int, ...]:
+    """Registers an ALU instruction reads (value semantics)."""
+    aop = insn.opcode & op.ALU_OP_MASK
+    if aop == op.BPF_MOV:
+        return () if insn.uses_imm else (insn.src,)
+    if aop in (op.BPF_NEG, op.BPF_END):
+        return (insn.dst,)
+    if insn.uses_imm:
+        return (insn.dst,)
+    return (insn.dst, insn.src)
+
+
+def _alu_source(insn: Instruction, name: Callable[[int], str]) -> List[str]:
+    """Source statements replicating the reference ``_alu`` for *insn*,
+    reading/writing the locals produced by *name*."""
+    is32 = (insn.opcode & op.CLASS_MASK) == op.BPF_ALU
+    aop = insn.opcode & op.ALU_OP_MASK
+    mask = _U32 if is32 else _U64
+    bits = 32 if is32 else 64
+    wrap = 1 << bits
+    d = name(insn.dst)
+    value = f"({d} & {_U32:#x})" if is32 else d
+    if insn.uses_imm:
+        k: Optional[int] = insn.imm & mask
+        operand = f"{k:#x}"
+    else:
+        k = None
+        s = name(insn.src)
+        operand = f"({s} & {_U32:#x})" if is32 else s
+
+    if aop == op.BPF_MOV:
+        return [f"{d} = {operand}"]
+    if aop == op.BPF_ADD:
+        return [f"{d} = ({value} + {operand}) & {mask:#x}"]
+    if aop == op.BPF_SUB:
+        return [f"{d} = ({value} - {operand}) & {mask:#x}"]
+    if aop == op.BPF_MUL:
+        return [f"{d} = ({value} * {operand}) & {mask:#x}"]
+    if aop == op.BPF_OR:
+        return [f"{d} = {value} | {operand}"]
+    if aop == op.BPF_AND:
+        return [f"{d} = {value} & {operand}"]
+    if aop == op.BPF_XOR:
+        return [f"{d} = {value} ^ {operand}"]
+    if aop == op.BPF_DIV:
+        if k is not None:
+            return [f"{d} = {value} // {k:#x}" if k else f"{d} = 0"]
+        return [f"_t = {operand}", f"{d} = {value} // _t if _t else 0"]
+    if aop == op.BPF_MOD:
+        if k is not None:
+            return [f"{d} = {value} % {k:#x}" if k else f"{d} = {value}"]
+        return [f"_t = {operand}", f"{d} = {value} % _t if _t else {value}"]
+    if aop in (op.BPF_LSH, op.BPF_RSH, op.BPF_ARSH):
+        if k is not None:
+            shift = f"{k % bits}"
+        else:
+            shift = f"({operand} % {bits})"
+        if aop == op.BPF_LSH:
+            return [f"{d} = ({value} << {shift}) & {mask:#x}"]
+        if aop == op.BPF_RSH:
+            return [f"{d} = {value} >> {shift}"]
+        return [
+            f"_t = {value}",
+            f"{d} = (((_t - {wrap:#x}) >> {shift}) & {mask:#x}) "
+            f"if _t >> {bits - 1} else (_t >> {shift})",
+        ]
+    if aop == op.BPF_NEG:
+        return [f"{d} = -{value} & {mask:#x}"]
+    if aop == op.BPF_END:
+        to_be = (insn.opcode & op.SRC_MASK) == op.BPF_X
+        return [f"{d} = _bswap({value}, {insn.imm}, {to_be}) & {mask:#x}"]
+    raise AssertionError(f"unfusable ALU op {aop:#x}")  # pragma: no cover
+
+
+def _addr_expr(local: str, off: int) -> str:
+    if off == 0:
+        return local
+    return f"({local} + {off}) & {_U64:#x}"
 
 
 def _writes_reg(insn: Instruction, reg: int) -> bool:
@@ -165,9 +299,8 @@ def _writes_reg(insn: Instruction, reg: int) -> bool:
 # ------------------------------------------------------------------ emitter
 class _Emitter:
     """Instruction-semantics half of the JIT: turns CFG blocks into
-    source lines for the relooper, replicating the fast engine's
-    handler order of events exactly (which is itself certified against
-    the reference interpreter)."""
+    source lines for the relooper, replicating the reference
+    interpreter's order of events exactly."""
 
     def __init__(self, cfg: Cfg, program: BpfProgram) -> None:
         self.cfg = cfg
@@ -336,9 +469,9 @@ class _Emitter:
         return lines
 
     def _segments(self, body: List[Tuple[int, Instruction]]):
-        """Split a block body into fused runs and standalone singles,
-        using superblock discovery's taint rule (a memop whose base was
-        defined by an in-run load starts a fresh run instead)."""
+        """Split a block body into fused runs and standalone singles.
+        A memop whose base was defined by an in-run load starts a fresh
+        run: phase 1 cannot compute that address before the commit."""
         segments: List[Tuple[str, object]] = []
         run: List[Tuple[int, Instruction]] = []
         tainted = [False] * op.NUM_REGS
@@ -351,7 +484,7 @@ class _Emitter:
             tainted = [False] * op.NUM_REGS
 
         for pc, insn in body:
-            if _fusable(insn, allow_ld64=True):
+            if _fusable(insn):
                 if _is_memop(insn) and tainted[_base_reg(insn)]:
                     flush()
                 if _is_alu(insn):
@@ -395,9 +528,8 @@ class _Emitter:
         entry alone proves it in bounds (the run-entry version check
         clears the memo when the region table moves); dynamic sites
         re-run the address slice of the run's ALU on ``_p`` snapshots
-        and re-validate the memoized region's bounds like the
-        superblock tier does.  Any :class:`MemoryFault` bails with
-        nothing executed.
+        and re-validate the memoized region's bounds.  Any
+        :class:`MemoryFault` bails with nothing executed.
 
         The commit then executes in program order *in place* on the
         ``_v`` locals — phase 1 never mutates them, so this is exactly
@@ -615,8 +747,8 @@ class _Emitter:
                 and 1 <= fd <= len(self.map_specs)):
             # map-fd guard specialization: the fd is a proven constant,
             # so bind the BpfMap once and guard-check at run time.  The
-            # guard bails *before* any accounting — the fast engine
-            # re-executes the call from scratch, bit-identically.  The
+            # guard bails *before* any accounting — the reference
+            # interpreter re-executes the call from scratch.  The
             # loads can fault, so counters run flushed-and-real here.
             spec = self.map_specs[fd - 1]
             var = self._bind_map(fd)
@@ -846,11 +978,9 @@ class _Emitter:
 # ------------------------------------------------------------------ compile
 @dataclass
 class JitProgram:
-    """Machine-independent JIT compilation of one program: the decode it
-    shares with the fast engine plus the compiled binder factory (or a
-    fallback marker)."""
+    """Machine-independent JIT compilation of one program: the compiled
+    binder factory, or ``None`` with a ``fallback_reason``."""
 
-    decoded: DecodedProgram
     factory: Optional[Callable]
     source: str
     n_memops: int
@@ -933,23 +1063,13 @@ def _binder_source(body: List[str], emitter: _Emitter) -> str:
     return "\n".join(lines)
 
 
-def _expand_slots(program: BpfProgram) -> List[Optional[Instruction]]:
-    slots: List[Optional[Instruction]] = []
-    for insn in program.insns:
-        slots.append(insn)
-        if insn.slots == 2:
-            slots.append(None)
-    return slots
-
-
-def _compile_jit(program: BpfProgram, decoded: DecodedProgram,
-                 key: str) -> JitProgram:
+def _compile_jit(program: BpfProgram, key: str) -> JitProgram:
     def fallback(reason: str) -> JitProgram:
-        return JitProgram(decoded=decoded, factory=None, source="",
+        return JitProgram(factory=None, source="",
                           n_memops=0, n_blocks=0, guarded_sites=0,
                           inline_helpers=0, fallback_reason=reason, key=key)
 
-    slots = _expand_slots(program)
+    slots = Machine._expand_slots(program.insns)
     if len(slots) > JIT_MAX_SLOTS:
         return fallback(f"program too large ({len(slots)} slots)")
     try:
@@ -957,7 +1077,7 @@ def _compile_jit(program: BpfProgram, decoded: DecodedProgram,
         emitter = _Emitter(cfg, program)
         body = Relooper(cfg, emitter).emit(0)
         source = _binder_source(body, emitter)
-        namespace = dict(_SB_GLOBALS)
+        namespace = dict(_JIT_GLOBALS)
         namespace["VmFault"] = VmFault
         namespace["MemoryFault"] = MemoryFault
         namespace["_BUDGET_MSG"] = _BUDGET_MSG
@@ -974,7 +1094,7 @@ def _compile_jit(program: BpfProgram, decoded: DecodedProgram,
         if STRICT:
             raise
         return fallback(f"{type(exc).__name__}: {exc}")
-    return JitProgram(decoded=decoded, factory=factory, source=source,
+    return JitProgram(factory=factory, source=source,
                       n_memops=emitter.memo_count, n_blocks=len(cfg.blocks),
                       guarded_sites=emitter.guarded_sites,
                       inline_helpers=emitter.inline_helpers,
@@ -982,15 +1102,26 @@ def _compile_jit(program: BpfProgram, decoded: DecodedProgram,
 
 
 # -------------------------------------------------------------------- cache
+@dataclass
+class JitCacheStats:
+    hits: int = 0
+    misses: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
 JIT_CACHE_CAPACITY = 256
 
 _jit_cache: "OrderedDict[str, JitProgram]" = OrderedDict()
-_jit_stats = DecodeCacheStats()
+_jit_stats = JitCacheStats()
 
 
-def jit_cache_stats() -> DecodeCacheStats:
+def jit_cache_stats() -> JitCacheStats:
     """A snapshot of the process-wide JIT code-object cache statistics."""
-    return DecodeCacheStats(_jit_stats.hits, _jit_stats.misses)
+    return JitCacheStats(_jit_stats.hits, _jit_stats.misses)
 
 
 def jit_cache_size() -> int:
@@ -1005,7 +1136,7 @@ def clear_jit_cache() -> None:
 
 def compile_jit_program(program: BpfProgram) -> JitProgram:
     """Compile *program* (or fetch the shared compilation for its
-    content key — the same key the decode cache uses)."""
+    content key)."""
     key = key_for_bytecode(program)
     cached = _jit_cache.get(key)
     if cached is not None:
@@ -1013,7 +1144,7 @@ def compile_jit_program(program: BpfProgram) -> JitProgram:
         _jit_cache.move_to_end(key)
         return cached
     _jit_stats.misses += 1
-    compiled = _compile_jit(program, decode_program(program), key)
+    compiled = _compile_jit(program, key)
     _jit_cache[key] = compiled
     while len(_jit_cache) > JIT_CACHE_CAPACITY:
         _jit_cache.popitem(last=False)
@@ -1024,19 +1155,18 @@ def compile_jit_program(program: BpfProgram) -> JitProgram:
 class JitExecution:
     """A :class:`JitProgram` bound to one Machine's models.
 
-    Owns a :class:`FastExecution` over the same decode: the two share
-    one budget cell, so a bail mid-program resumes the dispatch loop
-    with exactly the remaining budget, and a program that never JITted
-    (fallback) runs entirely on the fast engine.
+    A bail resumes the machine's reference interpreter at the bail slot
+    with the budget the compiled code already consumed, and a program
+    that never JIT-compiled (fallback) runs entirely on the interpreter.
     """
 
-    __slots__ = ("jit", "fast", "fn", "bail", "deopt_runs",
+    __slots__ = ("jit", "fn", "bail", "deopt_runs", "_interpret",
                  "_budget", "_max_insns", "_counters")
 
     def __init__(self, jit: JitProgram, machine) -> None:
         self.jit = jit
-        self.fast = FastExecution(jit.decoded, machine)
-        self._budget = self.fast._budget
+        self._interpret = machine._execute
+        self._budget = [0]
         self._max_insns = machine.max_insns
         self._counters = machine.counters
         self.bail = [0, 0, 0, 0]
@@ -1052,7 +1182,7 @@ class JitExecution:
     def execute(self, regs: List[int]) -> int:
         fn = self.fn
         if fn is None:
-            return self.fast.execute(regs)
+            return self._interpret(regs)
         budget = self._budget
         budget[0] = self._max_insns
         counted = self._counters.instructions
@@ -1060,15 +1190,11 @@ class JitExecution:
             pc = fn(regs)
             if pc < 0:
                 return regs[op.R0]
-            # deoptimize: resume the certified dispatch loop at the
-            # bail slot with the shared budget cell
+            # deoptimize: the epilogue flushed registers and counters,
+            # so the interpreter picks up at the bail slot as if it had
+            # executed everything so far itself
             self.deopt_runs += 1
-            handlers = self.fast.handlers
-            try:
-                while True:
-                    pc = handlers[pc](regs)
-            except _Exit:
-                return regs[op.R0]
+            return self._interpret(regs, pc, self._max_insns - budget[0])
         except VmFault as exc:
             check_budget_fault(exc, self._counters.instructions - counted,
                                self._max_insns)

@@ -1,11 +1,9 @@
 """Backedge-aware region formation for the method JIT.
 
-The superblock tier (:mod:`.superblock`) stops at straight-line runs:
-every branch, loop backedge and helper call falls back to the per-slot
-dispatch loop.  This module extends discovery over the *full* control
-flow graph so the JIT (:mod:`.jit`) can emit one generated-Python
-function per program, with conditionals as real ``if``/``else`` and
-loops as real ``while`` statements.
+This module recovers structure over the *full* control flow graph so
+the JIT (:mod:`.jit`) can emit one generated-Python function per
+program, with conditionals as real ``if``/``else`` and loops as real
+``while`` statements.
 
 Two pieces live here:
 

@@ -44,7 +44,9 @@ class RunResult:
 
 
 #: engines selectable via ``Machine(engine=...)``
-ENGINES = ("reference", "fast", "jit")
+ENGINES = ("reference", "jit")
+
+_BUDGET_MSG = "instruction budget exhausted (infinite loop?)"
 
 #: the kernel-stack poison pattern, allocated once (not per run)
 _STACK_FILL = b"\xa5" * op.STACK_SIZE
@@ -54,13 +56,12 @@ class Machine:
     """Interpreter plus performance model for one loaded program.
 
     ``engine`` selects the execution engine: ``"reference"`` is the
-    canonical if/elif interpreter below; ``"fast"`` is the pre-decoded
-    fast-dispatch engine (:mod:`repro.vm.engine`) with basic-block
-    superinstructions; ``"jit"`` compiles the whole program into one
-    generated-Python function (:mod:`repro.vm.engine.jit`) with loop
-    regions and guard specialization, deoptimizing onto the fast
-    engine's dispatch loop when a guard fails.  All three produce
-    bit-identical :class:`RunResult`s and machine state.
+    canonical if/elif interpreter below; ``"jit"`` compiles the whole
+    program into one generated-Python function
+    (:mod:`repro.vm.engine.jit`) with loop regions and guard
+    specialization, deoptimizing onto this interpreter when a guard
+    fails.  Both produce bit-identical :class:`RunResult`s and machine
+    state.
     """
 
     def __init__(
@@ -95,15 +96,11 @@ class Machine:
         self._slots = self._expand_slots(program.insns)
         self._stack = self.memory.add_region("stack", STACK_BASE, op.STACK_SIZE)
         self._ctx = self.memory.add_region("ctx", CTX_BASE, max(program.ctx_size, 8))
-        self._fast = None
-        if engine == "fast":
-            from .engine import bind_machine
-
-            self._fast = bind_machine(self)
-        elif engine == "jit":
+        self._jit = None
+        if engine == "jit":
             from .engine.jit import bind_jit
 
-            self._fast = bind_jit(self)
+            self._jit = bind_jit(self)
 
     @staticmethod
     def _expand_slots(insns: List[Instruction]) -> List[Optional[Instruction]]:
@@ -121,29 +118,22 @@ class Machine:
 
     @property
     def stats(self) -> Dict[str, object]:
-        """Engine-level statistics: the shared content-keyed caches
-        (decode + JIT code objects) and, for the jit engine, this
-        machine's compilation/deopt details."""
-        from .engine import decode_cache_stats
-        from .engine.jit import JitExecution, jit_cache_stats
+        """Engine-level statistics: the shared content-keyed JIT code
+        cache and, for the jit engine, this machine's compilation/deopt
+        details."""
+        from .engine.jit import jit_cache_stats
 
-        decode = decode_cache_stats()
         jit = jit_cache_stats()
         stats: Dict[str, object] = {
             "engine": self.engine,
-            "decode_cache": {
-                "hits": decode.hits,
-                "misses": decode.misses,
-                "hit_rate": decode.hit_rate,
-            },
             "jit_cache": {
                 "hits": jit.hits,
                 "misses": jit.misses,
                 "hit_rate": jit.hit_rate,
             },
         }
-        if isinstance(self._fast, JitExecution):
-            stats["jit"] = self._fast.stats
+        if self._jit is not None:
+            stats["jit"] = self._jit.stats
         return stats
 
     #: XDP headroom available for xdp_adjust_head (XDP_PACKET_HEADROOM)
@@ -207,8 +197,8 @@ class Machine:
         self._stack.data[:] = _STACK_FILL
 
         try:
-            if self._fast is not None:
-                return_value = self._fast.execute(regs)
+            if self._jit is not None:
+                return_value = self._jit.execute(regs)
             else:
                 return_value = self._execute(regs)
         finally:
@@ -222,11 +212,12 @@ class Machine:
         delta = self.counters.delta(before)
         return RunResult(return_value=return_value, counters=delta)
 
-    def _execute(self, regs: List[int]) -> int:
+    def _execute(self, regs: List[int], pc: int = 0, executed: int = 0) -> int:
+        """Interpret from slot *pc* until exit or fault.  *executed*
+        instructions already count against the budget: the JIT resumes
+        here after a deopt with what it consumed before bailing."""
         slots = self._slots
         counters = self.counters
-        pc = 0
-        executed = 0
         n = len(slots)
         while True:
             if pc < 0 or pc >= n:
@@ -236,7 +227,7 @@ class Machine:
                 raise VmFault(f"jump into the middle of ld_imm64 at slot {pc}")
             executed += 1
             if executed > self.max_insns:
-                raise VmFault("instruction budget exhausted (infinite loop?)")
+                raise VmFault(_BUDGET_MSG)
             counters.instructions += 1
             counters.cycles += cost.base_cost(insn)
 

@@ -337,6 +337,34 @@ class TestEvictionContention:
         evicted = sum(c.stats.disk_evictions for c in sweepers)
         assert evicted == len(entries) - len(survivors)
 
+    def test_stale_listing_sweeper_never_over_evicts(self, tmp_path):
+        """Forced interleaving of the race above: sweeper B lists the
+        tree, sweeper A sweeps it to budget, and only then does B start
+        claiming.  B's claims on A's victims fail; their bytes are gone
+        all the same, so B must stop at the budget instead of evicting
+        the survivor."""
+        self._populate(tmp_path)
+        entries = list(every_disk_entry(tmp_path))
+        keep = max(os.path.getsize(path) for path, _ in entries)
+        first = CompilationCache(directory=str(tmp_path),
+                                 max_disk_bytes=keep)
+        late = CompilationCache(directory=str(tmp_path),
+                                max_disk_bytes=keep)
+        claim = late._tombstone
+        swept = []
+
+        def claim_after_first_sweep(path):
+            if not swept:
+                swept.append(first.sweep())
+            return claim(path)
+
+        late._tombstone = claim_after_first_sweep
+        late.sweep()
+        survivors = list(every_disk_entry(tmp_path))
+        assert len(survivors) == 1
+        assert first.stats.disk_evictions == len(entries) - 1
+        assert late.stats.disk_evictions == 0
+
     def test_eviction_never_tears_inflight_reads(self, tmp_path):
         """Readers (forced to disk each time) race an eviction/re-store
         churn loop: every read is a complete entry or a clean miss —

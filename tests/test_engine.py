@@ -1,10 +1,10 @@
-"""Engine tests: cross-engine equality, superblocks, decode cache.
+"""Engine tests: cross-engine equality, including across fused runs.
 
-Every non-reference engine (the fast pre-decoded dispatcher and the
-whole-program jit) must be observationally *bit-identical* to the
-reference interpreter: same return value, same fault (type and
-message), same perf counters, same memory/map effects.  Every test
-here runs all engines and compares everything.
+Every non-reference engine (the whole-program jit) must be
+observationally *bit-identical* to the reference interpreter: same
+return value, same fault (type and message), same perf counters, same
+memory/map effects.  Every test here runs all engines and compares
+everything.
 """
 
 import dataclasses
@@ -14,12 +14,7 @@ import pytest
 from repro.fuzz import LAYERS, generate
 from repro.fuzz.differential import check_engines, observe_baseline
 from repro.isa import BpfProgram, Instruction, assemble, opcodes as op
-from repro.vm import Machine, Memory, MemoryFault
-from repro.vm.engine import (
-    clear_decode_cache,
-    decode_cache_stats,
-    decode_program,
-)
+from repro.vm import Machine, Memory, MemoryFault, VmFault
 from repro.vm.interpreter import ENGINES
 from repro.vm.memory import PACKET_BASE
 
@@ -180,7 +175,7 @@ class TestCrossEngineAtomics:
 class TestCrossEngineHelpers:
     def test_ktime_identical(self):
         # ktime derives from the cycle counter, so agreement here proves
-        # the fast engine charges helper costs at the same point
+        # the jit charges helper costs at the same point
         agree("call 5\nr6 = r0\ncall 5\nr0 -= r6\nexit")
 
     def test_prandom_identical(self):
@@ -191,28 +186,23 @@ class TestCrossEngineHelpers:
         assert outcome[0] == "fault"
 
 
-class TestSuperblocks:
-    def test_straight_line_run_forms_block(self):
-        program = BpfProgram("t", assemble(
-            "r0 = 1\nr0 += 2\nr0 *= 3\nr1 = r0\nexit"))
-        decoded = decode_program(program)
-        assert decoded.blocks, "expected at least one superblock"
-        block = decoded.blocks[0]
-        assert block.count >= 2
+class TestFusedRuns:
+    """Straight-line stretches the jit fuses into one validate-then-
+    commit run: every way a run can end early must match the reference."""
 
-    def test_load_tainted_base_splits_block(self):
-        # the loaded pointer (r2) must not serve as a base inside the
-        # same block: the second memop lands in a separate block (or
-        # none), never fused after the load that defines its base
-        program = BpfProgram("t", assemble(
-            "r2 = *(u64 *)(r1 + 0)\nr0 = *(u8 *)(r2 + 2)\nexit"),
-            ctx_size=64)
-        decoded = decode_program(program)
-        for block in decoded.blocks:
-            slots = range(block.start, block.start + block.count)
-            assert not (0 in slots and 1 in slots)
+    def test_straight_line_run(self):
+        outcome, _, _ = agree("r0 = 1\nr0 += 2\nr0 *= 3\nr1 = r0\nexit")
+        assert outcome == ("ok", 9)
 
-    def test_jump_into_middle_of_block(self):
+    def test_load_tainted_base_splits_run(self):
+        # the loaded pointer (r2) cannot be validated before the run
+        # commits, so the second memop starts a run of its own
+        outcome, _, _ = agree(
+            "r2 = *(u64 *)(r1 + 0)\nr0 = *(u8 *)(r2 + 2)\nexit",
+            packet=b"\x01\x02\x03\x04")
+        assert outcome == ("ok", 3)
+
+    def test_jump_into_middle_of_run(self):
         # slots 2..4 form a straight-line run; the goto enters at slot 3
         asm = ("r0 = 5\n"
                "goto mid\n"
@@ -224,10 +214,10 @@ class TestSuperblocks:
         outcome, _, _ = agree(asm)
         assert outcome == ("ok", 8)
 
-    def test_fault_mid_block_replays_identically(self):
-        # the first store commits, the second faults: the fast engine
-        # must leave the stack byte-identical to the reference (replay
-        # performs the prefix for real) and fault with the same message
+    def test_fault_mid_run_identical(self):
+        # the first store commits, the second faults: the jit bails with
+        # nothing executed and the reference interpreter performs the
+        # prefix for real, leaving the stack byte-identical
         asm = ("r1 = r10\n"
                "r2 = 1\n"
                "*(u64 *)(r1 - 8) = r2\n"
@@ -237,19 +227,24 @@ class TestSuperblocks:
         assert outcome[0] == "fault"
         assert memory["stack"][-8:] == (1).to_bytes(8, "little")
 
-    def test_budget_exhausted_mid_block_identical(self):
-        # budget expires inside a fused run: the fast engine must replay
-        # per-instruction so the fault lands on the exact instruction
+    def test_budget_exhausted_mid_run_identical(self):
+        # budget expires inside a fused run: the jit bails and the
+        # reference interpreter lands the fault on the exact instruction
         asm = "r0 = 1\nr0 += 1\nr0 += 2\nr0 += 3\nr0 += 4\nexit"
         program = BpfProgram("t", assemble(asm))
-        assert decode_program(program).blocks
         for budget in range(1, 6):
             outcome, counters, _ = assert_engines_agree(
                 program, max_insns=budget)
             assert outcome[0] == "fault"
             assert counters[0] == budget
+            # budgets 1-4 cannot cover the 5-instruction run, so the jit
+            # bails at its entry; budget 5 runs it and faults at exit
+            machine = Machine(program, engine="jit", max_insns=budget)
+            with pytest.raises(VmFault):
+                machine.run()
+            assert machine.stats["jit"]["deopt_runs"] == int(budget < 5)
 
-    def test_store_load_aliasing_in_block(self):
+    def test_store_load_aliasing_in_run(self):
         # store then load of the same address inside one fused run must
         # observe the stored value (program-order commit)
         asm = ("r1 = 0x11223344\n"
@@ -258,33 +253,6 @@ class TestSuperblocks:
                "exit")
         outcome, _, _ = agree(asm)
         assert outcome == ("ok", 0x11223344)
-
-
-class TestDecodeCache:
-    def test_hit_and_miss_accounting(self):
-        clear_decode_cache()
-        program = BpfProgram("t", assemble("r0 = 1\nr0 += 2\nexit"))
-        Machine(program, engine="fast")
-        stats = decode_cache_stats()
-        assert (stats.hits, stats.misses) == (0, 1)
-        Machine(program, engine="fast")
-        stats = decode_cache_stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_cache_keys_on_content(self):
-        clear_decode_cache()
-        a = BpfProgram("a", assemble("r0 = 1\nr0 += 2\nexit"))
-        b = BpfProgram("b", assemble("r0 = 1\nr0 += 2\nexit"))
-        assert decode_program(a) is decode_program(b)
-        different = BpfProgram("c", assemble("r0 = 1\nr0 += 3\nexit"))
-        assert decode_program(different) is not decode_program(a)
-
-    def test_clear_resets(self):
-        program = BpfProgram("t", assemble("r0 = 0\nr0 += 0\nexit"))
-        decode_program(program)
-        clear_decode_cache()
-        stats = decode_cache_stats()
-        assert (stats.hits, stats.misses) == (0, 0)
 
 
 class TestMemoryIndex:
@@ -360,6 +328,13 @@ class TestCounterMirror:
                     == machine.cache.stats.misses)
             assert (machine.counters.branch_misses
                     == machine.branch.stats.mispredictions)
+
+
+def test_engine_choice_is_reference_or_jit():
+    assert ENGINES == ("reference", "jit")
+    program = BpfProgram("t", assemble("r0 = 0\nexit"))
+    with pytest.raises(ValueError, match="unknown engine 'fast'"):
+        Machine(program, engine="fast")
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -3,9 +3,9 @@
 The jit engine must be observationally *bit-identical* to the
 reference interpreter — return value, fault type and message, perf
 counters, memory and map effects — including when it deoptimizes
-mid-program and the fast engine finishes the run.  Every test here is
-run with ``STRICT`` compilation: a codegen bug surfaces as a test
-failure instead of a silent fallback to the fast engine.
+mid-program and the reference interpreter finishes the run.  Every
+test here is run with ``STRICT`` compilation: a codegen bug surfaces as
+a test failure instead of a silent fallback to the interpreter.
 """
 
 import dataclasses
@@ -18,8 +18,10 @@ from repro.fuzz.differential import check_engines, observe_baseline
 from repro.isa import BpfProgram, Instruction, MapSpec, assemble
 from repro.isa import opcodes as op
 from repro.vm import Machine, VmFault
-from repro.vm.engine.decode import _BUDGET_MSG, check_budget_fault
 from repro.vm.engine.jit import (
+    _BUDGET_MSG,
+    StructureError,
+    check_budget_fault,
     clear_jit_cache,
     compile_jit_program,
     jit_cache_size,
@@ -52,8 +54,8 @@ def observe(program, ctx=b"", packet=None, engine="reference",
 
 
 def assert_all_engines(program, ctx=b"", packet=None, max_insns=200_000):
-    """Reference, fast and jit must observe the exact same run; returns
-    the observation plus the jit machine (for engine-stats asserts)."""
+    """Reference and jit must observe the exact same run; returns the
+    observation plus the jit machine (for engine-stats asserts)."""
     baseline, _ = observe(program, ctx, packet, "reference", max_insns)
     jit_machine = None
     for engine in ENGINES:
@@ -251,8 +253,8 @@ class TestDeopt:
     def test_budget_bail_mid_loop(self):
         # Budget 12 leaves exactly 1 instruction when the loop body's
         # 2-instruction fused run is entered: the region-entry check
-        # bails (it cannot execute the whole run) and the fast engine
-        # must carry the run to the exact reference exhaustion slot.
+        # bails (it cannot execute the whole run) and the reference
+        # interpreter must carry the run to the exact exhaustion slot.
         program = BpfProgram("t", assemble(LOOP))
         (outcome, counters, _), machine = assert_all_engines(
             program, max_insns=12)
@@ -264,7 +266,7 @@ class TestDeopt:
 
     def test_memory_bail_preserves_prefix(self):
         # first store commits, second faults during phase 1: the bail
-        # must leave registers/memory for the fast replay to redo the
+        # must leave registers/memory for the interpreter to redo the
         # prefix for real, byte-identically with the reference
         asm = ("r1 = r10\nr2 = 1\n*(u64 *)(r1 - 8) = r2\n"
                "*(u64 *)(r1 - 600) = r2\nexit")
@@ -278,8 +280,8 @@ class TestDeopt:
     def test_guard_failure_mid_loop_resumes_identically(self, monkeypatch):
         # Force an optimistic-wrong specialization: the analysis claims
         # map fd 2 at sites that really hold fd 1, so the run-time guard
-        # fails on every iteration and the fast engine must finish each
-        # run bit-identically.
+        # fails on every iteration and the reference interpreter must
+        # finish each run bit-identically.
         original = jit_mod._Emitter._map_fd_at
 
         def lying(self, body):
@@ -293,7 +295,7 @@ class TestDeopt:
         assert stats["bails"]["guard"] >= 1
         assert stats["deopt_runs"] >= 1
 
-    def test_unknown_jump_op_bails_to_fast(self):
+    def test_unknown_jump_op_bails_to_reference(self):
         # 0xe0 is not a defined jump op: the jit keeps the slot on the
         # slow path and the fault message must match the reference
         insns = [Instruction(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=0),
@@ -303,6 +305,40 @@ class TestDeopt:
         (outcome, _, _), machine = assert_all_engines(program)
         assert outcome[0] == "fault"
         assert machine.stats["jit"]["bails"]["other"] >= 1
+        assert machine.stats["jit"]["deopt_runs"] >= 1
+
+
+class TestFallback:
+    """A program the JIT does not compile runs wholly on the reference
+    interpreter, counters included."""
+
+    CASES = [
+        (LOOP, None, 200_000),
+        (MAP_LOOP, TWO_MAPS, 200_000),
+        (LOOP, None, 30),  # budget expiry on the interpreter
+        ("r1 = 7\n*(u64 *)(r10 - 520) = r1\nexit", None, 200_000),
+    ]
+
+    def check_fallback(self, asm, maps, max_insns, reason):
+        _, machine = agree(asm, maps=maps, max_insns=max_insns)
+        stats = machine.stats["jit"]
+        assert stats["compiled"] is False
+        assert stats["fallback_reason"].startswith(reason)
+        assert stats["deopt_runs"] == 0
+
+    @pytest.mark.parametrize("asm, maps, max_insns", CASES)
+    def test_oversized_program(self, monkeypatch, asm, maps, max_insns):
+        monkeypatch.setattr(jit_mod, "JIT_MAX_SLOTS", 2)
+        self.check_fallback(asm, maps, max_insns, "program too large")
+
+    @pytest.mark.parametrize("asm, maps, max_insns", CASES)
+    def test_unstructurable_program(self, monkeypatch, asm, maps,
+                                    max_insns):
+        def refuse(self, entry):
+            raise StructureError("refused")
+
+        monkeypatch.setattr(jit_mod.Relooper, "emit", refuse)
+        self.check_fallback(asm, maps, max_insns, "structure: refused")
 
 
 class TestBudgetDrift:

@@ -401,6 +401,6 @@ class TestLayoutProperty:
     @pytest.mark.fuzz
     def test_layout_preserves_behavior_200(self):
         """ISSUE 7 S4: 200 fuzz-generated programs, layout-on vs
-        layout-off bit-identical under both engines, every rewrite
-        certified (check_layout enforces all three)."""
+        layout-off bit-identical on the reference interpreter, every
+        rewrite certified (check_layout enforces both)."""
         _layout_property(200, seed_base=91_000)

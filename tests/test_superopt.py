@@ -248,17 +248,15 @@ class TestPass:
         for witness in witnesses:
             assert validate_bytecode_witness(witness).certified
 
-    def test_behavior_identical_both_engines(self, xdp2):
+    def test_behavior_identical(self, xdp2):
         superopted, _, _ = run_pass(xdp2)
         tests = generate_tests(xdp2, count=6, seed=11)
-        for engine in ("reference", "fast"):
-            before = observe_battery(xdp2, tests, seed=11, engine=engine)
-            after = observe_battery(superopted, tests, seed=11,
-                                    engine=engine)
-            for a, b in zip(before, after):
-                assert a.fault == b.fault
-                assert a.return_value == b.return_value
-                assert a.state == b.state
+        before = observe_battery(xdp2, tests, seed=11)
+        after = observe_battery(superopted, tests, seed=11)
+        for a, b in zip(before, after):
+            assert a.fault == b.fault
+            assert a.return_value == b.return_value
+            assert a.state == b.state
 
     def test_pipeline_compile_wiring(self):
         from repro import compile_bpf, optimize
@@ -368,13 +366,12 @@ class TestAdversarialMemo:
         out, superopt, _ = run_pass(xdp2, memo=memo)
         assert superopt.counters["site_rejects"] > 0
         tests = generate_tests(xdp2, count=6, seed=3)
-        for engine in ("reference", "fast"):
-            a = observe_battery(xdp2, tests, seed=3, engine=engine)
-            b = observe_battery(out, tests, seed=3, engine=engine)
-            for lhs, rhs in zip(a, b):
-                assert lhs.fault == rhs.fault
-                assert lhs.return_value == rhs.return_value
-                assert lhs.state == rhs.state
+        a = observe_battery(xdp2, tests, seed=3)
+        b = observe_battery(out, tests, seed=3)
+        for lhs, rhs in zip(a, b):
+            assert lhs.fault == rhs.fault
+            assert lhs.return_value == rhs.return_value
+            assert lhs.state == rhs.state
 
     def test_validate_memo_entry_screens(self):
         canonical, _, _ = canonicalize_window([ins.alu64("add", 1, imm=0)])
@@ -402,7 +399,7 @@ class TestAdversarialMemo:
 
 class TestPropertySweep:
     """The generated-program sweep: superopt output must match baseline
-    behaviour on the observation oracle under both VM engines, with
+    behaviour on the observation oracle, with
     every rewrite certified, and the shared warm memo must replay to
     byte-identical programs (cached == fresh).
 
@@ -435,22 +432,18 @@ class TestPropertySweep:
                 continue  # toolchain rejected the program outright
             checked += 1
 
-            # cold search: behaviour preserved under both engines and
-            # 100% of applied rewrites carry a certified witness
+            # cold search: behaviour preserved and 100% of applied
+            # rewrites carry a certified witness
             cold, cold_pass, witnesses = run_pass(baseline.program)
             assert len(witnesses) == cold_pass.counters["applied"]
             for witness in witnesses:
                 cert = validate_bytecode_witness(witness)
                 assert cert.certified, (index, cert.detail)
-            for engine in ("reference", "fast"):
-                before = observe_battery(baseline.program, baseline.tests,
-                                         seed=baseline.oracle_seed,
-                                         engine=engine)
-                after = observe_battery(cold, baseline.tests,
-                                        seed=baseline.oracle_seed,
-                                        engine=engine)
-                assert first_divergence(before, after) is None, \
-                    (index, engine)
+            before = observe_battery(baseline.program, baseline.tests,
+                                     seed=baseline.oracle_seed)
+            after = observe_battery(cold, baseline.tests,
+                                    seed=baseline.oracle_seed)
+            assert first_divergence(before, after) is None, index
 
             # cached == fresh: a memo shared across the whole sweep
             # must reproduce the fresh pass bit for bit
