@@ -23,7 +23,7 @@ from .keys import (
     key_for_bytecode,
     key_for_function,
 )
-from .store import CacheStats, CompilationCache
+from .store import CacheStats, CompilationCache, scan_cache_tree
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -34,4 +34,5 @@ __all__ = [
     "key_for_function",
     "CacheStats",
     "CompilationCache",
+    "scan_cache_tree",
 ]

@@ -42,6 +42,40 @@ from ..verifier import KernelConfig
 from . import keys as _keys
 
 
+def _is_entry(name: str) -> bool:
+    """A committed disk entry, not a ``.tmp-*`` or ``.tomb-*`` transient."""
+    return name.endswith(".pkl") and not name.startswith(".")
+
+
+def scan_cache_tree(cache_dir: str) -> dict:
+    """Walk a disk store and load every entry — the torn-entry detector
+    a fleet bench runs over its shared tree.
+
+    Transient ``.tmp-*`` / ``.tomb-*`` files (a writer or evictor was
+    mid-flight when the walk passed) are counted separately, never as
+    corruption; a ``torn`` entry is one that exists but does not load."""
+    entries = torn = transients = 0
+    total_bytes = 0
+    for root, _dirs, files in os.walk(cache_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            if not _is_entry(name):
+                if ".tmp-" in name or ".tomb-" in name:
+                    transients += 1
+                continue
+            entries += 1
+            try:
+                total_bytes += os.path.getsize(path)
+                with open(path, "rb") as handle:
+                    pickle.load(handle)
+            except FileNotFoundError:
+                entries -= 1   # evicted mid-walk: fine
+            except Exception:
+                torn += 1
+    return {"entries": entries, "torn": torn,
+            "transients": transients, "bytes": total_bytes}
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters, mergeable across worker processes.
@@ -298,8 +332,7 @@ class CompilationCache:
                             stat = entry.stat(follow_symlinks=False)
                         except OSError:
                             continue  # raced with another sweeper
-                        if not name.endswith(".pkl") \
-                                or name.startswith("."):
+                        if not _is_entry(name):
                             # temp file (``.tmp-*.pkl``) or tombstone
                             # left by a crashed writer/sweeper: reap
                             # it once clearly abandoned

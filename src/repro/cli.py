@@ -17,8 +17,9 @@ Subcommands mirror the real eBPF workflow:
   compactness wins over Merlin-only and write ``BENCH_superopt.json``
 * ``serve``    — run the optimization-as-a-service daemon (JSON lines
   over a local socket, admission batching, shared warm cache)
-* ``bench-serve`` — drive a daemon with Zipf-skewed synthetic tenant
-  traffic and write the cold-vs-warm ``BENCH_service.json``
+* ``bench-serve`` — replay Zipf-skewed synthetic tenant traffic (or a
+  recorded trace) against a daemon or a fleet and write the
+  cold-vs-warm ``BENCH_service.json``
 """
 
 from __future__ import annotations
@@ -483,12 +484,9 @@ def cmd_serve(args) -> int:
     import json as _json
     import signal
 
-    if args.fleet:
-        return _cmd_serve_fleet(args)
+    from .serve import DaemonThread, FleetConfig, FleetThread, ServeConfig
 
-    from .serve import DaemonThread, ServeConfig
-
-    config = ServeConfig(
+    options = dict(
         socket_path=None if args.tcp is not None else args.socket,
         host="127.0.0.1" if args.tcp is not None else None,
         port=args.tcp or 0,
@@ -501,62 +499,17 @@ def cmd_serve(args) -> int:
         cache_max_bytes=args.cache_max_bytes,
         preempt_priority=args.preempt_priority,
     )
-    daemon = DaemonThread(config).start()
-    kind = daemon.address[0]
-    where = daemon.address[1] if kind == "unix" else \
-        f"{daemon.address[1]}:{daemon.address[2]}"
-    print(f"repro serve: listening on {kind} {where} "
+    handle = (FleetThread(FleetConfig(shards=args.fleet, **options))
+              if args.fleet else DaemonThread(ServeConfig(**options)))
+    server = handle.start().server
+    config = server.config
+    kind = handle.address[0]
+    where = handle.address[1] if kind == "unix" else \
+        f"{handle.address[1]}:{handle.address[2]}"
+    what = f"fleet of {args.fleet} shard(s)" if args.fleet else "daemon"
+    print(f"repro serve: {what} listening on {kind} {where} "
           f"(jobs={config.jobs}, max_batch={config.max_batch}, "
-          f"max_delay={config.max_delay * 1000:.1f}ms)", file=sys.stderr)
-
-    done = []
-
-    def _stop(signum, frame):
-        if not done:
-            done.append(signum)
-            print("repro serve: draining...", file=sys.stderr)
-            daemon.daemon.request_stop(drain=True)
-
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
-    daemon._thread.join()
-    snapshot = daemon.daemon.snapshot()
-    if args.stats_out:
-        with open(args.stats_out, "w") as fh:
-            fh.write(_json.dumps(snapshot, indent=2) + "\n")
-    print(f"repro serve: {snapshot['requests']['responded']} responses, "
-          f"{snapshot['requests']['compiles']} compiles, "
-          f"cache hit rate "
-          f"{snapshot['cache']['hit_rate'] * 100:.0f}%", file=sys.stderr)
-    return 0
-
-
-def _cmd_serve_fleet(args) -> int:
-    import json as _json
-    import signal
-
-    from .serve.fleet import FleetConfig, FleetThread
-
-    config = FleetConfig(
-        shards=args.fleet,
-        socket_path=None if args.tcp is not None else args.socket,
-        host="127.0.0.1" if args.tcp is not None else None,
-        port=args.tcp or 0,
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        kernel=args.kernel,
-        cache_ttl=args.cache_ttl,
-        cache_max_bytes=args.cache_max_bytes,
-        preempt_priority=args.preempt_priority,
-    )
-    fleet = FleetThread(config).start()
-    kind = fleet.address[0]
-    where = fleet.address[1] if kind == "unix" else \
-        f"{fleet.address[1]}:{fleet.address[2]}"
-    print(f"repro serve: fleet of {config.shards} shard(s) on "
-          f"{kind} {where} (jobs/shard={config.jobs}, "
+          f"max_delay={config.max_delay * 1000:.1f}ms, "
           f"cache={config.cache_dir})", file=sys.stderr)
 
     done = []
@@ -564,27 +517,23 @@ def _cmd_serve_fleet(args) -> int:
     def _stop(signum, frame):
         if not done:
             done.append(signum)
-            print("repro serve: draining fleet...", file=sys.stderr)
-            fleet.router.request_stop(drain=True)
+            print("repro serve: draining...", file=sys.stderr)
+            server.request_stop(drain=True)
 
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
-    fleet._thread.join()
+    handle._thread.join()
+    snapshot = server.final_snapshot
     if args.stats_out:
-        # stop() captures a full fleet view (router + shard stats +
-        # aggregate) while the shards can still answer; fall back to
-        # router-only counters if the capture itself failed
-        snapshot = fleet.router.final_snapshot or {
-            "router": fleet.router.stats.snapshot(
-                {link.index: link.forwarded
-                 for link in fleet.router._links}),
-            "config": config.describe()}
         with open(args.stats_out, "w") as fh:
             fh.write(_json.dumps(snapshot, indent=2) + "\n")
-    stats = fleet.router.stats
-    print(f"repro serve: fleet routed {stats.forwarded} requests "
-          f"({stats.shard_lost_errors} shard-lost, "
-          f"{stats.respawns} respawns)", file=sys.stderr)
+    stats = server.stats
+    tail = (f"{stats.forwarded} routed ({stats.shard_lost_errors} "
+            f"shard-lost, {stats.respawns} respawns)" if args.fleet else
+            f"{snapshot['requests']['compiles']} compiles, cache hit "
+            f"rate {snapshot['cache']['hit_rate'] * 100:.0f}%")
+    print(f"repro serve: {stats.responses_sent} responses, {tail}",
+          file=sys.stderr)
     return 0
 
 
@@ -600,36 +549,27 @@ def _parse_priority_mix(spec):
 
 
 def cmd_bench_serve(args) -> int:
-    from .eval.serviceperf import bench_service, bench_service_fleet
+    from .eval.serviceperf import bench_service
     from .serve.loadgen import FaultPlan
 
     progress = None if args.json else (
         lambda line: print(line, file=sys.stderr))
-    if args.fleet:
-        report = bench_service_fleet(
-            requests=args.requests, clients=args.clients,
-            unique=args.unique, seed=args.seed, zipf_s=args.zipf,
-            depth=args.depth, shards=args.fleet, jobs=args.jobs,
-            max_batch=args.max_batch,
-            max_delay=args.max_delay_ms / 1000.0,
-            cache_ttl=args.cache_ttl,
-            cache_max_bytes=args.cache_max_bytes,
-            priority_mix=_parse_priority_mix(args.priority_mix),
-            trace_path=args.trace, record_path=args.record,
-            speed=args.speed, progress=progress)
-    else:
-        faults = None
-        if args.faults:
-            faults = FaultPlan(malformed=0.02, oversized=0.01,
-                               unknown_op=0.01, disconnect=0.02)
-        report = bench_service(
-            requests=args.requests, clients=args.clients,
-            unique=args.unique, seed=args.seed, zipf_s=args.zipf,
-            depth=args.depth, jobs=args.jobs, max_batch=args.max_batch,
-            max_delay=args.max_delay_ms / 1000.0, faults=faults,
-            progress=progress)
+    faults = None
+    if args.faults:
+        faults = FaultPlan(malformed=0.02, oversized=0.01,
+                           unknown_op=0.01, disconnect=0.02)
+    report = bench_service(
+        requests=args.requests, clients=args.clients,
+        unique=args.unique, seed=args.seed, zipf_s=args.zipf,
+        depth=args.depth, shards=args.fleet, jobs=args.jobs,
+        max_batch=args.max_batch, max_delay=args.max_delay_ms / 1000.0,
+        cache_ttl=args.cache_ttl, cache_max_bytes=args.cache_max_bytes,
+        faults=faults, priority_mix=_parse_priority_mix(args.priority_mix),
+        trace_path=args.trace, record_path=args.record, speed=args.speed,
+        progress=progress)
     if args.out:
         report.write(args.out)
+    integrity = report.cache_integrity
     if args.json:
         print(report.to_json())
     else:
@@ -641,17 +581,13 @@ def cmd_bench_serve(args) -> int:
                   f"p50 {lat['p50']:.1f}ms p99 {lat['p99']:.1f}ms, "
                   f"hit rate {phase.hit_rate * 100:.0f}%")
         print(f"warm/cold speedup: {report.speedup:.2f}x")
-        if args.fleet:
-            integrity = report.cache_integrity
-            print(f"fleet: {args.fleet} shard(s), "
-                  f"goodput spread "
-                  f"{report.fairness['goodput_spread']:.3f}, "
-                  f"cache entries {integrity['entries']} "
-                  f"({integrity['torn']} torn)")
+        print(f"goodput spread {report.fairness['goodput_spread']:.3f}"
+              + (f", cache entries {integrity['entries']} "
+                 f"({integrity['torn']} torn)" if integrity else ""))
         if args.out:
             print(f"wrote {args.out}")
     dropped = report.cold.dropped + report.warm.dropped
-    if args.fleet and report.cache_integrity.get("torn"):
+    if integrity.get("torn"):
         return 1
     return 0 if dropped == 0 else 1
 
@@ -866,33 +802,33 @@ def build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--depth", type=int, default=8,
                     help="per-client pipeline depth (default: 8)")
     bs.add_argument("--jobs", type=int, default=1,
-                    help="daemon worker processes (default: 1)")
+                    help="compile worker processes per daemon "
+                         "(default: 1)")
     bs.add_argument("--max-batch", type=int, default=16)
     bs.add_argument("--max-delay-ms", type=float, default=5.0)
     bs.add_argument("--faults", action="store_true",
-                    help="mix protocol-abuse faults into the stream "
-                         "(single-daemon mode only)")
+                    help="mix protocol-abuse faults into the stream")
     bs.add_argument("--fleet", type=int, default=0, metavar="N",
                     help="benchmark a router over N shard daemons "
                          "instead of a single daemon")
     bs.add_argument("--trace", metavar="FILE",
-                    help="with --fleet: replay this recorded trace "
-                         "instead of synthesizing load")
+                    help="replay this recorded trace instead of "
+                         "synthesizing load")
     bs.add_argument("--record", metavar="FILE",
-                    help="with --fleet: record the cold phase's "
-                         "stream as a replayable trace")
+                    help="save the replayed stream as a trace file")
     bs.add_argument("--speed", type=float, default=0.0,
-                    help="with --trace: inter-arrival time scale "
-                         "(0 = flat out, 1 = recorded timing)")
+                    help="inter-arrival time scale (0 = flat out, "
+                         "1 = the trace's timing; a synthesized "
+                         "stream has no gaps)")
     bs.add_argument("--cache-ttl", type=float, default=None,
                     metavar="SECONDS",
-                    help="with --fleet: idle TTL for cache entries")
+                    help="idle TTL for cache entries")
     bs.add_argument("--cache-max-bytes", type=int, default=None,
                     metavar="BYTES",
-                    help="with --fleet: disk-store size budget")
+                    help="disk-store size budget")
     bs.add_argument("--priority-mix", metavar="SPEC",
-                    help="with --fleet: priority distribution, e.g. "
-                         "'0:0.9,5:0.1'")
+                    help="priority distribution of the synthesized "
+                         "stream, e.g. '0:0.9,5:0.1'")
     bs.add_argument("--out", default="BENCH_service.json",
                     help="result file (default: BENCH_service.json; "
                          "'' skips)")

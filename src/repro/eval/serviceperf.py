@@ -1,13 +1,16 @@
 """Service-mode benchmark: cold vs warm throughput under skewed load.
 
-Starts one ``repro.serve`` daemon, drives it with the load generator's
-Zipf-skewed tenant traffic (:mod:`repro.serve.loadgen`) twice — once
-against an empty cache (*cold*) and once with the exact same request
-stream against the now-warm cache (*warm*) — and reports
-programs/sec, client-observed latency percentiles, and cache hit
-rates for both phases.  ``repro bench-serve`` drives this and emits
-``BENCH_service.json``, the service-scaling trajectory every future
-scaling PR regresses against.
+Starts one ``repro.serve`` daemon (``shards == 0``) or a router over
+``shards`` shard daemons, and replays one trace against it twice —
+once against an empty cache (*cold*) and once, the exact same request
+stream, against the now-warm cache (*warm*).  The trace is either
+synthesized (:func:`repro.serve.loadgen.synthesize_trace`: Zipf-skewed
+tenant traffic over a pool of generated programs, every event due at
+once, optional priority mix) or a recorded file.  The report carries
+programs/sec, client-observed latency percentiles, cache hit rates
+read from the server's ``stats`` op, per-tenant goodput, and a scan of
+the server's disk cache tree for torn entries.  ``repro bench-serve``
+drives this and emits ``BENCH_service.json``.
 
 The pool is prefiltered through a full local compile (setup cost,
 outside both timed phases), so every request in both phases is
@@ -19,22 +22,27 @@ on the Zipf head — that is the point of the skew — so the headline
 from __future__ import annotations
 
 import json
-import os
-import pickle
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..cache import scan_cache_tree
 from ..serve.client import ServeClient
 from ..serve.daemon import DaemonThread, ServeConfig
 from ..serve.fleet import FleetConfig, FleetThread
-from ..serve.loadgen import FaultPlan, LoadResult, build_pool, run_load
-from ..serve.trace import TraceWriter, load_trace, replay_trace
+from ..serve.loadgen import (
+    FaultPlan,
+    ReplayResult,
+    build_pool,
+    load_trace,
+    replay_trace,
+    save_trace,
+    synthesize_trace,
+)
 
 
 @dataclass
 class PhaseResult:
-    """One timed load phase (cold or warm)."""
+    """One timed replay phase (cold or warm)."""
 
     phase: str
     requests: int
@@ -44,18 +52,20 @@ class PhaseResult:
     wall_seconds: float
     programs_per_second: float
     latency_ms: dict
+    late_ms_p99: float
     hit_rate: float
     errors: dict
 
     @classmethod
-    def from_load(cls, phase: str, load: LoadResult,
+    def from_load(cls, phase: str, load: ReplayResult,
                   hit_rate: float) -> "PhaseResult":
         d = load.to_dict()
         return cls(phase=phase, requests=d["sent"], ok=d["ok"],
                    dropped=d["dropped"], cached=d["cached"],
                    wall_seconds=d["wall_seconds"],
                    programs_per_second=d["requests_per_second"],
-                   latency_ms=d["latency_ms"], hit_rate=hit_rate,
+                   latency_ms=d["latency_ms"],
+                   late_ms_p99=d["late_ms_p99"], hit_rate=hit_rate,
                    errors=d["errors"])
 
     def to_dict(self) -> dict:
@@ -68,6 +78,7 @@ class PhaseResult:
             "wall_seconds": self.wall_seconds,
             "programs_per_second": self.programs_per_second,
             "latency_ms": self.latency_ms,
+            "late_ms_p99": self.late_ms_p99,
             "hit_rate": round(self.hit_rate, 4),
             "errors": self.errors,
         }
@@ -75,158 +86,18 @@ class PhaseResult:
 
 @dataclass
 class ServiceBenchReport:
-    """``BENCH_service.json``: the service-scaling trajectory entry."""
+    """``BENCH_service.json``: one cold-vs-warm run.
 
-    config: dict
-    cold: PhaseResult = None
-    warm: PhaseResult = None
-    daemon_stats: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        if self.cold is None or self.warm is None \
-                or not self.cold.programs_per_second:
-            return 0.0
-        return self.warm.programs_per_second / self.cold.programs_per_second
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": "service",
-            "config": self.config,
-            "cold": self.cold.to_dict() if self.cold else None,
-            "warm": self.warm.to_dict() if self.warm else None,
-            "warm_over_cold_speedup": round(self.speedup, 2),
-            "daemon_stats": self.daemon_stats,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json() + "\n")
-
-
-def bench_service(requests: int = 1000, clients: int = 4,
-                  unique: int = 80, seed: int = 2024,
-                  zipf_s: float = 1.1, depth: int = 8, jobs: int = 1,
-                  max_batch: int = 16, max_delay: float = 0.005,
-                  faults: Optional[FaultPlan] = None,
-                  progress: Optional[Callable[[str], None]] = None,
-                  ) -> ServiceBenchReport:
-    """Run the cold-vs-warm service benchmark; see the module docs.
-
-    *requests* is the total per phase, split evenly across *clients*
-    (each client replays its own deterministic Zipf stream over a pool
-    of *unique* distinct generated programs).
-    """
-    say = progress or (lambda line: None)
-    per_client = max(1, requests // clients)
-    config = ServeConfig(jobs=jobs, max_batch=max_batch,
-                         max_delay=max_delay)
-    report = ServiceBenchReport(config={
-        "requests": per_client * clients,
-        "clients": clients,
-        "unique_programs": unique,
-        "seed": seed,
-        "zipf_s": zipf_s,
-        "pipeline_depth": depth,
-        "jobs": jobs,
-        "max_batch": max_batch,
-        "max_delay_ms": round(max_delay * 1000, 3),
-    })
-
-    say(f"generating pool: {unique} unique programs (seed {seed})")
-    pool = build_pool(unique, seed=seed, prefilter="full")
-
-    with DaemonThread(config) as daemon:
-        say(f"cold phase: {per_client * clients} requests, "
-            f"{clients} client(s)")
-        cold = run_load(daemon.address, pool, requests=per_client,
-                        clients=clients, seed=seed, zipf_s=zipf_s,
-                        depth=depth, faults=faults)
-        cold_stats = daemon.daemon.cache.stats
-        cold_rate = cold_stats.hit_rate
-        report.cold = PhaseResult.from_load("cold", cold, cold_rate)
-
-        say(f"warm phase: same stream against the warm cache")
-        lookups_before = cold_stats.lookups
-        hits_before = cold_stats.hits
-        warm = run_load(daemon.address, pool, requests=per_client,
-                        clients=clients, seed=seed, zipf_s=zipf_s,
-                        depth=depth, faults=faults)
-        stats = daemon.daemon.cache.stats
-        warm_lookups = stats.lookups - lookups_before
-        warm_rate = ((stats.hits - hits_before) / warm_lookups
-                     if warm_lookups else 0.0)
-        report.warm = PhaseResult.from_load("warm", warm, warm_rate)
-        report.daemon_stats = daemon.daemon.snapshot()
-    return report
-
-
-# ----------------------------------------------------------------- fleet
-def scan_cache_tree(cache_dir: str) -> dict:
-    """Walk a content-addressed cache tree and unpickle every entry —
-    the torn-entry detector the fleet SLO gate runs after a bench.
-
-    Transient ``.tmp-*`` / ``.tomb-*`` files (a writer or evictor was
-    mid-flight when the walk passed) are counted separately, never as
-    corruption; a ``torn`` entry is a ``*.pkl`` that exists but does
-    not unpickle."""
-    entries = torn = transients = 0
-    total_bytes = 0
-    for root, _dirs, files in os.walk(cache_dir):
-        for name in files:
-            path = os.path.join(root, name)
-            if not name.endswith(".pkl") or name.startswith("."):
-                if ".tmp-" in name or ".tomb-" in name:
-                    transients += 1
-                continue
-            entries += 1
-            try:
-                total_bytes += os.path.getsize(path)
-                with open(path, "rb") as handle:
-                    pickle.load(handle)
-            except FileNotFoundError:
-                entries -= 1   # evicted mid-walk: fine
-            except Exception:
-                torn += 1
-    return {"entries": entries, "torn": torn,
-            "transients": transients, "bytes": total_bytes}
-
-
-def _phase_from_dict(phase: str, d: dict, hit_rate: float) -> PhaseResult:
-    return PhaseResult(phase=phase, requests=d["sent"], ok=d["ok"],
-                       dropped=d["dropped"], cached=d["cached"],
-                       wall_seconds=d["wall_seconds"],
-                       programs_per_second=d["requests_per_second"],
-                       latency_ms=d["latency_ms"], hit_rate=hit_rate,
-                       errors=d["errors"])
-
-
-def _fleet_cache_counters(snapshot: dict) -> Dict[str, int]:
-    cache = snapshot.get("fleet", {}).get("cache", {})
-    return {key: int(cache.get(key, 0))
-            for key in ("hits", "misses", "stores", "memory_hits",
-                        "disk_hits", "read_errors", "write_errors",
-                        "expired", "disk_evictions", "evictions")}
-
-
-@dataclass
-class FleetBenchReport:
-    """``BENCH_service.json`` for a fleet run.
-
-    Keeps the single-daemon report's headline keys (``cold``/``warm``/
-    ``warm_over_cold_speedup``) so existing trajectory tooling keeps
-    working, and adds the shard-level view the fleet SLO gate asserts
-    on: per-shard latency histograms and queue depths, router
-    counters, per-tenant goodput spread, and the cache-integrity scan.
+    A daemon run (``config["shards"] == 0``) reports the daemon's final
+    ``stats`` as ``daemon_stats``; a fleet run reports the router
+    counters, the cross-shard aggregate, and per-shard latency, queue
+    and cache views.
     """
 
     config: dict
     cold: PhaseResult = None
     warm: PhaseResult = None
-    fleet_stats: dict = field(default_factory=dict)
+    server_stats: dict = field(default_factory=dict)
     fairness: dict = field(default_factory=dict)
     cache_integrity: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
@@ -240,7 +111,7 @@ class FleetBenchReport:
 
     def shard_summary(self) -> List[dict]:
         out = []
-        for entry in self.fleet_stats.get("shards", []):
+        for entry in self.server_stats.get("shards", []):
             stats = entry.get("stats") or {}
             out.append({
                 "shard": entry.get("shard"),
@@ -254,8 +125,9 @@ class FleetBenchReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "benchmark": "service-fleet",
+        fleet = bool(self.config.get("shards"))
+        out = {
+            "benchmark": "service-fleet" if fleet else "service",
             "config": self.config,
             "cold": self.cold.to_dict() if self.cold else None,
             "warm": self.warm.to_dict() if self.warm else None,
@@ -263,10 +135,14 @@ class FleetBenchReport:
             "fairness": self.fairness,
             "cache_integrity": self.cache_integrity,
             "trace": self.trace,
-            "router": self.fleet_stats.get("router", {}),
-            "fleet": self.fleet_stats.get("fleet", {}),
-            "shards": self.shard_summary(),
         }
+        if fleet:
+            out["router"] = self.server_stats.get("router", {})
+            out["fleet"] = self.server_stats.get("fleet", {})
+            out["shards"] = self.shard_summary()
+        else:
+            out["daemon_stats"] = self.server_stats
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -276,126 +152,97 @@ class FleetBenchReport:
             handle.write(self.to_json() + "\n")
 
 
-def bench_service_fleet(requests: int = 1000, clients: int = 8,
-                        unique: int = 80, seed: int = 2024,
-                        zipf_s: float = 1.1, depth: int = 16,
-                        shards: int = 2, jobs: int = 1,
-                        max_batch: int = 32, max_delay: float = 0.002,
-                        cache_ttl: Optional[float] = None,
-                        cache_max_bytes: Optional[int] = None,
-                        priority_mix: Optional[Dict[int, float]] = None,
-                        trace_path: Optional[str] = None,
-                        record_path: Optional[str] = None,
-                        speed: float = 0.0,
-                        progress: Optional[Callable[[str], None]] = None,
-                        ) -> FleetBenchReport:
-    """Cold-vs-warm benchmark against a sharded fleet.
+def _cache_counters(snapshot: dict) -> Dict[str, int]:
+    """Cache counters from a daemon's or a router's ``stats`` payload."""
+    cache = snapshot.get("fleet", snapshot).get("cache", {})
+    return {key: int(cache.get(key, 0))
+            for key in ("hits", "misses", "read_errors")}
 
-    Two load sources: by default the synthetic Zipf tenant streams
-    (``tenants`` labelled, optional ``priority_mix``), or — when
-    *trace_path* is given — a recorded trace replayed at *speed*
-    (0 = flat out).  Either way the same stream runs twice: cold
-    against an empty shared cache tree, then warm.  *record_path*
-    captures the synthetic cold stream as a replayable trace.
+
+def bench_service(requests: int = 1000, clients: int = 4,
+                  unique: int = 80, seed: int = 2024,
+                  zipf_s: float = 1.1, depth: int = 8, shards: int = 0,
+                  jobs: int = 1, max_batch: int = 16,
+                  max_delay: float = 0.005,
+                  cache_ttl: Optional[float] = None,
+                  cache_max_bytes: Optional[int] = None,
+                  faults: Optional[FaultPlan] = None,
+                  priority_mix: Optional[Dict[int, float]] = None,
+                  trace_path: Optional[str] = None,
+                  record_path: Optional[str] = None,
+                  speed: float = 0.0,
+                  progress: Optional[Callable[[str], None]] = None,
+                  ) -> ServiceBenchReport:
+    """Run the cold-vs-warm service benchmark; see the module docs.
+
+    *requests* is the total per phase, split evenly across *clients*
+    (each client replays its own deterministic Zipf stream over a pool
+    of *unique* distinct generated programs).  *trace_path* replays a
+    recorded trace instead; *record_path* saves the phase stream as a
+    trace file; *speed* scales the trace's inter-arrival gaps (0 = flat
+    out).
     """
     say = progress or (lambda line: None)
-    per_client = max(1, requests // clients)
-    fleet_config = FleetConfig(
-        shards=shards, jobs=jobs, max_batch=max_batch,
-        max_delay=max_delay, cache_ttl=cache_ttl,
-        cache_max_bytes=cache_max_bytes)
-    events = None
+    options = dict(jobs=jobs, max_batch=max_batch, max_delay=max_delay,
+                   cache_ttl=cache_ttl, cache_max_bytes=cache_max_bytes)
     if trace_path is not None:
         events = load_trace(trace_path)
         say(f"loaded trace: {len(events)} events from {trace_path}")
-    report = FleetBenchReport(config={
+    else:
+        say(f"generating pool: {unique} unique programs (seed {seed})")
+        pool = build_pool(unique, seed=seed, prefilter="full")
+        events = synthesize_trace(
+            pool, requests=max(1, requests // clients), clients=clients,
+            seed=seed, zipf_s=zipf_s, mean_gap=0.0,
+            priority_mix=priority_mix)
+    if record_path is not None:
+        save_trace(record_path, events)
+    report = ServiceBenchReport(config={
         "shards": shards,
-        "jobs_per_shard": jobs,
-        "requests": (len(events) if events is not None
-                     else per_client * clients),
-        "clients": (len({e.client for e in events})
-                    if events is not None else clients),
-        "unique_programs": None if events is not None else unique,
+        "jobs": jobs,
+        "requests": len(events),
+        "clients": len({e.client for e in events}),
+        "unique_programs": None if trace_path is not None else unique,
         "seed": seed,
         "zipf_s": zipf_s,
         "pipeline_depth": depth,
+        "speed": speed,
         "max_batch": max_batch,
         "max_delay_ms": round(max_delay * 1000, 3),
         "cache_ttl_seconds": cache_ttl,
         "cache_max_bytes": cache_max_bytes,
         "priority_mix": ({str(k): v for k, v in priority_mix.items()}
                          if priority_mix else None),
+        "faults": vars(faults) if faults is not None else None,
     })
-    if events is not None:
+    if trace_path is not None:
         report.trace = {"path": trace_path, "events": len(events),
                         "speed": speed}
 
-    pool = None
-    if events is None:
-        say(f"generating pool: {unique} unique programs (seed {seed})")
-        pool = build_pool(unique, seed=seed, prefilter="full")
-
-    def drive(recorder=None):
-        if events is not None:
-            replay = replay_trace(fleet.address, events, speed=speed,
-                                  depth=depth)
-            if replay.failures:
-                raise RuntimeError(
-                    f"replay clients failed: {replay.failures}")
-            return (replay.to_dict(), replay.tenant_goodput(),
-                    replay.tenant_offered(), replay.goodput_spread())
-        load = run_load(fleet.address, pool, requests=per_client,
-                        clients=clients, seed=seed, zipf_s=zipf_s,
-                        depth=depth, tenants=True,
-                        priority_mix=priority_mix, recorder=recorder)
-        if load.failures:
-            raise RuntimeError(f"load clients failed: {load.failures}")
-        return (load.to_dict(), load.tenant_goodput,
-                load.tenant_offered, load.goodput_spread())
-
-    with FleetThread(fleet_config) as fleet:
-        with ServeClient(fleet.address) as probe:
-            say(f"cold phase: {report.config['requests']} requests, "
-                f"{shards} shard(s)")
-            recorder = TraceWriter(record_path) if record_path else None
-            try:
-                cold_dict, _, _, _ = drive(recorder)
-            finally:
-                if recorder is not None:
-                    recorder.close()
-            cold_snap = probe.stats()
-            cold_cache = _fleet_cache_counters(cold_snap)
-            cold_lookups = cold_cache["hits"] + cold_cache["misses"]
-            report.cold = _phase_from_dict(
-                "cold", cold_dict,
-                cold_cache["hits"] / cold_lookups if cold_lookups
-                else 0.0)
-
-            say("warm phase: same stream against the warm cache")
-            warm_dict, warm_tenants, warm_offered, spread = drive()
-            warm_snap = probe.stats()
-            warm_cache = _fleet_cache_counters(warm_snap)
-            delta_hits = warm_cache["hits"] - cold_cache["hits"]
-            delta_lookups = (warm_cache["hits"] + warm_cache["misses"]
-                             - cold_lookups)
-            report.warm = _phase_from_dict(
-                "warm", warm_dict,
-                delta_hits / delta_lookups if delta_lookups else 0.0)
-            report.fleet_stats = warm_snap
-
-            report.fairness = {
-                "tenants": len(warm_offered),
-                "goodput": dict(sorted(warm_tenants.items(),
-                                       key=lambda kv: -kv[1])[:32]),
-                "offered": dict(sorted(warm_offered.items(),
-                                       key=lambda kv: -kv[1])[:32]),
-                # max/min of per-tenant completion ratio; 1.0 = every
-                # tenant's offered stream completed in full
-                "goodput_spread": round(spread, 3),
-            }
-        say("scanning cache tree for torn entries")
-        report.cache_integrity = scan_cache_tree(fleet_config.cache_dir)
-        report.cache_integrity["read_errors"] = \
-            _fleet_cache_counters(report.fleet_stats).get(
-                "read_errors", 0)
+    handle = (FleetThread(FleetConfig(shards=shards, **options)) if shards
+              else DaemonThread(ServeConfig(**options)))
+    with handle, ServeClient(handle.address) as probe:
+        counters = {"hits": 0, "misses": 0}
+        for phase in ("cold", "warm"):
+            say(f"{phase} phase: {len(events)} requests, "
+                f"{report.config['clients']} client(s), "
+                + (f"{shards} shard(s)" if shards else "one daemon"))
+            load = replay_trace(handle.address, events, speed=speed,
+                                depth=depth, faults=faults)
+            if load.failures:
+                raise RuntimeError(f"replay clients failed: {load.failures}")
+            before, snapshot = counters, probe.stats()
+            counters = _cache_counters(snapshot)
+            hits = counters["hits"] - before["hits"]
+            lookups = hits + counters["misses"] - before["misses"]
+            setattr(report, phase, PhaseResult.from_load(
+                phase, load, hits / lookups if lookups else 0.0))
+        report.server_stats = snapshot
+        report.fairness = load.to_dict()["fairness"]
+        cache_dir = handle.server.config.cache_dir
+        if cache_dir is not None:
+            say("scanning cache tree for torn entries")
+            report.cache_integrity = dict(
+                scan_cache_tree(cache_dir),
+                read_errors=counters["read_errors"])
     return report

@@ -6,6 +6,9 @@ admission-batches them into the parallel batch compiler, shares one
 warm compilation cache across every client and worker process, streams
 per-request results back, and reports hit-rate / queue depth /
 latency-percentile / throughput metrics via a ``stats`` endpoint.
+``repro serve --fleet N`` puts a consistent-hash router
+(:mod:`repro.serve.fleet`) in front of N shard daemons; the router
+reuses the daemon's socket front end, config and thread runner.
 
 ::
 
@@ -16,9 +19,10 @@ latency-percentile / throughput metrics via a ``stats`` endpoint.
             result = client.compile("u64 f(u8* ctx) { return 7; }")
             print(result["result"]["ni_optimized"])
 
-The load generator (:mod:`repro.serve.loadgen`) synthesizes
-Zipf-skewed tenant traffic from the fuzz generators, with optional
-fault injection; ``repro bench-serve`` drives it to produce
+Traffic comes from one module (:mod:`repro.serve.loadgen`): synthesize
+a Zipf-skewed tenant trace from the fuzz generators (or load a
+recorded one) and replay it, optionally with fault injection, against
+either server kind; ``repro bench-serve`` drives it to produce
 ``BENCH_service.json`` (see :mod:`repro.eval.serviceperf`).
 """
 
@@ -34,21 +38,17 @@ from .fleet import (
 )
 from .loadgen import (
     FaultPlan,
-    LoadResult,
     PoolProgram,
-    build_pool,
-    run_load,
-    zipf_stream,
-)
-from .metrics import LatencyReservoir, ServiceStats, percentile
-from .trace import (
+    ReplayResult,
     TraceEvent,
-    TraceWriter,
+    build_pool,
     load_trace,
     replay_trace,
     save_trace,
     synthesize_trace,
+    zipf_stream,
 )
+from .metrics import LatencyReservoir, ServiceStats, percentile
 from .protocol import (
     ERROR_CODES,
     MAX_LINE_BYTES,
@@ -73,13 +73,13 @@ __all__ = [
     "FleetThread",
     "HashRing",
     "LatencyReservoir",
-    "LoadResult",
     "MAX_LINE_BYTES",
     "MAX_SOURCE_BYTES",
     "OptimizationDaemon",
     "PROTOCOL_VERSION",
     "PoolProgram",
     "ProtocolError",
+    "ReplayResult",
     "Request",
     "ServeClient",
     "ServeConfig",
@@ -87,7 +87,6 @@ __all__ = [
     "ServiceStats",
     "ShardRouter",
     "TraceEvent",
-    "TraceWriter",
     "aggregate_shard_stats",
     "build_pool",
     "decode",
@@ -98,7 +97,6 @@ __all__ = [
     "parse_request",
     "percentile",
     "replay_trace",
-    "run_load",
     "save_trace",
     "synthesize_trace",
     "zipf_stream",

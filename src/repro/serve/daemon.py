@@ -30,6 +30,12 @@ requests get structured error responses, a client disconnecting
 mid-stream only increments a counter, cache-directory loss degrades
 the store to memory-only, and shutdown drains every admitted request
 before closing connections.
+
+The socket half — bind, per-connection read loop, in-order writer,
+drain-then-close shutdown (:class:`FrontEnd`) — and the background
+thread runner (:class:`ServerThread`) are shared with the fleet's
+:class:`~repro.serve.fleet.ShardRouter`: a server supplies only how a
+request line is answered and how its back end starts, settles and stops.
 """
 
 from __future__ import annotations
@@ -139,9 +145,13 @@ class _Pending:
 
 
 class _Connection:
-    """Per-client state: a FIFO of response futures and one writer."""
+    """Per-client state: a FIFO of response futures and one writer.
 
-    def __init__(self, writer: asyncio.StreamWriter, stats: ServiceStats):
+    Futures resolve to encoded response lines, so the writer never
+    re-encodes: the daemon encodes its own responses and the router
+    relays shard lines verbatim."""
+
+    def __init__(self, writer: asyncio.StreamWriter, stats):
         self.writer = writer
         self.stats = stats
         self.queue: "asyncio.Queue" = asyncio.Queue()
@@ -159,10 +169,10 @@ class _Connection:
             item = await self.queue.get()
             if item is _EOF:
                 break
-            response = await item
+            line = await item
             if not self.broken:
                 try:
-                    self.writer.write(protocol.encode(response))
+                    self.writer.write(line)
                     await self.writer.drain()
                     self.stats.responses_sent += 1
                 except (ConnectionError, OSError):
@@ -177,65 +187,37 @@ class _Connection:
             await asyncio.sleep(0.005)
 
 
-class OptimizationDaemon:
-    """The asyncio service around :func:`repro.core.batch.compile_many`."""
+class FrontEnd:
+    """The JSON-lines socket front end of a server.
 
-    def __init__(self, config: Optional[ServeConfig] = None):
-        self.config = config or ServeConfig()
-        self.stats = ServiceStats()
-        self._own_cache_dir: Optional[str] = None
-        cache_dir = self.config.cache_dir
-        if cache_dir is None and self.config.jobs > 1:
-            # worker processes share the warm cache through disk only
-            cache_dir = self._own_cache_dir = tempfile.mkdtemp(
-                prefix="repro-serve-cache-")
-            self.config.cache_dir = cache_dir
-        self.cache = CompilationCache(
-            directory=cache_dir,
-            max_memory_entries=self.config.max_memory_entries,
-            ttl_seconds=self.config.cache_ttl,
-            max_disk_bytes=self.config.cache_max_bytes)
-        self._pipelines: Dict[tuple, MerlinPipeline] = {}
-        # source-text -> cache-key memo: repeat requests skip the
-        # frontend entirely and answer straight from the warm cache
-        self._source_keys: "OrderedDict[tuple, str]" = OrderedDict()
-        self._queue = FairAdmissionQueue(
-            maxsize=self.config.queue_limit,
-            weights=self.config.tenant_weights)
+    A subclass sets ``config`` (socket fields and ``drain_grace``) and
+    ``stats`` (connection and request counters), answers each request
+    line in :meth:`_route`, and runs its back end through three hooks:
+    :meth:`_start_backend` before the socket binds, :meth:`_settle`
+    once the socket stopped accepting (every admitted request must
+    resolve), and :meth:`_stop_backend` after the last connection
+    closed.
+    """
+
+    def __init__(self):
         self._connections: set = set()
         self._handler_tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._batcher_task: Optional[asyncio.Task] = None
-        self._sweep_task: Optional[asyncio.Task] = None
-        self._dispatch_thread = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-dispatch")
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopping = False       # no longer admitting compiles
+        self._stopping = False       # no longer admitting work
         self._stop_requested = False  # stop() body claimed
         self._stopped = asyncio.Event()
         self.address: Optional[Tuple] = None
+        #: the last full ``stats`` payload, captured by stop() for
+        #: post-shutdown reporting (e.g. ``--stats-out``)
+        self.final_snapshot: Optional[dict] = None
 
     # ------------------------------------------------------------ setup
-    def _pipeline_for(self, request: Request) -> MerlinPipeline:
-        key = request.config_key
-        pipeline = self._pipelines.get(key)
-        if pipeline is None:
-            enabled = key[1] if key[1] is not None else ALL_OPTIMIZERS
-            pipeline = MerlinPipeline(kernel=KERNELS[key[0]],
-                                      enabled=frozenset(enabled))
-            self._pipelines[key] = pipeline
-        return pipeline
-
     async def start(self) -> None:
-        """Bind the socket and start the batcher; returns once ready."""
+        """Start the back end, then bind the socket; returns once ready."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        if self.config.jobs > 1:
-            # spawn (not fork): the daemon is multi-threaded by design
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs,
-                mp_context=multiprocessing.get_context("spawn"))
+        await self._start_backend()
         if self.config.socket_path is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.config.socket_path)
@@ -249,27 +231,6 @@ class OptimizationDaemon:
                 port=self.config.port, limit=protocol.MAX_LINE_BYTES)
             sock = self._server.sockets[0]
             self.address = ("tcp",) + sock.getsockname()[:2]
-        self._batcher_task = asyncio.ensure_future(self._batch_loop())
-        if self.config.cache_ttl is not None \
-                or self.config.cache_max_bytes is not None:
-            self._sweep_task = asyncio.ensure_future(self._sweep_loop())
-
-    async def _sweep_loop(self) -> None:
-        """Periodic TTL/size-budget eviction over the shared store.
-
-        The walk runs off-loop (default thread executor) so a large
-        tree never stalls request handling; the sweep itself is safe
-        against concurrent sweepers in other shard daemons — the
-        tombstone rename arbitrates every removal.
-        """
-        while not self._stopping:
-            await asyncio.sleep(self.config.sweep_interval)
-            if self._stopping:
-                break
-            try:
-                await self._loop.run_in_executor(None, self.cache.sweep)
-            except Exception:  # pragma: no cover - sweep is best-effort
-                pass
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -303,7 +264,7 @@ class OptimizationDaemon:
                 if not line.strip():
                     continue
                 self.stats.requests_received += 1
-                self._route(conn, line)
+                await self._route(conn, line)
         finally:
             conn.queue.put_nowait(_EOF)
             try:
@@ -319,10 +280,131 @@ class OptimizationDaemon:
 
     def _resolved(self, response: dict) -> "asyncio.Future":
         future = self._loop.create_future()
-        future.set_result(response)
+        future.set_result(protocol.encode(response))
         return future
 
-    def _route(self, conn: _Connection, line: bytes) -> None:
+    # -------------------------------------------------------------- stop
+    async def stop(self, drain: bool = True) -> None:
+        """Stop accepting, settle every admitted request (answered when
+        *drain*, rejected otherwise), flush and close every connection,
+        then stop the back end."""
+        if self._stop_requested:
+            await self._stopped.wait()
+            return
+        self._stop_requested = True
+        if drain and self.config.drain_grace > 0:
+            # let the loop process sockets that are already readable
+            # (accepts and buffered request lines that raced this call)
+            # so they are admitted and drained instead of dropped
+            await asyncio.sleep(self.config.drain_grace)
+        self._stopping = True
+        if self._server is not None:
+            # close() alone stops the accept loop.  wait_closed() must
+            # come *after* connection teardown: from Python 3.12 it
+            # also waits for every accepted transport to detach, so
+            # awaiting it here deadlocks against a client that holds
+            # its connection open across the drain.
+            self._server.close()
+        await self._settle(drain)
+        # every admitted future is resolved; let the writers flush
+        for conn in list(self._connections):
+            await conn.quiesce()
+        for conn in list(self._connections):
+            conn.queue.put_nowait(_EOF)
+            with contextlib.suppress(Exception):
+                conn.writer.close()
+        for task in list(self._handler_tasks):
+            with contextlib.suppress(Exception):
+                await asyncio.wait_for(task, timeout=5.0)
+        if self._server is not None:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._server.wait_closed(), 5.0)
+        await self._stop_backend()
+        if self.config.socket_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self.config.socket_path)
+        self._stopped.set()
+
+    def request_stop(self, drain: bool = True) -> None:
+        """Thread-safe stop trigger (for signal handlers / test code)."""
+        if self._loop is not None:
+            asyncio.run_coroutine_threadsafe(self.stop(drain=drain),
+                                             self._loop)
+
+
+class OptimizationDaemon(FrontEnd):
+    """The asyncio service around :func:`repro.core.batch.compile_many`."""
+
+    def __init__(self, config: Optional[ServeConfig] = None):
+        super().__init__()
+        self.config = config or ServeConfig()
+        self.stats = ServiceStats()
+        self._own_cache_dir: Optional[str] = None
+        cache_dir = self.config.cache_dir
+        if cache_dir is None and self.config.jobs > 1:
+            # worker processes share the warm cache through disk only
+            cache_dir = self._own_cache_dir = tempfile.mkdtemp(
+                prefix="repro-serve-cache-")
+            self.config.cache_dir = cache_dir
+        self.cache = CompilationCache(
+            directory=cache_dir,
+            max_memory_entries=self.config.max_memory_entries,
+            ttl_seconds=self.config.cache_ttl,
+            max_disk_bytes=self.config.cache_max_bytes)
+        self._pipelines: Dict[tuple, MerlinPipeline] = {}
+        # source-text -> cache-key memo: repeat requests skip the
+        # frontend entirely and answer straight from the warm cache
+        self._source_keys: "OrderedDict[tuple, str]" = OrderedDict()
+        self._queue = FairAdmissionQueue(
+            maxsize=self.config.queue_limit,
+            weights=self.config.tenant_weights)
+        self._batcher_task: Optional[asyncio.Task] = None
+        self._sweep_task: Optional[asyncio.Task] = None
+        self._dispatch_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-dispatch")
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    # ------------------------------------------------------------ setup
+    def _pipeline_for(self, request: Request) -> MerlinPipeline:
+        key = request.config_key
+        pipeline = self._pipelines.get(key)
+        if pipeline is None:
+            enabled = key[1] if key[1] is not None else ALL_OPTIMIZERS
+            pipeline = MerlinPipeline(kernel=KERNELS[key[0]],
+                                      enabled=frozenset(enabled))
+            self._pipelines[key] = pipeline
+        return pipeline
+
+    async def _start_backend(self) -> None:
+        if self.config.jobs > 1:
+            # spawn (not fork): the daemon is multi-threaded by design
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.config.jobs,
+                mp_context=multiprocessing.get_context("spawn"))
+        self._batcher_task = asyncio.ensure_future(self._batch_loop())
+        if self.config.cache_ttl is not None \
+                or self.config.cache_max_bytes is not None:
+            self._sweep_task = asyncio.ensure_future(self._sweep_loop())
+
+    async def _sweep_loop(self) -> None:
+        """Periodic TTL/size-budget eviction over the shared store.
+
+        The walk runs off-loop (default thread executor) so a large
+        tree never stalls request handling; the sweep itself is safe
+        against concurrent sweepers in other shard daemons — the
+        tombstone rename arbitrates every removal.
+        """
+        while not self._stopping:
+            await asyncio.sleep(self.config.sweep_interval)
+            if self._stopping:
+                break
+            try:
+                await self._loop.run_in_executor(None, self.cache.sweep)
+            except Exception:  # pragma: no cover - sweep is best-effort
+                pass
+
+    # ----------------------------------------------------------- routing
+    async def _route(self, conn: _Connection, line: bytes) -> None:
         try:
             request = protocol.parse_request(line)
         except ProtocolError as exc:
@@ -529,7 +611,7 @@ class OptimizationDaemon:
     def _finish(self, pending: _Pending, response: dict) -> None:
         self.stats.latency.observe(time.monotonic() - pending.enqueued)
         if not pending.future.done():
-            pending.future.set_result(response)
+            pending.future.set_result(protocol.encode(response))
 
     def _payload(self, request: Request, program, report) -> dict:
         result = {
@@ -597,26 +679,7 @@ class OptimizationDaemon:
         return out
 
     # -------------------------------------------------------------- stop
-    async def stop(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain admitted requests, then
-        flush every connection and shut the workers down."""
-        if self._stop_requested:
-            await self._stopped.wait()
-            return
-        self._stop_requested = True
-        if drain and self.config.drain_grace > 0:
-            # let the loop process sockets that are already readable
-            # (accepts and buffered request lines that raced this call)
-            # so they are admitted and drained instead of dropped
-            await asyncio.sleep(self.config.drain_grace)
-        self._stopping = True
-        if self._server is not None:
-            # close() alone stops the accept loop.  wait_closed() must
-            # come *after* connection teardown: from Python 3.12 it
-            # also waits for every accepted transport to detach, so
-            # awaiting it here deadlocks against a client that holds
-            # its connection open across the drain.
-            self._server.close()
+    async def _settle(self, drain: bool) -> None:
         if not drain:
             while not self._queue.empty():
                 item = self._queue.get_nowait()
@@ -632,49 +695,29 @@ class OptimizationDaemon:
             self._sweep_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._sweep_task
-        # every admitted future is resolved; let the writers flush
-        for conn in list(self._connections):
-            await conn.quiesce()
-        for conn in list(self._connections):
-            conn.queue.put_nowait(_EOF)
-            with contextlib.suppress(Exception):
-                conn.writer.close()
-        for task in list(self._handler_tasks):
-            with contextlib.suppress(Exception):
-                await asyncio.wait_for(task, timeout=5.0)
-        if self._server is not None:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(), 5.0)
+
+    async def _stop_backend(self) -> None:
         self._dispatch_thread.shutdown(wait=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self.config.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
         if self._own_cache_dir is not None:
             shutil.rmtree(self._own_cache_dir, ignore_errors=True)
-        self._stopped.set()
-
-    def request_stop(self, drain: bool = True) -> None:
-        """Thread-safe stop trigger (for signal handlers / test code)."""
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(self.stop(drain=drain),
-                                             self._loop)
+        self.final_snapshot = self.snapshot()
 
 
-class DaemonThread:
-    """Run a daemon on a private event loop in a background thread.
-
-    The pattern tests and the load generator use::
+class ServerThread:
+    """Run a server (one daemon or a fleet router) on a private event
+    loop in a background thread.  The pattern tests and the bench
+    harness use::
 
         with DaemonThread(ServeConfig(max_delay=0.005)) as daemon:
             client = ServeClient(daemon.address)
             ...
     """
 
-    def __init__(self, config: Optional[ServeConfig] = None):
-        self.daemon = OptimizationDaemon(config)
+    def __init__(self, server: FrontEnd):
+        self.server = server
         self._ready = threading.Event()
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(target=self._run,
@@ -689,33 +732,44 @@ class DaemonThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        await self.daemon.start()
+        await self.server.start()
         self._ready.set()
-        await self.daemon.serve_forever()
+        await self.server.serve_forever()
 
-    def start(self) -> "DaemonThread":
+    def start(self) -> "ServerThread":
         self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("daemon failed to start in time")
+        if not self._ready.wait(timeout=120):
+            raise RuntimeError("server failed to start in time")
         if self._error is not None:
-            raise RuntimeError("daemon failed to start") from self._error
+            raise RuntimeError("server failed to start") from self._error
         return self
 
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
+    def stop(self, drain: bool = True, timeout: float = 120.0) -> None:
         if self._thread.is_alive():
-            self.daemon.request_stop(drain=drain)
+            self.server.request_stop(drain=drain)
             self._thread.join(timeout=timeout)
 
     @property
     def address(self) -> Tuple:
-        return self.daemon.address
+        return self.server.address
 
     @property
-    def stats(self) -> ServiceStats:
-        return self.daemon.stats
+    def stats(self):
+        return self.server.stats
 
-    def __enter__(self) -> "DaemonThread":
+    def __enter__(self) -> "ServerThread":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+class DaemonThread(ServerThread):
+    """One :class:`OptimizationDaemon` on a background thread."""
+
+    def __init__(self, config: Optional[ServeConfig] = None):
+        super().__init__(OptimizationDaemon(config))
+
+    @property
+    def daemon(self) -> OptimizationDaemon:
+        return self.server

@@ -1,9 +1,8 @@
 """The fleet tier: a consistent-hash router over N shard daemons.
 
-PR 5 proved the single-daemon story; this module scales it out while
-keeping the wire protocol identical — a client cannot tell a
-:class:`ShardRouter` from one :class:`OptimizationDaemon` (except that
-``stats`` gets richer)::
+This module scales the single daemon out while keeping the wire
+protocol identical — a client cannot tell a :class:`ShardRouter` from
+one :class:`OptimizationDaemon` (except that ``stats`` gets richer)::
 
     client --- JSON lines ---> ShardRouter --+--> shard 0 (own process)
     client --- JSON lines ---> ShardRouter --+--> shard 1 (own process)
@@ -34,9 +33,14 @@ Design decisions worth naming:
   each shard to drain — zero admitted requests are dropped across the
   fleet.
 * **One cache tree, many writers.**  Shards share ``cache_dir``; entry
-  writes are temp-file + ``os.replace`` (PR 2) and evictions are
-  tombstone renames (this PR), so cross-shard races never tear an
-  entry — the contention suite pins this.
+  writes are temp-file + ``os.replace`` and evictions are tombstone
+  renames, so cross-shard races never tear an entry — the contention
+  suite pins this.
+* **One front end.**  The router is the daemon's :class:`FrontEnd`
+  (socket bind, read loop, in-order writer, drain shutdown) with a
+  forwarding ``_route``, its :class:`FleetConfig` is a
+  :class:`ServeConfig` plus the fleet's own fields, and
+  :class:`FleetThread` is the daemon's :class:`ServerThread`.
 """
 
 from __future__ import annotations
@@ -49,17 +53,20 @@ import multiprocessing
 import os
 import signal
 import tempfile
-import threading
 import time
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from . import protocol
-from .daemon import OptimizationDaemon, ServeConfig
-
-_EOF = object()
+from .daemon import (
+    FrontEnd,
+    OptimizationDaemon,
+    ServeConfig,
+    ServerThread,
+    _Connection,
+)
 
 
 # ------------------------------------------------------------------ ring
@@ -118,28 +125,17 @@ class HashRing:
 
 # ---------------------------------------------------------------- config
 @dataclass
-class FleetConfig:
-    """Everything that shapes one router + its shard fleet."""
+class FleetConfig(ServeConfig):
+    """A router and its shard fleet.
+
+    The socket fields address the router's front end; every other
+    :class:`ServeConfig` field shapes each shard daemon (``jobs`` is
+    per shard, ``cache_dir`` is the one tree they all share).
+    """
 
     shards: int = 2
-    socket_path: Optional[str] = None   # router front end (unix)
-    host: Optional[str] = None          # or TCP on host:port
-    port: int = 0
     runtime_dir: Optional[str] = None   # shard sockets + default cache
-    cache_dir: Optional[str] = None     # one tree shared by all shards
-    jobs: int = 1                       # worker processes per shard
-    max_batch: int = 16
-    max_delay: float = 0.01
-    kernel: str = "6.5"
-    max_memory_entries: int = 4096
-    queue_limit: int = 4096
-    tenant_weights: Optional[Dict[str, int]] = None
-    preempt_priority: int = 1
-    cache_ttl: Optional[float] = None
-    cache_max_bytes: Optional[int] = None
-    sweep_interval: float = 5.0
     vnodes: int = 64
-    drain_grace: float = 0.05
     respawn: bool = True                # supervisor restarts dead shards
     reconnect_delay: float = 0.1
     connect_timeout: float = 60.0       # shard spawn + import + bind
@@ -154,27 +150,16 @@ class FleetConfig:
         if self.socket_path is None and self.host is None:
             self.socket_path = os.path.join(self.runtime_dir,
                                             "router.sock")
+        super().__post_init__()
 
     def shard_socket(self, index: int) -> str:
         return os.path.join(self.runtime_dir, f"shard-{index}.sock")
 
     def shard_config(self, index: int) -> ServeConfig:
-        return ServeConfig(
-            socket_path=self.shard_socket(index),
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            max_memory_entries=self.max_memory_entries,
-            max_batch=self.max_batch,
-            max_delay=self.max_delay,
-            kernel=self.kernel,
-            queue_limit=self.queue_limit,
-            tenant_weights=self.tenant_weights,
-            preempt_priority=self.preempt_priority,
-            cache_ttl=self.cache_ttl,
-            cache_max_bytes=self.cache_max_bytes,
-            sweep_interval=self.sweep_interval,
-            shard_id=index,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(ServeConfig)}
+        shared.update(socket_path=self.shard_socket(index), host=None,
+                      port=0, shard_id=index)
+        return ServeConfig(**shared)
 
     def describe(self) -> dict:
         return {
@@ -210,42 +195,6 @@ def _shard_main(config: ServeConfig) -> None:
 
 
 # ------------------------------------------------------------ router IO
-class _RouterConnection:
-    """Per-client state: FIFO of response-bytes futures, one writer."""
-
-    def __init__(self, writer: asyncio.StreamWriter, stats: "RouterStats"):
-        self.writer = writer
-        self.stats = stats
-        self.queue: "asyncio.Queue" = asyncio.Queue()
-        self.inflight = 0
-        self.broken = False
-        self.writer_task: Optional[asyncio.Task] = None
-
-    def enqueue(self, future: "asyncio.Future") -> None:
-        self.inflight += 1
-        self.queue.put_nowait(future)
-
-    async def write_loop(self) -> None:
-        while True:
-            item = await self.queue.get()
-            if item is _EOF:
-                break
-            line = await item
-            if not self.broken:
-                try:
-                    self.writer.write(line)
-                    await self.writer.drain()
-                    self.stats.responses_sent += 1
-                except (ConnectionError, OSError):
-                    self.broken = True
-                    self.stats.disconnects += 1
-            self.inflight -= 1
-
-    async def quiesce(self) -> None:
-        while self.inflight > 0:
-            await asyncio.sleep(0.005)
-
-
 class _ShardLink:
     """The router's connection to one shard daemon.
 
@@ -370,10 +319,24 @@ class RouterStats:
 
 
 # ---------------------------------------------------------------- router
-class ShardRouter:
+def _reap(proc: multiprocessing.Process) -> None:
+    """Make sure a shard whose link dropped is gone before its respawn.
+
+    A killed shard's socket can close before the process reads as dead,
+    so liveness is no signal here: join briefly, then SIGKILL whatever
+    is left.  The respawn then never dials a dead socket, and never
+    races the old process for its socket path."""
+    proc.join(1.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(5.0)
+
+
+class ShardRouter(FrontEnd):
     """The fleet front end; speaks the daemon protocol verbatim."""
 
     def __init__(self, config: Optional[FleetConfig] = None):
+        super().__init__()
         self.config = config or FleetConfig()
         self.stats = RouterStats()
         self.ring = HashRing(range(self.config.shards),
@@ -381,18 +344,7 @@ class ShardRouter:
         self._mp = multiprocessing.get_context("spawn")
         self._procs: Dict[int, multiprocessing.Process] = {}
         self._links: List[_ShardLink] = []
-        self._connections: set = set()
-        self._handler_tasks: set = set()
         self._revive_tasks: set = set()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopping = False
-        self._stop_requested = False
-        self._stopped = asyncio.Event()
-        self.address: Optional[Tuple] = None
-        # full stats snapshot captured by stop() while the shards are
-        # still up, for post-shutdown reporting (e.g. --stats-out)
-        self.final_snapshot: Optional[dict] = None
 
     # ------------------------------------------------------------ setup
     def _spawn_shard(self, index: int) -> None:
@@ -402,9 +354,7 @@ class ShardRouter:
         proc.start()
         self._procs[index] = proc
 
-    async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
+    async def _start_backend(self) -> None:
         os.makedirs(self.config.cache_dir, exist_ok=True)
         # spawn every shard first (they come up in parallel), then
         # connect; each spawn is cheap, the child import is the slow part
@@ -417,24 +367,6 @@ class ShardRouter:
         await asyncio.gather(*[
             link.connect(self.config.connect_timeout)
             for link in self._links])
-        if self.config.socket_path is not None:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.config.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path,
-                limit=protocol.MAX_LINE_BYTES)
-            self.address = ("unix", self.config.socket_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host,
-                port=self.config.port, limit=protocol.MAX_LINE_BYTES)
-            sock = self._server.sockets[0]
-            self.address = ("tcp",) + sock.getsockname()[:2]
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._stopped.wait()
 
     # ---------------------------------------------------------- routing
     def alive_shards(self) -> set:
@@ -448,66 +380,24 @@ class ShardRouter:
         """The ring's first choice, ignoring liveness (test hook)."""
         return self.ring.lookup(source)
 
-    def _resolved_bytes(self, response: dict) -> "asyncio.Future":
-        future = self._loop.create_future()
-        future.set_result(protocol.encode(response))
+    def _resolved(self, response: dict) -> "asyncio.Future":
         self.stats.local_responses += 1
-        return future
+        return super()._resolved(response)
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = _RouterConnection(writer, self.stats)
-        conn.writer_task = asyncio.ensure_future(conn.write_loop())
-        self._connections.add(conn)
-        self._handler_tasks.add(asyncio.current_task())
-        self.stats.connections_opened += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    self.stats.protocol_errors += 1
-                    conn.enqueue(self._resolved_bytes(
-                        protocol.error_response(
-                            None, "oversized",
-                            f"line exceeds {protocol.MAX_LINE_BYTES} "
-                            f"bytes")))
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                self.stats.requests_received += 1
-                await self._route(conn, line)
-        finally:
-            conn.queue.put_nowait(_EOF)
-            try:
-                await conn.writer_task
-            except BaseException:
-                conn.writer_task.cancel()
-            finally:
-                with contextlib.suppress(Exception):
-                    writer.close()
-                self._connections.discard(conn)
-                self._handler_tasks.discard(asyncio.current_task())
-                self.stats.connections_closed += 1
-
-    async def _route(self, conn: _RouterConnection, line: bytes) -> None:
+    async def _route(self, conn: _Connection, line: bytes) -> None:
         try:
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("not an object")
         except (ValueError, UnicodeDecodeError):
             self.stats.protocol_errors += 1
-            conn.enqueue(self._resolved_bytes(protocol.error_response(
+            conn.enqueue(self._resolved(protocol.error_response(
                 None, "bad-json", "unparseable line")))
             return
         request_id = obj.get("id")
         op = obj.get("op")
         if op == "ping":
-            conn.enqueue(self._resolved_bytes(protocol.ok_response(
+            conn.enqueue(self._resolved(protocol.ok_response(
                 request_id, {
                     "pong": True, "router": True,
                     "shards": self.config.shards,
@@ -534,14 +424,14 @@ class ShardRouter:
             asyncio.ensure_future(fill())
             return
         if op == "shutdown":
-            conn.enqueue(self._resolved_bytes(protocol.ok_response(
+            conn.enqueue(self._resolved(protocol.ok_response(
                 request_id, {"stopping": True})))
             asyncio.ensure_future(self.stop(drain=True))
             return
         # compile / validate / anything else: the shard decides
         if self._stopping:
             self.stats.rejected += 1
-            conn.enqueue(self._resolved_bytes(protocol.error_response(
+            conn.enqueue(self._resolved(protocol.error_response(
                 request_id, "shutting-down",
                 "router is draining; request not admitted")))
             return
@@ -551,7 +441,7 @@ class ShardRouter:
         shard = self.ring.lookup(source, alive=self.alive_shards())
         if shard is None:
             self.stats.shard_lost_errors += 1
-            conn.enqueue(self._resolved_bytes(protocol.error_response(
+            conn.enqueue(self._resolved(protocol.error_response(
                 request_id, "shard-lost", "no live shard in the fleet")))
             return
         link = self._links[shard]
@@ -575,14 +465,13 @@ class ShardRouter:
         task.add_done_callback(self._revive_tasks.discard)
 
     async def _revive(self, link: _ShardLink) -> None:
-        """Bring a dead shard back: respawn its process (optional),
-        reconnect, and return it to the routing ring."""
+        """Bring a dead shard back: reap and respawn its process
+        (optional), reconnect, and return it to the routing ring."""
         while not self._stopping:
-            proc = self._procs.get(link.index)
-            if self.config.respawn and (proc is None
-                                        or not proc.is_alive()):
+            if self.config.respawn:
+                proc = self._procs.get(link.index)
                 if proc is not None:
-                    await self._loop.run_in_executor(None, proc.join, 1.0)
+                    await self._loop.run_in_executor(None, _reap, proc)
                 await self._loop.run_in_executor(
                     None, self._spawn_shard, link.index)
                 self.stats.respawns += 1
@@ -624,46 +513,27 @@ class ShardRouter:
         }
 
     # -------------------------------------------------------------- stop
-    async def stop(self, drain: bool = True) -> None:
-        if self._stop_requested:
-            await self._stopped.wait()
-            return
-        self._stop_requested = True
-        if drain and self.config.drain_grace > 0:
-            await asyncio.sleep(self.config.drain_grace)
-        self._stopping = True
-        if self._server is not None:
-            # close() alone stops the accept loop.  wait_closed() must
-            # come *after* connection teardown: from Python 3.12 it
-            # also waits for every accepted transport to detach, so
-            # awaiting it here deadlocks against a client that holds
-            # its connection open across the drain.
-            self._server.close()
+    async def _settle(self, drain: bool) -> None:
         if drain:
             # every forwarded request resolves (response or shard-lost)
             for link in self._links:
                 while link.pending and link.alive:
                     await asyncio.sleep(0.005)
-        for conn in list(self._connections):
-            if drain:
-                await conn.quiesce()
-            conn.queue.put_nowait(_EOF)
-            with contextlib.suppress(Exception):
-                conn.writer.close()
-        for task in list(self._handler_tasks):
-            with contextlib.suppress(Exception):
-                await asyncio.wait_for(task, timeout=5.0)
-        if self._server is not None:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(), 5.0)
+
+    async def _stop_backend(self) -> None:
         for task in list(self._revive_tasks):
             task.cancel()
             with contextlib.suppress(BaseException):
                 await task
         # capture the last full fleet view while the shards can still
-        # answer a stats request
-        with contextlib.suppress(Exception):
+        # answer a stats request; router counters alone if that fails
+        try:
             self.final_snapshot = await self.snapshot()
+        except Exception:
+            self.final_snapshot = {
+                "router": self.stats.snapshot(
+                    {link.index: link.forwarded for link in self._links}),
+                "config": self.config.describe()}
         # drain the shards themselves: ask politely, then escalate
         for link in self._links:
             if link.alive:
@@ -685,15 +555,6 @@ class ShardRouter:
                 if proc.is_alive():
                     proc.kill()
                     await self._loop.run_in_executor(None, proc.join, 5.0)
-        if self.config.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
-        self._stopped.set()
-
-    def request_stop(self, drain: bool = True) -> None:
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(self.stop(drain=drain),
-                                             self._loop)
 
 
 def aggregate_shard_stats(snapshots: Sequence[dict]) -> dict:
@@ -791,9 +652,8 @@ def aggregate_shard_stats(snapshots: Sequence[dict]) -> dict:
 
 
 # ---------------------------------------------------------------- thread
-class FleetThread:
-    """Run a router + shard fleet on a private loop in a background
-    thread — the fleet twin of :class:`~repro.serve.daemon.DaemonThread`::
+class FleetThread(ServerThread):
+    """A router and its shard fleet on a background thread::
 
         with FleetThread(FleetConfig(shards=2)) as fleet:
             client = ServeClient(fleet.address)
@@ -801,49 +661,14 @@ class FleetThread:
     """
 
     def __init__(self, config: Optional[FleetConfig] = None):
-        self.router = ShardRouter(config)
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-fleet", daemon=True)
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - startup failure
-            self._error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        await self.router.start()
-        self._ready.set()
-        await self.router.serve_forever()
-
-    def start(self) -> "FleetThread":
-        self._thread.start()
-        if not self._ready.wait(timeout=120):
-            raise RuntimeError("fleet failed to start in time")
-        if self._error is not None:
-            raise RuntimeError("fleet failed to start") from self._error
-        return self
-
-    def stop(self, drain: bool = True, timeout: float = 120.0) -> None:
-        if self._thread.is_alive():
-            self.router.request_stop(drain=drain)
-            self._thread.join(timeout=timeout)
+        super().__init__(ShardRouter(config))
 
     @property
-    def address(self) -> Tuple:
-        return self.router.address
+    def router(self) -> ShardRouter:
+        return self.server
 
     def kill_shard(self, index: int) -> None:
         """Fault injection: SIGKILL one shard process mid-flight."""
         proc = self.router._procs.get(index)
         if proc is not None and proc.is_alive():
             proc.kill()
-
-    def __enter__(self) -> "FleetThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -1,27 +1,31 @@
-"""Tests for the fleet tier (repro.serve.fleet).
+"""Tests for the fleet tier (repro.serve.fleet) and trace replay.
 
 Covers the consistent-hash ring, the router's protocol surface (a
 client must not be able to tell the router from a single daemon), the
 stats-aggregation contract (fleet aggregate == sum of per-shard
 deltas), structured shard-loss with respawn, drain shutdown with zero
-drops, trace record/replay determinism, and cross-shard cache
-contention under TTL eviction.
+drops, trace record/replay determinism, the one replay client against
+both server kinds, and cross-shard cache contention under TTL
+eviction.
 """
 
+import os
+import signal
 import time
 
 import pytest
 
-from repro.eval.serviceperf import scan_cache_tree
-from repro.serve import ServeClient
+from repro.cache import scan_cache_tree
+from repro.serve import DaemonThread, ServeClient, ServeConfig
 from repro.serve.fleet import (
     FleetConfig,
     FleetThread,
     HashRing,
     aggregate_shard_stats,
 )
-from repro.serve.loadgen import PoolProgram
-from repro.serve.trace import (
+from repro.serve.loadgen import (
+    FaultPlan,
+    PoolProgram,
     TraceEvent,
     load_trace,
     replay_trace,
@@ -78,6 +82,18 @@ def fleet():
     config = FleetConfig(shards=2, max_batch=8, max_delay=0.005)
     with FleetThread(config) as handle:
         yield handle
+
+
+@pytest.fixture(scope="module")
+def daemon():
+    with DaemonThread(ServeConfig(max_batch=8, max_delay=0.005)) as handle:
+        yield handle
+
+
+@pytest.fixture(params=["daemon", "fleet"])
+def server(request):
+    """Each server kind in turn, behind one address."""
+    return request.getfixturevalue(request.param)
 
 
 @pytest.fixture
@@ -359,6 +375,79 @@ class TestTraceRoundTrip:
         assert timed.dropped == flat.dropped == 0
 
 
+# ================================== one replay path, both server kinds
+class TestReplayBothServers:
+    DIGEST_FIELDS = ("name", "ni_original", "ni_optimized", "insns",
+                     "mcpu")
+
+    def test_same_digests_from_daemon_and_fleet(self, daemon, fleet):
+        events = synthesize_trace(POOL, requests=10, clients=3, seed=9,
+                                  mean_gap=0.0, priority_mix={0: 0.8, 5: 0.2})
+        runs = [replay_trace(handle.address, events, speed=0, depth=4,
+                             digest_fields=self.DIGEST_FIELDS)
+                for handle in (daemon, fleet)]
+        for run in runs:
+            assert run.dropped == 0 and not run.failures
+            assert run.ok == len(events)
+        assert runs[0].digests == runs[1].digests
+        assert runs[0].tenant_orders == runs[1].tenant_orders
+
+    def test_faults_with_tenants_answered_by_error_code(self, server):
+        """Protocol abuse mixed into tenant-labelled traffic: every
+        fault kind comes back as the daemon's error code, nothing is
+        dropped, and requests a disconnect abandoned leave the offered
+        load, so every tenant's completion ratio stays 1.0."""
+        events = synthesize_trace(POOL, requests=20, clients=3, seed=4,
+                                  mean_gap=0.0)
+        faults = FaultPlan(malformed=0.1, oversized=0.05, unknown_op=0.1,
+                           disconnect=0.1)
+        run = replay_trace(server.address, events, speed=0, depth=4,
+                           faults=faults)
+        assert run.dropped == 0 and not run.failures
+        codes = {"malformed": "bad-json", "oversized": "oversized",
+                 "unknown_op": "unknown-op"}
+        assert set(run.errors) == set(codes.values())
+        for kind, code in codes.items():
+            assert 1 <= run.errors[code] <= run.faults[kind], run.faults
+        assert run.faults["disconnect"] >= 1
+        # every real request was served, and only awaited ones count
+        assert run.ok == run.received - sum(run.errors.values())
+        assert sum(run.tenant_offered.values()) == run.ok
+        assert run.tenant_goodput == run.tenant_offered
+        assert 1.0 <= run.goodput_spread() <= 1.05
+
+    def test_replay_is_deterministic_under_faults(self, server):
+        events = synthesize_trace(POOL, requests=12, clients=2, seed=8,
+                                  mean_gap=0.0)
+        faults = FaultPlan(malformed=0.1, unknown_op=0.1, disconnect=0.1)
+        tallies = []
+        for _ in range(2):
+            run = replay_trace(server.address, events, speed=0, depth=4,
+                               faults=faults)
+            tallies.append((run.sent, run.ok, run.errors, run.faults,
+                            run.dropped))
+        assert tallies[0] == tallies[1]
+
+    def test_open_loop_latency_runs_from_due_time(self):
+        """Gaps far shorter than the linger, one request in flight: each
+        request waits behind the previous one, and that wait is latency
+        — a replayer that started the clock at the send would report
+        about one linger for every request (coordinated omission)."""
+        linger = 0.05
+        request = payload(*SOURCES[0])
+        with DaemonThread(ServeConfig(max_delay=linger)) as handle:
+            with ServeClient(handle.address) as warmup:
+                warmup.request(request, check=True)  # time no compile
+            events = [TraceEvent(t=i * 0.002, client=0, payload=request)
+                      for i in range(8)]
+            run = replay_trace(handle.address, events, speed=1.0, depth=1)
+        assert run.ok == len(events)
+        latencies = run.clients[0].latencies
+        assert latencies[-1] > 4 * linger > 2 * latencies[0]
+        assert latencies == sorted(latencies)
+        assert run.to_dict()["late_ms_p99"] > 3 * linger * 1000
+
+
 # ======================================= shard loss + drain (S3)
 class TestShardFailure:
     def test_kill_mid_batch_yields_shard_lost_then_respawn(self):
@@ -401,6 +490,39 @@ class TestShardFailure:
                 snapshot = client.stats()
                 assert snapshot["router"]["respawns"] >= 1
                 assert snapshot["router"]["reconnects"] >= 1
+
+    def test_respawn_reaps_a_shard_that_still_reads_alive(self):
+        """A killed shard's link can drop before its process reads as
+        dead.  The supervisor must reap and respawn it at once, not
+        dial the dead socket for ``connect_timeout`` first."""
+        config = FleetConfig(shards=2, max_delay=0.005,
+                             reconnect_delay=0.05, connect_timeout=20.0)
+        with FleetThread(config) as fleet:
+            proc = fleet.router._procs[0]
+            real_is_alive = proc.is_alive
+            checks = []
+
+            def is_alive_racing_the_link():
+                checks.append(None)
+                return len(checks) == 1 or real_is_alive()
+
+            proc.is_alive = is_alive_racing_the_link
+            killed = time.monotonic()
+            os.kill(proc.pid, signal.SIGKILL)
+            with ServeClient(fleet.address) as client:
+                deadline = killed + 15
+                while time.monotonic() < deadline:
+                    if fleet.router.stats.reconnects >= 1 and \
+                            client.ping()["result"]["alive_shards"] == 2:
+                        break
+                    time.sleep(0.05)
+                recovery = time.monotonic() - killed
+                assert fleet.router.stats.reconnects >= 1
+                assert recovery < config.connect_timeout / 2, recovery
+                assert checks, "the racing liveness check never ran"
+                source = "u64 back(u8* ctx) { return 5; }"
+                assert client.request(payload("back", source),
+                                      check=True)["ok"]
 
     def test_requests_reroute_while_shard_down(self):
         config = FleetConfig(shards=2, max_delay=0.005, respawn=False)

@@ -20,7 +20,8 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     build_pool,
-    run_load,
+    replay_trace,
+    synthesize_trace,
     zipf_stream,
 )
 
@@ -37,6 +38,16 @@ def rss_bytes() -> int:
         return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
+def replay_zipf(address, pool, requests, clients, seed, depth,
+             faults=None):
+    """*clients* closed-loop Zipf streams of *requests* each: a
+    synthesized gapless trace, replayed flat out."""
+    events = synthesize_trace(pool, requests=requests, clients=clients,
+                              seed=seed, mean_gap=0.0, tenants=False)
+    return replay_trace(address, events, speed=0, depth=depth,
+                        faults=faults)
+
+
 @pytest.fixture(scope="module")
 def pool():
     return build_pool(SOAK_UNIQUE, seed=SOAK_SEED, prefilter="full")
@@ -49,11 +60,11 @@ class TestSoak:
         cache hot."""
         config = ServeConfig(max_batch=16, max_delay=0.005)
         with DaemonThread(config) as handle:
-            first = run_load(handle.address, pool,
+            first = replay_zipf(handle.address, pool,
                              requests=SOAK_REQUESTS, clients=SOAK_CLIENTS,
                              seed=SOAK_SEED, depth=8)
             rss_after_warmup = rss_bytes()
-            second = run_load(handle.address, pool,
+            second = replay_zipf(handle.address, pool,
                               requests=SOAK_REQUESTS, clients=SOAK_CLIENTS,
                               seed=SOAK_SEED + 1, depth=8)
             rss_after_soak = rss_bytes()
@@ -108,7 +119,7 @@ class TestSoak:
         for _ in range(2):
             config = ServeConfig(max_batch=16, max_delay=0.005)
             with DaemonThread(config) as handle:
-                result = run_load(handle.address, pool, requests=50,
+                result = replay_zipf(handle.address, pool, requests=50,
                                   clients=SOAK_CLIENTS, seed=SOAK_SEED,
                                   depth=4)
             tallies.append((result.sent, result.ok, result.errors,
@@ -132,7 +143,7 @@ class TestFaultInjection:
                            unknown_op=0.03, disconnect=0.03)
         config = ServeConfig(max_batch=16, max_delay=0.005)
         with DaemonThread(config) as handle:
-            result = run_load(handle.address, pool, requests=100,
+            result = replay_zipf(handle.address, pool, requests=100,
                               clients=SOAK_CLIENTS, seed=11, depth=4,
                               faults=faults)
             # the daemon survived the abuse and still answers
@@ -160,7 +171,7 @@ class TestFaultInjection:
         for _ in range(2):
             config = ServeConfig(max_batch=16, max_delay=0.005)
             with DaemonThread(config) as handle:
-                result = run_load(handle.address, pool, requests=60,
+                result = replay_zipf(handle.address, pool, requests=60,
                                   clients=2, seed=11, depth=4,
                                   faults=faults)
             tallies.append((result.sent, result.ok, result.errors,
@@ -207,11 +218,11 @@ class TestCacheDirLoss:
         cache_dir = tmp_path / "store"
         config = ServeConfig(cache_dir=str(cache_dir), max_delay=0.005)
         with DaemonThread(config) as handle:
-            run_load(handle.address, pool, requests=20, clients=2,
+            replay_zipf(handle.address, pool, requests=20, clients=2,
                      seed=3, depth=4)
             shutil.rmtree(cache_dir)
             cache_dir.write_text("disk is gone")
-            result = run_load(handle.address, pool, requests=20,
+            result = replay_zipf(handle.address, pool, requests=20,
                               clients=2, seed=4, depth=4)
         assert result.failures == []
         assert result.dropped == 0
