@@ -45,10 +45,11 @@ def _native_cleanup(program: BpfProgram) -> None:
     from ..isa import opcodes as op
 
     sym = SymbolicProgram.from_program(program)
+    analysis = BytecodeAnalysis(sym)
     changed = True
     while changed:
         changed = False
-        analysis = BytecodeAnalysis(sym)
+        analysis.refresh()
         for index in analysis.dead_defs():
             sym.delete(index)
             changed = True

@@ -4,16 +4,31 @@ Builds a CFG over logical instruction indices and solves register
 liveness; the rewriting passes consult it to prove that a register is
 dead after an instruction (CP/DCE, peephole) or that no branch target
 splits a candidate pattern.
+
+Register sets are integer bitmasks (bit n = rn) read from the per-opcode
+tables in :mod:`repro.isa.opcodes`.  A pass builds one analysis per run:
+after it deletes or replaces instructions in ``sym``, :meth:`refresh`
+updates the masks of the changed positions in place, and the next
+liveness query re-solves over the existing blocks.  A deleted
+instruction stays in its block as a nop.  Only a replaced jump or exit,
+or an insertion, forces a full rebuild.  Every answer equals what a
+fresh ``BytecodeAnalysis(sym)`` would give at that point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import bisect
+import time
+from typing import List, Optional, Set
 
 from ...isa import Instruction
 from ...isa import opcodes as op
-from .symbolic import SymbolicProgram, SymInsn
+from .symbolic import SymbolicProgram
+
+_IS_JUMP = op.IS_JUMP
+_IS_CALL = op.IS_CALL
+_IS_EXIT = op.IS_EXIT
+_SELF_MOVE64 = op.BPF_ALU64 | op.BPF_MOV | op.BPF_X
 
 
 def insn_uses(insn: Instruction) -> Set[int]:
@@ -29,111 +44,178 @@ def insn_defs(insn: Instruction) -> Set[int]:
     return defs
 
 
-@dataclass
-class _Block:
-    first: int  # position into the live-instruction list
-    last: int
-    succs: List[int] = field(default_factory=list)
-    live_in: Set[int] = field(default_factory=set)
-    live_out: Set[int] = field(default_factory=set)
+def _ends_block(insn: Instruction) -> bool:
+    """Jumps (not calls) and exits end a basic block."""
+    opcode = insn.opcode
+    return _IS_JUMP[opcode] and not _IS_CALL[opcode]
 
 
 class BytecodeAnalysis:
     """Liveness + CFG facts for the live instructions of a symbolic
-    program.  Positions refer to indices in ``sym.insns`` (original
-    logical indices), restricted to non-deleted entries."""
+    program.  Queries take logical indices into ``sym.insns``; ``live``
+    lists the non-deleted ones."""
 
     def __init__(self, sym: SymbolicProgram):
         self.sym = sym
-        self.live = sym.live_indices()
-        self.pos_of: Dict[int, int] = {idx: p for p, idx in enumerate(self.live)}
-        self.targets = sym.branch_targets()
-        self._resolved_targets = self._resolve_all_targets()
-        self._blocks = self._build_blocks()
-        self._solve()
-        self._live_after = self._per_insn_liveness()
-
-    def _resolve_all_targets(self) -> Set[int]:
-        resolved: Set[int] = set()
-        for target in self.targets:
-            idx = target
-            while idx < len(self.sym.insns) and self.sym.insns[idx].deleted:
-                idx += 1
-            resolved.add(idx)
-        return resolved
+        #: nanoseconds spent building, refreshing and solving
+        self.elapsed_ns = 0
+        self._build()
 
     # --------------------------------------------------------------- building
-    def _resolve_target_pos(self, target: int) -> Optional[int]:
-        idx = target
-        while idx < len(self.sym.insns) and self.sym.insns[idx].deleted:
-            idx += 1
-        return self.pos_of.get(idx)
+    def _build(self) -> None:
+        start = time.perf_counter_ns()
+        items = self.sym.insns
+        self._size = len(items)
+        index = [i for i, item in enumerate(items) if not item.deleted]
+        #: position -> logical index; positions outlive deletions
+        self._index = index
+        self.live = index
+        self.pos_of = {idx: p for p, idx in enumerate(index)}
+        self._items = [items[i] for i in index]
+        #: the instruction each position held at the last build or
+        #: refresh; None once deleted (a nop)
+        self._insn: List[Optional[Instruction]] = [
+            item.insn for item in self._items]
+        self._use = [insn.use_mask for insn in self._insn]
+        self._def = [insn.def_mask for insn in self._insn]
+        self.targets = self.sym.branch_targets()
+        self._build_blocks()
+        #: liveness is solved lazily, at the first query after a change
+        self._stale = True
+        self._live_after = [0] * len(index)
+        self.elapsed_ns += time.perf_counter_ns() - start
 
-    def _build_blocks(self) -> List[_Block]:
-        n = len(self.live)
+    def _resolve_target_pos(self, target: int) -> Optional[int]:
+        items = self.sym.insns
+        while target < len(items) and items[target].deleted:
+            target += 1
+        return self.pos_of.get(target)
+
+    def _build_blocks(self) -> None:
+        n = len(self._index)
         leaders: Set[int] = {0} if n else set()
         for target in self.targets:
-            pos = self._resolve_target_pos(target)
+            pos = self.pos_of.get(target)
             if pos is not None:
                 leaders.add(pos)
-        for p, idx in enumerate(self.live):
-            insn = self.sym.insns[idx].insn
-            if (insn.is_jump and not insn.is_call) or insn.is_exit:
-                if p + 1 < n:
-                    leaders.add(p + 1)
-        ordered = sorted(leaders)
-        block_of_pos = {}
-        blocks: List[_Block] = []
-        bounds = ordered + [n]
-        for bi, start in enumerate(ordered):
-            blocks.append(_Block(first=start, last=bounds[bi + 1] - 1))
-            block_of_pos[start] = bi
-        for bi, block in enumerate(blocks):
-            idx = self.live[block.last]
-            sym = self.sym.insns[idx]
-            insn = sym.insn
-            if insn.is_exit:
-                continue
-            if insn.is_jump and not insn.is_call:
-                if sym.target is not None:
-                    tpos = self._resolve_target_pos(sym.target)
+        for p, insn in enumerate(self._insn):
+            if _ends_block(insn) and p + 1 < n:
+                leaders.add(p + 1)
+        first = sorted(leaders)
+        last = [start - 1 for start in first[1:]] + [n - 1] if n else []
+        block_at = {start: b for b, start in enumerate(first)}
+        succs: List[tuple] = []
+        for b, end in enumerate(last):
+            insn = self._insn[end]
+            if _IS_EXIT[insn.opcode]:
+                succs.append(())
+            elif _ends_block(insn):
+                out = []
+                target = self._items[end].target
+                if target is not None:
+                    tpos = self._resolve_target_pos(target)
                     if tpos is not None:
-                        block.succs.append(block_of_pos[tpos])
-                if insn.jmp_op != op.BPF_JA and block.last + 1 < len(self.live):
-                    block.succs.append(block_of_pos[block.last + 1])
-            elif block.last + 1 < len(self.live):
-                block.succs.append(block_of_pos[block.last + 1])
-        return blocks
+                        out.append(block_at[tpos])
+                if insn.jmp_op != op.BPF_JA and end + 1 < n:
+                    out.append(b + 1)
+                succs.append(tuple(out))
+            else:
+                succs.append((b + 1,) if end + 1 < n else ())
+        self._first, self._last, self._succs = first, last, succs
 
+    # ------------------------------------------------------------- updating
+    def refresh(self) -> None:
+        """Catch up with the deletions and replacements made to ``sym``
+        since the last build or refresh."""
+        start = time.perf_counter_ns()
+        items = self.sym.insns
+        if len(items) != self._size:  # an insertion shifted indices
+            self._rebuild(start)
+            return
+        retarget = False
+        deleted = False
+        for p, idx in enumerate(self._index):
+            item = items[idx]
+            old = self._insn[p]
+            if item.deleted:
+                if old is None:
+                    continue  # already a nop
+                new = None
+                deleted = True
+                ends = _ends_block(old)
+                retarget |= ends or idx in self.targets
+                if ends:
+                    # the block now falls through its nop
+                    b = bisect.bisect_right(self._first, p) - 1
+                    self._succs[b] = ((b + 1,) if b + 1 < len(self._first)
+                                      else ())
+            elif item is self._items[p] and old is not None:
+                continue
+            else:
+                new = item.insn
+                if old is None or _ends_block(old) or _ends_block(new) \
+                        or item.target is not None:
+                    # a revived nop, or control flow changed
+                    self._rebuild(start)
+                    return
+            self._items[p] = item
+            self._insn[p] = new
+            self._use[p] = new.use_mask if new is not None else 0
+            self._def[p] = new.def_mask if new is not None else 0
+            self._stale = True
+        if retarget:
+            self.targets = self.sym.branch_targets()
+        if deleted:
+            self.live = [idx for idx, insn in zip(self._index, self._insn)
+                         if insn is not None]
+            self.pos_of = {idx: p for p, idx in enumerate(self._index)
+                           if self._insn[p] is not None}
+        self.elapsed_ns += time.perf_counter_ns() - start
+
+    def _rebuild(self, start: int) -> None:
+        self.elapsed_ns += time.perf_counter_ns() - start
+        self._build()
+
+    # -------------------------------------------------------------- solving
     def _solve(self) -> None:
+        """Least fixpoint of backward liveness over the blocks, then the
+        live-after mask of every position."""
+        start = time.perf_counter_ns()
+        first, last, succs = self._first, self._last, self._succs
+        uses, defs = self._use, self._def
+        nblocks = len(first)
+        gen = [0] * nblocks
+        kill = [0] * nblocks
+        for b in range(nblocks):
+            g = k = 0
+            for p in range(last[b], first[b] - 1, -1):
+                d = defs[p]
+                g = uses[p] | (g & ~d)
+                k |= d
+            gen[b], kill[b] = g, k
+        live_in = [0] * nblocks
+        live_out = [0] * nblocks
+        order = range(nblocks - 1, -1, -1)
         changed = True
         while changed:
             changed = False
-            for block in reversed(self._blocks):
-                out: Set[int] = set()
-                for si in block.succs:
-                    out |= self._blocks[si].live_in
-                new_in = set(out)
-                for p in range(block.last, block.first - 1, -1):
-                    insn = self.sym.insns[self.live[p]].insn
-                    new_in -= insn_defs(insn)
-                    new_in |= insn_uses(insn)
-                if out != block.live_out or new_in != block.live_in:
-                    block.live_out = out
-                    block.live_in = new_in
+            for b in order:
+                out = 0
+                for s in succs[b]:
+                    out |= live_in[s]
+                live_out[b] = out
+                new_in = gen[b] | (out & ~kill[b])
+                if new_in != live_in[b]:
+                    live_in[b] = new_in
                     changed = True
-
-    def _per_insn_liveness(self) -> List[FrozenSet[int]]:
-        """live_after[p]: registers live immediately after position p."""
-        result: List[Optional[FrozenSet[int]]] = [None] * len(self.live)
-        for block in self._blocks:
-            live = set(block.live_out)
-            for p in range(block.last, block.first - 1, -1):
-                result[p] = frozenset(live)
-                insn = self.sym.insns[self.live[p]].insn
-                live -= insn_defs(insn)
-                live |= insn_uses(insn)
-        return [r if r is not None else frozenset() for r in result]
+        after = self._live_after
+        for b in range(nblocks):
+            live = live_out[b]
+            for p in range(last[b], first[b] - 1, -1):
+                after[p] = live
+                live = uses[p] | (live & ~defs[p])
+        self._stale = False
+        self.elapsed_ns += time.perf_counter_ns() - start
 
     # ----------------------------------------------------------------- queries
     def reg_dead_after(self, index: int, reg: int) -> bool:
@@ -142,10 +224,12 @@ class BytecodeAnalysis:
         pos = self.pos_of.get(index)
         if pos is None:
             raise KeyError(f"instruction {index} is deleted")
-        return reg not in self._live_after[pos]
+        if self._stale:
+            self._solve()
+        return not (self._live_after[pos] >> reg) & 1
 
     def is_branch_target(self, index: int) -> bool:
-        return index in self._resolved_targets
+        return index in self.targets
 
     def straightline(self, first: int, last: int) -> bool:
         """True when control cannot enter or leave (first, last] except by
@@ -154,35 +238,32 @@ class BytecodeAnalysis:
         p1, p2 = self.pos_of.get(first), self.pos_of.get(last)
         if p1 is None or p2 is None or p2 < p1:
             return False
+        targets, index, insns = self.targets, self._index, self._insn
         for p in range(p1, p2 + 1):
-            idx = self.live[p]
-            if p > p1 and self.is_branch_target(idx):
+            insn = insns[p]
+            if insn is None:
+                continue
+            if p > p1 and index[p] in targets:
                 return False
-            insn = self.sym.insns[idx].insn
-            if p < p2 and (insn.is_jump or insn.is_exit):
+            if p < p2 and _IS_JUMP[insn.opcode]:
                 return False
         return True
 
     def dead_defs(self) -> List[int]:
         """Logical indices whose only effect is defining never-read,
         side-effect-free registers (includes self-moves)."""
+        if self._stale:
+            self._solve()
         dead: List[int] = []
-        for p, idx in enumerate(self.live):
-            insn = self.sym.insns[idx].insn
-            if insn.is_memory or insn.is_call or insn.is_jump or insn.is_exit:
+        after = self._live_after
+        for p, insn in enumerate(self._insn):
+            if insn is None:
                 continue
-            if insn.is_alu or insn.is_ld_imm64:
-                # self-move: mov rX, rX is a no-op regardless of liveness
-                if (
-                    insn.is_alu
-                    and insn.alu_op == op.BPF_MOV
-                    and not insn.uses_imm
-                    and insn.dst == insn.src
-                    and insn.is_alu64
-                ):
-                    dead.append(idx)
-                    continue
-                defs = insn.defs()
-                if defs and all(reg not in self._live_after[p] for reg in defs):
-                    dead.append(idx)
+            opcode = insn.opcode
+            if not (op.IS_ALU[opcode] or op.IS_LD_IMM64[opcode]):
+                continue
+            # self-move: mov rX, rX is a no-op regardless of liveness
+            if (opcode == _SELF_MOVE64 and insn.dst == insn.src) \
+                    or not (after[p] >> insn.dst) & 1:
+                dead.append(self._index[p])
         return dead

@@ -19,7 +19,6 @@ from ...isa import BpfProgram
 from ...isa import instruction as ins
 from ...isa import opcodes as op
 from ..pass_manager import BytecodePass
-from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
 
 
@@ -35,7 +34,7 @@ class CodeCompactionPass(BytecodePass):
         if not self.allow_alu32:
             return 0
         sym = SymbolicProgram.from_program(program)
-        analysis = BytecodeAnalysis(sym)
+        analysis = self._analyze(sym)
         rewrites = 0
         skip_until = -1
         for index in sym.live_indices():

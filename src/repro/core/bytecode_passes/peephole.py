@@ -22,7 +22,6 @@ from ...isa import BpfProgram
 from ...isa import instruction as ins
 from ...isa import opcodes as op
 from ..pass_manager import BytecodePass
-from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
 
 _U32 = 0xFFFFFFFF
@@ -53,7 +52,7 @@ class PeepholePass(BytecodePass):
     LOOKBACK = 8
 
     def _masked_shifts(self, sym: SymbolicProgram) -> int:
-        analysis = BytecodeAnalysis(sym)
+        analysis = self._analyze(sym)
         live = sym.live_indices()
         pos_of = {idx: p for p, idx in enumerate(live)}
         rewrites = 0

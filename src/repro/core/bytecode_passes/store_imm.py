@@ -43,22 +43,24 @@ class StoreImmediatePass(BytecodePass):
 
     def run(self, program: BpfProgram) -> int:
         sym = SymbolicProgram.from_program(program)
+        analysis = self._analyze(sym)
         rewrites = 0
-        rewrites += self._fold_store_immediates(sym)
-        rewrites += self._dead_stack_stores(sym)
-        rewrites += self._dead_defs(sym)
+        rewrites += self._fold_store_immediates(sym, analysis)
+        rewrites += self._dead_stack_stores(sym, analysis)
+        rewrites += self._dead_defs(sym, analysis)
         program.insns = sym.to_insns()
         return rewrites
 
     # ------------------------------------------------------------------
-    def _fold_store_immediates(self, sym: SymbolicProgram) -> int:
+    def _fold_store_immediates(self, sym: SymbolicProgram,
+                               analysis: BytecodeAnalysis) -> int:
         # deleting a constant mov only removes uses, so liveness facts
-        # computed once per scan stay conservative for later rewrites
+        # refreshed once per scan stay conservative for later rewrites
         rewrites = 0
         changed = True
         while changed:
             changed = False
-            analysis = BytecodeAnalysis(sym)
+            analysis.refresh()
             skip_until = -1
             for index in sym.live_indices():
                 if index <= skip_until or sym.insns[index].deleted:
@@ -103,10 +105,11 @@ class StoreImmediatePass(BytecodePass):
         return rewrites
 
     # ------------------------------------------------------------------
-    def _dead_stack_stores(self, sym: SymbolicProgram) -> int:
+    def _dead_stack_stores(self, sym: SymbolicProgram,
+                           analysis: BytecodeAnalysis) -> int:
         """Remove stack stores fully overwritten before any possible read."""
         rewrites = 0
-        analysis = BytecodeAnalysis(sym)
+        analysis.refresh()
         live = sym.live_indices()
         for pos, index in enumerate(live):
             insn = sym.insns[index].insn
@@ -166,10 +169,11 @@ class StoreImmediatePass(BytecodePass):
         return None
 
     # ------------------------------------------------------------------
-    def _dead_defs(self, sym: SymbolicProgram) -> int:
+    def _dead_defs(self, sym: SymbolicProgram,
+                   analysis: BytecodeAnalysis) -> int:
         rewrites = 0
         while True:
-            analysis = BytecodeAnalysis(sym)
+            analysis.refresh()
             dead = analysis.dead_defs()
             if not dead:
                 return rewrites

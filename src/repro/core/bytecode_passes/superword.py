@@ -59,11 +59,12 @@ class SuperwordMergePass(BytecodePass):
 
     def run(self, program: BpfProgram) -> int:
         sym = SymbolicProgram.from_program(program)
+        analysis = self._analyze(sym)
         rewrites = 0
         changed = True
         while changed:
             changed = False
-            analysis = BytecodeAnalysis(sym)
+            analysis.refresh()
             for index in sym.live_indices():
                 if sym.insns[index].deleted:
                     continue

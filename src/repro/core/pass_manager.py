@@ -13,6 +13,8 @@ from typing import Dict, List, Optional
 
 from .. import ir
 from ..isa import BpfProgram
+from .bytecode_passes.analysis import BytecodeAnalysis
+from .bytecode_passes.symbolic import SymbolicProgram
 
 
 @dataclass
@@ -87,18 +89,40 @@ class BytecodePass:
     #: validator certifies independently of the pass.
     recorder = None
 
+    #: the analyses built through :meth:`_analyze` during the current
+    #: :meth:`run_timed` (None outside one)
+    _analyses: Optional[List[BytecodeAnalysis]] = None
+
     def run(self, program: BpfProgram) -> int:
         """Rewrite *program* in place; return the number of rewrites."""
         raise NotImplementedError
 
     def run_timed(self, program: BpfProgram) -> PassStats:
+        """Run the pass and time it.  When it built a dependency
+        analysis, ``details["analysis_ns"]`` is the part of the time
+        spent building and solving it (the paper's "Dep")."""
         ni_before = program.ni
+        self._analyses = analyses = []
         start = time.perf_counter()
-        rewrites = self.run(program)
+        try:
+            rewrites = self.run(program)
+        finally:
+            self._analyses = None
         elapsed = time.perf_counter() - start
+        details = {}
+        if analyses:
+            details["analysis_ns"] = sum(a.elapsed_ns for a in analyses)
         return PassStats(self.name, "bytecode", rewrites=rewrites,
                          time_seconds=elapsed, ni_before=ni_before,
-                         ni_after=program.ni)
+                         ni_after=program.ni, details=details)
+
+    def _analyze(self, sym: SymbolicProgram) -> BytecodeAnalysis:
+        """Build the dependency analysis of *sym* (one per pass run;
+        keep it current with :meth:`BytecodeAnalysis.refresh`)."""
+        analysis = BytecodeAnalysis(sym)
+        if self._analyses is not None:
+            self._analyses.append(analysis)
+        return analysis
 
     # ------------------------------------------------- witness emission
     def _snapshot(self, sym):

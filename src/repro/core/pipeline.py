@@ -244,6 +244,11 @@ class MerlinPipeline:
         program = compile_function(work_func, module, prog_type=prog_type,
                                    mcpu=mcpu, ctx_size=ctx_size)
         stats += self.optimize_bytecode(program, recorder=recorder)
+        if program.ni > baseline.ni:
+            # the IR tier can hand the register allocator a longer live
+            # range that costs a copy more than the native build; Merlin
+            # never ships a program larger than the one it started from
+            program = baseline.copy()
         if superopt is not None:
             stats.append(self._apply_superopt(program, superopt, memo=cache,
                                               recorder=recorder))

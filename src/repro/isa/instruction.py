@@ -19,6 +19,9 @@ _STRUCT = struct.Struct("<BBhi")
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
 
+_ARG_MASK = sum(1 << reg for reg in op.ARG_REGS)
+_CALLER_SAVED_MASK = sum(1 << reg for reg in op.CALLER_SAVED)
+
 
 def _s32(value: int) -> int:
     """Wrap *value* to a signed 32-bit integer."""
@@ -52,139 +55,152 @@ class Instruction:
     imm: int = 0
 
     # --- classification ---------------------------------------------------
+    # every answer is a lookup in the per-opcode tables of ``opcodes``
+
     @property
     def insn_class(self) -> int:
-        return op.insn_class(self.opcode)
+        return op.INSN_CLASS[self.opcode]
 
     @property
     def is_ld_imm64(self) -> bool:
-        return self.opcode == (op.BPF_LD | op.BPF_IMM | op.BPF_DW)
+        return op.IS_LD_IMM64[self.opcode]
 
     @property
     def is_alu(self) -> bool:
-        return op.is_alu(self.opcode)
+        return op.IS_ALU[self.opcode]
 
     @property
     def is_alu64(self) -> bool:
-        return self.insn_class == op.BPF_ALU64
+        return op.IS_ALU64[self.opcode]
 
     @property
     def is_alu32(self) -> bool:
-        return self.insn_class == op.BPF_ALU
+        return op.IS_ALU32[self.opcode]
 
     @property
     def is_jump(self) -> bool:
-        return op.is_jump(self.opcode)
+        return op.IS_JUMP[self.opcode]
 
     @property
     def is_call(self) -> bool:
-        return self.insn_class == op.BPF_JMP and self.jmp_op == op.BPF_CALL
+        return op.IS_CALL[self.opcode]
 
     @property
     def is_exit(self) -> bool:
-        return self.insn_class == op.BPF_JMP and self.jmp_op == op.BPF_EXIT
+        return op.IS_EXIT[self.opcode]
 
     @property
     def is_load(self) -> bool:
-        return op.is_load(self.opcode) and not self.is_ld_imm64
+        return op.IS_LOAD[self.opcode]
 
     @property
     def is_store(self) -> bool:
-        return op.is_store(self.opcode)
+        return op.IS_STORE[self.opcode]
 
     @property
     def is_memory(self) -> bool:
-        return self.is_load or self.is_store
+        return op.IS_MEMORY[self.opcode]
 
     @property
     def is_atomic(self) -> bool:
-        return (
-            self.insn_class == op.BPF_STX
-            and (self.opcode & op.MODE_MASK) == op.BPF_ATOMIC
-        )
+        return op.IS_ATOMIC[self.opcode]
 
     @property
     def is_store_imm(self) -> bool:
         """A ``ST`` class store of an immediate value to memory."""
-        return self.insn_class == op.BPF_ST
+        return op.IS_STORE_IMM[self.opcode]
 
     @property
     def alu_op(self) -> int:
-        return self.opcode & op.ALU_OP_MASK
+        return op.OP_CODE[self.opcode]
 
     @property
     def jmp_op(self) -> int:
-        return self.opcode & op.JMP_OP_MASK
+        return op.OP_CODE[self.opcode]
 
     @property
     def uses_imm(self) -> bool:
         """True when the instruction's operand is the immediate field."""
-        if self.is_alu or self.is_jump:
-            return (self.opcode & op.SRC_MASK) == op.BPF_K
-        return True
+        return op.USES_IMM[self.opcode]
 
     @property
     def size_bytes(self) -> int:
         """Memory access width in bytes (loads/stores only)."""
-        if not (self.is_memory or self.is_ld_imm64):
+        size = op.ACCESS_BYTES[self.opcode]
+        if not size:
             raise EncodingError(f"not a memory instruction: {self!r}")
-        return op.SIZE_BYTES[self.opcode & op.SIZE_MASK]
+        return size
 
     @property
     def slots(self) -> int:
         """Number of 8-byte encoding slots (2 for ``ld_imm64``)."""
-        return 2 if self.is_ld_imm64 else 1
+        return op.SLOTS[self.opcode]
 
     # --- use/def sets -------------------------------------------------------
     def defs(self) -> Tuple[int, ...]:
         """Registers written by this instruction."""
-        if self.is_alu or self.is_ld_imm64:
+        kind = op.DEF_KIND[self.opcode]
+        if kind == op.DEF_DST:
             return (self.dst,)
-        if self.is_load:
-            return (self.dst,)
-        if self.is_call:
+        if kind == op.DEF_CALL:
             return (op.R0,)
-        if self.is_atomic and (self.imm & op.BPF_FETCH):
+        if kind == op.DEF_ATOMIC and self.imm & op.BPF_FETCH:
             # fetch variants write the old value back into src
-            if self.imm == op.BPF_CMPXCHG:
-                return (op.R0,)
-            return (self.src,)
+            return (op.R0,) if self.imm == op.BPF_CMPXCHG else (self.src,)
         return ()
 
     def uses(self) -> Tuple[int, ...]:
         """Registers read by this instruction."""
-        if self.is_ld_imm64:
-            return ()
-        if self.is_alu:
-            if self.alu_op in (op.BPF_NEG, op.BPF_END):
-                return (self.dst,)
-            if self.alu_op == op.BPF_MOV:
-                return () if self.uses_imm else (self.src,)
-            if self.uses_imm:
-                return (self.dst,)
+        kind = op.USE_KIND[self.opcode]
+        if kind == op.USE_DST:
+            return (self.dst,)
+        if kind == op.USE_DST_SRC:
             return (self.dst, self.src)
-        if self.is_load:
+        if kind == op.USE_SRC:
             return (self.src,)
-        if self.is_atomic:
-            regs = [self.dst, self.src]
+        if kind == op.USE_ATOMIC:
             if self.imm == op.BPF_CMPXCHG:
-                regs.append(op.R0)
-            return tuple(regs)
-        if self.is_store:
-            if self.insn_class == op.BPF_ST:
-                return (self.dst,)
+                return (self.dst, self.src, op.R0)
             return (self.dst, self.src)
-        if self.is_call:
+        if kind == op.USE_ARGS:
             return op.ARG_REGS
-        if self.is_exit:
+        if kind == op.USE_R0:
             return (op.R0,)
-        if self.is_jump:
-            if self.jmp_op == op.BPF_JA:
-                return ()
-            if self.uses_imm:
-                return (self.dst,)
-            return (self.dst, self.src)
         return ()
+
+    # --- register bitmasks (bit n set = register rn) ------------------------
+    @property
+    def use_mask(self) -> int:
+        """The registers of :meth:`uses` as a bitmask."""
+        kind = op.USE_KIND[self.opcode]
+        if kind == op.USE_DST:
+            return 1 << self.dst
+        if kind == op.USE_DST_SRC:
+            return (1 << self.dst) | (1 << self.src)
+        if kind == op.USE_SRC:
+            return 1 << self.src
+        if kind == op.USE_ATOMIC:
+            mask = (1 << self.dst) | (1 << self.src)
+            return mask | 1 if self.imm == op.BPF_CMPXCHG else mask
+        if kind == op.USE_ARGS:
+            return _ARG_MASK
+        if kind == op.USE_R0:
+            return 1
+        return 0
+
+    @property
+    def def_mask(self) -> int:
+        """The registers of :meth:`defs` as a bitmask, plus the r1-r5 a
+        helper call clobbers: everything whose old value is gone after
+        this instruction."""
+        kind = op.DEF_KIND[self.opcode]
+        if kind == op.DEF_DST:
+            return 1 << self.dst
+        if kind == op.DEF_CALL:
+            return _CALLER_SAVED_MASK
+        if kind == op.DEF_ATOMIC and self.imm & op.BPF_FETCH:
+            return 1 if self.imm == op.BPF_CMPXCHG else 1 << self.src
+        return 0
 
     # --- encoding -----------------------------------------------------------
     def encode(self) -> bytes:

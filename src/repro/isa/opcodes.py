@@ -176,28 +176,91 @@ ARG_REGS = (R1, R2, R3, R4, R5)
 STACK_SIZE = 512  # bytes of stack below r10
 
 
-def insn_class(opcode: int) -> int:
-    """Return the instruction class bits of *opcode*."""
-    return opcode & CLASS_MASK
+# --- per-opcode tables --------------------------------------------------------
+# Everything an instruction's classification depends on is its opcode
+# byte, so it is decoded once here for all 256 values and
+# ``Instruction``'s properties read these tuples by index.
+
+#: how an instruction reads registers (``Instruction.uses``)
+USE_NONE, USE_DST, USE_SRC, USE_DST_SRC, USE_ATOMIC, USE_ARGS, USE_R0 = range(7)
+#: how an instruction writes registers (``Instruction.defs``)
+DEF_NONE, DEF_DST, DEF_CALL, DEF_ATOMIC = range(4)
+
+_LD_IMM64 = BPF_LD | BPF_IMM | BPF_DW
 
 
-def is_alu(opcode: int) -> bool:
-    """True for both 32- and 64-bit ALU instructions."""
-    return insn_class(opcode) in (BPF_ALU, BPF_ALU64)
+def _decode(opcode: int) -> tuple:
+    """Every table's entry for one opcode byte, in the order the tables
+    are unpacked below."""
+    cls = opcode & CLASS_MASK
+    code = opcode & ALU_OP_MASK
+    alu = cls in (BPF_ALU, BPF_ALU64)
+    jump = cls in (BPF_JMP, BPF_JMP32)
+    ld_imm64 = opcode == _LD_IMM64
+    call = cls == BPF_JMP and code == BPF_CALL
+    exit_ = cls == BPF_JMP and code == BPF_EXIT
+    load = cls in (BPF_LD, BPF_LDX) and not ld_imm64
+    store = cls in (BPF_ST, BPF_STX)
+    atomic = cls == BPF_STX and (opcode & MODE_MASK) == BPF_ATOMIC
+    uses_imm = (opcode & SRC_MASK) == BPF_K if alu or jump else True
+    if ld_imm64:
+        use = USE_NONE
+    elif alu:
+        if code in (BPF_NEG, BPF_END):
+            use = USE_DST
+        elif code == BPF_MOV:
+            use = USE_NONE if uses_imm else USE_SRC
+        else:
+            use = USE_DST if uses_imm else USE_DST_SRC
+    elif load:
+        use = USE_SRC
+    elif atomic:
+        use = USE_ATOMIC
+    elif store:
+        use = USE_DST if cls == BPF_ST else USE_DST_SRC
+    elif call:
+        use = USE_ARGS
+    elif exit_:
+        use = USE_R0
+    elif jump:
+        if code == BPF_JA:
+            use = USE_NONE
+        else:
+            use = USE_DST if uses_imm else USE_DST_SRC
+    else:
+        use = USE_NONE
+    if alu or ld_imm64 or load:
+        define = DEF_DST
+    elif call:
+        define = DEF_CALL
+    elif atomic:
+        define = DEF_ATOMIC
+    else:
+        define = DEF_NONE
+    width = SIZE_BYTES[opcode & SIZE_MASK] if load or store or ld_imm64 else 0
+    return (cls, code, alu, cls == BPF_ALU64, cls == BPF_ALU, jump, call,
+            exit_, load, store, load or store, atomic, cls == BPF_ST,
+            ld_imm64, uses_imm, 2 if ld_imm64 else 1, width, use, define)
 
 
-def is_jump(opcode: int) -> bool:
-    """True for both 64- and 32-bit compare jump classes."""
-    return insn_class(opcode) in (BPF_JMP, BPF_JMP32)
-
-
-def is_load(opcode: int) -> bool:
-    return insn_class(opcode) in (BPF_LD, BPF_LDX)
-
-
-def is_store(opcode: int) -> bool:
-    return insn_class(opcode) in (BPF_ST, BPF_STX)
-
-
-def is_memory(opcode: int) -> bool:
-    return is_load(opcode) or is_store(opcode)
+(
+    INSN_CLASS,  # opcode & CLASS_MASK
+    OP_CODE,  # ALU or JMP operation: opcode & 0xF0
+    IS_ALU,  # ALU or ALU64 class
+    IS_ALU64,
+    IS_ALU32,
+    IS_JUMP,  # JMP or JMP32 class (includes call and exit)
+    IS_CALL,
+    IS_EXIT,
+    IS_LOAD,  # LD/LDX class except ld_imm64
+    IS_STORE,  # ST/STX class (includes atomics)
+    IS_MEMORY,
+    IS_ATOMIC,
+    IS_STORE_IMM,  # ST class
+    IS_LD_IMM64,
+    USES_IMM,  # the operand is the immediate, not src
+    SLOTS,  # 8-byte encoding slots
+    ACCESS_BYTES,  # memory access width, 0 when not a memory access
+    USE_KIND,
+    DEF_KIND,
+) = zip(*(_decode(opcode) for opcode in range(256)))

@@ -24,8 +24,12 @@ def _connect(address: Address, timeout: float) -> socket.socket:
     kind = address[0]
     if kind == "unix":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(address[1])
+        try:
+            sock.settimeout(timeout)
+            sock.connect(address[1])
+        except BaseException:
+            sock.close()
+            raise
         return sock
     if kind == "tcp":
         return socket.create_connection(address[1:3], timeout=timeout)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import MerlinPipeline
 from repro.eval import (
     CORE_FREQ_HZ,
     NetworkEval,
@@ -189,6 +190,30 @@ class TestCompileCostHarness:
         assert set(cost.per_optimizer) >= {"DAO", "MoF", "CC", "PO", "SLM",
                                            "CP/DCE", "Dep"}
         assert all(v >= 0 for v in cost.per_optimizer.values())
+
+    def test_dep_is_the_measured_analysis_time(self):
+        class Recording(MerlinPipeline):
+            def compile(self, *args, **kwargs):
+                self.last = super().compile(*args, **kwargs)
+                return self.last
+
+        workload = BY_NAME["xdp-balancer"]
+        pipeline = Recording()
+        cost = measure_compile_cost(workload.source, workload.entry,
+                                    pipeline=pipeline)
+        report = pipeline.last[1]
+        bytecode = [s for s in report.pass_stats if s.tier == "bytecode"]
+        recorded = sum(s.details.get("analysis_ns", 0) for s in bytecode)
+        assert recorded > 0
+        assert cost.per_optimizer["Dep"] == recorded * 1e-9
+        bars = cost.per_optimizer
+        ir_share = {"SLM": report.time_of("slm-ir"),
+                    "CP/DCE": report.time_of("constprop")
+                    + report.time_of("dce")}
+        bytecode_bars = sum(bars[label] - ir_share.get(label, 0.0)
+                            for label in ("CC", "PO", "SLM", "CP/DCE"))
+        bytecode_total = sum(s.time_seconds for s in bytecode)
+        assert bars["Dep"] + bytecode_bars <= bytecode_total + 1e-9
 
     def test_cost_grows_with_size(self):
         small = BY_NAME["xdp1"]

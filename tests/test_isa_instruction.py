@@ -207,3 +207,122 @@ class TestCounting:
         insn = jump32("jlt", 1, imm=5, off=3)
         assert insn.insn_class == op.BPF_JMP32
         assert Instruction.decode_stream(insn.encode()) == [insn]
+
+
+# --- per-opcode tables against a direct bit-field decode -------------------
+# The oracle below decodes the fields of the instruction-set
+# specification straight from the opcode byte, independently of the
+# tables in ``repro.isa.opcodes``.
+
+def _field_decode(insn):
+    """Every classification the tables answer, from the raw fields."""
+    opcode = insn.opcode
+    cls = opcode & 0x07
+    code = opcode & 0xF0
+    ld_imm64 = opcode == 0x18
+    alu = cls in (0x04, 0x07)
+    jmp = cls in (0x05, 0x06)
+    call_ = cls == 0x05 and code == 0x80
+    exit__ = cls == 0x05 and code == 0x90
+    load_ = cls in (0x00, 0x01) and not ld_imm64
+    store = cls in (0x02, 0x03)
+    atomic_ = cls == 0x03 and (opcode & 0xE0) == 0xC0
+    uses_imm = not (opcode & 0x08) if alu or jmp else True
+    width = {0x00: 4, 0x08: 2, 0x10: 1, 0x18: 8}[opcode & 0x18]
+    fetch = atomic_ and bool(insn.imm & 0x01)
+
+    if ld_imm64:
+        uses = ()
+    elif alu:
+        if code in (0x80, 0xD0):  # neg, end
+            uses = (insn.dst,)
+        elif code == 0xB0:  # mov
+            uses = () if uses_imm else (insn.src,)
+        else:
+            uses = (insn.dst,) if uses_imm else (insn.dst, insn.src)
+    elif load_:
+        uses = (insn.src,)
+    elif atomic_:
+        uses = (insn.dst, insn.src) + ((0,) if insn.imm == 0xF1 else ())
+    elif store:
+        uses = (insn.dst,) if cls == 0x02 else (insn.dst, insn.src)
+    elif call_:
+        uses = (1, 2, 3, 4, 5)
+    elif exit__:
+        uses = (0,)
+    elif jmp and code != 0x00:
+        uses = (insn.dst,) if uses_imm else (insn.dst, insn.src)
+    else:
+        uses = ()
+
+    if alu or ld_imm64 or load_:
+        defs = (insn.dst,)
+    elif call_:
+        defs = (0,)
+    elif fetch:
+        defs = (0,) if insn.imm == 0xF1 else (insn.src,)
+    else:
+        defs = ()
+    clobbers = (0, 1, 2, 3, 4, 5) if call_ else ()
+
+    return {
+        "insn_class": cls, "alu_op": code, "jmp_op": code,
+        "is_alu": alu, "is_alu64": cls == 0x07, "is_alu32": cls == 0x04,
+        "is_jump": jmp, "is_call": call_, "is_exit": exit__,
+        "is_load": load_, "is_store": store, "is_memory": load_ or store,
+        "is_atomic": atomic_, "is_store_imm": cls == 0x02,
+        "is_ld_imm64": ld_imm64, "uses_imm": uses_imm,
+        "slots": 2 if ld_imm64 else 1,
+        "size_bytes": width if load_ or store or ld_imm64 else None,
+        "uses": uses, "defs": defs,
+        "use_mask": sum({1 << r for r in uses}),
+        "def_mask": sum({1 << r for r in defs + clobbers}),
+    }
+
+
+_SAMPLED_IMMS = (0, 1, 32, -1, op.BPF_ATOMIC_ADD | op.BPF_FETCH,
+                 op.BPF_ATOMIC_XOR, op.BPF_XCHG, op.BPF_CMPXCHG)
+_SAMPLED_REGS = ((0, 0), (1, 2), (5, 0), (10, 9), (3, 3))
+
+
+class TestOpcodeTables:
+    def test_every_opcode_matches_the_field_decode(self):
+        checked = 0
+        for opcode in range(256):
+            for dst, src in _SAMPLED_REGS:
+                for imm in _SAMPLED_IMMS:
+                    insn = Instruction(opcode, dst=dst, src=src, imm=imm)
+                    expected = _field_decode(insn)
+                    size = expected.pop("size_bytes")
+                    got = {name: getattr(insn, name) for name in expected
+                           if name not in ("uses", "defs")}
+                    got["uses"] = insn.uses()
+                    got["defs"] = insn.defs()
+                    assert got == expected, (hex(opcode), dst, src, imm)
+                    if size is None:
+                        with pytest.raises(EncodingError):
+                            _ = insn.size_bytes
+                    else:
+                        assert insn.size_bytes == size
+                    checked += 1
+        assert checked == 256 * len(_SAMPLED_REGS) * len(_SAMPLED_IMMS)
+
+    def test_classifications_are_bools(self):
+        for opcode in range(256):
+            insn = Instruction(opcode)
+            for name in ("is_alu", "is_jump", "is_call", "is_exit",
+                         "is_load", "is_store", "is_memory", "is_atomic",
+                         "is_ld_imm64", "uses_imm"):
+                assert type(getattr(insn, name)) is bool
+
+    def test_atomic_fetch_variants(self):
+        xchg = atomic(8, op.BPF_XCHG, 1, 0, 2)
+        assert xchg.defs() == (2,) and xchg.def_mask == 1 << 2
+        cmpxchg = atomic(8, op.BPF_CMPXCHG, 1, 0, 2)
+        assert cmpxchg.uses() == (1, 2, op.R0)
+        assert cmpxchg.defs() == (op.R0,) and cmpxchg.def_mask == 1
+
+    def test_call_def_mask_folds_clobbers(self):
+        assert call(1).defs() == (op.R0,)
+        assert call(1).def_mask == 0b111111
+        assert call(1).use_mask == 0b111110

@@ -46,6 +46,28 @@ class TestPipelineInvariants:
         assert report.ni_original == baseline.ni
         assert report.ni_optimized == optimized.ni
 
+    def test_never_larger_when_the_ir_tier_costs_a_copy(self):
+        # folding ``v0 | v0`` lengthens v0's live range, and the
+        # allocator then spends one copy more than the native build
+        source = """
+u64 f(u8* ctx) {
+    u64 v0 = *(u64*)(ctx + 33);
+    u8 v1 = *(u8*)(ctx + 17);
+    u64 v2 = *(u64*)(ctx + 37);
+    u64 v3 = (u64)(v0 | v0);
+    u8 v4 = *(u8*)(ctx + 50);
+    return (u64)v0 ^ (u64)v1 ^ (u64)v2 ^ (u64)v3 ^ (u64)v4;
+}
+"""
+        baseline, optimized, report = compile_pair(
+            source, "f", prog_type=ProgramType.TRACEPOINT, ctx_size=64)
+        assert report.rewrites_of("constprop") == 1
+        assert optimized.ni <= baseline.ni
+        assert report.ni_optimized == optimized.ni
+        ctx = bytes(range(64))
+        assert Machine(optimized).run(ctx=ctx).return_value == \
+            Machine(baseline).run(ctx=ctx).return_value
+
     def test_reduction_is_positive_on_optimizable_code(self):
         _, _, report = compile_pair()
         assert report.ni_reduction > 0

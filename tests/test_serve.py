@@ -7,7 +7,9 @@ ordering under pipelining and concurrency, error-response shapes, and
 clean shutdown with in-flight requests drained.
 """
 
+import gc
 import threading
+import warnings
 
 import pytest
 
@@ -502,6 +504,16 @@ class TestShutdown:
         handle.stop()
         with pytest.raises((ConnectionError, FileNotFoundError, OSError)):
             ServeClient(handle.address)
+
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        missing = str(tmp_path / "missing.sock")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                ServeClient(missing)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_stop_is_idempotent(self):
         handle = DaemonThread(ServeConfig(max_delay=0.005)).start()
