@@ -42,7 +42,7 @@ def _native_cleanup(program: BpfProgram) -> None:
     unconditional jumps to the next instruction."""
     from ..core.bytecode_passes.analysis import BytecodeAnalysis
     from ..core.bytecode_passes.symbolic import SymbolicProgram
-    from ..isa import opcodes as op
+    from ..isa.cfg import JA, KIND
 
     sym = SymbolicProgram.from_program(program)
     analysis = BytecodeAnalysis(sym)
@@ -55,15 +55,10 @@ def _native_cleanup(program: BpfProgram) -> None:
             changed = True
         for index in sym.live_indices():
             item = sym.insns[index]
-            insn = item.insn
-            if insn.is_jump and insn.jmp_op == op.BPF_JA and \
-                    not insn.is_exit and item.target is not None:
-                resolved = item.target
-                while resolved < len(sym.insns) and sym.insns[resolved].deleted:
-                    resolved += 1
-                if resolved == sym.next_live(index):
-                    sym.delete(index)
-                    changed = True
+            if KIND[item.insn.opcode] == JA and item.target is not None \
+                    and sym.resolve(item.target) == sym.next_live(index):
+                sym.delete(index)
+                changed = True
     program.insns = sym.to_insns()
 
 

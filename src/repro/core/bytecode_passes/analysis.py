@@ -1,9 +1,9 @@
 """Bytecode dependency analysis (the paper's "Dep" component).
 
-Builds a CFG over logical instruction indices and solves register
-liveness; the rewriting passes consult it to prove that a register is
-dead after an instruction (CP/DCE, peephole) or that no branch target
-splits a candidate pattern.
+Builds a :class:`repro.isa.cfg.Cfg` over the live instructions and
+solves register liveness on it; the rewriting passes consult it to
+prove that a register is dead after an instruction (CP/DCE, peephole)
+or that no branch target splits a candidate pattern.
 
 Register sets are integer bitmasks (bit n = rn) read from the per-opcode
 tables in :mod:`repro.isa.opcodes`.  A pass builds one analysis per run:
@@ -23,11 +23,10 @@ from typing import List, Optional, Set
 
 from ...isa import Instruction
 from ...isa import opcodes as op
+from ...isa.cfg import ENDS_BLOCK, Cfg
 from .symbolic import SymbolicProgram
 
 _IS_JUMP = op.IS_JUMP
-_IS_CALL = op.IS_CALL
-_IS_EXIT = op.IS_EXIT
 _SELF_MOVE64 = op.BPF_ALU64 | op.BPF_MOV | op.BPF_X
 
 
@@ -42,12 +41,6 @@ def insn_defs(insn: Instruction) -> Set[int]:
     if insn.is_call:
         defs.update(op.CALLER_SAVED)
     return defs
-
-
-def _ends_block(insn: Instruction) -> bool:
-    """Jumps (not calls) and exits end a basic block."""
-    opcode = insn.opcode
-    return _IS_JUMP[opcode] and not _IS_CALL[opcode]
 
 
 class BytecodeAnalysis:
@@ -79,49 +72,15 @@ class BytecodeAnalysis:
         self._use = [insn.use_mask for insn in self._insn]
         self._def = [insn.def_mask for insn in self._insn]
         self.targets = self.sym.branch_targets()
-        self._build_blocks()
+        resolve, n = self.sym.resolve, len(index)
+        self.cfg = Cfg(self._insn, [
+            None if item.target is None
+            else self.pos_of.get(resolve(item.target), n)
+            for item in self._items])
         #: liveness is solved lazily, at the first query after a change
         self._stale = True
         self._live_after = [0] * len(index)
         self.elapsed_ns += time.perf_counter_ns() - start
-
-    def _resolve_target_pos(self, target: int) -> Optional[int]:
-        items = self.sym.insns
-        while target < len(items) and items[target].deleted:
-            target += 1
-        return self.pos_of.get(target)
-
-    def _build_blocks(self) -> None:
-        n = len(self._index)
-        leaders: Set[int] = {0} if n else set()
-        for target in self.targets:
-            pos = self.pos_of.get(target)
-            if pos is not None:
-                leaders.add(pos)
-        for p, insn in enumerate(self._insn):
-            if _ends_block(insn) and p + 1 < n:
-                leaders.add(p + 1)
-        first = sorted(leaders)
-        last = [start - 1 for start in first[1:]] + [n - 1] if n else []
-        block_at = {start: b for b, start in enumerate(first)}
-        succs: List[tuple] = []
-        for b, end in enumerate(last):
-            insn = self._insn[end]
-            if _IS_EXIT[insn.opcode]:
-                succs.append(())
-            elif _ends_block(insn):
-                out = []
-                target = self._items[end].target
-                if target is not None:
-                    tpos = self._resolve_target_pos(target)
-                    if tpos is not None:
-                        out.append(block_at[tpos])
-                if insn.jmp_op != op.BPF_JA and end + 1 < n:
-                    out.append(b + 1)
-                succs.append(tuple(out))
-            else:
-                succs.append((b + 1,) if end + 1 < n else ())
-        self._first, self._last, self._succs = first, last, succs
 
     # ------------------------------------------------------------- updating
     def refresh(self) -> None:
@@ -142,19 +101,18 @@ class BytecodeAnalysis:
                     continue  # already a nop
                 new = None
                 deleted = True
-                ends = _ends_block(old)
+                ends = ENDS_BLOCK[old.opcode]
                 retarget |= ends or idx in self.targets
                 if ends:
                     # the block now falls through its nop
-                    b = bisect.bisect_right(self._first, p) - 1
-                    self._succs[b] = ((b + 1,) if b + 1 < len(self._first)
-                                      else ())
+                    cfg = self.cfg
+                    cfg.fall_through(bisect.bisect_right(cfg.first, p) - 1)
             elif item is self._items[p] and old is not None:
                 continue
             else:
                 new = item.insn
-                if old is None or _ends_block(old) or _ends_block(new) \
-                        or item.target is not None:
+                if old is None or ENDS_BLOCK[old.opcode] \
+                        or ENDS_BLOCK[new.opcode] or item.target is not None:
                     # a revived nop, or control flow changed
                     self._rebuild(start)
                     return
@@ -181,36 +139,22 @@ class BytecodeAnalysis:
         """Least fixpoint of backward liveness over the blocks, then the
         live-after mask of every position."""
         start = time.perf_counter_ns()
-        first, last, succs = self._first, self._last, self._succs
+        cfg = self.cfg
+        first, last = cfg.first, cfg.last
         uses, defs = self._use, self._def
-        nblocks = len(first)
-        gen = [0] * nblocks
-        kill = [0] * nblocks
-        for b in range(nblocks):
+        gen = []
+        kill = []
+        for b, end in enumerate(last):
             g = k = 0
-            for p in range(last[b], first[b] - 1, -1):
+            for p in range(end, first[b] - 1, -1):
                 d = defs[p]
                 g = uses[p] | (g & ~d)
                 k |= d
-            gen[b], kill[b] = g, k
-        live_in = [0] * nblocks
-        live_out = [0] * nblocks
-        order = range(nblocks - 1, -1, -1)
-        changed = True
-        while changed:
-            changed = False
-            for b in order:
-                out = 0
-                for s in succs[b]:
-                    out |= live_in[s]
-                live_out[b] = out
-                new_in = gen[b] | (out & ~kill[b])
-                if new_in != live_in[b]:
-                    live_in[b] = new_in
-                    changed = True
+            gen.append(g)
+            kill.append(k)
+        live_out = cfg.solve(lambda b, out: gen[b] | (out & ~kill[b]))
         after = self._live_after
-        for b in range(nblocks):
-            live = live_out[b]
+        for b, live in enumerate(live_out):
             for p in range(last[b], first[b] - 1, -1):
                 after[p] = live
                 live = uses[p] | (live & ~defs[p])

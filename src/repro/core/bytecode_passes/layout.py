@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...isa import BpfProgram, Instruction
 from ...isa import opcodes as op
+from ...isa.cfg import COND, EXIT, FALL, JA, KIND, Cfg
 from ...isa.instruction import jump
 from ..pass_manager import BytecodePass
 from .symbolic import SymInsn, SymbolicProgram
@@ -166,102 +167,43 @@ def collect_profile(program: BpfProgram,
 
 
 # ---------------------------------------------------------------------------
-# CFG construction
+# weighted CFG
 # ---------------------------------------------------------------------------
-@dataclass
-class LayoutBlock:
-    """One basic block over logical instruction indices."""
-
-    first: int
-    last: int
-    #: terminator shape: "exit" | "jump" | "cond" | "fall"
-    kind: str = "fall"
-    #: block ids; END (== number of blocks) is the one-past-the-end
-    #: pseudo block, preserved so off-the-end control flow relocates
-    taken: Optional[int] = None   # cond: jump-taken successor
-    fall: Optional[int] = None    # cond/fall: fall-through; jump: target
-
-
-def control_flow_blocks(sym: SymbolicProgram) -> List[LayoutBlock]:
-    """Decompose a (deletion-free) symbolic program into basic blocks.
-
-    Shared by the layout pass and the TV layout validator: both sides
-    of a witness are decomposed with the same rules, then compared
-    structurally.  Block id ``len(blocks)`` denotes the end-of-program
-    pseudo target.
-    """
-    n = len(sym.insns)
-    leaders = {0}
-    for index, item in enumerate(sym.insns):
-        insn = item.insn
-        if insn.is_exit or (insn.is_jump and not insn.is_call):
-            if index + 1 < n:
-                leaders.add(index + 1)
-            if item.target is not None and item.target < n:
-                leaders.add(item.target)
-    starts = sorted(leaders)
-    block_of = {start: bid for bid, start in enumerate(starts)}
-    end_id = len(starts)
-
-    def resolve(index: Optional[int]) -> int:
-        if index is None or index >= n:
-            return end_id
-        return block_of[index]
-
-    blocks: List[LayoutBlock] = []
-    for bid, start in enumerate(starts):
-        stop = starts[bid + 1] - 1 if bid + 1 < len(starts) else n - 1
-        block = LayoutBlock(first=start, last=stop)
-        item = sym.insns[stop]
-        insn = item.insn
-        if insn.is_exit:
-            block.kind = "exit"
-        elif insn.is_jump and not insn.is_call and insn.jmp_op == op.BPF_JA:
-            block.kind = "jump"
-            block.fall = resolve(item.target)
-        elif insn.is_jump and not insn.is_call:
-            block.kind = "cond"
-            block.taken = resolve(item.target)
-            block.fall = end_id if stop + 1 >= n else block_of[stop + 1]
-        else:
-            block.kind = "fall"
-            block.fall = end_id if stop + 1 >= n else block_of[stop + 1]
-        blocks.append(block)
-    return blocks
-
-
 @dataclass
 class _Edge:
     src: int
     dst: int
-    weight: int
-    kind: str  # "taken" | "fall" | "jump"
+    weight: Optional[int]
+    kind: str  # "taken" | "fall" | "ja"
 
 
-def _cfg_edges(blocks: List[LayoutBlock], counts: List[int],
-               profile: ExecutionProfile,
-               slot_of: Dict[int, int]) -> List[_Edge]:
+def _cfg_edges(cfg: Cfg, profile: ExecutionProfile,
+               slot_of: List[int]) -> List[_Edge]:
+    """The edges between blocks.  A conditional edge carries its
+    profiled weight; an unconditional one (``ja`` or fall-through) gets
+    its source block's count from :func:`_block_counts`."""
     edges: List[_Edge] = []
-    end_id = len(blocks)
-    for bid, block in enumerate(blocks):
-        if block.kind == "exit":
+    end_id = len(cfg.first)
+    for bid, kind in enumerate(cfg.kind):
+        if kind == COND:
+            slot = slot_of[cfg.last[bid]]
+            arms = ((cfg.taken[bid], profile.taken.get(slot, 0), "taken"),
+                    (cfg.fall[bid], profile.not_taken.get(slot, 0), "fall"))
+        elif kind == JA:
+            arms = ((cfg.taken[bid], None, JA),)
+        elif kind == FALL:
+            arms = ((cfg.fall[bid], None, FALL),)
+        else:
             continue
-        if block.kind == "cond":
-            slot = slot_of[block.last]
-            if block.taken is not None and block.taken < end_id:
-                edges.append(_Edge(bid, block.taken,
-                                   profile.taken.get(slot, 0), "taken"))
-            if block.fall is not None and block.fall < end_id:
-                edges.append(_Edge(bid, block.fall,
-                                   profile.not_taken.get(slot, 0), "fall"))
-        elif block.fall is not None and block.fall < end_id:
-            edges.append(_Edge(bid, block.fall, counts[bid], block.kind))
+        edges += [_Edge(bid, dst, weight, arm) for dst, weight, arm in arms
+                  if 0 <= dst < end_id]
     return edges
 
 
-def _block_counts(blocks: List[LayoutBlock], profile: ExecutionProfile,
-                  slot_of: Dict[int, int]) -> List[int]:
-    """Per-block execution counts by flow conservation.
+def _block_counts(nblocks: int, edges: List[_Edge],
+                  profile: ExecutionProfile) -> List[int]:
+    """Per-block execution counts by flow conservation; fills in the
+    weight of every unconditional edge.
 
     Conditional edges carry exact profiled weights; unconditional edges
     (``ja`` and plain fall-through) carry their source block's count, so
@@ -271,24 +213,18 @@ def _block_counts(blocks: List[LayoutBlock], profile: ExecutionProfile,
     describe; faulted runs make counts mildly approximate, which only
     steers ordering heuristics.
     """
-    end_id = len(blocks)
-    cond_in: List[int] = [0] * end_id
-    uncond_preds: List[List[int]] = [[] for _ in range(end_id)]
-    for bid, block in enumerate(blocks):
-        if block.kind == "cond":
-            slot = slot_of[block.last]
-            if block.taken is not None and block.taken < end_id:
-                cond_in[block.taken] += profile.taken.get(slot, 0)
-            if block.fall is not None and block.fall < end_id:
-                cond_in[block.fall] += profile.not_taken.get(slot, 0)
-        elif block.kind in ("jump", "fall"):
-            if block.fall is not None and block.fall < end_id:
-                uncond_preds[block.fall].append(bid)
+    cond_in: List[int] = [0] * nblocks
+    uncond_preds: List[List[int]] = [[] for _ in range(nblocks)]
+    for edge in edges:
+        if edge.weight is None:
+            uncond_preds[edge.dst].append(edge.src)
+        else:
+            cond_in[edge.dst] += edge.weight
 
-    counts = [0] * end_id
-    for _ in range(end_id + 1):
+    counts = [0] * nblocks
+    for _ in range(nblocks + 1):
         changed = False
-        for bid in range(end_id):
+        for bid in range(nblocks):
             total = cond_in[bid] + (profile.entries if bid == 0 else 0)
             total += sum(counts[p] for p in uncond_preds[bid])
             if total != counts[bid]:
@@ -296,14 +232,17 @@ def _block_counts(blocks: List[LayoutBlock], profile: ExecutionProfile,
                 changed = True
         if not changed:
             break
+    for edge in edges:
+        if edge.weight is None:
+            edge.weight = counts[edge.src]
     return counts
 
 
 # ---------------------------------------------------------------------------
 # chain ordering
 # ---------------------------------------------------------------------------
-def _edge_gain(edge: _Edge, blocks: List[LayoutBlock],
-               mispredict_penalty: int, line_bytes: int) -> float:
+def _edge_gain(edge: _Edge, mispredict_penalty: int,
+               line_bytes: int) -> float:
     """Estimated cycles saved per profile window if ``edge.dst`` is laid
     out directly after ``edge.src``, scored against the hw models:
 
@@ -319,7 +258,7 @@ def _edge_gain(edge: _Edge, blocks: List[LayoutBlock],
       only breaks ties.
     """
     gain = float(edge.weight)
-    if edge.kind == "jump":
+    if edge.kind == JA:
         gain += float(edge.weight)
     elif edge.kind == "taken" and edge.weight:
         # straightening needs an invertible condition; emission
@@ -329,22 +268,20 @@ def _edge_gain(edge: _Edge, blocks: List[LayoutBlock],
     return gain
 
 
-def _chain_order(blocks: List[LayoutBlock], edges: List[_Edge],
-                 counts: List[int], mispredict_penalty: int,
-                 line_bytes: int) -> List[int]:
+def _chain_order(edges: List[_Edge], counts: List[int],
+                 mispredict_penalty: int, line_bytes: int) -> List[int]:
     """Greedy chain merging (Pettis–Hansen seeded, ext-TSP scored):
     every block starts alone; edges are visited by descending gain and
     merge chains tail-to-head; the entry chain leads, hot chains follow
     by weight, never-executed chains sink to the end (hot/cold split).
     """
-    end_id = len(blocks)
+    end_id = len(counts)
     chain_of = list(range(end_id))
     chains: Dict[int, List[int]] = {bid: [bid] for bid in range(end_id)}
 
     ranked = sorted(
         (e for e in edges if e.src != e.dst and e.weight > 0),
-        key=lambda e: (-_edge_gain(e, blocks, mispredict_penalty,
-                                   line_bytes),
+        key=lambda e: (-_edge_gain(e, mispredict_penalty, line_bytes),
                        e.src, e.dst))
     for edge in ranked:
         ca, cb = chain_of[edge.src], chain_of[edge.dst]
@@ -397,20 +334,19 @@ class ProfileGuidedLayoutPass(BytecodePass):
         if self.profile.empty or len(program.insns) < 2:
             return 0
         sym = SymbolicProgram.from_program(program)
-        blocks = control_flow_blocks(sym)
-        if len(blocks) < 2:
+        cfg = Cfg(program.insns)
+        if len(cfg.first) < 2:
             return 0
-        slot_of = dict(enumerate(program.slot_offsets()))
-        counts = _block_counts(blocks, self.profile, slot_of)
-        edges = _cfg_edges(blocks, counts, self.profile, slot_of)
+        edges = _cfg_edges(cfg, self.profile, program.slot_offsets())
+        counts = _block_counts(len(cfg.first), edges, self.profile)
         # score merges against the simulator's actual models
         from ...hw import BranchPredictor, CacheModel
 
         penalty = BranchPredictor().mispredict_penalty
         line_bytes = CacheModel().line_bytes
-        order = _chain_order(blocks, edges, counts, penalty, line_bytes)
+        order = _chain_order(edges, counts, penalty, line_bytes)
 
-        emitted = self._emit(sym, blocks, order, slot_of)
+        emitted = self._emit(cfg, order)
         if emitted is None:
             return 0
         new_insns, moved, inverted = emitted
@@ -425,12 +361,11 @@ class ProfileGuidedLayoutPass(BytecodePass):
         return max(moved + inverted, 1)
 
     # ------------------------------------------------------------ emission
-    def _emit(self, sym: SymbolicProgram, blocks: List[LayoutBlock],
-              order: List[int], slot_of: Dict[int, int]
+    def _emit(self, cfg: Cfg, order: List[int]
               ) -> Optional[Tuple[List[Instruction], int, int]]:
         """Emit blocks in *order*; returns ``(insns, moved, inverted)``
         or None when a relocated offset cannot be encoded."""
-        end_id = len(blocks)
+        end_id = len(cfg.first)
         moved = sum(1 for pos, bid in enumerate(order) if pos != bid)
         inverted = 0
 
@@ -438,36 +373,35 @@ class ProfileGuidedLayoutPass(BytecodePass):
         out: List[Tuple[Instruction, Optional[int]]] = []
         block_start: Dict[int, int] = {}
         for pos, bid in enumerate(order):
-            block = blocks[bid]
+            kind, taken, fall = cfg.kind[bid], cfg.taken[bid], cfg.fall[bid]
             nxt = order[pos + 1] if pos + 1 < len(order) else end_id
             block_start[bid] = len(out)
-            body = [sym.insns[i].insn
-                    for i in range(block.first, block.last + 1)]
-            if block.kind == "exit":
+            body = cfg.insns[cfg.first[bid]:cfg.last[bid] + 1]
+            if kind == EXIT:
                 out.extend((insn, None) for insn in body)
-            elif block.kind == "jump":
+            elif kind == JA:
                 out.extend((insn, None) for insn in body[:-1])
-                if block.fall != nxt:
-                    out.append((body[-1], block.fall))
-            elif block.kind == "cond":
+                if taken != nxt:
+                    out.append((body[-1], taken))
+            elif kind == COND:
                 out.extend((insn, None) for insn in body[:-1])
                 cond = body[-1]
-                if block.fall == nxt or block.taken == block.fall:
-                    out.append((cond, block.taken))
-                    if (block.taken == block.fall and block.fall != nxt):
-                        out.append((jump("ja"), block.fall))
+                if fall == nxt or taken == fall:
+                    out.append((cond, taken))
+                    if taken == fall and fall != nxt:
+                        out.append((jump("ja"), fall))
                 else:
                     flipped = invert_condition(cond)
-                    if block.taken == nxt and flipped is not None:
-                        out.append((flipped, block.fall))
+                    if taken == nxt and flipped is not None:
+                        out.append((flipped, fall))
                         inverted += 1
                     else:
-                        out.append((cond, block.taken))
-                        out.append((jump("ja"), block.fall))
-            else:  # "fall"
+                        out.append((cond, taken))
+                        out.append((jump("ja"), fall))
+            else:  # FALL
                 out.extend((insn, None) for insn in body)
-                if block.fall != nxt:
-                    out.append((jump("ja"), block.fall))
+                if fall != nxt:
+                    out.append((jump("ja"), fall))
 
         total = len(out)
         resolved = SymbolicProgram([
@@ -478,7 +412,7 @@ class ProfileGuidedLayoutPass(BytecodePass):
         ])
         insns = resolved.to_insns()
         for insn in insns:
-            if (insn.is_jump and not insn.is_call and not insn.is_exit
+            if (KIND[insn.opcode] in (JA, COND)
                     and not _S16_MIN <= insn.off <= _S16_MAX):
                 return None  # branch out of signed-16-bit range: bail
         return insns, moved, inverted

@@ -21,6 +21,7 @@ from __future__ import annotations
 from ...isa import BpfProgram
 from ...isa import instruction as ins
 from ...isa import opcodes as op
+from ...isa.cfg import JA, KIND
 from ..pass_manager import BytecodePass
 from .symbolic import SymbolicProgram
 
@@ -127,17 +128,9 @@ class PeepholePass(BytecodePass):
         rewrites = 0
         for index in sym.live_indices():
             item = sym.insns[index]
-            insn = item.insn
-            if not (insn.is_jump and insn.jmp_op == op.BPF_JA
-                    and not insn.is_exit and not insn.is_call):
+            if KIND[item.insn.opcode] != JA or item.target is None:
                 continue
-            if item.target is None:
-                continue
-            resolved = item.target
-            while (resolved < len(sym.insns)
-                   and sym.insns[resolved].deleted):
-                resolved += 1
-            if resolved == sym.next_live(index):
+            if sym.resolve(item.target) == sym.next_live(index):
                 snap = self._snapshot(sym)
                 sym.delete(index)
                 self._witness_delete(snap, index, "jump-thread")

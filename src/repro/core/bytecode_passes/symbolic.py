@@ -10,9 +10,10 @@ offsets on the way out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from ...isa import BpfProgram, Instruction
+from ...isa.cfg import FAULT, slot_targets
 
 
 class RelocationError(Exception):
@@ -35,30 +36,15 @@ class SymbolicProgram:
     # --- conversion ---------------------------------------------------------
     @classmethod
     def from_program(cls, program: BpfProgram) -> "SymbolicProgram":
-        slot_to_index = {}
-        slot = 0
-        for index, insn in enumerate(program.insns):
-            slot_to_index[slot] = index
-            slot += insn.slots
-        end_slot = slot
-
-        sym: List[SymInsn] = []
-        slot = 0
-        for insn in program.insns:
-            target = None
-            if insn.is_jump and not insn.is_call and not insn.is_exit:
-                target_slot = slot + insn.slots + insn.off
-                if target_slot == end_slot:
-                    target = len(program.insns)
-                elif target_slot not in slot_to_index:
-                    raise RelocationError(
-                        f"branch at slot {slot} lands inside an instruction"
-                    )
-                else:
-                    target = slot_to_index[target_slot]
-            sym.append(SymInsn(insn, target))
-            slot += insn.slots
-        return cls(sym)
+        insns = program.insns
+        targets = slot_targets(insns)
+        for slot, target in zip(program.slot_offsets(), targets):
+            if target == FAULT:
+                raise RelocationError(
+                    f"branch at slot {slot} lands inside an instruction"
+                )
+        return cls([SymInsn(insn, target)
+                    for insn, target in zip(insns, targets)])
 
     def to_insns(self) -> List[Instruction]:
         """Drop deletions, recompute offsets, return final instructions."""
@@ -100,26 +86,25 @@ class SymbolicProgram:
         return program.copy(insns=self.to_insns())
 
     # --- queries ------------------------------------------------------------
+    def resolve(self, index: int) -> int:
+        """Where control lands when it reaches logical *index*: the next
+        non-deleted entry at or after it, or ``len(self.insns)``."""
+        insns = self.insns
+        while index < len(insns) and insns[index].deleted:
+            index += 1
+        return index
+
     def branch_targets(self) -> Set[int]:
         """Logical indices some branch may land on (rewrite barriers)."""
-        targets = set()
-        for sym in self.insns:
-            if not sym.deleted and sym.target is not None:
-                target = sym.target
-                # a deleted target means control lands on the next live insn
-                while target < len(self.insns) and self.insns[target].deleted:
-                    target += 1
-                targets.add(target)
-        return targets
+        return {self.resolve(sym.target) for sym in self.insns
+                if not sym.deleted and sym.target is not None}
 
     def live_indices(self) -> List[int]:
         return [i for i, sym in enumerate(self.insns) if not sym.deleted]
 
     def next_live(self, index: int) -> Optional[int]:
-        for i in range(index + 1, len(self.insns)):
-            if not self.insns[i].deleted:
-                return i
-        return None
+        following = self.resolve(index + 1)
+        return following if following < len(self.insns) else None
 
     # --- mutation ---------------------------------------------------------------
     def delete(self, index: int) -> None:

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.bytecode_passes.analysis import BytecodeAnalysis
 from ..core.bytecode_passes.symbolic import SymInsn, SymbolicProgram
-from ..isa import Instruction
 from ..isa import opcodes as op
+from ..isa.cfg import COND, JA, KIND
 from .expr import Sym, evaluate, prove_equal, render
 from .state import SymState, Unsupported, initial_byte, run_region
 from .witness import Certificate, RewriteWitness, Snapshot
@@ -80,15 +80,12 @@ def _validate_jump_thread(witness: RewriteWitness) -> Certificate:
     sym = rebuild(witness.snapshot)
     item = sym.insns[witness.first]
     insn = item.insn
-    if not (insn.is_jump and insn.jmp_op == op.BPF_JA
-            and not insn.is_exit and not insn.is_call):
+    if KIND[insn.opcode] != JA:
         return _refuted(witness, "structural",
                         f"deleted instruction is not a plain jump: {insn}")
-    resolved = item.target
-    if resolved is None:
+    if item.target is None:
         return _refuted(witness, "structural", "jump has no recorded target")
-    while resolved < len(sym.insns) and sym.insns[resolved].deleted:
-        resolved += 1
+    resolved = sym.resolve(item.target)
     if resolved != sym.next_live(witness.first):
         return _refuted(
             witness, "structural",
@@ -125,16 +122,6 @@ def _validate_dead_def(witness: RewriteWitness) -> Certificate:
                    "defined registers are dead; no side effects")
 
 
-def _is_plain_ja(insn: Instruction) -> bool:
-    return (insn.is_jump and not insn.is_call and not insn.is_exit
-            and insn.jmp_op == op.BPF_JA)
-
-
-def _is_cond_jump(insn: Instruction) -> bool:
-    return (insn.is_jump and not insn.is_call and not insn.is_exit
-            and insn.jmp_op != op.BPF_JA)
-
-
 def _resolve_ja(sym: SymbolicProgram, index: Optional[int]) -> Tuple[str,
                                                                      int]:
     """Follow unconditional jumps until a real instruction.
@@ -150,8 +137,7 @@ def _resolve_ja(sym: SymbolicProgram, index: Optional[int]) -> Tuple[str,
             return "end", n
         if index in seen:
             return "spin", index
-        insn = sym.insns[index].insn
-        if not _is_plain_ja(insn):
+        if KIND[sym.insns[index].insn.opcode] != JA:
             return "insn", index
         seen.add(index)
         index = sym.insns[index].target
@@ -203,8 +189,9 @@ def _validate_layout(witness: RewriteWitness) -> Certificate:
             continue
         matched.add((b, a))
         ib, ia = before.insns[b].insn, after.insns[a].insn
-        if _is_cond_jump(ib) or _is_cond_jump(ia):
-            if not (_is_cond_jump(ib) and _is_cond_jump(ia)):
+        cond_b, cond_a = KIND[ib.opcode] == COND, KIND[ia.opcode] == COND
+        if cond_b or cond_a:
+            if not (cond_b and cond_a):
                 return _refuted(
                     witness, "structural",
                     f"before insn {b} and after insn {a} disagree on "

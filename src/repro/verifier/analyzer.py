@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa import BpfProgram, Instruction
 from ..isa import opcodes as op
+from ..isa.cfg import Cfg, expand_slots
 from ..isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_NAMES
 from .kernels import DEFAULT_KERNEL, KernelConfig
 from .state import POINTER_TYPES, RegState, RegType, SlotKind, StackSlot, VerifierState
@@ -22,6 +23,7 @@ from .tnum import Tnum
 
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
+_CALLER_SAVED_MASK = sum(1 << reg for reg in op.CALLER_SAVED)
 
 
 class VerificationError(Exception):
@@ -58,16 +60,25 @@ class Verifier:
     def __init__(self, program: BpfProgram, config: KernelConfig = DEFAULT_KERNEL):
         self.program = program
         self.config = config
-        self.slots = self._expand_slots(program.insns)
+        self.slots = expand_slots(program.insns)
         self.map_specs = list(program.maps.values())
         self.npi = 0
         self.total_states = 0
         self.peak_states = 0
         self.pruned = 0
         self.visited: Dict[int, List[VerifierState]] = {}
-        self.branch_targets = self._collect_branch_targets()
+        cfg = Cfg(program.insns)
+        slot_of = program.slot_offsets()
+        #: slots some jump lands on, and those a backward jump lands on
+        self.branch_targets = set()
+        self.backedge_targets = set()
+        for insn, target in zip(program.insns, cfg.targets):
+            if target is not None and 0 <= target < len(slot_of):
+                self.branch_targets.add(slot_of[target])
+                if insn.off < 0:
+                    self.backedge_targets.add(slot_of[target])
         self._next_ref = 0
-        self.critical_live = self._solve_critical_liveness()
+        self.critical_live = self._solve_critical_liveness(cfg, slot_of)
 
     #: helper id -> registers whose (size) bounds the helper checks
     _HELPER_SIZE_ARGS = {
@@ -80,10 +91,11 @@ class Verifier:
         "csum_diff": (op.R2, op.R4),
     }
 
-    def _solve_critical_liveness(self) -> List[frozenset]:
-        """Per-slot sets of registers whose scalar *bounds* may still
-        feed a safety decision (variable pointer arithmetic or a helper
-        size argument) before being overwritten.
+    def _solve_critical_liveness(self, cfg: Cfg,
+                                 slot_of: List[int]) -> List[int]:
+        """Per-slot masks of the registers whose scalar *bounds* may
+        still feed a safety decision (variable pointer arithmetic or a
+        helper size argument) before being overwritten.
 
         This approximates the kernel's precision tracking
         (``mark_chain_precision``): during state comparison only these
@@ -91,114 +103,51 @@ class Verifier:
         scalar, which is what keeps path exploration polynomial on
         programs with value-divergent accumulator registers.
         """
-        from ..isa.helpers import HELPER_NAMES
+        insns, first, last = cfg.insns, cfg.first, cfg.last
+        rule = self._critical_in
 
-        slots = self.slots
-        n = len(slots)
-        out_sets: List[frozenset] = [frozenset()] * n
-        # successor map over slot indices
-        succs: List[Tuple[int, ...]] = [()] * n
-        for pc, insn in enumerate(slots):
-            if insn is None:
-                continue
-            if insn.is_exit:
-                succs[pc] = ()
-            elif insn.is_jump and not insn.is_call:
-                target = pc + insn.slots + insn.off
-                if insn.jmp_op == op.BPF_JA:
-                    succs[pc] = (target,)
-                else:
-                    succs[pc] = (target, pc + insn.slots)
-            else:
-                succs[pc] = (pc + insn.slots,)
-
-        changed = True
-        while changed:
-            changed = False
-            for pc in range(n - 1, -1, -1):
-                insn = slots[pc]
-                if insn is None:
-                    continue
-                out: Set[int] = set()
-                for successor in succs[pc]:
-                    if 0 <= successor < n:
-                        source = slots[successor]
-                        # IN[succ] = transfer(succ, OUT[succ])
-                        out |= self._critical_in(
-                            source, out_sets[successor], successor, n, succs
-                        )
-                new_out = frozenset(out)
-                if new_out != out_sets[pc]:
-                    out_sets[pc] = new_out
-                    changed = True
-        # convert OUT sets to IN sets per slot for the pruning check
-        return [
-            frozenset(self._critical_in(slots[pc], out_sets[pc], pc, n, succs))
-            if slots[pc] is not None else frozenset()
-            for pc in range(n)
-        ]
-
-    def _critical_in(self, insn, out: frozenset, pc: int, n: int,
-                     succs) -> Set[int]:
-        """Backward transfer function for one instruction."""
-        from ..isa.helpers import HELPER_NAMES
-
-        live: Set[int] = set(out)
-        if insn is None:
+        def transfer(b: int, live: int) -> int:
+            for index in range(last[b], first[b] - 1, -1):
+                live = rule(insns[index], live)
             return live
-        if insn.is_call:
-            live -= set(op.CALLER_SAVED)
+
+        live_out = cfg.solve(transfer)
+        critical = [0] * len(self.slots)
+        for b, live in enumerate(live_out):
+            for index in range(last[b], first[b] - 1, -1):
+                live = rule(insns[index], live)
+                critical[slot_of[index]] = live
+        return critical
+
+    @classmethod
+    def _critical_in(cls, insn: Instruction, live: int) -> int:
+        """Backward transfer of the critical mask over one instruction:
+        a def kills; a critical def makes its sources critical; ALU64
+        add/sub by register and helper size arguments become critical."""
+        opcode = insn.opcode
+        if op.IS_CALL[opcode]:
+            live &= ~_CALLER_SAVED_MASK
             name = HELPER_NAMES.get(insn.imm, "")
-            live |= set(self._HELPER_SIZE_ARGS.get(name, ()))
+            for reg in cls._HELPER_SIZE_ARGS.get(name, ()):
+                live |= 1 << reg
             return live
-        if insn.is_ld_imm64 or insn.is_load:
-            live.discard(insn.dst)
+        if op.IS_LD_IMM64[opcode] or op.IS_LOAD[opcode]:
+            return live & ~(1 << insn.dst)
+        if not op.IS_ALU[opcode]:
             return live
-        if insn.is_alu:
-            aop = insn.alu_op
-            uses_imm = insn.uses_imm
-            was_live = insn.dst in live
-            if aop == op.BPF_MOV:
-                live.discard(insn.dst)
-                if was_live and not uses_imm:
-                    live.add(insn.src)
-                return live
-            # variable pointer arithmetic: both operands' bounds matter
-            if (
-                insn.insn_class == op.BPF_ALU64
-                and aop in (op.BPF_ADD, op.BPF_SUB)
-                and not uses_imm
-            ):
-                live.add(insn.dst)
-                live.add(insn.src)
-                return live
-            if was_live and not uses_imm and aop not in (op.BPF_NEG,
-                                                         op.BPF_END):
-                live.add(insn.src)
-            return live
+        aop = op.OP_CODE[opcode]
+        by_reg = not op.USES_IMM[opcode]
+        dst = 1 << insn.dst
+        if aop == op.BPF_MOV:
+            if by_reg and live & dst:
+                return (live & ~dst) | (1 << insn.src)
+            return live & ~dst
+        # variable pointer arithmetic: both operands' bounds matter
+        if by_reg and op.IS_ALU64[opcode] and aop in (op.BPF_ADD, op.BPF_SUB):
+            return live | dst | (1 << insn.src)
+        if by_reg and live & dst and aop not in (op.BPF_NEG, op.BPF_END):
+            return live | (1 << insn.src)
         return live
-
-    @staticmethod
-    def _expand_slots(insns: List[Instruction]) -> List[Optional[Instruction]]:
-        slots: List[Optional[Instruction]] = []
-        for insn in insns:
-            slots.append(insn)
-            if insn.slots == 2:
-                slots.append(None)
-        return slots
-
-    def _collect_branch_targets(self) -> set:
-        targets = set()
-        pc = 0
-        self.backedge_targets = set()
-        for insn in self.program.insns:
-            if insn.is_jump and not insn.is_call and not insn.is_exit:
-                target = pc + insn.slots + insn.off
-                targets.add(target)
-                if insn.off < 0:
-                    self.backedge_targets.add(target)
-            pc += insn.slots
-        return targets
 
     # ------------------------------------------------------------------ api
     def verify(self) -> VerificationResult:

@@ -173,9 +173,11 @@ class VerifierState:
         )
 
     def subsumes(self, other: "VerifierState",
-                 critical_regs: Optional[frozenset] = None) -> bool:
+                 critical: Optional[int] = None) -> bool:
+        """*critical* is the mask of registers compared precisely (bit
+        n = rn); None compares every register precisely."""
         for index, (mine, theirs) in enumerate(zip(self.regs, other.regs)):
-            precise = critical_regs is None or index in critical_regs
+            precise = critical is None or bool(critical >> index & 1)
             if not mine.subsumes(theirs, precise=precise):
                 return False
         for offset, slot in self.stack.items():

@@ -20,7 +20,7 @@ from .jit import (
     compile_jit_program,
     jit_cache_stats,
 )
-from .regions import Cfg, CfgBlock, Relooper, StructureError, build_cfg
+from .regions import Relooper, StructureError
 
 #: the JIT code cache is the engine's only content-keyed cache; the
 #: older name reports its counters
@@ -28,15 +28,12 @@ decode_cache_stats = jit_cache_stats
 
 __all__ = [
     "JIT_CACHE_CAPACITY",
-    "Cfg",
-    "CfgBlock",
     "JitCacheStats",
     "JitExecution",
     "JitProgram",
     "Relooper",
     "StructureError",
     "bind_jit",
-    "build_cfg",
     "check_budget_fault",
     "clear_jit_cache",
     "compile_jit_program",

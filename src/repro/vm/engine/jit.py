@@ -78,12 +78,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ...cache.keys import key_for_bytecode
 from ...isa import BpfProgram, Instruction
 from ...isa import opcodes as op
+from ...isa.cfg import EXIT, FALL, JA, Cfg
 from ...isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_IDS, HELPER_NAMES
 from ...hw.branch import BranchPredictor
 from .. import cost
-from ..interpreter import _BUDGET_MSG, Machine, VmFault
+from ..interpreter import _BUDGET_MSG, VmFault
 from ..memory import MemoryFault
-from .regions import Cfg, CfgBlock, Relooper, StructureError, build_cfg
+from .regions import Relooper, StructureError
 
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
@@ -302,8 +303,15 @@ class _Emitter:
     source lines for the relooper, replicating the reference
     interpreter's order of events exactly."""
 
-    def __init__(self, cfg: Cfg, program: BpfProgram) -> None:
-        self.cfg = cfg
+    def __init__(self, program: BpfProgram) -> None:
+        cfg = self.cfg = Cfg(program.insns)
+        self.n_slots = program.ni
+        self.slot_of = slot_of = program.slot_offsets()
+        #: reachable blocks by label: the slot of their first instruction
+        self.block_at = {slot_of[cfg.first[b]]: b for b in cfg.reachable()}
+        self.succs = {
+            label: tuple(slot_of[cfg.first[s]] for s in cfg.succs[b])
+            for label, b in self.block_at.items()}
         self.map_specs = [spec for spec in program.maps.values()]
         self.memo_count = 0
         self.map_fds: Dict[int, str] = {}  # fd -> binder-local name
@@ -338,6 +346,14 @@ class _Emitter:
 
     def fault_lines(self, msg: str) -> List[str]:
         return self._flush() + [f"raise VmFault({msg!r})"]
+
+    def jump_fault_lines(self, label: int) -> List[str]:
+        """The reference engine's fault for dispatching to a slot that
+        starts no instruction."""
+        if 0 <= label < self.n_slots:
+            return self.fault_lines(
+                f"jump into the middle of ld_imm64 at slot {label}")
+        return self.fault_lines(f"pc {label} out of program bounds")
 
     def _acct(self) -> List[str]:
         """Budget + instruction count for one non-fused instruction,
@@ -446,10 +462,15 @@ class _Emitter:
         ] + _indent(self._model_lines())
 
     # --------------------------------------------------------------- blocks
-    def block_lines(self, block: CfgBlock) -> List[str]:
-        fd_at = self._map_fd_at(block.body)
+    def block_lines(self, label: int) -> List[str]:
+        cfg, b = self.cfg, self.block_at[label]
+        # a jump or exit is the terminator, not part of the body
+        stop = cfg.last[b] + (cfg.kind[b] == FALL)
+        body = [(self.slot_of[index], cfg.insns[index])
+                for index in range(cfg.first[b], stop)]
+        fd_at = self._map_fd_at(body)
         lines: List[str] = []
-        for kind, payload in self._segments(block.body):
+        for kind, payload in self._segments(body):
             if kind == "run":
                 lines.extend(self._run(payload))
             elif kind == "call":
@@ -873,14 +894,16 @@ class _Emitter:
     def _writeback(self) -> List[str]:
         return [f"regs[{r}] = _v{r}" for r in range(op.NUM_REGS)]
 
-    def term_lines(self, block: CfgBlock,
+    def term_lines(self, label: int,
                    render: Callable[[int], List[str]]) -> List[str]:
-        term = block.term
-        if term.kind == "fall":
-            return render(term.fall)
-        if term.kind == "exit":
+        cfg, b = self.cfg, self.block_at[label]
+        kind, insn = cfg.kind[b], cfg.insns[cfg.last[b]]
+        pc = self.slot_of[cfg.last[b]]
+        if kind == FALL:
+            return render(pc + insn.slots)
+        if kind == EXIT:
             return self._acct() + [
-                f"_cyc += {cost.base_cost(term.insn)}",
+                f"_cyc += {cost.base_cost(insn)}",
                 "counters.instructions += _lbud - _bud",
                 "counters.cycles += _cyc + _hl * _mru",
                 "counters.branches += _br",
@@ -888,17 +911,17 @@ class _Emitter:
                 "_cs.misses += _mis",
                 "_bs.branches += _bb",
             ] + self._writeback() + ["return -1"]
-        if term.kind == "ja":
+        if kind == JA:
             return self._acct() + [
                 f"_cyc += {cost.JUMP_COST}",
                 "_br += 1",
-            ] + render(term.taken)
+            ] + render(pc + 1 + insn.off)
         # conditional
-        pre, expr = self._cond(term.insn)
+        pre, expr = self._cond(insn)
         if expr is None:  # unknown jump op: keep it on the slow path
-            return [f"bail[{BAIL_OTHER}] += 1", f"raise _Bail({term.pc})"]
-        fall = render(term.fall)
-        taken = render(term.taken)
+            return [f"bail[{BAIL_OTHER}] += 1", f"raise _Bail({pc})"]
+        fall = render(pc + 1)
+        taken = render(pc + 1 + insn.off)
         lines = self._acct() + [f"_cyc += {cost.JUMP_COST}"]
         lines += pre
         lines += [
@@ -911,7 +934,7 @@ class _Emitter:
         # subclasses (e.g. the PGO profiler) keep the bound-method call
         lines += [
             "if _plainbp:",
-            f"    _sl = {term.pc} % _tbsz",
+            f"    _sl = {pc} % _tbsz",
             "    _c = _bc.get(_sl, 1)",
             "    _bb += 1",
             "    if (_c >= 2) != _t:",
@@ -922,7 +945,7 @@ class _Emitter:
             "    else:",
             "        _bc[_sl] = _c - 1 if _c > 0 else 0",
             "else:",
-            f"    _cyc += record({term.pc}, _t)",
+            f"    _cyc += record({pc}, _t)",
             "if _t:",
         ]
         lines += _indent(taken)
@@ -1069,13 +1092,11 @@ def _compile_jit(program: BpfProgram, key: str) -> JitProgram:
                           n_memops=0, n_blocks=0, guarded_sites=0,
                           inline_helpers=0, fallback_reason=reason, key=key)
 
-    slots = Machine._expand_slots(program.insns)
-    if len(slots) > JIT_MAX_SLOTS:
-        return fallback(f"program too large ({len(slots)} slots)")
+    if program.ni > JIT_MAX_SLOTS:
+        return fallback(f"program too large ({program.ni} slots)")
     try:
-        cfg = build_cfg(slots)
-        emitter = _Emitter(cfg, program)
-        body = Relooper(cfg, emitter).emit(0)
+        emitter = _Emitter(program)
+        body = Relooper(emitter.succs, emitter).emit(0)
         source = _binder_source(body, emitter)
         namespace = dict(_JIT_GLOBALS)
         namespace["VmFault"] = VmFault
@@ -1095,7 +1116,8 @@ def _compile_jit(program: BpfProgram, key: str) -> JitProgram:
             raise
         return fallback(f"{type(exc).__name__}: {exc}")
     return JitProgram(factory=factory, source=source,
-                      n_memops=emitter.memo_count, n_blocks=len(cfg.blocks),
+                      n_memops=emitter.memo_count,
+                      n_blocks=len(emitter.block_at),
                       guarded_sites=emitter.guarded_sites,
                       inline_helpers=emitter.inline_helpers,
                       fallback_reason="", key=key)

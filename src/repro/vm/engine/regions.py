@@ -1,44 +1,38 @@
 """Backedge-aware region formation for the method JIT.
 
-This module recovers structure over the *full* control flow graph so
-the JIT (:mod:`.jit`) can emit one generated-Python function per
-program, with conditionals as real ``if``/``else`` and loops as real
-``while`` statements.
+:class:`Relooper` reconstructs structured control flow from the
+program's control flow graph (:class:`repro.isa.cfg.Cfg`, which the
+JIT (:mod:`.jit`) labels by the slot each reachable block starts at) so
+that the JIT can emit one generated-Python function per program, with
+conditionals as real ``if``/``else`` and loops as real ``while``
+statements.  A transfer to a label that names no block — an
+out-of-bounds pc, the one-past-the-end sentinel or an ld_imm64 second
+slot — is a *fault label*: the JIT raises the reference engine's exact
+:class:`~repro.vm.interpreter.VmFault` message at the branch site.
 
-Two pieces live here:
+The relooper follows the classic Emscripten shapes.  Python has no
+``goto``, so transfers are rendered through a label variable ``_L``
+plus ``continue``/``break``:
 
-* :func:`build_cfg` partitions the expanded slot list into basic
-  blocks (leaders are slot 0, every jump target and every post-jump
-  slot) and resolves each terminator's successor labels.  Targets that
-  can never be dispatched to a real instruction — out-of-bounds pcs,
-  the one-past-the-end sentinel, and ld_imm64 second slots — stay as
-  *fault labels*: the JIT raises the reference engine's exact
-  :class:`~repro.vm.interpreter.VmFault` message at the branch site.
+- **Simple** — a single entry that cannot be re-reached is emitted in
+  line; its out-edges fall through to code emitted later at the same
+  syntactic level.
+- **Loop** — if any pending entry can be re-reached, the entries
+  become the continue-labels of a ``while True:`` frame.  Backedges
+  render as ``_L = t; continue``; edges that leave the loop render as
+  ``_L = t; break`` and a *cascade dispatch* after the loop routes
+  multi-level transfers further out (Python's ``break`` only exits one
+  loop).
+- **Multiple** — independent entries become a chain of ``if _L == e:``
+  arms (plain ``if``, not ``elif``: an arm may set ``_L`` to a later
+  arm's label and fall through to its test).
 
-* :class:`Relooper` reconstructs structured control flow from the
-  arbitrary CFG (the classic Emscripten relooper shapes).  Python has
-  no ``goto``, so transfers are rendered through a label variable
-  ``_L`` plus ``continue``/``break``:
-
-  - **Simple** — a single entry that cannot be re-reached is emitted
-    in line; its out-edges fall through to code emitted later at the
-    same syntactic level.
-  - **Loop** — if any pending entry can be re-reached, the entries
-    become the continue-labels of a ``while True:`` frame.  Backedges
-    render as ``_L = t; continue``; edges that leave the loop render
-    as ``_L = t; break`` and a *cascade dispatch* after the loop
-    routes multi-level transfers further out (Python's ``break`` only
-    exits one loop).
-  - **Multiple** — independent entries become a chain of
-    ``if _L == e:`` arms (plain ``if``, not ``elif``: an arm may set
-    ``_L`` to a later arm's label and fall through to its test).
-
-  Reachability deliberately ignores edges into any enclosing frame's
-  continue-labels — those edges are already rendered as ``continue``
-  and no longer re-enter the sequence — which both guarantees progress
-  (a loop body can always be structured) and handles irreducible
-  graphs: a second entry into a loop simply becomes another
-  continue-label dispatched at the loop head.
+Reachability deliberately ignores edges into any enclosing frame's
+continue-labels — those edges are already rendered as ``continue`` and
+no longer re-enter the sequence — which both guarantees progress (a
+loop body can always be structured) and handles irreducible graphs: a
+second entry into a loop simply becomes another continue-label
+dispatched at the loop head.
 
 The relooper is codegen-agnostic: callers provide an emitter with
 ``block_lines`` / ``term_lines`` hooks and receive indented Python
@@ -48,149 +42,7 @@ source lines.  :mod:`.jit` is the only consumer today.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
-
-from ...isa import Instruction
-from ...isa import opcodes as op
-
-
-@dataclass
-class Terminator:
-    """How a basic block ends.
-
-    ``kind`` is one of ``"cond"`` (conditional jump), ``"ja"``
-    (unconditional jump), ``"exit"`` or ``"fall"`` (no jump — control
-    continues at the next leader, which may be the out-of-bounds
-    sentinel).  ``taken``/``fall`` are successor *labels*: slot indices
-    that either name a real block or a fault label.
-    """
-
-    kind: str
-    pc: int = -1
-    insn: Optional[Instruction] = None
-    taken: int = -1
-    fall: int = -1
-
-
-@dataclass
-class CfgBlock:
-    """One basic block over the expanded slot list."""
-
-    label: int
-    body: List[Tuple[int, Instruction]]  # (slot, insn), terminator excluded
-    term: Terminator
-    succs: Tuple[int, ...] = ()  # successor labels that are real blocks
-
-
-class Cfg:
-    """The control-flow graph of one program's expanded slots."""
-
-    def __init__(self, slots: Sequence[Optional[Instruction]]):
-        self.slots = slots
-        self.n = len(slots)
-        self.blocks: Dict[int, CfgBlock] = {}
-        self._build()
-
-    # ------------------------------------------------------------- structure
-    def is_real(self, label: int) -> bool:
-        """Does *label* name a dispatchable instruction slot?"""
-        return 0 <= label < self.n and self.slots[label] is not None
-
-    def fault_message(self, label: int) -> str:
-        """The reference engine's fault for dispatching to *label*."""
-        if 0 <= label < self.n and self.slots[label] is None:
-            return f"jump into the middle of ld_imm64 at slot {label}"
-        return f"pc {label} out of program bounds"
-
-    def _build(self) -> None:
-        slots, n = self.slots, self.n
-        leaders: Set[int] = {0} if n else set()
-        pc = 0
-        while pc < n:
-            insn = slots[pc]
-            if insn is None:
-                pc += 1
-                continue
-            cls = insn.opcode & op.CLASS_MASK
-            if cls in (op.BPF_JMP, op.BPF_JMP32):
-                jop = insn.opcode & op.JMP_OP_MASK
-                if jop != op.BPF_CALL:  # calls fall through: not terminators
-                    if jop not in (op.BPF_EXIT,):
-                        target = pc + 1 + insn.off
-                        if self.is_real(target):
-                            leaders.add(target)
-                    if pc + 1 < n:
-                        leaders.add(pc + 1)
-            pc += insn.slots
-        for leader in sorted(leaders):
-            if not self.is_real(leader):
-                continue
-            self.blocks[leader] = self._scan_block(leader, leaders)
-        self._prune_unreachable()
-
-    def _scan_block(self, start: int, leaders: Set[int]) -> CfgBlock:
-        slots, n = self.slots, self.n
-        body: List[Tuple[int, Instruction]] = []
-        pc = start
-        while True:
-            if pc >= n:
-                term = Terminator(kind="fall", pc=pc, fall=pc)
-                break
-            insn = slots[pc]
-            if insn is None:  # can't happen: leaders are real slots and
-                # ld_imm64 advances by 2, but keep the fault label exact
-                term = Terminator(kind="fall", pc=pc, fall=pc)
-                break
-            if pc != start and pc in leaders:
-                term = Terminator(kind="fall", pc=pc, fall=pc)
-                break
-            cls = insn.opcode & op.CLASS_MASK
-            if cls in (op.BPF_JMP, op.BPF_JMP32):
-                jop = insn.opcode & op.JMP_OP_MASK
-                if jop == op.BPF_EXIT:
-                    term = Terminator(kind="exit", pc=pc, insn=insn)
-                    break
-                if jop == op.BPF_JA:
-                    term = Terminator(kind="ja", pc=pc, insn=insn,
-                                      taken=pc + 1 + insn.off)
-                    break
-                if jop != op.BPF_CALL:
-                    term = Terminator(kind="cond", pc=pc, insn=insn,
-                                      taken=pc + 1 + insn.off, fall=pc + 1)
-                    break
-            body.append((pc, insn))
-            pc += insn.slots
-        succs = []
-        if term.kind == "cond":
-            for t in (term.fall, term.taken):
-                if self.is_real(t) and t not in succs:
-                    succs.append(t)
-        elif term.kind == "ja":
-            if self.is_real(term.taken):
-                succs.append(term.taken)
-        elif term.kind == "fall":
-            if self.is_real(term.fall):
-                succs.append(term.fall)
-        return CfgBlock(label=start, body=body, term=term,
-                        succs=tuple(succs))
-
-    def _prune_unreachable(self) -> None:
-        if not self.blocks:
-            return
-        seen: Set[int] = set()
-        work = [0]
-        while work:
-            label = work.pop()
-            if label in seen or label not in self.blocks:
-                continue
-            seen.add(label)
-            work.extend(self.blocks[label].succs)
-        self.blocks = {l: b for l, b in self.blocks.items() if l in seen}
-
-
-def build_cfg(slots: Sequence[Optional[Instruction]]) -> Cfg:
-    """Partition *slots* into basic blocks reachable from slot 0."""
-    return Cfg(slots)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 # ------------------------------------------------------------------ relooper
@@ -231,30 +83,30 @@ MAX_LINES = 200_000
 
 
 class Relooper:
-    """Emit structured Python source for a :class:`Cfg`.
+    """Emit structured Python source for a control flow graph.
 
-    *emitter* provides the instruction semantics:
+    *succs* maps the label of every reachable block to the labels of
+    its successor blocks.  *emitter* provides the instruction
+    semantics:
 
-    - ``block_lines(block) -> List[str]`` — the block body, terminator
+    - ``block_lines(label) -> List[str]`` — the block body, terminator
       excluded (unindented);
-    - ``term_lines(block, render) -> List[str]`` — the terminator,
+    - ``term_lines(label, render) -> List[str]`` — the terminator,
       where ``render(label) -> List[str]`` returns the transfer code
       for one successor label (fault raise, fall, continue or break);
-    - ``fault_lines(msg) -> List[str]`` — raise the out-of-bounds /
-      mid-ld_imm64 fault for a transfer to an unreal label.
+    - ``jump_fault_lines(label) -> List[str]`` — raise the
+      out-of-bounds / mid-ld_imm64 fault for a transfer to a label
+      with no block.
     """
 
-    def __init__(self, cfg: Cfg, emitter) -> None:
-        self.cfg = cfg
+    def __init__(self, succs: Dict[int, Tuple[int, ...]], emitter) -> None:
+        self.succs = succs
         self.emitter = emitter
         self.frames: List[_Frame] = []
         self.seqs: List[_Seq] = []
         self.lines: List[str] = []
 
     # -------------------------------------------------------------- helpers
-    def _succs(self, label: int) -> Tuple[int, ...]:
-        return self.cfg.blocks[label].succs
-
     def _blocked(self) -> Set[int]:
         out: Set[int] = set()
         for frame in self.frames:
@@ -272,7 +124,7 @@ class Relooper:
             if label in seen:
                 continue
             seen.add(label)
-            for nxt in self._succs(label):
+            for nxt in self.succs[label]:
                 if nxt in avail and nxt not in blocked and nxt not in seen:
                     work.append(nxt)
         return seen
@@ -281,11 +133,8 @@ class Relooper:
     def _render(self, target: int) -> List[str]:
         """Transfer code for a branch to *target* from the current
         emission point (innermost frame / sequence context)."""
-        cfg = self.cfg
-        if not cfg.is_real(target):
-            return list(self.emitter.fault_lines(cfg.fault_message(target)))
-        if target not in cfg.blocks:  # pragma: no cover - defensive
-            raise StructureError(f"transfer to unscanned block {target}")
+        if target not in self.succs:
+            return list(self.emitter.jump_fault_lines(target))
         if self.frames and target in self.frames[-1].entries:
             return [f"_L = {target}", "continue"]
         # which enclosing context owns the target?
@@ -321,9 +170,9 @@ class Relooper:
     def emit(self, entry: int = 0) -> List[str]:
         """Structure the whole CFG; returns source lines (nested
         constructs carry their own indentation)."""
-        if entry not in self.cfg.blocks:
+        if entry not in self.succs:
             raise StructureError("empty program")
-        self._emit_seq(set(self.cfg.blocks), [entry], 0)
+        self._emit_seq(set(self.succs), [entry], 0)
         return self.lines
 
     def _line(self, indent: int, text: str) -> None:
@@ -357,7 +206,7 @@ class Relooper:
                 returnable = [
                     e for e in pending
                     if e not in blocked
-                    and any(e in self._succs(u) for u in reach)
+                    and any(e in self.succs[u] for u in reach)
                 ]
                 if returnable:
                     self._emit_loop(seq, pending, indent)
@@ -369,10 +218,9 @@ class Relooper:
             self.seqs.pop()
 
     def _emit_simple(self, seq: _Seq, label: int, indent: int) -> None:
-        block = self.cfg.blocks[label]
         seq.avail.discard(label)
-        self._extend(indent, self.emitter.block_lines(block))
-        self._extend(indent, self.emitter.term_lines(block, self._render))
+        self._extend(indent, self.emitter.block_lines(label))
+        self._extend(indent, self.emitter.term_lines(label, self._render))
 
     def _emit_loop(self, seq: _Seq, entries: List[int],
                    indent: int) -> None:
@@ -387,7 +235,7 @@ class Relooper:
             for label in seq.avail:
                 if label in back:
                     continue
-                for nxt in self._succs(label):
+                for nxt in self.succs[label]:
                     if nxt in back and nxt not in outer_blocked:
                         back.add(label)
                         changed = True
@@ -430,7 +278,3 @@ class Relooper:
             self._line(indent, f"if _L == {e}:")
             self._emit_seq(group, [e], indent + 1)
 
-
-def structure(cfg: Cfg, emitter, entry: int = 0) -> List[str]:
-    """Convenience wrapper: structure *cfg* with *emitter*."""
-    return Relooper(cfg, emitter).emit(entry)

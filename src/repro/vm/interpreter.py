@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from ..hw import BranchPredictor, CacheModel, PerfCounters
 from ..isa import BpfProgram, Instruction
 from ..isa import opcodes as op
+from ..isa.cfg import expand_slots
 from ..isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_NAMES
 from . import cost
 from .helpers import HelperRuntime, TaskContext
@@ -93,7 +94,7 @@ class Machine:
             bpf_map = create_map(spec, self.memory)
             self.maps[name] = bpf_map
             self.maps_by_id[index + 1] = bpf_map
-        self._slots = self._expand_slots(program.insns)
+        self._slots = expand_slots(program.insns)
         self._stack = self.memory.add_region("stack", STACK_BASE, op.STACK_SIZE)
         self._ctx = self.memory.add_region("ctx", CTX_BASE, max(program.ctx_size, 8))
         self._jit = None
@@ -101,15 +102,6 @@ class Machine:
             from .engine.jit import bind_jit
 
             self._jit = bind_jit(self)
-
-    @staticmethod
-    def _expand_slots(insns: List[Instruction]) -> List[Optional[Instruction]]:
-        slots: List[Optional[Instruction]] = []
-        for insn in insns:
-            slots.append(insn)
-            if insn.slots == 2:
-                slots.append(None)
-        return slots
 
     # ------------------------------------------------------------------ model
     def touch_memory(self, addr: int, size: int) -> None:

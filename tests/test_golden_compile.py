@@ -1,5 +1,6 @@
 """Golden output: the optimized bytes, NI, mcpu, per-pass rewrite
-counts and cache key of a fixed program set must not change.
+counts, cache key and verifier statistics of a fixed program set must
+not change.
 
 The contract is that a speed or simplicity change leaves compiler output
 and cache keys untouched.  ``golden_compile.json`` pins that output for
@@ -23,6 +24,7 @@ from repro.cache import CompilationCache
 from repro.core import MerlinPipeline
 from repro.frontend import compile_source
 from repro.isa import ProgramType
+from repro.verifier import verify
 from repro.workloads.suites import TRACE_CTX_SIZE, generate_suite
 from repro.workloads.xdp import ALL_XDP, XDP_CTX_SIZE
 
@@ -52,6 +54,7 @@ def _digest(pipeline, cache, name, source, entry, prog_type, mcpu,
     key = cache.key_for_function(
         func, module, enabled=pipeline.enabled, kernel=pipeline.kernel,
         prog_type=prog_type, mcpu=mcpu, ctx_size=ctx_size)
+    result = verify(program)
     return {
         "bytes_sha256": hashlib.sha256(program.encode()).hexdigest(),
         "mcpu": program.mcpu,
@@ -59,6 +62,11 @@ def _digest(pipeline, cache, name, source, entry, prog_type, mcpu,
         "ni_optimized": report.ni_optimized,
         "rewrites": [[s.name, s.rewrites] for s in report.pass_stats],
         "cache_key": key,
+        "ok": result.ok,
+        "npi": result.npi,
+        "total_states": result.total_states,
+        "peak_states": result.peak_states,
+        "pruned": result.pruned,
     }
 
 

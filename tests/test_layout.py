@@ -18,14 +18,13 @@ from repro.core.bytecode_passes.layout import (
     PgoSpec,
     ProfileGuidedLayoutPass,
     collect_profile,
-    control_flow_blocks,
     invert_condition,
 )
-from repro.core.bytecode_passes.symbolic import SymbolicProgram
 from repro.frontend import compile_source
 from repro.hw import ProfilingBranchPredictor
 from repro.isa import BpfProgram, ProgramType, assemble
 from repro.isa import opcodes as op
+from repro.isa.cfg import Cfg
 from repro.isa.instruction import jump, jump32, mov64_imm
 from repro.tv import WitnessRecorder
 from repro.tv.regioncheck import validate_bytecode_witness
@@ -115,30 +114,26 @@ class TestInvertCondition:
 # ======================================================== CFG shape
 class TestControlFlowBlocks:
     def test_straight_line_is_one_block(self):
-        sym = SymbolicProgram.from_program(prog("""
+        cfg = Cfg(prog("""
     r0 = 4
     r0 += 1
     exit
-"""))
-        blocks = control_flow_blocks(sym)
-        assert len(blocks) == 1
-        assert blocks[0].kind == "exit"
-        assert (blocks[0].first, blocks[0].last) == (0, 2)
+""").insns)
+        assert len(cfg.first) == 1
+        assert cfg.kind[0] == "exit"
+        assert (cfg.first[0], cfg.last[0]) == (0, 2)
 
     def test_diamond(self):
-        sym = SymbolicProgram.from_program(prog(HOT_TAKEN_SRC))
-        blocks = control_flow_blocks(sym)
+        cfg = Cfg(prog(HOT_TAKEN_SRC).insns)
         # entry(cond) / cold fall-through(exit) / hot target(exit)
-        assert [b.kind for b in blocks] == ["cond", "exit", "exit"]
-        entry = blocks[0]
-        assert entry.taken == 2
-        assert entry.fall == 1
+        assert cfg.kind == ["cond", "exit", "exit"]
+        assert cfg.taken[0] == 2
+        assert cfg.fall[0] == 1
 
     def test_ja_blocks_and_successors(self):
-        sym = SymbolicProgram.from_program(prog(JA_CHAIN_SRC))
-        blocks = control_flow_blocks(sym)
-        assert [b.kind for b in blocks] == ["jump", "exit", "exit"]
-        assert blocks[0].fall == 2  # goto work
+        cfg = Cfg(prog(JA_CHAIN_SRC).insns)
+        assert cfg.kind == ["ja", "exit", "exit"]
+        assert cfg.taken[0] == 2  # goto work
 
 
 # ================================================= the pass itself
