@@ -20,7 +20,6 @@ from .keys import (
     canonical_text,
     compose_key,
     kernel_fingerprint,
-    key_for_bytecode,
     key_for_function,
 )
 from .store import CacheStats, CompilationCache, scan_cache_tree
@@ -30,7 +29,6 @@ __all__ = [
     "canonical_text",
     "compose_key",
     "kernel_fingerprint",
-    "key_for_bytecode",
     "key_for_function",
     "CacheStats",
     "CompilationCache",

@@ -107,28 +107,6 @@ def compose_key(
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def key_for_bytecode(program) -> str:
-    """Content key for a :class:`repro.isa.BpfProgram`'s *executable
-    identity*: the encoded instruction stream plus the map declarations
-    (map handles feed ``ld_imm64`` pseudo relocations).
-
-    This is the key the VM's JIT code cache (:mod:`repro.vm.engine`)
-    uses, so a program compiled once is shared by every Machine built
-    over the same bytecode — across batch runs, fuzz observations, and
-    benchmark loops.  Name, prog type and ctx size do not affect
-    execution and are deliberately excluded.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"schema={SCHEMA_VERSION};vm-decode;".encode())
-    for name, spec in program.maps.items():
-        digest.update(
-            f"map={name}:{spec.map_type}:{spec.key_size}:"
-            f"{spec.value_size}:{spec.max_entries};".encode()
-        )
-    digest.update(program.encode())
-    return digest.hexdigest()
-
-
 def key_for_window(insns, search: str = "") -> str:
     """Content key for a *canonicalized* superoptimizer window — the
     rewrite-memo namespace.

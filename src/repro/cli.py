@@ -10,7 +10,6 @@ Subcommands mirror the real eBPF workflow:
 * ``tv``       — certify per-pass semantic equivalence (translation
   validation) over benchmark suites and/or a fuzz corpus
 * ``bench``    — batch-compile a Table-1 suite (parallel, cached)
-* ``bench-vm`` — microbenchmark the VM execution engines
 * ``bench-layout`` — measure the profile-guided layout tier's
   branch-miss/cycle deltas and write ``BENCH_layout.json``
 * ``bench-superopt`` — measure the caching superoptimizer tier's
@@ -158,7 +157,6 @@ def cmd_fuzz(args) -> int:
         tests_per_program=args.tests,
         minimize=not args.no_minimize,
         jobs=args.jobs,
-        engines=not args.no_engines,
         certify=not args.no_certify,
         layout=not args.no_layout,
         superopt=not args.no_superopt,
@@ -350,49 +348,6 @@ def cmd_bench(args) -> int:
     if args.json:
         print(_json.dumps(payload, indent=2))
     return 0
-
-
-def cmd_bench_vm(args) -> int:
-    from .eval.vmperf import VM_SUITES, bench_vm
-
-    suites = [s.strip() for s in args.suite.split(",")]
-    for suite in suites:
-        if suite not in VM_SUITES:
-            print(f"unknown suite {suite!r} (choose from "
-                  f"{', '.join(VM_SUITES)})", file=sys.stderr)
-            return 2
-
-    passes = None
-    if args.passes is not None:
-        passes = () if args.passes == "all" else \
-            tuple(p.strip() for p in args.passes.split(",") if p.strip())
-    report = bench_vm(suites, seed=args.seed, scale=args.scale,
-                      count=args.count, tests_per_program=args.tests,
-                      repeats=args.repeats, passes=passes,
-                      pgo=args.pgo, superopt=args.superopt)
-    if args.out:
-        report.write(args.out)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"config: passes={report.config['passes']} "
-              f"pgo={report.config['pgo']} "
-              f"superopt={report.config['superopt']}")
-        for suite in report.suites:
-            ref = suite.engines["reference"]
-            verdict = "identical" if suite.identical else \
-                f"MISMATCH ({suite.mismatch})"
-            print(f"{suite.suite}: {suite.programs} programs, "
-                  f"{ref.runs} runs/engine — {verdict}")
-            for name, m in suite.engines.items():
-                print(f"  {name + ':':10} {m.insns_per_second / 1e3:8.0f} "
-                      f"kinsns/s ({m.instructions} insns in "
-                      f"{m.wall_seconds:.3f}s), bind "
-                      f"{m.bind_seconds:.3f}s")
-            print(f"  speedup:   jit {suite.jit_speedup:.2f}x")
-        if args.out:
-            print(f"wrote {args.out}")
-    return 0 if report.all_identical else 1
 
 
 def cmd_bench_layout(args) -> int:
@@ -639,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip delta-debugging minimization of findings")
     f.add_argument("--jobs", type=int, default=1,
                    help="worker processes for program triage (default: 1)")
-    f.add_argument("--no-engines", action="store_true",
-                   help="skip the reference-vs-jit VM engine axis")
     f.add_argument("--no-certify", action="store_true",
                    help="skip the per-pass translation-validation axis")
     f.add_argument("--no-layout", action="store_true",
@@ -686,35 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--json", action="store_true",
                    help="emit machine-readable results")
     b.set_defaults(handler=cmd_bench)
-
-    v = sub.add_parser("bench-vm",
-                       help="microbenchmark the VM execution engines")
-    v.add_argument("--suite", default="sysdig,xdp",
-                   help="comma-separated suites "
-                        "(sysdig,tetragon,tracee,xdp)")
-    v.add_argument("--seed", type=int, default=2024)
-    v.add_argument("--scale", type=float, default=0.2,
-                   help="trace-suite size scale (default: 0.2)")
-    v.add_argument("--count", type=int, default=None,
-                   help="programs per suite (default: profile-derived)")
-    v.add_argument("--tests", type=int, default=6,
-                   help="inputs per program (default: 6)")
-    v.add_argument("--repeats", type=int, default=8,
-                   help="battery repetitions per program (default: 8)")
-    v.add_argument("--passes", default=None, metavar="P1,P2|all",
-                   help="optimize benchmark programs through Merlin "
-                        "first: a comma-separated pass subset, or 'all' "
-                        "for the full default set (default: baseline "
-                        "pipeline, no passes)")
-    v.add_argument("--pgo", action="store_true",
-                   help="also run the profile-guided layout tier")
-    v.add_argument("--superopt", action="store_true",
-                   help="also run the caching superoptimizer tier")
-    v.add_argument("--out", default="BENCH_vm.json",
-                   help="result file (default: BENCH_vm.json; '' skips)")
-    v.add_argument("--json", action="store_true",
-                   help="emit machine-readable results")
-    v.set_defaults(handler=cmd_bench_vm)
 
     lb = sub.add_parser("bench-layout",
                         help="measure the profile-guided layout tier "

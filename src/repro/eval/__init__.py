@@ -55,14 +55,6 @@ from .serviceperf import (
     ServiceBenchReport,
     bench_service,
 )
-from .vmperf import (
-    EngineMeasurement,
-    SuitePerf,
-    VM_SUITES,
-    VmBenchReport,
-    bench_suite,
-    bench_vm,
-)
 from .verifier_stats import (
     VerifierComparison,
     compare_verifier_cost,
@@ -113,12 +105,6 @@ __all__ = [
     "SuperoptSuitePerf",
     "bench_superopt",
     "bench_superopt_suite",
-    "EngineMeasurement",
-    "SuitePerf",
-    "VM_SUITES",
-    "VmBenchReport",
-    "bench_suite",
-    "bench_vm",
     "VerifierComparison",
     "compare_verifier_cost",
     "state_change_across_kernels",

@@ -17,8 +17,9 @@ Fresh machines per variant make the measurement cold-start honest: the
 removes by straightening are exactly the ones a newly attached program
 pays in the wild.  Counters from the simulator's hw models are
 deterministic, so the deltas are exact, repeatable, and CI-assertable
-— no min-of-N needed.  Behaviour (return value / fault per run) is
-compared alongside and must be identical.
+— no min-of-N needed.  Behaviour is compared alongside with the fuzz
+oracle's full observation (return value plus maps, perf output, packet
+and redirects after each run, or the fault type) and must be identical.
 
 ``repro bench-layout`` drives this and emits ``BENCH_layout.json``.
 """
@@ -27,15 +28,44 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..core.bytecode_passes.layout import (PgoSpec, ProfileGuidedLayoutPass,
                                            collect_profile)
-from ..fuzz.oracle import RUNTIME_FAULTS, TestCase, generate_tests
+from ..fuzz.oracle import (RUNTIME_FAULTS, Observation, TestCase,
+                           first_divergence, generate_tests,
+                           observable_state)
 from ..hw import PerfCounters
 from ..isa import BpfProgram
 from ..vm import Machine
-from .vmperf import VM_SUITES, _suite_programs
+
+#: suites the tier harnesses understand: the three trace suites plus
+#: the curated XDP workload set
+VM_SUITES = ("sysdig", "tetragon", "tracee", "xdp")
+
+
+def _suite_programs(suite: str, seed: int, scale: float,
+                    count: Optional[int]) -> List[BpfProgram]:
+    """Compile the baseline (no Merlin passes) benchmark programs for
+    *suite*.  Generated trace programs that exceed toolchain limits at
+    this seed are skipped, like every other suite consumer does."""
+    if suite == "xdp":
+        from ..workloads.xdp import ALL_XDP, compile_workload
+
+        programs = [compile_workload(workload) for workload in ALL_XDP]
+        if count is not None:
+            programs = programs[:count]
+        return programs
+    from ..workloads.suites import compile_suite_program, generate_suite
+
+    programs = []
+    for generated in generate_suite(suite, seed=seed, scale=scale,
+                                    count=count):
+        try:
+            programs.append(compile_suite_program(generated))
+        except Exception:
+            continue
+    return programs
 
 
 @dataclass
@@ -157,22 +187,34 @@ class LayoutBenchReport:
 
 
 def _measure(program: BpfProgram, tests: Sequence[TestCase], seed: int,
-             max_insns: int, into: VariantCounters) -> List[Tuple]:
+             max_insns: int, into: VariantCounters) -> List[Observation]:
     """Run the battery on a fresh machine per program and accumulate the
-    model counters; returns the behaviour trace for comparison."""
-    trace: List[Tuple] = []
+    model counters; returns the behaviour trace for comparison: each
+    run's return value and observable state, or its fault type."""
+    trace: List[Observation] = []
     machine = Machine(program, max_insns=max_insns, seed=seed)
     for test in tests:
         try:
             result = machine.run(ctx=test.ctx, packet=test.packet)
         except RUNTIME_FAULTS as exc:
             into.faults += 1
-            trace.append(("fault", type(exc).__name__))
+            trace.append(Observation(fault=type(exc).__name__))
         else:
-            trace.append(("ok", result.return_value))
+            trace.append(Observation(result.return_value,
+                                     observable_state(machine)))
         into.runs += 1
     into.absorb(machine.counters)
     return trace
+
+
+def _mismatch(index: int, before: Sequence[Observation],
+              after: Sequence[Observation]) -> str:
+    """Where two behaviour traces first differ, or "" when they agree."""
+    hit = first_divergence(before, after)
+    if hit is None:
+        return ""
+    run, kind = hit
+    return f"program {index} run {run}: {kind} differs"
 
 
 def bench_layout_suite(suite: str, seed: int = 2024, scale: float = 0.2,
@@ -205,17 +247,12 @@ def bench_layout_suite(suite: str, seed: int = 2024, scale: float = 0.2,
             result.witnesses += 1
             if not validate_bytecode_witness(witness).certified:
                 result.witnesses_certified = False
-        trace_before = _measure(program, tests, seed, max_insns,
-                                result.before)
-        trace_after = _measure(relaid, tests, seed, max_insns,
-                               result.after)
-        if trace_before != trace_after and result.behavior_identical:
+        mismatch = _mismatch(
+            index, _measure(program, tests, seed, max_insns, result.before),
+            _measure(relaid, tests, seed, max_insns, result.after))
+        if mismatch and result.behavior_identical:
             result.behavior_identical = False
-            for run, (a, b) in enumerate(zip(trace_before, trace_after)):
-                if a != b:
-                    result.mismatch = (f"program {index} run {run}: "
-                                       f"before={a!r} after={b!r}")
-                    break
+            result.mismatch = mismatch
     return result
 
 

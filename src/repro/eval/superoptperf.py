@@ -8,8 +8,8 @@ For every program of a workload suite the harness
    output with a witness recorder attached and a **shared** rewrite
    memo, certifying every witness through :mod:`repro.tv`,
 3. replays the identical oracle battery on fresh machines for both
-   variants on the reference interpreter and requires identical
-   behaviour (return value / fault per run),
+   variants and requires identical behaviour (the fuzz oracle's return
+   value and observable state per run, or the fault type),
 4. tabulates per-program NI — the Fig-10-style compactness comparison
    Merlin vs Merlin+superopt — plus the memo hit/search counters that
    show rewrites being discovered once and replayed.
@@ -30,8 +30,8 @@ from ..cache import CompilationCache
 from ..core.pipeline import MerlinPipeline
 from ..core.superopt import SuperoptSpec, SuperoptimizerPass
 from ..fuzz.oracle import generate_tests
-from .layoutperf import VariantCounters, _measure
-from .vmperf import VM_SUITES, _suite_programs
+from .layoutperf import (VM_SUITES, VariantCounters, _measure, _mismatch,
+                         _suite_programs)
 
 
 @dataclass
@@ -201,17 +201,12 @@ def bench_superopt_suite(suite: str, seed: int = 2024, scale: float = 0.2,
             ni_superopt=superopted.ni, rewrites=rewrites))
         tests = generate_tests(merlin, count=tests_per_program,
                                seed=seed + index)
-        trace_before = _measure(merlin, tests, seed, max_insns,
-                                result.before)
-        trace_after = _measure(superopted, tests, seed, max_insns,
-                               result.after)
-        if trace_before != trace_after and result.behavior_identical:
+        mismatch = _mismatch(
+            index, _measure(merlin, tests, seed, max_insns, result.before),
+            _measure(superopted, tests, seed, max_insns, result.after))
+        if mismatch and result.behavior_identical:
             result.behavior_identical = False
-            for run, (a, b) in enumerate(zip(trace_before, trace_after)):
-                if a != b:
-                    result.mismatch = (f"program {index} run {run}: "
-                                       f"merlin={a!r} superopt={b!r}")
-                    break
+            result.mismatch = mismatch
     return result
 
 

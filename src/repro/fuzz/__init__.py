@@ -22,7 +22,6 @@ from .differential import (
     Divergence,
     build_program,
     check_config,
-    check_engines,
     check_layout,
     check_superopt,
     diff_case,
@@ -78,7 +77,6 @@ __all__ = [
     "bisect_divergence",
     "build_program",
     "check_config",
-    "check_engines",
     "check_layout",
     "check_roundtrip",
     "check_superopt",

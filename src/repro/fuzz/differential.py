@@ -178,48 +178,6 @@ def check_config(case: GeneratedProgram, enabled: FrozenSet[str],
     return None
 
 
-#: accelerated engines certified against the reference interpreter
-CHECKED_ENGINES = ("jit",)
-
-
-def check_engines(case: GeneratedProgram, baseline: BaselineRecord,
-                  kernel: KernelConfig = DEFAULT_KERNEL,
-                  engines: Sequence[str] = CHECKED_ENGINES,
-                  ) -> Optional[Divergence]:
-    """Engine-vs-engine axis: run the baseline program on the reference
-    interpreter and every accelerated engine (the method JIT) and
-    require *bit-exact* agreement — return value, fault behaviour,
-    map/memory state, and (unlike pass configs, where they legitimately
-    differ) every perf counter.  A mismatch is a bug in
-    :mod:`repro.vm.engine`, not in an optimizer, so callers skip pass
-    bisection for these findings."""
-    program = baseline.program
-    reference = observe_battery(program, baseline.tests,
-                                seed=baseline.oracle_seed,
-                                include_counters=True)
-    for engine in engines:
-        observed = observe_battery(program, baseline.tests,
-                                   seed=baseline.oracle_seed,
-                                   engine=engine, include_counters=True)
-        hit = first_divergence(reference, observed)
-        if hit is None:
-            continue
-        index, kind = hit
-        ref, opt = reference[index], observed[index]
-        if kind == "fault":
-            detail = f"reference fault={ref.fault} {engine} fault={opt.fault}"
-        elif kind == "return":
-            detail = (f"reference r0={ref.return_value:#x} "
-                      f"{engine} r0={opt.return_value:#x}")
-        elif kind == "counters":
-            detail = (f"reference counters={ref.counters} "
-                      f"{engine} counters={opt.counters}")
-        else:
-            detail = "map/memory/output state differs between engines"
-        return Divergence(case, (f"engine={engine}",), kind, index, detail)
-    return None
-
-
 #: pseudo-config name the layout axis reports divergences under
 LAYOUT_CONFIG = ("layout",)
 
@@ -379,16 +337,11 @@ def diff_case(case: GeneratedProgram,
               kernel: KernelConfig = DEFAULT_KERNEL,
               tests_per_program: int = 4,
               oracle_seed: int = 7,
-              engines: bool = True,
               certify: bool = True,
               layout: bool = True,
               superopt: bool = True) -> Optional[Divergence]:
     """Run *case* under every config; first divergence wins."""
     baseline = observe_baseline(case, kernel, tests_per_program, oracle_seed)
-    if engines:
-        divergence = check_engines(case, baseline, kernel)
-        if divergence is not None:
-            return divergence
     for enabled in configs:
         divergence = check_config(case, enabled, baseline, kernel)
         if divergence is not None:

@@ -26,7 +26,6 @@ from .differential import (
     Divergence,
     check_certificates,
     check_config,
-    check_engines,
     check_layout,
     check_superopt,
     observe_baseline,
@@ -111,8 +110,8 @@ def check_roundtrip(program) -> bool:
 def _check_index(index: int, seed: int, layers: Sequence[str],
                  configs: Sequence[FrozenSet[str]], kernel: KernelConfig,
                  tests_per_program: int, minimize: bool,
-                 engines: bool = True, certify: bool = True,
-                 layout: bool = True, superopt: bool = True
+                 certify: bool = True, layout: bool = True,
+                 superopt: bool = True
                  ) -> Tuple[str, Optional[FuzzFinding]]:
     """Generate and triage one campaign index.
 
@@ -136,15 +135,6 @@ def _check_index(index: int, seed: int, layers: Sequence[str],
     status = "ok"
     if not check_roundtrip(baseline.program):
         status = "roundtrip"
-
-    if engines:
-        # engine-vs-engine axis: the JIT VM engine must match the
-        # reference interpreter bit-for-bit (counters included).  A hit
-        # here is a VM bug, not an optimizer bug — pass bisection and
-        # program minimization against pass pipelines don't apply.
-        engine_divergence = check_engines(case, baseline, kernel)
-        if engine_divergence is not None:
-            return status, FuzzFinding(engine_divergence)
 
     divergence: Optional[Divergence] = None
     for enabled in configs:
@@ -199,12 +189,11 @@ def _check_index(index: int, seed: int, layers: Sequence[str],
 def _campaign_slice(payload: tuple) -> List[Tuple[int, str, Optional[FuzzFinding]]]:
     """Worker entry point: triage a strided slice of campaign indices."""
     (seed, start, budget, stride, layers, configs, kernel,
-     tests_per_program, minimize, engines, certify, layout,
-     superopt) = payload
+     tests_per_program, minimize, certify, layout, superopt) = payload
     out = []
     for index in range(start, budget, stride):
         status, finding = _check_index(index, seed, layers, configs, kernel,
-                                       tests_per_program, minimize, engines,
+                                       tests_per_program, minimize,
                                        certify, layout, superopt)
         out.append((index, status, finding))
     return out
@@ -218,7 +207,6 @@ def run_campaign(seed: int = 0, budget: int = 200,
                  tests_per_program: int = 4,
                  minimize: bool = True,
                  jobs: int = 1,
-                 engines: bool = True,
                  certify: bool = True,
                  layout: bool = True,
                  superopt: bool = True,
@@ -230,9 +218,8 @@ def run_campaign(seed: int = 0, budget: int = 200,
     merged back in index order and reproducers are written by the
     parent, so the report is identical to a sequential run.
 
-    ``engines`` additionally runs every baseline program on both VM
-    execution engines (reference and jit) and requires bit-identical
-    observations, counters included.
+    Every behaviour check runs on the VM's one engine, the reference
+    interpreter.
 
     ``certify`` additionally runs the full pipeline in translation-
     validation mode over every program and requires an equivalence
@@ -240,14 +227,12 @@ def run_campaign(seed: int = 0, budget: int = 200,
 
     ``layout`` additionally re-lays every baseline program out under a
     profile collected on its own oracle battery and requires identical
-    behaviour (return/state/fault — counters excluded by design) on the
-    reference interpreter, plus a certified witness for every layout
-    rewrite.
+    behaviour (return/state/fault — counters excluded by design), plus
+    a certified witness for every layout rewrite.
 
     ``superopt`` additionally runs the windowed superoptimizer over
-    every baseline program and requires identical behaviour on the
-    reference interpreter, plus a certified witness for every applied
-    rewrite.
+    every baseline program and requires identical behaviour, plus a
+    certified witness for every applied rewrite.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -257,7 +242,7 @@ def run_campaign(seed: int = 0, budget: int = 200,
     if jobs == 1:
         triaged = (
             (index, *_check_index(index, seed, layers, configs, kernel,
-                                  tests_per_program, minimize, engines,
+                                  tests_per_program, minimize,
                                   certify, layout, superopt))
             for index in range(budget)
         )
@@ -267,7 +252,7 @@ def run_campaign(seed: int = 0, budget: int = 200,
     else:
         payloads = [
             (seed, start, budget, jobs, tuple(layers), tuple(configs),
-             kernel, tests_per_program, minimize, engines, certify, layout,
+             kernel, tests_per_program, minimize, certify, layout,
              superopt)
             for start in range(min(jobs, max(budget, 1)))
         ]

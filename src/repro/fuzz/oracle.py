@@ -112,10 +112,10 @@ class Observation:
     return_value: Optional[int] = None
     state: Optional[Tuple] = None
     fault: Optional[str] = None
-    #: perf counter values as a flat tuple; captured only when the caller
-    #: asks (the engine-vs-engine axis, where counters must be
-    #: bit-identical).  Pass-config comparisons leave this None — an
-    #: optimized program legitimately executes different instructions.
+    #: perf counter values as a flat tuple, captured only when the
+    #: caller asks.  Its one user is the repository benchmark, which
+    #: totals the optimized program's cycles from it.  Never compared:
+    #: an optimized program legitimately executes different instructions.
     counters: Optional[Tuple] = None
 
     def differs_from(self, other: "Observation") -> Optional[str]:
@@ -126,9 +126,6 @@ class Observation:
             return "return"
         if self.state != other.state:
             return "state"
-        if (self.counters is not None and other.counters is not None
-                and self.counters != other.counters):
-            return "counters"
         return None
 
 
@@ -145,10 +142,9 @@ def _counter_tuple(machine: Machine) -> Tuple:
 def run_observed(program: BpfProgram, test: TestCase,
                  seeder: Optional[Seeder] = None,
                  max_insns: int = 200_000,
-                 engine: str = "reference",
                  include_counters: bool = False) -> Observation:
     """Run *program* on one input; faults become part of the record."""
-    machine = Machine(program, max_insns=max_insns, engine=engine)
+    machine = Machine(program, max_insns=max_insns)
     try:
         if seeder is not None:
             seeder(machine)
@@ -188,7 +184,6 @@ def populate_maps(machine: Machine, coverage: float = 1.0,
 def observe_battery(program: BpfProgram, tests: Sequence[TestCase],
                     seed: int = 7, max_insns: int = 200_000,
                     populate: Callable[[Machine, float, int], None] = populate_maps,
-                    engine: str = "reference",
                     include_counters: bool = False,
                     ) -> List[Observation]:
     """Observations for the whole battery, cycling map coverage."""
@@ -202,7 +197,6 @@ def observe_battery(program: BpfProgram, tests: Sequence[TestCase],
                 populate(machine, coverage, seed + index)
 
         observations.append(run_observed(program, test, seeder, max_insns,
-                                         engine=engine,
                                          include_counters=include_counters))
     return observations
 

@@ -53,11 +53,11 @@ class ProfilingBranchPredictor(BranchPredictor):
     reports.
 
     Prediction behavior (and therefore every counter a measured run
-    mirrors) is bit-identical to the base predictor under both VM
-    engines — the JIT inlines the update only for a plain
-    :class:`BranchPredictor` and calls ``record`` for any subclass, so
-    the override is reached either way.  The tallies are what :func:`repro.core.bytecode_passes.layout
-    .collect_profile` turns into a weighted CFG.
+    mirrors) is bit-identical to the base predictor: the interpreter
+    calls ``record`` for every conditional jump, and the override only
+    tallies before deferring to it.  The tallies are what
+    :func:`repro.core.bytecode_passes.layout.collect_profile` turns
+    into a weighted CFG.
 
     A predictor instance carries state across every ``Machine`` that
     shares it; callers profiling *multiple* programs must ``reset()``

@@ -3,10 +3,12 @@
 The one owner of the decisions every bytecode consumer shares: how
 ``ld_imm64`` expands to slots, where a jump's offset lands, which
 instructions start and end basic blocks, each block's terminator and
-successors, reachability, and a backward dataflow solver over integer
-register masks (bit n = rn).  Dep (:mod:`repro.core.bytecode_passes.
-analysis`), the verifier's precision liveness, the PGO layout pass and
-the JIT's region formation all read a :class:`Cfg`.
+successors, and a backward dataflow solver over integer register masks
+(bit n = rn).  Dep (:mod:`repro.core.bytecode_passes.analysis`), the
+verifier's precision liveness and the PGO layout pass read a
+:class:`Cfg`; the VM interpreter, the symbolic program, TV's region
+check and the jump peepholes use its slot expansion, target resolution
+and terminator kinds.
 
 A :class:`Cfg` is built over a plain instruction sequence and, per
 instruction, the index its jump lands on.  By default the targets come
@@ -94,7 +96,7 @@ class Cfg:
     COND), ``fall[b]`` the next block (COND and FALL).  A successor of
     ``len(first)`` is the end of the program and :data:`FAULT` a fault
     target; ``succs[b]`` lists the real ones, fall-through first.
-    Unreachable blocks are kept; :meth:`reachable` names the others.
+    Unreachable blocks are kept.
     """
 
     def __init__(self, insns: Sequence[Instruction],
@@ -148,17 +150,6 @@ class Cfg:
         self.taken[b] = None
         self.fall[b] = b + 1
         self.succs[b] = (b + 1,) if b + 1 < len(self.first) else ()
-
-    def reachable(self) -> List[int]:
-        """The blocks reachable from block 0, in order."""
-        seen = set()
-        work = [0] if self.first else []
-        while work:
-            b = work.pop()
-            if b not in seen:
-                seen.add(b)
-                work.extend(self.succs[b])
-        return sorted(seen)
 
     def solve(self, transfer: Callable[[int, int], int]) -> List[int]:
         """Least fixpoint of a backward problem over register masks:

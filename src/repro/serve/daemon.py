@@ -661,22 +661,10 @@ class OptimizationDaemon(FrontEnd):
 
     # ------------------------------------------------------------- stats
     def snapshot(self) -> dict:
-        out = self.stats.snapshot(
+        return self.stats.snapshot(
             queue_depth=self._queue.qsize(),
             cache_stats=self.cache.stats.to_dict(),
             config=self.config.describe())
-        from ..vm.engine.jit import jit_cache_size, jit_cache_stats
-
-        jit = jit_cache_stats()
-        out["vm"] = {
-            "jit_cache": {
-                "hits": jit.hits,
-                "misses": jit.misses,
-                "hit_rate": round(jit.hit_rate, 4),
-                "entries": jit_cache_size(),
-            },
-        }
-        return out
 
     # -------------------------------------------------------------- stop
     async def _settle(self, drain: bool) -> None:

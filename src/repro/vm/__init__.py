@@ -2,7 +2,7 @@
 
 from .cost import ALU_COST, DEFAULT_HELPER_COST, HELPER_COST, base_cost
 from .helpers import HelperError, HelperRuntime, TaskContext
-from .interpreter import ENGINES, Machine, RunResult, VmFault
+from .interpreter import Machine, RunResult, VmFault
 from .maps import (
     ArrayMap,
     BPF_ANY,
@@ -33,7 +33,6 @@ __all__ = [
     "HelperError",
     "HelperRuntime",
     "TaskContext",
-    "ENGINES",
     "Machine",
     "RunResult",
     "VmFault",

@@ -16,7 +16,7 @@ from ..hw import BranchPredictor, CacheModel, PerfCounters
 from ..isa import BpfProgram, Instruction
 from ..isa import opcodes as op
 from ..isa.cfg import expand_slots
-from ..isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_NAMES
+from ..isa.helpers import HELPER_NAMES
 from . import cost
 from .helpers import HelperRuntime, TaskContext
 from .maps import BpfMap, create_map
@@ -44,9 +44,6 @@ class RunResult:
         return self.return_value & _U32
 
 
-#: engines selectable via ``Machine(engine=...)``
-ENGINES = ("reference", "jit")
-
 _BUDGET_MSG = "instruction budget exhausted (infinite loop?)"
 
 #: the kernel-stack poison pattern, allocated once (not per run)
@@ -56,13 +53,11 @@ _STACK_FILL = b"\xa5" * op.STACK_SIZE
 class Machine:
     """Interpreter plus performance model for one loaded program.
 
-    ``engine`` selects the execution engine: ``"reference"`` is the
-    canonical if/elif interpreter below; ``"jit"`` compiles the whole
-    program into one generated-Python function
-    (:mod:`repro.vm.engine.jit`) with loop regions and guard
-    specialization, deoptimizing onto this interpreter when a guard
-    fails.  Both produce bit-identical :class:`RunResult`s and machine
-    state.
+    This if/elif interpreter is the VM's only engine.  ``engine`` stays
+    only because the repository benchmark passes it and reads its
+    default; it goes with :mod:`repro.vm.engine` when the benchmark
+    drops its ``vm.jit_cache`` metrics.  ``"reference"`` is the one
+    accepted value.
     """
 
     def __init__(
@@ -75,12 +70,10 @@ class Machine:
         task: Optional[TaskContext] = None,
         engine: str = "reference",
     ):
-        if engine not in ENGINES:
+        if engine != "reference":
             raise ValueError(
-                f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
-            )
+                f"unknown engine {engine!r} (the only engine is 'reference')")
         self.program = program
-        self.engine = engine
         self.memory = Memory()
         self.cache = cache if cache is not None else CacheModel()
         self.branch = branch if branch is not None else BranchPredictor()
@@ -97,36 +90,11 @@ class Machine:
         self._slots = expand_slots(program.insns)
         self._stack = self.memory.add_region("stack", STACK_BASE, op.STACK_SIZE)
         self._ctx = self.memory.add_region("ctx", CTX_BASE, max(program.ctx_size, 8))
-        self._jit = None
-        if engine == "jit":
-            from .engine.jit import bind_jit
-
-            self._jit = bind_jit(self)
 
     # ------------------------------------------------------------------ model
     def touch_memory(self, addr: int, size: int) -> None:
         """Route helper-internal memory traffic through the cache model."""
         self.counters.cycles += self.cache.access(addr, size)
-
-    @property
-    def stats(self) -> Dict[str, object]:
-        """Engine-level statistics: the shared content-keyed JIT code
-        cache and, for the jit engine, this machine's compilation/deopt
-        details."""
-        from .engine.jit import jit_cache_stats
-
-        jit = jit_cache_stats()
-        stats: Dict[str, object] = {
-            "engine": self.engine,
-            "jit_cache": {
-                "hits": jit.hits,
-                "misses": jit.misses,
-                "hit_rate": jit.hit_rate,
-            },
-        }
-        if self._jit is not None:
-            stats["jit"] = self._jit.stats
-        return stats
 
     #: XDP headroom available for xdp_adjust_head (XDP_PACKET_HEADROOM)
     PACKET_HEADROOM = 256
@@ -189,10 +157,7 @@ class Machine:
         self._stack.data[:] = _STACK_FILL
 
         try:
-            if self._jit is not None:
-                return_value = self._jit.execute(regs)
-            else:
-                return_value = self._execute(regs)
+            return_value = self._execute(regs)
         finally:
             # mirror the model counters once per run (not per
             # instruction); the delta below and any caller reading
@@ -204,13 +169,13 @@ class Machine:
         delta = self.counters.delta(before)
         return RunResult(return_value=return_value, counters=delta)
 
-    def _execute(self, regs: List[int], pc: int = 0, executed: int = 0) -> int:
-        """Interpret from slot *pc* until exit or fault.  *executed*
-        instructions already count against the budget: the JIT resumes
-        here after a deopt with what it consumed before bailing."""
+    def _execute(self, regs: List[int]) -> int:
+        """Interpret from the first slot until exit or fault."""
         slots = self._slots
         counters = self.counters
         n = len(slots)
+        pc = 0
+        executed = 0
         while True:
             if pc < 0 or pc >= n:
                 raise VmFault(f"pc {pc} out of program bounds")

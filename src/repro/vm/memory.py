@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 _PACK = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
 
@@ -87,16 +87,11 @@ class Memory:
         self.regions: Dict[str, Region] = _RegionDict(self)
         self._next_dynamic = MAP_BASE
         self._buckets: Optional[Dict[int, List[Region]]] = None
-        #: bumped on every region-table mutation; callers holding a
-        #: resolved Region may reuse it while the version is unchanged
-        #: and the address still falls inside the region's *live* bounds
-        self.version = 0
 
     # ------------------------------------------------------------ index
     def _invalidate(self) -> None:
         """Drop the window index; it is rebuilt on the next lookup."""
         self._buckets = None
-        self.version += 1
 
     def _rebuild(self) -> Dict[int, List[Region]]:
         """Index every region under each window it overlaps (a region

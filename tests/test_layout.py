@@ -5,8 +5,9 @@ Covers condition inversion, CFG decomposition, branch straightening and
 chain reordering on hand-built programs, profile collection (including
 the predictor-reset isolation regression), the signed-16-bit relocation
 bail-out, witness certification (and refutation of tampered witnesses),
-the pipeline/cache integration of ``pgo=``, and the layout-on vs
-layout-off behavioral property over fuzz-generated programs.
+the pipeline/cache integration of ``pgo=``, the layout-on vs
+layout-off behavioral property over fuzz-generated programs, and the
+tier harness's behaviour trace.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from repro.core.bytecode_passes.layout import (
 )
 from repro.frontend import compile_source
 from repro.hw import ProfilingBranchPredictor
-from repro.isa import BpfProgram, ProgramType, assemble
+from repro.isa import BpfProgram, MapSpec, ProgramType, assemble
 from repro.isa import opcodes as op
 from repro.isa.cfg import Cfg
 from repro.isa.instruction import jump, jump32, mov64_imm
@@ -399,3 +400,39 @@ class TestLayoutProperty:
         layout-off bit-identical on the reference interpreter, every
         rewrite certified (check_layout enforces both)."""
         _layout_property(200, seed_base=91_000)
+
+
+# ============================================ tier harness (bench-layout)
+def _map_writer(value):
+    """Stores *value* under key 0 of a hash map and returns 0."""
+    return BpfProgram("w", assemble(f"""
+        *(u64 *)(r10 - 8) = 0
+        *(u64 *)(r10 - 16) = {value}
+        r1 = map_fd 1 ll
+        r2 = r10
+        r2 += -8
+        r3 = r10
+        r3 += -16
+        r4 = 0
+        call 2
+        r0 = 0
+        exit
+    """), maps={"m": MapSpec("m", "hash", 8, 8, 4)})
+
+
+class TestTierHarness:
+    def test_map_writes_change_the_trace(self):
+        """Equal return values are not enough: a run that writes a
+        different map value is a different behaviour."""
+        from repro.eval.layoutperf import VariantCounters, _measure, _mismatch
+        from repro.fuzz.oracle import TestCase
+
+        tests = [TestCase(ctx=bytes(64), packet=None)]
+        one = _measure(_map_writer(1), tests, 0, 1000, VariantCounters())
+        two = _measure(_map_writer(2), tests, 0, 1000, VariantCounters())
+        assert [obs.return_value for obs in one] == [0]
+        assert [obs.return_value for obs in two] == [0]
+        assert one != two
+        assert _mismatch(3, one, two) == "program 3 run 0: state differs"
+        again = _measure(_map_writer(1), tests, 0, 1000, VariantCounters())
+        assert _mismatch(3, one, again) == ""
