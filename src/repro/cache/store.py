@@ -5,7 +5,10 @@ Entries are stored *pickled* even in memory: every ``get`` deserializes
 a private copy, so callers can freely mutate the returned program (the
 bytecode passes rewrite in place) without corrupting the cache — the
 same property the disk layer gets for free.  Deserializing is orders of
-magnitude cheaper than recompiling, which is the whole point.
+magnitude cheaper than recompiling, which is the whole point.  A caller
+that needs only hit-or-miss (the serve daemon answering a repeat from
+its memo) uses :meth:`CompilationCache.lookup`, which skips that copy
+on a memory hit.
 
 The disk layout is ``<dir>/<digest[:2]>/<digest>.pkl`` (git-style
 sharding keeps directories small at fleet scale); writes go through a
@@ -147,6 +150,12 @@ class CompilationCache:
     eagerly by :meth:`sweep`.  ``max_disk_bytes`` is the disk-tree size
     budget :meth:`sweep` enforces LRU-first; neither bound is enforced
     unless set, keeping the PR-2 behavior for existing callers.
+
+    Two threads may share one handle: the serve daemon looks entries up
+    on its event loop while its dispatch thread compiles through the
+    same store.  Each memory-layer step is a single dict operation, and
+    an idle entry another thread evicted between a lookup's read and
+    its expiry counts as already gone.
     """
 
     #: consecutive disk-write failures before the store stops trying —
@@ -205,6 +214,23 @@ class CompilationCache:
         used directly by the superoptimizer's rewrite memo (entries in
         the ``key_for_window`` namespace are :class:`RewriteMemoEntry`
         objects, not program/report pairs)."""
+        hit = self.lookup(key)
+        if hit is None:
+            return None
+        blob, entry = hit
+        return pickle.loads(blob) if entry is None else entry
+
+    def lookup(self, key: str) -> Optional[Tuple[bytes, Optional[object]]]:
+        """One lookup that deserializes only what it must validate.
+
+        Counts the hit or miss (memory or disk), refreshes the LRU
+        order and the idle TTL, and expires an idle entry — all of
+        :meth:`get_object`'s work.  A memory hit returns
+        ``(blob, None)`` without unpickling; a disk hit returns
+        ``(blob, entry)``, ``entry`` being the validating unpickle of
+        the bytes it read.  A caller that already holds what the entry
+        decodes to (the serve daemon's memoized answer) pays a lookup
+        and nothing more."""
         now = time.time()
         cached = self._memory.get(key)
         if cached is not None:
@@ -212,15 +238,17 @@ class CompilationCache:
             if self.ttl_seconds is not None \
                     and now - touched > self.ttl_seconds:
                 # idle too long: drop it and fall through to disk,
-                # which will agree (its mtime is at least as old)
-                del self._memory[key]
-                self.stats.expired += 1
+                # which will agree (its mtime is at least as old).  A
+                # thread sharing this handle may have evicted it since
+                # the read: then it is not this lookup's to count
+                if self._memory.pop(key, None) is not None:
+                    self.stats.expired += 1
             else:
                 self._memory[key] = (blob, now)
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
                 self.stats.memory_hits += 1
-                return pickle.loads(blob)
+                return blob, None
         if self.directory is not None:
             path = self._path(key)
             try:
@@ -251,7 +279,7 @@ class CompilationCache:
                     pass
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
-                return entry
+                return blob, entry
         self.stats.misses += 1
         return None
 

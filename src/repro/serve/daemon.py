@@ -4,26 +4,33 @@ Architecture (one asyncio event loop, one dispatch thread, N worker
 processes)::
 
     client --- JSON lines ---> connection handler --+
-    client --- JSON lines ---> connection handler --+--> admission queue
+    client --- JSON lines ---> connection handler --+--> admission
                                                          |
-                                           batcher task: collect up to
-                                           max_batch requests or wait
-                                           max_delay, group by pipeline
-                                           config, then
-                                                         |
-                                           compile_many(..., executor=
-                                           persistent process pool,
-                                           cache=shared warm cache,
-                                           on_error="capture")
-                                                         |
+                                 +-----------------------+
+                                 |                       |
+                      memo hit (a repeat): one     miss: admission queue
+                      cache lookup, the memoized         |
+                      answer, its future           batcher task: collect up to
+                      resolved at once             max_batch misses or wait
+                                 |                 max_delay, group by pipeline
+                                 |                 config, then
+                                 |                       |
+                                 |                 compile_many(..., executor=
+                                 |                 persistent process pool,
+                                 |                 cache=shared warm cache,
+                                 |                 on_error="capture")
+                                 |                       |
     client <-- response lines (arrival order) <-- per-request futures
 
-Admission batching amortizes dispatch overhead and lets concurrent
-clients share one warm cache: the first compile of a program pays the
-pipeline, every repeat — from any client, any connection, any worker
-process — is a cache hit.  Responses stream back per request as each
-batch completes; a connection's responses always come back in its
-request-arrival order, so clients may pipeline arbitrarily deep.
+Only misses reach the batcher.  A repeat of a request shape the daemon
+has compiled is answered at admission from its memo, at the cost of
+one cache lookup; admission batching amortizes dispatch overhead over
+the rest and lets concurrent clients share one warm cache: the first
+compile of a program pays the pipeline, every repeat — from any
+client, any connection, any worker process — is a cache hit.
+Responses stream back per request as each future resolves; a
+connection's responses always come back in its request-arrival order,
+so clients may pipeline arbitrarily deep.
 
 Graceful degradation is deliberate and tested: malformed or oversized
 requests get structured error responses, a client disconnecting
@@ -133,7 +140,7 @@ class ServeConfig:
 
 
 class _Pending:
-    """One admitted compile request awaiting its batch."""
+    """One admitted compile request and the future its answer resolves."""
 
     __slots__ = ("request", "future", "enqueued", "dispatched")
 
@@ -352,9 +359,11 @@ class OptimizationDaemon(FrontEnd):
             ttl_seconds=self.config.cache_ttl,
             max_disk_bytes=self.config.cache_max_bytes)
         self._pipelines: Dict[tuple, MerlinPipeline] = {}
-        # source-text -> cache-key memo: repeat requests skip the
-        # frontend entirely and answer straight from the warm cache
-        self._source_keys: "OrderedDict[tuple, str]" = OrderedDict()
+        # LRU memo, request shape -> (cache key, answer): a repeat
+        # request skips the frontend and the batcher, and is answered
+        # at admission while its cache entry is live
+        self._source_keys: "OrderedDict[tuple, Tuple[str, dict]]" = \
+            OrderedDict()
         self._queue = FairAdmissionQueue(
             maxsize=self.config.queue_limit,
             weights=self.config.tenant_weights)
@@ -434,6 +443,13 @@ class OptimizationDaemon(FrontEnd):
             return
         future = self._loop.create_future()
         pending = _Pending(request, future)
+        if self._fast_path(pending):
+            # a memoized repeat is answered at admission: it never
+            # waits out the linger, and the writer still sends it in
+            # arrival order behind any earlier miss on this connection
+            self.stats.queue_latency.observe(0.0)
+            conn.enqueue(future)
+            return
         try:
             self._queue.put_nowait(pending, priority=request.priority,
                                    tenant=request.tenant)
@@ -504,38 +520,43 @@ class OptimizationDaemon(FrontEnd):
                 request.config_key)
 
     def _fast_path(self, pending: _Pending) -> bool:
-        """Answer a repeat request straight from the warm cache.
+        """Answer a repeat request from the memo, if its entry is live.
 
         The content-addressed cache key hashes canonical IR, so a
         plain lookup still pays the full frontend.  The daemon sees
         identical *source text* over and over (the Zipf head), so it
-        memoizes source -> key after the first compile and serves
-        repeats without parsing anything.  Entries stored under a
-        ``validate=True`` key were certified at store time, so
-        replaying the raise check is unnecessary here.
+        memoizes request shape -> (cache key, answer) after the first
+        compile and serves repeats without parsing anything.  The
+        answer depends only on the stored program/report and on fields
+        in the memo key, so it is built once; a hit still looks its
+        cache key up (without deserializing), so an evicted or expired
+        entry falls through to a compile and the cache counts the hit.
+        Entries stored under a ``validate=True`` key were certified at
+        store time, so replaying the raise check is unnecessary here.
         """
-        key = self._source_keys.get(self._memo_key(pending.request))
-        if key is None:
+        memo = self._memo_key(pending.request)
+        answer = self._source_keys.get(memo)
+        if answer is None:
             return False
-        hit = self.cache.get(key)
-        if hit is None:
+        key, result = answer
+        if self.cache.lookup(key) is None:
             return False
-        program, report = hit
-        report.cached = True
+        self._source_keys.move_to_end(memo)
         self.stats.fast_path_hits += 1
         self.stats.compiles_completed += 1
         self.stats.observe_served(pending.request.tenant,
                                   pending.request.priority)
-        self._finish(pending, protocol.ok_response(
-            pending.request.id,
-            self._payload(pending.request, program, report)))
+        self._finish(pending, protocol.ok_response(pending.request.id,
+                                                   result))
         return True
 
-    def _memoize(self, request: Request, report) -> None:
-        if getattr(report, "cache_key", None) is None:
+    def _memoize(self, request: Request, key: Optional[str],
+                 result: dict) -> None:
+        if key is None:
             return
         memo = self._memo_key(request)
-        self._source_keys[memo] = report.cache_key
+        # a repeat is served from the cache: its answer says so
+        self._source_keys[memo] = (key, dict(result, cached=True))
         self._source_keys.move_to_end(memo)
         while len(self._source_keys) > self._MEMO_LIMIT:
             self._source_keys.popitem(last=False)
@@ -603,10 +624,10 @@ class OptimizationDaemon(FrontEnd):
                     self.stats.compiles_completed += 1
                     self.stats.observe_served(pending.request.tenant,
                                               pending.request.priority)
-                    self._memoize(pending.request, rep)
+                    result = self._payload(pending.request, program, rep)
+                    self._memoize(pending.request, rep.cache_key, result)
                     self._finish(pending, protocol.ok_response(
-                        pending.request.id,
-                        self._payload(pending.request, program, rep)))
+                        pending.request.id, result))
 
     def _finish(self, pending: _Pending, response: dict) -> None:
         self.stats.latency.observe(time.monotonic() - pending.enqueued)

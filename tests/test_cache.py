@@ -7,6 +7,7 @@ to a fresh one.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -489,6 +490,28 @@ class TestTtlAndSweep:
         assert cache.get("k") is None
         assert cache.stats.expired == 1
 
+    def test_expiry_tolerates_a_concurrent_eviction(self):
+        """The serve daemon looks entries up on its event loop while its
+        dispatch thread stores through the same handle: an idle entry
+        that thread evicts right after this lookup read it is a plain
+        miss, not a KeyError."""
+        import time
+        from collections import OrderedDict
+
+        class EvictedAfterRead(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self.pop(key, None)   # the other thread's LRU overflow
+                return value
+
+        cache = CompilationCache(ttl_seconds=60)
+        cache.put_object("k", 1)
+        blob, _touched = cache._memory["k"]
+        cache._memory = EvictedAfterRead(k=(blob, time.time() - 120))
+        assert cache.get("k") is None
+        assert cache.stats.misses == 1
+        assert cache.stats.expired == 0   # the evictor counted it
+
     def test_touch_on_read_keeps_entry_alive(self):
         import time
 
@@ -616,3 +639,104 @@ class TestTtlAndSweep:
         assert warm[1].cached is False          # expired: really recompiled
         assert warm[0].insns == cold[0].insns   # and identically so
         assert cache.stats.expired == 1
+
+
+class TestLookup:
+    """``lookup`` is ``get`` without the deserializing copy: the same
+    answer and the same counters in every case, and the same LRU and
+    idle-TTL refresh."""
+
+    @pytest.fixture(autouse=True)
+    def _entry(self):
+        func, module = build()
+        self.entry = MerlinPipeline().compile(
+            func, module, prog_type=ProgramType.TRACEPOINT, ctx_size=64)
+
+    def _stored(self, directory=None, **kwargs):
+        """A store holding this test's one entry under ``"k"``."""
+        cache = CompilationCache(directory=directory, **kwargs)
+        cache.put("k", *self.entry)
+        return cache
+
+    @staticmethod
+    def _agree(by_get, by_lookup, key="k"):
+        """Probe two identically built stores, one per method."""
+        got = by_get.get(key)
+        hit = by_lookup.lookup(key)
+        assert (hit is None) == (got is None)
+        if hit is not None:
+            blob, entry = hit
+            assert pickle.loads(blob) == got
+            assert entry is None or entry == got
+        assert by_lookup.stats.to_dict() == by_get.stats.to_dict()
+        return hit
+
+    def _fresh_handles(self, tmp_path, damage=lambda cache: None):
+        """Two disk stores holding the same entry, each reopened through
+        a new handle (think: another shard) after *damage*."""
+        handles = []
+        for side in ("get", "lookup"):
+            directory = str(tmp_path / side)
+            damage(self._stored(directory))
+            handles.append(CompilationCache(directory=directory))
+        return handles
+
+    def test_memory_hit_deserializes_nothing(self):
+        blob, entry = self._agree(self._stored(), self._stored())
+        assert entry is None
+
+    def test_disk_hit_through_a_fresh_handle(self, tmp_path):
+        by_get, by_lookup = self._fresh_handles(tmp_path)
+        blob, entry = self._agree(by_get, by_lookup)
+        assert entry is not None       # the read bytes were validated
+        assert by_lookup.stats.disk_hits == 1
+        assert len(by_lookup) == 1     # and remembered in memory
+
+    def test_miss(self):
+        assert self._agree(self._stored(), self._stored(),
+                           key="absent") is None
+
+    def test_idle_expired_entry(self, tmp_path):
+        import os
+        import time
+
+        old = time.time() - 120
+        by_get, by_lookup = [self._stored(str(tmp_path / side),
+                                          ttl_seconds=60)
+                             for side in ("get", "lookup")]
+        for cache in (by_get, by_lookup):   # both layers idle too long
+            cache._memory["k"] = (cache._memory["k"][0], old)
+            os.utime(cache._path("k"), (old, old))
+        assert self._agree(by_get, by_lookup) is None
+        assert by_lookup.stats.expired == 2   # memory, then disk
+
+    def test_torn_disk_entry(self, tmp_path):
+        def tear(cache):
+            with open(cache._path("k"), "wb") as handle:
+                handle.write(b"torn")
+
+        by_get, by_lookup = self._fresh_handles(tmp_path, tear)
+        assert self._agree(by_get, by_lookup) is None
+        assert by_lookup.stats.read_errors == 1
+
+    def test_refreshes_lru_order(self):
+        cache = CompilationCache(max_memory_entries=2)
+        cache.put_object("a", 1)
+        cache.put_object("b", 2)
+        assert cache.lookup("a") is not None
+        cache.put_object("c", 3)       # evicts the least recently used
+        assert "a" in cache and "b" not in cache
+
+    def test_get_unpickles_a_disk_hit_once(self, tmp_path, monkeypatch):
+        _, cache = self._fresh_handles(tmp_path)
+        real_loads = pickle.loads
+        calls = []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(1)
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", counting_loads)
+        assert cache.get("k") is not None
+        assert cache.stats.disk_hits == 1
+        assert len(calls) == 1

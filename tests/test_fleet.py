@@ -434,11 +434,15 @@ class TestReplayBothServers:
         — a replayer that started the clock at the send would report
         about one linger for every request (coordinated omission)."""
         linger = 0.05
-        request = payload(*SOURCES[0])
         with DaemonThread(ServeConfig(max_delay=linger)) as handle:
             with ServeClient(handle.address) as warmup:
-                warmup.request(request, check=True)  # time no compile
-            events = [TraceEvent(t=i * 0.002, client=0, payload=request)
+                # time no first-compile setup
+                warmup.request(payload(*SOURCES[0]), check=True)
+            # never-seen sources: a repeat is answered at admission,
+            # each of these waits out the linger
+            events = [TraceEvent(t=i * 0.002, client=0, payload=payload(
+                          f"late{i}",
+                          f"u64 late{i}(u8* ctx) {{ return {i} + 7; }}"))
                       for i in range(8)]
             run = replay_trace(handle.address, events, speed=1.0, depth=1)
         assert run.ok == len(events)

@@ -8,7 +8,9 @@ clean shutdown with in-flight requests drained.
 """
 
 import gc
+import pickle
 import threading
+import time
 import warnings
 
 import pytest
@@ -373,6 +375,128 @@ class TestOrdering:
         for thread in threads:
             thread.join()
         assert errors == []
+
+
+# ============================================= admission fast path
+def _fresh(name, value):
+    """A source no daemon has seen: it compiles, and lingers."""
+    return payload(name, f"u64 {name}(u8* ctx) {{ return {value}; }}")
+
+
+class TestAdmissionFastPath:
+    """A repeat of a memoized request shape is answered at admission:
+    it skips the linger and the batcher and deserializes nothing."""
+
+    @pytest.mark.parametrize("kind", ["daemon", "fleet"])
+    def test_warm_repeat_skips_the_linger(self, kind):
+        from repro.serve.fleet import FleetConfig, FleetThread
+
+        linger = 0.5
+        request = payload(*SOURCES[0])
+        server = (DaemonThread(ServeConfig(max_delay=linger))
+                  if kind == "daemon"
+                  else FleetThread(FleetConfig(shards=2, max_delay=linger)))
+        with server as handle:
+            with ServeClient(handle.address) as client:
+                client.request(request, check=True)   # compile, memoize
+                started = time.monotonic()
+                response = client.request(request, check=True)
+                elapsed = time.monotonic() - started
+        assert response["result"]["cached"] is True
+        assert elapsed < 0.1, elapsed
+
+    def test_memory_hit_unpickles_nothing(self, monkeypatch):
+        real_loads = pickle.loads
+        calls = []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(1)
+            return real_loads(*args, **kwargs)
+
+        request = payload(*SOURCES[1])
+        with DaemonThread(ServeConfig(max_delay=0.005)) as handle:
+            with ServeClient(handle.address) as client:
+                client.request(request, check=True)
+                monkeypatch.setattr(pickle, "loads", counting_loads)
+                response = client.request(request, check=True)
+                monkeypatch.undo()
+            snapshot = handle.daemon.snapshot()
+        assert response["result"]["cached"] is True
+        assert snapshot["cache"]["memory_hits"] == 1
+        assert calls == []
+
+    def test_one_hit_moves_each_counter_once(self):
+        request = payload(*SOURCES[2], tenant="t1")
+        with DaemonThread(ServeConfig(max_delay=0.05)) as handle:
+            with ServeClient(handle.address) as client:
+                client.request(request, check=True)
+                before = client.stats()
+                client.request(request, check=True)
+                after = client.stats()
+
+        def moved(*path):
+            old, new = before, after
+            for part in path:
+                old, new = old.get(part, 0), new.get(part, 0)
+            return new - old
+
+        assert moved("requests", "fast_path_hits") == 1
+        assert moved("requests", "compiles") == 1
+        assert moved("queue_wait", "count") == 1
+        assert moved("fairness", "served_by_tenant", "t1") == 1
+        assert moved("fairness", "served_by_priority", "0") == 1
+        assert moved("cache", "hits") == 1
+        assert moved("cache", "memory_hits") == 1
+        assert moved("cache", "misses") == 0
+        assert moved("batches", "requests") == 0
+        # the hit itself waited 0 ms (the miss before it lingered 50)
+        waits = [snap["queue_wait"] for snap in (before, after)]
+        waited_ms = waits[1]["mean_ms"] * waits[1]["count"] \
+            - waits[0]["mean_ms"] * waits[0]["count"]
+        assert waited_ms < 1.0, waited_ms
+
+    def test_hit_answers_behind_an_earlier_miss(self):
+        """[new A, repeat B, new C] on one connection: B resolves at
+        admission, before A compiles, and still comes back second."""
+        repeat = payload(*SOURCES[3])
+        with DaemonThread(ServeConfig(max_delay=0.2)) as handle:
+            with ServeClient(handle.address) as client:
+                client.request(repeat, check=True)
+                # compile_pipelined asserts ids come back in send order
+                responses = client.compile_pipelined(
+                    [_fresh("order_a", 1), repeat, _fresh("order_c", 2)])
+        assert [r["ok"] for r in responses] == [True, True, True]
+        assert [r["result"]["cached"] for r in responses] == \
+            [False, True, False]
+
+    def test_memo_is_lru(self, monkeypatch):
+        """Past the memo limit the least recently *used* shape goes:
+        a hit refreshes its entry."""
+        from repro.serve.daemon import OptimizationDaemon
+
+        monkeypatch.setattr(OptimizationDaemon, "_MEMO_LIMIT", 2)
+        a, b, c = (payload(*SOURCES[i]) for i in range(3))
+        with DaemonThread(ServeConfig(max_delay=0.005)) as handle:
+            with ServeClient(handle.address) as client:
+                for request in (a, b, a, c):   # compile A, B; hit A; C
+                    client.request(request, check=True)
+                hits = client.stats()["requests"]["fast_path_hits"]
+                assert client.request(a, check=True)["result"]["cached"]
+                assert client.stats()["requests"]["fast_path_hits"] \
+                    == hits + 1
+
+    def test_memoized_answer_equals_the_cached_compile(self):
+        """The memoized answer is the bytes a cache-hit compile of the
+        same request returns (the batcher's path)."""
+        request = payload(*SOURCES[0], asm=True, validate="report")
+        with DaemonThread(ServeConfig(max_delay=0.005)) as handle:
+            with ServeClient(handle.address) as client:
+                client.request(request, check=True)
+                fast = client.request(request, check=True)["result"]
+                handle.daemon._source_keys.clear()   # forget the memo
+                batched = client.request(request, check=True)["result"]
+        assert fast == batched
+        assert fast["cached"] is True
 
 
 # ================================================== error shapes (wire)
