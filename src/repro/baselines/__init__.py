@@ -1,6 +1,6 @@
 """Baselines Merlin is evaluated against (K2)."""
 
-from .equivalence import TestCase, equivalent, generate_tests, observable_state
+from ..fuzz.oracle import TestCase, equivalent, generate_tests, observable_state
 from .search import (
     anneal_temperature,
     collapse_shift_pair,

@@ -28,7 +28,7 @@ from ..isa import BpfProgram, Instruction, ProgramType
 from ..isa.helpers import HELPER_NAMES
 from ..verifier import DEFAULT_KERNEL, KernelConfig, verify
 from . import search
-from .equivalence import TestCase, equivalent, generate_tests
+from ..fuzz.oracle import TestCase, equivalent, generate_tests
 
 #: helpers K2's formalization covers (everything else is unsupported)
 K2_SUPPORTED_HELPERS = {

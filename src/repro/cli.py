@@ -10,10 +10,10 @@ Subcommands mirror the real eBPF workflow:
 * ``tv``       — certify per-pass semantic equivalence (translation
   validation) over benchmark suites and/or a fuzz corpus
 * ``bench``    — batch-compile a Table-1 suite (parallel, cached)
-* ``bench-layout`` — measure the profile-guided layout tier's
-  branch-miss/cycle deltas and write ``BENCH_layout.json``
-* ``bench-superopt`` — measure the caching superoptimizer tier's
-  compactness wins over Merlin-only and write ``BENCH_superopt.json``
+* ``bench-tier`` — measure one post-pass tier (``layout``: the
+  profile-guided layout's branch-miss/cycle deltas; ``superopt``: the
+  caching superoptimizer's compactness wins over Merlin-only) and write
+  ``BENCH_<tier>.json``
 * ``serve``    — run the optimization-as-a-service daemon (JSON lines
   over a local socket, admission batching, shared warm cache)
 * ``bench-serve`` — replay Zipf-skewed synthetic tenant traffic (or a
@@ -28,6 +28,7 @@ import sys
 from typing import List, Optional
 
 from . import XDP_CTX_SIZE, compile_baseline, compile_bpf, optimize as _optimize
+from .core.pipeline import TIERS
 from .isa import ProgramType, disassemble
 from .verifier import KERNELS, verify as _verify
 from .vm import Machine
@@ -136,7 +137,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from .fuzz import LAYERS, run_campaign
+    from .fuzz import LAYERS, TIER_AXES, run_campaign
 
     layers = [l.strip() for l in args.layers.split(",")] if args.layers \
         else list(LAYERS)
@@ -158,8 +159,8 @@ def cmd_fuzz(args) -> int:
         minimize=not args.no_minimize,
         jobs=args.jobs,
         certify=not args.no_certify,
-        layout=not args.no_layout,
-        superopt=not args.no_superopt,
+        tiers=tuple(tier for tier in TIER_AXES
+                    if not getattr(args, f"no_{tier}")),
         progress=progress,
     )
     if args.json:
@@ -198,13 +199,14 @@ def cmd_tv(args) -> int:
                   f"{', '.join(sorted(known))})", file=sys.stderr)
             return 2
 
-    pipeline = MerlinPipeline(kernel=KERNELS[args.kernel])
+    kernel = KERNELS[args.kernel]
+    pipeline = MerlinPipeline(kernel=kernel)
     report = CertificateReport(seed=args.seed)
     skipped: List[tuple] = []
 
     def certify(name: str, build) -> None:
         try:
-            _, merlin = build()
+            merlin = build()
         except Exception as exc:
             # the program never compiles (e.g. generated code exceeding
             # the stack budget): nothing was optimized, nothing to certify
@@ -221,7 +223,7 @@ def cmd_tv(args) -> int:
                 func = module.get(workload.entry)
                 certify(workload.name, lambda f=func, m=module: pipeline.compile(
                     f, m, prog_type=ProgramType.XDP, ctx_size=_XDP_CTX,
-                    validate="report"))
+                    validate="report")[1])
         else:
             for program in generate_suite(suite, seed=args.seed,
                                           scale=args.scale, count=args.count):
@@ -229,38 +231,18 @@ def cmd_tv(args) -> int:
                 func = module.get(program.entry)
                 certify(program.name, lambda f=func, m=module: pipeline.compile(
                     f, m, prog_type=ProgramType.TRACEPOINT, mcpu="v3",
-                    ctx_size=TRACE_CTX_SIZE, validate="report"))
+                    ctx_size=TRACE_CTX_SIZE, validate="report")[1])
 
     if args.fuzz:
+        from .fuzz.differential import certify_case
         from .fuzz.generator import LAYERS, generate
-        from .ir import parse_function
-        from .isa import BpfProgram, assemble
 
         layers = list(LAYERS)
         for index in range(args.fuzz):
             layer = layers[index % len(layers)]
             case = generate(layer, args.seed * 1_000_003 + index)
-            name = f"fuzz/{layer}/{index}"
-            if layer == "bytecode":
-                def build(c=case):
-                    program = BpfProgram(c.name, assemble(c.text),
-                                         prog_type=c.prog_type,
-                                         ctx_size=c.ctx_size, mcpu=c.mcpu)
-                    return pipeline.optimize_program(program,
-                                                     validate="report")
-            else:
-                def build(c=case, l=layer):
-                    if l == "source":
-                        module = compile_source(c.text)
-                        func = module.get(c.name)
-                    else:
-                        module = None
-                        func = parse_function(c.text)
-                    return pipeline.compile(func, module,
-                                            prog_type=c.prog_type,
-                                            mcpu=c.mcpu, ctx_size=c.ctx_size,
-                                            validate="report")
-            certify(name, build)
+            certify(f"fuzz/{layer}/{index}",
+                    lambda c=case: certify_case(c, kernel))
 
     document = report.to_dict()
     document["skipped"] = [
@@ -350,8 +332,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_bench_layout(args) -> int:
-    from .eval.layoutperf import VM_SUITES, bench_layout
+def cmd_bench_tier(args) -> int:
+    from .eval.tierperf import MEASURED_AGAINST, VM_SUITES, bench_tier
 
     suites = [s.strip() for s in args.suite.split(",")]
     for suite in suites:
@@ -360,10 +342,11 @@ def cmd_bench_layout(args) -> int:
                   f"{', '.join(VM_SUITES)})", file=sys.stderr)
             return 2
 
-    report = bench_layout(suites, seed=args.seed, scale=args.scale,
-                          count=args.count, tests_per_program=args.tests)
-    if args.out:
-        report.write(args.out)
+    report = bench_tier(args.tier, suites, seed=args.seed, scale=args.scale,
+                        count=args.count, tests_per_program=args.tests)
+    out = f"BENCH_{args.tier}.json" if args.out is None else args.out
+    if out:
+        report.write(out)
     if args.json:
         print(report.to_json())
     else:
@@ -373,9 +356,10 @@ def cmd_bench_layout(args) -> int:
             certs = "certified" if suite.witnesses_certified else \
                 "NOT CERTIFIED"
             print(f"{suite.suite}: {suite.programs} programs, "
-                  f"{suite.relaid} relaid ({suite.rewrites} rewrites) — "
-                  f"behavior {verdict}, {suite.witnesses} witness(es) "
-                  f"{certs}")
+                  f"{suite.changed} changed ({suite.rewrites} rewrites), "
+                  f"{suite.smaller} smaller — NI {suite.ni_before} -> "
+                  f"{suite.ni_after}, behavior {verdict}, "
+                  f"{suite.witnesses} witness(es) {certs}")
             print(f"  branch misses: {suite.before.branch_misses} -> "
                   f"{suite.after.branch_misses} "
                   f"(delta {suite.branch_miss_delta:+d})")
@@ -383,54 +367,14 @@ def cmd_bench_layout(args) -> int:
                   f"{suite.after.cache_misses}")
             print(f"  cycles:        {suite.before.cycles} -> "
                   f"{suite.after.cycles} (delta {suite.cycle_delta:+d})")
-        print(f"improved: {report.suites_improved}/{len(report.suites)} "
-              f"suites")
-        if args.out:
-            print(f"wrote {args.out}")
-    ok = report.all_behavior_identical and report.all_certified
-    return 0 if ok else 1
-
-
-def cmd_bench_superopt(args) -> int:
-    from .eval.superoptperf import VM_SUITES, bench_superopt
-
-    suites = [s.strip() for s in args.suite.split(",")]
-    for suite in suites:
-        if suite not in VM_SUITES:
-            print(f"unknown suite {suite!r} (choose from "
-                  f"{', '.join(VM_SUITES)})", file=sys.stderr)
-            return 2
-
-    report = bench_superopt(suites, seed=args.seed, scale=args.scale,
-                            count=args.count,
-                            tests_per_program=args.tests)
-    if args.out:
-        report.write(args.out)
-    if args.json:
-        print(report.to_json())
-    else:
-        for suite in report.suites:
-            verdict = "identical" if suite.behavior_identical else \
-                f"MISMATCH ({suite.mismatch})"
-            certs = "certified" if suite.witnesses_certified else \
-                "NOT CERTIFIED"
-            print(f"{suite.suite}: {len(suite.programs)} programs, "
-                  f"{suite.improved} improved ({suite.rewrites} rewrites) "
-                  f"— NI {suite.ni_merlin} -> {suite.ni_superopt}, "
-                  f"behavior {verdict}, {suite.witnesses} witness(es) "
-                  f"{certs}")
-            print(f"  searches: {suite.searches}  "
-                  f"memo hits: {suite.memo_hits}  "
-                  f"site rejects: {suite.site_rejects}")
-            for row in suite.programs:
-                if row.improved:
-                    print(f"  {row.name}: {row.ni_merlin} -> "
-                          f"{row.ni_superopt} insns "
-                          f"({row.rewrites} rewrite(s))")
-        print(f"improved: {report.programs_improved} program(s) beyond "
-              f"Merlin-only")
-        if args.out:
-            print(f"wrote {args.out}")
+            print("  " + "  ".join(f"{key}: {value}" for key, value
+                                   in suite.counters.items()))
+        print(f"{args.tier} vs {MEASURED_AGAINST[args.tier]}: "
+              f"{report.programs_smaller} program(s) smaller, "
+              f"{report.suites_fewer_branch_misses}/{len(report.suites)} "
+              f"suite(s) with fewer branch misses")
+        if out:
+            print(f"wrote {out}")
     ok = report.all_behavior_identical and report.all_certified
     return 0 if ok else 1
 
@@ -640,45 +584,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit machine-readable results")
     b.set_defaults(handler=cmd_bench)
 
-    lb = sub.add_parser("bench-layout",
-                        help="measure the profile-guided layout tier "
-                             "(BENCH_layout.json)")
-    lb.add_argument("--suite", default="sysdig,tetragon,tracee,xdp",
+    tb = sub.add_parser("bench-tier",
+                        help="measure one post-pass tier "
+                             "(BENCH_<tier>.json)")
+    tb.add_argument("tier", choices=sorted(TIERS),
+                    help="the post-pass tier to measure")
+    tb.add_argument("--suite", default="sysdig,tetragon,tracee,xdp",
                     help="comma-separated suites "
                          "(sysdig,tetragon,tracee,xdp)")
-    lb.add_argument("--seed", type=int, default=2024)
-    lb.add_argument("--scale", type=float, default=0.2,
+    tb.add_argument("--seed", type=int, default=2024)
+    tb.add_argument("--scale", type=float, default=0.2,
                     help="trace-suite size scale (default: 0.2)")
-    lb.add_argument("--count", type=int, default=None,
+    tb.add_argument("--count", type=int, default=None,
                     help="programs per suite (default: profile-derived)")
-    lb.add_argument("--tests", type=int, default=6,
+    tb.add_argument("--tests", type=int, default=6,
                     help="inputs per program (default: 6)")
-    lb.add_argument("--out", default="BENCH_layout.json",
-                    help="result file (default: BENCH_layout.json; "
+    tb.add_argument("--out", default=None,
+                    help="result file (default: BENCH_<tier>.json; "
                          "'' skips)")
-    lb.add_argument("--json", action="store_true",
+    tb.add_argument("--json", action="store_true",
                     help="emit machine-readable results")
-    lb.set_defaults(handler=cmd_bench_layout)
-
-    sb = sub.add_parser("bench-superopt",
-                        help="measure the caching superoptimizer tier "
-                             "(BENCH_superopt.json)")
-    sb.add_argument("--suite", default="sysdig,tetragon,tracee,xdp",
-                    help="comma-separated suites "
-                         "(sysdig,tetragon,tracee,xdp)")
-    sb.add_argument("--seed", type=int, default=2024)
-    sb.add_argument("--scale", type=float, default=0.2,
-                    help="trace-suite size scale (default: 0.2)")
-    sb.add_argument("--count", type=int, default=None,
-                    help="programs per suite (default: profile-derived)")
-    sb.add_argument("--tests", type=int, default=6,
-                    help="inputs per program (default: 6)")
-    sb.add_argument("--out", default="BENCH_superopt.json",
-                    help="result file (default: BENCH_superopt.json; "
-                         "'' skips)")
-    sb.add_argument("--json", action="store_true",
-                    help="emit machine-readable results")
-    sb.set_defaults(handler=cmd_bench_superopt)
+    tb.set_defaults(handler=cmd_bench_tier)
 
     s = sub.add_parser("serve",
                        help="run the optimization-as-a-service daemon")

@@ -34,6 +34,70 @@ from .pass_manager import BytecodePass, IRPass, PassStats
 OPTIMIZER_NAMES = ("dao", "mof", "dep", "cc", "po", "slm", "cpdce")
 ALL_OPTIMIZERS = frozenset(OPTIMIZER_NAMES)
 
+#: the post-pass tiers, in the order the pipeline applies them after the
+#: Merlin passes: the superoptimizer shrinks the program, then layout
+#: orders what is left for the branch predictor
+TIERS = ("superopt", "layout")
+
+
+def tier_spec(tier: str, value):
+    """Normalize a tier argument (``superopt=``, or ``pgo=`` for
+    layout): ``None``/``False`` -> off (None), ``True`` -> the tier's
+    default spec, a mapping -> parsed spec; a spec passes through."""
+    if value is None or value is False:
+        return None
+    # lazy: the tier modules import back into repro.core
+    if tier == "superopt":
+        from .superopt import SuperoptSpec as spec_type
+    elif tier == "layout":
+        from .bytecode_passes.layout import PgoSpec as spec_type
+    else:
+        raise ValueError(f"unknown tier {tier!r} (choose from "
+                         f"{', '.join(TIERS)})")
+    if value is True:
+        return spec_type()
+    if isinstance(value, dict):
+        return spec_type.from_dict(value)
+    return value
+
+
+def run_tier(tier: str, program: BpfProgram, spec=None, *, tests=None,
+             memo=None, recorder=None) -> PassStats:
+    """Run post-pass *tier* (one of :data:`TIERS`) over *program* in
+    place and return its stats; *spec* None means the tier's defaults.
+
+    ``superopt`` searches every straightline window through the rewrite
+    memo *memo* (any ``get_object``/``put_object`` store) and reports
+    its counters in ``details``.  ``layout`` first profiles *program* on
+    *tests* when given, else on the spec's generated battery; its time
+    includes the profiling, and ``details`` carries ``profiled_runs``
+    and ``profiled_faults``.  With a *recorder*, every rewrite deposits
+    a witness for translation validation.
+    """
+    if tier == "superopt":
+        from .superopt import SuperoptimizerPass
+
+        superopt = SuperoptimizerPass(spec, memo=memo)
+        superopt.recorder = recorder
+        stats = superopt.run_timed(program)
+        stats.details.update(superopt.counters)
+        return stats
+    if tier == "layout":
+        from .bytecode_passes.layout import (ProfileGuidedLayoutPass,
+                                             collect_profile)
+
+        start = time.perf_counter()
+        profile = collect_profile(program, spec=spec, tests=tests)
+        layout = ProfileGuidedLayoutPass(profile)
+        layout.recorder = recorder
+        stats = layout.run_timed(program)
+        stats.time_seconds = time.perf_counter() - start  # include profiling
+        stats.details["profiled_runs"] = profile.entries
+        stats.details["profiled_faults"] = profile.faults
+        return stats
+    raise ValueError(f"unknown tier {tier!r} (choose from "
+                     f"{', '.join(TIERS)})")
+
 
 @dataclass
 class MerlinReport:
@@ -202,8 +266,8 @@ class MerlinPipeline:
         re-certifying — with ``validate=True`` a cached refuted
         certificate still raises, exactly like a fresh one.
         """
-        pgo = self._pgo_spec(pgo)
-        superopt = self._superopt_spec(superopt)
+        pgo = tier_spec("layout", pgo)
+        superopt = tier_spec("superopt", superopt)
         key = None
         if cache is not None:
             key = cache.key_for_function(
@@ -249,11 +313,8 @@ class MerlinPipeline:
             # range that costs a copy more than the native build; Merlin
             # never ships a program larger than the one it started from
             program = baseline.copy()
-        if superopt is not None:
-            stats.append(self._apply_superopt(program, superopt, memo=cache,
-                                              recorder=recorder))
-        if pgo is not None:
-            stats.append(self._apply_layout(program, pgo, recorder=recorder))
+        stats += self._apply_tiers(program, superopt, pgo, memo=cache,
+                                   recorder=recorder)
         elapsed = time.perf_counter() - start
 
         report = MerlinReport(
@@ -278,65 +339,25 @@ class MerlinPipeline:
             cache.put(key, program, report)
         return program, report
 
-    @staticmethod
-    def _pgo_spec(pgo):
-        """Normalize the ``pgo`` argument: ``None``/``False`` -> off,
-        ``True`` -> default spec, mapping -> parsed spec."""
-        if pgo is None or pgo is False:
-            return None
-        from .bytecode_passes.layout import PgoSpec
-
-        if pgo is True:
-            return PgoSpec()
-        if isinstance(pgo, dict):
-            return PgoSpec.from_dict(pgo)
-        return pgo
-
-    @staticmethod
-    def _superopt_spec(superopt):
-        """Normalize the ``superopt`` argument: ``None``/``False`` ->
-        off, ``True`` -> default spec, mapping -> parsed spec."""
-        if superopt is None or superopt is False:
-            return None
-        from .superopt import SuperoptSpec
-
-        if superopt is True:
-            return SuperoptSpec()
-        if isinstance(superopt, dict):
-            return SuperoptSpec.from_dict(superopt)
-        return superopt
-
-    def _apply_superopt(self, program: BpfProgram, spec, memo=None,
-                        recorder=None) -> PassStats:
-        """Run the superoptimizer tier over the Merlin-optimized
-        bytecode.  *memo* is the shared rewrite-memo store (normally
+    def _apply_tiers(self, program: BpfProgram, superopt, pgo, memo=None,
+                     recorder=None) -> List[PassStats]:
+        """Run the requested post-pass tiers over *program* in place, in
+        :data:`TIERS` order (normalized specs; None skips a tier).
+        *memo* is the superoptimizer's shared rewrite memo (normally
         the compilation cache itself)."""
-        from .superopt import SuperoptimizerPass
-
-        superopt = SuperoptimizerPass(spec, memo=memo)
-        if recorder is not None:
-            superopt.recorder = recorder
-        stats = superopt.run_timed(program)
-        stats.details.update(superopt.counters)
+        stats = []
+        if superopt is not None:
+            stats.append(run_tier("superopt", program, superopt, memo=memo,
+                                  recorder=recorder))
+        if pgo is not None:
+            stats.append(self._apply_layout(program, pgo, recorder=recorder))
         return stats
 
     def _apply_layout(self, program: BpfProgram, spec,
                       recorder=None) -> PassStats:
-        """Run the profile-guided layout tier: collect a branch profile
-        on the generated workload, then reorder/straighten in place."""
-        from .bytecode_passes.layout import (ProfileGuidedLayoutPass,
-                                             collect_profile)
-
-        start = time.perf_counter()
-        profile = collect_profile(program, spec=spec)
-        layout = ProfileGuidedLayoutPass(profile)
-        if recorder is not None:
-            layout.recorder = recorder
-        stats = layout.run_timed(program)
-        stats.time_seconds = time.perf_counter() - start  # include profiling
-        stats.details["profiled_runs"] = profile.entries
-        stats.details["profiled_faults"] = profile.faults
-        return stats
+        """The layout tier; a method of its own so perfbench's tracer
+        can time it by name."""
+        return run_tier("layout", program, spec, recorder=recorder)
 
     def _certify(self, recorder, module=None, prog_type=None,
                  mcpu: str = "v2", ctx_size: int = 64):
@@ -369,8 +390,8 @@ class MerlinPipeline:
         ``validate``, ``pgo`` and ``superopt`` work as in
         :meth:`compile` (bytecode-tier witnesses only); *cache* is only
         used as the superopt rewrite-memo store here."""
-        pgo = self._pgo_spec(pgo)
-        superopt = self._superopt_spec(superopt)
+        pgo = tier_spec("layout", pgo)
+        superopt = tier_spec("superopt", superopt)
         recorder = None
         if validate:
             from ..tv import WitnessRecorder
@@ -380,13 +401,8 @@ class MerlinPipeline:
         optimized = program.copy()
         ni_before = program.ni
         stats = self.optimize_bytecode(optimized, recorder=recorder)
-        if superopt is not None:
-            stats.append(self._apply_superopt(optimized, superopt,
-                                              memo=cache,
-                                              recorder=recorder))
-        if pgo is not None:
-            stats.append(self._apply_layout(optimized, pgo,
-                                            recorder=recorder))
+        stats += self._apply_tiers(optimized, superopt, pgo, memo=cache,
+                                   recorder=recorder)
         report = MerlinReport(
             name=program.name,
             ni_original=ni_before,

@@ -16,13 +16,6 @@ from .compile_cost import (
     measure_cache_speedup,
     measure_compile_cost,
 )
-from .layoutperf import (
-    LayoutBenchReport,
-    LayoutSuitePerf,
-    VariantCounters,
-    bench_layout,
-    bench_layout_suite,
-)
 from .network import (
     BASE_LATENCY_US,
     CORE_FREQ_HZ,
@@ -43,17 +36,18 @@ from .overhead import (
     run_postmark,
 )
 from .report import pct, render_series, render_table
-from .superoptperf import (
-    ProgramCompactness,
-    SuperoptBenchReport,
-    SuperoptSuitePerf,
-    bench_superopt,
-    bench_superopt_suite,
-)
 from .serviceperf import (
     PhaseResult,
     ServiceBenchReport,
     bench_service,
+)
+from .tierperf import (
+    ProgramRow,
+    TierBenchReport,
+    TierSuitePerf,
+    VariantCounters,
+    bench_tier,
+    bench_tier_suite,
 )
 from .verifier_stats import (
     VerifierComparison,
@@ -74,11 +68,6 @@ __all__ = [
     "measure_batch_cost",
     "measure_cache_speedup",
     "measure_compile_cost",
-    "LayoutBenchReport",
-    "LayoutSuitePerf",
-    "VariantCounters",
-    "bench_layout",
-    "bench_layout_suite",
     "BASE_LATENCY_US",
     "CORE_FREQ_HZ",
     "DRIVER_CYCLES",
@@ -100,11 +89,12 @@ __all__ = [
     "PhaseResult",
     "ServiceBenchReport",
     "bench_service",
-    "ProgramCompactness",
-    "SuperoptBenchReport",
-    "SuperoptSuitePerf",
-    "bench_superopt",
-    "bench_superopt_suite",
+    "ProgramRow",
+    "TierBenchReport",
+    "TierSuitePerf",
+    "VariantCounters",
+    "bench_tier",
+    "bench_tier_suite",
     "VerifierComparison",
     "compare_verifier_cost",
     "state_change_across_kernels",

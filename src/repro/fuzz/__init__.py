@@ -17,13 +17,12 @@ from .bisect import BisectResult, bisect_divergence
 from .corpus import reproducer_name, write_reproducer
 from .differential import (
     PASS_CONFIGS,
-    SUPEROPT_CONFIG,
+    TIER_AXES,
     BaselineRecord,
     Divergence,
     build_program,
     check_config,
-    check_layout,
-    check_superopt,
+    check_tier,
     diff_case,
     observe_baseline,
     pass_sequence,
@@ -72,14 +71,13 @@ __all__ = [
     "LAYERS",
     "Observation",
     "PASS_CONFIGS",
-    "SUPEROPT_CONFIG",
+    "TIER_AXES",
     "TestCase",
     "bisect_divergence",
     "build_program",
     "check_config",
-    "check_layout",
     "check_roundtrip",
-    "check_superopt",
+    "check_tier",
     "count_statements",
     "ddmin",
     "diff_case",

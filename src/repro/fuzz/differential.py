@@ -6,7 +6,8 @@ time, since IR passes mutate their input — and compares observable
 behaviour with the shared oracle.  A disagreement in return value, map
 contents, memory effects, fault behaviour, or verifier verdict is a
 :class:`Divergence`; a pass that crashes while the baseline compiles is
-one too.
+one too.  After the configurations, each post-pass tier and the
+per-pass certificates are checked the same way (:func:`check_axes`).
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.pipeline import ALL_OPTIMIZERS, MerlinPipeline
+from ..core.pipeline import (ALL_OPTIMIZERS, MerlinPipeline, MerlinReport,
+                             run_tier)
 from ..frontend import compile_source
 from ..codegen import compile_function
-from ..ir import parse_function
+from ..ir import Function, Module, parse_function
 from ..isa import BpfProgram, assemble
 from ..verifier import DEFAULT_KERNEL, KernelConfig, verify
 from .generator import GeneratedProgram
@@ -96,19 +98,12 @@ def build_program(case: GeneratedProgram,
         sequence = [sequence[i] for i in keep]
 
     if case.layer == "bytecode":
-        program = BpfProgram(case.name, assemble(case.text),
-                             prog_type=case.prog_type, ctx_size=case.ctx_size,
-                             mcpu=case.mcpu)
+        program = _assemble_case(case)
         for _, bc_pass in sequence:
             bc_pass.run(program)
         return program
 
-    if case.layer == "source":
-        module = compile_source(case.text)
-        func = module.get(case.name)
-    else:  # "ir"
-        module = None
-        func = parse_function(case.text)
+    func, module = _parse_case(case)
     for tier, ir_pass in sequence:
         if tier == "ir":
             ir_pass.run(func, module)
@@ -118,6 +113,21 @@ def build_program(case: GeneratedProgram,
         if tier == "bytecode":
             bc_pass.run(program)
     return program
+
+
+def _assemble_case(case: GeneratedProgram) -> BpfProgram:
+    """A bytecode-layer case as a program."""
+    return BpfProgram(case.name, assemble(case.text),
+                      prog_type=case.prog_type, ctx_size=case.ctx_size,
+                      mcpu=case.mcpu)
+
+
+def _parse_case(case: GeneratedProgram) -> Tuple[Function, Optional[Module]]:
+    """A source- or IR-layer case as a fresh (function, module)."""
+    if case.layer == "source":
+        module = compile_source(case.text)
+        return module.get(case.name), module
+    return parse_function(case.text), None  # "ir"
 
 
 @dataclass
@@ -144,6 +154,27 @@ def observe_baseline(case: GeneratedProgram,
                           oracle_seed)
 
 
+def _behaviour_divergence(case: GeneratedProgram, config: Tuple[str, ...],
+                          before: Sequence[Observation],
+                          after: Sequence[Observation],
+                          off: str, on: str) -> Optional[Divergence]:
+    """The first run on which *after* behaves unlike *before*, as a
+    divergence whose detail names the two sides *off* and *on*."""
+    hit = first_divergence(before, after)
+    if hit is None:
+        return None
+    index, kind = hit
+    base, opt = before[index], after[index]
+    if kind == "fault":
+        detail = f"{off} fault={base.fault} {on} fault={opt.fault}"
+    elif kind == "return":
+        detail = (f"{off} r0={base.return_value:#x} "
+                  f"{on} r0={opt.return_value:#x}")
+    else:
+        detail = "map/memory/output state differs"
+    return Divergence(case, config, kind, index, detail)
+
+
 def check_config(case: GeneratedProgram, enabled: FrozenSet[str],
                  baseline: BaselineRecord,
                  kernel: KernelConfig = DEFAULT_KERNEL,
@@ -158,18 +189,10 @@ def check_config(case: GeneratedProgram, enabled: FrozenSet[str],
                           detail=f"{type(exc).__name__}: {exc}")
     observations = observe_battery(optimized, baseline.tests,
                                    seed=baseline.oracle_seed)
-    hit = first_divergence(baseline.observations, observations)
-    if hit is not None:
-        index, kind = hit
-        base, opt = baseline.observations[index], observations[index]
-        if kind == "fault":
-            detail = f"baseline fault={base.fault} optimized fault={opt.fault}"
-        elif kind == "return":
-            detail = (f"baseline r0={base.return_value:#x} "
-                      f"optimized r0={opt.return_value:#x}")
-        else:
-            detail = "map/memory/output state differs"
-        return Divergence(case, config, kind, index, detail)
+    divergence = _behaviour_divergence(case, config, baseline.observations,
+                                       observations, "baseline", "optimized")
+    if divergence is not None:
+        return divergence
     if baseline.verifier_ok:
         result = verify(optimized, kernel)
         if not result.ok:
@@ -178,116 +201,73 @@ def check_config(case: GeneratedProgram, enabled: FrozenSet[str],
     return None
 
 
-#: pseudo-config name the layout axis reports divergences under
-LAYOUT_CONFIG = ("layout",)
+#: the post-pass tiers (:data:`repro.core.pipeline.TIERS`) as fuzz axes,
+#: in check order: layout first, so a case that breaks both tiers is
+#: reported as a layout finding.  Each reports under the pseudo-config
+#: ``(tier,)``.
+TIER_AXES = ("layout", "superopt")
 
 
-def check_layout(case: GeneratedProgram, baseline: BaselineRecord,
-                 kernel: KernelConfig = DEFAULT_KERNEL,
-                 ) -> Optional[Divergence]:
-    """Layout-on vs layout-off axis: profile the baseline program on
-    its own oracle battery, re-lay it out, and require identical return
-    value, fault behaviour, and map/memory state on the reference
-    interpreter (counters legitimately change — layout exists to change
-    them).  On top of the behavioral check, every rewrite the pass
-    performed must carry a witness the TV layer certifies; an
-    uncertified layout is a divergence even when behaviour agrees."""
-    from ..core.bytecode_passes.layout import (ProfileGuidedLayoutPass,
-                                               collect_profile)
+def check_tier(case: GeneratedProgram, baseline: BaselineRecord,
+               tier: str) -> Optional[Divergence]:
+    """Tier-on vs tier-off axis: run post-pass *tier* over the baseline
+    program (layout profiles it on its own oracle battery) and require
+    identical return value, fault behaviour, and map/memory state on
+    the reference interpreter (counters legitimately change — layout
+    exists to change them).  On top of the behavioral check, every
+    rewrite the tier performed must carry a witness the TV layer
+    certifies; an uncertified rewrite is a divergence even when
+    behaviour agrees."""
     from ..tv import WitnessRecorder
     from ..tv.regioncheck import validate_bytecode_witness
 
+    config = (tier,)
     program = baseline.program.copy()
+    recorder = WitnessRecorder()
     try:
-        profile = collect_profile(program, tests=baseline.tests)
-        layout = ProfileGuidedLayoutPass(profile)
-        recorder = WitnessRecorder()
-        layout.recorder = recorder
-        layout.run(program)
+        run_tier(tier, program, tests=baseline.tests, recorder=recorder)
     except Exception as exc:
-        return Divergence(case, LAYOUT_CONFIG, "build",
+        return Divergence(case, config, "build",
                           detail=f"{type(exc).__name__}: {exc}")
-    reference = observe_battery(baseline.program, baseline.tests,
-                                seed=baseline.oracle_seed)
-    relaid = observe_battery(program, baseline.tests,
-                             seed=baseline.oracle_seed)
-    hit = first_divergence(reference, relaid)
-    if hit is not None:
-        index, kind = hit
-        base, opt = reference[index], relaid[index]
-        if kind == "fault":
-            detail = (f"layout-off fault={base.fault} "
-                      f"layout-on fault={opt.fault}")
-        elif kind == "return":
-            detail = (f"layout-off r0={base.return_value:#x} "
-                      f"layout-on r0={opt.return_value:#x}")
-        else:
-            detail = "map/memory/output state differs"
-        return Divergence(case, LAYOUT_CONFIG, kind, index, detail)
+    divergence = _behaviour_divergence(
+        case, config, baseline.observations,
+        observe_battery(program, baseline.tests, seed=baseline.oracle_seed),
+        f"{tier}-off", f"{tier}-on")
+    if divergence is not None:
+        return divergence
     for witness in recorder.witnesses:
         cert = validate_bytecode_witness(witness)
         if not cert.certified:
             return Divergence(
-                case, LAYOUT_CONFIG, "certificate",
-                detail=f"layout witness not certified: {cert.detail}")
-    return None
-
-
-#: pseudo-config name the superopt-on/off axis reports under
-SUPEROPT_CONFIG = ("superopt",)
-
-
-def check_superopt(case: GeneratedProgram, baseline: BaselineRecord,
-                   kernel: KernelConfig = DEFAULT_KERNEL,
-                   ) -> Optional[Divergence]:
-    """Superopt-on vs superopt-off axis: run the windowed
-    superoptimizer over the baseline program and require identical
-    return value, fault behaviour, and map/memory state on the
-    reference interpreter.  Every rewrite the pass applied must carry a
-    witness
-    the TV layer certifies; an uncertified rewrite is a divergence
-    even when behaviour agrees."""
-    from ..core.superopt import SuperoptimizerPass, SuperoptSpec
-    from ..tv import WitnessRecorder
-    from ..tv.regioncheck import validate_bytecode_witness
-
-    program = baseline.program.copy()
-    try:
-        superopt = SuperoptimizerPass(SuperoptSpec())
-        recorder = WitnessRecorder()
-        superopt.recorder = recorder
-        superopt.run(program)
-    except Exception as exc:
-        return Divergence(case, SUPEROPT_CONFIG, "build",
-                          detail=f"{type(exc).__name__}: {exc}")
-    reference = observe_battery(baseline.program, baseline.tests,
-                                seed=baseline.oracle_seed)
-    rewritten = observe_battery(program, baseline.tests,
-                                seed=baseline.oracle_seed)
-    hit = first_divergence(reference, rewritten)
-    if hit is not None:
-        index, kind = hit
-        base, opt = reference[index], rewritten[index]
-        if kind == "fault":
-            detail = (f"superopt-off fault={base.fault} "
-                      f"superopt-on fault={opt.fault}")
-        elif kind == "return":
-            detail = (f"superopt-off r0={base.return_value:#x} "
-                      f"superopt-on r0={opt.return_value:#x}")
-        else:
-            detail = "map/memory/output state differs"
-        return Divergence(case, SUPEROPT_CONFIG, kind, index, detail)
-    for witness in recorder.witnesses:
-        cert = validate_bytecode_witness(witness)
-        if not cert.certified:
-            return Divergence(
-                case, SUPEROPT_CONFIG, "certificate",
-                detail=f"superopt witness not certified: {cert.detail}")
+                case, config, "certificate",
+                detail=f"{tier} witness not certified: {cert.detail}")
     return None
 
 
 #: pseudo-config name the translation-validation axis reports under
 CERT_CONFIG = ("certificates",)
+
+#: the axes that name the guilty pass themselves: their divergences
+#: skip bisection and minimization
+PSEUDO_CONFIGS = tuple((tier,) for tier in TIER_AXES) + (CERT_CONFIG,)
+
+
+def certify_case(case: GeneratedProgram,
+                 kernel: KernelConfig = DEFAULT_KERNEL) -> MerlinReport:
+    """Build *case* through the full pipeline in ``validate="report"``
+    mode and return the report, with one certificate per pass
+    application (bytecode cases run the bytecode tier only).  A case
+    that does not build raises."""
+    pipeline = MerlinPipeline(kernel=kernel)
+    if case.layer == "bytecode":
+        _, report = pipeline.optimize_program(_assemble_case(case),
+                                              validate="report")
+        return report
+    func, module = _parse_case(case)
+    _, report = pipeline.compile(func, module, prog_type=case.prog_type,
+                                 mcpu=case.mcpu, ctx_size=case.ctx_size,
+                                 validate="report")
+    return report
 
 
 def check_certificates(case: GeneratedProgram,
@@ -299,25 +279,8 @@ def check_certificates(case: GeneratedProgram,
     divergence — finer-grained than the end-to-end config checks, and it
     names the faulting pass and program point directly (no bisection
     needed)."""
-    pipeline = MerlinPipeline(kernel=kernel)
     try:
-        if case.layer == "bytecode":
-            program = BpfProgram(case.name, assemble(case.text),
-                                 prog_type=case.prog_type,
-                                 ctx_size=case.ctx_size, mcpu=case.mcpu)
-            _, report = pipeline.optimize_program(program, validate="report")
-        else:
-            if case.layer == "source":
-                module = compile_source(case.text)
-                func = module.get(case.name)
-            else:  # "ir"
-                module = None
-                func = parse_function(case.text)
-            _, report = pipeline.compile(func, module,
-                                         prog_type=case.prog_type,
-                                         mcpu=case.mcpu,
-                                         ctx_size=case.ctx_size,
-                                         validate="report")
+        report = certify_case(case, kernel)
     except Exception as exc:
         return Divergence(case, CERT_CONFIG, "build",
                           detail=f"{type(exc).__name__}: {exc}")
@@ -332,35 +295,37 @@ def check_certificates(case: GeneratedProgram,
     return None
 
 
+def check_axes(case: GeneratedProgram, baseline: BaselineRecord,
+               configs: Sequence[FrozenSet[str]] = PASS_CONFIGS,
+               kernel: KernelConfig = DEFAULT_KERNEL,
+               tiers: Sequence[str] = TIER_AXES,
+               certify: bool = True) -> Optional[Divergence]:
+    """Check *case* axis by axis — every pass config, then each tier of
+    *tiers*, then (with *certify*) the per-pass certificates — and
+    return the first divergence.  Behavioral configs go first: their
+    divergences are bisectable and minimizable, a tier or certificate
+    hit is not."""
+    for enabled in configs:
+        divergence = check_config(case, enabled, baseline, kernel)
+        if divergence is not None:
+            return divergence
+    for tier in tiers:
+        divergence = check_tier(case, baseline, tier)
+        if divergence is not None:
+            return divergence
+    return check_certificates(case, kernel) if certify else None
+
+
 def diff_case(case: GeneratedProgram,
               configs: Sequence[FrozenSet[str]] = PASS_CONFIGS,
               kernel: KernelConfig = DEFAULT_KERNEL,
               tests_per_program: int = 4,
               oracle_seed: int = 7,
               certify: bool = True,
-              layout: bool = True,
-              superopt: bool = True) -> Optional[Divergence]:
-    """Run *case* under every config; first divergence wins."""
+              tiers: Sequence[str] = TIER_AXES) -> Optional[Divergence]:
+    """Run *case* under every axis; first divergence wins."""
     baseline = observe_baseline(case, kernel, tests_per_program, oracle_seed)
-    for enabled in configs:
-        divergence = check_config(case, enabled, baseline, kernel)
-        if divergence is not None:
-            return divergence
-    if layout:
-        divergence = check_layout(case, baseline, kernel)
-        if divergence is not None:
-            return divergence
-    if superopt:
-        divergence = check_superopt(case, baseline, kernel)
-        if divergence is not None:
-            return divergence
-    if certify:
-        # behavioral configs take precedence: their divergences are
-        # bisectable and minimizable, a certificate hit is not
-        divergence = check_certificates(case, kernel)
-        if divergence is not None:
-            return divergence
-    return None
+    return check_axes(case, baseline, configs, kernel, tiers, certify)
 
 
 def replay(layer: str, text: str, entry: str = "f",

@@ -23,11 +23,9 @@ from .bisect import BisectResult, bisect_divergence
 from .corpus import write_reproducer
 from .differential import (
     PASS_CONFIGS,
-    Divergence,
-    check_certificates,
-    check_config,
-    check_layout,
-    check_superopt,
+    PSEUDO_CONFIGS,
+    TIER_AXES,
+    check_axes,
     observe_baseline,
 )
 from .generator import LAYERS, GeneratedProgram, generate
@@ -110,8 +108,7 @@ def check_roundtrip(program) -> bool:
 def _check_index(index: int, seed: int, layers: Sequence[str],
                  configs: Sequence[FrozenSet[str]], kernel: KernelConfig,
                  tests_per_program: int, minimize: bool,
-                 certify: bool = True, layout: bool = True,
-                 superopt: bool = True
+                 certify: bool = True, tiers: Sequence[str] = TIER_AXES,
                  ) -> Tuple[str, Optional[FuzzFinding]]:
     """Generate and triage one campaign index.
 
@@ -136,41 +133,14 @@ def _check_index(index: int, seed: int, layers: Sequence[str],
     if not check_roundtrip(baseline.program):
         status = "roundtrip"
 
-    divergence: Optional[Divergence] = None
-    for enabled in configs:
-        divergence = check_config(case, enabled, baseline, kernel)
-        if divergence is not None:
-            break
+    divergence = check_axes(case, baseline, configs, kernel, tiers, certify)
     if divergence is None:
-        if layout:
-            # layout-on vs layout-off axis: profile-guided re-layout
-            # must preserve behaviour on the reference interpreter and
-            # certify every rewrite.  A hit names the layout pass directly, so
-            # it skips pass bisection like the other pseudo-configs.
-            layout_divergence = check_layout(case, baseline, kernel)
-            if layout_divergence is not None:
-                return status, FuzzFinding(layout_divergence)
-        if superopt:
-            # superopt-on vs superopt-off axis: windowed
-            # superoptimization must preserve behaviour on the
-            # reference interpreter and certify every rewrite.  A hit names the
-            # superopt pass directly, so it skips pass bisection.
-            superopt_divergence = check_superopt(case, baseline, kernel)
-            if superopt_divergence is not None:
-                return status, FuzzFinding(superopt_divergence)
-        if certify:
-            # translation-validation axis: every pass application of
-            # the full pipeline must earn an equivalence certificate.
-            # Runs after the behavioral configs so a bug that shows up
-            # end-to-end keeps its bisected, minimized reproducer; a
-            # certificate hit already names the guilty pass and program
-            # point, so that finding skips bisection.
-            cert_divergence = check_certificates(case, kernel)
-            if cert_divergence is not None:
-                return status, FuzzFinding(cert_divergence)
         return status, None
-
     finding = FuzzFinding(divergence)
+    if divergence.enabled in PSEUDO_CONFIGS:
+        # a tier or certificate hit already names the guilty pass (and,
+        # for a certificate, the program point): nothing to bisect
+        return status, finding
     try:
         finding.bisect = bisect_divergence(divergence, kernel,
                                            baseline=baseline,
@@ -189,12 +159,12 @@ def _check_index(index: int, seed: int, layers: Sequence[str],
 def _campaign_slice(payload: tuple) -> List[Tuple[int, str, Optional[FuzzFinding]]]:
     """Worker entry point: triage a strided slice of campaign indices."""
     (seed, start, budget, stride, layers, configs, kernel,
-     tests_per_program, minimize, certify, layout, superopt) = payload
+     tests_per_program, minimize, certify, tiers) = payload
     out = []
     for index in range(start, budget, stride):
         status, finding = _check_index(index, seed, layers, configs, kernel,
                                        tests_per_program, minimize,
-                                       certify, layout, superopt)
+                                       certify, tiers)
         out.append((index, status, finding))
     return out
 
@@ -208,8 +178,7 @@ def run_campaign(seed: int = 0, budget: int = 200,
                  minimize: bool = True,
                  jobs: int = 1,
                  certify: bool = True,
-                 layout: bool = True,
-                 superopt: bool = True,
+                 tiers: Sequence[str] = TIER_AXES,
                  progress=None) -> FuzzReport:
     """Run one differential-fuzzing campaign of *budget* programs.
 
@@ -225,14 +194,10 @@ def run_campaign(seed: int = 0, budget: int = 200,
     validation mode over every program and requires an equivalence
     certificate for each individual pass application.
 
-    ``layout`` additionally re-lays every baseline program out under a
-    profile collected on its own oracle battery and requires identical
-    behaviour (return/state/fault — counters excluded by design), plus
-    a certified witness for every layout rewrite.
-
-    ``superopt`` additionally runs the windowed superoptimizer over
-    every baseline program and requires identical behaviour, plus a
-    certified witness for every applied rewrite.
+    ``tiers`` names the post-pass tiers run over every baseline program
+    (``layout`` under a profile collected on the program's own oracle
+    battery); each must keep behaviour identical (return/state/fault —
+    counters excluded by design) and certify every rewrite's witness.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -243,7 +208,7 @@ def run_campaign(seed: int = 0, budget: int = 200,
         triaged = (
             (index, *_check_index(index, seed, layers, configs, kernel,
                                   tests_per_program, minimize,
-                                  certify, layout, superopt))
+                                  certify, tiers))
             for index in range(budget)
         )
         for index, status, finding in triaged:
@@ -252,8 +217,7 @@ def run_campaign(seed: int = 0, budget: int = 200,
     else:
         payloads = [
             (seed, start, budget, jobs, tuple(layers), tuple(configs),
-             kernel, tests_per_program, minimize, certify, layout,
-             superopt)
+             kernel, tests_per_program, minimize, certify, tuple(tiers))
             for start in range(min(jobs, max(budget, 1)))
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

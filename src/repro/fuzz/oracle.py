@@ -1,7 +1,7 @@
 """Shared differential-execution oracle.
 
 Grown out of the K2 baseline's test-based equivalence check
-(:mod:`repro.baselines.equivalence` now delegates here): run two
+(:mod:`repro.baselines.k2` imports it from here): run two
 programs over a battery of inputs and compare every observable output —
 return value, map contents, bytes pushed to user space, packet
 rewrites, redirects, and runtime faults.

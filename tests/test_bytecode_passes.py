@@ -559,7 +559,7 @@ class TestPassSafetyOnWorkloads:
         PeepholePass,
     ])
     def test_pass_preserves_workload_semantics(self, pass_factory):
-        from repro.baselines.equivalence import equivalent, generate_tests
+        from repro.fuzz.oracle import equivalent, generate_tests
         from repro.workloads.xdp import ALL_XDP, compile_workload
 
         for workload in ALL_XDP[:8]:

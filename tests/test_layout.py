@@ -377,14 +377,14 @@ class TestPipelineIntegration:
 
 # ======================================== layout-on vs layout-off (S4)
 def _layout_property(count, seed_base):
-    from repro.fuzz import check_layout, generate, observe_baseline
+    from repro.fuzz import check_tier, generate, observe_baseline
     from repro.fuzz.generator import LAYERS
 
     for index in range(count):
         layer = LAYERS[index % len(LAYERS)]
         case = generate(layer, seed_base + index)
         baseline = observe_baseline(case)
-        divergence = check_layout(case, baseline)
+        divergence = check_tier(case, baseline, "layout")
         assert divergence is None, (
             f"layout changed behaviour for {layer} seed "
             f"{seed_base + index}: {divergence.detail}")
@@ -398,11 +398,11 @@ class TestLayoutProperty:
     def test_layout_preserves_behavior_200(self):
         """ISSUE 7 S4: 200 fuzz-generated programs, layout-on vs
         layout-off bit-identical on the reference interpreter, every
-        rewrite certified (check_layout enforces both)."""
+        rewrite certified (check_tier enforces both)."""
         _layout_property(200, seed_base=91_000)
 
 
-# ============================================ tier harness (bench-layout)
+# ============================================== tier harness (bench-tier)
 def _map_writer(value):
     """Stores *value* under key 0 of a hash map and returns 0."""
     return BpfProgram("w", assemble(f"""
@@ -424,7 +424,7 @@ class TestTierHarness:
     def test_map_writes_change_the_trace(self):
         """Equal return values are not enough: a run that writes a
         different map value is a different behaviour."""
-        from repro.eval.layoutperf import VariantCounters, _measure, _mismatch
+        from repro.eval.tierperf import VariantCounters, _measure, _mismatch
         from repro.fuzz.oracle import TestCase
 
         tests = [TestCase(ctx=bytes(64), packet=None)]

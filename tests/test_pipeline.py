@@ -124,7 +124,7 @@ u64 f(u8* ctx) {
 class TestSemanticPreservation:
     @pytest.mark.parametrize("workload", ALL_XDP, ids=lambda w: w.name)
     def test_workload_equivalence(self, workload):
-        from repro.baselines.equivalence import equivalent, generate_tests
+        from repro.fuzz.oracle import equivalent, generate_tests
 
         baseline = compile_workload(workload)
         optimized = compile_workload(workload, optimize=True)

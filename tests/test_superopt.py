@@ -9,6 +9,7 @@ every rewrite must re-certify at the apply site, so even a poisoned
 memo entry can only waste a lookup, never change behaviour.
 """
 
+import functools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache import CompilationCache
 from repro.cache.keys import key_for_window
 from repro.core import MerlinPipeline
+from repro.core.pipeline import tier_spec
 from repro.core.superopt import (
     MEMO_SCHEMA,
     RewriteMemoEntry,
@@ -69,7 +71,7 @@ class TestSpec:
         assert "window" not in spec.search_fingerprint()
 
     def test_pipeline_normalization(self):
-        norm = MerlinPipeline._superopt_spec
+        norm = functools.partial(tier_spec, "superopt")
         assert norm(None) is None
         assert norm(False) is None
         assert norm(True) == SuperoptSpec()
