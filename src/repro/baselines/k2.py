@@ -23,8 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..core.bytecode_passes.symbolic import SymbolicProgram
-from ..isa import BpfProgram, Instruction, ProgramType
+from ..isa import BpfProgram, ProgramType
 from ..isa.helpers import HELPER_NAMES
 from ..verifier import DEFAULT_KERNEL, KernelConfig, verify
 from . import search
@@ -153,35 +152,11 @@ class K2Optimizer:
 
     # ------------------------------------------------------------- proposals
     # The move implementations live in repro.baselines.search so the
-    # superoptimizer tier can reuse them; these wrappers keep the K2
+    # superoptimizer tier can reuse them; this wrapper keeps the K2
     # API (and its pinned RNG behaviour) stable.
     def _mutate(self, program: BpfProgram,
                 rng: random.Random) -> Optional[BpfProgram]:
         return search.mutate_program(program, rng)
-
-    @staticmethod
-    def _deletable(insn: Instruction) -> bool:
-        return search.deletable(insn)
-
-    def _delete_random(self, sym: SymbolicProgram, live: List[int],
-                       rng: random.Random) -> None:
-        search.delete_random(sym, live, rng)
-
-    def _simplify_pair(self, sym: SymbolicProgram, live: List[int],
-                       rng: random.Random) -> None:
-        search.simplify_pair(sym, live, rng)
-
-    def _merge_loads(self, sym: SymbolicProgram, live: List[int],
-                     rng: random.Random) -> None:
-        search.merge_loads(sym, live, rng)
-
-    def _tweak_operand(self, sym: SymbolicProgram, live: List[int],
-                       rng: random.Random) -> None:
-        search.tweak_operand(sym, live, rng)
-
-    def _swap_adjacent(self, sym: SymbolicProgram, live: List[int],
-                       rng: random.Random) -> None:
-        search.swap_adjacent(sym, live, rng)
 
     # ---------------------------------------------------------------- safety
     def _safe_and_equivalent(self, original: BpfProgram,

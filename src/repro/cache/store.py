@@ -35,7 +35,7 @@ import pickle
 import tempfile
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import FrozenSet, Optional, Tuple
 
 from .. import ir
@@ -88,6 +88,10 @@ class CacheStats:
     bytes): the store degrades to memory-only behavior instead of
     propagating them, and a long-running service surfaces the counters
     through its stats endpoint.
+
+    The fields are the one list of counter names: :meth:`merge`,
+    :meth:`since`, :meth:`to_dict` and the fleet's stats aggregate all
+    iterate them, in this order (the order the ``stats`` op shows).
     """
 
     hits: int = 0
@@ -110,31 +114,21 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.evictions += other.evictions
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
-        self.write_errors += other.write_errors
-        self.read_errors += other.read_errors
-        self.expired += other.expired
-        self.disk_evictions += other.disk_evictions
+        for counter in fields(self):
+            setattr(self, counter.name, getattr(self, counter.name)
+                    + getattr(other, counter.name))
+
+    def since(self, before: "CacheStats") -> "CacheStats":
+        """The counters accrued after the snapshot *before* (the
+        counters are cumulative)."""
+        return CacheStats(**{
+            counter.name: getattr(self, counter.name)
+            - getattr(before, counter.name) for counter in fields(self)})
 
     def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "write_errors": self.write_errors,
-            "read_errors": self.read_errors,
-            "expired": self.expired,
-            "disk_evictions": self.disk_evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        out = asdict(self)
+        out["hit_rate"] = round(self.hit_rate, 4)
+        return out
 
 
 class CompilationCache:

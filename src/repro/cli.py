@@ -35,13 +35,6 @@ from .vm import Machine
 from .workloads.packets import build_packet
 
 
-def _load(args) -> tuple:
-    source = open(args.source).read() if args.source != "-" else sys.stdin.read()
-    module = compile_bpf(source)
-    entry = args.entry or next(iter(module.functions))
-    return source, module, entry
-
-
 def _prog_kwargs(args) -> dict:
     return dict(
         prog_type=ProgramType(args.prog_type),
@@ -50,17 +43,23 @@ def _prog_kwargs(args) -> dict:
     )
 
 
+def _build(args, merlin: bool) -> tuple:
+    """Parse the source once and compile its entry function: through
+    Merlin for *merlin* (``--kernel``, ``--pgo`` and ``--superopt``
+    apply), else natively with a ``None`` report."""
+    source = open(args.source).read() if args.source != "-" else sys.stdin.read()
+    module = compile_bpf(source)
+    entry = args.entry or next(iter(module.functions))
+    if merlin:
+        return _optimize(module, entry, kernel=KERNELS[args.kernel],
+                         pgo=args.pgo, superopt=args.superopt,
+                         **_prog_kwargs(args))
+    return compile_baseline(module, entry, **_prog_kwargs(args)), None
+
+
 def cmd_compile(args) -> int:
-    source, module, entry = _load(args)
+    program, report = _build(args, args.merlin)
     if args.merlin:
-        program, report = _optimize(compile_bpf(source), entry,
-                                    kernel=KERNELS[args.kernel],
-                                    pgo=True if getattr(args, "pgo", False)
-                                    else None,
-                                    superopt=True
-                                    if getattr(args, "superopt", False)
-                                    else None,
-                                    **_prog_kwargs(args))
         print(f"; merlin: {report.ni_original} -> {report.ni_optimized} "
               f"insns ({report.ni_reduction:.1%} reduction)", file=sys.stderr)
         layout_rewrites = report.rewrites_of("layout")
@@ -71,20 +70,13 @@ def cmd_compile(args) -> int:
             print(f"; superopt: {superopt_rewrites} rewrite(s)",
                   file=sys.stderr)
     else:
-        program = compile_baseline(module, entry, **_prog_kwargs(args))
         print(f"; baseline: {program.ni} insns", file=sys.stderr)
     print(disassemble(program.insns))
     return 0
 
 
 def cmd_verify(args) -> int:
-    source, module, entry = _load(args)
-    if args.merlin:
-        program, _ = _optimize(compile_bpf(source), entry,
-                               kernel=KERNELS[args.kernel],
-                               **_prog_kwargs(args))
-    else:
-        program = compile_baseline(module, entry, **_prog_kwargs(args))
+    program, _ = _build(args, args.merlin)
     result = _verify(program, KERNELS[args.kernel])
     print(f"ok={result.ok} npi={result.npi} states={result.total_states} "
           f"peak={result.peak_states} "
@@ -95,12 +87,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    source, module, entry = _load(args)
-    if args.merlin:
-        program, _ = _optimize(compile_bpf(source), entry,
-                               **_prog_kwargs(args))
-    else:
-        program = compile_baseline(module, entry, **_prog_kwargs(args))
+    program, _ = _build(args, args.merlin)
     machine = Machine(program)
     if args.prog_type == "xdp":
         packet = build_packet(args.packet_size, dst_port=args.dst_port)
@@ -120,10 +107,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    source, module, entry = _load(args)
-    program, report = _optimize(compile_bpf(source), entry,
-                                kernel=KERNELS[args.kernel],
-                                **_prog_kwargs(args))
+    program, report = _build(args, merlin=True)
     print(f"{report.name}: NI {report.ni_original} -> "
           f"{report.ni_optimized} ({report.ni_reduction:.1%}) in "
           f"{report.compile_seconds:.3f}s")
@@ -284,7 +268,7 @@ def cmd_bench(args) -> int:
     import json as _json
 
     from .cache import CompilationCache
-    from .core import MerlinPipeline
+    from .core import MerlinPipeline, compile_many
     from .workloads.suites import PROFILES, generate_suite, suite_jobs
 
     suites = [s.strip() for s in args.suite.split(",")]
@@ -302,8 +286,8 @@ def cmd_bench(args) -> int:
     for suite in suites:
         programs = generate_suite(suite, seed=args.seed, scale=args.scale,
                                   count=args.count)
-        batch = pipeline.compile_many(
-            suite_jobs(programs, mcpu=args.mcpu or None),
+        batch = compile_many(
+            pipeline, suite_jobs(programs, mcpu=args.mcpu or None),
             jobs=args.jobs, cache=cache)
         row = {
             "suite": suite,

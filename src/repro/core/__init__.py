@@ -11,7 +11,7 @@ from .ir_passes.constprop import ConstantPropagationPass
 from .ir_passes.dce import DeadCodeEliminationPass
 from .ir_passes.macro_fusion import MacroOpFusionPass
 from .ir_passes.superword import SuperwordMergeIRPass
-from .batch import BatchReport, CompileJob, compile_many, default_jobs, optimize_many
+from .batch import BatchReport, CompileJob, compile_many
 from .pass_manager import BytecodePass, IRPass, PassStats
 from .pipeline import (
     ALL_OPTIMIZERS,
@@ -42,8 +42,6 @@ __all__ = [
     "BatchReport",
     "CompileJob",
     "compile_many",
-    "default_jobs",
-    "optimize_many",
     "BytecodePass",
     "IRPass",
     "PassStats",

@@ -1,17 +1,15 @@
 """Parallel batch compilation: many programs, many processes, one cache.
 
-``compile_many`` fans a list of :class:`CompileJob` source programs out
-over a ``ProcessPoolExecutor`` (``jobs=1`` stays in-process, which also
-lets a purely in-memory cache participate); each worker runs the full
-Merlin pipeline and ships its per-pass :class:`PassStats` back inside
-the job's :class:`MerlinReport`, so a batched compile is report-for-
-report identical to a sequential loop.  ``optimize_many`` is the
-bytecode-tier-only sibling for already-compiled programs.
-
-Caching across processes goes through the cache's *disk* store (the
-memory layer is per-process); worker hit/miss counters are merged into
-the parent's :class:`CacheStats` so a batch run reports one coherent
-hit rate.
+``compile_many`` runs every :class:`CompileJob` through one per-job
+function, source -> :meth:`MerlinPipeline.compile` -> ``(program,
+report, error)``.  ``jobs=1`` calls it in-process, which also lets a
+purely in-memory cache participate; otherwise a ``ProcessPoolExecutor``
+runs it, each worker on its own handle to the cache's *directory* (the
+memory layer is per-process), and the workers' counters are merged
+into the caller's :class:`CacheStats` so a batch run reports one
+coherent hit rate.  Every job's :class:`MerlinReport` carries its
+per-pass :class:`PassStats`, so a batched compile is report-for-report
+identical to a sequential loop.
 
 Long-running callers (the ``repro serve`` daemon) pass a persistent
 ``executor`` so worker processes are spawned once per service lifetime
@@ -22,15 +20,13 @@ the whole batch.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
 from ..isa import BpfProgram, ProgramType
-from ..verifier import DEFAULT_KERNEL, KernelConfig
 from .pipeline import MerlinPipeline, MerlinReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,7 +60,7 @@ class CompileJob:
 
 @dataclass
 class BatchReport:
-    """The outcome of one ``compile_many``/``optimize_many`` run.
+    """The outcome of one ``compile_many`` run.
 
     With ``on_error="capture"`` a failed job leaves ``None`` in
     ``programs``/``reports`` and the formatted cause in the matching
@@ -104,120 +100,43 @@ class BatchReport:
         return 1.0 - self.ni_optimized / self.ni_original
 
 
-def _pipeline_spec(pipeline: MerlinPipeline) -> tuple:
-    return (pipeline.kernel, tuple(sorted(pipeline.enabled)),
-            pipeline.verify_after)
+JobResult = Tuple[Optional[BpfProgram], Optional[MerlinReport], Optional[str]]
 
 
-def _job_error(exc: Exception) -> str:
-    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
+def _compile_job(pipeline: MerlinPipeline, job: CompileJob,
+                 cache: Optional["CompilationCache"],
+                 validate: Union[bool, str], on_error: str) -> JobResult:
+    """Compile one job; with ``on_error="capture"`` a failure becomes
+    ``(None, None, cause)`` instead of propagating."""
+    from ..frontend import compile_source
+
+    try:
+        module = compile_source(job.source, job.name)
+        entry = job.entry or next(iter(module.functions))
+        program, report = pipeline.compile(
+            module.get(entry), module, prog_type=job.prog_type,
+            mcpu=job.mcpu, ctx_size=job.ctx_size, cache=cache,
+            validate=validate, pgo=job.pgo, superopt=job.superopt)
+    except Exception as exc:
+        if on_error != "capture":
+            raise
+        cause = traceback.format_exception_only(type(exc), exc)
+        return None, None, "".join(cause).strip()
+    return program, report, None
 
 
-def _compile_one(spec: tuple, job: CompileJob, cache_dir: Optional[str],
-                 validate: Union[bool, str] = False,
-                 on_error: str = "raise",
-                 ) -> Tuple[Optional[BpfProgram], Optional[MerlinReport],
-                            Optional[dict], Optional[str]]:
-    """Worker entry point: compile one job, report cache counters."""
-    kernel, enabled, verify_after = spec
-    pipeline = MerlinPipeline(kernel=kernel, enabled=frozenset(enabled),
-                              verify_after=verify_after)
+def _worker(pipeline: MerlinPipeline, job: CompileJob,
+            cache_dir: Optional[str], validate: Union[bool, str],
+            on_error: str) -> Tuple[JobResult, Optional["CacheStats"]]:
+    """Pool entry point: :func:`_compile_job` on this process's own
+    handle to the shared directory, plus that handle's counters."""
     cache = None
     if cache_dir is not None:
         from ..cache import CompilationCache
 
         cache = CompilationCache(directory=cache_dir)
-    try:
-        program, report = _compile_job(pipeline, job, cache, validate)
-    except Exception as exc:
-        if on_error != "capture":
-            raise
-        stats = cache.stats.to_dict() if cache is not None else None
-        return None, None, stats, _job_error(exc)
-    stats = cache.stats.to_dict() if cache is not None else None
-    return program, report, stats, None
-
-
-def _compile_job(pipeline: MerlinPipeline, job: CompileJob,
-                 cache: Optional["CompilationCache"],
-                 validate: Union[bool, str] = False
-                 ) -> Tuple[BpfProgram, MerlinReport]:
-    from ..frontend import compile_source
-
-    module = compile_source(job.source, job.name)
-    entry = job.entry or next(iter(module.functions))
-    func = module.get(entry)
-    return pipeline.compile(
-        func, module, prog_type=job.prog_type, mcpu=job.mcpu,
-        ctx_size=job.ctx_size, cache=cache, validate=validate,
-        pgo=job.pgo, superopt=job.superopt)
-
-
-def _optimize_one(spec: tuple, program: BpfProgram
-                  ) -> Tuple[BpfProgram, MerlinReport]:
-    kernel, enabled, verify_after = spec
-    pipeline = MerlinPipeline(kernel=kernel, enabled=frozenset(enabled),
-                              verify_after=verify_after)
-    return pipeline.optimize_program(program)
-
-
-def _merge_worker_stats(cache: Optional["CompilationCache"],
-                        dicts: Sequence[Optional[dict]]
-                        ) -> Optional["CacheStats"]:
-    from ..cache import CacheStats
-
-    merged = CacheStats()
-    seen = False
-    for entry in dicts:
-        if entry is None:
-            continue
-        seen = True
-        merged.hits += entry["hits"]
-        merged.misses += entry["misses"]
-        merged.stores += entry["stores"]
-        merged.evictions += entry["evictions"]
-        merged.memory_hits += entry["memory_hits"]
-        merged.disk_hits += entry["disk_hits"]
-        merged.write_errors += entry.get("write_errors", 0)
-        merged.read_errors += entry.get("read_errors", 0)
-        merged.expired += entry.get("expired", 0)
-        merged.disk_evictions += entry.get("disk_evictions", 0)
-    if not seen:
-        return None
-    if cache is not None:
-        cache.stats.merge(merged)
-    return merged
-
-
-def _snapshot_stats(cache: Optional["CompilationCache"]):
-    if cache is None:
-        return None
-    import dataclasses
-
-    return dataclasses.replace(cache.stats)
-
-
-def _stats_delta(now: "CacheStats", before: "CacheStats") -> "CacheStats":
-    """Counters attributable to one batch run (stats are cumulative)."""
-    from ..cache import CacheStats
-
-    return CacheStats(
-        hits=now.hits - before.hits,
-        misses=now.misses - before.misses,
-        stores=now.stores - before.stores,
-        evictions=now.evictions - before.evictions,
-        memory_hits=now.memory_hits - before.memory_hits,
-        disk_hits=now.disk_hits - before.disk_hits,
-        write_errors=now.write_errors - before.write_errors,
-        read_errors=now.read_errors - before.read_errors,
-        expired=now.expired - before.expired,
-        disk_evictions=now.disk_evictions - before.disk_evictions,
-    )
-
-
-def default_jobs() -> int:
-    """A sensible worker count: the machine's cores, capped at 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
+    result = _compile_job(pipeline, job, cache, validate, on_error)
+    return result, None if cache is None else cache.stats
 
 
 def compile_many(pipeline: MerlinPipeline, batch: Sequence[CompileJob],
@@ -231,7 +150,8 @@ def compile_many(pipeline: MerlinPipeline, batch: Sequence[CompileJob],
     With ``jobs > 1`` only a *directory-backed* cache is shared between
     workers (each worker process opens its own handle on the same
     store); a memory-only cache is used as-is when ``jobs == 1`` and
-    ignored by the worker processes otherwise.
+    ignored by the worker processes otherwise.  ``cache_stats`` holds
+    the counters of this run alone.
 
     ``executor`` supplies a caller-owned process pool (reused across
     batches, never shut down here); without one, ``jobs > 1`` spins up
@@ -243,78 +163,35 @@ def compile_many(pipeline: MerlinPipeline, batch: Sequence[CompileJob],
         raise ValueError("jobs must be >= 1")
     if on_error not in ("raise", "capture"):
         raise ValueError("on_error must be 'raise' or 'capture'")
-    spec = _pipeline_spec(pipeline)
     started = time.perf_counter()
     report = BatchReport(jobs=jobs)
-
     if jobs == 1 and executor is None:
-        before = _snapshot_stats(cache)
-        report = _compile_sequential(pipeline, batch, cache,
-                                     validate=validate, on_error=on_error)
-        report.wall_seconds = time.perf_counter() - started
+        before = None if cache is None else replace(cache.stats)
+        results = [_compile_job(pipeline, job, cache, validate, on_error)
+                   for job in batch]
         if cache is not None:
-            report.cache_stats = _stats_delta(cache.stats, before)
-        return report
-
-    cache_dir = cache.directory if cache is not None else None
-    n = len(batch)
-    args = ([spec] * n, batch, [cache_dir] * n, [validate] * n,
-            [on_error] * n)
-    if executor is not None:
-        results = list(executor.map(_compile_one, *args))
+            report.cache_stats = cache.stats.since(before)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_compile_one, *args))
-    for program, rep, _, error in results:
+        cache_dir = None if cache is None else cache.directory
+        n = len(batch)
+        args = ([pipeline] * n, batch, [cache_dir] * n, [validate] * n,
+                [on_error] * n)
+        if executor is not None:
+            outcomes = list(executor.map(_worker, *args))
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(_worker, *args))
+        results = [result for result, _ in outcomes]
+        if cache_dir is not None:
+            from ..cache import CacheStats
+
+            report.cache_stats = CacheStats()
+            for _, stats in outcomes:
+                report.cache_stats.merge(stats)
+            cache.stats.merge(report.cache_stats)
+    for program, rep, error in results:
         report.programs.append(program)
         report.reports.append(rep)
         report.errors.append(error)
-    report.wall_seconds = time.perf_counter() - started
-    report.cache_stats = _merge_worker_stats(cache,
-                                             [r[2] for r in results])
-    return report
-
-
-def _compile_sequential(pipeline: MerlinPipeline,
-                        batch: Sequence[CompileJob],
-                        cache: Optional["CompilationCache"],
-                        validate: Union[bool, str] = False,
-                        on_error: str = "raise") -> BatchReport:
-    report = BatchReport(jobs=1)
-    for job in batch:
-        try:
-            program, rep = _compile_job(pipeline, job, cache, validate)
-        except Exception as exc:
-            if on_error != "capture":
-                raise
-            report.programs.append(None)
-            report.reports.append(None)
-            report.errors.append(_job_error(exc))
-            continue
-        report.programs.append(program)
-        report.reports.append(rep)
-        report.errors.append(None)
-    return report
-
-
-def optimize_many(pipeline: MerlinPipeline,
-                  programs: Sequence[BpfProgram],
-                  jobs: int = 1) -> BatchReport:
-    """Bytecode tier only, batched (for assembled/loaded programs)."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    spec = _pipeline_spec(pipeline)
-    started = time.perf_counter()
-    report = BatchReport(jobs=jobs)
-    if jobs == 1:
-        results = [_optimize_one(spec, p) for p in programs]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_optimize_one, [spec] * len(programs),
-                                    programs))
-    for program, rep in results:
-        report.programs.append(program)
-        report.reports.append(rep)
-        report.errors.append(None)
     report.wall_seconds = time.perf_counter() - started
     return report

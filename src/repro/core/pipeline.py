@@ -368,20 +368,6 @@ class MerlinPipeline:
             recorder.witnesses, module=module, prog_type=prog_type,
             mcpu=mcpu, ctx_size=ctx_size)
 
-    def compile_many(self, batch, jobs: int = 1, cache=None):
-        """Batch-compile :class:`repro.core.batch.CompileJob` sources,
-        fanning out over *jobs* worker processes (see
-        :func:`repro.core.batch.compile_many`)."""
-        from .batch import compile_many as _compile_many
-
-        return _compile_many(self, batch, jobs=jobs, cache=cache)
-
-    def optimize_many(self, programs, jobs: int = 1):
-        """Batch bytecode-tier optimization of compiled programs."""
-        from .batch import optimize_many as _optimize_many
-
-        return _optimize_many(self, programs, jobs=jobs)
-
     def optimize_program(self, program: BpfProgram, validate=False,
                          pgo=None, superopt=None,
                          cache=None) -> Tuple[BpfProgram, MerlinReport]:

@@ -7,13 +7,10 @@ from .compactness import (
     summarize,
 )
 from .compile_cost import (
-    BatchCostResult,
     CompileCost,
     K2Comparison,
     LABEL_PASSES,
     compare_with_k2,
-    measure_batch_cost,
-    measure_cache_speedup,
     measure_compile_cost,
 )
 from .network import (
@@ -60,13 +57,10 @@ __all__ = [
     "STAGE_ORDER",
     "measure_compactness",
     "summarize",
-    "BatchCostResult",
     "CompileCost",
     "K2Comparison",
     "LABEL_PASSES",
     "compare_with_k2",
-    "measure_batch_cost",
-    "measure_cache_speedup",
     "measure_compile_cost",
     "BASE_LATENCY_US",
     "CORE_FREQ_HZ",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..baselines import K2Config, K2Optimizer, K2Result
 from ..core import MerlinPipeline, MerlinReport
@@ -71,66 +71,6 @@ def measure_compile_cost(
         total_seconds=report.compile_seconds,
         per_optimizer=per_optimizer,
     )
-
-
-@dataclass
-class BatchCostResult:
-    """Wall time of one batched suite compilation (cold/warm/parallel)."""
-
-    label: str
-    programs: int
-    jobs: int
-    wall_seconds: float
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-
-def measure_batch_cost(jobs_list, label: str, jobs: int = 1, cache=None,
-                       pipeline: Optional[MerlinPipeline] = None
-                       ) -> Tuple[BatchCostResult, "object"]:
-    """Compile a batch of :class:`repro.core.CompileJob` and time it.
-
-    Returns the timing row plus the :class:`repro.core.BatchReport`
-    (callers compare bytecode across runs with it).
-    """
-    pipe = pipeline if pipeline is not None else MerlinPipeline()
-    report = pipe.compile_many(jobs_list, jobs=jobs, cache=cache)
-    stats = report.cache_stats
-    return BatchCostResult(
-        label=label,
-        programs=len(report),
-        jobs=jobs,
-        wall_seconds=report.wall_seconds,
-        cache_hits=stats.hits if stats is not None else 0,
-        cache_misses=stats.misses if stats is not None else 0,
-    ), report
-
-
-def measure_cache_speedup(suite_programs, cache_dir: Optional[str] = None,
-                          jobs: int = 1, mcpu: Optional[str] = None
-                          ) -> List[BatchCostResult]:
-    """Cold-vs-warm wall time for one suite (the EPSO-style headline).
-
-    Compiles the suite twice against the same cache and returns the two
-    timing rows; the warm run must be served (almost) entirely from the
-    content-addressed store.
-    """
-    from ..cache import CompilationCache
-    from ..workloads.suites import suite_jobs
-
-    if jobs > 1 and cache_dir is None:
-        raise ValueError("jobs > 1 needs a directory-backed cache "
-                         "(worker processes share entries via disk)")
-    batch = suite_jobs(suite_programs, mcpu=mcpu)
-    cache = CompilationCache(directory=cache_dir)
-    cold, _ = measure_batch_cost(batch, "cold", jobs=jobs, cache=cache)
-    warm, _ = measure_batch_cost(batch, "warm", jobs=jobs, cache=cache)
-    return [cold, warm]
 
 
 @dataclass

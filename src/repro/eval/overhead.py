@@ -57,26 +57,10 @@ class SecuritySystem:
     @classmethod
     def from_suite(cls, name: str, suite_programs: Sequence[SuiteProgram],
                    optimize: bool, seed: int = 5,
-                   mcpu: Optional[str] = None, jobs: int = 1, cache=None,
-                   **pipeline_kwargs) -> "SecuritySystem":
-        """Build a system from a generated suite.
-
-        With ``optimize``, *jobs* fans the Merlin compilation out over
-        worker processes and *cache* serves repeated builds (the
-        with/without-Merlin sweeps recompile the same populations) from
-        the content-addressed store.
-        """
-        if optimize and (jobs > 1 or cache is not None):
-            from ..workloads.suites import compile_suite
-
-            batch = compile_suite(suite_programs, jobs=jobs, cache=cache,
-                                  mcpu=mcpu, **pipeline_kwargs)
-            compiled = [(p.hook, program)
-                        for p, program in zip(suite_programs, batch.programs)]
-            return cls(name, compiled, seed=seed)
+                   mcpu: Optional[str] = None) -> "SecuritySystem":
+        """Build a system from a generated suite."""
         compiled = [
-            (p.hook, compile_suite_program(p, optimize=optimize, mcpu=mcpu,
-                                           **pipeline_kwargs))
+            (p.hook, compile_suite_program(p, optimize=optimize, mcpu=mcpu))
             for p in suite_programs
         ]
         return cls(name, compiled, seed=seed)

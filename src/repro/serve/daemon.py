@@ -72,6 +72,13 @@ from .protocol import ProtocolError, Request
 _STOP = object()   # admission-queue sentinel: drain, then exit
 _EOF = object()    # per-connection write-queue sentinel
 
+#: admission backpressure: requests queued beyond this are rejected
+QUEUE_LIMIT = 4096
+#: how long ``stop(drain=True)`` lets the event loop keep admitting
+#: already-readable sockets before refusing new work — shrinks the
+#: window in which a request racing the stop call is dropped
+DRAIN_GRACE = 0.05
+
 
 @dataclass
 class ServeConfig:
@@ -86,15 +93,6 @@ class ServeConfig:
     max_batch: int = 16                 # admission window: size cap ...
     max_delay: float = 0.01             # ... and linger seconds
     kernel: str = "6.5"
-    queue_limit: int = 4096             # admission backpressure
-    #: how long ``stop(drain=True)`` lets the event loop keep admitting
-    #: already-readable sockets before refusing new work — shrinks the
-    #: window in which a request racing the stop call is dropped
-    drain_grace: float = 0.05
-    #: per-tenant admission weights (missing tenants weigh 1); the
-    #: fair queue serves a backlogged tenant at most ``weight``
-    #: consecutive slots per round
-    tenant_weights: Optional[Dict[str, int]] = None
     #: requests at this priority or above cut the admission window's
     #: linger timer short (the batch dispatches immediately)
     preempt_priority: int = 1
@@ -197,7 +195,7 @@ class _Connection:
 class FrontEnd:
     """The JSON-lines socket front end of a server.
 
-    A subclass sets ``config`` (socket fields and ``drain_grace``) and
+    A subclass sets ``config`` (its socket fields) and
     ``stats`` (connection and request counters), answers each request
     line in :meth:`_route`, and runs its back end through three hooks:
     :meth:`_start_backend` before the socket binds, :meth:`_settle`
@@ -299,11 +297,11 @@ class FrontEnd:
             await self._stopped.wait()
             return
         self._stop_requested = True
-        if drain and self.config.drain_grace > 0:
+        if drain:
             # let the loop process sockets that are already readable
             # (accepts and buffered request lines that raced this call)
             # so they are admitted and drained instead of dropped
-            await asyncio.sleep(self.config.drain_grace)
+            await asyncio.sleep(DRAIN_GRACE)
         self._stopping = True
         if self._server is not None:
             # close() alone stops the accept loop.  wait_closed() must
@@ -364,9 +362,7 @@ class OptimizationDaemon(FrontEnd):
         # at admission while its cache entry is live
         self._source_keys: "OrderedDict[tuple, Tuple[str, dict]]" = \
             OrderedDict()
-        self._queue = FairAdmissionQueue(
-            maxsize=self.config.queue_limit,
-            weights=self.config.tenant_weights)
+        self._queue = FairAdmissionQueue(maxsize=QUEUE_LIMIT)
         self._batcher_task: Optional[asyncio.Task] = None
         self._sweep_task: Optional[asyncio.Task] = None
         self._dispatch_thread = ThreadPoolExecutor(
@@ -472,7 +468,7 @@ class OptimizationDaemon(FrontEnd):
         ``max_batch`` requests, then dispatch them as one batch.
 
         The fair queue hands requests over highest-priority-first and
-        weighted round-robin across tenants; a request at or above
+        round-robin across tenants; a request at or above
         ``preempt_priority`` additionally cancels the remaining linger
         so urgent work never waits out the window behind bulk traffic.
         """

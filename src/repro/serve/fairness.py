@@ -1,4 +1,4 @@
-"""Priority + weighted-fair admission queueing for the serve daemon.
+"""Priority + round-robin fair admission queueing for the serve daemon.
 
 The single-daemon tier (PR 5) admitted requests through a plain FIFO
 ``asyncio.Queue``; under Zipf-skewed multi-tenant load that lets one
@@ -9,13 +9,11 @@ tier replaces the FIFO with :class:`FairAdmissionQueue`:
 * **Strict priority classes.**  Higher ``priority`` drains first; the
   daemon additionally uses a high-priority arrival to preempt the
   admission window's linger timer (see ``ServeConfig.preempt_priority``).
-* **Weighted round-robin across tenants** inside each class: the
-  tenant at the head of the ring is served up to ``weight(tenant)``
-  consecutive requests, then the ring rotates.  A tenant with a
-  backlog therefore gets at most ``weight / sum(weights of backlogged
-  tenants)`` of the admission slots per round — and every backlogged
-  tenant is served at least once per round, so nobody starves no
-  matter how skewed the arrival mix is.
+* **Round-robin across tenants** inside each class: the tenant at the
+  head of the ring is served one request, then the ring rotates.  Each
+  of ``n`` backlogged tenants therefore gets ``1/n`` of the admission
+  slots per round, so nobody starves no matter how skewed the arrival
+  mix is.
 
 The queue is single-event-loop only (like everything else in the
 daemon) and mirrors the small slice of the ``asyncio.Queue`` surface
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List
 
 #: priorities are small ints; the protocol clamps to this range
 MIN_PRIORITY = 0
@@ -39,14 +37,13 @@ _MISSING = object()
 
 
 class _PriorityClass:
-    """One priority level: per-tenant FIFOs served weighted-RR."""
+    """One priority level: per-tenant FIFOs served round-robin."""
 
-    __slots__ = ("queues", "ring", "turn")
+    __slots__ = ("queues", "ring")
 
     def __init__(self):
         self.queues: "OrderedDict[str, Deque[Any]]" = OrderedDict()
         self.ring: Deque[str] = deque()   # tenants with a backlog
-        self.turn = 0                     # services left for ring head
 
     def push(self, tenant: str, item: Any) -> None:
         queue = self.queues.get(tenant)
@@ -56,18 +53,14 @@ class _PriorityClass:
             self.ring.append(tenant)
         queue.append(item)
 
-    def pop(self, weight_of) -> Any:
+    def pop(self) -> Any:
         tenant = self.ring[0]
-        if self.turn <= 0:
-            self.turn = max(1, weight_of(tenant))
         queue = self.queues[tenant]
         item = queue.popleft()
-        self.turn -= 1
         if not queue:
             del self.queues[tenant]
             self.ring.popleft()
-            self.turn = 0
-        elif self.turn <= 0:
+        else:
             self.ring.rotate(-1)  # head's turn is over: to the back
         return item
 
@@ -83,14 +76,8 @@ class FairAdmissionQueue:
     """See the module docstring.  Items are opaque to the queue; the
     caller supplies ``(priority, tenant)`` at ``put`` time."""
 
-    def __init__(self, maxsize: int = 0,
-                 weights: Optional[Dict[str, int]] = None,
-                 default_weight: int = 1):
-        if default_weight < 1:
-            raise ValueError("default_weight must be >= 1")
+    def __init__(self, maxsize: int = 0):
         self.maxsize = maxsize
-        self.default_weight = default_weight
-        self._weights = dict(weights or {})
         self._classes: Dict[int, _PriorityClass] = {}
         self._order: List[int] = []       # priorities, descending
         self._control: Deque[Any] = deque()
@@ -124,7 +111,7 @@ class FairAdmissionQueue:
             cls = self._classes[priority]
             if not cls.empty:
                 self._size -= 1
-                return cls.pop(self.weight_of)
+                return cls.pop()
         return _MISSING
 
     def get_nowait(self) -> Any:
@@ -162,9 +149,6 @@ class FairAdmissionQueue:
                 return
 
     # ------------------------------------------------------ introspection
-    def weight_of(self, tenant: str) -> int:
-        return self._weights.get(tenant, self.default_weight)
-
     def qsize(self) -> int:
         return self._size + len(self._control)
 

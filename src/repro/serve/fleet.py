@@ -59,6 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..cache import CacheStats
 from . import protocol
 from .daemon import (
     FrontEnd,
@@ -598,15 +599,9 @@ def aggregate_shard_stats(snapshots: Sequence[dict]) -> dict:
         "max_size": int(max(snap.get("batches", {}).get("max_size", 0)
                             for snap in snapshots)),
     }
-    cache = {}
-    for key in ("hits", "misses", "stores", "evictions", "memory_hits",
-                "disk_hits", "write_errors", "read_errors", "expired",
-                "disk_evictions"):
-        cache[key] = int(sum_over(("cache", key)))
-    lookups = cache["hits"] + cache["misses"]
-    cache["hit_rate"] = round(cache["hits"] / lookups, 4) if lookups \
-        else 0.0
-    out["cache"] = cache
+    out["cache"] = CacheStats(**{
+        counter.name: int(sum_over(("cache", counter.name)))
+        for counter in fields(CacheStats)}).to_dict()
     out["throughput"] = {
         "programs_per_second": round(
             sum_over(("throughput", "programs_per_second")), 3),

@@ -38,8 +38,8 @@ in flight — retry-safe by construction, nothing was committed), and
 ``internal``.
 
 Protocol v2 adds two optional request fields the fleet tier consumes:
-``tenant`` (a client-chosen stream label; the admission queue gives
-every backlogged tenant a weighted fair share of each batch window)
+``tenant`` (a client-chosen stream label; the admission queue serves
+backlogged tenants round-robin, an equal share of each batch window)
 and ``priority`` (0..9, default 0; higher classes drain first and a
 high-priority arrival preempts the admission window's linger timer).
 Both are ignored by the cache key — identical programs share one

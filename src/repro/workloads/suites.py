@@ -295,30 +295,17 @@ def generate_suite(name: str, seed: int = 2024, scale: float = 1.0,
 
 
 def compile_suite_program(program: SuiteProgram, optimize: bool = False,
-                          mcpu: Optional[str] = None, cache=None,
-                          pgo=None, superopt=None,
-                          **pipeline_kwargs) -> BpfProgram:
-    """Compile one suite program (optionally through Merlin).
-
-    *cache* is a :class:`repro.cache.CompilationCache`; repeated suite
-    builds (ablations, overhead sweeps) are then served content-
-    addressed instead of recompiled.  *pgo* and *superopt* forward to
-    :meth:`MerlinPipeline.compile` (the layout and superoptimizer
-    tiers); the remaining keyword arguments configure the pipeline
-    itself (``enabled``, ``kernel``, ...).
-    """
+                          mcpu: Optional[str] = None) -> BpfProgram:
+    """Compile one suite program (optionally through Merlin)."""
     module = compile_source(program.source, program.name)
     func = module.get(program.entry)
     suite_mcpu = mcpu if mcpu is not None else "v3"
     if optimize:
         from ..core import MerlinPipeline
 
-        pipeline = MerlinPipeline(**pipeline_kwargs)
-        compiled, _ = pipeline.compile(
+        compiled, _ = MerlinPipeline().compile(
             func, module, prog_type=ProgramType.TRACEPOINT,
-            mcpu=suite_mcpu, ctx_size=TRACE_CTX_SIZE, cache=cache,
-            pgo=pgo, superopt=superopt,
-        )
+            mcpu=suite_mcpu, ctx_size=TRACE_CTX_SIZE)
         return compiled
     from ..codegen import compile_function
 
@@ -338,19 +325,3 @@ def suite_jobs(programs: Sequence[SuiteProgram],
                    ctx_size=TRACE_CTX_SIZE)
         for p in programs
     ]
-
-
-def compile_suite(programs: Sequence[SuiteProgram], jobs: int = 1,
-                  cache=None, mcpu: Optional[str] = None,
-                  **pipeline_kwargs) -> "BatchReport":
-    """Batch-compile a whole suite through Merlin.
-
-    Fans out over *jobs* worker processes and/or serves repeats from
-    *cache*; returns the :class:`repro.core.BatchReport` whose programs
-    are in suite order.
-    """
-    from ..core import MerlinPipeline
-
-    pipeline = MerlinPipeline(**pipeline_kwargs)
-    return pipeline.compile_many(suite_jobs(programs, mcpu=mcpu),
-                                 jobs=jobs, cache=cache)

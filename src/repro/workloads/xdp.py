@@ -810,23 +810,17 @@ FORWARDING = ("xdp2", "xdp_router_ipv4", "xdp_fwd", "xdp-balancer")
 XDP_CTX_SIZE = 24
 
 
-def compile_workload(workload: XdpWorkload, optimize: bool = False,
-                     pgo=None, superopt=None,
-                     **pipeline_kwargs) -> BpfProgram:
-    """Compile one XDP workload, optionally through Merlin.
-
-    *pgo* and *superopt* forward to :meth:`MerlinPipeline.compile`;
-    remaining keyword arguments configure the pipeline itself."""
+def compile_workload(workload: XdpWorkload,
+                     optimize: bool = False) -> BpfProgram:
+    """Compile one XDP workload, optionally through Merlin."""
     module = compile_source(workload.source, workload.name)
     func = module.get(workload.entry)
     if optimize:
         from ..core import MerlinPipeline
 
-        pipeline = MerlinPipeline(**pipeline_kwargs)
-        program, _ = pipeline.compile(func, module,
-                                      prog_type=ProgramType.XDP,
-                                      ctx_size=XDP_CTX_SIZE,
-                                      pgo=pgo, superopt=superopt)
+        program, _ = MerlinPipeline().compile(func, module,
+                                              prog_type=ProgramType.XDP,
+                                              ctx_size=XDP_CTX_SIZE)
         return program
     from ..codegen import compile_function
 

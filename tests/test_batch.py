@@ -4,17 +4,12 @@ The contract: a batched compile is report-for-report identical to a
 sequential loop, regardless of worker count or cache temperature.
 """
 
+from dataclasses import fields
+
 import pytest
 
-from repro.cache import CompilationCache
-from repro.core import (
-    BatchReport,
-    CompileJob,
-    MerlinPipeline,
-    compile_many,
-    default_jobs,
-    optimize_many,
-)
+from repro.cache import CacheStats, CompilationCache
+from repro.core import BatchReport, CompileJob, MerlinPipeline, compile_many
 from repro.isa import ProgramType
 from repro.verifier import KERNELS
 
@@ -73,7 +68,7 @@ def report_signature(report: BatchReport):
 class TestCompileMany:
     def test_sequential_matches_loop(self):
         pipeline = MerlinPipeline()
-        batch = pipeline.compile_many(BATCH)
+        batch = compile_many(pipeline, BATCH)
         assert len(batch) == len(BATCH)
         from repro.frontend import compile_source
 
@@ -88,22 +83,22 @@ class TestCompileMany:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_identical_to_sequential(self, jobs):
         pipeline = MerlinPipeline()
-        seq = pipeline.compile_many(BATCH, jobs=1)
-        par = pipeline.compile_many(BATCH, jobs=jobs)
+        seq = compile_many(pipeline, BATCH, jobs=1)
+        par = compile_many(pipeline, BATCH, jobs=jobs)
         assert report_signature(par) == report_signature(seq)
         assert par.jobs == jobs
 
     def test_results_in_input_order(self):
         pipeline = MerlinPipeline()
-        batch = pipeline.compile_many(BATCH, jobs=2)
+        batch = compile_many(pipeline, BATCH, jobs=2)
         assert [r.name for r in batch.reports] == [j.name for j in BATCH]
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            MerlinPipeline().compile_many(BATCH, jobs=0)
+            compile_many(MerlinPipeline(), BATCH, jobs=0)
 
     def test_batch_report_totals(self):
-        batch = MerlinPipeline().compile_many(BATCH)
+        batch = compile_many(MerlinPipeline(), BATCH)
         assert batch.ni_original == sum(r.ni_original for r in batch.reports)
         assert batch.ni_optimized == sum(r.ni_optimized
                                          for r in batch.reports)
@@ -112,7 +107,7 @@ class TestCompileMany:
         assert batch.cache_stats is None  # no cache supplied
 
     def test_empty_batch(self):
-        batch = MerlinPipeline().compile_many([])
+        batch = compile_many(MerlinPipeline(), [])
         assert len(batch) == 0
         assert batch.ni_reduction == 0.0
 
@@ -121,8 +116,8 @@ class TestCachedBatches:
     def test_warm_memory_cache_sequential(self):
         cache = CompilationCache()
         pipeline = MerlinPipeline()
-        cold = pipeline.compile_many(BATCH, cache=cache)
-        warm = pipeline.compile_many(BATCH, cache=cache)
+        cold = compile_many(pipeline, BATCH, cache=cache)
+        warm = compile_many(pipeline, BATCH, cache=cache)
         assert cold.cache_stats.misses == len(BATCH)
         assert cold.cache_stats.hits == 0
         assert warm.cache_stats.hits == len(BATCH)
@@ -133,9 +128,9 @@ class TestCachedBatches:
     def test_warm_disk_cache_parallel(self, tmp_path):
         cache = CompilationCache(directory=str(tmp_path))
         pipeline = MerlinPipeline()
-        cold = pipeline.compile_many(BATCH, jobs=2, cache=cache)
+        cold = compile_many(pipeline, BATCH, jobs=2, cache=cache)
         assert cold.cache_stats.misses == len(BATCH)
-        warm = pipeline.compile_many(BATCH, jobs=2, cache=cache)
+        warm = compile_many(pipeline, BATCH, jobs=2, cache=cache)
         assert warm.cache_stats.hits == len(BATCH)
         assert warm.cache_stats.disk_hits == len(BATCH)
         assert report_signature(warm) == report_signature(cold)
@@ -144,16 +139,16 @@ class TestCachedBatches:
         # entries written by an in-process run are visible to workers
         cache = CompilationCache(directory=str(tmp_path))
         pipeline = MerlinPipeline()
-        cold = pipeline.compile_many(BATCH, jobs=1, cache=cache)
-        warm = pipeline.compile_many(BATCH, jobs=3, cache=cache)
+        cold = compile_many(pipeline, BATCH, jobs=1, cache=cache)
+        warm = compile_many(pipeline, BATCH, jobs=3, cache=cache)
         assert warm.cache_stats.hits == len(BATCH)
         assert report_signature(warm) == report_signature(cold)
 
     def test_per_run_stats_are_deltas(self):
         cache = CompilationCache()
         pipeline = MerlinPipeline()
-        pipeline.compile_many(BATCH, cache=cache)
-        warm = pipeline.compile_many(BATCH, cache=cache)
+        compile_many(pipeline, BATCH, cache=cache)
+        warm = compile_many(pipeline, BATCH, cache=cache)
         # the warm row reports only its own lookups, not the cumulative
         # campaign counters
         assert warm.cache_stats.lookups == len(BATCH)
@@ -161,54 +156,42 @@ class TestCachedBatches:
 
     def test_pipeline_config_invalidates(self, tmp_path):
         cache = CompilationCache(directory=str(tmp_path))
-        MerlinPipeline(kernel=KERNELS["6.5"]).compile_many(BATCH, cache=cache)
-        other = MerlinPipeline(kernel=KERNELS["4.15"]).compile_many(
-            BATCH, cache=cache)
+        compile_many(MerlinPipeline(kernel=KERNELS["6.5"]), BATCH, cache=cache)
+        other = compile_many(MerlinPipeline(kernel=KERNELS["4.15"]), BATCH,
+                             cache=cache)
         assert other.cache_stats.hits == 0
         assert other.cache_stats.misses == len(BATCH)
 
-
-class TestOptimizeMany:
-    def _programs(self):
-        from repro import compile_baseline, compile_bpf
-
-        return [
-            compile_baseline(compile_bpf(source), name,
-                             prog_type=ProgramType.TRACEPOINT, ctx_size=64)
-            for name, source in SOURCES
-        ]
-
-    def test_matches_optimize_program(self):
-        programs = self._programs()
+    def test_warm_counters_equal_across_paths(self, tmp_path):
+        # every counter of one warm run over a directory, as the
+        # in-process path's delta and as the pool's merged worker
+        # counters: the two paths must describe it identically
         pipeline = MerlinPipeline()
-        batch = pipeline.optimize_many(programs)
-        for original, (optimized, rep) in zip(programs, batch):
-            solo, solo_rep = MerlinPipeline().optimize_program(original)
-            assert optimized.insns == solo.insns
-            assert rep.ni_optimized == solo_rep.ni_optimized
-
-    def test_parallel_identical(self):
-        programs = self._programs()
-        pipeline = MerlinPipeline()
-        seq = pipeline.optimize_many(programs, jobs=1)
-        par = pipeline.optimize_many(programs, jobs=2)
-        assert report_signature(par) == report_signature(seq)
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            MerlinPipeline().optimize_many([], jobs=-1)
+        cold = compile_many(pipeline, BATCH,
+                            cache=CompilationCache(directory=str(tmp_path)))
+        assert cold.cache_stats.misses == len(BATCH)
+        assert cold.cache_stats.hits == 0
+        assert cold.wall_seconds > 0
+        expected = {counter.name: 0 for counter in fields(CacheStats)}
+        expected.update(hits=len(BATCH), disk_hits=len(BATCH), hit_rate=1.0)
+        for jobs in (1, 2):
+            warm = compile_many(
+                pipeline, BATCH, jobs=jobs,
+                cache=CompilationCache(directory=str(tmp_path)))
+            assert warm.cache_stats.to_dict() == expected, jobs
+            assert warm.wall_seconds > 0
 
 
 class TestSuiteBatch:
     def test_compile_suite_batch_matches_single(self):
         from repro.workloads.suites import (
-            compile_suite,
             compile_suite_program,
             generate_suite,
+            suite_jobs,
         )
 
         programs = generate_suite("sysdig", seed=7, scale=0.05, count=2)
-        batch = compile_suite(programs, jobs=2)
+        batch = compile_many(MerlinPipeline(), suite_jobs(programs), jobs=2)
         assert len(batch) == 2
         for suite_prog, program in zip(programs, batch.programs):
             solo = compile_suite_program(suite_prog, optimize=True)
@@ -223,25 +206,6 @@ class TestSuiteBatch:
         assert all(j.prog_type is ProgramType.TRACEPOINT for j in jobs)
         assert all(j.ctx_size == TRACE_CTX_SIZE for j in jobs)
         assert all(j.mcpu == "v2" for j in jobs)
-
-
-class TestBatchCost:
-    def test_measure_batch_cost_counters(self, tmp_path):
-        from repro.eval import measure_batch_cost
-
-        cache = CompilationCache(directory=str(tmp_path))
-        cold, _ = measure_batch_cost(BATCH, "cold", cache=cache)
-        warm, _ = measure_batch_cost(BATCH, "warm", cache=cache)
-        assert cold.cache_misses == len(BATCH) and cold.cache_hits == 0
-        assert warm.cache_hits == len(BATCH) and warm.cache_misses == 0
-        assert warm.hit_rate == 1.0
-        assert cold.wall_seconds > 0 and warm.wall_seconds > 0
-
-    def test_cache_speedup_requires_disk_for_parallel(self):
-        from repro.eval import measure_cache_speedup
-
-        with pytest.raises(ValueError):
-            measure_cache_speedup([], cache_dir=None, jobs=2)
 
 
 class TestFuzzParallel:
@@ -260,8 +224,3 @@ class TestFuzzParallel:
 
         with pytest.raises(ValueError):
             run_campaign(budget=1, jobs=0)
-
-
-def test_default_jobs_bounds():
-    jobs = default_jobs()
-    assert 1 <= jobs <= 8

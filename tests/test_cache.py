@@ -355,6 +355,16 @@ class TestCachedEqualsFresh:
 
 
 class TestCacheStats:
+    #: every counter, in the order the ``stats`` op shows them
+    COUNTERS = ("hits", "misses", "stores", "evictions", "memory_hits",
+                "disk_hits", "write_errors", "read_errors", "expired",
+                "disk_evictions")
+
+    def _counters(self, scale):
+        """Each counter its own value: *scale* times its position."""
+        return CacheStats(**{name: scale * position for position, name
+                             in enumerate(self.COUNTERS, 1)})
+
     def test_hit_rate(self):
         stats = CacheStats(hits=3, misses=1)
         assert stats.lookups == 4
@@ -369,11 +379,25 @@ class TestCacheStats:
         a.merge(b)
         assert (a.hits, a.misses, a.stores, a.evictions,
                 a.memory_hits, a.disk_hits) == (5, 3, 4, 1, 3, 2)
+        # every field, each with its own value so a swapped or dropped
+        # counter shows
+        a = self._counters(1)
+        a.merge(self._counters(100))
+        assert a == self._counters(101)
+
+    def test_since_is_the_per_run_delta(self):
+        before, now = self._counters(1), self._counters(100)
+        assert now.since(before) == self._counters(99)
+        assert before == self._counters(1)  # the snapshot is untouched
 
     def test_to_dict_round(self):
         d = CacheStats(hits=1, misses=2).to_dict()
         assert d["hits"] == 1 and d["misses"] == 2
         assert d["hit_rate"] == round(1 / 3, 4)
+        # every counter, in the order the stats op shows them
+        d = self._counters(1).to_dict()
+        assert list(d) == [*self.COUNTERS, "hit_rate"]
+        assert [d[name] for name in self.COUNTERS] == list(range(1, 11))
 
 
 class TestWriteDegradation:

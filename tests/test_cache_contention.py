@@ -14,7 +14,7 @@ import pickle
 import threading
 
 from repro.cache import CompilationCache
-from repro.core import CompileJob, MerlinPipeline
+from repro.core import CompileJob, MerlinPipeline, compile_many
 from repro.isa import ProgramType
 from repro.serve import DaemonThread, ServeClient, ServeConfig
 
@@ -81,13 +81,13 @@ class TestConcurrentPools:
     def test_two_pools_race_one_store(self, tmp_path):
         """Two multi-process batch compiles race on one directory: both
         return reference results and every disk entry stays readable."""
-        reference = MerlinPipeline().compile_many(BATCH)
+        reference = compile_many(MerlinPipeline(), BATCH)
         results = {}
 
         def run(tag):
             cache = CompilationCache(directory=str(tmp_path))
-            results[tag] = MerlinPipeline().compile_many(
-                BATCH, jobs=2, cache=cache)
+            results[tag] = compile_many(
+                MerlinPipeline(), BATCH, jobs=2, cache=cache)
 
         threads = [threading.Thread(target=run, args=(tag,))
                    for tag in ("a", "b")]
@@ -107,7 +107,7 @@ class TestConcurrentPools:
     def test_no_lost_updates_after_contention(self, tmp_path):
         def run():
             cache = CompilationCache(directory=str(tmp_path))
-            MerlinPipeline().compile_many(BATCH, jobs=2, cache=cache)
+            compile_many(MerlinPipeline(), BATCH, jobs=2, cache=cache)
 
         threads = [threading.Thread(target=run) for _ in range(2)]
         for thread in threads:
@@ -118,7 +118,7 @@ class TestConcurrentPools:
         # a fresh process-equivalent reader hits on every key: nothing
         # was lost or torn by the concurrent writers
         fresh = CompilationCache(directory=str(tmp_path))
-        warm = MerlinPipeline().compile_many(BATCH, cache=fresh)
+        warm = compile_many(MerlinPipeline(), BATCH, cache=fresh)
         assert warm.cache_stats.hits == len(BATCH)
         assert warm.cache_stats.misses == 0
         assert all(rep.cached for rep in warm.reports)
@@ -127,15 +127,15 @@ class TestConcurrentPools:
         """The service daemon (with its own worker pool) and an
         out-of-band batch compile pool hammer the same store while
         clients stream requests — everyone sees reference results."""
-        reference = MerlinPipeline().compile_many(BATCH)
+        reference = compile_many(MerlinPipeline(), BATCH)
         config = ServeConfig(cache_dir=str(tmp_path), jobs=2,
                              max_batch=8, max_delay=0.01)
         pool_result = {}
 
         def out_of_band():
             cache = CompilationCache(directory=str(tmp_path))
-            pool_result["batch"] = MerlinPipeline().compile_many(
-                BATCH, jobs=2, cache=cache)
+            pool_result["batch"] = compile_many(
+                MerlinPipeline(), BATCH, jobs=2, cache=cache)
 
         with DaemonThread(config) as handle:
             racer = threading.Thread(target=out_of_band)
@@ -167,10 +167,10 @@ class TestLruStaleness:
         cache = CompilationCache(directory=str(tmp_path),
                                  max_memory_entries=2)
         pipeline = MerlinPipeline()
-        cold = pipeline.compile_many(BATCH, cache=cache)  # 4 > 2 evicts
+        cold = compile_many(pipeline, BATCH, cache=cache)  # 4 > 2 evicts
         assert cache.stats.evictions >= 2
 
-        warm = pipeline.compile_many(BATCH, cache=cache)
+        warm = compile_many(pipeline, BATCH, cache=cache)
         assert warm.cache_stats.hits == len(BATCH)
         assert warm.cache_stats.disk_hits >= 2  # evicted keys re-read
         assert signature(warm) == signature(cold)
@@ -178,8 +178,8 @@ class TestLruStaleness:
     def test_memory_only_eviction_recompiles_consistently(self):
         cache = CompilationCache(max_memory_entries=2)
         pipeline = MerlinPipeline()
-        cold = pipeline.compile_many(BATCH, cache=cache)
-        warm = pipeline.compile_many(BATCH, cache=cache)
+        cold = compile_many(pipeline, BATCH, cache=cache)
+        warm = compile_many(pipeline, BATCH, cache=cache)
         # with no disk tier the evicted keys genuinely recompile; the
         # results must still be identical
         assert signature(warm) == signature(cold)
@@ -190,8 +190,6 @@ class TestSharedExecutor:
         """The daemon reuses one persistent pool across dispatches; the
         batch API must not shut a caller-owned executor down."""
         import multiprocessing
-
-        from repro.core.batch import compile_many
 
         cache = CompilationCache(directory=str(tmp_path))
         pipeline = MerlinPipeline()
@@ -262,11 +260,11 @@ class TestSuperoptMemoContention:
         batch = [dataclasses.replace(job, superopt=SuperoptSpec())
                  for job in BATCH]
         cache = CompilationCache(directory=str(tmp_path))
-        cold = MerlinPipeline().compile_many(batch, jobs=2, cache=cache)
+        cold = compile_many(MerlinPipeline(), batch, jobs=2, cache=cache)
         assert cold.failed == 0
 
         fresh = CompilationCache(directory=str(tmp_path))
-        warm = MerlinPipeline().compile_many(batch, cache=fresh)
+        warm = compile_many(MerlinPipeline(), batch, cache=fresh)
         assert warm.cache_stats.hits == len(batch)
         assert signature(warm) == signature(cold)
 
@@ -293,7 +291,7 @@ class TestEvictionContention:
 
     def _populate(self, directory):
         cache = CompilationCache(directory=str(directory))
-        MerlinPipeline().compile_many(BATCH, cache=cache)
+        compile_many(MerlinPipeline(), BATCH, cache=cache)
         return cache
 
     def test_racing_sweepers_expire_each_entry_exactly_once(self, tmp_path):
@@ -371,7 +369,7 @@ class TestEvictionContention:
         ``read_errors`` (the torn-bytes counter) stays zero."""
         self._populate(tmp_path)
         pipeline = MerlinPipeline()
-        reference = pipeline.compile_many(BATCH)
+        reference = compile_many(pipeline, BATCH)
         stop = threading.Event()
         readers = [CompilationCache(directory=str(tmp_path))
                    for _ in range(3)]
@@ -380,7 +378,7 @@ class TestEvictionContention:
         def read_loop(cache):
             while not stop.is_set():
                 cache.clear_memory()  # every get goes to disk
-                result = pipeline.compile_many(BATCH, cache=cache)
+                result = compile_many(pipeline, BATCH, cache=cache)
                 assert signature(result) == signature(reference)
                 seen[id(cache)] += 1
 
@@ -393,7 +391,7 @@ class TestEvictionContention:
         writer = CompilationCache(directory=str(tmp_path))
         for _ in range(10):
             churn.sweep()  # evict the whole tree...
-            MerlinPipeline().compile_many(BATCH, cache=writer)  # ...restore
+            compile_many(MerlinPipeline(), BATCH, cache=writer)  # ...restore
         stop.set()
         for thread in threads:
             thread.join()
@@ -408,9 +406,9 @@ class TestEvictionContention:
         assert list(every_disk_entry(tmp_path)) == []
         # traffic re-stores the keys; a fresh reader then hits them all
         restore = CompilationCache(directory=str(tmp_path))
-        MerlinPipeline().compile_many(BATCH, cache=restore)
+        compile_many(MerlinPipeline(), BATCH, cache=restore)
         fresh = CompilationCache(directory=str(tmp_path))
-        warm = MerlinPipeline().compile_many(BATCH, cache=fresh)
+        warm = compile_many(MerlinPipeline(), BATCH, cache=fresh)
         assert warm.cache_stats.hits == len(BATCH)
         assert warm.cache_stats.misses == 0
 

@@ -68,3 +68,15 @@ def test_optimize_report(source_file, capsys):
 
 def test_old_kernel_flag(source_file, capsys):
     assert main(["verify", source_file, "--kernel", "4.15"]) == 0
+
+
+def test_run_merlin_honours_kernel(tmp_path, capsys):
+    # kernel 4.15 has no ALU32, so Merlin keeps the shift pair there
+    # and compacts it to a 32-bit move only on 6.5
+    path = tmp_path / "alu32.c"
+    path.write_text("u64 f(u8* ctx) { u64 a = *(u64*)(ctx + 0); "
+                    "u32 b = (u32)a * 5; return (u64)b; }\n")
+    for kernel, insns in (("4.15", 6), ("6.5", 5)):
+        assert main(["run", str(path), "--merlin", "--kernel", kernel,
+                     "--prog-type", "tracepoint", "--ctx-size", "64"]) == 0
+        assert f"instructions={insns} " in capsys.readouterr().out
