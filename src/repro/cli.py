@@ -376,11 +376,9 @@ def cmd_serve(args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache,
         max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
         kernel=args.kernel,
         cache_ttl=args.cache_ttl,
         cache_max_bytes=args.cache_max_bytes,
-        preempt_priority=args.preempt_priority,
     )
     handle = (FleetThread(FleetConfig(shards=args.fleet, **options))
               if args.fleet else DaemonThread(ServeConfig(**options)))
@@ -392,7 +390,6 @@ def cmd_serve(args) -> int:
     what = f"fleet of {args.fleet} shard(s)" if args.fleet else "daemon"
     print(f"repro serve: {what} listening on {kind} {where} "
           f"(jobs={config.jobs}, max_batch={config.max_batch}, "
-          f"max_delay={config.max_delay * 1000:.1f}ms, "
           f"cache={config.cache_dir})", file=sys.stderr)
 
     done = []
@@ -445,8 +442,8 @@ def cmd_bench_serve(args) -> int:
         requests=args.requests, clients=args.clients,
         unique=args.unique, seed=args.seed, zipf_s=args.zipf,
         depth=args.depth, shards=args.fleet, jobs=args.jobs,
-        max_batch=args.max_batch, max_delay=args.max_delay_ms / 1000.0,
-        cache_ttl=args.cache_ttl, cache_max_bytes=args.cache_max_bytes,
+        max_batch=args.max_batch, cache_ttl=args.cache_ttl,
+        cache_max_bytes=args.cache_max_bytes,
         faults=faults, priority_mix=_parse_priority_mix(args.priority_mix),
         trace_path=args.trace, record_path=args.record, speed=args.speed,
         progress=progress)
@@ -457,12 +454,13 @@ def cmd_bench_serve(args) -> int:
         print(report.to_json())
     else:
         for phase in (report.cold, report.warm):
-            lat = phase.latency_ms
+            lat, fresh = phase.latency_ms, phase.fresh_latency_ms
             print(f"{phase.phase}: {phase.ok}/{phase.requests} ok "
                   f"({phase.dropped} dropped), "
                   f"{phase.programs_per_second:.1f} programs/s, "
                   f"p50 {lat['p50']:.1f}ms p99 {lat['p99']:.1f}ms, "
-                  f"hit rate {phase.hit_rate * 100:.0f}%")
+                  f"hit rate {phase.hit_rate * 100:.0f}%, "
+                  f"{fresh['count']} compiled (p50 {fresh['p50']:.1f}ms)")
         print(f"warm/cold speedup: {report.speedup:.2f}x")
         print(f"goodput spread {report.fairness['goodput_spread']:.3f}"
               + (f", cache entries {integrity['entries']} "
@@ -601,9 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cache", metavar="DIR",
                    help="shared compilation cache directory")
     s.add_argument("--max-batch", type=int, default=16,
-                   help="admission batch size ceiling (default: 16)")
-    s.add_argument("--max-delay-ms", type=float, default=10.0,
-                   help="admission window linger in ms (default: 10)")
+                   help="most queued misses compiled in one batch "
+                        "(default: 16)")
     s.add_argument("--kernel", default="6.5", choices=sorted(KERNELS))
     s.add_argument("--fleet", type=int, default=0, metavar="N",
                    help="run a consistent-hash router over N shard "
@@ -614,9 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cache-max-bytes", type=int, default=None,
                    metavar="BYTES",
                    help="disk-store size budget (LRU-evicted by sweep)")
-    s.add_argument("--preempt-priority", type=int, default=1,
-                   help="priority that cuts the admission linger short "
-                        "(default: 1)")
     s.add_argument("--stats-out", metavar="FILE",
                    help="write the final stats snapshot as JSON")
     s.set_defaults(handler=cmd_serve)
@@ -639,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compile worker processes per daemon "
                          "(default: 1)")
     bs.add_argument("--max-batch", type=int, default=16)
-    bs.add_argument("--max-delay-ms", type=float, default=5.0)
     bs.add_argument("--faults", action="store_true",
                     help="mix protocol-abuse faults into the stream")
     bs.add_argument("--fleet", type=int, default=0, metavar="N",

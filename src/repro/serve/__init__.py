@@ -1,11 +1,13 @@
 """repro.serve — optimization-as-a-service.
 
 A long-running asyncio daemon (``repro serve``) that accepts
-compile/validate requests over a local socket (JSON lines),
-admission-batches them into the parallel batch compiler, shares one
-warm compilation cache across every client and worker process, streams
-per-request results back, and reports hit-rate / queue depth /
-latency-percentile / throughput metrics via a ``stats`` endpoint.
+compile/validate requests over a local socket (JSON lines), answers
+repeats at admission, hands each miss to the parallel batch compiler
+as soon as it is free (misses queued behind a compiling batch go out
+together), shares one warm compilation cache across every client and
+worker process, streams per-request results back, and reports
+hit-rate / queue depth / latency-percentile / throughput metrics via a
+``stats`` endpoint.
 ``repro serve --fleet N`` puts a consistent-hash router
 (:mod:`repro.serve.fleet`) in front of N shard daemons; the router
 reuses the daemon's socket front end, config and thread runner.
@@ -14,7 +16,7 @@ reuses the daemon's socket front end, config and thread runner.
 
     from repro.serve import DaemonThread, ServeClient, ServeConfig
 
-    with DaemonThread(ServeConfig(max_delay=0.005)) as daemon:
+    with DaemonThread(ServeConfig()) as daemon:
         with ServeClient(daemon.address) as client:
             result = client.compile("u64 f(u8* ctx) { return 7; }")
             print(result["result"]["ni_optimized"])

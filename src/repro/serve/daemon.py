@@ -10,10 +10,11 @@ processes)::
                                  |                       |
                       memo hit (a repeat): one     miss: admission queue
                       cache lookup, the memoized         |
-                      answer, its future           batcher task: collect up to
-                      resolved at once             max_batch misses or wait
-                                 |                 max_delay, group by pipeline
-                                 |                 config, then
+                      answer, its future           batcher task: take the
+                      resolved at once             first miss and whatever
+                                 |                 else is queued (up to
+                                 |                 max_batch), group by
+                                 |                 pipeline config, then
                                  |                       |
                                  |                 compile_many(..., executor=
                                  |                 persistent process pool,
@@ -24,10 +25,12 @@ processes)::
 
 Only misses reach the batcher.  A repeat of a request shape the daemon
 has compiled is answered at admission from its memo, at the cost of
-one cache lookup; admission batching amortizes dispatch overhead over
-the rest and lets concurrent clients share one warm cache: the first
-compile of a program pays the pipeline, every repeat — from any
-client, any connection, any worker process — is a cache hit.
+one cache lookup.  A miss is dispatched the moment the batcher is free:
+no timer holds it back, and misses that arrive while a batch compiles
+go out together as the next one.  Every client and worker process
+shares one warm cache: the first compile of a program pays the
+pipeline, every repeat — from any client, any connection, any worker
+process — is a cache hit.
 Responses stream back per request as each future resolves; a
 connection's responses always come back in its request-arrival order,
 so clients may pipeline arbitrarily deep.
@@ -90,12 +93,8 @@ class ServeConfig:
     jobs: int = 1                       # compile worker processes
     cache_dir: Optional[str] = None     # shared warm cache (None: temp)
     max_memory_entries: int = 4096
-    max_batch: int = 16                 # admission window: size cap ...
-    max_delay: float = 0.01             # ... and linger seconds
+    max_batch: int = 16                 # most misses in one dispatch
     kernel: str = "6.5"
-    #: requests at this priority or above cut the admission window's
-    #: linger timer short (the batch dispatches immediately)
-    preempt_priority: int = 1
     #: idle TTL for cache entries (seconds; None = keep forever)
     cache_ttl: Optional[float] = None
     #: disk-store size budget enforced by the periodic sweep
@@ -110,12 +109,8 @@ class ServeConfig:
             raise ValueError("jobs must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_delay < 0:
-            raise ValueError("max_delay must be >= 0")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if not 0 <= self.preempt_priority <= protocol.MAX_PRIORITY + 1:
-            raise ValueError("preempt_priority out of range")
         if self.sweep_interval <= 0:
             raise ValueError("sweep_interval must be positive")
         if self.socket_path is None and self.host is None:
@@ -127,10 +122,12 @@ class ServeConfig:
             "protocol_version": protocol.PROTOCOL_VERSION,
             "jobs": self.jobs,
             "max_batch": self.max_batch,
-            "max_delay_ms": round(self.max_delay * 1000, 3),
+            # nothing lingers: perfbench's serve workload reads this key
+            # as the unscaled part of each latency (ROADMAP item 4
+            # removes it)
+            "max_delay_ms": 0,
             "kernel": self.kernel,
             "cache_dir": self.cache_dir,
-            "preempt_priority": self.preempt_priority,
             "cache_ttl_seconds": self.cache_ttl,
             "cache_max_bytes": self.cache_max_bytes,
             "shard_id": self.shard_id,
@@ -440,9 +437,9 @@ class OptimizationDaemon(FrontEnd):
         future = self._loop.create_future()
         pending = _Pending(request, future)
         if self._fast_path(pending):
-            # a memoized repeat is answered at admission: it never
-            # waits out the linger, and the writer still sends it in
-            # arrival order behind any earlier miss on this connection
+            # a memoized repeat is answered at admission, and the
+            # writer still sends it in arrival order behind any
+            # earlier miss on this connection
             self.stats.queue_latency.observe(0.0)
             conn.enqueue(future)
             return
@@ -460,51 +457,30 @@ class OptimizationDaemon(FrontEnd):
         conn.enqueue(future)
 
     # ---------------------------------------------------------- batching
-    def _preempts(self, pending: _Pending) -> bool:
-        return pending.request.priority >= self.config.preempt_priority
-
     async def _batch_loop(self) -> None:
-        """Admission batching: linger up to ``max_delay`` for up to
-        ``max_batch`` requests, then dispatch them as one batch.
+        """Work-conserving dispatch: await the first queued miss, take
+        whatever else is already queued (up to ``max_batch``, in the
+        fair queue's priority and tenant order) and dispatch at once.
 
-        The fair queue hands requests over highest-priority-first and
-        round-robin across tenants; a request at or above
-        ``preempt_priority`` additionally cancels the remaining linger
-        so urgent work never waits out the window behind bulk traffic.
+        No timer holds a miss back; misses that arrive while a batch
+        compiles form the next batch.  The ``_STOP`` sentinel ends the
+        loop once every miss queued before it was dispatched.
         """
-        stop_seen = False
-        while not stop_seen:
+        stopping = False
+        while not (stopping and self._queue.empty()):
             item = await self._queue.get()
-            if item is _STOP:
-                break
-            batch = [item]
-            preempted = self._preempts(item)
-            deadline = self._loop.time() + self.config.max_delay
-            while len(batch) < self.config.max_batch and not preempted:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
+            batch: List[_Pending] = []
+            while True:
+                if item is _STOP:
+                    stopping = True
+                else:
+                    batch.append(item)
+                if len(batch) >= self.config.max_batch \
+                        or self._queue.empty():
                     break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-                if nxt is _STOP:
-                    stop_seen = True
-                    break
-                batch.append(nxt)
-                preempted = self._preempts(nxt)
-            if preempted:
-                self.stats.preempted_batches += 1
-            await self._dispatch(batch)
-        # drain anything admitted after the sentinel was queued
-        leftovers: List[_Pending] = []
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is not _STOP:
-                leftovers.append(item)
-        if leftovers:
-            await self._dispatch(leftovers)
+                item = self._queue.get_nowait()
+            if batch:
+                await self._dispatch(batch)
 
     # one memo entry per distinct request shape; bounded like the cache
     _MEMO_LIMIT = 8192
@@ -716,7 +692,7 @@ class ServerThread:
     loop in a background thread.  The pattern tests and the bench
     harness use::
 
-        with DaemonThread(ServeConfig(max_delay=0.005)) as daemon:
+        with DaemonThread(ServeConfig()) as daemon:
             client = ServeClient(daemon.address)
             ...
     """

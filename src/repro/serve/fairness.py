@@ -2,16 +2,18 @@
 
 The single-daemon tier (PR 5) admitted requests through a plain FIFO
 ``asyncio.Queue``; under Zipf-skewed multi-tenant load that lets one
-chatty tenant monopolize every admission window while a light tenant's
-single request waits behind hundreds of queued repeats.  The fleet
-tier replaces the FIFO with :class:`FairAdmissionQueue`:
+chatty tenant fill every batch while a light tenant's single request
+waits behind hundreds of queued misses.  The fleet tier replaces the
+FIFO with :class:`FairAdmissionQueue`.  It only orders a backlog: the
+daemon dispatches a miss as soon as its batcher is free, so a backlog
+is the misses that queued while a batch compiled.
 
-* **Strict priority classes.**  Higher ``priority`` drains first; the
-  daemon additionally uses a high-priority arrival to preempt the
-  admission window's linger timer (see ``ServeConfig.preempt_priority``).
+* **Strict priority classes.**  Higher ``priority`` drains first: a
+  backlog's next batch takes every higher-priority miss before any
+  lower one.
 * **Round-robin across tenants** inside each class: the tenant at the
   head of the ring is served one request, then the ring rotates.  Each
-  of ``n`` backlogged tenants therefore gets ``1/n`` of the admission
+  of ``n`` backlogged tenants therefore gets ``1/n`` of the batch
   slots per round, so nobody starves no matter how skewed the arrival
   mix is.
 

@@ -172,7 +172,6 @@ class FleetConfig(ServeConfig):
             "cache_ttl_seconds": self.cache_ttl,
             "cache_max_bytes": self.cache_max_bytes,
             "max_batch": self.max_batch,
-            "max_delay_ms": round(self.max_delay * 1000, 3),
             "kernel": self.kernel,
         }
 
@@ -595,7 +594,6 @@ def aggregate_shard_stats(snapshots: Sequence[dict]) -> dict:
     out["batches"] = {
         "dispatched": int(sum_over(("batches", "dispatched"))),
         "requests": int(sum_over(("batches", "requests"))),
-        "preempted": int(sum_over(("batches", "preempted"))),
         "max_size": int(max(snap.get("batches", {}).get("max_size", 0)
                             for snap in snapshots)),
     }

@@ -251,6 +251,8 @@ class ReplayClientResult:
     #: injected faults by kind
     faults: Dict[str, int] = field(default_factory=dict)
     latencies: List[float] = field(default_factory=list)
+    #: (latency, cached flag) per ok response, in arrival order
+    answered: List[tuple] = field(default_factory=list)
     #: open-loop replay only: seconds each send ran behind its due time
     lateness: List[float] = field(default_factory=list)
     #: sha256 over the connection's responses — two replays of one
@@ -353,6 +355,8 @@ class ReplayResult:
 
     def to_dict(self) -> dict:
         lat = sorted(self.latencies)
+        fresh = sorted(x for c in self.clients
+                       for x, cached in c.answered if not cached)
         late = sorted(x for c in self.clients for x in c.lateness)
         goodput, offered = self.tenant_goodput, self.tenant_offered
         return {
@@ -372,6 +376,12 @@ class ReplayResult:
                 "p90": round(percentile(lat, 90) * 1000, 3),
                 "p99": round(percentile(lat, 99) * 1000, 3),
                 "p999": round(percentile(lat, 99.9) * 1000, 3),
+            },
+            # first sight: the answers the server compiled
+            "fresh_latency_ms": {
+                "count": len(fresh),
+                "p50": round(percentile(fresh, 50) * 1000, 3),
+                "p99": round(percentile(fresh, 99) * 1000, 3),
             },
             "late_ms_p99": round(percentile(late, 99) * 1000, 3),
             "fairness": {
@@ -411,15 +421,17 @@ def _replay_client(address: Address, events: Sequence[TraceEvent],
             started, tenant = window.popleft()
             line = client.recv_raw()
             result.received += 1
-            result.latencies.append(time.monotonic() - started)
+            latency = time.monotonic() - started
+            result.latencies.append(latency)
             response = json.loads(line)
             hasher.update(digest_payload(response))
             okay = bool(response.get("ok"))
             result.tenant_order.append((tenant, okay))
             if okay:
                 result.ok += 1
-                if response["result"].get("cached"):
-                    result.cached += 1
+                cached = bool(response["result"].get("cached"))
+                result.cached += cached
+                result.answered.append((latency, cached))
             else:
                 code = response["error"]["code"]
                 result.errors[code] = result.errors.get(code, 0) + 1

@@ -75,7 +75,6 @@ class ServiceStats:
     batches_dispatched: int = 0
     batched_requests: int = 0
     max_batch_size: int = 0
-    preempted_batches: int = 0  # linger cut short by a priority arrival
     peak_queue_depth: int = 0   # high-water mark of the admission queue
     busy_seconds: float = 0.0  # wall time spent inside compile_many
     latency: LatencyReservoir = field(default_factory=LatencyReservoir)
@@ -137,7 +136,6 @@ class ServiceStats:
                 "requests": self.batched_requests,
                 "max_size": self.max_batch_size,
                 "mean_size": round(mean_batch, 2),
-                "preempted": self.preempted_batches,
             },
             "fairness": {
                 "tenants_seen": len(self.tenant_served),

@@ -23,7 +23,7 @@ Responses::
 
     {"id": 1, "ok": true, "result": {"name": ..., "ni_original": ...,
      "ni_optimized": ..., "ni_reduction": ..., "cached": ...,
-     "mcpu": ..., "compile_ms": ..., "wait_ms": ...}}
+     "mcpu": ..., "insns": ..., "compile_ms": ...}}
     {"id": 1, "ok": false,
      "error": {"code": "compile-error", "message": "..."}}
 
@@ -39,9 +39,9 @@ in flight — retry-safe by construction, nothing was committed), and
 
 Protocol v2 adds two optional request fields the fleet tier consumes:
 ``tenant`` (a client-chosen stream label; the admission queue serves
-backlogged tenants round-robin, an equal share of each batch window)
-and ``priority`` (0..9, default 0; higher classes drain first and a
-high-priority arrival preempts the admission window's linger timer).
+backlogged tenants round-robin, an equal share of each batch) and
+``priority`` (0..9, default 0; higher classes drain first from a
+backlog of misses).
 Both are ignored by the cache key — identical programs share one
 entry no matter who asks.
 """
@@ -112,8 +112,8 @@ class Request:
     superopt: Optional[Any] = None
     #: fairness stream label (fleet tier); "" groups with the default
     tenant: str = ""
-    #: admission priority 0..9; >= the daemon's ``preempt_priority``
-    #: also cuts the batch linger timer short
+    #: admission priority 0..9; a higher class drains first from the
+    #: queue of misses waiting for the batcher
     priority: int = 0
 
     @property

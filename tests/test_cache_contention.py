@@ -129,7 +129,7 @@ class TestConcurrentPools:
         clients stream requests — everyone sees reference results."""
         reference = compile_many(MerlinPipeline(), BATCH)
         config = ServeConfig(cache_dir=str(tmp_path), jobs=2,
-                             max_batch=8, max_delay=0.01)
+                             max_batch=8)
         pool_result = {}
 
         def out_of_band():
@@ -418,8 +418,8 @@ class TestEvictionContention:
         every response is ok, nothing tears, and entries the sweeps
         removed come back on the next pass."""
         configs = [ServeConfig(cache_dir=str(tmp_path), max_batch=8,
-                               max_delay=0.005, cache_ttl=0.3,
-                               sweep_interval=0.1, shard_id=index)
+                               cache_ttl=0.3, sweep_interval=0.1,
+                               shard_id=index)
                    for index in range(2)]
         payloads = [{"op": "compile", "name": name, "source": source,
                      "entry": name, "prog_type": "tracepoint",

@@ -79,14 +79,14 @@ def payload(name, source, **extra):
 
 @pytest.fixture(scope="module")
 def fleet():
-    config = FleetConfig(shards=2, max_batch=8, max_delay=0.005)
+    config = FleetConfig(shards=2, max_batch=8)
     with FleetThread(config) as handle:
         yield handle
 
 
 @pytest.fixture(scope="module")
 def daemon():
-    with DaemonThread(ServeConfig(max_batch=8, max_delay=0.005)) as handle:
+    with DaemonThread(ServeConfig(max_batch=8)) as handle:
         yield handle
 
 
@@ -271,8 +271,7 @@ class TestStatsAggregation:
         snapshots = [
             {"requests": {"received": 5, "compiles": 3},
              "queue": {"depth": 1, "peak_depth": 4},
-             "batches": {"dispatched": 2, "requests": 3, "max_size": 2,
-                         "preempted": 1},
+             "batches": {"dispatched": 2, "requests": 3, "max_size": 2},
              "cache": {"hits": 2, "misses": 1, "stores": 1},
              "throughput": {"programs_per_second": 10.0,
                             "busy_seconds": 0.5},
@@ -282,8 +281,7 @@ class TestStatsAggregation:
                           "served_by_priority": {"0": 3}}},
             {"requests": {"received": 7, "compiles": 6},
              "queue": {"depth": 0, "peak_depth": 9},
-             "batches": {"dispatched": 3, "requests": 6, "max_size": 3,
-                         "preempted": 0},
+             "batches": {"dispatched": 3, "requests": 6, "max_size": 3},
              "cache": {"hits": 5, "misses": 1, "stores": 1},
              "throughput": {"programs_per_second": 20.0,
                             "busy_seconds": 1.5},
@@ -297,7 +295,6 @@ class TestStatsAggregation:
         assert agg["requests"]["received"] == 12
         assert agg["requests"]["compiles"] == 9
         assert agg["queue"]["peak_depth"] == 9
-        assert agg["batches"]["preempted"] == 1
         assert agg["cache"]["hits"] == 7
         assert agg["cache"]["hit_rate"] == round(7 / 9, 4)
         assert agg["latency"]["count"] == 9
@@ -428,18 +425,28 @@ class TestReplayBothServers:
                             run.dropped))
         assert tallies[0] == tallies[1]
 
-    def test_open_loop_latency_runs_from_due_time(self):
-        """Gaps far shorter than the linger, one request in flight: each
-        request waits behind the previous one, and that wait is latency
-        — a replayer that started the clock at the send would report
-        about one linger for every request (coordinated omission)."""
-        linger = 0.05
-        with DaemonThread(ServeConfig(max_delay=linger)) as handle:
+    def test_open_loop_latency_runs_from_due_time(self, monkeypatch):
+        """Gaps far shorter than one compile, one request in flight:
+        each request waits behind the previous one, and that wait is
+        latency — a replayer that started the clock at the send would
+        report about one compile for every request (coordinated
+        omission)."""
+        import repro.serve.daemon as daemon_mod
+
+        delay = 0.05
+        real_compile_many = daemon_mod.compile_many
+
+        def slow_compile_many(*args, **kwargs):
+            time.sleep(delay)
+            return real_compile_many(*args, **kwargs)
+
+        monkeypatch.setattr(daemon_mod, "compile_many", slow_compile_many)
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as warmup:
                 # time no first-compile setup
                 warmup.request(payload(*SOURCES[0]), check=True)
             # never-seen sources: a repeat is answered at admission,
-            # each of these waits out the linger
+            # each of these pays the slowed compile
             events = [TraceEvent(t=i * 0.002, client=0, payload=payload(
                           f"late{i}",
                           f"u64 late{i}(u8* ctx) {{ return {i} + 7; }}"))
@@ -447,16 +454,15 @@ class TestReplayBothServers:
             run = replay_trace(handle.address, events, speed=1.0, depth=1)
         assert run.ok == len(events)
         latencies = run.clients[0].latencies
-        assert latencies[-1] > 4 * linger > 2 * latencies[0]
+        assert latencies[-1] > 4 * delay > 2 * latencies[0]
         assert latencies == sorted(latencies)
-        assert run.to_dict()["late_ms_p99"] > 3 * linger * 1000
+        assert run.to_dict()["late_ms_p99"] > 3 * delay * 1000
 
 
 # ======================================= shard loss + drain (S3)
 class TestShardFailure:
     def test_kill_mid_batch_yields_shard_lost_then_respawn(self):
-        config = FleetConfig(shards=2, max_batch=4, max_delay=0.005,
-                             reconnect_delay=0.05)
+        config = FleetConfig(shards=2, max_batch=4, reconnect_delay=0.05)
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 # cold burst pinned to one shard, killed mid-flight:
@@ -499,8 +505,8 @@ class TestShardFailure:
         """A killed shard's link can drop before its process reads as
         dead.  The supervisor must reap and respawn it at once, not
         dial the dead socket for ``connect_timeout`` first."""
-        config = FleetConfig(shards=2, max_delay=0.005,
-                             reconnect_delay=0.05, connect_timeout=20.0)
+        config = FleetConfig(shards=2, reconnect_delay=0.05,
+                             connect_timeout=20.0)
         with FleetThread(config) as fleet:
             proc = fleet.router._procs[0]
             real_is_alive = proc.is_alive
@@ -529,7 +535,7 @@ class TestShardFailure:
                                       check=True)["ok"]
 
     def test_requests_reroute_while_shard_down(self):
-        config = FleetConfig(shards=2, max_delay=0.005, respawn=False)
+        config = FleetConfig(shards=2, respawn=False)
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 source = "u64 r(u8* ctx) { return 77; }"
@@ -548,7 +554,7 @@ class TestShardFailure:
                 assert fleet.router.shard_for(source) != home
 
     def test_drain_shutdown_drops_nothing(self):
-        config = FleetConfig(shards=2, max_batch=4, max_delay=0.01)
+        config = FleetConfig(shards=2, max_batch=4)
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 pending = [payload(f"d{i}",
@@ -573,7 +579,7 @@ class TestShardFailure:
         ``Server.wait_closed`` also waits for every accepted transport
         to detach, so awaiting it before connection teardown deadlocks
         against exactly this client."""
-        config = FleetConfig(shards=2, max_batch=4, max_delay=0.01)
+        config = FleetConfig(shards=2, max_batch=4)
         with FleetThread(config) as fleet:
             client = ServeClient(fleet.address)
             try:
@@ -609,8 +615,8 @@ class TestCrossShardContention:
         clients keep re-requesting: no torn entries, no read errors,
         and the warm-hit ratio recovers once traffic re-stores the
         expired keys."""
-        config = FleetConfig(shards=2, max_batch=8, max_delay=0.005,
-                             cache_ttl=0.3, sweep_interval=0.1)
+        config = FleetConfig(shards=2, max_batch=8, cache_ttl=0.3,
+                             sweep_interval=0.1)
         with FleetThread(config) as fleet:
             with ServeClient(fleet.address) as client:
                 batch = [payload(name, source)

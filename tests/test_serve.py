@@ -7,11 +7,13 @@ ordering under pipelining and concurrency, error-response shapes, and
 clean shutdown with in-flight requests drained.
 """
 
+import asyncio
 import gc
 import pickle
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,7 +80,7 @@ def reference_compile(name, source, mcpu="v2", ctx_size=64):
 
 @pytest.fixture(scope="module")
 def daemon():
-    config = ServeConfig(max_batch=8, max_delay=0.02)
+    config = ServeConfig(max_batch=8)
     with DaemonThread(config) as handle:
         yield handle
 
@@ -250,7 +252,7 @@ class TestRoundTrip:
         assert 0.0 <= stats["cache"]["hit_rate"] <= 1.0
 
     def test_tcp_transport(self):
-        config = ServeConfig(host="127.0.0.1", port=0, max_delay=0.005)
+        config = ServeConfig(host="127.0.0.1", port=0)
         with DaemonThread(config) as handle:
             kind, host, port = handle.address
             assert kind == "tcp"
@@ -263,13 +265,13 @@ class TestBatchingSemantics:
     def test_batched_equals_sequential(self):
         """The core contract: requests admitted into one batch return
         byte-identical results to one-at-a-time compiles."""
-        config = ServeConfig(max_batch=len(SOURCES), max_delay=0.25)
+        config = ServeConfig(max_batch=len(SOURCES))
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 batched = client.compile_pipelined(
                     [payload(n, s, asm=True) for n, s in SOURCES])
             stats = handle.daemon.snapshot()
-        # the generous linger really did coalesce the window ...
+        # misses queued behind the first compile went out together ...
         assert stats["batches"]["max_size"] > 1
         # ... and every response matches the local reference compile
         for (name, source), response in zip(SOURCES, batched):
@@ -283,7 +285,7 @@ class TestBatchingSemantics:
     def test_mixed_configs_in_one_window(self):
         """One admission window holding different pipeline configs is
         split into per-config compile_many groups, not mis-batched."""
-        config = ServeConfig(max_batch=8, max_delay=0.25)
+        config = ServeConfig(max_batch=8)
         requests = [
             payload("fold", SOURCES[0][1], kernel="6.5", asm=True),
             payload("fold", SOURCES[0][1], kernel="4.15", asm=True),
@@ -306,7 +308,7 @@ class TestBatchingSemantics:
         assert responses[0]["result"]["asm"] == disassemble(new.insns)
 
     def test_batch_stats_accounting(self):
-        config = ServeConfig(max_batch=4, max_delay=0.25)
+        config = ServeConfig(max_batch=4)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 client.compile_pipelined(
@@ -379,23 +381,22 @@ class TestOrdering:
 
 # ============================================= admission fast path
 def _fresh(name, value):
-    """A source no daemon has seen: it compiles, and lingers."""
+    """A source no daemon has seen: it goes through the batcher."""
     return payload(name, f"u64 {name}(u8* ctx) {{ return {value}; }}")
 
 
 class TestAdmissionFastPath:
     """A repeat of a memoized request shape is answered at admission:
-    it skips the linger and the batcher and deserializes nothing."""
+    it skips the queue and the batcher and deserializes nothing."""
 
     @pytest.mark.parametrize("kind", ["daemon", "fleet"])
     def test_warm_repeat_skips_the_linger(self, kind):
         from repro.serve.fleet import FleetConfig, FleetThread
 
-        linger = 0.5
         request = payload(*SOURCES[0])
-        server = (DaemonThread(ServeConfig(max_delay=linger))
+        server = (DaemonThread(ServeConfig())
                   if kind == "daemon"
-                  else FleetThread(FleetConfig(shards=2, max_delay=linger)))
+                  else FleetThread(FleetConfig(shards=2)))
         with server as handle:
             with ServeClient(handle.address) as client:
                 client.request(request, check=True)   # compile, memoize
@@ -414,7 +415,7 @@ class TestAdmissionFastPath:
             return real_loads(*args, **kwargs)
 
         request = payload(*SOURCES[1])
-        with DaemonThread(ServeConfig(max_delay=0.005)) as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 client.request(request, check=True)
                 monkeypatch.setattr(pickle, "loads", counting_loads)
@@ -427,7 +428,7 @@ class TestAdmissionFastPath:
 
     def test_one_hit_moves_each_counter_once(self):
         request = payload(*SOURCES[2], tenant="t1")
-        with DaemonThread(ServeConfig(max_delay=0.05)) as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 client.request(request, check=True)
                 before = client.stats()
@@ -449,7 +450,7 @@ class TestAdmissionFastPath:
         assert moved("cache", "memory_hits") == 1
         assert moved("cache", "misses") == 0
         assert moved("batches", "requests") == 0
-        # the hit itself waited 0 ms (the miss before it lingered 50)
+        # the hit itself waited 0 ms in the queue
         waits = [snap["queue_wait"] for snap in (before, after)]
         waited_ms = waits[1]["mean_ms"] * waits[1]["count"] \
             - waits[0]["mean_ms"] * waits[0]["count"]
@@ -459,7 +460,7 @@ class TestAdmissionFastPath:
         """[new A, repeat B, new C] on one connection: B resolves at
         admission, before A compiles, and still comes back second."""
         repeat = payload(*SOURCES[3])
-        with DaemonThread(ServeConfig(max_delay=0.2)) as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 client.request(repeat, check=True)
                 # compile_pipelined asserts ids come back in send order
@@ -476,7 +477,7 @@ class TestAdmissionFastPath:
 
         monkeypatch.setattr(OptimizationDaemon, "_MEMO_LIMIT", 2)
         a, b, c = (payload(*SOURCES[i]) for i in range(3))
-        with DaemonThread(ServeConfig(max_delay=0.005)) as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 for request in (a, b, a, c):   # compile A, B; hit A; C
                     client.request(request, check=True)
@@ -489,7 +490,7 @@ class TestAdmissionFastPath:
         """The memoized answer is the bytes a cache-hit compile of the
         same request returns (the batcher's path)."""
         request = payload(*SOURCES[0], asm=True, validate="report")
-        with DaemonThread(ServeConfig(max_delay=0.005)) as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 client.request(request, check=True)
                 fast = client.request(request, check=True)["result"]
@@ -555,7 +556,7 @@ class TestShutdown:
     def test_drain_answers_in_flight_requests(self):
         """Requests already admitted when stop(drain=True) lands must
         all be answered before the daemon exits."""
-        config = ServeConfig(max_batch=4, max_delay=0.15)
+        config = ServeConfig(max_batch=4)
         handle = DaemonThread(config).start()
         try:
             client = ServeClient(handle.address)
@@ -582,7 +583,7 @@ class TestShutdown:
         ``Server.wait_closed`` also waits for every accepted transport
         to detach, so awaiting it before connection teardown deadlocks
         against exactly this client."""
-        config = ServeConfig(max_batch=4, max_delay=0.01)
+        config = ServeConfig(max_batch=4)
         handle = DaemonThread(config).start()
         client = ServeClient(handle.address)
         try:
@@ -603,7 +604,7 @@ class TestShutdown:
         assert not handle._thread.is_alive()
 
     def test_shutdown_op_acks_then_stops(self):
-        config = ServeConfig(max_delay=0.005)
+        config = ServeConfig()
         handle = DaemonThread(config).start()
         client = ServeClient(handle.address)
         ack = client.shutdown()
@@ -613,7 +614,7 @@ class TestShutdown:
         client.close()
 
     def test_socket_is_removed_after_stop(self):
-        config = ServeConfig(max_delay=0.005)
+        config = ServeConfig()
         handle = DaemonThread(config).start()
         kind, path = handle.address
         assert kind == "unix"
@@ -623,7 +624,7 @@ class TestShutdown:
         assert not os.path.exists(path)
 
     def test_new_connections_refused_after_stop(self):
-        config = ServeConfig(max_delay=0.005)
+        config = ServeConfig()
         handle = DaemonThread(config).start()
         handle.stop()
         with pytest.raises((ConnectionError, FileNotFoundError, OSError)):
@@ -640,7 +641,7 @@ class TestShutdown:
                     if issubclass(w.category, ResourceWarning)]
 
     def test_stop_is_idempotent(self):
-        handle = DaemonThread(ServeConfig(max_delay=0.005)).start()
+        handle = DaemonThread(ServeConfig()).start()
         handle.stop()
         handle.stop()  # second call is a no-op, not an error
 
@@ -648,8 +649,8 @@ class TestShutdown:
 # =============================================== multi-process workers
 class TestWorkerPool:
     def test_jobs_pool_matches_sequential(self):
-        seq_cfg = ServeConfig(max_batch=8, max_delay=0.2)
-        par_cfg = ServeConfig(max_batch=8, max_delay=0.2, jobs=2)
+        seq_cfg = ServeConfig(max_batch=8)
+        par_cfg = ServeConfig(max_batch=8, jobs=2)
         requests = [payload(n, s, asm=True) for n, s in SOURCES]
         with DaemonThread(seq_cfg) as handle:
             with ServeClient(handle.address) as client:
@@ -714,7 +715,7 @@ class TestPgoRequests:
         assert result["layout"]["profiled_runs"] >= 1
 
     def test_pgo_and_plain_memoize_separately(self):
-        config = ServeConfig(max_batch=4, max_delay=0.005)
+        config = ServeConfig(max_batch=4)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 name, source = SOURCES[2]
@@ -737,7 +738,7 @@ class TestPoisonedBatch:
     BAD_SOURCE = "u64 boom(u8* ctx) { return undefined_symbol; }"
 
     def test_siblings_survive_in_order_and_daemon_drains(self):
-        config = ServeConfig(max_batch=8, max_delay=0.1)
+        config = ServeConfig(max_batch=8)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 requests = [payload(*SOURCES[0]),
@@ -764,7 +765,7 @@ class TestPoisonedBatch:
         assert stats["batches"]["requests"] == 4
 
     def test_all_poisoned_batch_still_drains(self):
-        config = ServeConfig(max_batch=4, max_delay=0.05)
+        config = ServeConfig(max_batch=4)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 responses = client.compile_pipelined(
@@ -839,7 +840,7 @@ class TestSuperoptRequests:
         assert result["superopt"]["rewrites"] >= 0
 
     def test_superopt_and_plain_memoize_separately(self):
-        config = ServeConfig(max_batch=4, max_delay=0.005)
+        config = ServeConfig(max_batch=4)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 name, source = SOURCES[0]
@@ -857,7 +858,7 @@ class TestSuperoptRequests:
         """One admission window mixing superopt-on and -off jobs must
         return exactly what one-at-a-time compiles return."""
         sequential = {}
-        config = ServeConfig(max_batch=1, max_delay=0.0)
+        config = ServeConfig(max_batch=1)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 for name, source in SOURCES[:3]:
@@ -866,7 +867,7 @@ class TestSuperoptRequests:
                             source, name=name, entry=name,
                             prog_type="tracepoint", superopt=superopt)
                         sequential[(name, superopt)] = response["result"]
-        config = ServeConfig(max_batch=8, max_delay=0.1)
+        config = ServeConfig(max_batch=8)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 requests = [payload(name, source, superopt=superopt)
@@ -886,7 +887,7 @@ class TestSuperoptRequests:
         request while superopt siblings compile — and the daemon still
         drains (no wedged batch group)."""
         bad = "u64 boom(u8* ctx) { return undefined_symbol; }"
-        config = ServeConfig(max_batch=8, max_delay=0.1)
+        config = ServeConfig(max_batch=8)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 requests = [payload(*SOURCES[0], superopt=True),
@@ -938,7 +939,7 @@ class TestTenantPriorityProtocol:
         assert plain.config_key == tagged.config_key
 
     def test_daemon_accepts_and_counts_tenants(self):
-        config = ServeConfig(max_batch=8, max_delay=0.01)
+        config = ServeConfig(max_batch=8)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 for tenant in ("team-a", "team-a", "team-b"):
@@ -1045,31 +1046,10 @@ class TestFairAdmissionQueue:
 
 
 class TestPriorityPreemption:
-    def test_high_priority_cuts_the_linger_timer(self):
-        """With a long admission window, a priority >= preempt_priority
-        arrival must dispatch immediately instead of waiting out the
-        linger — the preempted-batches counter records it."""
-        import time
-
-        config = ServeConfig(max_batch=64, max_delay=0.5,
-                             preempt_priority=1)
-        with DaemonThread(config) as handle:
-            with ServeClient(handle.address) as client:
-                client.request(payload(*SOURCES[0]), check=True)  # warm up
-                started = time.monotonic()
-                response = client.request(
-                    payload(*SOURCES[1], priority=5), check=True)
-                elapsed = time.monotonic() - started
-                assert response["ok"]
-                assert elapsed < 0.4  # did not linger the full 500ms
-            snapshot = handle.daemon.snapshot()
-        assert snapshot["batches"]["preempted"] >= 1
-
     def test_default_priority_still_batches(self):
         """Priority-0 traffic must keep the PR-5 batching behavior:
         pipelined requests land in shared admission batches."""
-        config = ServeConfig(max_batch=8, max_delay=0.05,
-                             preempt_priority=1)
+        config = ServeConfig(max_batch=8)
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 responses = client.compile_pipelined(
@@ -1078,3 +1058,143 @@ class TestPriorityPreemption:
                 assert all(r["ok"] for r in responses)
             snapshot = handle.daemon.snapshot()
         assert snapshot["batches"]["max_size"] > 1
+
+
+# ============================================ work-conserving batcher
+def _miss(name, priority=0, tenant=""):
+    """A stand-in for an admitted ``_Pending``: the batcher hands it to
+    ``_dispatch`` as is."""
+    return SimpleNamespace(name=name, request=SimpleNamespace(
+        priority=priority, tenant=tenant))
+
+
+class TestWorkConservingBatcher:
+    """``_batch_loop`` driven directly, its ``_dispatch`` replaced by a
+    recorder: which misses go out together, counted in event-loop
+    ticks rather than wall-clock time."""
+
+    TICKS = 5
+
+    @staticmethod
+    def _daemon(tmp_path, **config):
+        from repro.serve.daemon import OptimizationDaemon
+
+        return OptimizationDaemon(ServeConfig(
+            socket_path=str(tmp_path / "unused.sock"), **config))
+
+    @staticmethod
+    def _admit(daemon, *misses):
+        for miss in misses:
+            daemon._queue.put_nowait(miss, priority=miss.request.priority,
+                                     tenant=miss.request.tenant)
+
+    async def _ticks(self):
+        for _ in range(self.TICKS):
+            await asyncio.sleep(0)
+
+    def _run(self, daemon, scenario, gated=False, stop=True):
+        """Run ``scenario(sent, gate)`` beside the batcher, each
+        dispatch held until ``gate`` is set (set from the start unless
+        *gated*), then queue a ``_STOP`` if *stop*.  Returns the
+        dispatched batches as name lists and whether the loop ended."""
+        from repro.serve.daemon import _STOP
+
+        async def main():
+            daemon._loop = asyncio.get_running_loop()  # as start() does
+            sent = []
+            gate = asyncio.Event()
+            if not gated:
+                gate.set()
+
+            async def record(batch):
+                sent.append([miss.name for miss in batch])
+                await gate.wait()
+
+            daemon._dispatch = record
+            batcher = asyncio.ensure_future(daemon._batch_loop())
+            await scenario(sent, gate)
+            if stop:
+                daemon._queue.put_control(_STOP)
+            await self._ticks()
+            ended = batcher.done()
+            batcher.cancel()
+            return sent, ended
+
+        return asyncio.run(main())
+
+    def test_lone_miss_dispatches_at_once(self, tmp_path):
+        daemon = self._daemon(tmp_path)
+        seen = []
+
+        async def scenario(sent, gate):
+            await asyncio.sleep(0)          # the batcher parks on the queue
+            self._admit(daemon, _miss("only"))
+            await self._ticks()
+            seen.extend(sent)
+
+        sent, ended = self._run(daemon, scenario)
+        assert seen == [["only"]]
+        assert sent == [["only"]] and ended
+
+    def test_backlog_goes_out_together_in_fair_order(self, tmp_path):
+        """Misses queued while a dispatch is in flight form the next
+        batch: at most ``max_batch``, priority first, then tenants
+        round-robin."""
+        daemon = self._daemon(tmp_path, max_batch=4)
+
+        async def scenario(sent, gate):
+            await asyncio.sleep(0)
+            self._admit(daemon, _miss("first"))
+            await self._ticks()
+            assert sent == [["first"]]       # in flight until the gate
+            self._admit(daemon, _miss("a0", tenant="a"),
+                        _miss("a1", tenant="a"), _miss("a2", tenant="a"),
+                        _miss("b0", tenant="b"),
+                        _miss("hi", priority=5, tenant="b"),
+                        _miss("c0", tenant="c"))
+            await self._ticks()
+            assert sent == [["first"]]       # nothing overtakes it
+            gate.set()
+            await self._ticks()
+
+        sent, ended = self._run(daemon, scenario, gated=True)
+        assert sent == [["first"], ["hi", "a0", "b0", "c0"], ["a1", "a2"]]
+        assert ended
+
+    def test_stop_behind_misses_dispatches_them_first(self, tmp_path):
+        from repro.serve.daemon import _STOP
+
+        daemon = self._daemon(tmp_path, max_batch=2)
+        self._admit(daemon, _miss("m0"), _miss("m1"), _miss("m2"))
+        daemon._queue.put_control(_STOP)
+
+        async def scenario(sent, gate):
+            await self._ticks()
+
+        sent, ended = self._run(daemon, scenario, stop=False)
+        assert sent == [["m0", "m1"], ["m2"]]
+        assert ended
+
+    def test_config_reports_no_linger(self, tmp_path):
+        daemon = self._daemon(tmp_path)
+        assert daemon.snapshot()["config"]["max_delay_ms"] == 0
+
+
+# ================================================== bench-serve report
+class TestBenchServeFreshLatency:
+    def test_fresh_latency_counts_first_sightings(self, tmp_path):
+        """``fresh_latency_ms`` covers only the answers the daemon
+        compiled: with one worker, each distinct program once in the
+        cold phase, and nothing in the warm replay."""
+        from repro.eval.serviceperf import bench_service
+        from repro.serve.loadgen import load_trace
+
+        trace = str(tmp_path / "trace.jsonl")
+        report = bench_service(requests=40, clients=2, unique=5, seed=2024,
+                               jobs=1, record_path=trace)
+        distinct = {event.payload["source"] for event in load_trace(trace)}
+        cold, warm = report.cold.to_dict(), report.warm.to_dict()
+        assert cold["ok"] == cold["requests"]
+        assert cold["fresh_latency_ms"]["count"] == len(distinct)
+        assert cold["fresh_latency_ms"]["p50"] > 0
+        assert warm["fresh_latency_ms"]["count"] == 0

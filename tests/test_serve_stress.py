@@ -58,7 +58,7 @@ class TestSoak:
         """>=4 clients x >=200 requests each, twice over: nothing
         dropped, everything ok, and the Zipf head keeps the shared
         cache hot."""
-        config = ServeConfig(max_batch=16, max_delay=0.005)
+        config = ServeConfig(max_batch=16)
         with DaemonThread(config) as handle:
             first = replay_zipf(handle.address, pool,
                              requests=SOAK_REQUESTS, clients=SOAK_CLIENTS,
@@ -117,7 +117,7 @@ class TestSoak:
 
         tallies = []
         for _ in range(2):
-            config = ServeConfig(max_batch=16, max_delay=0.005)
+            config = ServeConfig(max_batch=16)
             with DaemonThread(config) as handle:
                 result = replay_zipf(handle.address, pool, requests=50,
                                   clients=SOAK_CLIENTS, seed=SOAK_SEED,
@@ -141,7 +141,7 @@ class TestFaultInjection:
         serves afterwards."""
         faults = FaultPlan(malformed=0.05, oversized=0.02,
                            unknown_op=0.03, disconnect=0.03)
-        config = ServeConfig(max_batch=16, max_delay=0.005)
+        config = ServeConfig(max_batch=16)
         with DaemonThread(config) as handle:
             result = replay_zipf(handle.address, pool, requests=100,
                               clients=SOAK_CLIENTS, seed=11, depth=4,
@@ -169,7 +169,7 @@ class TestFaultInjection:
                            unknown_op=0.03, disconnect=0.03)
         tallies = []
         for _ in range(2):
-            config = ServeConfig(max_batch=16, max_delay=0.005)
+            config = ServeConfig(max_batch=16)
             with DaemonThread(config) as handle:
                 result = replay_zipf(handle.address, pool, requests=60,
                                   clients=2, seed=11, depth=4,
@@ -185,7 +185,7 @@ class TestCacheDirLoss:
         """Losing the disk store mid-flight (dir becomes unwritable /
         unreadable) must degrade to memory-only service, not crash."""
         cache_dir = tmp_path / "store"
-        config = ServeConfig(cache_dir=str(cache_dir), max_delay=0.005)
+        config = ServeConfig(cache_dir=str(cache_dir))
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 warm = pool[0]
@@ -216,7 +216,7 @@ class TestCacheDirLoss:
 
     def test_load_continues_after_cache_dir_loss(self, tmp_path, pool):
         cache_dir = tmp_path / "store"
-        config = ServeConfig(cache_dir=str(cache_dir), max_delay=0.005)
+        config = ServeConfig(cache_dir=str(cache_dir))
         with DaemonThread(config) as handle:
             replay_zipf(handle.address, pool, requests=20, clients=2,
                      seed=3, depth=4)
