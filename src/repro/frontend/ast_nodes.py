@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 
 @dataclass
@@ -158,6 +158,9 @@ class FuncDef(Node):
     name: str = ""
     params: List[Param] = field(default_factory=list)
     body: Block = None
+    #: every ``name`` the body takes the address of (``&name``); the
+    #: parser records them, so lowering never walks the tree for them
+    address_taken: Set[str] = field(default_factory=set)
 
 
 @dataclass

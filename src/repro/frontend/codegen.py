@@ -97,12 +97,19 @@ class _SSA:
         self.sealed: Set[ir.BasicBlock] = set()
         self.incomplete: Dict[ir.BasicBlock, Dict[str, iri.Phi]] = {}
         self.preds: Dict[ir.BasicBlock, List[ir.BasicBlock]] = {}
+        #: every (var, block) a phi was written to, so removing a trivial
+        #: phi retargets its defs without scanning all of ``defs``; an
+        #: entry may be stale (overwritten since), which ``defs`` tells
+        self.phi_sites: Dict[iri.Phi, List[Tuple[str, ir.BasicBlock]]] = {}
 
     def add_edge(self, pred: ir.BasicBlock, succ: ir.BasicBlock) -> None:
         self.preds.setdefault(succ, []).append(pred)
 
     def write(self, var: str, block: ir.BasicBlock, value: ir.Value) -> None:
-        self.defs[(var, block)] = value
+        key = (var, block)
+        self.defs[key] = value
+        if isinstance(value, iri.Phi):
+            self.phi_sites.setdefault(value, []).append(key)
 
     def read(self, var: str, block: ir.BasicBlock, line: int) -> ir.Value:
         """Braun-style variable read.
@@ -167,9 +174,9 @@ class _SSA:
         users = [u for u in phi.uses if u is not phi]
         phi.replace_all_uses_with(same)
         # fix stale defs pointing at the removed phi
-        for key, value in list(self.defs.items()):
-            if value is phi:
-                self.defs[key] = same
+        for var, block in self.phi_sites.pop(phi, ()):
+            if self.defs[(var, block)] is phi:
+                self.write(var, block, same)
         phi.erase()
         for user in users:
             if isinstance(user, iri.Phi):
@@ -216,7 +223,7 @@ class FunctionCompiler:
         self.builder = ir.IRBuilder()
         self.ssa = _SSA(self.func)
         self.allocas: Dict[str, iri.Alloca] = {}
-        self.address_taken = self._find_address_taken(func_def.body)
+        self.address_taken = set(func_def.address_taken)
         self.loop_stack: List[Tuple[ir.BasicBlock, ir.BasicBlock]] = []
         self.terminated = False
         # program-local functions (paper §5.1's "local functions"): eBPF
@@ -260,26 +267,6 @@ class FunctionCompiler:
         if self.inline_stack:
             return self.inline_stack[-1].prefix + name
         return name
-
-    @staticmethod
-    def _find_address_taken(body: ast.Block) -> Set[str]:
-        taken: Set[str] = set()
-
-        def visit(node) -> None:
-            if isinstance(node, ast.Unary) and node.op == "&" and \
-                    isinstance(node.operand, ast.Name):
-                taken.add(node.operand.ident)
-            for field_name in getattr(node, "__dataclass_fields__", {}):
-                child = getattr(node, field_name)
-                if isinstance(child, list):
-                    for item in child:
-                        if hasattr(item, "__dataclass_fields__"):
-                            visit(item)
-                elif hasattr(child, "__dataclass_fields__"):
-                    visit(child)
-
-        visit(body)
-        return taken
 
     def _branch_to(self, target: ir.BasicBlock) -> None:
         if not self.terminated:
@@ -842,7 +829,7 @@ class FunctionCompiler:
         for param, arg in zip(callee.params, expr.args):
             value = self._coerce(self._expr(arg), _lower_type(param.type))
             bound.append((prefix + param.name, value))
-        for taken in self._find_address_taken(callee.body):
+        for taken in callee.address_taken:
             self.address_taken.add(prefix + taken)
 
         ret_ty = _lower_type(callee.return_type)

@@ -16,7 +16,7 @@ pointer (``*(u16*)(data + 12)``) is the idiomatic packet access.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from . import ast_nodes as ast
 from .lexer import Token, tokenize
@@ -51,6 +51,8 @@ class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        #: names under ``&`` in the function being parsed
+        self._address_taken: Set[str] = set()
 
     # --- plumbing ------------------------------------------------------------
     @property
@@ -62,15 +64,17 @@ class Parser:
         return self.tokens[index]
 
     def advance(self) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind != "eof":
             self.pos += 1
         return token
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
+            if kind != "eof":
+                self.pos += 1
+            return token
         return None
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
@@ -124,6 +128,7 @@ class Parser:
         return -value if negative else value
 
     def _func_def(self) -> ast.FuncDef:
+        self._address_taken = set()
         return_type = self._type()
         name = self.expect("name").text
         self.expect("punct", "(")
@@ -138,7 +143,7 @@ class Parser:
             self.expect("punct", ")")
         body = self._block()
         return ast.FuncDef(return_type=return_type, name=name, params=params,
-                           body=body)
+                           body=body, address_taken=self._address_taken)
 
     # --- types ---------------------------------------------------------------
     def _looks_like_type(self) -> bool:
@@ -163,7 +168,7 @@ class Parser:
         return ast.Block(line=line, statements=statements)
 
     def _statement(self):
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind == "punct" and token.text == "{":
             return self._block()
         if token.kind == "kw":
@@ -256,7 +261,7 @@ class Parser:
 
     def _assignment(self):
         lhs = self._conditional()
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind == "punct" and token.text in _ASSIGN_OPS:
             self.advance()
             value = self._assignment()
@@ -277,7 +282,7 @@ class Parser:
     def _binary(self, min_prec: int):
         lhs = self._unary()
         while True:
-            token = self.current
+            token = self.tokens[self.pos]
             prec = _BINARY_PREC.get(token.text) if token.kind == "punct" else None
             if prec is None or prec < min_prec:
                 return lhs
@@ -286,10 +291,12 @@ class Parser:
             lhs = ast.Binary(line=token.line, op=token.text, lhs=lhs, rhs=rhs)
 
     def _unary(self):
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind == "punct" and token.text in ("-", "!", "~", "*", "&"):
             self.advance()
             operand = self._unary()
+            if token.text == "&" and isinstance(operand, ast.Name):
+                self._address_taken.add(operand.ident)
             return ast.Unary(line=token.line, op=token.text, operand=operand)
         if token.kind == "punct" and token.text in ("++", "--"):
             self.advance()
@@ -311,17 +318,22 @@ class Parser:
     def _postfix(self):
         expr = self._primary()
         while True:
-            if self.accept("punct", "["):
+            token = self.tokens[self.pos]
+            if token.kind != "punct":
+                return expr
+            if token.text == "[":
+                self.pos += 1
                 index = self._expression()
                 self.expect("punct", "]")
                 expr = ast.Index(line=getattr(expr, "line", 0), base=expr,
                                  index=index)
-            elif self.accept("punct", "->"):
+            elif token.text == "->":
+                self.pos += 1
                 name = self.expect("name").text
                 expr = ast.Member(line=getattr(expr, "line", 0), base=expr,
                                   name=name, arrow=True)
-            elif self.current.kind == "punct" and self.current.text in ("++", "--"):
-                token = self.advance()
+            elif token.text in ("++", "--"):
+                self.pos += 1
                 one = ast.Number(line=token.line, value=1)
                 expr = ast.Assign(line=token.line,
                                   op="+=" if token.text == "++" else "-=",
@@ -330,7 +342,7 @@ class Parser:
                 return expr
 
     def _primary(self):
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind == "num":
             self.advance()
             return ast.Number(line=token.line, value=int(token.text, 0))

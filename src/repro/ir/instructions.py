@@ -84,6 +84,8 @@ class IRInstruction(Value):
         self.drop_operands()
         if self.parent is not None:
             self.parent.instructions.remove(self)
+            if self.name and self.parent.parent is not None:
+                self.parent.parent.release_name(self.name)
             self.parent = None
 
     @property

@@ -56,7 +56,7 @@ def expand_slots(insns: Sequence[Instruction]) -> List[Optional[Instruction]]:
     slots: List[Optional[Instruction]] = []
     for insn in insns:
         slots.append(insn)
-        if insn.slots == 2:
+        if op.SLOTS[insn.opcode] == 2:
             slots.append(None)
     return slots
 

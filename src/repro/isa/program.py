@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from . import opcodes as op
 from .instruction import Instruction, encoded_length, ni
 
 
@@ -96,7 +97,7 @@ class BpfProgram:
         offsets, slot = [], 0
         for insn in self.insns:
             offsets.append(slot)
-            slot += insn.slots
+            slot += op.SLOTS[insn.opcode]
         return offsets
 
     def index_of_slot(self, slot: int) -> int:

@@ -126,16 +126,20 @@ class Tnum:
         if self.is_const and other.is_const:
             return Tnum.const(self.value * other.value)
         acc_v = (self.value * other.value) & _U64
-        acc_m = Tnum(0, 0)
-        a, b = self, other
-        while a.value or a.mask:
-            if a.value & 1:
-                acc_m = acc_m.add(Tnum(0, b.mask))
-            elif a.mask & 1:
-                acc_m = acc_m.add(Tnum(0, (b.value | b.mask) & _U64))
-            a = a.rshift(1)
-            b = b.lshift(1)
-        return Tnum.const(acc_v).add(acc_m)
+        # the kernel's shift-and-add loop, on plain ints
+        acc_value = acc_mask = 0
+        a_value, a_mask = self.value, self.mask
+        b_value, b_mask = other.value, other.mask
+        while a_value or a_mask:
+            if (a_value | a_mask) & 1:
+                # acc += the tnum (0, x), as add() computes it
+                x = b_mask if a_value & 1 else (b_value | b_mask) & _U64
+                sigma = (((acc_mask + x) & _U64) + acc_value) & _U64
+                mu = ((sigma ^ acc_value) | acc_mask | x) & _U64
+                acc_value, acc_mask = acc_value & ~mu & _U64, mu
+            a_value, a_mask = a_value >> 1, a_mask >> 1
+            b_value, b_mask = (b_value << 1) & _U64, (b_mask << 1) & _U64
+        return Tnum.const(acc_v).add(Tnum(acc_value, acc_mask))
 
     def intersect(self, other: "Tnum") -> "Tnum":
         v = self.value | other.value

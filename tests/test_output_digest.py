@@ -1,0 +1,78 @@
+"""Pinned output of the frontend and the verifier over a wide corpus.
+
+``golden_compile.json`` pins 31 small programs.  This test covers the
+sizes where a quadratic path would bite, with two sha256 digests:
+
+* ``print_module`` of every program's frontend output (cache keys hash
+  this IR text);
+* the ``(ok, reason, npi, total_states, peak_states, pruned)`` verdict of
+  the verifier on every program's ``compile_function`` baseline build.
+
+The corpus, in order: the 19 XDP programs; the two largest programs of
+each suite at scale 0.2 (by source length, then name; 16-24k
+characters); and the source-layer fuzz programs of seeds 0-99
+(``repro.fuzz.generator.generate("source", seed)``).  Both digests were
+computed before the frontend and verifier fast paths existed.  Print
+the current ones, from the repository root, with::
+
+    PYTHONPATH=src python tests/test_output_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from repro.codegen import compile_function
+from repro.frontend import compile_source
+from repro.fuzz.generator import generate
+from repro.ir import print_module
+from repro.isa import ProgramType
+from repro.verifier import verify
+from repro.workloads.suites import TRACE_CTX_SIZE, generate_suite
+from repro.workloads.xdp import ALL_XDP, XDP_CTX_SIZE
+
+IR_SHA256 = "cdb9154b3bdd60f396f0c2a07d157a02b3dfbeef39d8d1496c901376b86342cf"
+VERDICT_SHA256 = \
+    "c8cf2d0dbcab3cf09897a246a5096aa460fcd567da6beb45c6a1b4d744e49bb3"
+
+
+def _cases():
+    """(name, source, entry, prog_type, mcpu, ctx_size) per program."""
+    cases = [(w.name, w.source, w.entry, ProgramType.XDP, "v2", XDP_CTX_SIZE)
+             for w in ALL_XDP]
+    for suite in ("sysdig", "tetragon", "tracee"):
+        largest = sorted(generate_suite(suite, scale=0.2),
+                         key=lambda p: (-len(p.source), p.name))[:2]
+        cases += [(p.name, p.source, p.entry, ProgramType.TRACEPOINT, "v3",
+                   TRACE_CTX_SIZE) for p in largest]
+    for seed in range(100):
+        case = generate("source", seed)
+        cases.append((f"fuzz{seed}", case.text, case.name, case.prog_type,
+                      case.mcpu, case.ctx_size))
+    return cases
+
+
+def digests() -> dict:
+    ir_text = hashlib.sha256()
+    verdicts = hashlib.sha256()
+    for name, source, entry, prog_type, mcpu, ctx_size in _cases():
+        module = compile_source(source, name)
+        ir_text.update(f"{name}\n{print_module(module)}\n".encode())
+        program = compile_function(module.get(entry), module,
+                                   prog_type=prog_type, mcpu=mcpu,
+                                   ctx_size=ctx_size)
+        result = verify(program)
+        verdicts.update(json.dumps(
+            [name, result.ok, result.reason, result.npi,
+             result.total_states, result.peak_states, result.pruned]
+        ).encode() + b"\n")
+    return {"ir": ir_text.hexdigest(), "verdicts": verdicts.hexdigest()}
+
+
+def test_frontend_and_verifier_output_is_unchanged():
+    assert digests() == {"ir": IR_SHA256, "verdicts": VERDICT_SHA256}
+
+
+if __name__ == "__main__":
+    print(json.dumps(digests(), indent=2))

@@ -147,6 +147,36 @@ def test_mul_sound(data, a, b):
     assert a.mul(b).contains((x * y) & U64)
 
 
+def reference_mul(a, b):
+    """The kernel's shift-and-add multiply, step by step on Tnums."""
+    if a.is_const and b.is_const:
+        return Tnum.const(a.value * b.value)
+    acc_v = (a.value * b.value) & U64
+    acc_m = Tnum(0, 0)
+    while a.value or a.mask:
+        if a.value & 1:
+            acc_m = acc_m.add(Tnum(0, b.mask))
+        elif a.mask & 1:
+            acc_m = acc_m.add(Tnum(0, (b.value | b.mask) & U64))
+        a = a.rshift(1)
+        b = b.lshift(1)
+    return Tnum.const(acc_v).add(acc_m)
+
+
+def narrow_tnums():
+    """Strategy: tnums with few unknown bits, as the verifier meets them."""
+    return st.builds(
+        lambda v, m, bits: Tnum(v & ~m & ((1 << bits) - 1), m & ((1 << bits) - 1)),
+        st.integers(0, U64), st.integers(0, U64),
+        st.sampled_from([1, 8, 16, 32, 64]),
+    )
+
+
+@given(st.one_of(tnums(), narrow_tnums()), st.one_of(tnums(), narrow_tnums()))
+def test_mul_matches_the_tnum_loop(a, b):
+    assert a.mul(b) == reference_mul(a, b)
+
+
 @given(st.data(), tnums())
 def test_cast_sound(data, a):
     x = data.draw(member_of(a))
