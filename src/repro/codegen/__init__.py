@@ -1,13 +1,16 @@
 """IR -> eBPF backend (the reproduction's ``llc``)."""
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .. import ir
 from ..isa import BpfProgram, ProgramType
-from .emitter import EmissionError, emit
+from .emitter import EmissionError, emit, resolve_labels
 from .isel import InstructionSelector, SelectionError, select
 from .lowfunc import Label, LowFunction, LowInsn, StackOverflowError, VREG_BASE, is_vreg
 from .regalloc import AllocationError, LinearScanAllocator, allocate
+
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports codegen
+    from ..core.bytecode_passes.symbolic import SymbolicProgram
 
 
 def compile_function(
@@ -29,37 +32,43 @@ def compile_function(
     """
     low = select(func, module)
     allocate(low)
-    maps = dict(module.maps) if module is not None else {}
-    program = emit(low, prog_type=prog_type, maps=maps, mcpu=mcpu,
-                   ctx_size=ctx_size)
+    sym = resolve_labels(low)
     if cleanup:
-        _native_cleanup(program)
-    return program
+        _native_cleanup(sym)
+    return BpfProgram(
+        name=low.name,
+        insns=sym.to_insns(),
+        prog_type=prog_type,
+        maps=dict(module.maps) if module is not None else {},
+        mcpu=mcpu,
+        ctx_size=ctx_size,
+    )
 
 
-def _native_cleanup(program: BpfProgram) -> None:
-    """Allocator-grade cleanup: drop dead defs, self-moves, and
-    unconditional jumps to the next instruction."""
+def _native_cleanup(sym: "SymbolicProgram") -> None:
+    """Allocator-grade cleanup of the symbolic program *sym*: drop dead
+    defs, self-moves, and unconditional jumps to the next instruction.
+
+    Deleting a dead def or such a jump never makes another instruction
+    live or a jump's target farther, so what is deleted does not depend
+    on the order: the dead defs go round by round, each round's found
+    from the reads the last one deleted, then the jumps in one sweep
+    from the end (deleting a jump can only bring an earlier jump's
+    target next to it)."""
     from ..core.bytecode_passes.analysis import BytecodeAnalysis
-    from ..core.bytecode_passes.symbolic import SymbolicProgram
     from ..isa.cfg import JA, KIND
 
-    sym = SymbolicProgram.from_program(program)
     analysis = BytecodeAnalysis(sym)
-    changed = True
-    while changed:
-        changed = False
-        analysis.refresh()
-        for index in analysis.dead_defs():
+    dead = analysis.dead_defs()
+    while dead:
+        for index in dead:
             sym.delete(index)
-            changed = True
-        for index in sym.live_indices():
-            item = sym.insns[index]
-            if KIND[item.insn.opcode] == JA and item.target is not None \
-                    and sym.resolve(item.target) == sym.next_live(index):
-                sym.delete(index)
-                changed = True
-    program.insns = sym.to_insns()
+        dead = analysis.newly_dead(dead)
+    for index in reversed(sym.live_indices()):
+        item = sym.insns[index]
+        if KIND[item.insn.opcode] == JA and item.target is not None \
+                and sym.resolve(item.target) == sym.next_live(index):
+            sym.delete(index)
 
 
 __all__ = [

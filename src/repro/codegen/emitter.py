@@ -1,18 +1,68 @@
-"""Final emission: resolve labels to slot-relative offsets, build the
-:class:`~repro.isa.program.BpfProgram`."""
+"""Final emission: resolve labels to instruction indices, then to
+slot-relative offsets, and build the :class:`~repro.isa.program.BpfProgram`."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..isa import BpfProgram, Instruction, ProgramType
+from ..isa import BpfProgram, ProgramType
 from ..isa import opcodes as op
-from .lowfunc import Label, LowFunction, LowInsn, is_vreg
+from .lowfunc import VREG_BASE, Label, LowFunction
+
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports codegen
+    from ..core.bytecode_passes.symbolic import SymbolicProgram
 
 
 class EmissionError(Exception):
     """Raised when a LowFunction cannot be emitted (unresolved labels,
     leftover virtual registers, out-of-range branch offsets)."""
+
+
+def resolve_labels(low: LowFunction) -> "SymbolicProgram":
+    """Check *low* and resolve its labels: a
+    :class:`~repro.core.bytecode_passes.symbolic.SymbolicProgram` whose
+    jumps name the index of the instruction they land on (a label at
+    the very end resolves to the end).  Its ``to_insns`` computes the
+    offsets, after the native cleanup when there is one."""
+    from ..core.bytecode_passes.symbolic import SymbolicProgram, SymInsn
+
+    # slot offset of each instruction; index and slot of each label
+    label_index: Dict[str, int] = {}
+    label_slot: Dict[str, int] = {}
+    slots: List[int] = []
+    slot = 0
+    for item in low.items:
+        if isinstance(item, Label):
+            if item.name in label_index:
+                raise EmissionError(f"duplicate label {item.name!r}")
+            label_index[item.name] = len(slots)
+            label_slot[item.name] = slot
+        else:
+            slots.append(slot)
+            slot += op.SLOTS[item.insn.opcode]
+
+    entries: List[SymInsn] = []
+    for item in low.items:
+        if isinstance(item, Label):
+            continue
+        insn = item.insn
+        for reg in (insn.dst, insn.src):
+            if reg >= VREG_BASE:
+                raise EmissionError(
+                    f"virtual register v{reg} survived allocation in "
+                    f"{low.name}"
+                )
+        target = item.target
+        if target is not None:
+            if target not in label_index:
+                raise EmissionError(f"undefined label {target!r}")
+            rel = label_slot[target] - (slots[len(entries)]
+                                        + op.SLOTS[insn.opcode])
+            if not -(1 << 15) <= rel < (1 << 15):
+                raise EmissionError(f"branch offset {rel} out of 16-bit range")
+            target = label_index[target]
+        entries.append(SymInsn(insn, target))
+    return SymbolicProgram(entries)
 
 
 def emit(
@@ -23,46 +73,9 @@ def emit(
     ctx_size: int = 64,
 ) -> BpfProgram:
     """Resolve labels and produce a loadable program."""
-    # slot offset of each instruction and of each label
-    label_slot: Dict[str, int] = {}
-    slots: List[int] = []
-    slot = 0
-    for item in low.items:
-        if isinstance(item, Label):
-            if item.name in label_slot:
-                raise EmissionError(f"duplicate label {item.name!r}")
-            label_slot[item.name] = slot
-        else:
-            slots.append(slot)
-            slot += item.insn.slots
-    end_slot = slot
-
-    insns: List[Instruction] = []
-    index = 0
-    for item in low.items:
-        if isinstance(item, Label):
-            continue
-        insn = item.insn
-        for reg in (insn.dst, insn.src):
-            if is_vreg(reg):
-                raise EmissionError(
-                    f"virtual register v{reg} survived allocation in "
-                    f"{low.name}"
-                )
-        if item.target is not None:
-            if item.target not in label_slot:
-                # labels at the very end of the function resolve to end
-                raise EmissionError(f"undefined label {item.target!r}")
-            rel = label_slot[item.target] - (slots[index] + insn.slots)
-            if not -(1 << 15) <= rel < (1 << 15):
-                raise EmissionError(f"branch offset {rel} out of 16-bit range")
-            insn = insn.with_(off=rel)
-        insns.append(insn)
-        index += 1
-
     return BpfProgram(
         name=low.name,
-        insns=insns,
+        insns=resolve_labels(low).to_insns(),
         prog_type=prog_type,
         maps=dict(maps or {}),
         mcpu=mcpu,

@@ -147,9 +147,7 @@ class InstructionSelector:
 
     def _emit(self, insn: Instruction, target: Optional[str] = None,
               group: Optional[int] = None) -> LowInsn:
-        low = self.low.emit(insn, target)
-        low.group = group
-        return low
+        return self.low.emit(insn, target, group)
 
     def _vreg_for(self, value: ir.Value) -> int:
         if value not in self.value_reg:

@@ -62,8 +62,9 @@ class LowFunction:
         self.next_vreg += 1
         return reg
 
-    def emit(self, insn: Instruction, target: Optional[str] = None) -> LowInsn:
-        low = LowInsn(insn, target)
+    def emit(self, insn: Instruction, target: Optional[str] = None,
+             group: Optional[int] = None) -> LowInsn:
+        low = LowInsn(insn, target, group)
         self.items.append(low)
         return low
 

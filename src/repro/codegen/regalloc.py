@@ -8,13 +8,15 @@ r10 is the read-only frame pointer.  Spilled virtual registers live in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa import Instruction
 from ..isa import instruction as ins
 from ..isa import opcodes as op
-from .lowfunc import Label, LowFunction, LowInsn, is_vreg
+from .lowfunc import VREG_BASE, Label, LowFunction, LowInsn, is_vreg
 
 ALLOCATABLE = (op.R0, op.R1, op.R2, op.R3, op.R4, op.R5, op.R6, op.R7)
 CALL_SAFE = (op.R6, op.R7)
@@ -48,10 +50,21 @@ class _Block:
     defs: Set[int] = field(default_factory=set)
     live_in: Set[int] = field(default_factory=set)
     live_out: Set[int] = field(default_factory=set)
+    #: virtual register -> [first, last] position naming it in the block,
+    #: in the order the block's instructions first name them
+    touched: Dict[int, List[int]] = field(default_factory=dict)
 
 
 class LinearScanAllocator:
-    """Allocates a :class:`LowFunction` in place."""
+    """Allocates a :class:`LowFunction` in place.
+
+    Each instruction's ``uses()`` and ``defs()`` are read once, and every
+    later phase works from those tuples.  Intervals are created in the
+    order their registers are first touched (block live-in, live-out,
+    then the block's instructions in order): :meth:`_allocate` sorts
+    them by ``(start, end)`` and that order breaks the ties, so it
+    decides which register each interval gets.
+    """
 
     def __init__(self, low: LowFunction):
         self.low = low
@@ -60,6 +73,9 @@ class LinearScanAllocator:
         self.intervals: Dict[int, Interval] = {}
         self.call_regions: List[Tuple[int, int]] = []
         self.phys_ranges: Dict[int, List[Tuple[int, int]]] = {}
+        #: ``uses()`` and ``defs()`` of each instruction, by position
+        self.uses: List[Tuple[int, ...]] = []
+        self.defs: List[Tuple[int, ...]] = []
 
     # ------------------------------------------------------------- plumbing
     def _label_positions(self) -> Dict[str, int]:
@@ -73,6 +89,8 @@ class LinearScanAllocator:
         return positions
 
     def run(self) -> LowFunction:
+        self.uses = [low.insn.uses() for low in self.insns]
+        self.defs = [low.insn.defs() for low in self.insns]
         blocks = self._build_blocks()
         self._solve_liveness(blocks)
         self._build_intervals(blocks)
@@ -87,8 +105,7 @@ class LinearScanAllocator:
         n = len(self.insns)
         leaders = {0} | set(self.label_pos.values())
         for i, low in enumerate(self.insns):
-            insn = low.insn
-            if insn.is_jump or insn.is_exit:
+            if op.IS_JUMP[low.insn.opcode]:  # jumps, calls and exits
                 leaders.add(i + 1)
         leaders = sorted(p for p in leaders if p < n)
         blocks: List[_Block] = []
@@ -108,15 +125,23 @@ class LinearScanAllocator:
             elif block.last + 1 < n:
                 block.succs.append(index_of_start[block.last + 1])
             blocks.append(block)
+        uses, defs = self.uses, self.defs
         for block in blocks:
+            use, kill, touched = block.use, block.defs, block.touched
             for i in range(block.first, block.last + 1):
-                low = self.insns[i]
-                for reg in low.uses():
-                    if is_vreg(reg) and reg not in block.defs:
-                        block.use.add(reg)
-                for reg in low.defs():
-                    if is_vreg(reg):
-                        block.defs.add(reg)
+                for reg in uses[i]:
+                    if reg >= VREG_BASE and reg not in kill:
+                        use.add(reg)
+                for reg in defs[i]:
+                    if reg >= VREG_BASE:
+                        kill.add(reg)
+                for reg in uses[i] + defs[i]:
+                    if reg >= VREG_BASE:
+                        span = touched.get(reg)
+                        if span is None:
+                            touched[reg] = [i, i]
+                        else:
+                            span[1] = i
         return blocks
 
     def _solve_liveness(self, blocks: List[_Block]) -> None:
@@ -134,27 +159,25 @@ class LinearScanAllocator:
                     changed = True
 
     def _build_intervals(self, blocks: List[_Block]) -> None:
-        def touch(reg: int, pos: int) -> None:
-            interval = self.intervals.get(reg)
+        intervals = self.intervals
+
+        def touch(reg: int, lo: int, hi: int) -> None:
+            interval = intervals.get(reg)
             if interval is None:
-                self.intervals[reg] = Interval(reg, pos, pos)
+                intervals[reg] = Interval(reg, lo, hi)
             else:
-                interval.start = min(interval.start, pos)
-                interval.end = max(interval.end, pos)
+                if lo < interval.start:
+                    interval.start = lo
+                if hi > interval.end:
+                    interval.end = hi
 
         for block in blocks:
             for reg in block.live_in:
-                touch(reg, block.first)
+                touch(reg, block.first, block.first)
             for reg in block.live_out:
-                touch(reg, block.last)
-            for pos in range(block.first, block.last + 1):
-                low = self.insns[pos]
-                for reg in low.uses():
-                    if is_vreg(reg):
-                        touch(reg, pos)
-                for reg in low.defs():
-                    if is_vreg(reg):
-                        touch(reg, pos)
+                touch(reg, block.last, block.last)
+            for reg, (lo, hi) in block.touched.items():
+                touch(reg, lo, hi)
 
     def _collect_call_regions(self) -> None:
         groups: Dict[int, Tuple[int, int]] = {}
@@ -174,21 +197,23 @@ class LinearScanAllocator:
         for low in self.insns:
             if low.group is not None and low.insn.is_alu and not is_vreg(low.insn.dst):
                 group_args.setdefault(low.group, set()).add(low.insn.dst)
+        uses, defs = self.uses, self.defs
         for pos, low in enumerate(self.insns):
-            insn = low.insn
-            if insn.is_call:
-                used = group_args.get(low.group or 0, set())
+            call = op.IS_CALL[low.insn.opcode]
+            if call:
+                used = group_args.get(low.group or 0, ())
             else:
-                used = {r for r in low.uses() if not is_vreg(r)}
+                used = uses[pos]
             for reg in used:
-                if reg == op.FP or reg not in last_def:
+                if reg >= VREG_BASE or reg == op.FP or reg not in last_def:
                     continue
                 ranges.setdefault(reg, []).append((last_def[reg], pos))
-            defs = {r for r in low.defs() if not is_vreg(r)}
-            if insn.is_call:
-                defs |= set(op.CALLER_SAVED)
-            for reg in defs:
-                last_def[reg] = pos
+            for reg in defs[pos]:
+                if reg < VREG_BASE:
+                    last_def[reg] = pos
+            if call:
+                for reg in op.CALLER_SAVED:
+                    last_def[reg] = pos
         # merge ranges sharing a def point
         merged: Dict[int, List[Tuple[int, int]]] = {}
         for reg, pairs in ranges.items():
@@ -199,34 +224,36 @@ class LinearScanAllocator:
         self.phys_ranges = merged
 
     # ------------------------------------------------------------ allocation
-    def _crosses_call(self, interval: Interval) -> bool:
-        return any(
-            interval.start < call_pos and interval.end > region_start
-            for region_start, call_pos in self.call_regions
-        )
-
-    def _conflicts_phys(self, interval: Interval, phys: int) -> bool:
-        for start, end in self.phys_ranges.get(phys, ()):
-            if start < interval.end and end > interval.start:
-                return True
-        return False
-
     def _allocate(self) -> None:
+        # Ranges sorted by start: those starting before an interval's
+        # end are a prefix, and the interval overlaps one of them when
+        # the prefix's furthest end lies past the interval's start.
+        call_starts = [start for start, _ in self.call_regions]
+        call_reach = list(accumulate(
+            (call for _, call in self.call_regions), max))
+        phys = {reg: ([start for start, _ in pairs],
+                      list(accumulate((end for _, end in pairs), max)))
+                for reg, pairs in self.phys_ranges.items()}
         order = sorted(self.intervals.values(), key=lambda iv: (iv.start, iv.end))
         active: List[Interval] = []
         for interval in order:
-            active = [a for a in active if a.end > interval.start]
+            start, end = interval.start, interval.end
+            active = [a for a in active if a.end > start]
             in_use = {a.phys for a in active if a.phys is not None}
-            pool = CALL_SAFE if self._crosses_call(interval) else ALLOCATABLE
-            choice = next(
-                (
-                    reg
-                    for reg in pool
-                    if reg not in in_use
-                    and not self._conflicts_phys(interval, reg)
-                ),
-                None,
-            )
+            k = bisect_left(call_starts, end)
+            crosses_call = k and call_reach[k - 1] > start
+            pool = CALL_SAFE if crosses_call else ALLOCATABLE
+            choice = None
+            for reg in pool:
+                if reg in in_use:
+                    continue
+                ranges = phys.get(reg)
+                if ranges is not None:
+                    k = bisect_left(ranges[0], end)
+                    if k and ranges[1][k - 1] > start:
+                        continue
+                choice = reg
+                break
             if choice is not None:
                 interval.phys = choice
                 active.append(interval)
@@ -243,49 +270,54 @@ class LinearScanAllocator:
                 active.append(interval)
 
     # ------------------------------------------------------------- rewriting
-    def _map_reg(self, reg: int) -> Interval:
-        return self.intervals[reg]
-
     def _rewrite(self) -> None:
+        """Replace virtual registers by physical ones.  Instructions that
+        name no virtual register are kept as they are; the rest are
+        built again with the constructor."""
         new_items: List[object] = []
+        pos = -1
         for item in self.low.items:
             if isinstance(item, Label):
                 new_items.append(item)
                 continue
-            new_items.extend(self._rewrite_insn(item))
+            pos += 1
+            insn = item.insn
+            dst, src = insn.dst, insn.src
+            # an ld_imm64's src is its pseudo-relocation kind, and a src
+            # equal to dst is rewritten along with it
+            same = dst == src and not op.IS_LD_IMM64[insn.opcode]
+            src_vreg = src >= VREG_BASE and not same \
+                and not op.IS_LD_IMM64[insn.opcode]
+            if dst < VREG_BASE and not src_vreg:
+                new_items.append(item)
+                continue
+            post: List[LowInsn] = []
+            if dst >= VREG_BASE:
+                dst = self._place(dst, SCRATCH_DEF, pos, new_items, post)
+                if same:
+                    src = dst
+            if src_vreg:
+                src = self._place(src, SCRATCH_USE, pos, new_items, post)
+            item.insn = Instruction(insn.opcode, dst, src, insn.off, insn.imm)
+            new_items.append(item)
+            new_items.extend(post)
         self.low.items = new_items
 
-    def _rewrite_insn(self, low: LowInsn) -> List[object]:
-        insn = low.insn
-        pre: List[LowInsn] = []
-        post: List[LowInsn] = []
-        fields: Dict[str, int] = {}
-        same = insn.dst == insn.src and is_vreg(insn.dst) and not insn.is_ld_imm64
-
-        roles = [("dst", insn.dst)]
-        if not same and not insn.is_ld_imm64:
-            roles.append(("src", insn.src))
-
-        for role, reg in roles:
-            if not is_vreg(reg):
-                continue
-            interval = self._map_reg(reg)
-            if interval.phys is not None:
-                fields[role] = interval.phys
-                if same and role == "dst":
-                    fields["src"] = interval.phys
-                continue
-            scratch = SCRATCH_DEF if role == "dst" else SCRATCH_USE
-            if reg in insn.uses():
-                pre.append(LowInsn(ins.load(8, scratch, op.FP, interval.slot)))
-            if reg in insn.defs():
-                post.append(LowInsn(ins.store_reg(8, op.FP, interval.slot, scratch)))
-            fields[role] = scratch
-            if same and role == "dst":
-                fields["src"] = scratch
-        if fields:
-            low.insn = insn.with_(**fields)
-        return pre + [low] + post
+    def _place(self, reg: int, scratch: int, pos: int, pre: List[object],
+               post: List[LowInsn]) -> int:
+        """The physical register for virtual *reg* in the instruction at
+        *pos*: its own, or *scratch* when it is spilled, loaded from its
+        slot (appended to *pre*) if the instruction reads it and stored
+        back (appended to *post*) if it writes it."""
+        interval = self.intervals[reg]
+        if interval.phys is not None:
+            return interval.phys
+        if reg in self.uses[pos]:
+            pre.append(LowInsn(ins.load(8, scratch, op.FP, interval.slot)))
+        if reg in self.defs[pos]:
+            post.append(LowInsn(ins.store_reg(8, op.FP, interval.slot,
+                                              scratch)))
+        return scratch
 
 
 def allocate(low: LowFunction) -> LowFunction:

@@ -12,14 +12,16 @@ updates the masks of the changed positions in place, and the next
 liveness query re-solves over the existing blocks.  A deleted
 instruction stays in its block as a nop.  Only a replaced jump or exit,
 or an insertion, forces a full rebuild.  Every answer equals what a
-fresh ``BytecodeAnalysis(sym)`` would give at that point.
+fresh ``BytecodeAnalysis(sym)`` would give at that point.  A caller
+deleting dead defs round by round asks :meth:`newly_dead` for the next
+round instead of solving again.
 """
 
 from __future__ import annotations
 
 import bisect
 import time
-from typing import List, Optional, Set
+from typing import List, Optional, Sequence, Set
 
 from ...isa import Instruction
 from ...isa import opcodes as op
@@ -69,8 +71,10 @@ class BytecodeAnalysis:
         #: refresh; None once deleted (a nop)
         self._insn: List[Optional[Instruction]] = [
             item.insn for item in self._items]
-        self._use = [insn.use_mask for insn in self._insn]
-        self._def = [insn.def_mask for insn in self._insn]
+        #: register masks per position, read at the first solve (a
+        #: pass that only asks ``straightline`` never needs them)
+        self._use: Optional[List[int]] = None
+        self._def: Optional[List[int]] = None
         self.targets = self.sym.branch_targets()
         resolve, n = self.sym.resolve, len(index)
         self.cfg = Cfg(self._insn, [
@@ -118,8 +122,9 @@ class BytecodeAnalysis:
                     return
             self._items[p] = item
             self._insn[p] = new
-            self._use[p] = new.use_mask if new is not None else 0
-            self._def[p] = new.def_mask if new is not None else 0
+            if self._use is not None:
+                self._use[p] = new.use_mask if new is not None else 0
+                self._def[p] = new.def_mask if new is not None else 0
             self._stale = True
         if retarget:
             self.targets = self.sym.branch_targets()
@@ -135,10 +140,19 @@ class BytecodeAnalysis:
         self._build()
 
     # -------------------------------------------------------------- solving
+    def _read_masks(self) -> None:
+        if self._use is None:
+            insns = self._insn
+            self._use = [0 if insn is None else insn.use_mask
+                         for insn in insns]
+            self._def = [0 if insn is None else insn.def_mask
+                         for insn in insns]
+
     def _solve(self) -> None:
         """Least fixpoint of backward liveness over the blocks, then the
         live-after mask of every position."""
         start = time.perf_counter_ns()
+        self._read_masks()
         cfg = self.cfg
         first, last = cfg.first, cfg.last
         uses, defs = self._use, self._def
@@ -211,3 +225,95 @@ class BytecodeAnalysis:
                     or not (after[p] >> insn.dst) & 1:
                 dead.append(self._index[p])
         return dead
+
+    def newly_dead(self, deleted: Sequence[int]) -> List[int]:
+        """The defs that died with the instructions at logical indices
+        *deleted*, which the caller has just deleted from ``sym`` and
+        which are everything the last :meth:`dead_defs` or
+        :meth:`newly_dead` returned: what :meth:`dead_defs` would
+        answer after :meth:`refresh`.
+
+        Deleting a dead def only removes reads, so a def dies only when
+        a read it reached is gone.  The candidates are the defs that
+        reach a deleted read of their register; one is dead when no
+        remaining read of its register is reachable before the
+        register is written again.  Both are walks from the deleted
+        instructions, not a new solve over the whole program."""
+        start = time.perf_counter_ns()
+        self._read_masks()
+        insns, uses, defs = self._insn, self._use, self._def
+        reads = []
+        for index in deleted:
+            p = self.pos_of.pop(index)
+            reads.append((p, uses[p]))
+            insns[p] = None
+            uses[p] = defs[p] = 0
+        self._stale = True
+        self.live = [idx for idx, insn in zip(self._index, insns)
+                     if insn is not None]
+        if any(index in self.targets for index in deleted):
+            self.targets = self.sym.branch_targets()
+        cfg = self.cfg
+        first, last = cfg.first, cfg.last
+        preds: List[List[int]] = [[] for _ in first]
+        for b, succs in enumerate(cfg.succs):
+            for s in succs:
+                preds[s].append(b)
+        candidates: Set[int] = set()
+        for p, mask in reads:
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                # back from p to the writes of the register that reach
+                # it, stopping where a remaining read keeps them alive
+                work = [(bisect.bisect_right(first, p) - 1, p - 1)]
+                entered: Set[int] = set()
+                while work:
+                    b, q = work.pop()
+                    lo = first[b]
+                    while q >= lo:
+                        if defs[q] & bit:
+                            opcode = insns[q].opcode
+                            if op.IS_ALU[opcode] or op.IS_LD_IMM64[opcode]:
+                                candidates.add(q)
+                            break
+                        if uses[q] & bit:
+                            break
+                        q -= 1
+                    else:
+                        for pb in preds[b]:
+                            if pb not in entered:
+                                entered.add(pb)
+                                work.append((pb, last[pb]))
+        dead = [self._index[q] for q in sorted(candidates)
+                if insns[q] is not None and not self._read_after(q)]
+        self.elapsed_ns += time.perf_counter_ns() - start
+        return dead
+
+    def _read_after(self, p: int) -> bool:
+        """Whether the register position *p* writes is read on some path
+        from *p* before it is written again (a self-move counts as
+        never read, as in :meth:`dead_defs`)."""
+        insn = self._insn[p]
+        if insn.opcode == _SELF_MOVE64 and insn.dst == insn.src:
+            return False
+        bit = 1 << insn.dst
+        cfg, uses, defs = self.cfg, self._use, self._def
+        first, last, succs = cfg.first, cfg.last, cfg.succs
+        work = [(bisect.bisect_right(first, p) - 1, p + 1)]
+        entered: Set[int] = set()
+        while work:
+            b, q = work.pop()
+            end = last[b]
+            while q <= end:
+                if uses[q] & bit:
+                    return True
+                if defs[q] & bit:
+                    break
+                q += 1
+            else:
+                for s in succs[b]:
+                    if s not in entered:
+                        entered.add(s)
+                        work.append((s, first[s]))
+        return False

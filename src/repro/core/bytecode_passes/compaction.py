@@ -69,7 +69,7 @@ class CodeCompactionPass(BytecodePass):
                                  note="zero-extension shift pair")
             rewrites += 1
             skip_until = nxt
-        program.insns = sym.to_insns()
         if rewrites:
+            program.insns = sym.to_insns()
             program.mcpu = "v3"  # the program now requires v3 support
         return rewrites

@@ -46,7 +46,8 @@ class PeepholePass(BytecodePass):
         rewrites = 0
         rewrites += self._masked_shifts(sym)
         rewrites += self._redundant_jumps(sym)
-        program.insns = sym.to_insns()
+        if rewrites:
+            program.insns = sym.to_insns()
         return rewrites
 
     #: how far back to look for the mask-materializing ld_imm64

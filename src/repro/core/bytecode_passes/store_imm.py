@@ -18,7 +18,7 @@ register definitions (including self-moves left by register allocation).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...isa import BpfProgram, Instruction
 from ...isa import instruction as ins
@@ -28,6 +28,7 @@ from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
 
 _S32_MIN, _S32_MAX = -(1 << 31), (1 << 31) - 1
+_MOV64_IMM = op.BPF_ALU64 | op.BPF_MOV | op.BPF_K
 
 
 def _as_signed32(imm: int) -> Optional[int]:
@@ -48,7 +49,8 @@ class StoreImmediatePass(BytecodePass):
         rewrites += self._fold_store_immediates(sym, analysis)
         rewrites += self._dead_stack_stores(sym, analysis)
         rewrites += self._dead_defs(sym, analysis)
-        program.insns = sym.to_insns()
+        if rewrites:
+            program.insns = sym.to_insns()
         return rewrites
 
     # ------------------------------------------------------------------
@@ -66,11 +68,7 @@ class StoreImmediatePass(BytecodePass):
                 if index <= skip_until or sym.insns[index].deleted:
                     continue
                 insn = sym.insns[index].insn
-                if not (
-                    insn.is_alu64
-                    and insn.alu_op == op.BPF_MOV
-                    and insn.uses_imm
-                ):
+                if insn.opcode != _MOV64_IMM:
                     continue
                 nxt = sym.next_live(index)
                 if nxt is None:
@@ -110,20 +108,12 @@ class StoreImmediatePass(BytecodePass):
         """Remove stack stores fully overwritten before any possible read."""
         rewrites = 0
         analysis.refresh()
-        live = sym.live_indices()
-        for pos, index in enumerate(live):
-            insn = sym.insns[index].insn
-            if not self._is_stack_store(insn):
-                continue
-            lo, hi = insn.off, insn.off + insn.size_bytes
-            overwriter = self._overwritten_before_read(
-                sym, analysis, live, pos, lo, hi)
-            if overwriter is not None:
-                snap = self._snapshot(sym)
-                sym.delete(index)
-                self._witness_region(sym, snap, index, overwriter,
-                                     note="dead stack store")
-                rewrites += 1
+        for index, overwriter in self._overwritten_stores(sym, analysis):
+            snap = self._snapshot(sym)
+            sym.delete(index)
+            self._witness_region(sym, snap, index, overwriter,
+                                 note="dead stack store")
+            rewrites += 1
         return rewrites
 
     @staticmethod
@@ -134,51 +124,58 @@ class StoreImmediatePass(BytecodePass):
             and insn.dst == op.FP
         )
 
-    def _overwritten_before_read(
-        self,
-        sym: SymbolicProgram,
-        analysis: BytecodeAnalysis,
-        live: List[int],
-        pos: int,
-        lo: int,
-        hi: int,
-    ) -> Optional[int]:
-        """Logical index of the store that fully overwrites [lo, hi)
-        before any possible read, or None."""
-        for later_pos in range(pos + 1, len(live)):
-            index = live[later_pos]
-            if analysis.is_branch_target(index):
-                return None
+    def _overwritten_stores(self, sym: SymbolicProgram,
+                            analysis: BytecodeAnalysis
+                            ) -> List[Tuple[int, int]]:
+        """``(index, overwriter)`` for every stack store whose bytes a
+        later store fully overwrites before any possible read, in index
+        order.
+
+        One sweep from the end: ``first`` maps each stack byte to the
+        earliest access after the sweep point, ``(index, lo, hi,
+        is_store)``.  A store is dead when the earliest access to any
+        of its bytes is a store covering all of them.  Nothing is seen
+        past a branch target, a jump, call or exit, or an instruction
+        that copies r10 (from then on another register may alias the
+        stack)."""
+        found: List[Tuple[int, int]] = []
+        first: Dict[int, Tuple[int, int, int, bool]] = {}
+        targets, fp = analysis.targets, op.FP
+        for index in reversed(sym.live_indices()):
             insn = sym.insns[index].insn
-            if insn.is_jump or insn.is_exit or insn.is_call:
-                return None
-            # r10 escaping into another register makes aliasing possible
-            if insn.is_alu and not insn.uses_imm and insn.src == op.FP:
-                return None
-            if insn.is_load and insn.src == op.FP:
-                if insn.off < hi and insn.off + insn.size_bytes > lo:
-                    return None
-            if insn.is_atomic and insn.dst == op.FP:
-                if insn.off < hi and insn.off + insn.size_bytes > lo:
-                    return None
-            if self._is_stack_store(insn):
-                if insn.off <= lo and insn.off + insn.size_bytes >= hi:
-                    return index  # fully overwritten
-                if insn.off < hi and insn.off + insn.size_bytes > lo:
-                    return None  # partial overlap: keep it simple
-        return None
+            opcode = insn.opcode
+            store = self._is_stack_store(insn)
+            if store:
+                lo, hi = insn.off, insn.off + op.ACCESS_BYTES[opcode]
+                hits = [first[b] for b in range(lo, hi) if b in first]
+                if hits:
+                    hit = min(hits)
+                    if hit[3] and hit[1] <= lo and hit[2] >= hi:
+                        found.append((index, hit[0]))
+            if index in targets or op.IS_JUMP[opcode] \
+                    or (op.IS_ALU[opcode] and not op.USES_IMM[opcode]
+                        and insn.src == fp):
+                first.clear()
+            elif store or (op.IS_LOAD[opcode] and insn.src == fp) \
+                    or (op.IS_ATOMIC[opcode] and insn.dst == fp):
+                lo, hi = insn.off, insn.off + op.ACCESS_BYTES[opcode]
+                access = (index, lo, hi, store)
+                for b in range(lo, hi):
+                    first[b] = access
+        found.reverse()
+        return found
 
     # ------------------------------------------------------------------
     def _dead_defs(self, sym: SymbolicProgram,
                    analysis: BytecodeAnalysis) -> int:
         rewrites = 0
-        while True:
-            analysis.refresh()
-            dead = analysis.dead_defs()
-            if not dead:
-                return rewrites
+        analysis.refresh()
+        dead = analysis.dead_defs()
+        while dead:
             for index in dead:
                 snap = self._snapshot(sym)
                 sym.delete(index)
                 self._witness_delete(snap, index, "dead-def")
                 rewrites += 1
+            dead = analysis.newly_dead(dead)
+        return rewrites

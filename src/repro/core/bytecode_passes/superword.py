@@ -71,7 +71,8 @@ class SuperwordMergePass(BytecodePass):
                 if self._try_merge(sym, analysis, index):
                     rewrites += 1
                     changed = True
-        program.insns = sym.to_insns()
+        if rewrites:
+            program.insns = sym.to_insns()
         return rewrites
 
     def _try_merge(self, sym: SymbolicProgram, analysis: BytecodeAnalysis,

@@ -14,6 +14,7 @@ from typing import List, Optional, Set
 
 from ...isa import BpfProgram, Instruction
 from ...isa.cfg import FAULT, slot_targets
+from ...isa.opcodes import SLOTS
 
 
 class RelocationError(Exception):
@@ -38,46 +39,38 @@ class SymbolicProgram:
     def from_program(cls, program: BpfProgram) -> "SymbolicProgram":
         insns = program.insns
         targets = slot_targets(insns)
-        for slot, target in zip(program.slot_offsets(), targets):
-            if target == FAULT:
-                raise RelocationError(
-                    f"branch at slot {slot} lands inside an instruction"
-                )
+        if FAULT in targets:
+            slot = program.slot_offsets()[targets.index(FAULT)]
+            raise RelocationError(
+                f"branch at slot {slot} lands inside an instruction"
+            )
         return cls([SymInsn(insn, target)
                     for insn, target in zip(insns, targets)])
 
     def to_insns(self) -> List[Instruction]:
         """Drop deletions, recompute offsets, return final instructions."""
-        # map old index -> new index of the next surviving instruction
-        survivors: List[int] = []
-        remap: List[int] = []
-        for sym in self.insns:
-            remap.append(len(survivors))
-            if not sym.deleted:
-                survivors.append(len(remap) - 1)
-        end_index = len(survivors)
-
-        live = [sym for sym in self.insns if not sym.deleted]
-        slots: List[int] = []
+        # slot where control lands on reaching each logical index: that
+        # of the next surviving instruction, or the end of the program
+        entries = self.insns
+        lands: List[int] = []
         slot = 0
-        for sym in live:
-            slots.append(slot)
-            slot += sym.insn.slots
-        end_slot = slot
+        for sym in entries:
+            lands.append(slot)
+            if not sym.deleted:
+                slot += SLOTS[sym.insn.opcode]
+        lands.append(slot)
+        end = len(entries)
 
         result: List[Instruction] = []
-        for new_index, sym in enumerate(live):
+        for index, sym in enumerate(entries):
+            if sym.deleted:
+                continue
             insn = sym.insn
             if sym.target is not None:
-                if sym.target >= len(self.insns):
-                    target_slot = end_slot
-                else:
-                    new_target = remap[sym.target]
-                    target_slot = (
-                        end_slot if new_target >= len(live) else slots[new_target]
-                    )
-                rel = target_slot - (slots[new_index] + insn.slots)
-                insn = insn.with_(off=rel)
+                rel = lands[min(sym.target, end)] - lands[index] \
+                    - SLOTS[insn.opcode]
+                if rel != insn.off:
+                    insn = insn.with_(off=rel)
             result.append(insn)
         return result
 

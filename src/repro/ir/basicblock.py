@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from .instructions import IRInstruction, Phi, successors
 from .types import Type, VOID
@@ -72,6 +72,9 @@ class Function:
             for i, ty in enumerate(arg_types)
         ]
         self.blocks: List[BasicBlock] = []
+        #: the names of the blocks in ``blocks``, kept by
+        #: :meth:`append_block` and :meth:`remove_block`
+        self._block_names: Set[str] = set()
         self._name_counter = 0
         #: how many of this function's values hold each name: the
         #: arguments plus the instructions in ``blocks``.  Kept where a
@@ -90,16 +93,24 @@ class Function:
 
     def add_block(self, name: str = "") -> BasicBlock:
         name = name or self.next_name("bb")
-        existing = {b.name for b in self.blocks}
+        existing = self._block_names
         if name in existing:
             base = name
             counter = 1
             while f"{base}{counter}" in existing:
                 counter += 1
             name = f"{base}{counter}"
-        block = BasicBlock(name, self)
+        return self.append_block(BasicBlock(name, self))
+
+    def append_block(self, block: BasicBlock) -> BasicBlock:
+        """Put *block*, named like no block of this function, last."""
         self.blocks.append(block)
+        self._block_names.add(block.name)
         return block
+
+    def has_block(self, name: str) -> bool:
+        """Whether a block of this function is called *name*."""
+        return name in self._block_names
 
     def next_name(self, prefix: str = "") -> str:
         # skip names already taken: a parsed function starts its counter
@@ -156,6 +167,7 @@ class Function:
                 self.release_name(insn.name)
         block.instructions.clear()
         self.blocks.remove(block)
+        self._block_names.discard(block.name)
 
     def renumber(self) -> None:
         """Give every unnamed value a fresh sequential name (printing aid)."""

@@ -37,6 +37,12 @@ _DEFINE_RE = re.compile(
 )
 _LABEL_RE = re.compile(r"^([\w.$-]+):$")
 _ASSIGN_RE = re.compile(r"^%([\w.$-]+)\s*=\s*(.*)$")
+_CALL_RE = re.compile(r"^(\S+)\s+@([\w.$-]+)\((.*)\)$")
+_INCOMING_RE = re.compile(r"\[\s*([^,\]]+)\s*,\s*%([\w.$-]+)\s*\]")
+_CONDBR_RE = re.compile(
+    r"^i1\s+(\S+),\s*label\s+%([\w.$-]+),\s*label\s+%([\w.$-]+)$")
+_BR_RE = re.compile(r"^label\s+%([\w.$-]+)$")
+_ALIGN_RE = re.compile(r"^align\s+(\d+)$")
 
 
 def parse_type(text: str) -> Type:
@@ -73,8 +79,17 @@ class _FunctionParser:
         #: blocks in layout order); resolved in _fixup_forwards
         self.forward: Dict[str, Tuple[Value, int, str]] = {}
         self.current: Optional[BasicBlock] = None
+        #: type text -> parsed type: a function spells few distinct
+        #: types, many times over
+        self.types: Dict[str, Type] = {}
 
     # ------------------------------------------------------------- values
+    def _type(self, text: str) -> Type:
+        ty = self.types.get(text)
+        if ty is None:
+            ty = self.types[text] = parse_type(text)
+        return ty
+
     def _value(self, ty: Type, token: str, line_no: int, line: str) -> Value:
         token = token.strip()
         if token.startswith("%"):
@@ -129,8 +144,8 @@ class _FunctionParser:
             label = _LABEL_RE.match(line)
             if label:
                 block = self._block(label.group(1))
-                if block not in self.func.blocks:
-                    self.func.blocks.append(block)
+                if not self.func.has_block(block.name):
+                    self.func.append_block(block)
                 self.current = block
                 continue
             if self.current is None:
@@ -152,9 +167,9 @@ class _FunctionParser:
         if params.strip():
             for param in params.split(","):
                 ty_text, _, pname = param.strip().rpartition(" ")
-                arg_types.append(parse_type(ty_text))
+                arg_types.append(self._type(ty_text))
                 arg_names.append(pname.lstrip("%"))
-        self.func = Function(name, parse_type(ret_text), arg_types, arg_names)
+        self.func = Function(name, self._type(ret_text), arg_types, arg_names)
         for arg in self.func.args:
             self.values[arg.name] = arg
 
@@ -186,16 +201,16 @@ class _FunctionParser:
             # load i16, i16* %p, align N
             parts = [p.strip() for p in rest.split(",")]
             ptr_ty_text, ptr_tok = parts[1].rsplit(None, 1)
-            ptr = self._value(parse_type(ptr_ty_text), ptr_tok, line_no, line)
+            ptr = self._value(self._type(ptr_ty_text), ptr_tok, line_no, line)
             align = self._align(parts, default=1)
             return iri.Load(ptr, align=align)
         if head == "store":
             parts = [p.strip() for p in rest.split(",")]
             val_ty_text, val_tok = parts[0].rsplit(None, 1)
-            val_ty = parse_type(val_ty_text)
+            val_ty = self._type(val_ty_text)
             value = self._value(val_ty, val_tok, line_no, line)
             ptr_ty_text, ptr_tok = parts[1].rsplit(None, 1)
-            ptr = self._value(parse_type(ptr_ty_text), ptr_tok, line_no, line)
+            ptr = self._value(self._type(ptr_ty_text), ptr_tok, line_no, line)
             return iri.Store(value, ptr, align=self._align(parts, default=1))
         if head == "atomicrmw":
             # atomicrmw add ptr %p, i64 %v monotonic, align 8
@@ -203,7 +218,7 @@ class _FunctionParser:
             parts = [p.strip() for p in remainder.split(",")]
             ptr_tok = parts[0].split()[-1]
             val_text = parts[1].split()
-            val_ty = parse_type(val_text[0])
+            val_ty = self._type(val_text[0])
             value = self._value(val_ty, val_text[1], line_no, line)
             ordering = val_text[2] if len(val_text) > 2 else "monotonic"
             ptr = self._value(pointer(val_ty), ptr_tok, line_no, line)
@@ -216,15 +231,15 @@ class _FunctionParser:
                                  ordering=ordering)
         if head == "alloca":
             parts = [p.strip() for p in rest.split(",")]
-            allocated = parse_type(parts[0])
+            allocated = self._type(parts[0])
             return iri.Alloca(allocated, self._align(parts, default=None))
         if head == "gep":
             # gep i16* %p, i64 36
             parts = [p.strip() for p in rest.split(",")]
             res_ty_text, ptr_tok = parts[0].rsplit(None, 1)
-            result_type = parse_type(res_ty_text)
+            result_type = self._type(res_ty_text)
             off_ty_text, off_tok = parts[1].rsplit(None, 1)
-            offset = self._value(parse_type(off_ty_text), off_tok, line_no,
+            offset = self._value(self._type(off_ty_text), off_tok, line_no,
                                  line)
             base = self._pointer_operand(ptr_tok, line_no, line)
             if not isinstance(result_type, PointerType):
@@ -234,50 +249,47 @@ class _FunctionParser:
             # zext i16 %2 to i64
             source_text, _, to_text = rest.rpartition(" to ")
             ty_text, tok = source_text.rsplit(None, 1)
-            value = self._value(parse_type(ty_text), tok, line_no, line)
-            return iri.Cast(head, value, parse_type(to_text))
+            value = self._value(self._type(ty_text), tok, line_no, line)
+            return iri.Cast(head, value, self._type(to_text))
         if head == "select":
             parts = [p.strip() for p in rest.split(",")]
             cond = self._value(int_type(1), parts[0].split()[-1], line_no,
                                line)
             t_ty_text, t_tok = parts[1].rsplit(None, 1)
-            t_val = self._value(parse_type(t_ty_text), t_tok, line_no, line)
+            t_val = self._value(self._type(t_ty_text), t_tok, line_no, line)
             f_ty_text, f_tok = parts[2].rsplit(None, 1)
-            f_val = self._value(parse_type(f_ty_text), f_tok, line_no, line)
+            f_val = self._value(self._type(f_ty_text), f_tok, line_no, line)
             return iri.Select(cond, t_val, f_val)
         if head == "call":
             # call i64 @name(i64 %a, ...)
-            match = re.match(r"^(\S+)\s+@([\w.$-]+)\((.*)\)$", rest)
+            match = _CALL_RE.match(rest)
             if not match:
                 raise IRParseError(line_no, line, "malformed call")
-            ret_ty = parse_type(match.group(1))
+            ret_ty = self._type(match.group(1))
             args = []
             if match.group(3).strip():
                 for arg in match.group(3).split(","):
                     ty_text, tok = arg.strip().rsplit(None, 1)
-                    args.append(self._value(parse_type(ty_text), tok,
+                    args.append(self._value(self._type(ty_text), tok,
                                             line_no, line))
             return iri.Call(match.group(2), args, ret_ty)
         if head == "phi":
             # phi i64 [ %a, %bb1 ], [ 0, %bb2 ] — incoming values may be
             # defined later (loop back-edges), so resolution is deferred
             ty_text, remainder = rest.split(None, 1)
-            ty = parse_type(ty_text)
+            ty = self._type(ty_text)
             phi = iri.Phi(ty)
-            pairs = re.findall(r"\[\s*([^,\]]+)\s*,\s*%([\w.$-]+)\s*\]",
-                               remainder)
+            pairs = _INCOMING_RE.findall(remainder)
             self.pending.append((phi, ty, pairs, line_no, line))
             return phi
         if head == "br":
-            cond_match = re.match(
-                r"^i1\s+(\S+),\s*label\s+%([\w.$-]+),\s*label\s+%([\w.$-]+)$",
-                rest)
+            cond_match = _CONDBR_RE.match(rest)
             if cond_match:
                 cond = self._value(int_type(1), cond_match.group(1), line_no,
                                    line)
                 return iri.CondBr(cond, self._block(cond_match.group(2)),
                                   self._block(cond_match.group(3)))
-            plain = re.match(r"^label\s+%([\w.$-]+)$", rest)
+            plain = _BR_RE.match(rest)
             if plain:
                 return iri.Br(self._block(plain.group(1)))
             raise IRParseError(line_no, line, "malformed br")
@@ -285,7 +297,7 @@ class _FunctionParser:
             if rest == "void":
                 return iri.Ret()
             ty_text, tok = rest.rsplit(None, 1)
-            return iri.Ret(self._value(parse_type(ty_text), tok, line_no,
+            return iri.Ret(self._value(self._type(ty_text), tok, line_no,
                                        line))
         if head == "unreachable":
             return iri.Unreachable()
@@ -304,7 +316,7 @@ class _FunctionParser:
     def _ty_two_operands(self, line_no: int, line: str, rest: str):
         # "<ty> a, b"
         ty_text, remainder = rest.split(None, 1)
-        ty = parse_type(ty_text)
+        ty = self._type(ty_text)
         lhs_tok, _, rhs_tok = remainder.partition(",")
         lhs = self._value(ty, lhs_tok, line_no, line)
         rhs = self._value(ty, rhs_tok, line_no, line)
@@ -313,7 +325,7 @@ class _FunctionParser:
     @staticmethod
     def _align(parts: List[str], default):
         for part in parts:
-            match = re.match(r"^align\s+(\d+)$", part.strip())
+            match = _ALIGN_RE.match(part.strip())
             if match:
                 return int(match.group(1))
         return default
@@ -338,10 +350,9 @@ class _FunctionParser:
                 value = self._value(ty, value_tok, line_no, line)
                 phi.add_incoming(value, self._block(block_name))
         # ensure every referenced block ended up in the function
-        known = set(self.func.blocks)
-        for block in list(self.blocks.values()):
-            if block not in known:
-                raise SyntaxError(f"branch to undefined block {block.name!r}")
+        for name in self.blocks:
+            if not self.func.has_block(name):
+                raise SyntaxError(f"branch to undefined block {name!r}")
 
 
 def parse_function(text: str) -> Function:

@@ -157,7 +157,9 @@ class Cfg:
         of the program and fault targets contribute nothing), and
         ``in_[b] = transfer(b, out[b])``.  *transfer* must be monotone.
         Returns ``out``; a client walks each block back from it for
-        per-instruction masks."""
+        per-instruction masks.  The last round changes nothing, and it
+        calls *transfer* on every block with its final ``out[b]``, so
+        what *transfer* records there is the solution too."""
         succs = self.succs
         nblocks = len(succs)
         live_in = [0] * nblocks

@@ -9,7 +9,7 @@ two 8-byte slots (and therefore counts as 2 toward NI, the paper's
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from . import opcodes as op
@@ -243,9 +243,20 @@ class Instruction:
         return insns
 
     # --- convenience --------------------------------------------------------
-    def with_(self, **kwargs) -> "Instruction":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
+    def with_(self, *, opcode: Optional[int] = None, dst: Optional[int] = None,
+              src: Optional[int] = None, off: Optional[int] = None,
+              imm: Optional[int] = None) -> "Instruction":
+        """Return a copy with the given fields replaced.
+
+        Built with the constructor, not ``dataclasses.replace``: codegen
+        and the bytecode passes call this per instruction."""
+        return Instruction(
+            self.opcode if opcode is None else opcode,
+            self.dst if dst is None else dst,
+            self.src if src is None else src,
+            self.off if off is None else off,
+            self.imm if imm is None else imm,
+        )
 
     def __str__(self) -> str:  # pragma: no cover - thin wrapper
         from .disassembler import format_instruction
@@ -255,12 +266,13 @@ class Instruction:
 
 def encoded_length(insns: Iterable[Instruction]) -> int:
     """Total encoded size in bytes of *insns*."""
-    return sum(8 * insn.slots for insn in insns)
+    return 8 * ni(insns)
 
 
 def ni(insns: Iterable[Instruction]) -> int:
     """The paper's NI metric: encoded size in bytes divided by 8."""
-    return sum(insn.slots for insn in insns)
+    slots = op.SLOTS
+    return sum([slots[insn.opcode] for insn in insns])
 
 
 # --- constructor helpers ----------------------------------------------------

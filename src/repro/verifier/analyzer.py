@@ -115,18 +115,18 @@ class Verifier:
         """
         insns, first, last = cfg.insns, cfg.first, cfg.last
         rule = self._critical_in
+        critical = [0] * len(self.slots)
 
+        # ``Cfg.solve`` ends with a round that changes nothing and so
+        # passes every block its final out-mask: the masks that round
+        # records are the solution's
         def transfer(b: int, live: int) -> int:
             for index in range(last[b], first[b] - 1, -1):
                 live = rule(insns[index], live)
+                critical[slot_of[index]] = live
             return live
 
-        live_out = cfg.solve(transfer)
-        critical = [0] * len(self.slots)
-        for b, live in enumerate(live_out):
-            for index in range(last[b], first[b] - 1, -1):
-                live = rule(insns[index], live)
-                critical[slot_of[index]] = live
+        cfg.solve(transfer)
         return critical
 
     @classmethod

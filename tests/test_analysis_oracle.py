@@ -8,7 +8,10 @@ position.  Over fuzz-generated and suite programs, the new analysis must
 give the same ``reg_dead_after`` for every live index and register, the
 same ``dead_defs``, ``straightline`` and ``is_branch_target`` — both
 freshly built and after random deletions and replacements that reach it
-through :meth:`BytecodeAnalysis.refresh`.
+through :meth:`BytecodeAnalysis.refresh`.  ``newly_dead`` must name
+exactly the defs a full re-solve finds dead after the previous round's
+are deleted, and the native cleanup built on it must delete what the
+round-by-round loop it replaced deleted.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from typing import Dict, FrozenSet, List, Optional, Set
 
 import pytest
 
-from repro.codegen import compile_function
+from repro.codegen import _native_cleanup, compile_function
 from repro.core import BytecodeAnalysis, SymbolicProgram, insn_defs, insn_uses
 from repro.frontend import compile_source
 from repro.fuzz.generator import generate
 from repro.isa import BpfProgram, ProgramType, assemble
+from repro.isa.cfg import JA, KIND
 from repro.isa import instruction as ins
 from repro.isa import opcodes as op
 from repro.workloads.suites import TRACE_CTX_SIZE, generate_suite
@@ -309,3 +313,104 @@ def test_deleting_every_instruction_one_by_one():
         sym.delete(index)
         analysis.refresh()
         _assert_agree(analysis, sym, rng)
+
+
+# ------------------------------------------------------- dead-def rounds
+def _check_dead_def_rounds(programs: List[BpfProgram], seed: int) -> None:
+    """Delete dead defs round by round, each round found by
+    ``newly_dead``; every round must equal a full re-solve's answer, and
+    the analysis must stay exact for every other query."""
+    rng = random.Random(seed)
+    for program in programs:
+        sym = SymbolicProgram.from_program(program)
+        analysis = BytecodeAnalysis(sym)
+        for _ in range(rng.randrange(0, 3)):
+            _mutate(sym, rng)
+        analysis.refresh()
+        dead = analysis.dead_defs()
+        while dead:
+            for index in dead:
+                sym.delete(index)
+            dead = analysis.newly_dead(dead)
+            assert dead == _SetAnalysis(sym).dead_defs(), program.name
+            _assert_agree(analysis, sym, rng)
+
+
+def test_newly_dead_matches_a_full_solve_on_fuzz_programs(fuzz_programs):
+    _check_dead_def_rounds(fuzz_programs, 5)
+
+
+def test_newly_dead_matches_a_full_solve_on_suite_programs(suite_programs):
+    _check_dead_def_rounds(suite_programs, 6)
+
+
+def _register_traffic(rng: random.Random, length: int = 30) -> BpfProgram:
+    """A random program of moves and arithmetic over r0-r4 (self-moves
+    included), stack spills, calls, short unconditional hops, and
+    forward and backward branches, so dead-def chains cross joins and
+    loops."""
+    insns = []
+    for i in range(length):
+        roll = rng.random()
+        dst, src = rng.randrange(5), rng.randrange(5)
+        if roll < 0.3:
+            insns.append(ins.mov64_reg(dst, src))
+        elif roll < 0.45:
+            insns.append(ins.alu64("add", dst, src=src))
+        elif roll < 0.55:
+            insns.append(ins.mov64_imm(dst, rng.randrange(9)))
+        elif roll < 0.62:
+            insns.append(ins.store_reg(8, op.R10, -8, src))
+        elif roll < 0.68:
+            insns.append(ins.load(8, dst, op.R10, -8))
+        elif roll < 0.72:
+            insns.append(ins.call(1))
+        elif roll < 0.8:  # short hops: chains of jumps to the next
+            insns.append(ins.jump("ja", off=rng.randrange(
+                min(3, length - i))))
+        elif roll < 0.9:
+            insns.append(ins.jump("jeq", src, imm=0,
+                                  off=rng.randrange(length - i)))
+        else:
+            insns.append(ins.jump("jne", src, imm=0,
+                                  off=-rng.randrange(1, i + 2)))
+    insns.append(ins.mov64_reg(op.R0, rng.randrange(5)))
+    insns.append(ins.exit_())
+    return BpfProgram(f"regs{length}", insns)
+
+
+def test_newly_dead_matches_a_full_solve_on_random_control_flow():
+    rng = random.Random(8)
+    _check_dead_def_rounds([_register_traffic(rng) for _ in range(400)], 9)
+
+
+def _reference_cleanup(sym: SymbolicProgram) -> None:
+    """The native cleanup as a loop to the fixpoint: every round solves
+    liveness again, deletes every dead def, then scans forward for jumps
+    to the next instruction."""
+    changed = True
+    while changed:
+        changed = False
+        for index in _SetAnalysis(sym).dead_defs():
+            sym.delete(index)
+            changed = True
+        for index in sym.live_indices():
+            item = sym.insns[index]
+            if KIND[item.insn.opcode] == JA and item.target is not None \
+                    and sym.resolve(item.target) == sym.next_live(index):
+                sym.delete(index)
+                changed = True
+
+
+def test_cleanup_deletes_what_the_fixpoint_loop_deletes(fuzz_programs,
+                                                        suite_programs):
+    rng = random.Random(10)
+    randoms = [_register_traffic(rng) for _ in range(400)]
+    for program in fuzz_programs + suite_programs + randoms:
+        expected = SymbolicProgram.from_program(program)
+        _reference_cleanup(expected)
+        sym = SymbolicProgram.from_program(program)
+        _native_cleanup(sym)
+        assert [item.deleted for item in sym.insns] == \
+            [item.deleted for item in expected.insns], program.name
+        assert sym.to_insns() == expected.to_insns(), program.name

@@ -248,6 +248,101 @@ class TestStoreImmediate:
         assert prog.ni == 2
 
 
+def _reference_overwritten(sym, analysis):
+    """The dead-stack-store search as a forward scan from every stack
+    store, as CP/DCE ran it before the single backward sweep."""
+    def stack_store(insn):
+        return insn.is_store and not insn.is_atomic and insn.dst == op.FP
+
+    def overlaps(insn, lo, hi):
+        return insn.off < hi and insn.off + insn.size_bytes > lo
+
+    found = []
+    live = sym.live_indices()
+    for pos, index in enumerate(live):
+        insn = sym.insns[index].insn
+        if not stack_store(insn):
+            continue
+        lo, hi = insn.off, insn.off + insn.size_bytes
+        for later in live[pos + 1:]:
+            other = sym.insns[later].insn
+            if analysis.is_branch_target(later) or other.is_jump \
+                    or (other.is_alu and not other.uses_imm
+                        and other.src == op.FP):
+                break
+            if ((other.is_load and other.src == op.FP)
+                    or (other.is_atomic and other.dst == op.FP)) \
+                    and overlaps(other, lo, hi):
+                break
+            if stack_store(other):
+                if other.off <= lo and other.off + other.size_bytes >= hi:
+                    found.append((index, later))
+                    break
+                if overlaps(other, lo, hi):
+                    break
+    return found
+
+
+def _stack_traffic(rng, length=40):
+    """A random program of stack stores, loads and atomics at
+    overlapping offsets, with r10 copies, calls and forward jumps."""
+    from repro.isa import instruction as ins
+
+    def access():
+        size = rng.choice((1, 2, 4, 8))
+        return size, -size * rng.randrange(1, 5)
+
+    insns = []
+    for i in range(length):
+        roll = rng.random()
+        size, off = access()
+        if roll < 0.45:
+            insns.append(ins.store_imm(size, op.FP, off, rng.randrange(9)))
+        elif roll < 0.6:
+            insns.append(ins.store_reg(size, op.FP, off, 1))
+        elif roll < 0.8:
+            insns.append(ins.load(size, 2, op.FP, off))
+        elif roll < 0.85:
+            insns.append(ins.atomic(8, op.BPF_ATOMIC_ADD, op.FP, -8, 1))
+        elif roll < 0.9:
+            insns.append(ins.mov64_reg(3, op.FP))
+        elif roll < 0.93:
+            insns.append(ins.call(1))
+        else:
+            insns.append(ins.jump("jeq", 1, imm=0,
+                                  off=rng.randrange(length - i)))
+    insns.append(ins.exit_())
+    return BpfProgram("stack", insns)
+
+
+def test_dead_stack_store_sweep_matches_a_scan_per_store():
+    import random
+
+    from repro.codegen import compile_function
+    from repro.frontend import compile_source
+    from repro.fuzz.generator import generate
+
+    rng = random.Random(7)
+    programs = [_stack_traffic(rng) for _ in range(300)]
+    for seed in range(20):
+        programs.append(BpfProgram(
+            "bc", assemble(generate("bytecode", seed).text)))
+        case = generate("source", seed)
+        module = compile_source(case.text, case.name)
+        programs.append(compile_function(
+            module.get(case.name), module, prog_type=case.prog_type,
+            ctx_size=case.ctx_size, cleanup=False))
+    checked = 0
+    for prog in programs:
+        sym = SymbolicProgram.from_program(prog)
+        analysis = BytecodeAnalysis(sym)
+        expected = _reference_overwritten(sym, analysis)
+        assert StoreImmediatePass()._overwritten_stores(sym, analysis) \
+            == expected
+        checked += len(expected)
+    assert checked  # the corpus has dead stack stores to find
+
+
 class TestSuperwordBytecode:
     def test_merges_fig5_pattern(self):
         prog = program("""

@@ -4,11 +4,15 @@ import pytest
 
 from repro import ir
 from repro.codegen import (
+    VREG_BASE,
     EmissionError,
+    LowFunction,
     SelectionError,
     StackOverflowError,
     compile_function,
+    emit,
 )
+from repro.isa import instruction as ins
 from repro.isa import disassemble
 from repro.isa import opcodes as op
 from repro.vm import Machine
@@ -341,3 +345,54 @@ class TestControlFlowEmission:
                     assert 0 <= target <= total
                     assert target in slots or target == total
                 slot += insn.slots
+
+
+class TestEmission:
+    """``emit`` resolves labels through a symbolic program now; its
+    checks and their order stay the same."""
+
+    def test_labels_resolve_to_slot_offsets(self):
+        low = LowFunction("f")
+        low.emit(ins.jump("jeq", 1, imm=0), target="end")
+        low.label("mid")
+        low.emit(ins.ld_imm64(0, 1 << 40))
+        low.emit(ins.jump("ja"), target="mid")
+        low.emit(ins.exit_())
+        low.label("end")
+        insns = emit(low).insns
+        assert [insn.off for insn in insns] == [4, 0, -3, 0]
+
+    def test_duplicate_label(self):
+        low = LowFunction("f")
+        low.emit(ins.mov64_imm(VREG_BASE, 1))  # found only after labels
+        low.label("a")
+        low.emit(ins.exit_())
+        low.label("a")
+        with pytest.raises(EmissionError, match="duplicate label 'a'"):
+            emit(low)
+
+    def test_undefined_label(self):
+        low = LowFunction("f")
+        low.emit(ins.jump("ja"), target="nowhere")
+        low.emit(ins.exit_())
+        with pytest.raises(EmissionError, match="undefined label 'nowhere'"):
+            emit(low)
+
+    def test_surviving_virtual_register(self):
+        low = LowFunction("f")
+        low.emit(ins.mov64_reg(op.R0, VREG_BASE + 3))
+        low.emit(ins.exit_())
+        with pytest.raises(EmissionError,
+                           match="virtual register v19 survived allocation"):
+            emit(low)
+
+    def test_branch_offset_out_of_range(self):
+        low = LowFunction("f")
+        low.emit(ins.jump("ja"), target="far")
+        for _ in range(1 << 15):
+            low.emit(ins.mov64_imm(op.R0, 0))
+        low.label("far")
+        low.emit(ins.exit_())
+        with pytest.raises(EmissionError,
+                           match="branch offset 32768 out of 16-bit range"):
+            emit(low)

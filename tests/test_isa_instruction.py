@@ -1,5 +1,7 @@
 """Unit tests for eBPF instruction encode/decode and classification."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,6 +209,39 @@ class TestCounting:
         insn = jump32("jlt", 1, imm=5, off=3)
         assert insn.insn_class == op.BPF_JMP32
         assert Instruction.decode_stream(insn.encode()) == [insn]
+
+
+class TestWith:
+    """``with_`` builds the copy with the constructor; it must answer
+    what ``dataclasses.replace`` answers."""
+
+    FIELDS = ("opcode", "dst", "src", "off", "imm")
+
+    @given(st.sampled_from([mov64_reg(1, 2), ld_imm64(3, 2 ** 40, src=1),
+                            jump("jeq", 1, imm=7, off=-4), call(6),
+                            store_imm(4, op.R10, -8, 9)]),
+           st.sampled_from(FIELDS), st.integers(-(2 ** 40), 2 ** 40))
+    def test_each_field_matches_replace(self, insn, name, value):
+        assert insn.with_(**{name: value}) == \
+            dataclasses.replace(insn, **{name: value})
+
+    def test_several_fields_and_none(self):
+        insn = alu64("add", 1, src=2)
+        assert insn.with_(dst=3, src=4, off=5) == \
+            dataclasses.replace(insn, dst=3, src=4, off=5)
+        assert insn.with_() == insn and insn.with_() is not insn
+
+    def test_unknown_field_raises_type_error(self):
+        with pytest.raises(TypeError):
+            mov64_imm(1, 2).with_(reg=3)
+        with pytest.raises(TypeError):
+            mov64_imm(1, 2).with_(4)
+
+    def test_result_stays_frozen(self):
+        copy = mov64_imm(1, 2).with_(imm=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.imm = 4
+        assert type(copy) is Instruction
 
 
 # --- per-opcode tables against a direct bit-field decode -------------------

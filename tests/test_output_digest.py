@@ -1,18 +1,25 @@
-"""Pinned output of the frontend and the verifier over a wide corpus.
+"""Pinned compiler output over a wide corpus.
 
 ``golden_compile.json`` pins 31 small programs.  This test covers the
-sizes where a quadratic path would bite, with two sha256 digests:
+sizes where a quadratic path would bite, with four sha256 digests:
 
 * ``print_module`` of every program's frontend output (cache keys hash
   this IR text);
 * the ``(ok, reason, npi, total_states, peak_states, pruned)`` verdict of
-  the verifier on every program's ``compile_function`` baseline build.
+  the verifier on every program's ``compile_function`` baseline build;
+* the encoded bytes of that baseline build (codegen: isel, register
+  allocation, emission and the native cleanup);
+* every program's ``MerlinPipeline().compile`` output: its bytes,
+  ``ni_original``, ``ni_optimized``, ``mcpu`` and the rewrite count of
+  each pass, in order (the IR clone, both codegen runs and the
+  bytecode tier).
 
 The corpus, in order: the 19 XDP programs; the two largest programs of
 each suite at scale 0.2 (by source length, then name; 16-24k
 characters); and the source-layer fuzz programs of seeds 0-99
-(``repro.fuzz.generator.generate("source", seed)``).  Both digests were
-computed before the frontend and verifier fast paths existed.  Print
+(``repro.fuzz.generator.generate("source", seed)``).  The first two
+digests were computed before the frontend and verifier fast paths
+existed, the last two before the codegen and bytecode-tier ones.  Print
 the current ones, from the repository root, with::
 
     PYTHONPATH=src python tests/test_output_digest.py
@@ -23,7 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.codegen import compile_function
+from repro.core import MerlinPipeline
 from repro.frontend import compile_source
 from repro.fuzz.generator import generate
 from repro.ir import print_module
@@ -35,6 +45,10 @@ from repro.workloads.xdp import ALL_XDP, XDP_CTX_SIZE
 IR_SHA256 = "cdb9154b3bdd60f396f0c2a07d157a02b3dfbeef39d8d1496c901376b86342cf"
 VERDICT_SHA256 = \
     "c8cf2d0dbcab3cf09897a246a5096aa460fcd567da6beb45c6a1b4d744e49bb3"
+BASELINE_SHA256 = \
+    "1a2f099d6bcf682bd9e32c7089f7e2e0110890137c1640c866f662c9cc44ebed"
+PIPELINE_SHA256 = \
+    "bf1ddba5247b44082f570003debe0311c8d3e7ace5c934b894b61c98af177f9e"
 
 
 def _cases():
@@ -56,22 +70,45 @@ def _cases():
 def digests() -> dict:
     ir_text = hashlib.sha256()
     verdicts = hashlib.sha256()
+    baseline_bytes = hashlib.sha256()
+    pipeline_output = hashlib.sha256()
+    pipeline = MerlinPipeline()
     for name, source, entry, prog_type, mcpu, ctx_size in _cases():
         module = compile_source(source, name)
         ir_text.update(f"{name}\n{print_module(module)}\n".encode())
-        program = compile_function(module.get(entry), module,
-                                   prog_type=prog_type, mcpu=mcpu,
-                                   ctx_size=ctx_size)
+        func = module.get(entry)
+        program = compile_function(func, module, prog_type=prog_type,
+                                   mcpu=mcpu, ctx_size=ctx_size)
         result = verify(program)
         verdicts.update(json.dumps(
             [name, result.ok, result.reason, result.npi,
              result.total_states, result.peak_states, result.pruned]
         ).encode() + b"\n")
-    return {"ir": ir_text.hexdigest(), "verdicts": verdicts.hexdigest()}
+        baseline_bytes.update(f"{name}\n".encode() + program.encode())
+        optimized, report = pipeline.compile(
+            func, module, prog_type=prog_type, mcpu=mcpu, ctx_size=ctx_size)
+        pipeline_output.update(json.dumps(
+            [name, optimized.encode().hex(), report.ni_original,
+             report.ni_optimized, optimized.mcpu,
+             [[s.name, s.rewrites] for s in report.pass_stats]]
+        ).encode() + b"\n")
+    return {"ir": ir_text.hexdigest(), "verdicts": verdicts.hexdigest(),
+            "baseline": baseline_bytes.hexdigest(),
+            "pipeline": pipeline_output.hexdigest()}
 
 
-def test_frontend_and_verifier_output_is_unchanged():
-    assert digests() == {"ir": IR_SHA256, "verdicts": VERDICT_SHA256}
+@pytest.fixture(scope="module")
+def current():
+    return digests()
+
+
+def test_frontend_and_verifier_output_is_unchanged(current):
+    assert (current["ir"], current["verdicts"]) == (IR_SHA256, VERDICT_SHA256)
+
+
+def test_codegen_and_bytecode_tier_output_is_unchanged(current):
+    assert (current["baseline"], current["pipeline"]) \
+        == (BASELINE_SHA256, PIPELINE_SHA256)
 
 
 if __name__ == "__main__":
