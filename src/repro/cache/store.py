@@ -11,11 +11,11 @@ its memo) uses :meth:`CompilationCache.lookup`, which skips that copy
 on a memory hit.
 
 The disk layout is ``<dir>/<digest[:2]>/<digest>.pkl`` (git-style
-sharding keeps directories small at fleet scale); writes go through a
+sharding keeps directories small at service scale); writes go through a
 temp file + ``os.replace`` so concurrent writers — e.g. the parallel
 batch compiler's worker processes — can never expose a torn entry.
 
-Fleet-sized stores need a retention policy too: ``ttl_seconds`` expires
+Long-lived stores need a retention policy too: ``ttl_seconds`` expires
 entries that have not been *touched* (written or read) for that long,
 and ``max_disk_bytes`` bounds the tree with an LRU :meth:`sweep` (disk
 hits touch the entry's mtime, so mtime order is access order).  Both
@@ -52,7 +52,7 @@ def _is_entry(name: str) -> bool:
 
 def scan_cache_tree(cache_dir: str) -> dict:
     """Walk a disk store and load every entry — the torn-entry detector
-    a fleet bench runs over its shared tree.
+    a service bench runs over its shared tree.
 
     Transient ``.tmp-*`` / ``.tomb-*`` files (a writer or evictor was
     mid-flight when the walk passed) are counted separately, never as
@@ -90,8 +90,8 @@ class CacheStats:
     through its stats endpoint.
 
     The fields are the one list of counter names: :meth:`merge`,
-    :meth:`since`, :meth:`to_dict` and the fleet's stats aggregate all
-    iterate them, in this order (the order the ``stats`` op shows).
+    :meth:`since` and :meth:`to_dict` all iterate them, in this order
+    (the order the ``stats`` op shows).
     """
 
     hits: int = 0

@@ -17,7 +17,7 @@ Subcommands mirror the real eBPF workflow:
 * ``serve``    — run the optimization-as-a-service daemon (JSON lines
   over a local socket, admission batching, shared warm cache)
 * ``bench-serve`` — replay Zipf-skewed synthetic tenant traffic (or a
-  recorded trace) against a daemon or a fleet and write the
+  recorded trace) against a daemon and write the
   cold-vs-warm ``BENCH_service.json``
 """
 
@@ -367,9 +367,9 @@ def cmd_serve(args) -> int:
     import json as _json
     import signal
 
-    from .serve import DaemonThread, FleetConfig, FleetThread, ServeConfig
+    from .serve import DaemonThread, ServeConfig
 
-    options = dict(
+    handle = DaemonThread(ServeConfig(
         socket_path=None if args.tcp is not None else args.socket,
         host="127.0.0.1" if args.tcp is not None else None,
         port=args.tcp or 0,
@@ -379,16 +379,13 @@ def cmd_serve(args) -> int:
         kernel=args.kernel,
         cache_ttl=args.cache_ttl,
         cache_max_bytes=args.cache_max_bytes,
-    )
-    handle = (FleetThread(FleetConfig(shards=args.fleet, **options))
-              if args.fleet else DaemonThread(ServeConfig(**options)))
-    server = handle.start().server
-    config = server.config
+    ))
+    daemon = handle.start().daemon
+    config = daemon.config
     kind = handle.address[0]
     where = handle.address[1] if kind == "unix" else \
         f"{handle.address[1]}:{handle.address[2]}"
-    what = f"fleet of {args.fleet} shard(s)" if args.fleet else "daemon"
-    print(f"repro serve: {what} listening on {kind} {where} "
+    print(f"repro serve: daemon listening on {kind} {where} "
           f"(jobs={config.jobs}, max_batch={config.max_batch}, "
           f"cache={config.cache_dir})", file=sys.stderr)
 
@@ -398,21 +395,18 @@ def cmd_serve(args) -> int:
         if not done:
             done.append(signum)
             print("repro serve: draining...", file=sys.stderr)
-            server.request_stop(drain=True)
+            daemon.request_stop(drain=True)
 
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
     handle._thread.join()
-    snapshot = server.final_snapshot
+    snapshot = daemon.final_snapshot
     if args.stats_out:
         with open(args.stats_out, "w") as fh:
             fh.write(_json.dumps(snapshot, indent=2) + "\n")
-    stats = server.stats
-    tail = (f"{stats.forwarded} routed ({stats.shard_lost_errors} "
-            f"shard-lost, {stats.respawns} respawns)" if args.fleet else
-            f"{snapshot['requests']['compiles']} compiles, cache hit "
-            f"rate {snapshot['cache']['hit_rate'] * 100:.0f}%")
-    print(f"repro serve: {stats.responses_sent} responses, {tail}",
+    print(f"repro serve: {daemon.stats.responses_sent} responses, "
+          f"{snapshot['requests']['compiles']} compiles, cache hit "
+          f"rate {snapshot['cache']['hit_rate'] * 100:.0f}%",
           file=sys.stderr)
     return 0
 
@@ -441,7 +435,7 @@ def cmd_bench_serve(args) -> int:
     report = bench_service(
         requests=args.requests, clients=args.clients,
         unique=args.unique, seed=args.seed, zipf_s=args.zipf,
-        depth=args.depth, shards=args.fleet, jobs=args.jobs,
+        depth=args.depth, jobs=args.jobs,
         max_batch=args.max_batch, cache_ttl=args.cache_ttl,
         cache_max_bytes=args.cache_max_bytes,
         faults=faults, priority_mix=_parse_priority_mix(args.priority_mix),
@@ -602,9 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most queued misses compiled in one batch "
                         "(default: 16)")
     s.add_argument("--kernel", default="6.5", choices=sorted(KERNELS))
-    s.add_argument("--fleet", type=int, default=0, metavar="N",
-                   help="run a consistent-hash router over N shard "
-                        "daemons instead of a single daemon")
     s.add_argument("--cache-ttl", type=float, default=None,
                    metavar="SECONDS",
                    help="idle TTL for cache entries (default: keep)")
@@ -630,14 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--depth", type=int, default=8,
                     help="per-client pipeline depth (default: 8)")
     bs.add_argument("--jobs", type=int, default=1,
-                    help="compile worker processes per daemon "
-                         "(default: 1)")
+                    help="compile worker processes (default: 1)")
     bs.add_argument("--max-batch", type=int, default=16)
     bs.add_argument("--faults", action="store_true",
                     help="mix protocol-abuse faults into the stream")
-    bs.add_argument("--fleet", type=int, default=0, metavar="N",
-                    help="benchmark a router over N shard daemons "
-                         "instead of a single daemon")
     bs.add_argument("--trace", metavar="FILE",
                     help="replay this recorded trace instead of "
                          "synthesizing load")

@@ -452,7 +452,7 @@ class RewriteMemoEntry:
 
     ``rewrite is None`` records a *negative* result — the search ran
     and found nothing — so cold windows are only ever searched once
-    fleet-wide.  ``clobbered`` is advisory (the clobbers the search
+    per cache tree, whichever process shares it.  ``clobbered`` is advisory (the clobbers the search
     observed in canonical space); the apply site recomputes its own.
     """
 

@@ -1,15 +1,15 @@
 """Service-mode benchmark: cold vs warm throughput under skewed load.
 
-Starts one ``repro.serve`` daemon (``shards == 0``) or a router over
-``shards`` shard daemons, and replays one trace against it twice —
-once against an empty cache (*cold*) and once, the exact same request
-stream, against the now-warm cache (*warm*).  The trace is either
+Starts one ``repro.serve`` daemon (``jobs`` worker processes) and
+replays one trace against it twice — once against an empty cache
+(*cold*) and once, the exact same request stream, against the
+now-warm cache (*warm*).  The trace is either
 synthesized (:func:`repro.serve.loadgen.synthesize_trace`: Zipf-skewed
 tenant traffic over a pool of generated programs, every event due at
 once, optional priority mix) or a recorded file.  The report carries
 programs/sec, client-observed latency percentiles, cache hit rates
-read from the server's ``stats`` op, per-tenant goodput, and a scan of
-the server's disk cache tree for torn entries.  ``repro bench-serve``
+read from the daemon's ``stats`` op, per-tenant goodput, and a scan of
+the daemon's disk cache tree for torn entries.  ``repro bench-serve``
 drives this and emits ``BENCH_service.json``.
 
 The pool is prefiltered through a full local compile (setup cost,
@@ -18,19 +18,18 @@ expected to succeed; the cold run still enjoys within-run cache hits
 on the Zipf head — that is the point of the skew — so the headline
 ``speedup`` understates the raw compile-vs-cache-hit ratio.  Each
 phase therefore also reports ``fresh_latency_ms``: the latency of the
-answers the server compiled (``cached: false``) on their own.
+answers the daemon compiled (``cached: false``) on their own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..cache import scan_cache_tree
 from ..serve.client import ServeClient
 from ..serve.daemon import DaemonThread, ServeConfig
-from ..serve.fleet import FleetConfig, FleetThread
 from ..serve.loadgen import (
     FaultPlan,
     ReplayResult,
@@ -92,18 +91,13 @@ class PhaseResult:
 
 @dataclass
 class ServiceBenchReport:
-    """``BENCH_service.json``: one cold-vs-warm run.
-
-    A daemon run (``config["shards"] == 0``) reports the daemon's final
-    ``stats`` as ``daemon_stats``; a fleet run reports the router
-    counters, the cross-shard aggregate, and per-shard latency, queue
-    and cache views.
-    """
+    """``BENCH_service.json``: one cold-vs-warm run, with the daemon's
+    final ``stats``."""
 
     config: dict
     cold: PhaseResult = None
     warm: PhaseResult = None
-    server_stats: dict = field(default_factory=dict)
+    daemon_stats: dict = field(default_factory=dict)
     fairness: dict = field(default_factory=dict)
     cache_integrity: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
@@ -115,25 +109,9 @@ class ServiceBenchReport:
             return 0.0
         return self.warm.programs_per_second / self.cold.programs_per_second
 
-    def shard_summary(self) -> List[dict]:
-        out = []
-        for entry in self.server_stats.get("shards", []):
-            stats = entry.get("stats") or {}
-            out.append({
-                "shard": entry.get("shard"),
-                "alive": entry.get("alive"),
-                "forwarded": entry.get("forwarded"),
-                "latency_ms": stats.get("latency", {}),
-                "queue": stats.get("queue", {}),
-                "batches": stats.get("batches", {}),
-                "cache": stats.get("cache", {}),
-            })
-        return out
-
     def to_dict(self) -> dict:
-        fleet = bool(self.config.get("shards"))
-        out = {
-            "benchmark": "service-fleet" if fleet else "service",
+        return {
+            "benchmark": "service",
             "config": self.config,
             "cold": self.cold.to_dict() if self.cold else None,
             "warm": self.warm.to_dict() if self.warm else None,
@@ -141,14 +119,8 @@ class ServiceBenchReport:
             "fairness": self.fairness,
             "cache_integrity": self.cache_integrity,
             "trace": self.trace,
+            "daemon_stats": self.daemon_stats,
         }
-        if fleet:
-            out["router"] = self.server_stats.get("router", {})
-            out["fleet"] = self.server_stats.get("fleet", {})
-            out["shards"] = self.shard_summary()
-        else:
-            out["daemon_stats"] = self.server_stats
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -159,15 +131,15 @@ class ServiceBenchReport:
 
 
 def _cache_counters(snapshot: dict) -> Dict[str, int]:
-    """Cache counters from a daemon's or a router's ``stats`` payload."""
-    cache = snapshot.get("fleet", snapshot).get("cache", {})
+    """Cache counters from a daemon's ``stats`` payload."""
+    cache = snapshot.get("cache", {})
     return {key: int(cache.get(key, 0))
             for key in ("hits", "misses", "read_errors")}
 
 
 def bench_service(requests: int = 1000, clients: int = 4,
                   unique: int = 80, seed: int = 2024,
-                  zipf_s: float = 1.1, depth: int = 8, shards: int = 0,
+                  zipf_s: float = 1.1, depth: int = 8,
                   jobs: int = 1, max_batch: int = 16,
                   cache_ttl: Optional[float] = None,
                   cache_max_bytes: Optional[int] = None,
@@ -203,7 +175,6 @@ def bench_service(requests: int = 1000, clients: int = 4,
     if record_path is not None:
         save_trace(record_path, events)
     report = ServiceBenchReport(config={
-        "shards": shards,
         "jobs": jobs,
         "requests": len(events),
         "clients": len({e.client for e in events}),
@@ -223,14 +194,13 @@ def bench_service(requests: int = 1000, clients: int = 4,
         report.trace = {"path": trace_path, "events": len(events),
                         "speed": speed}
 
-    handle = (FleetThread(FleetConfig(shards=shards, **options)) if shards
-              else DaemonThread(ServeConfig(**options)))
+    handle = DaemonThread(ServeConfig(**options))
     with handle, ServeClient(handle.address) as probe:
         counters = {"hits": 0, "misses": 0}
         for phase in ("cold", "warm"):
             say(f"{phase} phase: {len(events)} requests, "
-                f"{report.config['clients']} client(s), "
-                + (f"{shards} shard(s)" if shards else "one daemon"))
+                f"{report.config['clients']} client(s), one daemon, "
+                f"jobs={jobs}")
             load = replay_trace(handle.address, events, speed=speed,
                                 depth=depth, faults=faults)
             if load.failures:
@@ -241,9 +211,9 @@ def bench_service(requests: int = 1000, clients: int = 4,
             lookups = hits + counters["misses"] - before["misses"]
             setattr(report, phase, PhaseResult.from_load(
                 phase, load, hits / lookups if lookups else 0.0))
-        report.server_stats = snapshot
+        report.daemon_stats = snapshot
         report.fairness = load.to_dict()["fairness"]
-        cache_dir = handle.server.config.cache_dir
+        cache_dir = handle.daemon.config.cache_dir
         if cache_dir is not None:
             say("scanning cache tree for torn entries")
             report.cache_integrity = dict(

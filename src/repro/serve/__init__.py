@@ -7,10 +7,8 @@ as soon as it is free (misses queued behind a compiling batch go out
 together), shares one warm compilation cache across every client and
 worker process, streams per-request results back, and reports
 hit-rate / queue depth / latency-percentile / throughput metrics via a
-``stats`` endpoint.
-``repro serve --fleet N`` puts a consistent-hash router
-(:mod:`repro.serve.fleet`) in front of N shard daemons; the router
-reuses the daemon's socket front end, config and thread runner.
+``stats`` endpoint.  ``--jobs N`` compiles in N worker processes,
+all started before the socket binds, on the one cache tree.
 
 ::
 
@@ -24,20 +22,13 @@ reuses the daemon's socket front end, config and thread runner.
 Traffic comes from one module (:mod:`repro.serve.loadgen`): synthesize
 a Zipf-skewed tenant trace from the fuzz generators (or load a
 recorded one) and replay it, optionally with fault injection, against
-either server kind; ``repro bench-serve`` drives it to produce
+a daemon; ``repro bench-serve`` drives it to produce
 ``BENCH_service.json`` (see :mod:`repro.eval.serviceperf`).
 """
 
 from .client import Address, ServeClient, ServeError
 from .daemon import DaemonThread, OptimizationDaemon, ServeConfig
 from .fairness import FairAdmissionQueue
-from .fleet import (
-    FleetConfig,
-    FleetThread,
-    HashRing,
-    ShardRouter,
-    aggregate_shard_stats,
-)
 from .loadgen import (
     FaultPlan,
     PoolProgram,
@@ -71,9 +62,6 @@ __all__ = [
     "ERROR_CODES",
     "FairAdmissionQueue",
     "FaultPlan",
-    "FleetConfig",
-    "FleetThread",
-    "HashRing",
     "LatencyReservoir",
     "MAX_LINE_BYTES",
     "MAX_SOURCE_BYTES",
@@ -87,9 +75,7 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServiceStats",
-    "ShardRouter",
     "TraceEvent",
-    "aggregate_shard_stats",
     "build_pool",
     "decode",
     "encode",

@@ -35,17 +35,15 @@ Responses stream back per request as each future resolves; a
 connection's responses always come back in its request-arrival order,
 so clients may pipeline arbitrarily deep.
 
+With ``jobs > 1`` every worker process is spawned and has imported the
+compile path before the socket binds, so no client pays a worker's
+start-up.
+
 Graceful degradation is deliberate and tested: malformed or oversized
 requests get structured error responses, a client disconnecting
 mid-stream only increments a counter, cache-directory loss degrades
 the store to memory-only, and shutdown drains every admitted request
 before closing connections.
-
-The socket half — bind, per-connection read loop, in-order writer,
-drain-then-close shutdown (:class:`FrontEnd`) — and the background
-thread runner (:class:`ServerThread`) are shared with the fleet's
-:class:`~repro.serve.fleet.ShardRouter`: a server supplies only how a
-request line is answered and how its back end starts, settles and stops.
 """
 
 from __future__ import annotations
@@ -60,8 +58,8 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..cache import CompilationCache
 from ..core.batch import CompileJob, compile_many
@@ -101,8 +99,6 @@ class ServeConfig:
     cache_max_bytes: Optional[int] = None
     #: how often the eviction sweep runs when either bound is set
     sweep_interval: float = 5.0
-    #: fleet shard index (set by the router; labels stats snapshots)
-    shard_id: Optional[int] = None
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -130,7 +126,6 @@ class ServeConfig:
             "cache_dir": self.cache_dir,
             "cache_ttl_seconds": self.cache_ttl,
             "cache_max_bytes": self.cache_max_bytes,
-            "shard_id": self.shard_id,
         }
 
 
@@ -149,9 +144,8 @@ class _Pending:
 class _Connection:
     """Per-client state: a FIFO of response futures and one writer.
 
-    Futures resolve to encoded response lines, so the writer never
-    re-encodes: the daemon encodes its own responses and the router
-    relays shard lines verbatim."""
+    Futures resolve to encoded response lines, so the writer only
+    writes them."""
 
     def __init__(self, writer: asyncio.StreamWriter, stats):
         self.writer = writer
@@ -189,19 +183,42 @@ class _Connection:
             await asyncio.sleep(0.005)
 
 
-class FrontEnd:
-    """The JSON-lines socket front end of a server.
+def _worker_ready() -> int:
+    """A pool worker's start-up call, answered with its pid.  A worker
+    imports this module, and with it the compile path, to unpickle it."""
+    return os.getpid()
 
-    A subclass sets ``config`` (its socket fields) and
-    ``stats`` (connection and request counters), answers each request
-    line in :meth:`_route`, and runs its back end through three hooks:
-    :meth:`_start_backend` before the socket binds, :meth:`_settle`
-    once the socket stopped accepting (every admitted request must
-    resolve), and :meth:`_stop_backend` after the last connection
-    closed.
-    """
 
-    def __init__(self):
+class OptimizationDaemon:
+    """The asyncio service around :func:`repro.core.batch.compile_many`."""
+
+    def __init__(self, config: Optional[ServeConfig] = None):
+        self.config = config or ServeConfig()
+        self.stats = ServiceStats()
+        self._own_cache_dir: Optional[str] = None
+        cache_dir = self.config.cache_dir
+        if cache_dir is None and self.config.jobs > 1:
+            # worker processes share the warm cache through disk only
+            cache_dir = self._own_cache_dir = tempfile.mkdtemp(
+                prefix="repro-serve-cache-")
+            self.config.cache_dir = cache_dir
+        self.cache = CompilationCache(
+            directory=cache_dir,
+            max_memory_entries=self.config.max_memory_entries,
+            ttl_seconds=self.config.cache_ttl,
+            max_disk_bytes=self.config.cache_max_bytes)
+        self._pipelines: Dict[tuple, MerlinPipeline] = {}
+        # LRU memo, request shape -> (cache key, answer): a repeat
+        # request skips the frontend and the batcher, and is answered
+        # at admission while its cache entry is live
+        self._source_keys: "OrderedDict[tuple, Tuple[str, dict]]" = \
+            OrderedDict()
+        self._queue = FairAdmissionQueue(maxsize=QUEUE_LIMIT)
+        self._batcher_task: Optional[asyncio.Task] = None
+        self._sweep_task: Optional[asyncio.Task] = None
+        self._dispatch_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-dispatch")
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._connections: set = set()
         self._handler_tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -215,11 +232,31 @@ class FrontEnd:
         self.final_snapshot: Optional[dict] = None
 
     # ------------------------------------------------------------ setup
+    def _pipeline_for(self, request: Request) -> MerlinPipeline:
+        key = request.config_key
+        pipeline = self._pipelines.get(key)
+        if pipeline is None:
+            enabled = key[1] if key[1] is not None else ALL_OPTIMIZERS
+            pipeline = MerlinPipeline(kernel=KERNELS[key[0]],
+                                      enabled=frozenset(enabled))
+            self._pipelines[key] = pipeline
+        return pipeline
+
     async def start(self) -> None:
-        """Start the back end, then bind the socket; returns once ready."""
+        """Start the workers, the batcher and the sweeper, then bind the
+        socket; returns once ready."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        await self._start_backend()
+        if self.config.jobs > 1:
+            # spawn (not fork): the daemon is multi-threaded by design
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.config.jobs,
+                mp_context=multiprocessing.get_context("spawn"))
+            await self._start_workers()
+        self._batcher_task = asyncio.ensure_future(self._batch_loop())
+        if self.config.cache_ttl is not None \
+                or self.config.cache_max_bytes is not None:
+            self._sweep_task = asyncio.ensure_future(self._sweep_loop())
         if self.config.socket_path is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.config.socket_path)
@@ -234,10 +271,43 @@ class FrontEnd:
             sock = self._server.sockets[0]
             self.address = ("tcp",) + sock.getsockname()[:2]
 
+    async def _start_workers(self) -> set:
+        """Have every pool worker answer once; returns their pids.
+
+        The pool spawns a worker only when a call needs one, and a
+        worker loads the compile path only with its first call, so
+        without this the first misses pay a spawn and an import.  One
+        ready worker can take every call while a sibling still starts,
+        so rounds of calls repeat until each worker has answered.
+        """
+        ready: set = set()
+        while len(ready) < self.config.jobs:
+            ready.update(await asyncio.gather(*[
+                self._loop.run_in_executor(self._pool, _worker_ready)
+                for _ in range(self.config.jobs)]))
+        return ready
+
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
         await self._stopped.wait()
+
+    async def _sweep_loop(self) -> None:
+        """Periodic TTL/size-budget eviction over the shared store.
+
+        The walk runs off-loop (default thread executor) so a large
+        tree never stalls request handling; the sweep itself is safe
+        against concurrent sweepers in other processes — the tombstone
+        rename arbitrates every removal.
+        """
+        while not self._stopping:
+            await asyncio.sleep(self.config.sweep_interval)
+            if self._stopping:
+                break
+            try:
+                await self._loop.run_in_executor(None, self.cache.sweep)
+            except Exception:  # pragma: no cover - sweep is best-effort
+                pass
 
     # ------------------------------------------------------- connections
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -284,126 +354,6 @@ class FrontEnd:
         future = self._loop.create_future()
         future.set_result(protocol.encode(response))
         return future
-
-    # -------------------------------------------------------------- stop
-    async def stop(self, drain: bool = True) -> None:
-        """Stop accepting, settle every admitted request (answered when
-        *drain*, rejected otherwise), flush and close every connection,
-        then stop the back end."""
-        if self._stop_requested:
-            await self._stopped.wait()
-            return
-        self._stop_requested = True
-        if drain:
-            # let the loop process sockets that are already readable
-            # (accepts and buffered request lines that raced this call)
-            # so they are admitted and drained instead of dropped
-            await asyncio.sleep(DRAIN_GRACE)
-        self._stopping = True
-        if self._server is not None:
-            # close() alone stops the accept loop.  wait_closed() must
-            # come *after* connection teardown: from Python 3.12 it
-            # also waits for every accepted transport to detach, so
-            # awaiting it here deadlocks against a client that holds
-            # its connection open across the drain.
-            self._server.close()
-        await self._settle(drain)
-        # every admitted future is resolved; let the writers flush
-        for conn in list(self._connections):
-            await conn.quiesce()
-        for conn in list(self._connections):
-            conn.queue.put_nowait(_EOF)
-            with contextlib.suppress(Exception):
-                conn.writer.close()
-        for task in list(self._handler_tasks):
-            with contextlib.suppress(Exception):
-                await asyncio.wait_for(task, timeout=5.0)
-        if self._server is not None:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(), 5.0)
-        await self._stop_backend()
-        if self.config.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
-        self._stopped.set()
-
-    def request_stop(self, drain: bool = True) -> None:
-        """Thread-safe stop trigger (for signal handlers / test code)."""
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(self.stop(drain=drain),
-                                             self._loop)
-
-
-class OptimizationDaemon(FrontEnd):
-    """The asyncio service around :func:`repro.core.batch.compile_many`."""
-
-    def __init__(self, config: Optional[ServeConfig] = None):
-        super().__init__()
-        self.config = config or ServeConfig()
-        self.stats = ServiceStats()
-        self._own_cache_dir: Optional[str] = None
-        cache_dir = self.config.cache_dir
-        if cache_dir is None and self.config.jobs > 1:
-            # worker processes share the warm cache through disk only
-            cache_dir = self._own_cache_dir = tempfile.mkdtemp(
-                prefix="repro-serve-cache-")
-            self.config.cache_dir = cache_dir
-        self.cache = CompilationCache(
-            directory=cache_dir,
-            max_memory_entries=self.config.max_memory_entries,
-            ttl_seconds=self.config.cache_ttl,
-            max_disk_bytes=self.config.cache_max_bytes)
-        self._pipelines: Dict[tuple, MerlinPipeline] = {}
-        # LRU memo, request shape -> (cache key, answer): a repeat
-        # request skips the frontend and the batcher, and is answered
-        # at admission while its cache entry is live
-        self._source_keys: "OrderedDict[tuple, Tuple[str, dict]]" = \
-            OrderedDict()
-        self._queue = FairAdmissionQueue(maxsize=QUEUE_LIMIT)
-        self._batcher_task: Optional[asyncio.Task] = None
-        self._sweep_task: Optional[asyncio.Task] = None
-        self._dispatch_thread = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-dispatch")
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    # ------------------------------------------------------------ setup
-    def _pipeline_for(self, request: Request) -> MerlinPipeline:
-        key = request.config_key
-        pipeline = self._pipelines.get(key)
-        if pipeline is None:
-            enabled = key[1] if key[1] is not None else ALL_OPTIMIZERS
-            pipeline = MerlinPipeline(kernel=KERNELS[key[0]],
-                                      enabled=frozenset(enabled))
-            self._pipelines[key] = pipeline
-        return pipeline
-
-    async def _start_backend(self) -> None:
-        if self.config.jobs > 1:
-            # spawn (not fork): the daemon is multi-threaded by design
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs,
-                mp_context=multiprocessing.get_context("spawn"))
-        self._batcher_task = asyncio.ensure_future(self._batch_loop())
-        if self.config.cache_ttl is not None \
-                or self.config.cache_max_bytes is not None:
-            self._sweep_task = asyncio.ensure_future(self._sweep_loop())
-
-    async def _sweep_loop(self) -> None:
-        """Periodic TTL/size-budget eviction over the shared store.
-
-        The walk runs off-loop (default thread executor) so a large
-        tree never stalls request handling; the sweep itself is safe
-        against concurrent sweepers in other shard daemons — the
-        tombstone rename arbitrates every removal.
-        """
-        while not self._stopping:
-            await asyncio.sleep(self.config.sweep_interval)
-            if self._stopping:
-                break
-            try:
-                await self._loop.run_in_executor(None, self.cache.sweep)
-            except Exception:  # pragma: no cover - sweep is best-effort
-                pass
 
     # ----------------------------------------------------------- routing
     async def _route(self, conn: _Connection, line: bytes) -> None:
@@ -678,7 +628,27 @@ class OptimizationDaemon(FrontEnd):
             config=self.config.describe())
 
     # -------------------------------------------------------------- stop
-    async def _settle(self, drain: bool) -> None:
+    async def stop(self, drain: bool = True) -> None:
+        """Stop accepting, settle every admitted request (answered when
+        *drain*, rejected otherwise), flush and close every connection,
+        then shut the dispatch thread and the workers down."""
+        if self._stop_requested:
+            await self._stopped.wait()
+            return
+        self._stop_requested = True
+        if drain:
+            # let the loop process sockets that are already readable
+            # (accepts and buffered request lines that raced this call)
+            # so they are admitted and drained instead of dropped
+            await asyncio.sleep(DRAIN_GRACE)
+        self._stopping = True
+        if self._server is not None:
+            # close() alone stops the accept loop.  wait_closed() must
+            # come *after* connection teardown: from Python 3.12 it
+            # also waits for every accepted transport to detach, so
+            # awaiting it here deadlocks against a client that holds
+            # its connection open across the drain.
+            self._server.close()
         if not drain:
             while not self._queue.empty():
                 item = self._queue.get_nowait()
@@ -694,8 +664,19 @@ class OptimizationDaemon(FrontEnd):
             self._sweep_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._sweep_task
-
-    async def _stop_backend(self) -> None:
+        # every admitted future is resolved; let the writers flush
+        for conn in list(self._connections):
+            await conn.quiesce()
+        for conn in list(self._connections):
+            conn.queue.put_nowait(_EOF)
+            with contextlib.suppress(Exception):
+                conn.writer.close()
+        for task in list(self._handler_tasks):
+            with contextlib.suppress(Exception):
+                await asyncio.wait_for(task, timeout=5.0)
+        if self._server is not None:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._server.wait_closed(), 5.0)
         self._dispatch_thread.shutdown(wait=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -703,20 +684,29 @@ class OptimizationDaemon(FrontEnd):
         if self._own_cache_dir is not None:
             shutil.rmtree(self._own_cache_dir, ignore_errors=True)
         self.final_snapshot = self.snapshot()
+        if self.config.socket_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self.config.socket_path)
+        self._stopped.set()
+
+    def request_stop(self, drain: bool = True) -> None:
+        """Thread-safe stop trigger (for signal handlers / test code)."""
+        if self._loop is not None:
+            asyncio.run_coroutine_threadsafe(self.stop(drain=drain),
+                                             self._loop)
 
 
-class ServerThread:
-    """Run a server (one daemon or a fleet router) on a private event
-    loop in a background thread.  The pattern tests and the bench
-    harness use::
+class DaemonThread:
+    """Run one :class:`OptimizationDaemon` on a private event loop in a
+    background thread.  The pattern tests and the bench harness use::
 
         with DaemonThread(ServeConfig()) as daemon:
             client = ServeClient(daemon.address)
             ...
     """
 
-    def __init__(self, server: FrontEnd):
-        self.server = server
+    def __init__(self, config: Optional[ServeConfig] = None):
+        self.daemon = OptimizationDaemon(config)
         self._ready = threading.Event()
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(target=self._run,
@@ -731,44 +721,29 @@ class ServerThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        await self.server.start()
+        await self.daemon.start()
         self._ready.set()
-        await self.server.serve_forever()
+        await self.daemon.serve_forever()
 
-    def start(self) -> "ServerThread":
+    def start(self) -> "DaemonThread":
         self._thread.start()
         if not self._ready.wait(timeout=120):
-            raise RuntimeError("server failed to start in time")
+            raise RuntimeError("daemon failed to start in time")
         if self._error is not None:
-            raise RuntimeError("server failed to start") from self._error
+            raise RuntimeError("daemon failed to start") from self._error
         return self
 
     def stop(self, drain: bool = True, timeout: float = 120.0) -> None:
         if self._thread.is_alive():
-            self.server.request_stop(drain=drain)
+            self.daemon.request_stop(drain=drain)
             self._thread.join(timeout=timeout)
 
     @property
     def address(self) -> Tuple:
-        return self.server.address
+        return self.daemon.address
 
-    @property
-    def stats(self):
-        return self.server.stats
-
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self) -> "DaemonThread":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-class DaemonThread(ServerThread):
-    """One :class:`OptimizationDaemon` on a background thread."""
-
-    def __init__(self, config: Optional[ServeConfig] = None):
-        super().__init__(OptimizationDaemon(config))
-
-    @property
-    def daemon(self) -> OptimizationDaemon:
-        return self.server

@@ -1,12 +1,12 @@
 """Priority + round-robin fair admission queueing for the serve daemon.
 
-The single-daemon tier (PR 5) admitted requests through a plain FIFO
-``asyncio.Queue``; under Zipf-skewed multi-tenant load that lets one
-chatty tenant fill every batch while a light tenant's single request
-waits behind hundreds of queued misses.  The fleet tier replaces the
-FIFO with :class:`FairAdmissionQueue`.  It only orders a backlog: the
-daemon dispatches a miss as soon as its batcher is free, so a backlog
-is the misses that queued while a batch compiled.
+Under Zipf-skewed multi-tenant load a plain FIFO ``asyncio.Queue``
+lets one chatty tenant fill every batch while a light tenant's single
+request waits behind hundreds of queued misses.
+:class:`FairAdmissionQueue` orders the admission queue instead.  It
+only orders a backlog: the daemon dispatches a miss as soon as its
+batcher is free, so a backlog is the misses that queued while a batch
+compiled.
 
 * **Strict priority classes.**  Higher ``priority`` drains first: a
   backlog's next batch takes every higher-priority miss before any

@@ -4,7 +4,7 @@ Traffic starts as a pool of *unique* programs drawn from the fuzz
 generators (:mod:`repro.fuzz.generator`) at a fixed seed.
 :func:`synthesize_trace` turns the pool into a *trace*: per client, a
 Zipf-skewed stream of pool picks — a few programs are requested over
-and over (the hot tenants every fleet has) while the tail stays cold.
+and over (the hot tenants every service has) while the tail stays cold.
 That skew is what makes the shared warm cache matter: the hot head
 should hit on every repeat, so a healthy server shows a cache hit-rate
 near ``1 - unique/requests`` on a long run.
@@ -20,8 +20,8 @@ per connection — the protocol's arrival-order contract), and
 load a recorded one (:func:`load_trace` validates the shape), or write
 the JSONL by hand.
 
-:func:`replay_trace` is the one client loop: every load run, daemon
-or fleet, benchmark or soak, is a replayed trace.  ``speed=1``
+:func:`replay_trace` is the one client loop: every load run,
+benchmark or soak, is a replayed trace.  ``speed=1``
 reproduces the recorded inter-arrival timing (open loop: latency runs
 from each request's due time), ``speed=2`` halves every gap,
 ``speed=0`` ignores timing and pipelines flat out through a window of
@@ -48,7 +48,7 @@ import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..fuzz.generator import SourceGenerator
 from . import protocol
@@ -407,8 +407,7 @@ _MALFORMED_LINES = (
 
 def _replay_client(address: Address, events: Sequence[TraceEvent],
                    speed: float, depth: int, faults: FaultPlan,
-                   result: ReplayClientResult,
-                   digest_payload: Callable[[dict], bytes]) -> None:
+                   result: ReplayClientResult) -> None:
     """One connection: send *events* through a sliding window of
     *depth* in-flight requests, tallying every response."""
     client = ServeClient(address)
@@ -424,7 +423,8 @@ def _replay_client(address: Address, events: Sequence[TraceEvent],
             latency = time.monotonic() - started
             result.latencies.append(latency)
             response = json.loads(line)
-            hasher.update(digest_payload(response))
+            hasher.update(json.dumps(response,
+                                     separators=(",", ":")).encode())
             okay = bool(response.get("ok"))
             result.tenant_order.append((tenant, okay))
             if okay:
@@ -501,17 +501,14 @@ def _replay_client(address: Address, events: Sequence[TraceEvent],
 
 def replay_trace(address: Address, events: Sequence[TraceEvent],
                  speed: float = 1.0, depth: int = 64,
-                 digest_fields: Optional[Sequence[str]] = None,
                  faults: Optional[FaultPlan] = None) -> ReplayResult:
-    """Replay *events* against a daemon or fleet at *address*, one
+    """Replay *events* against the daemon at *address*, one
     thread and one connection per trace client.
 
     ``speed`` scales the recorded inter-arrival gaps (0 = flat out);
-    ``depth`` bounds per-connection pipelining.  By default the
-    response digest covers the whole response; ``digest_fields``
-    narrows it to named result keys (e.g. drop ``compile_ms`` when
-    comparing a cold run against a warm one).  ``faults`` mixes
-    protocol abuse into every client's stream.
+    ``depth`` bounds per-connection pipelining; the response digest
+    covers each whole response.  ``faults`` mixes protocol abuse into
+    every client's stream.
     """
     if speed < 0:
         raise ValueError("speed must be >= 0")
@@ -524,24 +521,6 @@ def replay_trace(address: Address, events: Sequence[TraceEvent],
     for stream in by_client.values():
         stream.sort(key=lambda e: e.t)
 
-    if digest_fields is None:
-        def digest_payload(response: dict) -> bytes:
-            return json.dumps(response,
-                              separators=(",", ":")).encode()
-    else:
-        keep = tuple(digest_fields)
-
-        def digest_payload(response: dict) -> bytes:
-            view = {
-                "id": response.get("id"), "ok": response.get("ok"),
-                "result": {k: v for k, v
-                           in (response.get("result") or {}).items()
-                           if k in keep},
-                "error": response.get("error"),
-            }
-            return json.dumps(view, separators=(",", ":"),
-                              sort_keys=True).encode()
-
     results = [ReplayClientResult(client=cid)
                for cid in sorted(by_client)]
     threads = []
@@ -550,7 +529,7 @@ def replay_trace(address: Address, events: Sequence[TraceEvent],
         thread = threading.Thread(
             target=_replay_client,
             args=(address, by_client[result.client], speed, depth, faults,
-                  result, digest_payload),
+                  result),
             name=f"replay-{result.client}", daemon=True)
         threads.append(thread)
         thread.start()

@@ -32,13 +32,11 @@ covered by tests: ``bad-json`` (unparseable line; ``id`` is null),
 ``bad-request`` (missing/ill-typed fields), ``unknown-op``,
 ``oversized`` (source beyond :data:`MAX_SOURCE_BYTES`),
 ``compile-error`` (the toolchain rejected the program),
-``shutting-down`` (daemon draining, request not admitted),
-``shard-lost`` (a fleet router's shard daemon died with this request
-in flight — retry-safe by construction, nothing was committed), and
+``shutting-down`` (daemon draining, request not admitted), and
 ``internal``.
 
-Protocol v2 adds two optional request fields the fleet tier consumes:
-``tenant`` (a client-chosen stream label; the admission queue serves
+Protocol v2 adds two optional request fields the admission queue
+consumes: ``tenant`` (a client-chosen stream label; the admission queue serves
 backlogged tenants round-robin, an equal share of each batch) and
 ``priority`` (0..9, default 0; higher classes drain first from a
 backlog of misses).
@@ -70,8 +68,7 @@ MAX_PRIORITY = 9
 OPS = ("compile", "validate", "stats", "ping", "shutdown")
 
 ERROR_CODES = ("bad-json", "bad-request", "unknown-op", "oversized",
-               "compile-error", "shutting-down", "shard-lost",
-               "internal")
+               "compile-error", "shutting-down", "internal")
 
 _PROG_TYPES = {t.value for t in ProgramType}
 
@@ -110,7 +107,7 @@ class Request:
     #: superoptimizer spec (repro.core.superopt.SuperoptSpec), or None;
     #: frozen, so the request stays hashable
     superopt: Optional[Any] = None
-    #: fairness stream label (fleet tier); "" groups with the default
+    #: fairness stream label; "" groups with the default
     tenant: str = ""
     #: admission priority 0..9; a higher class drains first from the
     #: queue of misses waiting for the batcher

@@ -281,7 +281,7 @@ class TestSuperoptMemoContention:
 
 
 class TestEvictionContention:
-    """PR 10 fleet semantics: N evictors and readers race on one tree.
+    """N evictors and readers race on one tree.
 
     The tombstone contract — ``os.replace`` to a ``.tomb-*`` name, then
     unlink — means every removal is claimed by exactly one sweeper, a
@@ -413,14 +413,12 @@ class TestEvictionContention:
         assert warm.cache_stats.misses == 0
 
     def test_two_daemons_share_store_under_aggressive_sweep(self, tmp_path):
-        """Two shard daemons (the fleet's cache topology, minus the
-        router) sweep one tree on a tight TTL while clients stream:
-        every response is ok, nothing tears, and entries the sweeps
-        removed come back on the next pass."""
+        """Two daemons sweep one tree on a tight TTL while clients
+        stream: every response is ok, nothing tears, and entries the
+        sweeps removed come back on the next pass."""
         configs = [ServeConfig(cache_dir=str(tmp_path), max_batch=8,
-                               cache_ttl=0.3, sweep_interval=0.1,
-                               shard_id=index)
-                   for index in range(2)]
+                               cache_ttl=0.3, sweep_interval=0.1)
+                   for _ in range(2)]
         payloads = [{"op": "compile", "name": name, "source": source,
                      "entry": name, "prog_type": "tracepoint",
                      "ctx_size": 64}

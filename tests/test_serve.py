@@ -468,25 +468,16 @@ class TestAdmissionFastPath:
     """A repeat of a memoized request shape is answered at admission:
     it skips the queue and the batcher and deserializes nothing."""
 
-    @pytest.mark.parametrize("kind", ["daemon", "fleet"])
-    def test_warm_repeat_skips_the_batcher(self, kind):
-        from repro.serve.fleet import FleetConfig, FleetThread
-
+    def test_warm_repeat_skips_the_batcher(self):
         request = payload(*SOURCES[0])
-        server = (DaemonThread(ServeConfig())
-                  if kind == "daemon"
-                  else FleetThread(FleetConfig(shards=2)))
-        # a fleet's router reports the shards' counters summed
-        counters = ((lambda stats: stats) if kind == "daemon"
-                    else (lambda stats: stats["fleet"]))
-        with server as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 client.request(request, check=True)   # compile, memoize
-                before = counters(client.stats())
+                before = client.stats()
                 started = time.monotonic()
                 response = client.request(request, check=True)
                 elapsed = time.monotonic() - started
-                after = counters(client.stats())
+                after = client.stats()
         assert response["result"]["cached"] is True
         assert elapsed < 0.1, elapsed
         # the repeat never reached a batch
@@ -691,6 +682,27 @@ class TestShutdown:
             handle.stop()
         assert not handle._thread.is_alive()
 
+    def test_drain_shutdown_drops_nothing(self):
+        """Every request sent before a ``shutdown`` op is answered ok,
+        in order, before the shutdown ack."""
+        handle = DaemonThread(ServeConfig(max_batch=4)).start()
+        try:
+            with ServeClient(handle.address) as client:
+                ids = [client.send(payload(
+                           f"d{i}", f"u64 d{i}(u8* ctx) {{ "
+                                    f"return {i} * 31; }}"))
+                       for i in range(10)]
+                shutdown_id = client.send({"op": "shutdown"})
+                responses = [client.recv() for _ in ids]
+                ack = client.recv()
+            assert [r["id"] for r in responses] == ids
+            assert all(r["ok"] for r in responses), responses
+            assert ack["id"] == shutdown_id and ack["ok"]
+            handle._thread.join(timeout=60)
+            assert not handle._thread.is_alive()
+        finally:
+            handle.stop()
+
     def test_shutdown_op_acks_then_stops(self):
         config = ServeConfig()
         handle = DaemonThread(config).start()
@@ -751,6 +763,29 @@ class TestWorkerPool:
             assert a["ok"] and b["ok"]
             assert a["result"]["asm"] == b["result"]["asm"]
             assert a["result"]["ni_optimized"] == b["result"]["ni_optimized"]
+
+    def test_workers_answer_before_the_socket_binds(self, monkeypatch):
+        """``start()`` returns only once each of the ``jobs`` workers
+        has answered a call, so no client pays a worker's spawn and
+        import."""
+        import multiprocessing
+
+        from repro.serve.daemon import OptimizationDaemon
+
+        answered = []
+        real_start_workers = OptimizationDaemon._start_workers
+
+        async def recording_start_workers(daemon):
+            answered.append(await real_start_workers(daemon))
+            return answered[-1]
+
+        monkeypatch.setattr(OptimizationDaemon, "_start_workers",
+                            recording_start_workers)
+        with DaemonThread(ServeConfig(jobs=2)) as handle:
+            live = {child.pid for child in multiprocessing.active_children()}
+            assert handle.address is not None
+        assert len(answered) == 1
+        assert len(answered[0]) == 2 and answered[0] <= live
 
 
 # ======================================= profile-guided layout (pgo)
