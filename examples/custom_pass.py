@@ -9,14 +9,19 @@ Merlin's bytecode tier is built on two reusable pieces:
 * :class:`BytecodeAnalysis` — CFG + liveness ("is this register dead
   after instruction i?", "is anything jumping between i and j?").
 
+A pass is a rewrite of one shared symbolic program:
+``run(program, sym, analysis)`` edits ``sym`` and returns its rewrite
+count.  :func:`run_bytecode_passes` converts the program once, hands
+every pass the same ``sym`` and the same analysis, and encodes once.
+
 This example adds a classic strength reduction the paper leaves as
 future work: multiplication/division by powers of two become shifts.
 
 Run:  python examples/custom_pass.py
 """
 
-from repro.core import BytecodeAnalysis, MerlinPipeline, SymbolicProgram
-from repro.core.pass_manager import BytecodePass
+from repro.core import BytecodeAnalysis, SymbolicProgram
+from repro.core.pass_manager import BytecodePass, run_bytecode_passes
 from repro.isa import BpfProgram, ProgramType, assemble, disassemble
 from repro.isa import instruction as ins
 from repro.isa import opcodes as op
@@ -29,8 +34,8 @@ class MulDivShiftPass(BytecodePass):
 
     name = "mul-shift"
 
-    def run(self, program: BpfProgram) -> int:
-        sym = SymbolicProgram.from_program(program)
+    def run(self, program: BpfProgram, sym: SymbolicProgram,
+            analysis: BytecodeAnalysis) -> int:
         rewrites = 0
         for index in sym.live_indices():
             insn = sym.insns[index].insn
@@ -45,7 +50,6 @@ class MulDivShiftPass(BytecodePass):
             elif insn.alu_op == op.BPF_DIV:
                 sym.replace(index, ins.alu64("rsh", insn.dst, imm=shift))
                 rewrites += 1
-        program.insns = sym.to_insns()
         return rewrites
 
 
@@ -66,8 +70,7 @@ def main() -> None:
     ctx = (11).to_bytes(8, "little") + bytes(8)
     before_result = Machine(program).run(ctx=ctx)
 
-    custom = MulDivShiftPass()
-    stats = custom.run_timed(program)
+    stats, = run_bytecode_passes(program, [MulDivShiftPass()])
     print(f"\napplied {stats.rewrites} rewrites in "
           f"{stats.time_seconds * 1e6:.0f}us")
     print("\nafter:")

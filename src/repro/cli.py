@@ -387,7 +387,7 @@ def cmd_serve(args) -> int:
         f"{handle.address[1]}:{handle.address[2]}"
     print(f"repro serve: daemon listening on {kind} {where} "
           f"(jobs={config.jobs}, max_batch={config.max_batch}, "
-          f"cache={config.cache_dir})", file=sys.stderr)
+          f"cache={daemon.cache.directory})", file=sys.stderr)
 
     done = []
 

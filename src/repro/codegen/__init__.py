@@ -51,24 +51,12 @@ def _native_cleanup(sym: "SymbolicProgram") -> None:
 
     Deleting a dead def or such a jump never makes another instruction
     live or a jump's target farther, so what is deleted does not depend
-    on the order: the dead defs go round by round, each round's found
-    from the reads the last one deleted, then the jumps in one sweep
-    from the end (deleting a jump can only bring an earlier jump's
-    target next to it)."""
+    on the order: the dead defs go round by round, then the jumps.  The
+    bytecode passes CP/DCE and peephole run the same two sweeps."""
     from ..core.bytecode_passes.analysis import BytecodeAnalysis
-    from ..isa.cfg import JA, KIND
 
-    analysis = BytecodeAnalysis(sym)
-    dead = analysis.dead_defs()
-    while dead:
-        for index in dead:
-            sym.delete(index)
-        dead = analysis.newly_dead(dead)
-    for index in reversed(sym.live_indices()):
-        item = sym.insns[index]
-        if KIND[item.insn.opcode] == JA and item.target is not None \
-                and sym.resolve(item.target) == sym.next_live(index):
-            sym.delete(index)
+    BytecodeAnalysis(sym).delete_dead_defs(sym.delete)
+    sym.delete_jumps_to_next(sym.delete)
 
 
 __all__ = [

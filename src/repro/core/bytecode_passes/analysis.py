@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from typing import List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence, Set
 
 from ...isa import Instruction
 from ...isa import opcodes as op
@@ -289,6 +289,21 @@ class BytecodeAnalysis:
                 if insns[q] is not None and not self._read_after(q)]
         self.elapsed_ns += time.perf_counter_ns() - start
         return dead
+
+    def delete_dead_defs(self, delete: Callable[[int], None]) -> int:
+        """Delete every dead def of ``sym``, and every def that dies
+        with them, and return how many went.  *delete* removes one
+        logical index from ``sym``; the first round is
+        :meth:`dead_defs` and each later one :meth:`newly_dead` of the
+        round before.  Call after :meth:`refresh`."""
+        deleted = 0
+        dead = self.dead_defs()
+        while dead:
+            for index in dead:
+                delete(index)
+            deleted += len(dead)
+            dead = self.newly_dead(dead)
+        return deleted
 
     def _read_after(self, p: int) -> bool:
         """Whether the register position *p* writes is read on some path

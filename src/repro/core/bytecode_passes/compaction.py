@@ -19,6 +19,7 @@ from ...isa import BpfProgram
 from ...isa import instruction as ins
 from ...isa import opcodes as op
 from ..pass_manager import BytecodePass
+from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
 
 
@@ -30,11 +31,10 @@ class CodeCompactionPass(BytecodePass):
     def __init__(self, allow_alu32: bool = True):
         self.allow_alu32 = allow_alu32
 
-    def run(self, program: BpfProgram) -> int:
+    def run(self, program: BpfProgram, sym: SymbolicProgram,
+            analysis: BytecodeAnalysis) -> int:
         if not self.allow_alu32:
             return 0
-        sym = SymbolicProgram.from_program(program)
-        analysis = self._analyze(sym)
         rewrites = 0
         skip_until = -1
         for index in sym.live_indices():
@@ -70,6 +70,5 @@ class CodeCompactionPass(BytecodePass):
             rewrites += 1
             skip_until = nxt
         if rewrites:
-            program.insns = sym.to_insns()
             program.mcpu = "v3"  # the program now requires v3 support
         return rewrites

@@ -323,6 +323,10 @@ class ProfileGuidedLayoutPass(BytecodePass):
     *counters* legitimately change — that is the point — so the fuzz
     layout axis compares return value, state and faults but not
     counters.
+
+    Unlike the rewriting passes, layout re-emits the whole program in a
+    new order, so it takes the program itself (``run(program)``), not a
+    symbolic program shared with other passes.
     """
 
     name = "layout"

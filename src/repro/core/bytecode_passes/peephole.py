@@ -21,8 +21,8 @@ from __future__ import annotations
 from ...isa import BpfProgram
 from ...isa import instruction as ins
 from ...isa import opcodes as op
-from ...isa.cfg import JA, KIND
 from ..pass_manager import BytecodePass
+from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
 
 _U32 = 0xFFFFFFFF
@@ -41,20 +41,18 @@ class PeepholePass(BytecodePass):
 
     name = "peephole"
 
-    def run(self, program: BpfProgram) -> int:
-        sym = SymbolicProgram.from_program(program)
-        rewrites = 0
-        rewrites += self._masked_shifts(sym)
-        rewrites += self._redundant_jumps(sym)
-        if rewrites:
-            program.insns = sym.to_insns()
+    def run(self, program: BpfProgram, sym: SymbolicProgram,
+            analysis: BytecodeAnalysis) -> int:
+        rewrites = self._masked_shifts(sym, analysis)
+        rewrites += sym.delete_jumps_to_next(
+            lambda index: self._delete(sym, index, "jump-thread"))
         return rewrites
 
     #: how far back to look for the mask-materializing ld_imm64
     LOOKBACK = 8
 
-    def _masked_shifts(self, sym: SymbolicProgram) -> int:
-        analysis = self._analyze(sym)
+    def _masked_shifts(self, sym: SymbolicProgram,
+                       analysis: BytecodeAnalysis) -> int:
         live = sym.live_indices()
         pos_of = {idx: p for p, idx in enumerate(live)}
         rewrites = 0
@@ -123,17 +121,3 @@ class PeepholePass(BytecodePass):
             if insn.is_jump or insn.is_exit or insn.is_call:
                 return None
         return None
-
-    def _redundant_jumps(self, sym: SymbolicProgram) -> int:
-        """Delete unconditional jumps to the next live instruction."""
-        rewrites = 0
-        for index in sym.live_indices():
-            item = sym.insns[index]
-            if KIND[item.insn.opcode] != JA or item.target is None:
-                continue
-            if sym.resolve(item.target) == sym.next_live(index):
-                snap = self._snapshot(sym)
-                sym.delete(index)
-                self._witness_delete(snap, index, "jump-thread")
-                rewrites += 1
-        return rewrites

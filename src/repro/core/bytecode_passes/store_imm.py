@@ -42,15 +42,14 @@ class StoreImmediatePass(BytecodePass):
 
     name = "cp-dce"
 
-    def run(self, program: BpfProgram) -> int:
-        sym = SymbolicProgram.from_program(program)
-        analysis = self._analyze(sym)
+    def run(self, program: BpfProgram, sym: SymbolicProgram,
+            analysis: BytecodeAnalysis) -> int:
         rewrites = 0
         rewrites += self._fold_store_immediates(sym, analysis)
         rewrites += self._dead_stack_stores(sym, analysis)
-        rewrites += self._dead_defs(sym, analysis)
-        if rewrites:
-            program.insns = sym.to_insns()
+        analysis.refresh()
+        rewrites += analysis.delete_dead_defs(
+            lambda index: self._delete(sym, index, "dead-def"))
         return rewrites
 
     # ------------------------------------------------------------------
@@ -62,7 +61,6 @@ class StoreImmediatePass(BytecodePass):
         changed = True
         while changed:
             changed = False
-            analysis.refresh()
             skip_until = -1
             for index in sym.live_indices():
                 if index <= skip_until or sym.insns[index].deleted:
@@ -100,6 +98,7 @@ class StoreImmediatePass(BytecodePass):
                 rewrites += 1
                 changed = True
                 skip_until = nxt
+            analysis.refresh()
         return rewrites
 
     # ------------------------------------------------------------------
@@ -107,7 +106,6 @@ class StoreImmediatePass(BytecodePass):
                            analysis: BytecodeAnalysis) -> int:
         """Remove stack stores fully overwritten before any possible read."""
         rewrites = 0
-        analysis.refresh()
         for index, overwriter in self._overwritten_stores(sym, analysis):
             snap = self._snapshot(sym)
             sym.delete(index)
@@ -164,18 +162,3 @@ class StoreImmediatePass(BytecodePass):
                     first[b] = access
         found.reverse()
         return found
-
-    # ------------------------------------------------------------------
-    def _dead_defs(self, sym: SymbolicProgram,
-                   analysis: BytecodeAnalysis) -> int:
-        rewrites = 0
-        analysis.refresh()
-        dead = analysis.dead_defs()
-        while dead:
-            for index in dead:
-                snap = self._snapshot(sym)
-                sym.delete(index)
-                self._witness_delete(snap, index, "dead-def")
-                rewrites += 1
-            dead = analysis.newly_dead(dead)
-        return rewrites

@@ -57,22 +57,19 @@ class SuperwordMergePass(BytecodePass):
 
     name = "slm"
 
-    def run(self, program: BpfProgram) -> int:
-        sym = SymbolicProgram.from_program(program)
-        analysis = self._analyze(sym)
+    def run(self, program: BpfProgram, sym: SymbolicProgram,
+            analysis: BytecodeAnalysis) -> int:
         rewrites = 0
         changed = True
         while changed:
             changed = False
-            analysis.refresh()
             for index in sym.live_indices():
                 if sym.insns[index].deleted:
                     continue
                 if self._try_merge(sym, analysis, index):
                     rewrites += 1
                     changed = True
-        if rewrites:
-            program.insns = sym.to_insns()
+            analysis.refresh()
         return rewrites
 
     def _try_merge(self, sym: SymbolicProgram, analysis: BytecodeAnalysis,

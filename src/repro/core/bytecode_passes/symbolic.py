@@ -10,10 +10,10 @@ offsets on the way out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from ...isa import BpfProgram, Instruction
-from ...isa.cfg import FAULT, slot_targets
+from ...isa.cfg import FAULT, JA, KIND, slot_targets
 from ...isa.opcodes import SLOTS
 
 
@@ -74,10 +74,6 @@ class SymbolicProgram:
             result.append(insn)
         return result
 
-    def apply_to(self, program: BpfProgram) -> BpfProgram:
-        """Return a copy of *program* with the rewritten instructions."""
-        return program.copy(insns=self.to_insns())
-
     # --- queries ------------------------------------------------------------
     def resolve(self, index: int) -> int:
         """Where control lands when it reaches logical *index*: the next
@@ -102,6 +98,20 @@ class SymbolicProgram:
     # --- mutation ---------------------------------------------------------------
     def delete(self, index: int) -> None:
         self.insns[index].deleted = True
+
+    def delete_jumps_to_next(self, delete: Callable[[int], None]) -> int:
+        """Delete every unconditional jump to the next live instruction
+        and return how many went; *delete* removes one index.  One sweep
+        from the end finds them all: deleting a jump can only bring an
+        earlier jump's target next to it."""
+        deleted = 0
+        for index in reversed(self.live_indices()):
+            item = self.insns[index]
+            if KIND[item.insn.opcode] == JA and item.target is not None \
+                    and self.resolve(item.target) == self.next_live(index):
+                delete(index)
+                deleted += 1
+        return deleted
 
     def replace(self, index: int, insn: Instruction,
                 target: Optional[int] = None) -> None:

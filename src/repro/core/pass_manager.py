@@ -1,4 +1,6 @@
-"""Pass infrastructure: stats, timing, and the two pass base classes.
+"""Pass infrastructure: stats, timing, the two pass base classes, and
+:func:`run_bytecode_passes`, which runs the bytecode tier's passes over
+one program.
 
 Merlin is multi-tier: IR passes transform :class:`repro.ir.Function`
 objects before code generation; bytecode passes rewrite the final
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .. import ir
 from ..isa import BpfProgram
@@ -25,13 +27,7 @@ class PassStats:
     tier: str  # "ir" or "bytecode"
     rewrites: int = 0
     time_seconds: float = 0.0
-    ni_before: int = 0
-    ni_after: int = 0
     details: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def ni_saved(self) -> int:
-        return self.ni_before - self.ni_after
 
 
 class IRPass:
@@ -78,51 +74,32 @@ class IRPass:
 
 
 class BytecodePass:
-    """Base class for bytecode-tier passes (Merlin's bytecode refinement)."""
+    """Base class for bytecode-tier passes (Merlin's bytecode refinement).
+
+    A pass is a rewrite of a symbolic program that
+    :func:`run_bytecode_passes` converts once for every pass of the
+    tier and encodes once after the last."""
 
     name = "bytecode-pass"
 
     #: translation-validation hook: a :class:`repro.tv.WitnessRecorder`
     #: (or None).  When set, every individual rewrite the pass performs
-    #: must be reported through the ``_witness_*`` helpers below —
-    #: each call deposits a :class:`repro.tv.RewriteWitness` that the
-    #: validator certifies independently of the pass.
+    #: must be reported through :meth:`_delete` or the ``_witness_*``
+    #: helpers below — each call deposits a
+    #: :class:`repro.tv.RewriteWitness` that the validator certifies
+    #: independently of the pass.
     recorder = None
 
-    #: the analyses built through :meth:`_analyze` during the current
-    #: :meth:`run_timed` (None outside one)
-    _analyses: Optional[List[BytecodeAnalysis]] = None
-
-    def run(self, program: BpfProgram) -> int:
-        """Rewrite *program* in place; return the number of rewrites."""
+    def run(self, program: BpfProgram, sym: SymbolicProgram,
+            analysis: BytecodeAnalysis) -> int:
+        """Rewrite *sym*, the tier's symbolic view of *program*, in
+        place and return the number of rewrites.  *analysis* is the
+        tier's one dependency analysis of *sym*, current when the pass
+        starts: after changing *sym*, call its ``refresh()`` before
+        querying it again.  *program* is read for its attributes only;
+        its instructions are encoded from *sym* once every pass has
+        run."""
         raise NotImplementedError
-
-    def run_timed(self, program: BpfProgram) -> PassStats:
-        """Run the pass and time it.  When it built a dependency
-        analysis, ``details["analysis_ns"]`` is the part of the time
-        spent building and solving it (the paper's "Dep")."""
-        ni_before = program.ni
-        self._analyses = analyses = []
-        start = time.perf_counter()
-        try:
-            rewrites = self.run(program)
-        finally:
-            self._analyses = None
-        elapsed = time.perf_counter() - start
-        details = {}
-        if analyses:
-            details["analysis_ns"] = sum(a.elapsed_ns for a in analyses)
-        return PassStats(self.name, "bytecode", rewrites=rewrites,
-                         time_seconds=elapsed, ni_before=ni_before,
-                         ni_after=program.ni, details=details)
-
-    def _analyze(self, sym: SymbolicProgram) -> BytecodeAnalysis:
-        """Build the dependency analysis of *sym* (one per pass run;
-        keep it current with :meth:`BytecodeAnalysis.refresh`)."""
-        analysis = BytecodeAnalysis(sym)
-        if self._analyses is not None:
-            self._analyses.append(analysis)
-        return analysis
 
     # ------------------------------------------------- witness emission
     def _snapshot(self, sym):
@@ -156,9 +133,11 @@ class BytecodePass:
             clobbered=tuple(clobbered), snapshot=snapshot, note=note,
         ))
 
-    def _witness_delete(self, snapshot, index: int, kind: str,
-                        note: str = "") -> None:
-        """Report a deletion-only rewrite (``dead-def``/``jump-thread``)."""
+    def _delete(self, sym, index: int, kind: str) -> None:
+        """Delete the instruction at *index* as a deletion-only rewrite
+        (``dead-def``/``jump-thread``), witnessed when recording."""
+        snapshot = self._snapshot(sym)
+        sym.delete(index)
         if snapshot is None:
             return
         from ..tv.witness import RewriteWitness
@@ -166,7 +145,7 @@ class BytecodePass:
         self.recorder.emit(RewriteWitness(
             pass_name=self.name, tier="bytecode", kind=kind,
             first=index, last=index, slot=_slot_of(snapshot, index),
-            snapshot=snapshot, note=note,
+            snapshot=snapshot,
         ))
 
     def _witness_layout(self, snapshot, after_insns, note: str = "") -> None:
@@ -184,6 +163,43 @@ class BytecodePass:
             first=0, last=max(len(snapshot) - 1, 0), slot=0,
             after_insns=list(after_insns), snapshot=snapshot, note=note,
         ))
+
+
+def run_bytecode_passes(program: BpfProgram, passes: Sequence[BytecodePass],
+                        recorder=None) -> List[PassStats]:
+    """Run *passes* in order over *program* in place and return their
+    stats: one :class:`SymbolicProgram` conversion, one
+    :class:`BytecodeAnalysis`, refreshed before each pass, and one
+    encoding at the end.  With a *recorder*, every rewrite deposits a
+    witness whose indices are into that one symbolic program.
+
+    A pass's ``time_seconds`` runs from the end of the previous pass
+    and ``details["analysis_ns"]`` is the analysis time inside it, so
+    the first pass pays the conversion and the analysis build and the
+    last pays the encoding, as each did when every pass converted the
+    program itself."""
+    if not passes:
+        return []
+    start = time.perf_counter()
+    sym = SymbolicProgram.from_program(program)
+    analysis = BytecodeAnalysis(sym)
+    stats: List[PassStats] = []
+    spent_ns = 0
+    for bytecode_pass in passes:
+        if recorder is not None:
+            bytecode_pass.recorder = recorder
+        analysis.refresh()
+        rewrites = bytecode_pass.run(program, sym, analysis)
+        now = time.perf_counter()
+        stats.append(PassStats(
+            bytecode_pass.name, "bytecode", rewrites=rewrites,
+            time_seconds=now - start,
+            details={"analysis_ns": analysis.elapsed_ns - spent_ns}))
+        start, spent_ns = now, analysis.elapsed_ns
+    if any(s.rewrites for s in stats):
+        program.insns = sym.to_insns()
+        stats[-1].time_seconds += time.perf_counter() - start
+    return stats
 
 
 def _slot_of(snapshot, index: int) -> int:

@@ -28,7 +28,7 @@ from .ir_passes.constprop import ConstantPropagationPass
 from .ir_passes.dce import DeadCodeEliminationPass
 from .ir_passes.macro_fusion import MacroOpFusionPass
 from .ir_passes.superword import SuperwordMergeIRPass
-from .pass_manager import BytecodePass, IRPass, PassStats
+from .pass_manager import BytecodePass, IRPass, PassStats, run_bytecode_passes
 
 #: canonical short names used throughout the evaluation (paper Fig. 13)
 OPTIMIZER_NAMES = ("dao", "mof", "dep", "cc", "po", "slm", "cpdce")
@@ -78,9 +78,9 @@ def run_tier(tier: str, program: BpfProgram, spec=None, *, tests=None,
         from .superopt import SuperoptimizerPass
 
         superopt = SuperoptimizerPass(spec, memo=memo)
-        superopt.recorder = recorder
-        stats = superopt.run_timed(program)
-        stats.details.update(superopt.counters)
+        stats, = run_bytecode_passes(program, [superopt], recorder)
+        # its details are its counters; its Dep time stays in its time
+        stats.details = dict(superopt.counters)
         return stats
     if tier == "layout":
         from .bytecode_passes.layout import (ProfileGuidedLayoutPass,
@@ -90,11 +90,11 @@ def run_tier(tier: str, program: BpfProgram, spec=None, *, tests=None,
         profile = collect_profile(program, spec=spec, tests=tests)
         layout = ProfileGuidedLayoutPass(profile)
         layout.recorder = recorder
-        stats = layout.run_timed(program)
-        stats.time_seconds = time.perf_counter() - start  # include profiling
-        stats.details["profiled_runs"] = profile.entries
-        stats.details["profiled_faults"] = profile.faults
-        return stats
+        rewrites = layout.run(program)
+        return PassStats(layout.name, "bytecode", rewrites=rewrites,
+                         time_seconds=time.perf_counter() - start,
+                         details={"profiled_runs": profile.entries,
+                                  "profiled_faults": profile.faults})
     raise ValueError(f"unknown tier {tier!r} (choose from "
                      f"{', '.join(TIERS)})")
 
@@ -172,7 +172,7 @@ class MerlinPipeline:
             passes.append(DeadCodeEliminationPass())
         return passes
 
-    def bytecode_passes(self, mcpu: str) -> List[BytecodePass]:
+    def bytecode_passes(self) -> List[BytecodePass]:
         passes: List[BytecodePass] = []
         if "cpdce" in self.enabled:
             passes.append(StoreImmediatePass())
@@ -200,15 +200,6 @@ class MerlinPipeline:
                 stats.append(p.run_witnessed(func, module))
             else:
                 stats.append(p.run_timed(func, module))
-        return stats
-
-    def optimize_bytecode(self, program: BpfProgram,
-                          recorder=None) -> List[PassStats]:
-        stats = []
-        for p in self.bytecode_passes(program.mcpu):
-            if recorder is not None:
-                p.recorder = recorder
-            stats.append(p.run_timed(program))
         return stats
 
     def compile(
@@ -307,7 +298,8 @@ class MerlinPipeline:
         stats = self.optimize_ir(work_func, module, recorder=recorder)
         program = compile_function(work_func, module, prog_type=prog_type,
                                    mcpu=mcpu, ctx_size=ctx_size)
-        stats += self.optimize_bytecode(program, recorder=recorder)
+        stats += run_bytecode_passes(program, self.bytecode_passes(),
+                                     recorder)
         if program.ni > baseline.ni:
             # the IR tier can hand the register allocator a longer live
             # range that costs a copy more than the native build; Merlin
@@ -386,7 +378,8 @@ class MerlinPipeline:
         start = time.perf_counter()
         optimized = program.copy()
         ni_before = program.ni
-        stats = self.optimize_bytecode(optimized, recorder=recorder)
+        stats = run_bytecode_passes(optimized, self.bytecode_passes(),
+                                    recorder)
         stats += self._apply_tiers(optimized, superopt, pgo, memo=cache,
                                    recorder=recorder)
         report = MerlinReport(

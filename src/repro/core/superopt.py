@@ -586,20 +586,17 @@ class SuperoptimizerPass(BytecodePass):
         return entry
 
     # -------------------------------------------------------------- run
-    def run(self, program: BpfProgram) -> int:
-        sym = SymbolicProgram.from_program(program)
-        analysis = BytecodeAnalysis(sym)
+    def run(self, program: BpfProgram, sym: SymbolicProgram,
+            analysis: BytecodeAnalysis) -> int:
         rewrites = 0
         pos = 0
         while pos < len(analysis.live):
             if self._try_window(sym, analysis, pos):
                 rewrites += 1
                 # indices at/after pos changed; positions before did not
-                analysis = BytecodeAnalysis(sym)
+                analysis.refresh()
                 continue  # retry the same position: rewrites can cascade
             pos += 1
-        if rewrites:
-            program.insns = sym.to_insns()
         return rewrites
 
     def _try_window(self, sym: SymbolicProgram, analysis: BytecodeAnalysis,

@@ -3,7 +3,7 @@
 Collects per-optimizer wall time from :class:`MerlinReport` pass stats,
 mapping internal pass names onto the paper's labels: DAO, MoF, Dep
 (dependency analysis), CC, PO, SLM.  Dep is the time the bytecode passes
-report spending in their :class:`repro.core.BytecodeAnalysis`
+report spending in the tier's one :class:`repro.core.BytecodeAnalysis`
 (``PassStats.details["analysis_ns"]``); it is taken out of those
 passes' own bars, so no time is counted twice.
 """
@@ -54,8 +54,9 @@ def measure_compile_cost(
     program, report = pipe.compile(module.get(entry), module,
                                    prog_type=prog_type, mcpu=mcpu,
                                    ctx_size=ctx_size, cache=cache)
-    # "Dep": the dependency analysis each bytecode pass builds and
-    # re-solves, measured inside the pass and moved out of its bar
+    # "Dep": the tier's dependency analysis, built once and refreshed
+    # and re-solved by the passes, measured inside each pass and moved
+    # out of its bar
     dep_ns: Counter = Counter()
     for stats in report.pass_stats:
         if stats.tier == "bytecode":

@@ -213,7 +213,7 @@ def bench_service(requests: int = 1000, clients: int = 4,
                 phase, load, hits / lookups if lookups else 0.0))
         report.daemon_stats = snapshot
         report.fairness = load.to_dict()["fairness"]
-        cache_dir = handle.daemon.config.cache_dir
+        cache_dir = handle.daemon.cache.directory
         if cache_dir is not None:
             say("scanning cache tree for torn entries")
             report.cache_integrity = dict(

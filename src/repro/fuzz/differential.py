@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+from ..core.pass_manager import run_bytecode_passes
 from ..core.pipeline import (ALL_OPTIMIZERS, MerlinPipeline, MerlinReport,
                              run_tier)
 from ..frontend import compile_source
@@ -80,7 +81,7 @@ def pass_sequence(case: GeneratedProgram, enabled: FrozenSet[str],
     sequence: List[Tuple[str, object]] = []
     if case.layer != "bytecode":
         sequence.extend(("ir", p) for p in pipeline.ir_passes())
-    sequence.extend(("bytecode", p) for p in pipeline.bytecode_passes(case.mcpu))
+    sequence.extend(("bytecode", p) for p in pipeline.bytecode_passes())
     return sequence
 
 
@@ -99,19 +100,15 @@ def build_program(case: GeneratedProgram,
 
     if case.layer == "bytecode":
         program = _assemble_case(case)
-        for _, bc_pass in sequence:
-            bc_pass.run(program)
-        return program
-
-    func, module = _parse_case(case)
-    for tier, ir_pass in sequence:
-        if tier == "ir":
-            ir_pass.run(func, module)
-    program = compile_function(func, module, prog_type=case.prog_type,
-                               mcpu=case.mcpu, ctx_size=case.ctx_size)
-    for tier, bc_pass in sequence:
-        if tier == "bytecode":
-            bc_pass.run(program)
+    else:
+        func, module = _parse_case(case)
+        for tier, ir_pass in sequence:
+            if tier == "ir":
+                ir_pass.run(func, module)
+        program = compile_function(func, module, prog_type=case.prog_type,
+                                   mcpu=case.mcpu, ctx_size=case.ctx_size)
+    run_bytecode_passes(program, [p for tier, p in sequence
+                                  if tier == "bytecode"])
     return program
 
 

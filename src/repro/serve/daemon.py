@@ -201,7 +201,6 @@ class OptimizationDaemon:
             # worker processes share the warm cache through disk only
             cache_dir = self._own_cache_dir = tempfile.mkdtemp(
                 prefix="repro-serve-cache-")
-            self.config.cache_dir = cache_dir
         self.cache = CompilationCache(
             directory=cache_dir,
             max_memory_entries=self.config.max_memory_entries,

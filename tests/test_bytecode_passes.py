@@ -5,12 +5,14 @@ import pytest
 from repro.core import (
     BytecodeAnalysis,
     CodeCompactionPass,
+    MerlinPipeline,
     PeepholePass,
     StoreImmediatePass,
     SuperwordMergePass,
     SymbolicProgram,
 )
 from repro.core.bytecode_passes.superword import merged_immediate
+from repro.core.pass_manager import run_bytecode_passes
 from repro.isa import BpfProgram, assemble, disassemble
 from repro.isa import opcodes as op
 from repro.vm import Machine
@@ -22,6 +24,12 @@ def program(asm: str, mcpu: str = "v3") -> BpfProgram:
 
 def run_value(prog: BpfProgram, ctx: bytes = b"\x00" * 64) -> int:
     return Machine(prog).run(ctx=ctx).return_value
+
+
+def run_pass(bytecode_pass, prog: BpfProgram) -> int:
+    """Run one pass over *prog* in place; returns its rewrite count."""
+    stats, = run_bytecode_passes(prog, [bytecode_pass])
+    return stats.rewrites
 
 
 class TestSymbolicProgram:
@@ -172,7 +180,7 @@ class TestStoreImmediate:
             exit
         """)
         before = prog.ni
-        rewrites = StoreImmediatePass().run(prog)
+        rewrites = run_pass(StoreImmediatePass(), prog)
         assert rewrites >= 1
         assert prog.ni == before - 1
         assert any(i.is_store_imm for i in prog.insns)
@@ -185,7 +193,7 @@ class TestStoreImmediate:
             r0 = r1
             exit
         """)
-        StoreImmediatePass().run(prog)
+        run_pass(StoreImmediatePass(), prog)
         assert not any(i.is_store_imm for i in prog.insns)
         assert run_value(prog) == 1
 
@@ -199,7 +207,7 @@ class TestStoreImmediate:
             r0 = *(u64 *)(r10 - 64)
             exit
         """)
-        StoreImmediatePass().run(prog)
+        run_pass(StoreImmediatePass(), prog)
         assert run_value(prog) == 1
 
     def test_dead_stack_store_removed(self):
@@ -210,7 +218,7 @@ class TestStoreImmediate:
             exit
         """)
         before = prog.ni
-        StoreImmediatePass().run(prog)
+        run_pass(StoreImmediatePass(), prog)
         assert prog.ni == before - 1
         assert run_value(prog) == 1
 
@@ -223,7 +231,7 @@ class TestStoreImmediate:
             exit
         """)
         before = prog.ni
-        StoreImmediatePass().run(prog)
+        run_pass(StoreImmediatePass(), prog)
         assert run_value(prog) == 7
 
     def test_dead_store_kept_when_fp_escapes(self):
@@ -235,7 +243,7 @@ class TestStoreImmediate:
             r0 = *(u64 *)(r2 + 0)
             exit
         """)
-        StoreImmediatePass().run(prog)
+        run_pass(StoreImmediatePass(), prog)
         assert run_value(prog) == 1  # stores preserved in order
 
     def test_removes_dead_defs(self):
@@ -244,7 +252,7 @@ class TestStoreImmediate:
             r0 = 0
             exit
         """)
-        StoreImmediatePass().run(prog)
+        run_pass(StoreImmediatePass(), prog)
         assert prog.ni == 2
 
 
@@ -352,7 +360,7 @@ class TestSuperwordBytecode:
             exit
         """)
         before = run_value(prog.copy())
-        rewrites = SuperwordMergePass().run(prog)
+        rewrites = run_pass(SuperwordMergePass(), prog)
         assert rewrites == 1
         stores = [i for i in prog.insns if i.is_store_imm]
         assert len(stores) == 1
@@ -370,7 +378,7 @@ class TestSuperwordBytecode:
             exit
         """)
         expected = run_value(prog.copy())
-        rewrites = SuperwordMergePass().run(prog)
+        rewrites = run_pass(SuperwordMergePass(), prog)
         assert rewrites == 3  # two u8 merges, then one u16 merge
         assert run_value(prog) == expected
 
@@ -381,7 +389,7 @@ class TestSuperwordBytecode:
             r0 = 0
             exit
         """)
-        assert SuperwordMergePass().run(prog) == 0  # -12 not 8-aligned
+        assert run_pass(SuperwordMergePass(), prog) == 0  # -12 not 8-aligned
 
     def test_no_merge_across_load(self):
         prog = program("""
@@ -391,7 +399,7 @@ class TestSuperwordBytecode:
             r0 = r2
             exit
         """)
-        assert SuperwordMergePass().run(prog) == 0
+        assert run_pass(SuperwordMergePass(), prog) == 0
 
     def test_merged_immediate_bounds(self):
         assert merged_immediate(1, 0, 4) == 1
@@ -415,7 +423,7 @@ class TestCodeCompaction:
         """)
         ctx = (0x1122334455667788).to_bytes(8, "little") + bytes(56)
         expected = run_value(prog.copy(), ctx)
-        rewrites = CodeCompactionPass(allow_alu32=True).run(prog)
+        rewrites = run_pass(CodeCompactionPass(allow_alu32=True), prog)
         assert rewrites == 1
         text = disassemble(prog.insns)
         assert "w1 = w1" in text
@@ -429,7 +437,7 @@ class TestCodeCompaction:
             r0 = r1
             exit
         """)
-        assert CodeCompactionPass(allow_alu32=False).run(prog) == 0
+        assert run_pass(CodeCompactionPass(allow_alu32=False), prog) == 0
 
     def test_requires_same_register(self):
         prog = program("""
@@ -440,7 +448,7 @@ class TestCodeCompaction:
             r0 = r1
             exit
         """)
-        assert CodeCompactionPass(allow_alu32=True).run(prog) == 0
+        assert run_pass(CodeCompactionPass(allow_alu32=True), prog) == 0
 
     def test_requires_shift_of_32(self):
         prog = program("""
@@ -450,7 +458,7 @@ class TestCodeCompaction:
             r0 = r1
             exit
         """)
-        assert CodeCompactionPass(allow_alu32=True).run(prog) == 0
+        assert run_pass(CodeCompactionPass(allow_alu32=True), prog) == 0
 
     def test_marks_program_v3(self):
         prog = program("""
@@ -460,7 +468,7 @@ class TestCodeCompaction:
             r0 = r1
             exit
         """, mcpu="v2")
-        CodeCompactionPass(allow_alu32=True).run(prog)
+        run_pass(CodeCompactionPass(allow_alu32=True), prog)
         assert prog.mcpu == "v3"
 
 
@@ -479,7 +487,7 @@ class TestPeephole:
         ctx = (0xDEADBEEF12345678).to_bytes(8, "little") + bytes(56)
         expected = run_value(prog.copy(), ctx)
         before = prog.ni
-        rewrites = PeepholePass().run(prog)
+        rewrites = run_pass(PeepholePass(), prog)
         assert rewrites == 1
         assert prog.ni == before - 2  # ld_imm64 took two slots
         text = disassemble(prog.insns)
@@ -495,7 +503,7 @@ class TestPeephole:
             r0 = r3
             exit
         """)
-        assert PeepholePass().run(prog) == 0
+        assert run_pass(PeepholePass(), prog) == 0
 
     def test_requires_matching_shift(self):
         prog = program("""
@@ -506,7 +514,7 @@ class TestPeephole:
             r0 = r8
             exit
         """)
-        assert PeepholePass().run(prog) == 0
+        assert run_pass(PeepholePass(), prog) == 0
 
     def test_zero_shift_mask(self):
         prog = program("""
@@ -519,7 +527,7 @@ class TestPeephole:
         """)
         ctx = (0xAABBCCDD55667788).to_bytes(8, "little") + bytes(56)
         expected = run_value(prog.copy(), ctx)
-        assert PeepholePass().run(prog) == 1
+        assert run_pass(PeepholePass(), prog) == 1
         assert run_value(prog, ctx) == expected == 0x55667788
 
     def test_removes_jump_to_next(self):
@@ -529,8 +537,27 @@ class TestPeephole:
         next:
             exit
         """)
-        assert PeepholePass().run(prog) == 1
+        assert run_pass(PeepholePass(), prog) == 1
         assert prog.ni == 2
+
+    def test_removes_a_chain_of_jumps_to_next(self):
+        # goto +1; goto +0: deleting the second jump brings the first
+        # one's target next to it, so both go
+        chain = """
+            r0 = 0
+            goto out
+            goto out
+        out:
+            exit
+        """
+        prog = program(chain)
+        assert run_pass(PeepholePass(), prog) == 2
+        assert prog.insns == program("r0 = 0\nexit").insns
+        _, report = MerlinPipeline(enabled={"po"}).optimize_program(
+            program(chain), validate=True)
+        assert [(cert.kind, cert.certified)
+                for cert in report.certificates] \
+            == [("jump-thread", True)] * 2
 
     def test_keeps_real_jump(self):
         prog = program("""
@@ -540,7 +567,7 @@ class TestPeephole:
         out:
             exit
         """)
-        assert PeepholePass().run(prog) == 0
+        assert run_pass(PeepholePass(), prog) == 0
 
     def test_mask_register_reread_blocks_rewrite(self):
         # r4 observes the mask between the load and the AND: deleting
@@ -556,7 +583,7 @@ class TestPeephole:
         """)
         ctx = (0xDEADBEEF12345678).to_bytes(8, "little") + bytes(56)
         expected = run_value(prog.copy(), ctx)
-        assert PeepholePass().run(prog) == 0
+        assert run_pass(PeepholePass(), prog) == 0
         assert run_value(prog, ctx) == expected
 
     def test_call_in_lookback_window_blocks_rewrite(self):
@@ -571,7 +598,7 @@ class TestPeephole:
             r0 = r8
             exit
         """)
-        assert PeepholePass().run(prog) == 0
+        assert run_pass(PeepholePass(), prog) == 0
 
     def test_branch_in_lookback_window_blocks_rewrite(self):
         # another path may reach the AND without executing the load, so
@@ -586,7 +613,7 @@ class TestPeephole:
             r0 = r8
             exit
         """)
-        assert PeepholePass().run(prog) == 0
+        assert run_pass(PeepholePass(), prog) == 0
 
     def test_mask_def_exactly_lookback_back_still_found(self):
         # the ld_imm64 sits exactly LOOKBACK live instructions before
@@ -605,7 +632,7 @@ class TestPeephole:
         ]))
         ctx = (0xDEADBEEF12345678).to_bytes(8, "little") + bytes(56)
         expected = run_value(prog.copy(), ctx)
-        assert PeepholePass().run(prog) == 1
+        assert run_pass(PeepholePass(), prog) == 1
         text = disassemble(prog.insns)
         assert "<<= 32" in text and ">>= 60" in text
         assert run_value(prog, ctx) == expected
@@ -624,7 +651,7 @@ class TestPeephole:
             "r0 = r8",
             "exit",
         ]))
-        assert PeepholePass().run(prog) == 0
+        assert run_pass(PeepholePass(), prog) == 0
 
     def test_jump_resolving_past_end_is_kept(self):
         # deleting the jump's target (and everything after it) makes the
@@ -639,7 +666,7 @@ class TestPeephole:
         """)
         sym = SymbolicProgram.from_program(prog)
         sym.delete(3)  # the exit: "goto out" now resolves to end-of-program
-        assert PeepholePass()._redundant_jumps(sym) == 0
+        assert sym.delete_jumps_to_next(sym.delete) == 0
         assert not sym.insns[1].deleted
 
 
@@ -660,6 +687,6 @@ class TestPassSafetyOnWorkloads:
         for workload in ALL_XDP[:8]:
             original = compile_workload(workload)
             rewritten = original.copy()
-            pass_factory().run(rewritten)
+            run_pass(pass_factory(), rewritten)
             tests = generate_tests(original, count=6)
             assert equivalent(original, rewritten, tests), workload.name

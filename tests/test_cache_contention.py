@@ -216,6 +216,7 @@ class TestSuperoptMemoContention:
             "r1 = 10\nr1 += 5\nr2 = 1\nr2 += 0\nr0 = r1\nexit"))
 
     def test_threads_share_memo_without_torn_entries(self, tmp_path):
+        from repro.core.pass_manager import run_bytecode_passes
         from repro.core.superopt import (RewriteMemoEntry,
                                          SuperoptimizerPass)
 
@@ -224,7 +225,7 @@ class TestSuperoptMemoContention:
         def run(tag):
             cache = CompilationCache(directory=str(tmp_path))
             program = self._program()
-            SuperoptimizerPass(memo=cache).run(program)
+            run_bytecode_passes(program, [SuperoptimizerPass(memo=cache)])
             outputs[tag] = program.insns
 
         threads = [threading.Thread(target=run, args=(tag,))
@@ -244,7 +245,7 @@ class TestSuperoptMemoContention:
         fresh = CompilationCache(directory=str(tmp_path))
         program = self._program()
         warm = SuperoptimizerPass(memo=fresh)
-        warm.run(program)
+        run_bytecode_passes(program, [warm])
         assert warm.counters["searches"] == 0
         assert warm.counters["memo_hits"] > 0
         assert program.insns == outputs[0]

@@ -273,3 +273,38 @@ class TestCompileIdempotence:
         assert rep1.ni_optimized == rep2.ni_optimized
         assert ([(s.name, s.tier, s.rewrites) for s in rep1.pass_stats]
                 == [(s.name, s.tier, s.rewrites) for s in rep2.pass_stats])
+
+
+class TestOneBytecodeTier:
+    def test_one_conversion_and_three_analyses_per_compile(self,
+                                                           monkeypatch):
+        """An uncached compile builds a dependency analysis for the
+        native cleanup of each of its two codegen runs and one for the
+        whole bytecode tier, which converts the program once."""
+        from collections import Counter
+
+        from repro.core import BytecodeAnalysis, SymbolicProgram
+
+        counts = Counter()
+        build = BytecodeAnalysis.__init__
+        convert = SymbolicProgram.from_program.__func__
+
+        def counted_build(self, sym):
+            counts["analyses"] += 1
+            build(self, sym)
+
+        def counted_convert(cls, program):
+            counts["conversions"] += 1
+            return convert(cls, program)
+
+        monkeypatch.setattr(BytecodeAnalysis, "__init__", counted_build)
+        monkeypatch.setattr(SymbolicProgram, "from_program",
+                            classmethod(counted_convert))
+        for workload in ALL_XDP[:4]:
+            module = compile_source(workload.source, workload.name)
+            counts.clear()
+            MerlinPipeline().compile(
+                module.get(workload.entry), module,
+                prog_type=ProgramType.XDP, ctx_size=24)
+            assert counts == {"analyses": 3, "conversions": 1}, \
+                workload.name

@@ -758,7 +758,7 @@ class TestWorkerPool:
         with DaemonThread(par_cfg) as handle:
             with ServeClient(handle.address) as client:
                 par = client.compile_pipelined(requests)
-            assert handle.daemon.config.cache_dir is not None
+            assert handle.daemon.cache.directory is not None
         for a, b in zip(seq, par):
             assert a["ok"] and b["ok"]
             assert a["result"]["asm"] == b["result"]["asm"]

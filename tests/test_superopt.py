@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CompilationCache
 from repro.cache.keys import key_for_window
-from repro.core import MerlinPipeline
-from repro.core.pipeline import tier_spec
+from repro.core import BytecodeAnalysis, MerlinPipeline, SymbolicProgram
+from repro.core.pass_manager import run_bytecode_passes
+from repro.core.pipeline import run_tier, tier_spec
 from repro.core.superopt import (
     MEMO_SCHEMA,
     RewriteMemoEntry,
@@ -35,13 +36,13 @@ from repro.core.superopt import (
     validate_memo_entry,
     window_supported,
 )
-from repro.fuzz.differential import observe_baseline
+from repro.fuzz.differential import build_program, observe_baseline
 from repro.fuzz.generator import LAYERS, generate
 from repro.fuzz.oracle import generate_tests, observe_battery
 from repro.isa import BpfProgram, assemble
 from repro.isa import instruction as ins
 from repro.verifier import DEFAULT_KERNEL, verify
-from repro.workloads.xdp import BY_NAME, compile_workload
+from repro.workloads.xdp import ALL_XDP, BY_NAME, compile_workload
 
 SPEC = SuperoptSpec()
 
@@ -53,8 +54,7 @@ def run_pass(program, spec=SPEC, memo=None):
     copied = program.copy()
     superopt = SuperoptimizerPass(spec, memo=memo)
     recorder = WitnessRecorder()
-    superopt.recorder = recorder
-    superopt.run(copied)
+    run_bytecode_passes(copied, [superopt], recorder)
     return copied, superopt, recorder.witnesses
 
 
@@ -277,6 +277,50 @@ class TestPass:
         stat = report.pass_stats[names.index("superopt")]
         assert stat.details["windows"] > 0
         assert tuned.ni <= plain.ni
+
+
+class TestSharedAnalysis:
+    """The tier keeps one analysis current with ``refresh()`` after each
+    applied window; a new analysis after each window is the
+    reference."""
+
+    @staticmethod
+    def rebuild_after_each_window(program, memo):
+        """The superopt tier over *program* in place, converting it on
+        its own and building a new :class:`BytecodeAnalysis` after
+        every applied window; returns the pass's counters."""
+        superopt = SuperoptimizerPass(SPEC, memo=memo)
+        sym = SymbolicProgram.from_program(program)
+        analysis = BytecodeAnalysis(sym)
+        pos = 0
+        while pos < len(analysis.live):
+            if superopt._try_window(sym, analysis, pos):
+                analysis = BytecodeAnalysis(sym)
+                continue
+            pos += 1
+        program.insns = sym.to_insns()
+        return superopt.counters
+
+    def test_refresh_matches_a_rebuild_after_each_window(self):
+        # the tier's input, as in a compile: Merlin's output
+        programs = sorted((compile_workload(w, optimize=True)
+                           for w in ALL_XDP),
+                          key=lambda p: (p.ni, p.name))[:4]
+        programs += [build_program(generate("source", seed),
+                                   MerlinPipeline().enabled)
+                     for seed in range(20)]
+        reference_memo, memo = CompilationCache(), CompilationCache()
+        applied = 0
+        for program in programs:
+            expected = program.copy()
+            counters = self.rebuild_after_each_window(expected,
+                                                      reference_memo)
+            tuned = program.copy()
+            stats = run_tier("superopt", tuned, SPEC, memo=memo)
+            assert tuned.encode() == expected.encode(), program.name
+            assert stats.details == counters, program.name
+            applied += counters["applied"]
+        assert applied  # windows were applied, so refresh() ran
 
 
 class TestMemoReplay:

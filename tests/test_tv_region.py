@@ -162,12 +162,11 @@ class TestRecorderPlumbing:
 
     def test_recorder_collects_witnesses(self):
         from repro.core.bytecode_passes.compaction import CodeCompactionPass
+        from repro.core.pass_manager import run_bytecode_passes
 
         program = _program("r0 <<= 32\nr0 >>= 32\nexit")
         rec = WitnessRecorder()
-        cc = CodeCompactionPass()
-        cc.recorder = rec
-        cc.run(program)
+        run_bytecode_passes(program, [CodeCompactionPass()], rec)
         assert len(rec) == 1
         witness = rec.witnesses[0]
         assert witness.kind == "region"
