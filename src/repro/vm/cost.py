@@ -68,20 +68,32 @@ HELPER_COST = {
 DEFAULT_HELPER_COST = 30
 
 
-def base_cost(insn: Instruction) -> int:
-    """Pipeline cost of *insn*, excluding cache and branch effects."""
-    if insn.is_ld_imm64:
+def _opcode_cost(opcode: int) -> int:
+    """Pipeline cost of one opcode byte, excluding cache and branch
+    effects."""
+    if op.IS_LD_IMM64[opcode]:
         return LD_IMM64_COST
-    if insn.is_alu:
-        return ALU_COST[insn.alu_op]
-    if insn.is_atomic:
+    if op.IS_ALU[opcode]:
+        # 0xe0 and 0xf0 are not ALU operations: they cost the fallback,
+        # and the interpreter faults on them
+        return ALU_COST.get(op.OP_CODE[opcode], 1)
+    if op.IS_ATOMIC[opcode]:
         return ATOMIC_BASE_COST
-    if insn.is_load:
+    if op.IS_LOAD[opcode]:
         return 0  # latency comes from the cache model
-    if insn.is_store:
+    if op.IS_STORE[opcode]:
         return STORE_BASE_COST
-    if insn.is_exit:
+    if op.IS_EXIT[opcode]:
         return EXIT_COST
-    if insn.is_jump:
+    if op.IS_JUMP[opcode]:
         return JUMP_COST
     return 1
+
+
+#: opcode byte -> pipeline cost; the interpreter charges it per step
+BASE_COST = tuple(_opcode_cost(opcode) for opcode in range(256))
+
+
+def base_cost(insn: Instruction) -> int:
+    """Pipeline cost of *insn*, excluding cache and branch effects."""
+    return BASE_COST[insn.opcode]

@@ -49,6 +49,18 @@ _BUDGET_MSG = "instruction budget exhausted (infinite loop?)"
 #: the kernel-stack poison pattern, allocated once (not per run)
 _STACK_FILL = b"\xa5" * op.STACK_SIZE
 
+#: the classes and jump operations the run loop dispatches on, read as
+#: module globals rather than ``op`` attributes on every step
+_LD, _LDX, _ST, _STX = op.BPF_LD, op.BPF_LDX, op.BPF_ST, op.BPF_STX
+_ALU32, _ALU64 = op.BPF_ALU, op.BPF_ALU64
+_JMP, _JMP32 = op.BPF_JMP, op.BPF_JMP32
+_JA, _CALL, _EXIT = op.BPF_JA, op.BPF_CALL, op.BPF_EXIT
+
+
+def _signed(value: int, bits: int) -> int:
+    """*value*, an unsigned *bits*-wide integer, read as two's complement."""
+    return value - (1 << bits) if value >> (bits - 1) else value
+
 
 class Machine:
     """Interpreter plus performance model for one loaded program.
@@ -170,9 +182,22 @@ class Machine:
         return RunResult(return_value=return_value, counters=delta)
 
     def _execute(self, regs: List[int]) -> int:
-        """Interpret from the first slot until exit or fault."""
+        """Interpret from the first slot until exit or fault.
+
+        Every constant fact of an instruction (class, operation, access
+        width, cost) is read from the per-opcode tables by its opcode
+        byte; the tables and the models' entry points are bound once
+        per run."""
         slots = self._slots
         counters = self.counters
+        max_insns = self.max_insns
+        access = self.cache.access
+        load = self.memory.load
+        insn_class = op.INSN_CLASS
+        op_code = op.OP_CODE
+        access_bytes = op.ACCESS_BYTES
+        is_ld_imm64 = op.IS_LD_IMM64
+        base_cost = cost.BASE_COST
         n = len(slots)
         pc = 0
         executed = 0
@@ -183,36 +208,37 @@ class Machine:
             if insn is None:
                 raise VmFault(f"jump into the middle of ld_imm64 at slot {pc}")
             executed += 1
-            if executed > self.max_insns:
+            if executed > max_insns:
                 raise VmFault(_BUDGET_MSG)
+            opcode = insn.opcode
             counters.instructions += 1
-            counters.cycles += cost.base_cost(insn)
+            counters.cycles += base_cost[opcode]
 
-            cls = insn.opcode & 0x07
-            if cls in (op.BPF_ALU64, op.BPF_ALU):
-                self._alu(insn, regs, cls == op.BPF_ALU)
+            cls = insn_class[opcode]
+            if cls == _ALU64 or cls == _ALU32:
+                self._alu(insn, regs, cls == _ALU32)
                 pc += 1
-            elif cls == op.BPF_LDX:
+            elif cls == _LDX:
                 addr = (regs[insn.src] + insn.off) & _U64
-                size = insn.size_bytes
-                counters.cycles += self.cache.access(addr, size)
+                size = access_bytes[opcode]
+                counters.cycles += access(addr, size)
                 try:
-                    regs[insn.dst] = self.memory.load(addr, size)
+                    regs[insn.dst] = load(addr, size)
                 except MemoryFault as exc:
                     raise VmFault(str(exc)) from None
                 pc += 1
-            elif cls in (op.BPF_ST, op.BPF_STX):
+            elif cls == _ST or cls == _STX:
                 pc = self._store(insn, regs, pc)
-            elif cls == op.BPF_LD:
-                if not insn.is_ld_imm64:
-                    raise VmFault(f"unsupported LD mode {insn.opcode:#x}")
+            elif cls == _LD:
+                if not is_ld_imm64[opcode]:
+                    raise VmFault(f"unsupported LD mode {opcode:#x}")
                 regs[insn.dst] = insn.imm & _U64
                 pc += 2
-            elif cls in (op.BPF_JMP, op.BPF_JMP32):
-                jop = insn.opcode & op.JMP_OP_MASK
-                if jop == op.BPF_EXIT:
+            elif cls == _JMP or cls == _JMP32:
+                jop = op_code[opcode]
+                if jop == _EXIT:
                     return regs[op.R0]
-                if jop == op.BPF_CALL:
+                if jop == _CALL:
                     counters.helper_calls += 1
                     name = HELPER_NAMES.get(insn.imm, "")
                     counters.cycles += cost.HELPER_COST.get(
@@ -220,24 +246,25 @@ class Machine:
                     )
                     regs[op.R0] = self.helpers.call(insn.imm, regs[1:6])
                     pc += 1
-                elif jop == op.BPF_JA:
+                elif jop == _JA:
                     counters.branches += 1
                     pc += 1 + insn.off
                 else:
-                    taken = self._condition(insn, regs, cls == op.BPF_JMP32)
+                    taken = self._condition(insn, regs, cls == _JMP32)
                     counters.branches += 1
                     counters.cycles += self.branch.record(pc, taken)
                     pc += 1 + insn.off if taken else 1
             else:
-                raise VmFault(f"unknown opcode {insn.opcode:#x}")
+                raise VmFault(f"unknown opcode {opcode:#x}")
 
     # ------------------------------------------------------------------- ALU
     def _alu(self, insn: Instruction, regs: List[int], is32: bool) -> None:
-        aop = insn.opcode & op.ALU_OP_MASK
+        opcode = insn.opcode
+        aop = op.OP_CODE[opcode]
         dst = insn.dst
         mask = _U32 if is32 else _U64
         bits = 32 if is32 else 64
-        if insn.uses_imm:
+        if op.USES_IMM[opcode]:
             # immediates are sign-extended to the operation width
             operand = insn.imm & mask
         else:
@@ -267,9 +294,7 @@ class Machine:
         elif aop == op.BPF_RSH:
             result = (value & mask) >> (operand % bits)
         elif aop == op.BPF_ARSH:
-            shift = operand % bits
-            signed = value - (1 << bits) if value >> (bits - 1) else value
-            result = signed >> shift
+            result = _signed(value, bits) >> (operand % bits)
         elif aop == op.BPF_NEG:
             result = -value
         elif aop == op.BPF_END:
@@ -288,9 +313,10 @@ class Machine:
 
     # ----------------------------------------------------------------- stores
     def _store(self, insn: Instruction, regs: List[int], pc: int) -> int:
+        opcode = insn.opcode
         addr = (regs[insn.dst] + insn.off) & _U64
-        size = insn.size_bytes
-        if insn.is_atomic:
+        size = op.ACCESS_BYTES[opcode]
+        if op.IS_ATOMIC[opcode]:
             self.counters.atomics += 1
             self.counters.cycles += self.cache.access(addr, size)
             try:
@@ -315,7 +341,7 @@ class Machine:
             if insn.imm & op.BPF_FETCH:
                 regs[insn.src] = old
             return pc + 1
-        value = insn.imm if insn.is_store_imm else regs[insn.src]
+        value = insn.imm if op.IS_STORE_IMM[opcode] else regs[insn.src]
         self.counters.cycles += self.cache.access(addr, size)
         try:
             self.memory.store(addr, size, value & _U64)
@@ -326,18 +352,14 @@ class Machine:
     # ------------------------------------------------------------ conditions
     @staticmethod
     def _condition(insn: Instruction, regs: List[int], is32: bool) -> bool:
+        opcode = insn.opcode
         mask = _U32 if is32 else _U64
-        bits = 32 if is32 else 64
         lhs = regs[insn.dst] & mask
-        if insn.uses_imm:
+        if op.USES_IMM[opcode]:
             rhs = insn.imm & mask
         else:
             rhs = regs[insn.src] & mask
-
-        def signed(x: int) -> int:
-            return x - (1 << bits) if x >> (bits - 1) else x
-
-        jop = insn.opcode & op.JMP_OP_MASK
+        jop = op.OP_CODE[opcode]
         if jop == op.BPF_JEQ:
             return lhs == rhs
         if jop == op.BPF_JNE:
@@ -352,12 +374,13 @@ class Machine:
             return lhs <= rhs
         if jop == op.BPF_JSET:
             return bool(lhs & rhs)
+        bits = 32 if is32 else 64
         if jop == op.BPF_JSGT:
-            return signed(lhs) > signed(rhs)
+            return _signed(lhs, bits) > _signed(rhs, bits)
         if jop == op.BPF_JSGE:
-            return signed(lhs) >= signed(rhs)
+            return _signed(lhs, bits) >= _signed(rhs, bits)
         if jop == op.BPF_JSLT:
-            return signed(lhs) < signed(rhs)
+            return _signed(lhs, bits) < _signed(rhs, bits)
         if jop == op.BPF_JSLE:
-            return signed(lhs) <= signed(rhs)
+            return _signed(lhs, bits) <= _signed(rhs, bits)
         raise VmFault(f"unknown jump op {jop:#x}")

@@ -78,6 +78,19 @@ class TestCrossEngineAlu:
         outcome, _, _ = observe_asm(asm)
         assert outcome[0] == "ok"
 
+    def test_unknown_alu_op_faults(self):
+        # 0xe0 and 0xf0 are not defined ALU ops
+        for insn, aop in (
+                (Instruction(op.BPF_ALU64 | 0xE0 | op.BPF_K, dst=0, imm=1),
+                 "0xe0"),
+                (Instruction(op.BPF_ALU | 0xF0 | op.BPF_X, dst=0, src=1),
+                 "0xf0")):
+            insns = [Instruction(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=0),
+                     insn,
+                     Instruction(op.BPF_JMP | op.BPF_EXIT)]
+            outcome, _, _ = observe(BpfProgram("t", insns))
+            assert outcome == ("fault", f"VmFault: unknown ALU op {aop}")
+
 
 class TestCrossEngineJumps:
     @pytest.mark.parametrize("asm", [

@@ -21,6 +21,7 @@ from repro.eval import (
     state_change_across_kernels,
     summarize,
 )
+from repro.eval.compile_cost import COMPILE_REPEATS
 from repro.workloads.suites import generate_suite
 from repro.workloads.xdp import BY_NAME, compile_workload
 
@@ -192,16 +193,19 @@ class TestCompileCostHarness:
         assert all(v >= 0 for v in cost.per_optimizer.values())
 
     def test_dep_is_the_measured_analysis_time(self):
+        reports = []
+
         class Recording(MerlinPipeline):
             def compile(self, *args, **kwargs):
-                self.last = super().compile(*args, **kwargs)
-                return self.last
+                program, report = super().compile(*args, **kwargs)
+                reports.append(report)
+                return program, report
 
         workload = BY_NAME["xdp-balancer"]
-        pipeline = Recording()
         cost = measure_compile_cost(workload.source, workload.entry,
-                                    pipeline=pipeline)
-        report = pipeline.last[1]
+                                    pipeline=Recording())
+        assert len(reports) == COMPILE_REPEATS
+        report = min(reports, key=lambda r: r.compile_seconds)
         bytecode = [s for s in report.pass_stats if s.tier == "bytecode"]
         recorded = sum(s.details.get("analysis_ns", 0) for s in bytecode)
         assert recorded > 0

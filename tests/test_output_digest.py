@@ -1,7 +1,7 @@
 """Pinned compiler output over a wide corpus.
 
 ``golden_compile.json`` pins 31 small programs.  This test covers the
-sizes where a quadratic path would bite, with four sha256 digests:
+sizes where a quadratic path would bite, with five sha256 digests:
 
 * ``print_module`` of every program's frontend output (cache keys hash
   this IR text);
@@ -12,14 +12,23 @@ sizes where a quadratic path would bite, with four sha256 digests:
 * every program's ``MerlinPipeline().compile`` output: its bytes,
   ``ni_original``, ``ni_optimized``, ``mcpu`` and the rewrite count of
   each pass, in order (the IR clone, both codegen runs and the
-  bytecode tier).
+  bytecode tier);
+* what the VM does with every program's Merlin build: each run's
+  observation on the program's 8-input oracle battery, counters
+  included, and, for each XDP program, one machine fed a seeded
+  200-packet stream after its maps are seeded, so map, cache and
+  predictor state carry across runs as in a packet loop.  Each stream
+  run gives its return value (or the fault's type and message) and
+  every ``PerfCounters`` field; the final map contents close each
+  stream.
 
 The corpus, in order: the 19 XDP programs; the two largest programs of
 each suite at scale 0.2 (by source length, then name; 16-24k
 characters); and the source-layer fuzz programs of seeds 0-99
 (``repro.fuzz.generator.generate("source", seed)``).  The first two
 digests were computed before the frontend and verifier fast paths
-existed, the last two before the codegen and bytecode-tier ones.  Print
+existed, the next two before the codegen and bytecode-tier ones, and the
+VM's before its run loop read the opcode tables.  Print
 the current ones, from the repository root, with::
 
     PYTHONPATH=src python tests/test_output_digest.py
@@ -27,6 +36,7 @@ the current ones, from the repository root, with::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -36,9 +46,14 @@ from repro.codegen import compile_function
 from repro.core import MerlinPipeline
 from repro.frontend import compile_source
 from repro.fuzz.generator import generate
+from repro.fuzz.oracle import (RUNTIME_FAULTS, generate_tests,
+                               observable_state, observe_battery)
 from repro.ir import print_module
 from repro.isa import ProgramType
 from repro.verifier import verify
+from repro.vm import Machine
+from repro.workloads import TrafficGenerator
+from repro.workloads.seeding import seed_maps
 from repro.workloads.suites import TRACE_CTX_SIZE, generate_suite
 from repro.workloads.xdp import ALL_XDP, XDP_CTX_SIZE
 
@@ -49,6 +64,12 @@ BASELINE_SHA256 = \
     "1a2f099d6bcf682bd9e32c7089f7e2e0110890137c1640c866f662c9cc44ebed"
 PIPELINE_SHA256 = \
     "bf1ddba5247b44082f570003debe0311c8d3e7ace5c934b894b61c98af177f9e"
+VM_SHA256 = \
+    "f6ab164b06dcb3df1082abc46a65ead24d87b6fa9c817aef717835593c1ac30d"
+
+#: packets per XDP stream, as in one event-stream pass, and their seed
+STREAM_PACKETS = 200
+STREAM_SEED = 2024
 
 
 def _cases():
@@ -67,11 +88,27 @@ def _cases():
     return cases
 
 
+def _stream_runs(program, seed: int = STREAM_SEED):
+    """One machine over a seeded packet stream, after ``seed_maps``:
+    each run's outcome and counters, then the final observable state."""
+    machine = Machine(program)
+    traffic = TrafficGenerator(seed=seed)
+    seed_maps(machine, traffic, seed=seed)
+    for packet in traffic.stream(STREAM_PACKETS, 64):
+        try:
+            outcome = machine.run(packet=packet).return_value
+        except RUNTIME_FAULTS as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        yield repr((outcome, dataclasses.astuple(machine.counters)))
+    yield repr(observable_state(machine))
+
+
 def digests() -> dict:
     ir_text = hashlib.sha256()
     verdicts = hashlib.sha256()
     baseline_bytes = hashlib.sha256()
     pipeline_output = hashlib.sha256()
+    vm_runs = hashlib.sha256()
     pipeline = MerlinPipeline()
     for name, source, entry, prog_type, mcpu, ctx_size in _cases():
         module = compile_source(source, name)
@@ -92,9 +129,16 @@ def digests() -> dict:
              report.ni_optimized, optimized.mcpu,
              [[s.name, s.rewrites] for s in report.pass_stats]]
         ).encode() + b"\n")
+        battery = observe_battery(optimized, generate_tests(optimized),
+                                  include_counters=True)
+        vm_runs.update(f"{name}\n{battery!r}\n".encode())
+        if prog_type == ProgramType.XDP:
+            for line in _stream_runs(optimized):
+                vm_runs.update(line.encode() + b"\n")
     return {"ir": ir_text.hexdigest(), "verdicts": verdicts.hexdigest(),
             "baseline": baseline_bytes.hexdigest(),
-            "pipeline": pipeline_output.hexdigest()}
+            "pipeline": pipeline_output.hexdigest(),
+            "vm": vm_runs.hexdigest()}
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +153,10 @@ def test_frontend_and_verifier_output_is_unchanged(current):
 def test_codegen_and_bytecode_tier_output_is_unchanged(current):
     assert (current["baseline"], current["pipeline"]) \
         == (BASELINE_SHA256, PIPELINE_SHA256)
+
+
+def test_vm_output_is_unchanged(current):
+    assert current["vm"] == VM_SHA256
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa import BpfProgram, MapSpec, assemble
+from repro.isa import BpfProgram, Instruction, MapSpec, assemble
+from repro.vm import cost
 from repro.vm import (
     ArrayMap,
     BPF_EXIST,
@@ -348,6 +349,46 @@ class TestCostAccounting:
         """
         result = Machine(BpfProgram("b", assemble(asm))).run()
         assert result.counters.branches == 1
+
+
+def _property_chain_cost(insn: Instruction) -> int:
+    """``base_cost`` as it was before the cost table: a chain of
+    ``Instruction`` properties, which raises ``KeyError`` for an ALU
+    operation with no ``ALU_COST`` entry."""
+    if insn.is_ld_imm64:
+        return cost.LD_IMM64_COST
+    if insn.is_alu:
+        return cost.ALU_COST[insn.alu_op]
+    if insn.is_atomic:
+        return cost.ATOMIC_BASE_COST
+    if insn.is_load:
+        return 0
+    if insn.is_store:
+        return cost.STORE_BASE_COST
+    if insn.is_exit:
+        return cost.EXIT_COST
+    if insn.is_jump:
+        return cost.JUMP_COST
+    return 1
+
+
+class TestCostTable:
+    def test_table_matches_the_property_chain_rule(self):
+        raised = set()
+        for opcode in range(256):
+            insn = Instruction(opcode)
+            try:
+                expected = _property_chain_cost(insn)
+            except KeyError:
+                raised.add(opcode)
+                expected = 1  # the rule's fallback
+            assert cost.BASE_COST[opcode] == expected, hex(opcode)
+            assert cost.base_cost(insn) == expected, hex(opcode)
+        # ALU32 and ALU64, immediate and register forms, operations 0xe0
+        # and 0xf0
+        assert raised == {cls | code | src
+                          for cls in (0x04, 0x07) for code in (0xE0, 0xF0)
+                          for src in (0x00, 0x08)}
 
 
 class TestHelpers:
