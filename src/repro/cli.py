@@ -375,10 +375,7 @@ def cmd_serve(args) -> int:
         port=args.tcp or 0,
         jobs=args.jobs,
         cache_dir=args.cache,
-        max_batch=args.max_batch,
         kernel=args.kernel,
-        cache_ttl=args.cache_ttl,
-        cache_max_bytes=args.cache_max_bytes,
     ))
     daemon = handle.start().daemon
     config = daemon.config
@@ -386,8 +383,8 @@ def cmd_serve(args) -> int:
     where = handle.address[1] if kind == "unix" else \
         f"{handle.address[1]}:{handle.address[2]}"
     print(f"repro serve: daemon listening on {kind} {where} "
-          f"(jobs={config.jobs}, max_batch={config.max_batch}, "
-          f"cache={daemon.cache.directory})", file=sys.stderr)
+          f"(jobs={config.jobs}, cache={daemon.cache.directory})",
+          file=sys.stderr)
 
     done = []
 
@@ -435,10 +432,8 @@ def cmd_bench_serve(args) -> int:
     report = bench_service(
         requests=args.requests, clients=args.clients,
         unique=args.unique, seed=args.seed, zipf_s=args.zipf,
-        depth=args.depth, jobs=args.jobs,
-        max_batch=args.max_batch, cache_ttl=args.cache_ttl,
-        cache_max_bytes=args.cache_max_bytes,
-        faults=faults, priority_mix=_parse_priority_mix(args.priority_mix),
+        depth=args.depth, jobs=args.jobs, faults=faults,
+        priority_mix=_parse_priority_mix(args.priority_mix),
         trace_path=args.trace, record_path=args.record, speed=args.speed,
         progress=progress)
     if args.out:
@@ -589,19 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tcp", type=int, metavar="PORT",
                    help="serve on 127.0.0.1:PORT instead of a unix socket")
     s.add_argument("--jobs", type=int, default=1,
-                   help="compiler worker processes (default: 1)")
+                   help="compiler worker processes, one compile in "
+                        "flight each (default: 1)")
     s.add_argument("--cache", metavar="DIR",
                    help="shared compilation cache directory")
-    s.add_argument("--max-batch", type=int, default=16,
-                   help="most queued misses compiled in one batch "
-                        "(default: 16)")
     s.add_argument("--kernel", default="6.5", choices=sorted(KERNELS))
-    s.add_argument("--cache-ttl", type=float, default=None,
-                   metavar="SECONDS",
-                   help="idle TTL for cache entries (default: keep)")
-    s.add_argument("--cache-max-bytes", type=int, default=None,
-                   metavar="BYTES",
-                   help="disk-store size budget (LRU-evicted by sweep)")
     s.add_argument("--stats-out", metavar="FILE",
                    help="write the final stats snapshot as JSON")
     s.set_defaults(handler=cmd_serve)
@@ -622,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-client pipeline depth (default: 8)")
     bs.add_argument("--jobs", type=int, default=1,
                     help="compile worker processes (default: 1)")
-    bs.add_argument("--max-batch", type=int, default=16)
     bs.add_argument("--faults", action="store_true",
                     help="mix protocol-abuse faults into the stream")
     bs.add_argument("--trace", metavar="FILE",
@@ -634,12 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inter-arrival time scale (0 = flat out, "
                          "1 = the trace's timing; a synthesized "
                          "stream has no gaps)")
-    bs.add_argument("--cache-ttl", type=float, default=None,
-                    metavar="SECONDS",
-                    help="idle TTL for cache entries")
-    bs.add_argument("--cache-max-bytes", type=int, default=None,
-                    metavar="BYTES",
-                    help="disk-store size budget")
     bs.add_argument("--priority-mix", metavar="SPEC",
                     help="priority distribution of the synthesized "
                          "stream, e.g. '0:0.9,5:0.1'")

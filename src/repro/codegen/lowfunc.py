@@ -76,16 +76,6 @@ class LowFunction:
             if isinstance(item, LowInsn):
                 yield item
 
-    def vregs(self) -> List[int]:
-        seen = []
-        seen_set = set()
-        for low in self.insns():
-            for reg in (low.insn.dst, low.insn.src):
-                if is_vreg(reg) and reg not in seen_set:
-                    seen_set.add(reg)
-                    seen.append(reg)
-        return seen
-
     def alloc_stack(self, size: int, align: int) -> int:
         """Reserve *size* bytes below r10; return the negative offset."""
         self.stack_used = (self.stack_used + size + align - 1) // align * align

@@ -1,21 +1,19 @@
 """Parallel batch compilation: many programs, many processes, one cache.
 
-``compile_many`` runs every :class:`CompileJob` through one per-job
-function, source -> :meth:`MerlinPipeline.compile` -> ``(program,
-report, error)``.  ``jobs=1`` calls it in-process, which also lets a
-purely in-memory cache participate; otherwise a ``ProcessPoolExecutor``
-runs it, each worker on its own handle to the cache's *directory* (the
-memory layer is per-process), and the workers' counters are merged
-into the caller's :class:`CacheStats` so a batch run reports one
-coherent hit rate.  Every job's :class:`MerlinReport` carries its
-per-pass :class:`PassStats`, so a batched compile is report-for-report
-identical to a sequential loop.
+Every :class:`CompileJob` goes through one per-job function,
+:func:`compile_job`: source -> :meth:`MerlinPipeline.compile` ->
+``(program, report)``.  :func:`compile_many` calls it in-process for
+``jobs=1``, which also lets a purely in-memory cache participate;
+otherwise a ``ProcessPoolExecutor`` runs :func:`compile_job_in_worker`,
+each worker on its own handle to the cache's *directory* (the memory
+layer is per-process), and the workers' counters are merged into the
+caller's :class:`CacheStats` so a batch run reports one coherent hit
+rate.  Every job's :class:`MerlinReport` carries its per-pass
+:class:`PassStats`, so a batched compile is report-for-report identical
+to a sequential loop.
 
-Long-running callers (the ``repro serve`` daemon) pass a persistent
-``executor`` so worker processes are spawned once per service lifetime
-instead of once per batch, and ``on_error="capture"`` so one broken
-request degrades to an error slot in the report instead of poisoning
-the whole batch.
+The ``repro serve`` daemon calls the two per-job functions directly,
+one miss at a time, on its own dispatch thread or worker pool.
 """
 
 from __future__ import annotations
@@ -60,17 +58,10 @@ class CompileJob:
 
 @dataclass
 class BatchReport:
-    """The outcome of one ``compile_many`` run.
+    """The outcome of one ``compile_many`` run."""
 
-    With ``on_error="capture"`` a failed job leaves ``None`` in
-    ``programs``/``reports`` and the formatted cause in the matching
-    ``errors`` slot; the default ``on_error="raise"`` keeps every slot
-    populated (the first failure propagates instead).
-    """
-
-    programs: List[Optional[BpfProgram]] = field(default_factory=list)
-    reports: List[Optional[MerlinReport]] = field(default_factory=list)
-    errors: List[Optional[str]] = field(default_factory=list)
+    programs: List[BpfProgram] = field(default_factory=list)
+    reports: List[MerlinReport] = field(default_factory=list)
     jobs: int = 1
     wall_seconds: float = 0.0
     cache_stats: Optional["CacheStats"] = None
@@ -82,16 +73,12 @@ class BatchReport:
         return len(self.programs)
 
     @property
-    def failed(self) -> int:
-        return sum(1 for e in self.errors if e is not None)
-
-    @property
     def ni_original(self) -> int:
-        return sum(r.ni_original for r in self.reports if r is not None)
+        return sum(r.ni_original for r in self.reports)
 
     @property
     def ni_optimized(self) -> int:
-        return sum(r.ni_optimized for r in self.reports if r is not None)
+        return sum(r.ni_optimized for r in self.reports)
 
     @property
     def ni_reduction(self) -> float:
@@ -100,50 +87,54 @@ class BatchReport:
         return 1.0 - self.ni_optimized / self.ni_original
 
 
-JobResult = Tuple[Optional[BpfProgram], Optional[MerlinReport], Optional[str]]
+JobResult = Tuple[BpfProgram, MerlinReport]
 
 
-def _compile_job(pipeline: MerlinPipeline, job: CompileJob,
-                 cache: Optional["CompilationCache"],
-                 validate: Union[bool, str], on_error: str) -> JobResult:
-    """Compile one job; with ``on_error="capture"`` a failure becomes
-    ``(None, None, cause)`` instead of propagating."""
+def compile_job(pipeline: MerlinPipeline, job: CompileJob,
+                cache: Optional["CompilationCache"] = None,
+                validate: Union[bool, str] = False) -> JobResult:
+    """Compile one job in this process; a failure raises."""
     from ..frontend import compile_source
 
-    try:
-        module = compile_source(job.source, job.name)
-        entry = job.entry or next(iter(module.functions))
-        program, report = pipeline.compile(
-            module.get(entry), module, prog_type=job.prog_type,
-            mcpu=job.mcpu, ctx_size=job.ctx_size, cache=cache,
-            validate=validate, pgo=job.pgo, superopt=job.superopt)
-    except Exception as exc:
-        if on_error != "capture":
-            raise
-        cause = traceback.format_exception_only(type(exc), exc)
-        return None, None, "".join(cause).strip()
-    return program, report, None
+    module = compile_source(job.source, job.name)
+    entry = job.entry or next(iter(module.functions))
+    return pipeline.compile(
+        module.get(entry), module, prog_type=job.prog_type,
+        mcpu=job.mcpu, ctx_size=job.ctx_size, cache=cache,
+        validate=validate, pgo=job.pgo, superopt=job.superopt)
 
 
-def _worker(pipeline: MerlinPipeline, job: CompileJob,
-            cache_dir: Optional[str], validate: Union[bool, str],
-            on_error: str) -> Tuple[JobResult, Optional["CacheStats"]]:
-    """Pool entry point: :func:`_compile_job` on this process's own
-    handle to the shared directory, plus that handle's counters."""
+def failure_cause(exc: BaseException) -> str:
+    """A failed job's one-line cause: the exception's qualified class
+    name and message."""
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
+
+
+def compile_job_in_worker(pipeline: MerlinPipeline, job: CompileJob,
+                          cache_dir: Optional[str],
+                          validate: Union[bool, str] = False
+                          ) -> Tuple[Optional[JobResult], Optional[str],
+                                     Optional["CacheStats"]]:
+    """Pool entry point: :func:`compile_job` on this process's own
+    handle to the shared directory.  Returns the result, or ``None``
+    and the failure's :func:`failure_cause` (an exception object need
+    not survive the trip back to the calling process, and one that
+    does not breaks the pool), plus that handle's counters."""
     cache = None
     if cache_dir is not None:
         from ..cache import CompilationCache
 
         cache = CompilationCache(directory=cache_dir)
-    result = _compile_job(pipeline, job, cache, validate, on_error)
-    return result, None if cache is None else cache.stats
+    try:
+        result, cause = compile_job(pipeline, job, cache, validate), None
+    except Exception as exc:
+        result, cause = None, failure_cause(exc)
+    return result, cause, None if cache is None else cache.stats
 
 
 def compile_many(pipeline: MerlinPipeline, batch: Sequence[CompileJob],
                  jobs: int = 1, cache: Optional["CompilationCache"] = None,
-                 executor: Optional[ProcessPoolExecutor] = None,
-                 validate: Union[bool, str] = False,
-                 on_error: str = "raise") -> BatchReport:
+                 validate: Union[bool, str] = False) -> BatchReport:
     """Compile every job, optionally in parallel and/or cached.
 
     Results come back in input order regardless of worker scheduling.
@@ -151,47 +142,41 @@ def compile_many(pipeline: MerlinPipeline, batch: Sequence[CompileJob],
     workers (each worker process opens its own handle on the same
     store); a memory-only cache is used as-is when ``jobs == 1`` and
     ignored by the worker processes otherwise.  ``cache_stats`` holds
-    the counters of this run alone.
-
-    ``executor`` supplies a caller-owned process pool (reused across
-    batches, never shut down here); without one, ``jobs > 1`` spins up
-    a pool per call.  ``validate`` is forwarded to
-    :meth:`MerlinPipeline.compile` per job.  ``on_error="capture"``
-    turns per-job exceptions into ``report.errors`` slots.
+    the counters of this run alone.  ``validate`` is forwarded to
+    :meth:`MerlinPipeline.compile` per job.  A failed job raises: its
+    own exception in-process, a ``RuntimeError`` naming the job and
+    its cause from a worker.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if on_error not in ("raise", "capture"):
-        raise ValueError("on_error must be 'raise' or 'capture'")
     started = time.perf_counter()
     report = BatchReport(jobs=jobs)
-    if jobs == 1 and executor is None:
+    if jobs == 1:
         before = None if cache is None else replace(cache.stats)
-        results = [_compile_job(pipeline, job, cache, validate, on_error)
+        results = [compile_job(pipeline, job, cache, validate)
                    for job in batch]
         if cache is not None:
             report.cache_stats = cache.stats.since(before)
     else:
         cache_dir = None if cache is None else cache.directory
         n = len(batch)
-        args = ([pipeline] * n, batch, [cache_dir] * n, [validate] * n,
-                [on_error] * n)
-        if executor is not None:
-            outcomes = list(executor.map(_worker, *args))
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_worker, *args))
-        results = [result for result, _ in outcomes]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(compile_job_in_worker, [pipeline] * n,
+                                     batch, [cache_dir] * n,
+                                     [validate] * n))
+        for job, (_, cause, _) in zip(batch, outcomes):
+            if cause is not None:
+                raise RuntimeError(f"job {job.name!r} failed: {cause}")
+        results = [result for result, _, _ in outcomes]
         if cache_dir is not None:
             from ..cache import CacheStats
 
             report.cache_stats = CacheStats()
-            for _, stats in outcomes:
+            for _, _, stats in outcomes:
                 report.cache_stats.merge(stats)
             cache.stats.merge(report.cache_stats)
-    for program, rep, error in results:
+    for program, rep in results:
         report.programs.append(program)
         report.reports.append(rep)
-        report.errors.append(error)
     report.wall_seconds = time.perf_counter() - started
     return report

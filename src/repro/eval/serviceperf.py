@@ -140,9 +140,7 @@ def _cache_counters(snapshot: dict) -> Dict[str, int]:
 def bench_service(requests: int = 1000, clients: int = 4,
                   unique: int = 80, seed: int = 2024,
                   zipf_s: float = 1.1, depth: int = 8,
-                  jobs: int = 1, max_batch: int = 16,
-                  cache_ttl: Optional[float] = None,
-                  cache_max_bytes: Optional[int] = None,
+                  jobs: int = 1,
                   faults: Optional[FaultPlan] = None,
                   priority_mix: Optional[Dict[int, float]] = None,
                   trace_path: Optional[str] = None,
@@ -160,8 +158,6 @@ def bench_service(requests: int = 1000, clients: int = 4,
     out).
     """
     say = progress or (lambda line: None)
-    options = dict(jobs=jobs, max_batch=max_batch, cache_ttl=cache_ttl,
-                   cache_max_bytes=cache_max_bytes)
     if trace_path is not None:
         events = load_trace(trace_path)
         say(f"loaded trace: {len(events)} events from {trace_path}")
@@ -183,9 +179,6 @@ def bench_service(requests: int = 1000, clients: int = 4,
         "zipf_s": zipf_s,
         "pipeline_depth": depth,
         "speed": speed,
-        "max_batch": max_batch,
-        "cache_ttl_seconds": cache_ttl,
-        "cache_max_bytes": cache_max_bytes,
         "priority_mix": ({str(k): v for k, v in priority_mix.items()}
                          if priority_mix else None),
         "faults": vars(faults) if faults is not None else None,
@@ -194,7 +187,7 @@ def bench_service(requests: int = 1000, clients: int = 4,
         report.trace = {"path": trace_path, "events": len(events),
                         "speed": speed}
 
-    handle = DaemonThread(ServeConfig(**options))
+    handle = DaemonThread(ServeConfig(jobs=jobs))
     with handle, ServeClient(handle.address) as probe:
         counters = {"hits": 0, "misses": 0}
         for phase in ("cold", "warm"):

@@ -39,10 +39,6 @@ class BasicBlock:
             return self.instructions[-1]
         return None
 
-    @property
-    def is_terminated(self) -> bool:
-        return self.terminator is not None
-
     def successors(self) -> List["BasicBlock"]:
         term = self.terminator
         return successors(term) if term is not None else []

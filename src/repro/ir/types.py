@@ -19,10 +19,6 @@ class Type:
         raise NotImplementedError
 
     @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
     def is_pointer(self) -> bool:
         return isinstance(self, PointerType)
 

@@ -100,13 +100,6 @@ class BpfProgram:
             slot += op.SLOTS[insn.opcode]
         return offsets
 
-    def index_of_slot(self, slot: int) -> int:
-        """Logical instruction index at encoded *slot* offset."""
-        for idx, offset in enumerate(self.slot_offsets()):
-            if offset == slot:
-                return idx
-        raise IndexError(f"no instruction begins at slot {slot}")
-
     def __str__(self) -> str:  # pragma: no cover - convenience
         from .disassembler import disassemble
 

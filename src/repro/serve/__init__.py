@@ -2,12 +2,12 @@
 
 A long-running asyncio daemon (``repro serve``) that accepts
 compile/validate requests over a local socket (JSON lines), answers
-repeats at admission, hands each miss to the parallel batch compiler
-as soon as it is free (misses queued behind a compiling batch go out
-together), shares one warm compilation cache across every client and
-worker process, streams per-request results back, and reports
-hit-rate / queue depth / latency-percentile / throughput metrics via a
-``stats`` endpoint.  ``--jobs N`` compiles in N worker processes,
+repeats at admission, hands each miss to a compile worker the moment
+one is free and answers it the moment it compiles, shares one warm
+compilation cache across every client and worker process, streams
+per-request results back, and reports hit-rate / queue depth /
+latency-percentile / throughput metrics via a ``stats`` endpoint.
+``--jobs N`` keeps up to N compiles in flight in N worker processes,
 all started before the socket binds, on the one cache tree.
 
 ::

@@ -1,36 +1,37 @@
 """``repro serve``: the long-running optimization-as-a-service daemon.
 
-Architecture (one asyncio event loop, one dispatch thread, N worker
-processes)::
+Architecture (one asyncio event loop, one executor: a dispatch thread
+when ``jobs == 1``, ``jobs`` worker processes otherwise)::
 
     client --- JSON lines ---> connection handler --+
     client --- JSON lines ---> connection handler --+--> admission
                                                          |
                                  +-----------------------+
                                  |                       |
-                      memo hit (a repeat): one     miss: admission queue
-                      cache lookup, the memoized         |
-                      answer, its future           batcher task: take the
-                      resolved at once             first miss and whatever
-                                 |                 else is queued (up to
-                                 |                 max_batch), group by
-                                 |                 pipeline config, then
+                      memo hit (a repeat): one     miss: fair admission
+                      cache lookup, the memoized   queue (priority, then
+                      answer, its future           tenant round-robin)
+                      resolved at once                   |
+                                 |                 dispatch loop: when one
+                                 |                 of ``jobs`` slots is
+                                 |                 free, take the next miss
                                  |                       |
-                                 |                 compile_many(..., executor=
-                                 |                 persistent process pool,
-                                 |                 cache=shared warm cache,
-                                 |                 on_error="capture")
+                                 |                 compile_job on the
+                                 |                 executor, shared warm
+                                 |                 cache; copies of a shape
+                                 |                 in flight share its answer
                                  |                       |
     client <-- response lines (arrival order) <-- per-request futures
 
-Only misses reach the batcher.  A repeat of a request shape the daemon
+Only misses reach the queue.  A repeat of a request shape the daemon
 has compiled is answered at admission from its memo, at the cost of
-one cache lookup.  A miss is dispatched the moment the batcher is free:
-no timer holds it back, and misses that arrive while a batch compiles
-go out together as the next one.  Every client and worker process
-shares one warm cache: the first compile of a program pays the
-pipeline, every repeat — from any client, any connection, any worker
-process — is a cache hit.
+one cache lookup.  A miss is dispatched the moment a worker is free and
+answered the moment it compiles: at most ``jobs`` compiles are in
+flight, no timer holds a miss back, and a copy of a request shape that
+is compiling waits for that compile instead of taking a worker.  Every
+client and worker process shares one warm cache: the first compile of
+a program pays the pipeline, every repeat — from any client, any
+connection, any worker process — is a cache hit.
 Responses stream back per request as each future resolves; a
 connection's responses always come back in its request-arrival order,
 so clients may pipeline arbitrarily deep.
@@ -57,12 +58,14 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (Executor, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cache import CompilationCache
-from ..core.batch import CompileJob, compile_many
+from ..core.batch import (CompileJob, compile_job, compile_job_in_worker,
+                          failure_cause)
 from ..core.pipeline import ALL_OPTIMIZERS, MerlinPipeline
 from ..verifier import KERNELS
 from . import protocol
@@ -85,60 +88,44 @@ DRAIN_GRACE = 0.05
 class ServeConfig:
     """Everything that shapes one daemon instance."""
 
-    socket_path: Optional[str] = None   # unix domain socket (default)
+    #: unix domain socket; with no ``host`` either, the daemon makes a
+    #: temp directory for one in ``start()`` and removes it in ``stop()``
+    socket_path: Optional[str] = None
     host: Optional[str] = None          # or TCP on host:port
     port: int = 0
-    jobs: int = 1                       # compile worker processes
+    jobs: int = 1                       # compiles in flight (processes)
     cache_dir: Optional[str] = None     # shared warm cache (None: temp)
     max_memory_entries: int = 4096
-    max_batch: int = 16                 # most misses in one dispatch
     kernel: str = "6.5"
-    #: idle TTL for cache entries (seconds; None = keep forever)
-    cache_ttl: Optional[float] = None
-    #: disk-store size budget enforced by the periodic sweep
-    cache_max_bytes: Optional[int] = None
-    #: how often the eviction sweep runs when either bound is set
-    sweep_interval: float = 5.0
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
-        if self.socket_path is None and self.host is None:
-            self.socket_path = os.path.join(
-                tempfile.mkdtemp(prefix="repro-serve-"), "serve.sock")
 
     def describe(self) -> dict:
         return {
             "protocol_version": protocol.PROTOCOL_VERSION,
             "jobs": self.jobs,
-            "max_batch": self.max_batch,
             # nothing lingers: perfbench's serve workload reads this key
             # as the unscaled part of each latency (ROADMAP item 4
             # removes it)
             "max_delay_ms": 0,
             "kernel": self.kernel,
             "cache_dir": self.cache_dir,
-            "cache_ttl_seconds": self.cache_ttl,
-            "cache_max_bytes": self.cache_max_bytes,
         }
 
 
 class _Pending:
     """One admitted compile request and the future its answer resolves."""
 
-    __slots__ = ("request", "future", "enqueued", "dispatched")
+    __slots__ = ("request", "future", "enqueued")
 
     def __init__(self, request: Request, future: "asyncio.Future"):
         self.request = request
         self.future = future
         self.enqueued = time.monotonic()
-        self.dispatched = 0.0
 
 
 class _Connection:
@@ -190,34 +177,27 @@ def _worker_ready() -> int:
 
 
 class OptimizationDaemon:
-    """The asyncio service around :func:`repro.core.batch.compile_many`."""
+    """The asyncio service around :func:`repro.core.batch.compile_job`."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
         self.stats = ServiceStats()
         self._own_cache_dir: Optional[str] = None
-        cache_dir = self.config.cache_dir
-        if cache_dir is None and self.config.jobs > 1:
-            # worker processes share the warm cache through disk only
-            cache_dir = self._own_cache_dir = tempfile.mkdtemp(
-                prefix="repro-serve-cache-")
+        self._own_socket_dir: Optional[str] = None
         self.cache = CompilationCache(
-            directory=cache_dir,
-            max_memory_entries=self.config.max_memory_entries,
-            ttl_seconds=self.config.cache_ttl,
-            max_disk_bytes=self.config.cache_max_bytes)
+            directory=self.config.cache_dir,
+            max_memory_entries=self.config.max_memory_entries)
         self._pipelines: Dict[tuple, MerlinPipeline] = {}
         # LRU memo, request shape -> (cache key, answer): a repeat
-        # request skips the frontend and the batcher, and is answered
+        # request skips the frontend and the queue, and is answered
         # at admission while its cache entry is live
         self._source_keys: "OrderedDict[tuple, Tuple[str, dict]]" = \
             OrderedDict()
+        # request shape -> the misses its one compile in flight answers
+        self._compiling: Dict[tuple, List[_Pending]] = {}
         self._queue = FairAdmissionQueue(maxsize=QUEUE_LIMIT)
-        self._batcher_task: Optional[asyncio.Task] = None
-        self._sweep_task: Optional[asyncio.Task] = None
-        self._dispatch_thread = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-dispatch")
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._dispatch_task: Optional[asyncio.Task] = None
+        self._executor: Optional[Executor] = None
         self._connections: set = set()
         self._handler_tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -242,27 +222,37 @@ class OptimizationDaemon:
         return pipeline
 
     async def start(self) -> None:
-        """Start the workers, the batcher and the sweeper, then bind the
-        socket; returns once ready."""
+        """Start the executor (and every worker) and the dispatch loop,
+        then bind the socket; returns once ready.  Temp directories the
+        config leaves to the daemon (the socket's, and the cache tree
+        the workers share) are made here and removed by ``stop()``."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         if self.config.jobs > 1:
+            if self.cache.directory is None:
+                # worker processes share the warm cache through disk only
+                self.cache.directory = self._own_cache_dir = \
+                    tempfile.mkdtemp(prefix="repro-serve-cache-")
             # spawn (not fork): the daemon is multi-threaded by design
-            self._pool = ProcessPoolExecutor(
+            self._executor = ProcessPoolExecutor(
                 max_workers=self.config.jobs,
                 mp_context=multiprocessing.get_context("spawn"))
             await self._start_workers()
-        self._batcher_task = asyncio.ensure_future(self._batch_loop())
-        if self.config.cache_ttl is not None \
-                or self.config.cache_max_bytes is not None:
-            self._sweep_task = asyncio.ensure_future(self._sweep_loop())
-        if self.config.socket_path is not None:
+        else:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-dispatch")
+        self._dispatch_task = asyncio.ensure_future(self._dispatch_loop())
+        path = self.config.socket_path
+        if path is None and self.config.host is None:
+            self._own_socket_dir = tempfile.mkdtemp(prefix="repro-serve-")
+            path = os.path.join(self._own_socket_dir, "serve.sock")
+        if path is not None:
             with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.config.socket_path)
+                os.unlink(path)
             self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path,
+                self._handle_connection, path=path,
                 limit=protocol.MAX_LINE_BYTES)
-            self.address = ("unix", self.config.socket_path)
+            self.address = ("unix", path)
         else:
             self._server = await asyncio.start_server(
                 self._handle_connection, host=self.config.host,
@@ -282,7 +272,7 @@ class OptimizationDaemon:
         ready: set = set()
         while len(ready) < self.config.jobs:
             ready.update(await asyncio.gather(*[
-                self._loop.run_in_executor(self._pool, _worker_ready)
+                self._loop.run_in_executor(self._executor, _worker_ready)
                 for _ in range(self.config.jobs)]))
         return ready
 
@@ -290,23 +280,6 @@ class OptimizationDaemon:
         if self._server is None:
             await self.start()
         await self._stopped.wait()
-
-    async def _sweep_loop(self) -> None:
-        """Periodic TTL/size-budget eviction over the shared store.
-
-        The walk runs off-loop (default thread executor) so a large
-        tree never stalls request handling; the sweep itself is safe
-        against concurrent sweepers in other processes — the tombstone
-        rename arbitrates every removal.
-        """
-        while not self._stopping:
-            await asyncio.sleep(self.config.sweep_interval)
-            if self._stopping:
-                break
-            try:
-                await self._loop.run_in_executor(None, self.cache.sweep)
-            except Exception:  # pragma: no cover - sweep is best-effort
-                pass
 
     # ------------------------------------------------------- connections
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -385,10 +358,11 @@ class OptimizationDaemon:
             return
         future = self._loop.create_future()
         pending = _Pending(request, future)
-        if self._fast_path(pending):
-            # a memoized repeat is answered at admission, and the
-            # writer still sends it in arrival order behind any
-            # earlier miss on this connection
+        if self._fast_path(pending) or self._join(pending):
+            # a memoized repeat is answered at admission, a copy of a
+            # shape in flight by its compile, and the writer still
+            # sends either in arrival order behind any earlier miss on
+            # this connection
             self.stats.queue_latency.observe(0.0)
             conn.enqueue(future)
             return
@@ -405,31 +379,46 @@ class OptimizationDaemon:
             self.stats.peak_queue_depth = depth
         conn.enqueue(future)
 
-    # ---------------------------------------------------------- batching
-    async def _batch_loop(self) -> None:
-        """Work-conserving dispatch: await the first queued miss, take
-        whatever else is already queued (up to ``max_batch``, in the
-        fair queue's priority and tenant order) and dispatch at once.
+    # -------------------------------------------------------- dispatch
+    async def _dispatch_loop(self) -> None:
+        """Keep at most ``jobs`` compiles in flight.
 
-        No timer holds a miss back; misses that arrive while a batch
-        compiles form the next batch.  The ``_STOP`` sentinel ends the
-        loop once every miss queued before it was dispatched.
+        A free slot comes first, then the next miss in the fair queue's
+        priority and tenant order, so every pick is ordered.  A miss
+        that the memo answers now, or whose shape is compiling, gives
+        its slot back at once.  The ``_STOP`` sentinel ends dispatch
+        once the queue is empty; the loop then waits for the compiles
+        in flight.
         """
+        slots = asyncio.Semaphore(self.config.jobs)
+        compiles: set = set()
+
+        def finished(task: "asyncio.Task") -> None:
+            compiles.discard(task)
+            slots.release()
+
         stopping = False
         while not (stopping and self._queue.empty()):
-            item = await self._queue.get()
-            batch: List[_Pending] = []
-            while True:
-                if item is _STOP:
-                    stopping = True
-                else:
-                    batch.append(item)
-                if len(batch) >= self.config.max_batch \
-                        or self._queue.empty():
-                    break
-                item = self._queue.get_nowait()
-            if batch:
-                await self._dispatch(batch)
+            await slots.acquire()
+            pending = await self._queue.get()
+            if pending is _STOP:
+                stopping = True
+                slots.release()
+                continue
+            self.stats.queue_latency.observe(
+                time.monotonic() - pending.enqueued)
+            if self._fast_path(pending) or self._join(pending):
+                slots.release()
+                continue
+            # claimed before the task runs: the next pick may be a
+            # copy, and it must join this compile
+            memo = self._memo_key(pending.request)
+            self._compiling[memo] = [pending]
+            task = asyncio.ensure_future(self._compile(memo))
+            compiles.add(task)
+            task.add_done_callback(finished)
+        if compiles:
+            await asyncio.wait(compiles)
 
     # one memo entry per distinct request shape; bounded like the cache
     _MEMO_LIMIT = 8192
@@ -450,8 +439,8 @@ class OptimizationDaemon:
         compile and serves repeats without parsing anything.  The
         answer depends only on the stored program/report and on fields
         in the memo key, so it is built once; a hit still looks its
-        cache key up (without deserializing), so an evicted or expired
-        entry falls through to a compile and the cache counts the hit.
+        cache key up (without deserializing), so an evicted entry
+        falls through to a compile and the cache counts the hit.
         Entries stored under a ``validate=True`` key were certified at
         store time, so replaying the raise check is unnecessary here.
         """
@@ -478,81 +467,65 @@ class OptimizationDaemon:
         while len(self._source_keys) > self._MEMO_LIMIT:
             self._source_keys.popitem(last=False)
 
-    async def _dispatch(self, batch: List[_Pending]) -> None:
-        """Group one admitted batch by pipeline config and compile each
-        request shape once.
+    def _join(self, pending: _Pending) -> bool:
+        """Attach a miss to the compile of its shape, if one is in
+        flight: that compile answers it."""
+        waiting = self._compiling.get(self._memo_key(pending.request))
+        if waiting is None:
+            return False
+        waiting.append(pending)
+        return True
 
-        The first request of each ``_memo_key`` compiles; its copies in
-        the batch are answered with its result as fast-path hits
-        (``cached: true``), or with its error.
-        """
-        now = time.monotonic()
-        for pending in batch:
-            pending.dispatched = now
-            self.stats.queue_latency.observe(now - pending.enqueued)
-        shapes: Dict[tuple, List[_Pending]] = {}
-        for pending in batch:
-            if not self._fast_path(pending):
-                shapes.setdefault(self._memo_key(pending.request),
-                                  []).append(pending)
-        groups: Dict[tuple, List[List[_Pending]]] = {}
-        for same in shapes.values():
-            groups.setdefault(same[0].request.config_key,
-                              []).append(same)
-        for key, members in groups.items():
-            firsts = [same[0] for same in members]
-            pipeline = self._pipeline_for(firsts[0].request)
-            jobs = [CompileJob(name=p.request.name, source=p.request.source,
-                               entry=p.request.entry,
-                               prog_type=p.request.prog_type,
-                               mcpu=p.request.mcpu,
-                               ctx_size=p.request.ctx_size,
-                               pgo=p.request.pgo,
-                               superopt=p.request.superopt)
-                    for p in firsts]
-            validate = firsts[0].request.validate
-            worker_jobs = self.config.jobs if self._pool is not None else 1
-            call = lambda: compile_many(  # noqa: E731 - bound per group
-                pipeline, jobs, jobs=worker_jobs, cache=self.cache,
-                executor=self._pool, validate=validate,
-                on_error="capture")
+    async def _compile(self, memo: tuple) -> None:
+        """Compile the miss that claimed *memo* on the executor, then
+        answer it and every copy of its shape that joined meanwhile:
+        the copies as fast-path hits (``cached: true``), or all with
+        its error."""
+        request = self._compiling[memo][0].request
+        started = time.perf_counter()
+        code = "compile-error"
+        try:
+            compiled, cause = await self._run(request)
+        except Exception as exc:  # the pool died, a pickle failed, ...
+            code, compiled, cause = "internal", None, \
+                f"{type(exc).__name__}: {exc}"
+        self.stats.observe_dispatch(time.perf_counter() - started)
+        first, *copies = self._compiling.pop(memo)
+        if compiled is None:
+            self._fail([first, *copies], code, cause)
+            return
+        program, report = compiled
+        result = self._payload(request, program, report)
+        self._memoize(request, report.cache_key, result)
+        self._serve(first, result)
+        hit = dict(result, cached=True)
+        for pending in copies:
+            self.stats.fast_path_hits += 1
+            self._serve(pending, hit)
+
+    async def _run(self, request: Request) -> tuple:
+        """One job on the executor: in this process against the
+        daemon's cache, or in a worker on its own handle to the cache
+        tree, whose counters join the daemon's.  Returns ``(program,
+        report)`` and ``None``, or ``None`` and the job's failure
+        cause."""
+        pipeline = self._pipeline_for(request)
+        job = CompileJob(name=request.name, source=request.source,
+                         entry=request.entry, prog_type=request.prog_type,
+                         mcpu=request.mcpu, ctx_size=request.ctx_size,
+                         pgo=request.pgo, superopt=request.superopt)
+        if self.config.jobs == 1:
             try:
-                report = await self._loop.run_in_executor(
-                    self._dispatch_thread, call)
-            except Exception as exc:  # pool died, pickle failure, ...
-                for same in members:
-                    for pending in same:
-                        self._finish(pending, protocol.error_response(
-                            pending.request.id, "internal",
-                            f"{type(exc).__name__}: {exc}"))
-                continue
-            self.stats.observe_batch(len(members), report.wall_seconds)
-            # Resolve strictly by position, and resolve *every* member:
-            # a report that somehow came back short (a broken batch
-            # implementation, a truncated worker result) must still
-            # answer the unmatched requests — an unresolved future
-            # wedges its connection's write loop and stop(drain=True)
-            # then never finishes quiescing.
-            for index, (first, *copies) in enumerate(members):
-                if index >= len(report.programs):
-                    self._fail([first, *copies], "internal",
-                               "batch report shorter than the request group")
-                    continue
-                program = report.programs[index]
-                rep = report.reports[index]
-                error = (report.errors[index]
-                         if index < len(report.errors) else None)
-                if error is not None or rep is None:
-                    self._fail([first, *copies], "compile-error",
-                               error or "no result for request")
-                    continue
-                result = self._payload(first.request, program, rep)
-                self._memoize(first.request, rep.cache_key, result)
-                self._serve(first, result)
-                hit = dict(result, cached=True)
-                for pending in copies:
-                    self.stats.fast_path_hits += 1
-                    self._serve(pending, hit)
+                return await self._loop.run_in_executor(
+                    self._executor, compile_job, pipeline, job,
+                    self.cache, request.validate), None
+            except Exception as exc:
+                return None, failure_cause(exc)
+        result, cause, stats = await self._loop.run_in_executor(
+            self._executor, compile_job_in_worker, pipeline, job,
+            self.cache.directory, request.validate)
+        self.cache.stats.merge(stats)
+        return result, cause
 
     def _serve(self, pending: _Pending, result: dict) -> None:
         self.stats.compiles_completed += 1
@@ -629,8 +602,9 @@ class OptimizationDaemon:
     # -------------------------------------------------------------- stop
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting, settle every admitted request (answered when
-        *drain*, rejected otherwise), flush and close every connection,
-        then shut the dispatch thread and the workers down."""
+        *drain*; otherwise queued misses are rejected and compiles in
+        flight still answer), flush and close every connection, then
+        shut the executor down."""
         if self._stop_requested:
             await self._stopped.wait()
             return
@@ -657,12 +631,8 @@ class OptimizationDaemon:
                         item.request.id, "shutting-down",
                         "daemon stopped without draining"))
         self._queue.put_control(_STOP)
-        if self._batcher_task is not None:
-            await self._batcher_task
-        if self._sweep_task is not None:
-            self._sweep_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._sweep_task
+        if self._dispatch_task is not None:
+            await self._dispatch_task
         # every admitted future is resolved; let the writers flush
         for conn in list(self._connections):
             await conn.quiesce()
@@ -676,16 +646,16 @@ class OptimizationDaemon:
         if self._server is not None:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._server.wait_closed(), 5.0)
-        self._dispatch_thread.shutdown(wait=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._own_cache_dir is not None:
-            shutil.rmtree(self._own_cache_dir, ignore_errors=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
         self.final_snapshot = self.snapshot()
-        if self.config.socket_path is not None:
+        if self.address is not None and self.address[0] == "unix":
             with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
+                os.unlink(self.address[1])
+        for own in (self._own_cache_dir, self._own_socket_dir):
+            if own is not None:
+                shutil.rmtree(own, ignore_errors=True)
         self._stopped.set()
 
     def request_stop(self, drain: bool = True) -> None:

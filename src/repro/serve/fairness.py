@@ -1,25 +1,23 @@
 """Priority + round-robin fair admission queueing for the serve daemon.
 
 Under Zipf-skewed multi-tenant load a plain FIFO ``asyncio.Queue``
-lets one chatty tenant fill every batch while a light tenant's single
-request waits behind hundreds of queued misses.
+lets one chatty tenant take every free worker while a light tenant's
+single request waits behind hundreds of queued misses.
 :class:`FairAdmissionQueue` orders the admission queue instead.  It
-only orders a backlog: the daemon dispatches a miss as soon as its
-batcher is free, so a backlog is the misses that queued while a batch
-compiled.
+only orders a backlog: the daemon dispatches a miss as soon as a
+worker is free, so a backlog is the misses that queued while every
+worker compiled.  The order holds for every pick:
 
 * **Strict priority classes.**  Higher ``priority`` drains first: a
-  backlog's next batch takes every higher-priority miss before any
-  lower one.
+  free worker takes every higher-priority miss before any lower one.
 * **Round-robin across tenants** inside each class: the tenant at the
   head of the ring is served one request, then the ring rotates.  Each
-  of ``n`` backlogged tenants therefore gets ``1/n`` of the batch
-  slots per round, so nobody starves no matter how skewed the arrival
-  mix is.
+  of ``n`` backlogged tenants therefore gets ``1/n`` of the picks per
+  round, so nobody starves no matter how skewed the arrival mix is.
 
 The queue is single-event-loop only (like everything else in the
 daemon) and mirrors the small slice of the ``asyncio.Queue`` surface
-the batcher uses: ``put_nowait`` / ``get`` / ``get_nowait`` /
+the dispatcher uses: ``put_nowait`` / ``get`` / ``get_nowait`` /
 ``qsize`` / ``empty``, raising ``asyncio.QueueFull`` on overflow so
 the daemon's backpressure path is unchanged.  Control items (the stop
 sentinel) bypass fairness through :meth:`put_control`.
@@ -65,9 +63,6 @@ class _PriorityClass:
         else:
             self.ring.rotate(-1)  # head's turn is over: to the back
         return item
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self.queues.values())
 
     @property
     def empty(self) -> bool:
@@ -156,14 +151,3 @@ class FairAdmissionQueue:
 
     def empty(self) -> bool:
         return self.qsize() == 0
-
-    def backlog(self) -> Dict[int, Dict[str, int]]:
-        """Queued requests by priority and tenant (for ``stats``)."""
-        out: Dict[int, Dict[str, int]] = {}
-        for priority in self._order:
-            cls = self._classes[priority]
-            if cls.empty:
-                continue
-            out[priority] = {tenant: len(queue)
-                             for tenant, queue in cls.queues.items()}
-        return out

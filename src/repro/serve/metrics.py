@@ -72,11 +72,9 @@ class ServiceStats:
     disconnects: int = 0       # client vanished before its response
     connections_opened: int = 0
     connections_closed: int = 0
-    batches_dispatched: int = 0
-    batched_requests: int = 0
-    max_batch_size: int = 0
+    compiles_dispatched: int = 0   # misses sent to the executor
     peak_queue_depth: int = 0   # high-water mark of the admission queue
-    busy_seconds: float = 0.0  # wall time spent inside compile_many
+    busy_seconds: float = 0.0  # summed wall time of those compiles
     latency: LatencyReservoir = field(default_factory=LatencyReservoir)
     queue_latency: LatencyReservoir = field(
         default_factory=lambda: LatencyReservoir(window=4096))
@@ -88,10 +86,8 @@ class ServiceStats:
 
     TENANT_CARDINALITY_LIMIT = 512
 
-    def observe_batch(self, size: int, wall_seconds: float) -> None:
-        self.batches_dispatched += 1
-        self.batched_requests += size
-        self.max_batch_size = max(self.max_batch_size, size)
+    def observe_dispatch(self, wall_seconds: float) -> None:
+        self.compiles_dispatched += 1
         self.busy_seconds += wall_seconds
 
     def observe_served(self, tenant: str, priority: int) -> None:
@@ -111,8 +107,6 @@ class ServiceStats:
                  cache_stats: Optional[dict] = None,
                  config: Optional[dict] = None) -> dict:
         uptime = max(self.uptime_seconds, 1e-9)
-        mean_batch = (self.batched_requests / self.batches_dispatched
-                      if self.batches_dispatched else 0.0)
         out = {
             "uptime_seconds": round(uptime, 3),
             "requests": {
@@ -131,11 +125,11 @@ class ServiceStats:
             },
             "queue": {"depth": queue_depth,
                       "peak_depth": self.peak_queue_depth},
+            # one compile per dispatch; perfbench's serve workload reads
+            # both keys (ROADMAP item 4 retires the section)
             "batches": {
-                "dispatched": self.batches_dispatched,
-                "requests": self.batched_requests,
-                "max_size": self.max_batch_size,
-                "mean_size": round(mean_batch, 2),
+                "dispatched": self.compiles_dispatched,
+                "requests": self.compiles_dispatched,
             },
             "fairness": {
                 "tenants_seen": len(self.tenant_served),

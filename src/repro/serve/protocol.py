@@ -37,8 +37,8 @@ covered by tests: ``bad-json`` (unparseable line; ``id`` is null),
 
 Protocol v2 adds two optional request fields the admission queue
 consumes: ``tenant`` (a client-chosen stream label; the admission queue serves
-backlogged tenants round-robin, an equal share of each batch) and
-``priority`` (0..9, default 0; higher classes drain first from a
+backlogged tenants round-robin, an equal share of the free workers)
+and ``priority`` (0..9, default 0; higher classes drain first from a
 backlog of misses).
 Both are ignored by the cache key — identical programs share one
 entry no matter who asks.
@@ -110,13 +110,13 @@ class Request:
     #: fairness stream label; "" groups with the default
     tenant: str = ""
     #: admission priority 0..9; a higher class drains first from the
-    #: queue of misses waiting for the batcher
+    #: queue of misses waiting for a free worker
     priority: int = 0
 
     @property
     def config_key(self) -> tuple:
-        """Admission-batching group: jobs in one ``compile_many`` call
-        share a pipeline configuration."""
+        """The pipeline configuration: requests with one key compile on
+        one :class:`~repro.core.pipeline.MerlinPipeline`."""
         passes = tuple(sorted(self.passes)) if self.passes is not None \
             else None
         return (self.kernel, passes, self.validate)

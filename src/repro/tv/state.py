@@ -198,10 +198,6 @@ class SymState:
             result = mkop(name, bits, dst, operand)
         self.regs[insn.dst] = result
 
-    # ------------------------------------------------------------ queries
-    def written_keys(self) -> List[Tuple[Expr, int]]:
-        return list(self.memory)
-
 
 def run_region(insns: List[Instruction]) -> SymState:
     """Execute a straightline instruction list from the initial state."""

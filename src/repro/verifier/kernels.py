@@ -10,7 +10,7 @@ makes peak/total state counts unstable (paper Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,6 @@ class KernelConfig:
     prune_at_branch_targets: bool
     ns_per_insn: float  # verification-time model: cost per processed insn
     ns_per_state: float  # and per stored state
-
-    @property
-    def version_tuple(self) -> Tuple[int, int]:
-        major, minor = self.version.split(".")[:2]
-        return int(major), int(minor)
 
 
 KERNELS: Dict[str, KernelConfig] = {

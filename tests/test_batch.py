@@ -111,6 +111,20 @@ class TestCompileMany:
         assert len(batch) == 0
         assert batch.ni_reduction == 0.0
 
+    def test_a_failed_job_raises_its_cause(self):
+        """In-process the job's own exception; from a worker a
+        ``RuntimeError`` with its cause.  The frontend's
+        ``CompileError(line, message)`` does not unpickle, so a worker
+        that raised it would leave the pool broken instead."""
+        from repro.frontend.codegen import CompileError
+
+        bad = [CompileJob(name="bad", entry="bad",
+                          source="u64 bad(u8* ctx) { return nope; }")]
+        with pytest.raises(CompileError):
+            compile_many(MerlinPipeline(), bad)
+        with pytest.raises(RuntimeError, match="undeclared variable"):
+            compile_many(MerlinPipeline(), BATCH[:1] + bad, jobs=2)
+
 
 class TestCachedBatches:
     def test_warm_memory_cache_sequential(self):

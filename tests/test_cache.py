@@ -357,8 +357,7 @@ class TestCachedEqualsFresh:
 class TestCacheStats:
     #: every counter, in the order the ``stats`` op shows them
     COUNTERS = ("hits", "misses", "stores", "evictions", "memory_hits",
-                "disk_hits", "write_errors", "read_errors", "expired",
-                "disk_evictions")
+                "disk_hits", "write_errors", "read_errors")
 
     def _counters(self, scale):
         """Each counter its own value: *scale* times its position."""
@@ -397,7 +396,8 @@ class TestCacheStats:
         # every counter, in the order the stats op shows them
         d = self._counters(1).to_dict()
         assert list(d) == [*self.COUNTERS, "hit_rate"]
-        assert [d[name] for name in self.COUNTERS] == list(range(1, 11))
+        assert [d[name] for name in self.COUNTERS] == \
+            list(range(1, len(self.COUNTERS) + 1))
 
 
 class TestWriteDegradation:
@@ -480,195 +480,10 @@ class TestWriteDegradation:
         assert again.cached is True
 
 
-class TestTtlAndSweep:
-    """PR 10 retention policy: idle TTL, size budget, tombstones."""
-
-    def _store_pair(self, cache, key="k"):
-        func, module = build()
-        program, report = MerlinPipeline().compile(
-            func, module, prog_type=ProgramType.TRACEPOINT, ctx_size=64)
-        cache.put(key, program, report)
-        return program, report
-
-    def test_constructor_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            CompilationCache(ttl_seconds=0)
-        with pytest.raises(ValueError):
-            CompilationCache(ttl_seconds=-1.0)
-        with pytest.raises(ValueError):
-            CompilationCache(max_disk_bytes=-1)
-        # both bounds unset keeps the PR-2 behavior: sweep is a no-op
-        cache = CompilationCache(directory=str(tmp_path))
-        self._store_pair(cache)
-        result = cache.sweep()
-        assert result["expired"] == result["evicted"] == 0
-        assert result["scanned"] == 1
-
-    def test_memory_entry_expires_after_idle_ttl(self):
-        import time
-
-        cache = CompilationCache(ttl_seconds=0.05)
-        self._store_pair(cache)
-        assert cache.get("k") is not None
-        time.sleep(0.08)
-        assert cache.get("k") is None
-        assert cache.stats.expired == 1
-
-    def test_expiry_tolerates_a_concurrent_eviction(self):
-        """The serve daemon looks entries up on its event loop while its
-        dispatch thread stores through the same handle: an idle entry
-        that thread evicts right after this lookup read it is a plain
-        miss, not a KeyError."""
-        import time
-        from collections import OrderedDict
-
-        class EvictedAfterRead(OrderedDict):
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                self.pop(key, None)   # the other thread's LRU overflow
-                return value
-
-        cache = CompilationCache(ttl_seconds=60)
-        cache.put_object("k", 1)
-        blob, _touched = cache._memory["k"]
-        cache._memory = EvictedAfterRead(k=(blob, time.time() - 120))
-        assert cache.get("k") is None
-        assert cache.stats.misses == 1
-        assert cache.stats.expired == 0   # the evictor counted it
-
-    def test_touch_on_read_keeps_entry_alive(self):
-        import time
-
-        cache = CompilationCache(ttl_seconds=0.1)
-        self._store_pair(cache)
-        for _ in range(4):
-            time.sleep(0.05)   # each read resets the idle clock
-            assert cache.get("k") is not None
-        assert cache.stats.expired == 0
-
-    def test_disk_entry_expires_by_mtime(self, tmp_path):
-        import os
-
-        cache = CompilationCache(directory=str(tmp_path), ttl_seconds=60)
-        self._store_pair(cache)
-        path = cache._path("k")
-        old = __import__("time").time() - 120
-        os.utime(path, (old, old))
-        cache.clear_memory()  # force the disk path
-        assert cache.get("k") is None
-        assert cache.stats.expired == 1
-        assert not os.path.exists(path)  # lazily tombstoned on lookup
-
-    def test_disk_hit_refreshes_mtime(self, tmp_path):
-        import os
-        import time
-
-        cache = CompilationCache(directory=str(tmp_path), ttl_seconds=60)
-        self._store_pair(cache)
-        path = cache._path("k")
-        old = time.time() - 50   # idle, but not expired
-        os.utime(path, (old, old))
-        cache.clear_memory()
-        assert cache.get("k") is not None
-        assert time.time() - os.stat(path).st_mtime < 10
-
-    def test_sweep_expires_idle_entries(self, tmp_path):
-        import time
-
-        cache = CompilationCache(directory=str(tmp_path), ttl_seconds=30)
-        for key in ("a", "b", "c"):
-            self._store_pair(cache, key)
-        result = cache.sweep(now=time.time() + 60)
-        assert result["expired"] == 3
-        assert result["scanned"] == 3
-        assert result["bytes"] == 0
-        assert result["bytes_freed"] > 0
-        assert cache.stats.expired == 3
-
-    def test_sweep_size_budget_evicts_lru_first(self, tmp_path):
-        import os
-        import time
-
-        cache = CompilationCache(directory=str(tmp_path))
-        for key in ("old", "mid", "new"):
-            self._store_pair(cache, key)
-        now = time.time()
-        os.utime(cache._path("old"), (now - 300, now - 300))
-        os.utime(cache._path("mid"), (now - 200, now - 200))
-        sizes = {key: os.path.getsize(cache._path(key))
-                 for key in ("old", "mid", "new")}
-        budget = sizes["new"] + sizes["mid"]
-        sweeper = CompilationCache(directory=str(tmp_path),
-                                   max_disk_bytes=budget)
-        result = sweeper.sweep()
-        assert result["evicted"] == 1
-        assert sweeper.stats.disk_evictions == 1
-        assert not os.path.exists(cache._path("old"))   # LRU victim
-        assert os.path.exists(cache._path("mid"))
-        assert os.path.exists(cache._path("new"))
-        assert result["bytes"] <= budget
-
-    def test_tombstone_claims_exactly_once(self, tmp_path):
-        import os
-
-        cache = CompilationCache(directory=str(tmp_path))
-        self._store_pair(cache)
-        path = cache._path("k")
-        other = CompilationCache(directory=str(tmp_path))
-        assert cache._tombstone(path) is True
-        assert other._tombstone(path) is False  # already claimed
-        assert not os.path.exists(path)
-
-    def test_sweep_reaps_abandoned_transients(self, tmp_path):
-        import os
-        import time
-
-        cache = CompilationCache(directory=str(tmp_path))
-        self._store_pair(cache)
-        shard_dir = os.path.dirname(cache._path("k"))
-        stale_tmp = os.path.join(shard_dir, ".tmp-dead.pkl")
-        stale_tomb = os.path.join(shard_dir, "x.tomb-1-2")
-        fresh_tmp = os.path.join(shard_dir, ".tmp-live.pkl")
-        for stale in (stale_tmp, stale_tomb):
-            with open(stale, "wb") as handle:
-                handle.write(b"partial")
-            old = time.time() - 600
-            os.utime(stale, (old, old))
-        with open(fresh_tmp, "wb") as handle:
-            handle.write(b"in-flight write")
-        result = cache.sweep()
-        assert not os.path.exists(stale_tmp)    # abandoned: reaped
-        assert not os.path.exists(stale_tomb)
-        assert os.path.exists(fresh_tmp)        # mid-write: untouched
-        assert result["scanned"] == 1           # transients are not entries
-
-    def test_expired_disk_entry_falls_back_to_recompile(self, tmp_path):
-        import os
-        import time
-
-        cache = CompilationCache(directory=str(tmp_path), ttl_seconds=60)
-        pipeline = MerlinPipeline()
-        func, module = build()
-        cold = pipeline.compile(func, module,
-                                prog_type=ProgramType.TRACEPOINT,
-                                ctx_size=64, cache=cache)
-        key = cold[1].cache_key
-        old = time.time() - 120
-        os.utime(cache._path(key), (old, old))
-        cache.clear_memory()
-        func, module = build()
-        warm = pipeline.compile(func, module,
-                                prog_type=ProgramType.TRACEPOINT,
-                                ctx_size=64, cache=cache)
-        assert warm[1].cached is False          # expired: really recompiled
-        assert warm[0].insns == cold[0].insns   # and identically so
-        assert cache.stats.expired == 1
-
-
 class TestLookup:
     """``lookup`` is ``get`` without the deserializing copy: the same
-    answer and the same counters in every case, and the same LRU and
-    idle-TTL refresh."""
+    answer and the same counters in every case, and the same LRU
+    refresh."""
 
     @pytest.fixture(autouse=True)
     def _entry(self):
@@ -676,9 +491,9 @@ class TestLookup:
         self.entry = MerlinPipeline().compile(
             func, module, prog_type=ProgramType.TRACEPOINT, ctx_size=64)
 
-    def _stored(self, directory=None, **kwargs):
+    def _stored(self, directory=None):
         """A store holding this test's one entry under ``"k"``."""
-        cache = CompilationCache(directory=directory, **kwargs)
+        cache = CompilationCache(directory=directory)
         cache.put("k", *self.entry)
         return cache
 
@@ -720,20 +535,6 @@ class TestLookup:
         assert self._agree(self._stored(), self._stored(),
                            key="absent") is None
 
-    def test_idle_expired_entry(self, tmp_path):
-        import os
-        import time
-
-        old = time.time() - 120
-        by_get, by_lookup = [self._stored(str(tmp_path / side),
-                                          ttl_seconds=60)
-                             for side in ("get", "lookup")]
-        for cache in (by_get, by_lookup):   # both layers idle too long
-            cache._memory["k"] = (cache._memory["k"][0], old)
-            os.utime(cache._path("k"), (old, old))
-        assert self._agree(by_get, by_lookup) is None
-        assert by_lookup.stats.expired == 2   # memory, then disk
-
     def test_torn_disk_entry(self, tmp_path):
         def tear(cache):
             with open(cache._path("k"), "wb") as handle:
@@ -742,6 +543,25 @@ class TestLookup:
         by_get, by_lookup = self._fresh_handles(tmp_path, tear)
         assert self._agree(by_get, by_lookup) is None
         assert by_lookup.stats.read_errors == 1
+
+    def test_hit_tolerates_a_concurrent_eviction(self):
+        """The serve daemon looks entries up on its event loop while its
+        dispatch thread stores through the same handle: an entry that
+        thread evicts right after this lookup read it is still a hit,
+        not a KeyError."""
+        from collections import OrderedDict
+
+        class EvictedAfterRead(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self.pop(key, None)   # the other thread's LRU overflow
+                return value
+
+        cache = CompilationCache()
+        cache.put_object("k", 1)
+        cache._memory = EvictedAfterRead(cache._memory)
+        assert cache.get("k") == 1
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
 
     def test_refreshes_lru_order(self):
         cache = CompilationCache(max_memory_entries=2)

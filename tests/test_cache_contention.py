@@ -8,9 +8,9 @@ key), and no stale reads through the memory LRU (an evicted entry
 re-read from disk is byte-identical to the original result).
 """
 
-import concurrent.futures
 import os
 import pickle
+import shutil
 import threading
 
 from repro.cache import CompilationCache
@@ -63,14 +63,13 @@ def signature(report):
 
 def every_disk_entry(directory):
     """Yield every sharded ``.pkl`` entry, unpickled (raises on a torn
-    or corrupt file — the corruption check).  Transient files — a
-    writer's ``.tmp-*.pkl`` or an evictor's ``.tomb-*`` rename — are
-    legitimate mid-race states, not entries; everything else must be a
-    complete pickled entry."""
+    or corrupt file — the corruption check).  A writer's ``.tmp-*.pkl``
+    transient is a legitimate mid-race state, not an entry; everything
+    else must be a complete pickled entry."""
     for root, _dirs, files in os.walk(directory):
         for filename in files:
             path = os.path.join(root, filename)
-            if filename.startswith(".") or ".tomb-" in filename:
+            if filename.startswith("."):
                 continue
             assert filename.endswith(".pkl"), f"stray file {path}"
             with open(path, "rb") as handle:
@@ -128,8 +127,7 @@ class TestConcurrentPools:
         out-of-band batch compile pool hammer the same store while
         clients stream requests — everyone sees reference results."""
         reference = compile_many(MerlinPipeline(), BATCH)
-        config = ServeConfig(cache_dir=str(tmp_path), jobs=2,
-                             max_batch=8)
+        config = ServeConfig(cache_dir=str(tmp_path), jobs=2)
         pool_result = {}
 
         def out_of_band():
@@ -159,6 +157,37 @@ class TestConcurrentPools:
         for _path, (program, report) in every_disk_entry(tmp_path):
             assert program.ni == report.ni_optimized
 
+    def test_two_daemons_share_one_store(self, tmp_path):
+        """Two daemons, each with a worker pool, compile into one tree
+        while clients stream: every response is ok, a fresh client's
+        repeat pass is warm on both, and nothing tears."""
+        configs = [ServeConfig(cache_dir=str(tmp_path), jobs=2)
+                   for _ in range(2)]
+        payloads = [{"op": "compile", "name": name, "source": source,
+                     "entry": name, "prog_type": "tracepoint",
+                     "ctx_size": 64}
+                    for name, source in SOURCES]
+        with DaemonThread(configs[0]) as one, \
+                DaemonThread(configs[1]) as two:
+            with ServeClient(one.address) as ca, \
+                    ServeClient(two.address) as cb:
+                for _round in range(3):
+                    ra = ca.compile_pipelined(payloads * 2)
+                    rb = cb.compile_pipelined(payloads * 2)
+                    assert all(r["ok"] for r in ra + rb)
+                warm_a = ca.compile_pipelined(payloads)
+                warm_b = cb.compile_pipelined(payloads)
+                assert all(r["result"]["cached"] for r in warm_a + warm_b)
+            stats = [one.daemon.snapshot(), two.daemon.snapshot()]
+        for snap in stats:
+            assert snap["cache"]["read_errors"] == 0
+            assert snap["cache"]["write_errors"] == 0
+        # the second daemon's workers read the first one's entries
+        assert sum(s["cache"]["disk_hits"] for s in stats) > 0
+        entries = list(every_disk_entry(tmp_path))
+        assert len(entries) == len(SOURCES)
+        for _path, (program, report) in entries:
+            assert program.ni == report.ni_optimized
 
 class TestLruStaleness:
     def test_evicted_entry_rereads_identically_from_disk(self, tmp_path):
@@ -183,25 +212,6 @@ class TestLruStaleness:
         # with no disk tier the evicted keys genuinely recompile; the
         # results must still be identical
         assert signature(warm) == signature(cold)
-
-
-class TestSharedExecutor:
-    def test_caller_owned_executor_survives_batches(self, tmp_path):
-        """The daemon reuses one persistent pool across dispatches; the
-        batch API must not shut a caller-owned executor down."""
-        import multiprocessing
-
-        cache = CompilationCache(directory=str(tmp_path))
-        pipeline = MerlinPipeline()
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=2,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            first = compile_many(pipeline, BATCH, jobs=2, cache=cache,
-                                 executor=pool)
-            second = compile_many(pipeline, BATCH, jobs=2, cache=cache,
-                                  executor=pool)
-        assert signature(first) == signature(second)
-        assert second.cache_stats.hits == len(BATCH)
 
 
 class TestSuperoptMemoContention:
@@ -262,7 +272,6 @@ class TestSuperoptMemoContention:
                  for job in BATCH]
         cache = CompilationCache(directory=str(tmp_path))
         cold = compile_many(MerlinPipeline(), batch, jobs=2, cache=cache)
-        assert cold.failed == 0
 
         fresh = CompilationCache(directory=str(tmp_path))
         warm = compile_many(MerlinPipeline(), batch, cache=fresh)
@@ -282,12 +291,13 @@ class TestSuperoptMemoContention:
 
 
 class TestEvictionContention:
-    """N evictors and readers race on one tree.
+    """Readers race writers and removals on one tree.
 
-    The tombstone contract — ``os.replace`` to a ``.tomb-*`` name, then
-    unlink — means every removal is claimed by exactly one sweeper, a
-    reader never sees a half-deleted entry, and an eviction storm never
-    loses an update that a later compile re-stores.
+    The store never removes an entry itself, but anything outside it
+    may (an operator clearing the directory): a reader that opened an
+    entry keeps its fd across the unlink, one that arrives after sees a
+    plain miss, and a replaced entry is swapped in whole by
+    ``os.replace``.
     """
 
     def _populate(self, directory):
@@ -295,79 +305,11 @@ class TestEvictionContention:
         compile_many(MerlinPipeline(), BATCH, cache=cache)
         return cache
 
-    def test_racing_sweepers_expire_each_entry_exactly_once(self, tmp_path):
-        self._populate(tmp_path)
-        sweepers = [CompilationCache(directory=str(tmp_path),
-                                     ttl_seconds=0.001)
-                    for _ in range(4)]
-        barrier = threading.Barrier(len(sweepers))
-        future = __import__("time").time() + 3600  # everything is idle
-
-        def run(cache):
-            barrier.wait()
-            cache.sweep(now=future)
-
-        threads = [threading.Thread(target=run, args=(cache,))
-                   for cache in sweepers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        total_expired = sum(c.stats.expired for c in sweepers)
-        assert total_expired == len(BATCH)  # exactly once, no double count
-        assert list(every_disk_entry(tmp_path)) == []
-
-    def test_size_budget_race_never_over_evicts(self, tmp_path):
-        self._populate(tmp_path)
-        entries = list(every_disk_entry(tmp_path))
-        keep = max(os.path.getsize(path) for path, _ in entries)
-        sweepers = [CompilationCache(directory=str(tmp_path),
-                                     max_disk_bytes=keep)
-                    for _ in range(3)]
-        threads = [threading.Thread(target=cache.sweep)
-                   for cache in sweepers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        survivors = list(every_disk_entry(tmp_path))
-        assert survivors  # the budget admits at least one entry
-        evicted = sum(c.stats.disk_evictions for c in sweepers)
-        assert evicted == len(entries) - len(survivors)
-
-    def test_stale_listing_sweeper_never_over_evicts(self, tmp_path):
-        """Forced interleaving of the race above: sweeper B lists the
-        tree, sweeper A sweeps it to budget, and only then does B start
-        claiming.  B's claims on A's victims fail; their bytes are gone
-        all the same, so B must stop at the budget instead of evicting
-        the survivor."""
-        self._populate(tmp_path)
-        entries = list(every_disk_entry(tmp_path))
-        keep = max(os.path.getsize(path) for path, _ in entries)
-        first = CompilationCache(directory=str(tmp_path),
-                                 max_disk_bytes=keep)
-        late = CompilationCache(directory=str(tmp_path),
-                                max_disk_bytes=keep)
-        claim = late._tombstone
-        swept = []
-
-        def claim_after_first_sweep(path):
-            if not swept:
-                swept.append(first.sweep())
-            return claim(path)
-
-        late._tombstone = claim_after_first_sweep
-        late.sweep()
-        survivors = list(every_disk_entry(tmp_path))
-        assert len(survivors) == 1
-        assert first.stats.disk_evictions == len(entries) - 1
-        assert late.stats.disk_evictions == 0
-
     def test_eviction_never_tears_inflight_reads(self, tmp_path):
-        """Readers (forced to disk each time) race an eviction/re-store
-        churn loop: every read is a complete entry or a clean miss —
-        ``read_errors`` (the torn-bytes counter) stays zero."""
+        """Readers (forced to disk each time) race a loop that removes
+        every entry and stores it again: every read is a complete entry
+        or a clean miss — ``read_errors`` (the torn-bytes counter)
+        stays zero."""
         self._populate(tmp_path)
         pipeline = MerlinPipeline()
         reference = compile_many(pipeline, BATCH)
@@ -387,23 +329,23 @@ class TestEvictionContention:
                    for cache in readers]
         for thread in threads:
             thread.start()
-        churn = CompilationCache(directory=str(tmp_path),
-                                 max_disk_bytes=0)
         writer = CompilationCache(directory=str(tmp_path))
         for _ in range(10):
-            churn.sweep()  # evict the whole tree...
+            for path, _entry in list(every_disk_entry(tmp_path)):
+                os.unlink(path)  # remove the whole tree...
+            writer.clear_memory()
             compile_many(MerlinPipeline(), BATCH, cache=writer)  # ...restore
         stop.set()
         for thread in threads:
             thread.join()
 
         assert all(count > 0 for count in seen.values())
-        for cache in readers + [churn, writer]:
+        for cache in readers + [writer]:
             assert cache.stats.read_errors == 0
 
     def test_warm_hits_recover_after_eviction_storm(self, tmp_path):
         self._populate(tmp_path)
-        CompilationCache(directory=str(tmp_path), max_disk_bytes=0).sweep()
+        shutil.rmtree(tmp_path)
         assert list(every_disk_entry(tmp_path)) == []
         # traffic re-stores the keys; a fresh reader then hits them all
         restore = CompilationCache(directory=str(tmp_path))
@@ -413,38 +355,3 @@ class TestEvictionContention:
         assert warm.cache_stats.hits == len(BATCH)
         assert warm.cache_stats.misses == 0
 
-    def test_two_daemons_share_store_under_aggressive_sweep(self, tmp_path):
-        """Two daemons sweep one tree on a tight TTL while clients
-        stream: every response is ok, nothing tears, and entries the
-        sweeps removed come back on the next pass."""
-        configs = [ServeConfig(cache_dir=str(tmp_path), max_batch=8,
-                               cache_ttl=0.3, sweep_interval=0.1)
-                   for _ in range(2)]
-        payloads = [{"op": "compile", "name": name, "source": source,
-                     "entry": name, "prog_type": "tracepoint",
-                     "ctx_size": 64}
-                    for name, source in SOURCES]
-        import time as _time
-        with DaemonThread(configs[0]) as one, \
-                DaemonThread(configs[1]) as two:
-            with ServeClient(one.address) as ca, \
-                    ServeClient(two.address) as cb:
-                for _round in range(3):
-                    ra = ca.compile_pipelined(payloads * 2)
-                    rb = cb.compile_pipelined(payloads * 2)
-                    assert all(r["ok"] for r in ra + rb)
-                    _time.sleep(0.45)  # TTL + both sweepers bite
-                # the tree was churned; traffic restores it and the
-                # repeat pass is warm again on both daemons
-                assert all(r["ok"] for r in ca.compile_pipelined(payloads))
-                assert all(r["ok"] for r in cb.compile_pipelined(payloads))
-                warm_a = ca.compile_pipelined(payloads)
-                warm_b = cb.compile_pipelined(payloads)
-                assert all(r["result"]["cached"] for r in warm_a + warm_b)
-            stats = [one.daemon.snapshot(), two.daemon.snapshot()]
-        for snap in stats:
-            assert snap["cache"]["read_errors"] == 0
-            assert snap["cache"]["write_errors"] == 0
-        assert sum(s["cache"]["expired"] for s in stats) > 0
-        for _path, (program, report) in every_disk_entry(tmp_path):
-            assert program.ni == report.ni_optimized

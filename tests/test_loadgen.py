@@ -67,7 +67,7 @@ def payload(name, source, **extra):
 
 @pytest.fixture(scope="module")
 def daemon():
-    with DaemonThread(ServeConfig(max_batch=8)) as handle:
+    with DaemonThread(ServeConfig()) as handle:
         yield handle
 
 
@@ -183,13 +183,13 @@ class TestReplay:
         import repro.serve.daemon as daemon_mod
 
         delay = 0.05
-        real_compile_many = daemon_mod.compile_many
+        real_compile_job = daemon_mod.compile_job
 
-        def slow_compile_many(*args, **kwargs):
+        def slow_compile_job(*args, **kwargs):
             time.sleep(delay)
-            return real_compile_many(*args, **kwargs)
+            return real_compile_job(*args, **kwargs)
 
-        monkeypatch.setattr(daemon_mod, "compile_many", slow_compile_many)
+        monkeypatch.setattr(daemon_mod, "compile_job", slow_compile_job)
         with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as warmup:
                 # time no first-compile setup

@@ -1,8 +1,9 @@
 """Tests for the optimization-as-a-service daemon (repro.serve).
 
 Covers the wire protocol (parse/encode/error codes), the daemon's
-request/response semantics — most importantly that admission-batched
-results are identical to sequential one-at-a-time compiles — response
+request/response semantics — most importantly that pipelined results
+are identical to sequential one-at-a-time compiles, and that a miss is
+answered the moment it compiles, one miss per free worker — response
 ordering under pipelining and concurrency, error-response shapes, and
 clean shutdown with in-flight requests drained.
 """
@@ -10,6 +11,7 @@ clean shutdown with in-flight requests drained.
 import asyncio
 import gc
 import json
+import os
 import pickle
 import threading
 import time
@@ -81,7 +83,7 @@ def reference_compile(name, source, mcpu="v2", ctx_size=64):
 
 @pytest.fixture(scope="module")
 def daemon():
-    config = ServeConfig(max_batch=8)
+    config = ServeConfig()
     with DaemonThread(config) as handle:
         yield handle
 
@@ -196,7 +198,7 @@ class TestProtocol:
         strict = parse_request(protocol.encode(
             {"op": "compile", "source": "x", "validate": True}))
         # True and "report" have different failure semantics: never
-        # batch them into one compile_many call
+        # compile them on one pipeline
         assert report.config_key != strict.config_key
 
 
@@ -261,20 +263,20 @@ class TestRoundTrip:
                 assert client.ping()["ok"] is True
 
 
-# ============================================ admission-batch semantics
+# ============================================ pipelined-request semantics
 class TestBatchingSemantics:
+    """Requests pipelined on one connection queue behind each other's
+    compiles and still return what one-at-a-time compiles return."""
+
     def test_batched_equals_sequential(self):
-        """The core contract: requests admitted into one batch return
+        """The core contract: misses queued behind a compile return
         byte-identical results to one-at-a-time compiles."""
-        config = ServeConfig(max_batch=len(SOURCES))
-        with DaemonThread(config) as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 batched = client.compile_pipelined(
                     [payload(n, s, asm=True) for n, s in SOURCES])
             stats = handle.daemon.snapshot()
-        # misses queued behind the first compile went out together ...
-        assert stats["batches"]["max_size"] > 1
-        # ... and every response matches the local reference compile
+        assert stats["batches"]["dispatched"] == len(SOURCES)
         for (name, source), response in zip(SOURCES, batched):
             assert response["ok"], response
             program, report = reference_compile(name, source)
@@ -284,20 +286,19 @@ class TestBatchingSemantics:
             assert result["asm"] == disassemble(program.insns)
 
     def test_mixed_configs_in_one_window(self):
-        """One admission window holding different pipeline configs is
-        split into per-config compile_many groups, not mis-batched."""
-        config = ServeConfig(max_batch=8)
+        """Misses with different pipeline configs queued together each
+        compile on their own config's pipeline."""
         requests = [
             payload("fold", SOURCES[0][1], kernel="6.5", asm=True),
             payload("fold", SOURCES[0][1], kernel="4.15", asm=True),
             payload("mask", SOURCES[1][1], kernel="6.5", asm=True),
         ]
-        with DaemonThread(config) as handle:
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 responses = client.compile_pipelined(requests)
         assert all(r["ok"] for r in responses)
         # 4.15 lacks bounded loops/ALU32 support: the old-kernel result
-        # must come from the old-kernel pipeline, not the 6.5 batch
+        # must come from the old-kernel pipeline, not the 6.5 one
         from repro.verifier import KERNELS
 
         module = compile_source(SOURCES[0][1], "fold")
@@ -309,8 +310,9 @@ class TestBatchingSemantics:
         assert responses[0]["result"]["asm"] == disassemble(new.insns)
 
     def test_batch_stats_accounting(self):
-        config = ServeConfig(max_batch=4)
-        with DaemonThread(config) as handle:
+        """One dispatch per compile: eight distinct misses are eight
+        dispatches of one request each."""
+        with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
                 client.compile_pipelined(
                     [payload(f"p{i}", SOURCES[i % len(SOURCES)][1].replace(
@@ -318,57 +320,70 @@ class TestBatchingSemantics:
                      for i in range(8)])
             stats = handle.daemon.snapshot()
         batches = stats["batches"]
-        assert batches["requests"] == 8
-        assert batches["dispatched"] >= 2          # max_batch caps at 4
-        assert batches["max_size"] <= 4
+        assert batches == {"dispatched": 8, "requests": 8}
         assert stats["requests"]["compiles"] == 8
         assert stats["latency"]["count"] == 8
 
 
+@pytest.fixture
+def gated_compiles(monkeypatch):
+    """Record every in-process compile the daemon dispatches (by job
+    name) and hold the first one in flight until ``gate`` is set."""
+    from repro.serve import daemon as daemon_module
+
+    gate = threading.Event()
+    names = []
+    real_compile_job = daemon_module.compile_job
+
+    def recording_compile_job(pipeline, job, *args):
+        names.append(job.name)
+        if len(names) == 1:
+            assert gate.wait(timeout=60)
+        return real_compile_job(pipeline, job, *args)
+
+    monkeypatch.setattr(daemon_module, "compile_job",
+                        recording_compile_job)
+    yield SimpleNamespace(gate=gate, names=names)
+    gate.set()
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 class TestOneCompilePerShape:
-    """A dispatched batch compiles each request shape (``_memo_key``)
-    once; the copies wait for that compile and are answered with its
-    result, or with its error, each under its own id."""
+    """A request shape (``_memo_key``) compiles once while it is in
+    flight: copies admitted meanwhile wait for that compile and are
+    answered with its result, or with its error, each under its own
+    id."""
 
     @staticmethod
-    def dispatch(monkeypatch, requests, memoize=True):
-        """Run one ``_dispatch`` over *requests* with ``compile_many``
-        recorded; returns (per-call job names, answers, stats)."""
-        from repro.serve import daemon as daemon_module
+    def pipelined(gated, requests, memoize=True):
+        """Send the first of *requests*, then, while it compiles, the
+        rest on the same connection, then let the compile finish;
+        returns (compiled job names, answers, the daemon's stats)."""
+        with DaemonThread(ServeConfig()) as handle:
+            if not memoize:
+                handle.daemon._memoize = lambda *args: None
+            with ServeClient(handle.address) as client:
+                ids = [client.send(requests[0])]
+                wait_until(lambda: gated.names)
+                ids += [client.send(request) for request in requests[1:]]
+                wait_until(lambda: handle.daemon.stats.requests_received
+                           == len(requests))
+                gated.gate.set()
+                answers = [client.recv() for _ in ids]
+            stats = handle.daemon.stats
+        return list(gated.names), answers, stats
 
-        calls = []
-        real_compile_many = daemon_module.compile_many
-
-        def recording_compile_many(pipeline, batch, **kwargs):
-            calls.append([job.name for job in batch])
-            return real_compile_many(pipeline, batch, **kwargs)
-
-        monkeypatch.setattr(daemon_module, "compile_many",
-                            recording_compile_many)
-        server = daemon_module.OptimizationDaemon(ServeConfig())
-        if not memoize:
-            monkeypatch.setattr(server, "_memoize", lambda *args: None)
-
-        async def run():
-            server._loop = asyncio.get_running_loop()
-            batch = [daemon_module._Pending(
-                parse_request(json.dumps(dict(r, id=i)).encode()),
-                server._loop.create_future())
-                for i, r in enumerate(requests, start=1)]
-            await server._dispatch(batch)
-            return [json.loads(p.future.result()) for p in batch]
-
-        try:
-            answers = asyncio.run(run())
-        finally:
-            server._dispatch_thread.shutdown(wait=True)
-        return calls, answers, server.stats
-
-    def test_copies_compile_once_and_answer_in_order(self, monkeypatch):
+    def test_copies_compile_once_and_answer_in_order(self, gated_compiles):
         fold, mask = payload(*SOURCES[0]), payload(*SOURCES[1])
-        calls, answers, stats = self.dispatch(
-            monkeypatch, [fold, fold, mask, fold])
-        assert calls == [["fold", "mask"]]        # one call, 2 jobs
+        calls, answers, stats = self.pipelined(
+            gated_compiles, [fold, fold, mask, fold])
+        assert calls == ["fold", "mask"]          # one compile per shape
         assert [a["id"] for a in answers] == [1, 2, 3, 4]
         assert all(a["ok"] for a in answers), answers
         assert [a["result"]["name"] for a in answers] == \
@@ -376,14 +391,14 @@ class TestOneCompilePerShape:
         assert [a["result"]["cached"] for a in answers] == \
             [False, True, False, True]
         assert stats.fast_path_hits == 2
-        assert stats.batched_requests == 2
+        assert stats.compiles_dispatched == 2
         assert stats.compiles_completed == 4
 
-    def test_a_failing_first_request_fails_every_copy(self, monkeypatch):
+    def test_a_failing_first_request_fails_every_copy(self, gated_compiles):
         bad = payload("bad", "u64 bad(u8* ctx) { return nope; }")
-        calls, answers, stats = self.dispatch(
-            monkeypatch, [bad, payload(*SOURCES[0]), bad, bad])
-        assert calls == [["bad", "fold"]]
+        calls, answers, stats = self.pipelined(
+            gated_compiles, [bad, payload(*SOURCES[0]), bad, bad])
+        assert calls == ["bad", "fold"]
         assert [a["id"] for a in answers] == [1, 2, 3, 4]
         assert answers[1]["ok"]
         errors = [answers[i]["error"] for i in (0, 2, 3)]
@@ -393,11 +408,11 @@ class TestOneCompilePerShape:
         assert stats.compile_errors == 3
         assert stats.fast_path_hits == 0
 
-    def test_a_copy_is_answered_without_a_memo_entry(self, monkeypatch):
+    def test_a_copy_is_answered_without_a_memo_entry(self, gated_compiles):
         fold = payload(*SOURCES[0])
-        calls, answers, stats = self.dispatch(
-            monkeypatch, [fold, fold], memoize=False)
-        assert calls == [["fold"]]
+        calls, answers, stats = self.pipelined(
+            gated_compiles, [fold, fold], memoize=False)
+        assert calls == ["fold"]
         assert [a["id"] for a in answers] == [1, 2]
         assert [a["result"]["cached"] for a in answers] == [False, True]
         assert stats.fast_path_hits == 1
@@ -460,13 +475,13 @@ class TestOrdering:
 
 # ============================================= admission fast path
 def _fresh(name, value):
-    """A source no daemon has seen: it goes through the batcher."""
+    """A source no daemon has seen: it queues and compiles."""
     return payload(name, f"u64 {name}(u8* ctx) {{ return {value}; }}")
 
 
 class TestAdmissionFastPath:
     """A repeat of a memoized request shape is answered at admission:
-    it skips the queue and the batcher and deserializes nothing."""
+    it skips the queue and the executor and deserializes nothing."""
 
     def test_warm_repeat_skips_the_batcher(self):
         request = payload(*SOURCES[0])
@@ -480,7 +495,7 @@ class TestAdmissionFastPath:
                 after = client.stats()
         assert response["result"]["cached"] is True
         assert elapsed < 0.1, elapsed
-        # the repeat never reached a batch
+        # the repeat was never dispatched
         assert after["batches"]["requests"] == before["batches"]["requests"]
         assert after["requests"]["fast_path_hits"] == \
             before["requests"]["fast_path_hits"] + 1
@@ -567,7 +582,7 @@ class TestAdmissionFastPath:
 
     def test_memoized_answer_equals_the_cached_compile(self):
         """The memoized answer is the bytes a cache-hit compile of the
-        same request returns (the batcher's path)."""
+        same request returns (the dispatcher's path)."""
         request = payload(*SOURCES[0], asm=True, validate="report")
         with DaemonThread(ServeConfig()) as handle:
             with ServeClient(handle.address) as client:
@@ -635,7 +650,7 @@ class TestShutdown:
     def test_drain_answers_in_flight_requests(self):
         """Requests already admitted when stop(drain=True) lands must
         all be answered before the daemon exits."""
-        config = ServeConfig(max_batch=4)
+        config = ServeConfig()
         handle = DaemonThread(config).start()
         try:
             client = ServeClient(handle.address)
@@ -644,7 +659,7 @@ class TestShutdown:
                 name, source = SOURCES[i % len(SOURCES)]
                 payloads.append(payload(name, source))
             ids = [client.send(p) for p in payloads]
-            handle.stop(drain=True)          # races the in-flight batch
+            handle.stop(drain=True)          # races the compiles in flight
             responses = [client.recv() for _ in ids]
             client.close()
         finally:
@@ -662,7 +677,7 @@ class TestShutdown:
         ``Server.wait_closed`` also waits for every accepted transport
         to detach, so awaiting it before connection teardown deadlocks
         against exactly this client."""
-        config = ServeConfig(max_batch=4)
+        config = ServeConfig()
         handle = DaemonThread(config).start()
         client = ServeClient(handle.address)
         try:
@@ -685,7 +700,7 @@ class TestShutdown:
     def test_drain_shutdown_drops_nothing(self):
         """Every request sent before a ``shutdown`` op is answered ok,
         in order, before the shutdown ack."""
-        handle = DaemonThread(ServeConfig(max_batch=4)).start()
+        handle = DaemonThread(ServeConfig()).start()
         try:
             with ServeClient(handle.address) as client:
                 ids = [client.send(payload(
@@ -719,9 +734,29 @@ class TestShutdown:
         kind, path = handle.address
         assert kind == "unix"
         handle.stop()
-        import os
-
         assert not os.path.exists(path)
+
+    def test_default_socket_directory_is_removed(self, tmp_path,
+                                                 monkeypatch):
+        """Building a config with neither a socket path nor a host, or
+        a daemon, creates nothing; the daemon makes its temp
+        directories (the socket's and, with ``jobs > 1``, the workers'
+        cache tree) in ``start()`` and removes them in ``stop()``."""
+        import tempfile
+
+        from repro.serve.daemon import OptimizationDaemon
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        config = ServeConfig(jobs=2)
+        OptimizationDaemon(config)
+        assert list(tmp_path.iterdir()) == []
+        handle = DaemonThread(config).start()
+        kind, path = handle.address
+        assert kind == "unix"
+        assert os.path.dirname(os.path.dirname(path)) == str(tmp_path)
+        assert len(list(tmp_path.iterdir())) == 2
+        handle.stop()
+        assert list(tmp_path.iterdir()) == []
 
     def test_new_connections_refused_after_stop(self):
         config = ServeConfig()
@@ -749,8 +784,8 @@ class TestShutdown:
 # =============================================== multi-process workers
 class TestWorkerPool:
     def test_jobs_pool_matches_sequential(self):
-        seq_cfg = ServeConfig(max_batch=8)
-        par_cfg = ServeConfig(max_batch=8, jobs=2)
+        seq_cfg = ServeConfig()
+        par_cfg = ServeConfig(jobs=2)
         requests = [payload(n, s, asm=True) for n, s in SOURCES]
         with DaemonThread(seq_cfg) as handle:
             with ServeClient(handle.address) as client:
@@ -838,7 +873,7 @@ class TestPgoRequests:
         assert result["layout"]["profiled_runs"] >= 1
 
     def test_pgo_and_plain_memoize_separately(self):
-        config = ServeConfig(max_batch=4)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 name, source = SOURCES[2]
@@ -852,26 +887,26 @@ class TestPgoRequests:
         assert "layout" in pgo
 
 
-# ================================= poisoned admission batches (drain)
+# ================================= poisoned pipelined misses (drain)
 class TestPoisonedBatch:
-    """One failing request inside an admitted batch must produce a
+    """One failing request among pipelined misses must produce a
     per-request error while its siblings compile, respond in order,
     and never stall the drain."""
 
     BAD_SOURCE = "u64 boom(u8* ctx) { return undefined_symbol; }"
 
     def test_siblings_survive_in_order_and_daemon_drains(self):
-        config = ServeConfig(max_batch=8)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 requests = [payload(*SOURCES[0]),
                             payload("boom", self.BAD_SOURCE),
                             payload(*SOURCES[1]),
                             payload(*SOURCES[3])]
-                # one admission window: sent before any response is read
+                # sent before any response is read
                 responses = client.compile_pipelined(requests)
                 stats = client.stats()
-            # context exit runs stop(drain=True): a wedged batch group
+            # context exit runs stop(drain=True): a wedged compile
             # would hang right here
         assert [r["ok"] for r in responses] == [True, False, True, True]
         assert responses[1]["error"]["code"] == "compile-error"
@@ -884,11 +919,11 @@ class TestPoisonedBatch:
                 report.ni_optimized
         assert stats["requests"]["compile_errors"] == 1
         assert stats["requests"]["compiles"] == 3
-        # all four went through admission batching, not a bypass
+        # all four were dispatched to the executor, not a bypass
         assert stats["batches"]["requests"] == 4
 
     def test_all_poisoned_batch_still_drains(self):
-        config = ServeConfig(max_batch=4)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 responses = client.compile_pipelined(
@@ -902,9 +937,9 @@ class TestPoisonedBatch:
 
 # ================================================== superopt requests
 class TestSuperoptRequests:
-    """The ``superopt`` request field: parsing, admission-batch
-    grouping, the per-request result block, memoization separation,
-    and drain behaviour with poisoned superopt jobs."""
+    """The ``superopt`` request field: parsing, the shared pipeline,
+    the per-request result block, memoization separation, and drain
+    behaviour with poisoned superopt jobs."""
 
     def test_parse_superopt_true_gives_default_spec(self):
         from repro.core.superopt import SuperoptSpec
@@ -942,8 +977,8 @@ class TestSuperoptRequests:
         assert info.value.code == "bad-request"
 
     def test_superopt_does_not_split_admission_groups(self):
-        """The spec rides on the CompileJob, so jobs with different
-        superopt settings batch into one ``compile_many`` window."""
+        """The spec rides on the CompileJob, so requests with different
+        superopt settings compile on one pipeline."""
         plain = parse_request(protocol.encode(
             {"op": "compile", "source": "x"}))
         tuned = parse_request(protocol.encode(
@@ -963,7 +998,7 @@ class TestSuperoptRequests:
         assert result["superopt"]["rewrites"] >= 0
 
     def test_superopt_and_plain_memoize_separately(self):
-        config = ServeConfig(max_batch=4)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 name, source = SOURCES[0]
@@ -978,10 +1013,10 @@ class TestSuperoptRequests:
         assert tuned["ni_optimized"] <= plain["ni_optimized"]
 
     def test_mixed_superopt_batch_matches_sequential(self):
-        """One admission window mixing superopt-on and -off jobs must
+        """Pipelined misses mixing superopt-on and -off jobs must
         return exactly what one-at-a-time compiles return."""
         sequential = {}
-        config = ServeConfig(max_batch=1)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 for name, source in SOURCES[:3]:
@@ -990,7 +1025,7 @@ class TestSuperoptRequests:
                             source, name=name, entry=name,
                             prog_type="tracepoint", superopt=superopt)
                         sequential[(name, superopt)] = response["result"]
-        config = ServeConfig(max_batch=8)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 requests = [payload(name, source, superopt=superopt)
@@ -1006,11 +1041,11 @@ class TestSuperoptRequests:
                 want.get("superopt", {}).get("rewrites")
 
     def test_poisoned_superopt_batch_drains(self):
-        """A failing superopt job inside an admitted batch errors per
+        """A failing superopt job among pipelined misses errors per
         request while superopt siblings compile — and the daemon still
-        drains (no wedged batch group)."""
+        drains (no wedged compile)."""
         bad = "u64 boom(u8* ctx) { return undefined_symbol; }"
-        config = ServeConfig(max_batch=8)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 requests = [payload(*SOURCES[0], superopt=True),
@@ -1018,7 +1053,7 @@ class TestSuperoptRequests:
                             payload(*SOURCES[1], superopt=True)]
                 responses = client.compile_pipelined(requests)
             # context exit runs stop(drain=True): a wedged superopt
-            # group would hang right here
+            # compile would hang right here
         assert [r["ok"] for r in responses] == [True, False, True]
         assert responses[1]["error"]["code"] == "compile-error"
         for index in (0, 2):
@@ -1054,7 +1089,7 @@ class TestTenantPriorityProtocol:
 
     def test_excluded_from_config_key(self):
         # tenant/priority shape scheduling, never compilation: requests
-        # differing only in them must share one admission group (and,
+        # differing only in them must share one pipeline (and,
         # downstream, one cache entry)
         plain = parse_request(protocol.encode(payload(*SOURCES[0])))
         tagged = parse_request(protocol.encode(
@@ -1062,7 +1097,7 @@ class TestTenantPriorityProtocol:
         assert plain.config_key == tagged.config_key
 
     def test_daemon_accepts_and_counts_tenants(self):
-        config = ServeConfig(max_batch=8)
+        config = ServeConfig()
         with DaemonThread(config) as handle:
             with ServeClient(handle.address) as client:
                 for tenant in ("team-a", "team-a", "team-b"):
@@ -1158,43 +1193,21 @@ class TestFairAdmissionQueue:
 
         assert asyncio.run(scenario()) == "item"
 
-    def test_backlog_snapshot(self):
-        from repro.serve.fairness import FairAdmissionQueue
 
-        queue = FairAdmissionQueue()
-        queue.put_nowait("x", priority=5, tenant="a")
-        queue.put_nowait("y", priority=5, tenant="a")
-        queue.put_nowait("z", priority=0, tenant="b")
-        assert queue.backlog() == {5: {"a": 2}, 0: {"b": 1}}
-
-
-class TestPriorityPreemption:
-    def test_default_priority_still_batches(self):
-        """Priority-0 traffic must keep the PR-5 batching behavior:
-        pipelined requests land in shared admission batches."""
-        config = ServeConfig(max_batch=8)
-        with DaemonThread(config) as handle:
-            with ServeClient(handle.address) as client:
-                responses = client.compile_pipelined(
-                    [payload(*SOURCES[i % len(SOURCES)])
-                     for i in range(8)])
-                assert all(r["ok"] for r in responses)
-            snapshot = handle.daemon.snapshot()
-        assert snapshot["batches"]["max_size"] > 1
-
-
-# ============================================ work-conserving batcher
+# ============================================ work-conserving dispatcher
 def _miss(name, priority=0, tenant=""):
-    """A stand-in for an admitted ``_Pending``: the batcher hands it to
-    ``_dispatch`` as is."""
-    return SimpleNamespace(name=name, request=SimpleNamespace(
-        priority=priority, tenant=tenant))
+    """A stand-in for an admitted ``_Pending``: the dispatch loop reads
+    its wait and hands it to ``_compile`` as is."""
+    return SimpleNamespace(name=name, enqueued=time.monotonic(),
+                           request=SimpleNamespace(priority=priority,
+                                                   tenant=tenant))
 
 
 class TestWorkConservingBatcher:
-    """``_batch_loop`` driven directly, its ``_dispatch`` replaced by a
-    recorder: which misses go out together, counted in event-loop
-    ticks rather than wall-clock time."""
+    """``_dispatch_loop`` driven directly, ``_compile`` replaced by a
+    recorder that holds each compile until the scenario finishes one:
+    which misses go out when, counted in event-loop ticks rather than
+    wall-clock time."""
 
     TICKS = 5
 
@@ -1202,8 +1215,11 @@ class TestWorkConservingBatcher:
     def _daemon(tmp_path, **config):
         from repro.serve.daemon import OptimizationDaemon
 
-        return OptimizationDaemon(ServeConfig(
+        daemon = OptimizationDaemon(ServeConfig(
             socket_path=str(tmp_path / "unused.sock"), **config))
+        # every stand-in is a new shape: nothing is memoized or in flight
+        daemon._fast_path = daemon._join = lambda pending: False
+        return daemon
 
     @staticmethod
     def _admit(daemon, *misses):
@@ -1215,32 +1231,35 @@ class TestWorkConservingBatcher:
         for _ in range(self.TICKS):
             await asyncio.sleep(0)
 
-    def _run(self, daemon, scenario, gated=False, stop=True):
-        """Run ``scenario(sent, gate)`` beside the batcher, each
-        dispatch held until ``gate`` is set (set from the start unless
-        *gated*), then queue a ``_STOP`` if *stop*.  Returns the
-        dispatched batches as name lists and whether the loop ended."""
+    def _run(self, daemon, scenario, stop=True):
+        """Run ``scenario(sent, finish)`` beside the dispatch loop, each
+        compile held until ``finish.release()`` lets the oldest one
+        end, then queue a ``_STOP`` if *stop* and finish the rest.
+        Returns the dispatched names in order and whether the loop
+        ended within 5 s."""
         from repro.serve.daemon import _STOP
 
         async def main():
             daemon._loop = asyncio.get_running_loop()  # as start() does
             sent = []
-            gate = asyncio.Event()
-            if not gated:
-                gate.set()
+            finish = asyncio.Semaphore(0)
 
-            async def record(batch):
-                sent.append([miss.name for miss in batch])
-                await gate.wait()
+            async def record(memo):
+                miss = daemon._compiling.pop(memo)[0]
+                sent.append(miss.name)
+                await finish.acquire()
 
-            daemon._dispatch = record
-            batcher = asyncio.ensure_future(daemon._batch_loop())
-            await scenario(sent, gate)
+            daemon._memo_key = lambda request: id(request)
+            daemon._compile = record
+            loop = asyncio.ensure_future(daemon._dispatch_loop())
+            await scenario(sent, finish)
             if stop:
                 daemon._queue.put_control(_STOP)
-            await self._ticks()
-            ended = batcher.done()
-            batcher.cancel()
+            for _ in range(len(sent) + 8):
+                finish.release()
+            await asyncio.wait([loop], timeout=5.0)
+            ended = loop.done()
+            loop.cancel()
             return sent, ended
 
         return asyncio.run(main())
@@ -1249,58 +1268,224 @@ class TestWorkConservingBatcher:
         daemon = self._daemon(tmp_path)
         seen = []
 
-        async def scenario(sent, gate):
-            await asyncio.sleep(0)          # the batcher parks on the queue
+        async def scenario(sent, finish):
+            await asyncio.sleep(0)          # the loop parks on the queue
             self._admit(daemon, _miss("only"))
             await self._ticks()
             seen.extend(sent)
 
         sent, ended = self._run(daemon, scenario)
-        assert seen == [["only"]]
-        assert sent == [["only"]] and ended
+        assert seen == ["only"]
+        assert sent == ["only"] and ended
 
-    def test_backlog_goes_out_together_in_fair_order(self, tmp_path):
-        """Misses queued while a dispatch is in flight form the next
-        batch: at most ``max_batch``, priority first, then tenants
-        round-robin."""
-        daemon = self._daemon(tmp_path, max_batch=4)
+    def test_backlog_goes_out_one_per_free_worker_in_fair_order(
+            self, tmp_path):
+        """Misses queued while every worker compiles go out one per
+        finished compile: priority first, then tenants round-robin."""
+        daemon = self._daemon(tmp_path, jobs=2)
 
-        async def scenario(sent, gate):
+        async def scenario(sent, finish):
             await asyncio.sleep(0)
-            self._admit(daemon, _miss("first"))
+            self._admit(daemon, _miss("first"), _miss("second"))
             await self._ticks()
-            assert sent == [["first"]]       # in flight until the gate
+            assert sent == ["first", "second"]   # both workers busy
             self._admit(daemon, _miss("a0", tenant="a"),
                         _miss("a1", tenant="a"), _miss("a2", tenant="a"),
                         _miss("b0", tenant="b"),
                         _miss("hi", priority=5, tenant="b"),
                         _miss("c0", tenant="c"))
             await self._ticks()
-            assert sent == [["first"]]       # nothing overtakes it
-            gate.set()
-            await self._ticks()
+            assert sent == ["first", "second"]   # nothing overtakes them
+            for expected in (["hi"], ["hi", "a0"]):
+                finish.release()                 # one worker frees up
+                await self._ticks()
+                assert sent[2:] == expected
 
-        sent, ended = self._run(daemon, scenario, gated=True)
-        assert sent == [["first"], ["hi", "a0", "b0", "c0"], ["a1", "a2"]]
+        sent, ended = self._run(daemon, scenario)
+        assert sent == ["first", "second", "hi", "a0", "b0", "c0",
+                        "a1", "a2"]
         assert ended
 
     def test_stop_behind_misses_dispatches_them_first(self, tmp_path):
         from repro.serve.daemon import _STOP
 
-        daemon = self._daemon(tmp_path, max_batch=2)
+        daemon = self._daemon(tmp_path)
         self._admit(daemon, _miss("m0"), _miss("m1"), _miss("m2"))
         daemon._queue.put_control(_STOP)
 
-        async def scenario(sent, gate):
+        async def scenario(sent, finish):
             await self._ticks()
 
         sent, ended = self._run(daemon, scenario, stop=False)
-        assert sent == [["m0", "m1"], ["m2"]]
+        assert sent == ["m0", "m1", "m2"]
         assert ended
 
     def test_config_reports_no_linger(self, tmp_path):
         daemon = self._daemon(tmp_path)
         assert daemon.snapshot()["config"]["max_delay_ms"] == 0
+
+
+# ====================================== one miss per free worker (wire)
+@pytest.fixture
+def gated_pool(monkeypatch):
+    """Record the name of every job submitted to a worker pool, and
+    hold each job named in ``held`` in flight until ``gate`` is set:
+    the worker compiles it at once, but its result reaches the daemon
+    only then."""
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.core import CompileJob
+
+    gate = threading.Event()
+    names, held = [], set()
+    real_submit = ProcessPoolExecutor.submit
+
+    def jobs_in(value):
+        """The jobs among a call's arguments (``map`` nests them)."""
+        if isinstance(value, CompileJob):
+            return [value]
+        if isinstance(value, (tuple, list)):
+            return [job for item in value for job in jobs_in(item)]
+        return []
+
+    def submit(pool, fn, *args, **kwargs):
+        inner = real_submit(pool, fn, *args, **kwargs)
+        jobs = [job.name for job in jobs_in(args)]
+        names.extend(jobs)
+        if not held.intersection(jobs):
+            return inner
+        outer = Future()
+
+        def relay():
+            gate.wait(timeout=60)
+            if inner.exception() is None:
+                outer.set_result(inner.result())
+            else:
+                outer.set_exception(inner.exception())
+
+        threading.Thread(target=relay, daemon=True).start()
+        return outer
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    yield SimpleNamespace(gate=gate, names=names, held=held)
+    gate.set()
+
+
+class TestDispatch:
+    """A miss is answered the moment it compiles, with at most ``jobs``
+    compiles in flight, and a copy of a shape in flight never takes a
+    worker."""
+
+    def test_a_miss_is_answered_while_another_compiles(self, gated_pool):
+        """Two connections, so arrival order does not couple them."""
+        gated_pool.held.add("slow")
+        with DaemonThread(ServeConfig(jobs=2)) as handle:
+            with ServeClient(handle.address) as first, \
+                    ServeClient(handle.address, timeout=10) as second:
+                slow_id = first.send(_fresh("slow", 1))
+                wait_until(lambda: gated_pool.names == ["slow"])
+                quick = second.request(_fresh("quick", 2))
+                # answered while "slow" cannot have finished
+                assert quick["ok"], quick
+                assert quick["result"]["cached"] is False
+                gated_pool.gate.set()
+                slow = first.recv()
+        assert slow["id"] == slow_id and slow["ok"], slow
+        assert gated_pool.names == ["slow", "quick"]
+
+    def test_queued_misses_are_answered_as_each_compiles(self, monkeypatch):
+        """One worker: of the misses queued behind a compile, the first
+        is answered before the last starts compiling."""
+        from repro.serve.daemon import OptimizationDaemon
+
+        events = []
+        gate = threading.Event()
+        real_compile = MerlinPipeline.compile
+        real_finish = OptimizationDaemon._finish
+
+        def logged_compile(pipeline, func, *args, **kwargs):
+            events.append(("start", func.name))
+            if func.name == "head":
+                assert gate.wait(timeout=60)
+            return real_compile(pipeline, func, *args, **kwargs)
+
+        def logged_finish(daemon, pending, response):
+            events.append(("answer", pending.request.name))
+            real_finish(daemon, pending, response)
+
+        monkeypatch.setattr(MerlinPipeline, "compile", logged_compile)
+        monkeypatch.setattr(OptimizationDaemon, "_finish", logged_finish)
+        queued = ["q0", "q1", "q2"]
+        with DaemonThread(ServeConfig()) as handle:
+            with ServeClient(handle.address) as client:
+                ids = [client.send(_fresh("head", 0))]
+                wait_until(lambda: ("start", "head") in events)
+                ids += [client.send(_fresh(name, value))
+                        for value, name in enumerate(queued, start=1)]
+                wait_until(lambda: handle.daemon._queue.qsize()
+                           == len(queued))
+                gate.set()
+                answers = [client.recv() for _ in ids]
+        assert [a["id"] for a in answers] == ids
+        assert all(a["ok"] for a in answers), answers
+        assert events.index(("answer", "q0")) \
+            < events.index(("start", "q2"))
+
+    @pytest.mark.parametrize("source", [
+        SOURCES[0][1], "u64 fold(u8* ctx) { return nope; }",
+    ], ids=["ok", "compile-error"])
+    def test_copies_admitted_while_compiling_share_one_compile(
+            self, gated_pool, source):
+        gated_pool.held.add("fold")
+        request = payload("fold", source)
+        with DaemonThread(ServeConfig(jobs=2)) as handle:
+            with ServeClient(handle.address) as first, \
+                    ServeClient(handle.address) as second:
+                first.send(request)
+                wait_until(lambda: gated_pool.names == ["fold"])
+                copies = [second.send(request) for _ in range(2)]
+                wait_until(lambda: handle.daemon.stats.requests_received
+                           == 1 + len(copies))
+                gated_pool.gate.set()
+                answers = [first.recv()] + [second.recv() for _ in copies]
+                stats = second.stats()
+        assert gated_pool.names == ["fold"]       # one compile
+        assert stats["batches"]["requests"] == 1
+        if answers[0]["ok"]:
+            assert [a["result"]["cached"] for a in answers] == \
+                [False, True, True]
+            assert stats["requests"]["fast_path_hits"] == 2
+        else:
+            errors = [a["error"] for a in answers]
+            assert errors[0]["code"] == "compile-error"
+            assert errors == [errors[0]] * 3
+
+    def test_copies_in_one_read_share_one_compile(self, gated_pool):
+        """Both copies are queued before the dispatch loop runs, and it
+        picks the second while a worker is still free: the first must
+        have claimed its shape by then."""
+        line = protocol.encode(payload(*SOURCES[0]))
+        with DaemonThread(ServeConfig(jobs=2)) as handle:
+            with ServeClient(handle.address) as client:
+                client.send_raw(line + line)
+                answers = [client.recv(), client.recv()]
+        assert [a["result"]["cached"] for a in answers] == [False, True]
+        assert gated_pool.names == ["fold"]
+
+    def test_a_broken_pool_answers_internal(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken(pool, fn, *args, **kwargs):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        with DaemonThread(ServeConfig(jobs=2)) as handle:
+            monkeypatch.setattr(ProcessPoolExecutor, "submit", broken)
+            with ServeClient(handle.address) as client:
+                response = client.request(payload(*SOURCES[0]))
+            monkeypatch.undo()
+        assert response["error"]["code"] == "internal", response
+        assert "BrokenProcessPool" in response["error"]["message"]
 
 
 # ================================================== bench-serve report
