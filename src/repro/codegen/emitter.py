@@ -1,11 +1,15 @@
 """Final emission: resolve labels to instruction indices, then to
-slot-relative offsets, and build the :class:`~repro.isa.program.BpfProgram`."""
+slot-relative offsets, and build the :class:`~repro.isa.program.BpfProgram`.
+
+Label resolution builds each instruction's one
+:class:`~repro.isa.Instruction` from the fields the selector and the
+register allocator left on its ``LowInsn``."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..isa import BpfProgram, ProgramType
+from ..isa import BpfProgram, Instruction, ProgramType
 from ..isa import opcodes as op
 from .lowfunc import VREG_BASE, Label, LowFunction
 
@@ -39,29 +43,31 @@ def resolve_labels(low: LowFunction) -> "SymbolicProgram":
             label_slot[item.name] = slot
         else:
             slots.append(slot)
-            slot += op.SLOTS[item.insn.opcode]
+            slot += op.SLOTS[item.opcode]
 
     entries: List[SymInsn] = []
     for item in low.items:
         if isinstance(item, Label):
             continue
-        insn = item.insn
-        for reg in (insn.dst, insn.src):
-            if reg >= VREG_BASE:
-                raise EmissionError(
-                    f"virtual register v{reg} survived allocation in "
-                    f"{low.name}"
-                )
+        if item.dst >= VREG_BASE or item.src >= VREG_BASE:
+            reg = item.dst if item.dst >= VREG_BASE else item.src
+            raise EmissionError(
+                f"virtual register v{reg} survived allocation in {low.name}")
+        off = item.off
         target = item.target
         if target is not None:
             if target not in label_index:
                 raise EmissionError(f"undefined label {target!r}")
-            rel = label_slot[target] - (slots[len(entries)]
-                                        + op.SLOTS[insn.opcode])
-            if not -(1 << 15) <= rel < (1 << 15):
-                raise EmissionError(f"branch offset {rel} out of 16-bit range")
+            off = label_slot[target] - (slots[len(entries)]
+                                        + op.SLOTS[item.opcode])
+            if not -(1 << 15) <= off < (1 << 15):
+                raise EmissionError(f"branch offset {off} out of 16-bit range")
             target = label_index[target]
-        entries.append(SymInsn(insn, target))
+        # a jump carries its offset before any cleanup: ``to_insns``
+        # builds it again only if a deletion moved its target
+        entries.append(SymInsn(
+            Instruction(item.opcode, item.dst, item.src, off, item.imm),
+            target))
     return SymbolicProgram(entries)
 
 

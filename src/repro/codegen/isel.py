@@ -20,14 +20,13 @@ material of the paper's optimizations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import ir
 from ..ir import instructions as iri
-from ..isa import Instruction, helpers
-from ..isa import instruction as ins
+from ..isa import helpers
 from ..isa import opcodes as op
-from .lowfunc import LowFunction, LowInsn
+from .lowfunc import LowFunction
 
 _S32_MIN, _S32_MAX = -(1 << 31), (1 << 31) - 1
 
@@ -60,6 +59,15 @@ _ICMP_JUMP = {
 }
 
 _COMMUTATIVE = {"add", "mul", "and", "or", "xor"}
+
+#: whole opcodes of the instructions isel emits most (the helpers in
+#: ``repro.isa.instruction`` compute the same ones)
+_MOV64_X = op.BPF_ALU64 | op.ALU_OP_BY_NAME["mov"] | op.BPF_X
+_LD_IMM64 = op.BPF_LD | op.BPF_IMM | op.BPF_DW
+_JA = op.BPF_JMP | op.JMP_OP_BY_NAME["ja"]
+_CALL = op.BPF_JMP | op.BPF_CALL
+_EXIT = op.BPF_JMP | op.BPF_EXIT
+_U64 = (1 << 64) - 1
 
 
 class SelectionError(Exception):
@@ -96,6 +104,9 @@ class InstructionSelector:
         self._dirty_cache: Dict[ir.Value, bool] = {}
         self._label_counter = 0
         self._call_group = 0
+        #: append one instruction by its fields: ``(opcode, dst=0,
+        #: src=0, off=0, imm=0, target=None, group=None)``
+        self._emit = self.low.add
 
     # ------------------------------------------------------------------ api
     def run(self) -> LowFunction:
@@ -145,9 +156,52 @@ class InstructionSelector:
         self._label_counter += 1
         return f".{self.func.name}.{hint}{self._label_counter}"
 
-    def _emit(self, insn: Instruction, target: Optional[str] = None,
-              group: Optional[int] = None) -> LowInsn:
-        return self.low.emit(insn, target, group)
+    # Each emitter records the fields of the Instruction that the
+    # ``repro.isa.instruction`` helper it names would build;
+    # ``resolve_labels`` builds each Instruction once, after register
+    # allocation.
+
+    def _mov(self, dst: int, src: int, group: Optional[int] = None) -> None:
+        """``mov64_reg``."""
+        self._emit(_MOV64_X, dst, src, group=group)
+
+    def _alu(self, name: str, dst: int, src: Optional[int] = None,
+             imm: int = 0) -> None:
+        """``alu64``: the register form when *src* is given."""
+        code = op.BPF_ALU64 | op.ALU_OP_BY_NAME[name]
+        if src is None:
+            self._emit(code | op.BPF_K, dst, imm=imm)
+        else:
+            self._emit(code | op.BPF_X, dst, src)
+
+    def _ld_imm64(self, dst: int, imm: int, src: int = 0) -> None:
+        """``ld_imm64``."""
+        self._emit(_LD_IMM64, dst, src, imm=imm & _U64)
+
+    def _load(self, size: int, dst: int, src: int, off: int) -> None:
+        """``load``."""
+        self._emit(op.BPF_LDX | op.BYTES_SIZE[size] | op.BPF_MEM, dst, src,
+                   off)
+
+    def _store_reg(self, size: int, dst: int, off: int, src: int) -> None:
+        """``store_reg``."""
+        self._emit(op.BPF_STX | op.BYTES_SIZE[size] | op.BPF_MEM, dst, src,
+                   off)
+
+    def _atomic(self, size: int, atomic_op: int, dst: int, off: int,
+                src: int) -> None:
+        """``atomic``."""
+        self._emit(op.BPF_STX | op.BYTES_SIZE[size] | op.BPF_ATOMIC, dst,
+                   src, off, atomic_op)
+
+    def _jump(self, name: str, dst: int, target: str,
+              src: Optional[int] = None, imm: int = 0) -> None:
+        """``jump``, conditional, to the label *target*."""
+        code = op.BPF_JMP | op.JMP_OP_BY_NAME[name]
+        if src is None:
+            self._emit(code | op.BPF_K, dst, imm=imm, target=target)
+        else:
+            self._emit(code | op.BPF_X, dst, src, target=target)
 
     def _vreg_for(self, value: ir.Value) -> int:
         if value not in self.value_reg:
@@ -161,7 +215,7 @@ class InstructionSelector:
                 raise SelectionError("more than 5 arguments")
             if not arg.uses:
                 continue
-            self._emit(ins.mov64_reg(self._vreg_for(arg), op.ARG_REGS[arg.index]))
+            self._mov(self._vreg_for(arg), op.ARG_REGS[arg.index])
 
     # --- cleanliness -------------------------------------------------------
     def _is_narrow(self, value: ir.Value) -> bool:
@@ -216,13 +270,13 @@ class InstructionSelector:
     def _emit_zero_extend(self, reg: int, bits: int) -> None:
         """Clear bits above *bits* using the canonical shl/shr pair."""
         shift = 64 - bits
-        self._emit(ins.alu64("lsh", reg, imm=shift))
-        self._emit(ins.alu64("rsh", reg, imm=shift))
+        self._alu("lsh", reg, imm=shift)
+        self._alu("rsh", reg, imm=shift)
 
     def _emit_sign_extend(self, reg: int, bits: int) -> None:
         shift = 64 - bits
-        self._emit(ins.alu64("lsh", reg, imm=shift))
-        self._emit(ins.alu64("arsh", reg, imm=shift))
+        self._alu("lsh", reg, imm=shift)
+        self._alu("arsh", reg, imm=shift)
 
     def _clean_reg(self, value: ir.Value, signed: bool = False) -> int:
         """Register holding *value* with exact (zero/sign-extended) bits."""
@@ -241,7 +295,7 @@ class InstructionSelector:
 
     def _copy_to_fresh(self, reg: int) -> int:
         fresh = self.low.new_vreg()
-        self._emit(ins.mov64_reg(fresh, reg))
+        self._mov(fresh, reg)
         return fresh
 
     # --- materialization -------------------------------------------------
@@ -257,9 +311,9 @@ class InstructionSelector:
         desired = value & ((1 << max(bits, 1)) - 1) if bits < 64 else value
         signed64 = desired - (1 << 64) if desired >> 63 else desired
         if _S32_MIN <= signed64 <= _S32_MAX:
-            self._emit(ins.mov64_imm(reg, signed64))
+            self._alu("mov", reg, imm=signed64)
         else:
-            self._emit(ins.ld_imm64(reg, desired))
+            self._ld_imm64(reg, desired)
         return reg
 
     def reg_of(self, value: ir.Value) -> int:
@@ -269,13 +323,12 @@ class InstructionSelector:
         if isinstance(value, ir.GlobalSymbol):
             reg = self.low.new_vreg()
             map_id = self.map_ids.get(value.name, 0)
-            low = self._emit(ins.ld_imm64(reg, map_id))
-            low.insn = low.insn.with_(src=helpers.BPF_PSEUDO_MAP_FD)
+            self._ld_imm64(reg, map_id, src=helpers.BPF_PSEUDO_MAP_FD)
             return reg
         if isinstance(value, iri.Alloca):
             reg = self.low.new_vreg()
-            self._emit(ins.mov64_reg(reg, op.FP))
-            self._emit(ins.alu64("add", reg, imm=self.alloca_off[value]))
+            self._mov(reg, op.FP)
+            self._alu("add", reg, imm=self.alloca_off[value])
             return reg
         if isinstance(value, iri.Gep):
             return self._materialize_gep(value)
@@ -286,9 +339,9 @@ class InstructionSelector:
     def _materialize_gep(self, gep: iri.Gep) -> int:
         base, const_off = self.resolve_address(gep)
         reg = self.low.new_vreg()
-        self._emit(ins.mov64_reg(reg, base))
+        self._mov(reg, base)
         if const_off:
-            self._emit(ins.alu64("add", reg, imm=const_off))
+            self._alu("add", reg, imm=const_off)
         return reg
 
     def resolve_address(self, ptr: ir.Value) -> Tuple[int, int]:
@@ -311,11 +364,11 @@ class InstructionSelector:
             # variable-offset gep: compute base + dynamic offset
             inner_base, inner_off = self.resolve_address(current.ptr)
             reg = self.low.new_vreg()
-            self._emit(ins.mov64_reg(reg, inner_base))
+            self._mov(reg, inner_base)
             if inner_off:
-                self._emit(ins.alu64("add", reg, imm=inner_off))
+                self._alu("add", reg, imm=inner_off)
             dyn = self._clean_reg(current.offset)
-            self._emit(ins.alu64("add", reg, src=dyn))
+            self._alu("add", reg, src=dyn)
             return reg, offset
         return self.reg_of(current), offset
 
@@ -381,17 +434,17 @@ class InstructionSelector:
             lhs_reg = self.reg_of(lhs)
 
         dst = self._vreg_for(instruction)
-        self._emit(ins.mov64_reg(dst, lhs_reg))
+        self._mov(dst, lhs_reg)
         name = _ALU_NAME[opname]
         if isinstance(rhs, ir.Constant) and \
                 _S32_MIN <= _imm_for(rhs) <= _S32_MAX:
-            self._emit(ins.alu64(name, dst, imm=_imm_for(rhs)))
+            self._alu(name, dst, imm=_imm_for(rhs))
         else:
             if opname in ("udiv", "urem") and self._is_narrow(rhs):
                 rhs_reg = self._clean_reg(rhs)
             else:
                 rhs_reg = self.reg_of(rhs)
-            self._emit(ins.alu64(name, dst, src=rhs_reg))
+            self._alu(name, dst, src=rhs_reg)
 
     def _lower_lshr32_imm(self, instruction: iri.BinaryOp) -> None:
         """``lshr i32 x, k``: the Fig. 9 masked-shift pattern when the
@@ -400,17 +453,17 @@ class InstructionSelector:
         dst = self._vreg_for(instruction)
         src = self.reg_of(instruction.lhs)
         if not self._is_dirty(instruction.lhs):
-            self._emit(ins.mov64_reg(dst, src))
+            self._mov(dst, src)
             if k:
-                self._emit(ins.alu64("rsh", dst, imm=k))
+                self._alu("rsh", dst, imm=k)
             return
         mask = (0xFFFFFFFF << k) & 0xFFFFFFFF
         mask_reg = self.low.new_vreg()
-        self._emit(ins.ld_imm64(mask_reg, mask))
-        self._emit(ins.mov64_reg(dst, src))
-        self._emit(ins.alu64("and", dst, src=mask_reg))
+        self._ld_imm64(mask_reg, mask)
+        self._mov(dst, src)
+        self._alu("and", dst, src=mask_reg)
         if k:
-            self._emit(ins.alu64("rsh", dst, imm=k))
+            self._alu("rsh", dst, imm=k)
 
     # --- comparisons ----------------------------------------------------------
     def _icmp_fused(self, instruction: iri.ICmp) -> bool:
@@ -424,10 +477,10 @@ class InstructionSelector:
         """Materialize a compare into 0/1."""
         dst = self._vreg_for(instruction)
         lhs_reg, rhs_operand = self._compare_operands(instruction)
-        self._emit(ins.mov64_imm(dst, 1))
+        self._alu("mov", dst, imm=1)
         label = self._fresh_label("cset")
         self._emit_compare_jump(instruction.predicate, lhs_reg, rhs_operand, label)
-        self._emit(ins.mov64_imm(dst, 0))
+        self._alu("mov", dst, imm=0)
         self.low.label(label)
 
     def _compare_operands(self, instruction: iri.ICmp):
@@ -444,9 +497,9 @@ class InstructionSelector:
                            label: str) -> None:
         name = _ICMP_JUMP[predicate]
         if isinstance(rhs_operand, tuple):
-            self._emit(ins.jump(name, lhs_reg, src=rhs_operand[1]), target=label)
+            self._jump(name, lhs_reg, label, src=rhs_operand[1])
         else:
-            self._emit(ins.jump(name, lhs_reg, imm=rhs_operand), target=label)
+            self._jump(name, lhs_reg, label, imm=rhs_operand)
 
     # --- memory -------------------------------------------------------------------
     def _lower_load(self, instruction: iri.Load) -> None:
@@ -455,17 +508,17 @@ class InstructionSelector:
         dst = self._vreg_for(instruction)
         align = max(1, instruction.align)
         if align >= size or size == 1:
-            self._emit(ins.load(size, dst, base, off))
+            self._load(size, dst, base, off)
             return
         # decompose: unit-width loads assembled with shl/or (paper Fig. 6)
         unit = min(align, size)
         chunks = size // unit
-        self._emit(ins.load(unit, dst, base, off))
+        self._load(unit, dst, base, off)
         for i in range(1, chunks):
             part = self.low.new_vreg()
-            self._emit(ins.load(unit, part, base, off + i * unit))
-            self._emit(ins.alu64("lsh", part, imm=8 * unit * i))
-            self._emit(ins.alu64("or", dst, src=part))
+            self._load(unit, part, base, off + i * unit)
+            self._alu("lsh", part, imm=8 * unit * i)
+            self._alu("or", dst, src=part)
 
     def _lower_store(self, instruction: iri.Store) -> None:
         size = instruction.value.type.size_bytes
@@ -473,16 +526,16 @@ class InstructionSelector:
         align = max(1, instruction.align)
         value_reg = self.reg_of(instruction.value)  # constants materialize here
         if align >= size or size == 1:
-            self._emit(ins.store_reg(size, base, off, value_reg))
+            self._store_reg(size, base, off, value_reg)
             return
         unit = min(align, size)
         chunks = size // unit
-        self._emit(ins.store_reg(unit, base, off, value_reg))
+        self._store_reg(unit, base, off, value_reg)
         for i in range(1, chunks):
             part = self.low.new_vreg()
-            self._emit(ins.mov64_reg(part, value_reg))
-            self._emit(ins.alu64("rsh", part, imm=8 * unit * i))
-            self._emit(ins.store_reg(unit, base, off + i * unit, part))
+            self._mov(part, value_reg)
+            self._alu("rsh", part, imm=8 * unit * i)
+            self._store_reg(unit, base, off + i * unit, part)
 
     def _lower_atomicrmw(self, instruction: iri.AtomicRMW) -> None:
         size = instruction.type.size_bytes
@@ -498,34 +551,29 @@ class InstructionSelector:
         }
         if instruction.rmw_op == "xchg":
             dst = self._vreg_for(instruction)
-            self._emit(ins.mov64_reg(dst, value_reg))
-            self._emit(
-                Instruction(
-                    op.BPF_STX | op.BYTES_SIZE[size] | op.BPF_ATOMIC,
-                    dst=base, src=dst, off=off, imm=op.BPF_XCHG,
-                )
-            )
+            self._mov(dst, value_reg)
+            self._atomic(size, op.BPF_XCHG, base, off, dst)
             return
         if instruction.rmw_op == "sub":
             neg = self._copy_to_fresh(value_reg)
-            self._emit(ins.alu64("neg", neg))
+            self._alu("neg", neg)
             value_reg, rmw = neg, op.BPF_ATOMIC_ADD
         else:
             rmw = atomic_ops[instruction.rmw_op]
         if instruction.uses:
             # old value observed: fetch variant writes it into src reg
             dst = self._vreg_for(instruction)
-            self._emit(ins.mov64_reg(dst, value_reg))
-            self._emit(ins.atomic(size, rmw | op.BPF_FETCH, base, off, dst))
+            self._mov(dst, value_reg)
+            self._atomic(size, rmw | op.BPF_FETCH, base, off, dst)
         else:
-            self._emit(ins.atomic(size, rmw, base, off, value_reg))
+            self._atomic(size, rmw, base, off, value_reg)
 
     # --- casts -----------------------------------------------------------------
     def _lower_cast(self, instruction: iri.Cast) -> None:
         source = instruction.value
         dst = self._vreg_for(instruction)
         src_reg = self.reg_of(source)
-        self._emit(ins.mov64_reg(dst, src_reg))
+        self._mov(dst, src_reg)
         if instruction.opcode == "zext" and self._is_narrow(source) and \
                 self._is_dirty(source):
             self._emit_zero_extend(dst, source.type.bits)
@@ -536,7 +584,7 @@ class InstructionSelector:
     def _lower_select(self, instruction: iri.Select) -> None:
         dst = self._vreg_for(instruction)
         true_reg = self.reg_of(instruction.operands[1])
-        self._emit(ins.mov64_reg(dst, true_reg))
+        self._mov(dst, true_reg)
         label = self._fresh_label("sel")
         cond = instruction.cond
         if isinstance(cond, iri.ICmp) and len(cond.uses) == 1:
@@ -544,9 +592,9 @@ class InstructionSelector:
             self._emit_compare_jump(cond.predicate, lhs_reg, rhs_operand, label)
         else:
             cond_reg = self.reg_of(cond)
-            self._emit(ins.jump("jne", cond_reg, imm=0), target=label)
+            self._jump("jne", cond_reg, label, imm=0)
         false_reg = self.reg_of(instruction.operands[2])
-        self._emit(ins.mov64_reg(dst, false_reg))
+        self._mov(dst, false_reg)
         self.low.label(label)
 
     # --- calls -----------------------------------------------------------------
@@ -561,18 +609,19 @@ class InstructionSelector:
         for arg in instruction.operands:
             arg_regs.append(self.reg_of(arg))
         for i, reg in enumerate(arg_regs):
-            self._emit(ins.mov64_reg(op.ARG_REGS[i], reg), group=group)
-        self._emit(ins.call(helpers.HELPER_IDS[instruction.callee]), group=group)
+            self._mov(op.ARG_REGS[i], reg, group=group)
+        self._emit(_CALL, imm=helpers.HELPER_IDS[instruction.callee],
+                   group=group)
         if not instruction.type.is_void:
-            self._emit(ins.mov64_reg(self._vreg_for(instruction), op.R0))
+            self._mov(self._vreg_for(instruction), op.R0)
 
     # --- control flow ---------------------------------------------------------------
     def _lower_terminator(self, block: ir.BasicBlock, term: iri.IRInstruction,
                           next_block: Optional[ir.BasicBlock]) -> None:
         if isinstance(term, iri.Ret):
             if term.value is not None:
-                self._emit(ins.mov64_reg(op.R0, self.reg_of(term.value)))
-            self._emit(ins.exit_())
+                self._mov(op.R0, self.reg_of(term.value))
+            self._emit(_EXIT)
             return
         if isinstance(term, iri.Br):
             self._emit_edge(block, term.target, fallthrough=term.target is next_block)
@@ -581,7 +630,7 @@ class InstructionSelector:
             self._lower_condbr(block, term, next_block)
             return
         if isinstance(term, iri.Unreachable):
-            self._emit(ins.exit_())
+            self._emit(_EXIT)
             return
         raise SelectionError(f"unknown terminator {term.render()}")
 
@@ -600,7 +649,7 @@ class InstructionSelector:
             self._emit_compare_jump(cond.predicate, lhs_reg, rhs_operand, true_label)
         else:
             cond_reg = self.reg_of(cond)
-            self._emit(ins.jump("jne", cond_reg, imm=0), target=true_label)
+            self._jump("jne", cond_reg, true_label, imm=0)
 
         # false edge falls through here
         self._emit_edge(block, false_blk, fallthrough=false_blk is next_block
@@ -618,7 +667,7 @@ class InstructionSelector:
             copies.append((self.reg_of(value), self._vreg_for(phi)))
         self._sequence_copies(copies)
         if not fallthrough:
-            self._emit(ins.jump("ja"), target=self.block_label[succ])
+            self._emit(_JA, target=self.block_label[succ])
 
     def _sequence_copies(self, copies: List[Tuple[int, int]]) -> None:
         """Emit a parallel copy set as moves, breaking cycles via a temp."""
@@ -633,13 +682,13 @@ class InstructionSelector:
             ]
             if safe:
                 for src, dst in safe:
-                    self._emit(ins.mov64_reg(dst, src))
+                    self._mov(dst, src)
                     pending.remove((src, dst))
             else:
                 # cycle: rotate the first copy through a temporary
                 src, dst = pending[0]
                 temp = self.low.new_vreg()
-                self._emit(ins.mov64_reg(temp, src))
+                self._mov(temp, src)
                 pending[0] = (temp, dst)
 
 

@@ -1,14 +1,15 @@
 """Low-level function representation used between isel and emission.
 
-Instructions here reuse :class:`repro.isa.Instruction` but may name
-*virtual* registers (numbers >= :data:`VREG_BASE`).  Jumps refer to
-string labels resolved by the emitter after register allocation.
+Instructions here carry the fields of :class:`repro.isa.Instruction`
+but may name *virtual* registers (numbers >= :data:`VREG_BASE`).  Jumps
+refer to string labels resolved by the emitter after register
+allocation, which is where each final ``Instruction`` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Union
 
 from ..isa import Instruction
 from ..isa import opcodes as op
@@ -20,24 +21,36 @@ def is_vreg(reg: int) -> bool:
     return reg >= VREG_BASE
 
 
-@dataclass
 class LowInsn:
-    """One instruction plus an optional symbolic jump target.
+    """One instruction's fields plus an optional symbolic jump target.
 
-    ``group`` ties together a helper call and its argument-setup moves
-    so the register allocator can treat the whole region as clobbering
-    the caller-saved registers r0-r5.
+    The fields are ``Instruction``'s (``opcode``, ``dst``, ``src``,
+    ``off``, ``imm``), so ``Instruction.uses``/``defs`` read a LowInsn
+    as they read an Instruction.  They are mutable: the register
+    allocator writes the physical registers in place, and the emitter
+    builds the one ``Instruction`` the program keeps.  ``group`` ties
+    together a helper call and its argument-setup moves so the register
+    allocator can treat the whole region as clobbering the caller-saved
+    registers r0-r5.
     """
 
-    insn: Instruction
-    target: Optional[str] = None
-    group: Optional[int] = None
+    __slots__ = ("opcode", "dst", "src", "off", "imm", "target", "group")
 
-    def defs(self) -> Tuple[int, ...]:
-        return self.insn.defs()
+    def __init__(self, opcode: int, dst: int = 0, src: int = 0,
+                 off: int = 0, imm: int = 0, target: Optional[str] = None,
+                 group: Optional[int] = None):
+        self.opcode = opcode
+        self.dst = dst
+        self.src = src
+        self.off = off
+        self.imm = imm
+        self.target = target
+        self.group = group
 
-    def uses(self) -> Tuple[int, ...]:
-        return self.insn.uses()
+    def __repr__(self) -> str:
+        return (f"LowInsn({self.opcode:#x}, dst={self.dst}, src={self.src}, "
+                f"off={self.off}, imm={self.imm}, target={self.target!r}, "
+                f"group={self.group})")
 
 
 @dataclass
@@ -64,7 +77,15 @@ class LowFunction:
 
     def emit(self, insn: Instruction, target: Optional[str] = None,
              group: Optional[int] = None) -> LowInsn:
-        low = LowInsn(insn, target, group)
+        """Append the fields of *insn*."""
+        return self.add(insn.opcode, insn.dst, insn.src, insn.off, insn.imm,
+                        target, group)
+
+    def add(self, opcode: int, dst: int = 0, src: int = 0, off: int = 0,
+            imm: int = 0, target: Optional[str] = None,
+            group: Optional[int] = None) -> LowInsn:
+        """Append an instruction given by its fields."""
+        low = LowInsn(opcode, dst, src, off, imm, target, group)
         self.items.append(low)
         return low
 

@@ -14,9 +14,12 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa import Instruction
-from ..isa import instruction as ins
 from ..isa import opcodes as op
 from .lowfunc import VREG_BASE, Label, LowFunction, LowInsn, is_vreg
+
+#: opcodes of a spill's reload and store (8-byte, through r10)
+_SPILL_LOAD = op.BPF_LDX | op.BYTES_SIZE[8] | op.BPF_MEM
+_SPILL_STORE = op.BPF_STX | op.BYTES_SIZE[8] | op.BPF_MEM
 
 ALLOCATABLE = (op.R0, op.R1, op.R2, op.R3, op.R4, op.R5, op.R6, op.R7)
 CALL_SAFE = (op.R6, op.R7)
@@ -63,7 +66,9 @@ class LinearScanAllocator:
     order their registers are first touched (block live-in, live-out,
     then the block's instructions in order): :meth:`_allocate` sorts
     them by ``(start, end)`` and that order breaks the ties, so it
-    decides which register each interval gets.
+    decides which register each interval gets.  The physical registers
+    are written into the instructions in place; the only instructions
+    allocation adds are the reloads and stores of spilled registers.
     """
 
     def __init__(self, low: LowFunction):
@@ -89,8 +94,10 @@ class LinearScanAllocator:
         return positions
 
     def run(self) -> LowFunction:
-        self.uses = [low.insn.uses() for low in self.insns]
-        self.defs = [low.insn.defs() for low in self.insns]
+        # Instruction's rules, applied to the LowInsns' own fields
+        uses, defs = Instruction.uses, Instruction.defs
+        self.uses = [uses(low) for low in self.insns]
+        self.defs = [defs(low) for low in self.insns]
         blocks = self._build_blocks()
         self._solve_liveness(blocks)
         self._build_intervals(blocks)
@@ -105,7 +112,7 @@ class LinearScanAllocator:
         n = len(self.insns)
         leaders = {0} | set(self.label_pos.values())
         for i, low in enumerate(self.insns):
-            if op.IS_JUMP[low.insn.opcode]:  # jumps, calls and exits
+            if op.IS_JUMP[low.opcode]:  # jumps, calls and exits
                 leaders.add(i + 1)
         leaders = sorted(p for p in leaders if p < n)
         blocks: List[_Block] = []
@@ -113,14 +120,15 @@ class LinearScanAllocator:
         index_of_start = {s: bi for bi, s in enumerate(leaders)}
         for bi, start in enumerate(leaders):
             block = _Block(first=start, last=starts[bi + 1] - 1)
-            last = self.insns[block.last].insn
-            target = self.insns[block.last].target
-            if last.is_exit:
+            last = self.insns[block.last]
+            code = last.opcode
+            if op.IS_EXIT[code]:
                 pass
-            elif last.is_jump and not last.is_call:
-                if target is not None:
-                    block.succs.append(index_of_start[self.label_pos[target]])
-                if last.jmp_op != op.BPF_JA and block.last + 1 < n:
+            elif op.IS_JUMP[code] and not op.IS_CALL[code]:
+                if last.target is not None:
+                    block.succs.append(
+                        index_of_start[self.label_pos[last.target]])
+                if op.OP_CODE[code] != op.BPF_JA and block.last + 1 < n:
                     block.succs.append(index_of_start[block.last + 1])
             elif block.last + 1 < n:
                 block.succs.append(index_of_start[block.last + 1])
@@ -185,7 +193,7 @@ class LinearScanAllocator:
             if low.group is not None:
                 first, last = groups.get(low.group, (pos, pos))
                 groups[low.group] = (min(first, pos), max(last, pos))
-            elif low.insn.is_call:
+            elif op.IS_CALL[low.opcode]:
                 groups.setdefault(-pos - 1, (pos, pos))
         self.call_regions = sorted(groups.values())
 
@@ -195,11 +203,12 @@ class LinearScanAllocator:
         ranges: Dict[int, List[Tuple[int, int]]] = {}
         group_args: Dict[int, Set[int]] = {}
         for low in self.insns:
-            if low.group is not None and low.insn.is_alu and not is_vreg(low.insn.dst):
-                group_args.setdefault(low.group, set()).add(low.insn.dst)
+            if low.group is not None and op.IS_ALU[low.opcode] \
+                    and not is_vreg(low.dst):
+                group_args.setdefault(low.group, set()).add(low.dst)
         uses, defs = self.uses, self.defs
         for pos, low in enumerate(self.insns):
-            call = op.IS_CALL[low.insn.opcode]
+            call = op.IS_CALL[low.opcode]
             if call:
                 used = group_args.get(low.group or 0, ())
             else:
@@ -271,9 +280,9 @@ class LinearScanAllocator:
 
     # ------------------------------------------------------------- rewriting
     def _rewrite(self) -> None:
-        """Replace virtual registers by physical ones.  Instructions that
-        name no virtual register are kept as they are; the rest are
-        built again with the constructor."""
+        """Write the physical registers into the instructions that name
+        virtual ones, and put each spilled register's reload before and
+        store after the instruction that reads or writes it."""
         new_items: List[object] = []
         pos = -1
         for item in self.low.items:
@@ -281,24 +290,22 @@ class LinearScanAllocator:
                 new_items.append(item)
                 continue
             pos += 1
-            insn = item.insn
-            dst, src = insn.dst, insn.src
+            dst, src = item.dst, item.src
             # an ld_imm64's src is its pseudo-relocation kind, and a src
             # equal to dst is rewritten along with it
-            same = dst == src and not op.IS_LD_IMM64[insn.opcode]
-            src_vreg = src >= VREG_BASE and not same \
-                and not op.IS_LD_IMM64[insn.opcode]
+            ld_imm64 = op.IS_LD_IMM64[item.opcode]
+            same = dst == src and not ld_imm64
+            src_vreg = src >= VREG_BASE and not same and not ld_imm64
             if dst < VREG_BASE and not src_vreg:
                 new_items.append(item)
                 continue
             post: List[LowInsn] = []
             if dst >= VREG_BASE:
-                dst = self._place(dst, SCRATCH_DEF, pos, new_items, post)
+                item.dst = self._place(dst, SCRATCH_DEF, pos, new_items, post)
                 if same:
-                    src = dst
+                    item.src = item.dst
             if src_vreg:
-                src = self._place(src, SCRATCH_USE, pos, new_items, post)
-            item.insn = Instruction(insn.opcode, dst, src, insn.off, insn.imm)
+                item.src = self._place(src, SCRATCH_USE, pos, new_items, post)
             new_items.append(item)
             new_items.extend(post)
         self.low.items = new_items
@@ -313,10 +320,9 @@ class LinearScanAllocator:
         if interval.phys is not None:
             return interval.phys
         if reg in self.uses[pos]:
-            pre.append(LowInsn(ins.load(8, scratch, op.FP, interval.slot)))
+            pre.append(LowInsn(_SPILL_LOAD, scratch, op.FP, interval.slot))
         if reg in self.defs[pos]:
-            post.append(LowInsn(ins.store_reg(8, op.FP, interval.slot,
-                                              scratch)))
+            post.append(LowInsn(_SPILL_STORE, op.FP, scratch, interval.slot))
         return scratch
 
 

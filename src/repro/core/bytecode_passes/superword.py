@@ -18,7 +18,6 @@ from typing import Optional
 
 from ...isa import BpfProgram
 from ...isa import instruction as ins
-from ...isa import opcodes as op
 from ..pass_manager import BytecodePass
 from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cache import CompilationCache
@@ -290,11 +290,11 @@ class MerlinPipeline:
         baseline = compile_function(func, module, prog_type=prog_type,
                                     mcpu=mcpu, ctx_size=ctx_size)
         # IR passes rewrite in place: run them on a clone so the caller's
-        # function stays pristine.  Cloning goes through the textual IR
-        # (the same lossless round-trip the fuzzer relies on) — a
-        # deepcopy would recurse along arbitrarily long SSA use-def
-        # chains.  The module is never mutated by IR passes.
-        work_func = ir.parse_function(ir.print_function(func))
+        # function stays pristine.  The clone is what the textual round
+        # trip gives (the fuzzer's and TV's form), built by one walk over
+        # the blocks, so no use-def chain is followed recursively.  The
+        # module is never mutated by IR passes.
+        work_func = ir.clone_function(func)
         stats = self.optimize_ir(work_func, module, recorder=recorder)
         program = compile_function(work_func, module, prog_type=prog_type,
                                    mcpu=mcpu, ctx_size=ctx_size)

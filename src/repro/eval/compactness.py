@@ -8,12 +8,12 @@ order (DAO, MoF, CP/DCE, CC, PO, SLM).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..codegen import compile_function
 from ..core import MerlinPipeline
 from ..frontend import compile_source
-from ..isa import BpfProgram, ProgramType
+from ..isa import ProgramType
 from ..verifier import DEFAULT_KERNEL, KernelConfig, verify
 
 #: cumulative attribution order (most to least impactful in the paper)

@@ -18,10 +18,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..baselines import K2Config, K2Optimizer, K2Result
-from ..core import MerlinPipeline, MerlinReport
+from ..baselines import K2Config, K2Optimizer
+from ..core import MerlinPipeline
 from ..frontend import compile_source
-from ..isa import BpfProgram, ProgramType
+from ..isa import ProgramType
 
 #: paper label -> pass names whose time it aggregates
 LABEL_PASSES: Dict[str, Tuple[str, ...]] = {

@@ -17,9 +17,8 @@ Substitutes the CloudLab xl170 + T-Rex testbed with the package's VM:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict
 
 from ..hw import PerfCounters
 from ..isa import BpfProgram

@@ -13,8 +13,8 @@ Equation 1 of the paper gives the overhead reduction:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hw import PerfCounters
 from ..isa import BpfProgram

@@ -5,10 +5,10 @@ Fig. 10f) and cross-kernel state instability (paper Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..isa import BpfProgram
-from ..verifier import DEFAULT_KERNEL, KERNELS, KernelConfig, Verifier, verify
+from ..verifier import DEFAULT_KERNEL, KERNELS, KernelConfig, verify
 
 
 @dataclass

@@ -11,7 +11,7 @@ misbehaves on the output of the passes before it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..verifier import DEFAULT_KERNEL, KernelConfig
 from .differential import (

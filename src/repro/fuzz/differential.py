@@ -12,7 +12,7 @@ per-pass certificates are checked the same way (:func:`check_axes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.pass_manager import run_bytecode_passes

@@ -19,8 +19,8 @@ passes mutate their input) and shrunk line-wise by the minimizer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from .. import ir
 from ..isa import ProgramType

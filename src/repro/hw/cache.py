@@ -8,7 +8,7 @@ configured penalty on top of the hit latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass

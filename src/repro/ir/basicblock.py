@@ -6,7 +6,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from .instructions import IRInstruction, Phi, successors
 from .types import Type, VOID
-from .values import Argument, Value
+from .values import Argument
 
 
 class BasicBlock:

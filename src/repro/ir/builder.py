@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 from . import instructions as insn
 from .basicblock import BasicBlock, Function
-from .types import I1, I8, I16, I32, I64, IntType, PointerType, Type, pointer
+from .types import I32, I64, IntType, PointerType, Type, pointer
 from .values import Constant, Value
 
 

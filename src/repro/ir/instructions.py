@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .types import I1, I64, IntType, PointerType, Type, VOID
-from .values import Constant, Value
+from .types import I1, IntType, PointerType, Type, VOID
+from .values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .basicblock import BasicBlock

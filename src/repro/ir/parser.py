@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from . import instructions as iri
 from .basicblock import BasicBlock, Function
 from .types import ArrayType, IntType, PointerType, Type, VOID, int_type, pointer
-from .values import Argument, Constant, GlobalSymbol, Value
+from .values import Constant, GlobalSymbol, Value
 
 
 class IRParseError(SyntaxError):

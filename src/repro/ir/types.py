@@ -7,8 +7,8 @@ like clang does for eBPF's context structs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 class Type:

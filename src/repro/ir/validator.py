@@ -8,10 +8,10 @@ after every transformation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from .basicblock import BasicBlock, Function
-from .instructions import CondBr, IRInstruction, Phi, Ret
+from .instructions import IRInstruction, Phi, Ret
 from .values import Argument, Constant, GlobalSymbol, UndefValue, Value
 
 

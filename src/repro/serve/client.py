@@ -11,7 +11,7 @@ so ``recv`` after N ``send`` calls yields responses for requests
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from . import protocol
 

@@ -47,8 +47,8 @@ entry no matter who asks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Optional, Union
 
 from ..core.pipeline import ALL_OPTIMIZERS
 from ..isa import ProgramType

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa import BpfProgram, Instruction
 from ..isa import opcodes as op
-from ..isa.helpers import BPF_PSEUDO_MAP_FD
 from .expr import Const, Expr, Op, Sym, const, normalize_deep, prove_equal
 from .state import SymState, Unsupported, split_addr
 from .witness import Certificate, RewriteWitness

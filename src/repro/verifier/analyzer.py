@@ -10,7 +10,7 @@ instructions), peak/total states, and a modelled verification time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..isa import BpfProgram, Instruction

@@ -7,7 +7,7 @@ argument registers; they return the new r0 value.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, TYPE_CHECKING
 
 from ..isa.helpers import HELPER_IDS, HELPER_NAMES
 from .maps import BpfMap

@@ -7,10 +7,10 @@ kernel: programs then read/write the value bytes directly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Optional
 
 from ..isa import MapSpec
-from .memory import Memory, MemoryFault, Region
+from .memory import Memory, Region
 
 BPF_ANY = 0
 BPF_NOEXIST = 1

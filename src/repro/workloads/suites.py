@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..frontend import compile_source
 from ..isa import BpfProgram, ProgramType
-from .. import ir
 
 TRACE_CTX_SIZE = 512
 

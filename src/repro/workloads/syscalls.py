@@ -10,8 +10,8 @@ execution time of every fired program to the vanilla latency.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass(frozen=True)

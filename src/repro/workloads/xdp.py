@@ -18,9 +18,8 @@ are the ones Table 3 measures for throughput/latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from .. import ir
 from ..frontend import compile_source
 from ..isa import BpfProgram, ProgramType
 

@@ -396,3 +396,75 @@ class TestEmission:
         with pytest.raises(EmissionError,
                            match="branch offset 32768 out of 16-bit range"):
             emit(low)
+
+
+class TestEachInstructionBuiltOnce:
+    """Selection and allocation record an instruction's fields on its
+    ``LowInsn``; label resolution builds the one ``Instruction`` the
+    program keeps, and ``to_insns`` builds a jump again only when a
+    cleanup deletion moved its target."""
+
+    def test_constructions_over_the_xdp_set(self, monkeypatch):
+        import repro.codegen as codegen
+        from repro.core import SymbolicProgram
+        from repro.frontend import compile_source
+        from repro.isa import Instruction, ProgramType
+        from repro.workloads.xdp import ALL_XDP, XDP_CTX_SIZE
+
+        built = []
+        phase = ["compile_function"]
+        allocated = []
+        init = Instruction.__init__
+
+        def counted(self, opcode, dst=0, src=0, off=0, imm=0):
+            built.append((phase[0], opcode, dst, src))
+            init(self, opcode, dst, src, off, imm)
+
+        def tagged(name, fn):
+            def run(*args, **kwargs):
+                outer, phase[0] = phase[0], name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = outer
+            return run
+
+        def resolve(low):
+            allocated.append(len(list(low.insns())))
+            return resolve_labels(low)
+
+        resolve_labels = codegen.resolve_labels
+        monkeypatch.setattr(Instruction, "__init__", counted)
+        for name in ("select", "allocate", "_native_cleanup"):
+            monkeypatch.setattr(codegen, name,
+                                tagged(name, getattr(codegen, name)))
+        monkeypatch.setattr(codegen, "resolve_labels",
+                            tagged("resolve_labels", resolve))
+        monkeypatch.setattr(SymbolicProgram, "to_insns",
+                            tagged("to_insns", SymbolicProgram.to_insns))
+        spill_load = op.BPF_LDX | op.BPF_DW | op.BPF_MEM
+        spill_store = op.BPF_STX | op.BPF_DW | op.BPF_MEM
+        for workload in ALL_XDP:
+            module = compile_source(workload.source, workload.name)
+            built.clear()
+            allocated.clear()
+            program = compile_function(
+                module.get(workload.entry), module,
+                prog_type=ProgramType.XDP, ctx_size=XDP_CTX_SIZE)
+            name = workload.name
+            assert all(dst < VREG_BASE and src < VREG_BASE
+                       for _, _, dst, src in built), name
+            phases = {p for p, *_ in built}
+            assert phases <= {"allocate", "resolve_labels", "to_insns"}, name
+            for where, opcode, dst, src in built:
+                if where == "allocate":
+                    assert (opcode == spill_load and src == op.FP) or \
+                        (opcode == spill_store and dst == op.FP), name
+            resolved = sum(p == "resolve_labels" for p, *_ in built)
+            assert resolved == allocated[0], name
+            jumps = sum(insn.is_jump and not insn.is_call
+                        and not insn.is_exit for insn in program.insns)
+            rebuilt = [opcode for where, opcode, *_ in built
+                       if where == "to_insns"]
+            assert all(op.IS_JUMP[code] for code in rebuilt), name
+            assert len(rebuilt) <= jumps, name

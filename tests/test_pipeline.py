@@ -262,6 +262,47 @@ class TestCompileIdempotence:
         pipeline.compile(func, module, ctx_size=24)
         assert ir.print_function(func) == before
 
+    def test_compile_leaves_every_xdp_function_as_it_was(self):
+        """An uncached compile, a cache miss and a cache hit each leave
+        the caller's function as it was: its text, every value's use
+        list (the same users in the same order, constants and arguments
+        included), its name counter and its taken names.  A clone that
+        shared a constant or an argument with the input would leave its
+        own instructions on that value's use list."""
+        from repro import ir
+        from repro.cache import CompilationCache
+        from repro.workloads.xdp import XDP_CTX_SIZE
+
+        def state(func):
+            values = list(func.args)
+            for insn in func.instructions():
+                values.append(insn)
+                values.extend(insn.operands)
+            return (ir.print_function(func), values,
+                    [list(value.uses) for value in values],
+                    func._name_counter, dict(func._taken))
+
+        def assert_same(after, before, what):
+            assert after[0] == before[0], what
+            assert all(a is b for a, b in zip(after[1], before[1])), what
+            for now, then in zip(after[2], before[2]):
+                assert len(now) == len(then), what
+                assert all(a is b for a, b in zip(now, then)), what
+            assert after[3:] == before[3:], what
+
+        cache = CompilationCache()
+        for workload in ALL_XDP:
+            module = compile_source(workload.source, workload.name)
+            func = module.get(workload.entry)
+            before = state(func)
+            for what, use in (("uncached", None), ("miss", cache),
+                              ("hit", cache)):
+                _, report = MerlinPipeline().compile(
+                    func, module, prog_type=ProgramType.XDP,
+                    ctx_size=XDP_CTX_SIZE, cache=use)
+                assert report.cached == (what == "hit")
+                assert_same(state(func), before, f"{workload.name} {what}")
+
     def test_compile_twice_identical_reports(self):
         module = compile_bpf(SOURCE)
         func = module.get("entrypoint")
