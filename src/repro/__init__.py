@@ -8,7 +8,8 @@ optimizer:
 - :mod:`repro.ir` — the SSA IR ("LLVM IR")
 - :mod:`repro.codegen` — IR to eBPF bytecode ("llc")
 - :mod:`repro.core` — **Merlin**: IR + bytecode optimization tiers
-- :mod:`repro.isa` — eBPF instructions, assembler, disassembler
+- :mod:`repro.isa` — eBPF instructions, assembler, disassembler, and
+  the one definition of eBPF arithmetic (:mod:`repro.isa.semantics`)
 - :mod:`repro.verifier` — kernel verifier model (NPI, states, pruning)
 - :mod:`repro.vm` — eBPF interpreter with cycle/cache/branch models
 - :mod:`repro.hw` — cache / branch-predictor / perf-counter models

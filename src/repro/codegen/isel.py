@@ -30,8 +30,9 @@ from .lowfunc import LowFunction
 
 _S32_MIN, _S32_MAX = -(1 << 31), (1 << 31) - 1
 
-#: IR binary op -> eBPF ALU op name (register/immediate form chosen later)
-_ALU_NAME = {
+#: IR binary op -> eBPF ALU op name (register/immediate form chosen
+#: later); IR constant propagation folds each op as this one computes
+ALU_NAME_BY_BINOP = {
     "add": "add",
     "sub": "sub",
     "mul": "mul",
@@ -45,7 +46,8 @@ _ALU_NAME = {
     "ashr": "arsh",
 }
 
-_ICMP_JUMP = {
+#: icmp predicate -> the eBPF jump that branches when it holds
+JUMP_NAME_BY_PREDICATE = {
     "eq": "jeq",
     "ne": "jne",
     "ugt": "jgt",
@@ -57,8 +59,6 @@ _ICMP_JUMP = {
     "slt": "jslt",
     "sle": "jsle",
 }
-
-_COMMUTATIVE = {"add", "mul", "and", "or", "xor"}
 
 #: whole opcodes of the instructions isel emits most (the helpers in
 #: ``repro.isa.instruction`` compute the same ones)
@@ -435,7 +435,7 @@ class InstructionSelector:
 
         dst = self._vreg_for(instruction)
         self._mov(dst, lhs_reg)
-        name = _ALU_NAME[opname]
+        name = ALU_NAME_BY_BINOP[opname]
         if isinstance(rhs, ir.Constant) and \
                 _S32_MIN <= _imm_for(rhs) <= _S32_MAX:
             self._alu(name, dst, imm=_imm_for(rhs))
@@ -495,7 +495,7 @@ class InstructionSelector:
 
     def _emit_compare_jump(self, predicate: str, lhs_reg: int, rhs_operand,
                            label: str) -> None:
-        name = _ICMP_JUMP[predicate]
+        name = JUMP_NAME_BY_PREDICATE[predicate]
         if isinstance(rhs_operand, tuple):
             self._jump(name, lhs_reg, label, src=rhs_operand[1])
         else:

@@ -16,10 +16,9 @@ instructions — older kernels would reject or mistrack them.
 from __future__ import annotations
 
 from ...isa import BpfProgram
-from ...isa import instruction as ins
-from ...isa import opcodes as op
 from ..pass_manager import BytecodePass
 from .analysis import BytecodeAnalysis
+from .matchers import collapse_shift_pair
 from .symbolic import SymbolicProgram
 
 
@@ -37,33 +36,18 @@ class CodeCompactionPass(BytecodePass):
             return 0
         rewrites = 0
         skip_until = -1
-        for index in sym.live_indices():
+        live = sym.live_indices()
+        # a rewrite deletes only its pair's second instruction, which the
+        # next pair starts with and skips
+        for index, nxt in zip(live, live[1:]):
             if index <= skip_until:
                 continue
-            first = sym.insns[index].insn
-            if not (
-                first.is_alu64
-                and first.alu_op == op.BPF_LSH
-                and first.uses_imm
-                and first.imm == 32
-            ):
-                continue
-            nxt = sym.next_live(index)
-            if nxt is None:
-                continue
-            second = sym.insns[nxt].insn
-            if not (
-                second.is_alu64
-                and second.alu_op == op.BPF_RSH
-                and second.uses_imm
-                and second.imm == 32
-                and second.dst == first.dst
-            ):
-                continue
-            if not analysis.straightline(index, nxt):
+            merged = collapse_shift_pair(sym.insns[index].insn,
+                                         sym.insns[nxt].insn)
+            if merged is None or not analysis.straightline(index, nxt):
                 continue
             snap = self._snapshot(sym)
-            sym.replace(index, ins.mov32_reg(first.dst, first.dst))
+            sym.replace(index, merged)
             sym.delete(nxt)
             self._witness_region(sym, snap, index, nxt,
                                  note="zero-extension shift pair")

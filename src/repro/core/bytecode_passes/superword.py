@@ -18,6 +18,7 @@ from typing import Optional
 
 from ...isa import BpfProgram
 from ...isa import instruction as ins
+from ...isa.semantics import signed
 from ..pass_manager import BytecodePass
 from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
@@ -40,15 +41,10 @@ def merged_immediate(lo_value: int, hi_value: int, size: int) -> Optional[int]:
     bits = size * 8
     mask = (1 << bits) - 1
     combined = (lo_value & mask) | ((hi_value & mask) << bits)
-    merged_bits = bits * 2
-    if merged_bits < 64:
-        # interpret as the signed immediate that reproduces the pattern
-        if combined >> (merged_bits - 1):
-            combined -= 1 << merged_bits
-        return combined if _S32_MIN <= combined <= _S32_MAX else None
-    # 8-byte store sign-extends a 32-bit immediate
-    as_signed = combined - (1 << 64) if combined >> 63 else combined
-    return as_signed if _S32_MIN <= as_signed <= _S32_MAX else None
+    # the signed immediate that reproduces the pattern; an 8-byte store
+    # sign-extends it from 32 bits
+    imm = signed(combined, 2 * bits)
+    return imm if _S32_MIN <= imm <= _S32_MAX else None
 
 
 class SuperwordMergePass(BytecodePass):

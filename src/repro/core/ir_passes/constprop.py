@@ -11,57 +11,21 @@ from __future__ import annotations
 from typing import Optional
 
 from ... import ir
+from ...codegen.isel import ALU_NAME_BY_BINOP, JUMP_NAME_BY_PREDICATE
 from ...ir import instructions as iri
+from ...isa import opcodes as op
+from ...isa.semantics import alu, condition
 from ..pass_manager import IRPass
-
-_U64 = (1 << 64) - 1
 
 
 def _fold_binop(opcode: str, lhs: ir.Constant, rhs: ir.Constant) -> Optional[int]:
-    bits = lhs.type.bits
-    mask = (1 << bits) - 1
-    a, b = lhs.value, rhs.value
-
-    def signed(x: int) -> int:
-        return x - (1 << bits) if x >> (bits - 1) else x
-
-    if opcode == "add":
-        return (a + b) & mask
-    if opcode == "sub":
-        return (a - b) & mask
-    if opcode == "mul":
-        return (a * b) & mask
-    if opcode == "udiv":
-        return (a // b) & mask if b else None
-    if opcode == "urem":
-        return (a % b) & mask if b else None
-    if opcode == "and":
-        return a & b
-    if opcode == "or":
-        return a | b
-    if opcode == "xor":
-        return a ^ b
-    if opcode == "shl":
-        return (a << (b % bits)) & mask
-    if opcode == "lshr":
-        return (a >> (b % bits)) & mask
-    if opcode == "ashr":
-        return (signed(a) >> (b % bits)) & mask
-    return None
-
-
-_ICMP_FOLD = {
-    "eq": lambda a, b, sa, sb: a == b,
-    "ne": lambda a, b, sa, sb: a != b,
-    "ugt": lambda a, b, sa, sb: a > b,
-    "uge": lambda a, b, sa, sb: a >= b,
-    "ult": lambda a, b, sa, sb: a < b,
-    "ule": lambda a, b, sa, sb: a <= b,
-    "sgt": lambda a, b, sa, sb: sa > sb,
-    "sge": lambda a, b, sa, sb: sa >= sb,
-    "slt": lambda a, b, sa, sb: sa < sb,
-    "sle": lambda a, b, sa, sb: sa <= sb,
-}
+    """``lhs <opcode> rhs`` as the eBPF operation isel selects for
+    *opcode* computes it.  None for sdiv and srem, which isel does not
+    select, and for a udiv or urem by zero, which stays unfolded."""
+    name = ALU_NAME_BY_BINOP.get(opcode)
+    if name is None or (name in ("div", "mod") and not rhs.value):
+        return None
+    return alu(op.ALU_OP_BY_NAME[name], lhs.value, rhs.value, lhs.type.bits)
 
 
 class ConstantPropagationPass(IRPass):
@@ -91,10 +55,9 @@ class ConstantPropagationPass(IRPass):
             return self._simplify_binop(insn)
         if isinstance(insn, iri.ICmp):
             if isinstance(insn.lhs, ir.Constant) and isinstance(insn.rhs, ir.Constant):
-                fold = _ICMP_FOLD[insn.predicate]
-                result = fold(
-                    insn.lhs.value, insn.rhs.value, insn.lhs.signed, insn.rhs.signed
-                )
+                jop = op.JMP_OP_BY_NAME[JUMP_NAME_BY_PREDICATE[insn.predicate]]
+                result = condition(jop, insn.lhs.value, insn.rhs.value,
+                                   insn.lhs.type.bits)
                 return ir.Constant(ir.I1, int(result))
             return None
         if isinstance(insn, iri.Cast):

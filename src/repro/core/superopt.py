@@ -29,10 +29,12 @@ tests assert exactly that.
 The search itself is two-phase and fully deterministic for a given
 (canonical window, spec): an enumerative pass over a small rewrite
 library (single-instruction drops, ``ld_imm64`` narrowing, constant
-folding, the K2 pair collapses, store/load merges), then an optional
-MCMC walk reusing the K2 proposal/cost machinery
-(:mod:`repro.baselines.search`) with the RNG seeded from the spec seed
-plus the canonical window content.  Determinism is what makes
+folding, store merges, and the pair collapses and load merge of
+:mod:`repro.core.bytecode_passes.matchers`, which K2's moves apply
+too), then an optional MCMC walk reusing the K2 proposal/cost
+machinery (:mod:`repro.baselines.search`, imported when a walk runs)
+with the RNG seeded from the spec seed plus the canonical window
+content.  Determinism is what makes
 ``cached == fresh`` hold bit-for-bit.
 """
 
@@ -47,9 +49,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from ..isa import BpfProgram, Instruction
 from ..isa import instruction as ins
 from ..isa import opcodes as op
+from ..isa.semantics import alu, signed
 from ..tv.expr import prove_equal
 from ..tv.state import SymState, Unsupported, initial_byte, run_region
 from .bytecode_passes.analysis import BytecodeAnalysis
+from .bytecode_passes.matchers import (collapse_shift_pair, collapse_store_imm,
+                                       match_load_merge)
+from .bytecode_passes.superword import merged_immediate
 from .bytecode_passes.symbolic import SymbolicProgram
 from .pass_manager import BytecodePass
 
@@ -312,10 +318,8 @@ _FOLDABLE = (op.BPF_ADD, op.BPF_SUB, op.BPF_MUL, op.BPF_AND, op.BPF_OR,
 def _as_s32(value: int) -> Optional[int]:
     """The signed value whose 64-bit sign extension is *value*, if it
     fits in an s32 immediate."""
-    signed = value - (1 << 64) if value >> 63 else value
-    if -(1 << 31) <= signed < (1 << 31):
-        return signed
-    return None
+    value = signed(value, 64)
+    return value if -(1 << 31) <= value < (1 << 31) else None
 
 
 def narrow_ld_imm64(insn: Instruction) -> Optional[Instruction]:
@@ -323,10 +327,10 @@ def narrow_ld_imm64(insn: Instruction) -> Optional[Instruction]:
     s32: same value, half the encoding slots."""
     if not (insn.is_ld_imm64 and insn.src == 0):
         return None
-    signed = _as_s32(insn.imm & _U64)
-    if signed is None:
+    imm = _as_s32(insn.imm & _U64)
+    if imm is None:
         return None
-    return ins.mov64_imm(insn.dst, signed)
+    return ins.mov64_imm(insn.dst, imm)
 
 
 def fold_constant_pair(a: Instruction, b: Instruction) -> Optional[Instruction]:
@@ -337,34 +341,10 @@ def fold_constant_pair(a: Instruction, b: Instruction) -> Optional[Instruction]:
     if not (b.is_alu64 and b.uses_imm and b.dst == a.dst
             and b.alu_op in _FOLDABLE):
         return None
-    value = a.imm & _U64
-    operand = b.imm & _U64
-    alu = b.alu_op
-    if alu == op.BPF_ADD:
-        value = (value + operand) & _U64
-    elif alu == op.BPF_SUB:
-        value = (value - operand) & _U64
-    elif alu == op.BPF_MUL:
-        value = (value * operand) & _U64
-    elif alu == op.BPF_AND:
-        value &= operand
-    elif alu == op.BPF_OR:
-        value |= operand
-    elif alu == op.BPF_XOR:
-        value ^= operand
-    elif alu == op.BPF_LSH:
-        value = (value << (b.imm & 63)) & _U64
-    elif alu == op.BPF_RSH:
-        value >>= (b.imm & 63)
-    elif alu == op.BPF_ARSH:
-        signed = value - (1 << 64) if value >> 63 else value
-        value = (signed >> (b.imm & 63)) & _U64
-    else:  # BPF_MOV: the second constant simply wins
-        value = operand
-    signed = _as_s32(value)
-    if signed is None:
+    imm = _as_s32(alu(b.alu_op, a.imm & _U64, b.imm & _U64, 64))
+    if imm is None:
         return None
-    return ins.mov64_imm(a.dst, signed)
+    return ins.mov64_imm(a.dst, imm)
 
 
 def merge_store_imm(a: Instruction, b: Instruction) -> Optional[Instruction]:
@@ -378,24 +358,14 @@ def merge_store_imm(a: Instruction, b: Instruction) -> Optional[Instruction]:
         return None
     if a.off % (2 * size):
         return None
-    mask = (1 << (8 * size)) - 1
-    combined = (a.imm & mask) | ((b.imm & mask) << (8 * size))
-    width = 2 * size
-    if width == 8:
-        signed = _as_s32(combined)
-    else:
-        bits = 8 * width
-        signed = combined - (1 << bits) if combined >> (bits - 1) else combined
-    if signed is None:
+    imm = merged_immediate(a.imm, b.imm, size)
+    if imm is None:
         return None
-    return ins.store_imm(width, a.dst, a.off, signed)
+    return ins.store_imm(2 * size, a.dst, a.off, imm)
 
 
 def _enumerate_candidates(window: Tuple[Instruction, ...]):
     """The deterministic rewrite library, in a fixed order."""
-    from ..baselines.search import (collapse_shift_pair, collapse_store_imm,
-                                    match_load_merge)
-
     n = len(window)
     for i in range(n):  # single-instruction drops
         yield window[:i] + window[i + 1:]

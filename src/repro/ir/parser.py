@@ -17,7 +17,7 @@ as before/after IR snippets::
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import instructions as iri
 from .basicblock import BasicBlock, Function
@@ -78,6 +78,9 @@ class _FunctionParser:
         #: the use even though it *prints* later (branch folding leaves
         #: blocks in layout order); resolved in _fixup_forwards
         self.forward: Dict[str, Tuple[Value, int, str]] = {}
+        #: forward references first made as a gep's base, whose type the
+        #: text does not give: any pointer definition resolves them
+        self.any_pointer: Set[str] = set()
         self.current: Optional[BasicBlock] = None
         #: type text -> parsed type: a function spells few distinct
         #: types, many times over
@@ -241,9 +244,9 @@ class _FunctionParser:
             off_ty_text, off_tok = parts[1].rsplit(None, 1)
             offset = self._value(self._type(off_ty_text), off_tok, line_no,
                                  line)
-            base = self._pointer_operand(ptr_tok, line_no, line)
             if not isinstance(result_type, PointerType):
                 raise IRParseError(line_no, line, "gep result must be pointer")
+            base = self._pointer_operand(ptr_tok, result_type, line_no, line)
             return iri.Gep(base, offset, result_type)
         if head in iri.CAST_OPS:
             # zext i16 %2 to i64
@@ -304,13 +307,18 @@ class _FunctionParser:
         raise IRParseError(line_no, line, f"unknown instruction {head!r}")
 
     # ------------------------------------------------------------ helpers
-    def _pointer_operand(self, token: str, line_no: int,
+    def _pointer_operand(self, token: str, ty: PointerType, line_no: int,
                          line: str) -> Value:
+        """A gep's base.  Used before its definition, it is a placeholder
+        of type *ty* (the gep's own) that any pointer resolves."""
         token = token.strip()
         if token.startswith("%"):
             name = token[1:]
             if name in self.values:
                 return self.values[name]
+            if name not in self.forward:
+                self.any_pointer.add(name)
+            return self._value(ty, token, line_no, line)
         raise IRParseError(line_no, line, f"unknown pointer {token!r}")
 
     def _ty_two_operands(self, line_no: int, line: str, rest: str):
@@ -336,7 +344,13 @@ class _FunctionParser:
             if defined is None:
                 raise IRParseError(line_no, line,
                                    f"use of undefined value %{name}")
-            if defined.type != placeholder.type:
+            if name in self.any_pointer:
+                if not isinstance(defined.type, PointerType):
+                    raise IRParseError(
+                        line_no, line,
+                        f"%{name} used as a pointer but defined as "
+                        f"{defined.type}")
+            elif defined.type != placeholder.type:
                 raise IRParseError(
                     line_no, line,
                     f"%{name} used as {placeholder.type} but defined as "

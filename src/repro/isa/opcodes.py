@@ -128,21 +128,6 @@ JMP_OP_NAMES = {
 }
 JMP_OP_BY_NAME = {v: k for k, v in JMP_OP_NAMES.items()}
 
-#: comparison name -> python predicate over (dst, src) unsigned/signed views
-JMP_CONDITIONS = (
-    "jeq",
-    "jgt",
-    "jge",
-    "jset",
-    "jne",
-    "jsgt",
-    "jsge",
-    "jlt",
-    "jle",
-    "jslt",
-    "jsle",
-)
-
 # --- atomic op encodings (in the imm field of a BPF_ATOMIC instruction) ---
 BPF_ATOMIC_ADD = BPF_ADD
 BPF_ATOMIC_OR = BPF_OR
@@ -151,6 +136,11 @@ BPF_ATOMIC_XOR = BPF_XOR
 BPF_FETCH = 0x01
 BPF_XCHG = 0xE0 | BPF_FETCH
 BPF_CMPXCHG = 0xF0 | BPF_FETCH
+
+#: the atomic operations (``imm & ~BPF_FETCH``) that combine memory
+#: with src as the ALU operation of the same code does
+ATOMIC_ALU_OPS = (BPF_ATOMIC_ADD, BPF_ATOMIC_OR, BPF_ATOMIC_AND,
+                  BPF_ATOMIC_XOR)
 
 ATOMIC_OP_NAMES = {
     BPF_ATOMIC_ADD: "add",

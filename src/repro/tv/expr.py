@@ -12,13 +12,15 @@ register / memory byte.  Three layers of reasoning are stacked on top:
   samples from.
 * :func:`evaluate` + :func:`sample_envs` — concrete enumeration over
   narrowed value ranges when symbolic terms don't normalize.  The
-  evaluator mirrors :meth:`repro.vm.interpreter.Machine._alu` bit for
-  bit, so a differing sample is a genuine semantic difference.
+  evaluator computes each operation with :mod:`repro.isa.semantics`,
+  the arithmetic the VM executes, so a differing sample is a genuine
+  semantic difference.
 
 Semantics: every term denotes a u64.  An :class:`Op` carries the
 operation width (``bits`` = 32 or 64); operands are truncated to the
-width before the operation and the result is truncated after, exactly
-like the VM (ALU32 zero-extends into the 64-bit register).
+width before the operation and the result is zero-extended, exactly
+like the VM (ALU32 zero-extends into the 64-bit register).  A byte
+swap (``be``/``le``) carries its swap width (16, 32 or 64) instead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..isa import opcodes as op
+from ..isa.semantics import alu, bswap, condition, signed
 from ..verifier.tnum import Tnum
 
 _U64 = (1 << 64) - 1
@@ -72,7 +76,7 @@ def expr_size(expr: Expr) -> int:
 
 Expr = object  # Union[Const, Sym, Op] — kept loose for 3.9 compatibility
 
-#: binary ALU operations (VM ``_alu`` names)
+#: binary ALU operations (``opcodes.ALU_OP_NAMES`` names)
 _BINOPS = ("add", "sub", "mul", "div", "mod", "or", "and", "xor",
            "lsh", "rsh", "arsh")
 #: comparison operations (produce 0/1; used as path conditions)
@@ -84,12 +88,8 @@ def const(value: int) -> Const:
     return Const(value & _U64)
 
 
-def _signed(x: int, bits: int) -> int:
-    return x - (1 << bits) if x >> (bits - 1) else x
-
-
 # ---------------------------------------------------------------------------
-# concrete evaluation (mirrors the VM exactly)
+# concrete evaluation (the VM's arithmetic)
 # ---------------------------------------------------------------------------
 def evaluate(expr: Expr, env: Dict[Sym, int]) -> int:
     """Evaluate under *env* (symbol -> u64).  Missing symbols are 0."""
@@ -99,76 +99,20 @@ def evaluate(expr: Expr, env: Dict[Sym, int]) -> int:
         return env.get(expr, 0) & _U64
     assert isinstance(expr, Op)
     bits = expr.bits
-    mask = _U32 if bits == 32 else _U64
     name = expr.op
+    args = expr.args
     if name == "byte":
-        value, index = expr.args
+        value, index = args
         return (evaluate(value, env) >> (8 * index.value)) & 0xFF
-    if name in ("be", "le"):
-        width = bits  # 16 / 32 / 64 swap width
-        value = evaluate(expr.args[0], env) & ((1 << width) - 1)
-        data = value.to_bytes(width // 8, "little")
-        order = "big" if name == "be" else "little"
-        return int.from_bytes(data, order)
-    if name == "neg":
-        return (-(evaluate(expr.args[0], env) & mask)) & mask
-    a = evaluate(expr.args[0], env) & mask
-    if name in _CMPOPS:
-        b = evaluate(expr.args[1], env) & mask
-        return int(_compare(name, a, b, bits))
-    b = evaluate(expr.args[1], env) & mask
-    if name == "add":
-        result = a + b
-    elif name == "sub":
-        result = a - b
-    elif name == "mul":
-        result = a * b
-    elif name == "div":
-        result = a // b if b else 0
-    elif name == "mod":
-        result = a % b if b else a
-    elif name == "or":
-        result = a | b
-    elif name == "and":
-        result = a & b
-    elif name == "xor":
-        result = a ^ b
-    elif name == "lsh":
-        result = a << (b % bits)
-    elif name == "rsh":
-        result = a >> (b % bits)
-    elif name == "arsh":
-        result = _signed(a, bits) >> (b % bits)
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown op {name!r}")
-    return result & mask
-
-
-def _compare(name: str, a: int, b: int, bits: int) -> bool:
-    if name == "jeq":
-        return a == b
-    if name == "jne":
-        return a != b
-    if name == "jgt":
-        return a > b
-    if name == "jge":
-        return a >= b
-    if name == "jlt":
-        return a < b
-    if name == "jle":
-        return a <= b
-    if name == "jset":
-        return bool(a & b)
-    sa, sb = _signed(a, bits), _signed(b, bits)
-    if name == "jsgt":
-        return sa > sb
-    if name == "jsge":
-        return sa >= sb
-    if name == "jslt":
-        return sa < sb
-    if name == "jsle":
-        return sa <= sb
-    raise ValueError(f"unknown comparison {name!r}")
+    if name == "be" or name == "le":
+        return bswap(evaluate(args[0], env), bits, name == "be")
+    mask = _U32 if bits == 32 else _U64
+    a = evaluate(args[0], env) & mask
+    b = evaluate(args[1], env) & mask if len(args) > 1 else 0
+    aop = op.ALU_OP_BY_NAME.get(name)
+    if aop is not None:
+        return alu(aop, a, b, bits)
+    return int(condition(op.JMP_OP_BY_NAME[name], a, b, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +512,7 @@ def render(expr: Expr) -> str:
             if len(name) == 2 and name[0] == "r":
                 return f"r{name[1]}"
             if len(name) == 3 and name[0] == "m":
-                off = name[2]
-                signed = off - (1 << 64) if off >> 63 else off
-                return f"mem[{render(name[1])}{signed:+#x}]"
+                return f"mem[{render(name[1])}{signed(name[2], 64):+#x}]"
             return ":".join(str(part) if not isinstance(part, (Op, Sym, Const))
                             else render(part) for part in name)
         return str(name)

@@ -33,10 +33,6 @@ _U32 = (1 << 32) - 1
 #: programs worth validating.
 TERM_CAP = 1 << 14
 
-#: ALU opcode bits -> expression operator name
-ALU_NAME_BY_OP = {code: name for name, code in op.ALU_OP_BY_NAME.items()}
-
-
 class Unsupported(Exception):
     """An instruction outside the symbolic executor's fragment.
 
@@ -111,9 +107,10 @@ class SymState:
     def step(self, insn: Instruction) -> None:
         """Execute one straightline instruction symbolically.
 
-        Mirrors :meth:`repro.vm.interpreter.Machine._alu` /
-        ``_store`` exactly; raises :class:`Unsupported` for control
-        transfers, calls, atomics, and terms past :data:`TERM_CAP`.
+        Builds the terms whose evaluation is the VM's step (both read
+        :mod:`repro.isa.semantics`); raises :class:`Unsupported` for
+        control transfers, calls, atomics, and terms past
+        :data:`TERM_CAP`.
         """
         self._step(insn)
         if insn.is_alu and expr_size(self.regs[insn.dst]) > TERM_CAP:
@@ -157,14 +154,8 @@ class SymState:
         aop = insn.imm & ~op.BPF_FETCH
         if insn.imm == op.BPF_XCHG:
             new = operand
-        elif aop == op.BPF_ATOMIC_ADD:
-            new = mkop("add", 64, old, operand)
-        elif aop == op.BPF_ATOMIC_AND:
-            new = mkop("and", 64, old, operand)
-        elif aop == op.BPF_ATOMIC_OR:
-            new = mkop("or", 64, old, operand)
-        elif aop == op.BPF_ATOMIC_XOR:
-            new = mkop("xor", 64, old, operand)
+        elif aop in op.ATOMIC_ALU_OPS:
+            new = mkop(op.ALU_OP_NAMES[aop], 64, old, operand)
         else:
             raise Unsupported(f"unsupported atomic {insn.imm:#x}")
         self.store(base, off + insn.off, size, new)
@@ -185,14 +176,11 @@ class SymState:
         elif aop == op.BPF_NEG:
             result = mkop("neg", bits, dst)
         elif aop == op.BPF_END:
-            # swap width comes from the immediate; the operand is first
-            # truncated to the op width like any other ALU instruction
-            inner = dst if bits == 64 else _trunc32(dst)
-            kind = "be" if (insn.opcode & op.SRC_MASK) == op.BPF_X else "le"
-            swapped = mkop(kind, insn.imm, inner)
-            result = swapped if bits == 64 else _trunc32(swapped)
+            # in either class, END swaps the low imm bits of the 64-bit
+            # register and zero-extends the result
+            result = mkop("le" if insn.uses_imm else "be", insn.imm, dst)
         else:
-            name = ALU_NAME_BY_OP.get(aop)
+            name = op.ALU_OP_NAMES.get(aop)
             if name is None:
                 raise Unsupported(f"unknown ALU op {aop:#x}")
             result = mkop(name, bits, dst, operand)

@@ -17,6 +17,7 @@ from ..isa import BpfProgram, Instruction
 from ..isa import opcodes as op
 from ..isa.cfg import Cfg, expand_slots
 from ..isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_NAMES
+from ..isa.semantics import condition
 from .kernels import DEFAULT_KERNEL, KernelConfig
 from .state import (
     _CONST_MAP_PTR, _INVALID, _NOT_INIT, _PTR_TO_CTX, _PTR_TO_MAP_VALUE,
@@ -29,6 +30,9 @@ from .tnum import Tnum
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
 _CALLER_SAVED_MASK = sum(1 << reg for reg in op.CALLER_SAVED)
+#: the jumps decided when both operands are constants
+_DECIDED_ON_CONSTANTS = (op.BPF_JEQ, op.BPF_JNE, op.BPF_JGT, op.BPF_JGE,
+                         op.BPF_JLT, op.BPF_JLE, op.BPF_JSET)
 #: slots are immutable, so every initialized byte shares one of these
 _MISC_SLOT, _ZERO_SLOT = StackSlot(SlotKind.MISC), StackSlot(SlotKind.ZERO)
 _PACKET_FAMILY = (_PTR_TO_PACKET, _PTR_TO_PACKET_END)
@@ -910,19 +914,13 @@ class Verifier:
             return None
         jop = insn.jmp_op
         if dst.is_const and src.is_const:
-            a, b = dst.const_value, src.const_value
-            if is32:
-                a, b = a & _U32, b & _U32
-            table = {
-                op.BPF_JEQ: a == b,
-                op.BPF_JNE: a != b,
-                op.BPF_JGT: a > b,
-                op.BPF_JGE: a >= b,
-                op.BPF_JLT: a < b,
-                op.BPF_JLE: a <= b,
-                op.BPF_JSET: bool(a & b),
-            }
-            return table.get(jop)
+            # signed compares stay undecided: deciding them would
+            # change which paths are walked, and so NPI
+            if jop not in _DECIDED_ON_CONSTANTS:
+                return None
+            mask, bits = (_U32, 32) if is32 else (_U64, 64)
+            return condition(jop, dst.const_value & mask,
+                             src.const_value & mask, bits)
         if is32:
             return None
         if jop == op.BPF_JGT:

@@ -10,6 +10,7 @@ import random
 from typing import Callable, Dict, List, TYPE_CHECKING
 
 from ..isa.helpers import HELPER_IDS, HELPER_NAMES
+from ..isa.semantics import signed
 from .maps import BpfMap
 from .memory import MemoryFault
 
@@ -179,10 +180,9 @@ class HelperRuntime:
         ctx_addr, delta = args[0], args[1]
         from .memory import PACKET_BASE
 
-        delta_signed = delta - (1 << 64) if delta >> 63 else delta
         data = self.machine.memory.load(ctx_addr, 8)
         data_end = self.machine.memory.load(ctx_addr + 8, 8)
-        new_data = data + delta_signed
+        new_data = data + signed(delta, 64)
         if new_data < PACKET_BASE or new_data >= data_end:
             return -22  # would leave the headroom/packet region
         self.machine.memory.store(ctx_addr, 8, new_data)

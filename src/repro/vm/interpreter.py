@@ -17,6 +17,7 @@ from ..isa import BpfProgram, Instruction
 from ..isa import opcodes as op
 from ..isa.cfg import expand_slots
 from ..isa.helpers import HELPER_NAMES
+from ..isa.semantics import alu, bswap, condition
 from . import cost
 from .helpers import HelperRuntime, TaskContext
 from .maps import BpfMap, create_map
@@ -55,11 +56,7 @@ _LD, _LDX, _ST, _STX = op.BPF_LD, op.BPF_LDX, op.BPF_ST, op.BPF_STX
 _ALU32, _ALU64 = op.BPF_ALU, op.BPF_ALU64
 _JMP, _JMP32 = op.BPF_JMP, op.BPF_JMP32
 _JA, _CALL, _EXIT = op.BPF_JA, op.BPF_CALL, op.BPF_EXIT
-
-
-def _signed(value: int, bits: int) -> int:
-    """*value*, an unsigned *bits*-wide integer, read as two's complement."""
-    return value - (1 << bits) if value >> (bits - 1) else value
+_END = op.BPF_END
 
 
 class Machine:
@@ -187,14 +184,17 @@ class Machine:
         Every constant fact of an instruction (class, operation, access
         width, cost) is read from the per-opcode tables by its opcode
         byte; the tables and the models' entry points are bound once
-        per run."""
+        per run.  An ALU step or a conditional jump calls
+        :mod:`repro.isa.semantics` directly, once."""
         slots = self._slots
         counters = self.counters
         max_insns = self.max_insns
         access = self.cache.access
         load = self.memory.load
+        record = self.branch.record
         insn_class = op.INSN_CLASS
         op_code = op.OP_CODE
+        uses_imm = op.USES_IMM
         access_bytes = op.ACCESS_BYTES
         is_ld_imm64 = op.IS_LD_IMM64
         base_cost = cost.BASE_COST
@@ -216,7 +216,21 @@ class Machine:
 
             cls = insn_class[opcode]
             if cls == _ALU64 or cls == _ALU32:
-                self._alu(insn, regs, cls == _ALU32)
+                if cls == _ALU64:
+                    mask, bits = _U64, 64
+                else:
+                    mask, bits = _U32, 32
+                aop = op_code[opcode]
+                dst = insn.dst
+                # an immediate is sign-extended to the operation width
+                operand = (insn.imm if uses_imm[opcode]
+                           else regs[insn.src]) & mask
+                result = alu(aop, regs[dst] & mask, operand, bits)
+                if result is None:
+                    if aop != _END:
+                        raise VmFault(f"unknown ALU op {aop:#x}")
+                    result = bswap(regs[dst], insn.imm, not uses_imm[opcode])
+                regs[dst] = result  # ALU32 zero-extends into the register
                 pc += 1
             elif cls == _LDX:
                 addr = (regs[insn.src] + insn.off) & _U64
@@ -250,66 +264,20 @@ class Machine:
                     counters.branches += 1
                     pc += 1 + insn.off
                 else:
-                    taken = self._condition(insn, regs, cls == _JMP32)
+                    if cls == _JMP:
+                        mask, bits = _U64, 64
+                    else:
+                        mask, bits = _U32, 32
+                    rhs = insn.imm if uses_imm[opcode] else regs[insn.src]
+                    taken = condition(jop, regs[insn.dst] & mask, rhs & mask,
+                                      bits)
+                    if taken is None:
+                        raise VmFault(f"unknown jump op {jop:#x}")
                     counters.branches += 1
-                    counters.cycles += self.branch.record(pc, taken)
+                    counters.cycles += record(pc, taken)
                     pc += 1 + insn.off if taken else 1
             else:
                 raise VmFault(f"unknown opcode {opcode:#x}")
-
-    # ------------------------------------------------------------------- ALU
-    def _alu(self, insn: Instruction, regs: List[int], is32: bool) -> None:
-        opcode = insn.opcode
-        aop = op.OP_CODE[opcode]
-        dst = insn.dst
-        mask = _U32 if is32 else _U64
-        bits = 32 if is32 else 64
-        if op.USES_IMM[opcode]:
-            # immediates are sign-extended to the operation width
-            operand = insn.imm & mask
-        else:
-            operand = regs[insn.src] & mask
-        value = regs[dst] & mask
-
-        if aop == op.BPF_MOV:
-            result = operand
-        elif aop == op.BPF_ADD:
-            result = value + operand
-        elif aop == op.BPF_SUB:
-            result = value - operand
-        elif aop == op.BPF_MUL:
-            result = value * operand
-        elif aop == op.BPF_DIV:
-            result = value // operand if operand else 0
-        elif aop == op.BPF_MOD:
-            result = value % operand if operand else value
-        elif aop == op.BPF_OR:
-            result = value | operand
-        elif aop == op.BPF_AND:
-            result = value & operand
-        elif aop == op.BPF_XOR:
-            result = value ^ operand
-        elif aop == op.BPF_LSH:
-            result = value << (operand % bits)
-        elif aop == op.BPF_RSH:
-            result = (value & mask) >> (operand % bits)
-        elif aop == op.BPF_ARSH:
-            result = _signed(value, bits) >> (operand % bits)
-        elif aop == op.BPF_NEG:
-            result = -value
-        elif aop == op.BPF_END:
-            result = self._bswap(value, insn)
-        else:
-            raise VmFault(f"unknown ALU op {aop:#x}")
-        regs[dst] = result & mask  # ALU32 zero-extends into the 64-bit reg
-
-    @staticmethod
-    def _bswap(value: int, insn: Instruction) -> int:
-        width = insn.imm
-        data = (value & ((1 << width) - 1)).to_bytes(width // 8, "little")
-        if (insn.opcode & op.SRC_MASK) == op.BPF_X:  # to big-endian
-            return int.from_bytes(data, "big")
-        return int.from_bytes(data, "little")
 
     # ----------------------------------------------------------------- stores
     def _store(self, insn: Instruction, regs: List[int], pc: int) -> int:
@@ -323,16 +291,11 @@ class Machine:
                 old = self.memory.load(addr, size)
             except MemoryFault as exc:
                 raise VmFault(str(exc)) from None
-            operand = regs[insn.src] & ((1 << (size * 8)) - 1)
+            bits = size * 8
+            operand = regs[insn.src] & ((1 << bits) - 1)
             aop = insn.imm & ~op.BPF_FETCH
-            if aop == op.BPF_ATOMIC_ADD:
-                new = old + operand
-            elif aop == op.BPF_ATOMIC_AND:
-                new = old & operand
-            elif aop == op.BPF_ATOMIC_OR:
-                new = old | operand
-            elif aop == op.BPF_ATOMIC_XOR:
-                new = old ^ operand
+            if aop in op.ATOMIC_ALU_OPS:
+                new = alu(aop, old, operand, bits)
             elif insn.imm == op.BPF_XCHG:
                 new = operand
             else:
@@ -348,39 +311,3 @@ class Machine:
         except MemoryFault as exc:
             raise VmFault(str(exc)) from None
         return pc + 1
-
-    # ------------------------------------------------------------ conditions
-    @staticmethod
-    def _condition(insn: Instruction, regs: List[int], is32: bool) -> bool:
-        opcode = insn.opcode
-        mask = _U32 if is32 else _U64
-        lhs = regs[insn.dst] & mask
-        if op.USES_IMM[opcode]:
-            rhs = insn.imm & mask
-        else:
-            rhs = regs[insn.src] & mask
-        jop = op.OP_CODE[opcode]
-        if jop == op.BPF_JEQ:
-            return lhs == rhs
-        if jop == op.BPF_JNE:
-            return lhs != rhs
-        if jop == op.BPF_JGT:
-            return lhs > rhs
-        if jop == op.BPF_JGE:
-            return lhs >= rhs
-        if jop == op.BPF_JLT:
-            return lhs < rhs
-        if jop == op.BPF_JLE:
-            return lhs <= rhs
-        if jop == op.BPF_JSET:
-            return bool(lhs & rhs)
-        bits = 32 if is32 else 64
-        if jop == op.BPF_JSGT:
-            return _signed(lhs, bits) > _signed(rhs, bits)
-        if jop == op.BPF_JSGE:
-            return _signed(lhs, bits) >= _signed(rhs, bits)
-        if jop == op.BPF_JSLT:
-            return _signed(lhs, bits) < _signed(rhs, bits)
-        if jop == op.BPF_JSLE:
-            return _signed(lhs, bits) <= _signed(rhs, bits)
-        raise VmFault(f"unknown jump op {jop:#x}")

@@ -13,10 +13,17 @@ import inspect
 
 import pytest
 
+from repro.core.superopt import _FOLDABLE, fold_constant_pair
 from repro.isa import BpfProgram, Instruction, ProgramType, assemble
+from repro.isa import instruction as ins
 from repro.isa import opcodes as op
+from repro.tv.expr import evaluate
+from repro.tv.progcheck import _condition_expr
+from repro.tv.state import SymState, initial_reg, run_region
 from repro.vm import Machine, Memory, MemoryFault, VmFault
 from repro.vm.memory import PACKET_BASE
+
+U64 = (1 << 64) - 1
 
 BUDGET_FAULT = ("fault",
                 "VmFault: instruction budget exhausted (infinite loop?)")
@@ -53,30 +60,48 @@ def observe_asm(asm: str, ctx: bytes = b"", packet=None, maps=None,
     return observe(program, ctx, packet, max_insns)
 
 
+#: program -> the r0 it returns
+ALU_CASES = {
+    "r0 = -1\nr0 += 2\nexit": 1,
+    "r0 = 7\nr0 *= -6\nexit": -42 & U64,
+    "r0 = -1\nr1 = 2\nr0 /= r1\nexit": U64 // 2,
+    "r0 = 10\nr1 = 0\nr0 /= r1\nexit": 0,
+    "r0 = 10\nr1 = 0\nr0 %= r1\nexit": 10,
+    "r0 = 10\nr1 = 3\nr0 %= r1\nexit": 1,
+    "r0 = 1\nr1 = 65\nr0 <<= r1\nexit": 2,
+    "r0 = -8\nr0 s>>= 1\nexit": -4 & U64,
+    "r0 = -8\nr1 = 70\nr0 s>>= r1\nexit": U64,
+    "r0 = 5\nr0 = -r0\nexit": -5 & U64,
+    "r0 = 0x1234\nr0 = be16 r0\nexit": 0x3412,
+    "r0 = 0x11223344\nr0 = be32 r0\nexit": 0x44332211,
+    # END swaps the low imm bits of the 64-bit register, as the
+    # kernel's htobe64/htole64 do
+    "r0 = 0x1122334455667788 ll\nr0 = be64 r0\nexit": 0x8877665544332211,
+    "r0 = 0x1122334455667788 ll\nr0 = le64 r0\nexit": 0x1122334455667788,
+    "r0 = 0x1234\nr0 = le16 r0\nexit": 0x1234,
+    "w0 = -1\nw0 += 2\nexit": 1,
+    "w0 = 1\nw1 = 33\nw0 <<= w1\nexit": 2,
+    "w0 = -8\nw0 s>>= 1\nexit": 0xFFFFFFFC,
+    "r0 = 0x1fffffffff ll\nw0 = w0\nexit": 0xFFFFFFFF,
+}
+
+#: program -> the r0 it returns
+JUMP_CASES = {
+    "r0 = 0\nr1 = 4\nif r1 > 3 goto yes\nexit\nyes:\nr0 = 1\nexit": 1,
+    "r0 = 0\nr1 = -1\nif r1 s< 0 goto neg\nexit\nneg:\nr0 = 1\nexit": 1,
+    "r0 = 0\nr1 = 2\nif r1 & 0b0010 goto yes\nexit\nyes:\nr0 = 1\nexit": 1,
+    "r0 = 0\nw1 = 1\nif w1 == 1 goto yes\nexit\nyes:\nr0 = 1\nexit": 1,
+    # loop: backward branch taken repeatedly
+    ("r0 = 0\nr1 = 10\nloop:\nr0 += r1\nr1 -= 1\n"
+     "if r1 > 0 goto loop\nexit"): 55,
+}
+
+
 class TestCrossEngineAlu:
-    @pytest.mark.parametrize("asm", [
-        "r0 = -1\nr0 += 2\nexit",
-        "r0 = 7\nr0 *= -6\nexit",
-        "r0 = -1\nr1 = 2\nr0 /= r1\nexit",
-        "r0 = 10\nr1 = 0\nr0 /= r1\nexit",
-        "r0 = 10\nr1 = 0\nr0 %= r1\nexit",
-        "r0 = 10\nr1 = 3\nr0 %= r1\nexit",
-        "r0 = 1\nr1 = 65\nr0 <<= r1\nexit",
-        "r0 = -8\nr0 s>>= 1\nexit",
-        "r0 = -8\nr1 = 70\nr0 s>>= r1\nexit",
-        "r0 = 5\nr0 = -r0\nexit",
-        "r0 = 0x1234\nr0 = be16 r0\nexit",
-        "r0 = 0x11223344\nr0 = be32 r0\nexit",
-        "r0 = 0x1122334455667788 ll\nr0 = be64 r0\nexit",
-        "r0 = 0x1234\nr0 = le16 r0\nexit",
-        "w0 = -1\nw0 += 2\nexit",
-        "w0 = 1\nw1 = 33\nw0 <<= w1\nexit",
-        "w0 = -8\nw0 s>>= 1\nexit",
-        "r0 = 0x1fffffffff ll\nw0 = w0\nexit",
-    ])
+    @pytest.mark.parametrize("asm", list(ALU_CASES))
     def test_alu_identical(self, asm):
         outcome, _, _ = observe_asm(asm)
-        assert outcome[0] == "ok"
+        assert outcome == ("ok", ALU_CASES[asm])
 
     def test_unknown_alu_op_faults(self):
         # 0xe0 and 0xf0 are not defined ALU ops
@@ -93,18 +118,10 @@ class TestCrossEngineAlu:
 
 
 class TestCrossEngineJumps:
-    @pytest.mark.parametrize("asm", [
-        "r0 = 0\nr1 = 4\nif r1 > 3 goto yes\nexit\nyes:\nr0 = 1\nexit",
-        "r0 = 0\nr1 = -1\nif r1 s< 0 goto neg\nexit\nneg:\nr0 = 1\nexit",
-        "r0 = 0\nr1 = 2\nif r1 & 0b0010 goto yes\nexit\nyes:\nr0 = 1\nexit",
-        "r0 = 0\nw1 = 1\nif w1 == 1 goto yes\nexit\nyes:\nr0 = 1\nexit",
-        # loop: backward branch taken repeatedly
-        ("r0 = 0\nr1 = 10\nloop:\nr0 += r1\nr1 -= 1\n"
-         "if r1 > 0 goto loop\nexit"),
-    ])
+    @pytest.mark.parametrize("asm", list(JUMP_CASES))
     def test_jumps_identical(self, asm):
         outcome, _, _ = observe_asm(asm)
-        assert outcome[0] == "ok"
+        assert outcome == ("ok", JUMP_CASES[asm])
 
     def test_oob_jump_faults_identically(self):
         outcome, _, _ = observe_asm("r0 = 0\ngoto +5\nexit")
@@ -130,6 +147,100 @@ class TestCrossEngineJumps:
                  Instruction(op.BPF_JMP | op.BPF_EXIT)]
         outcome, _, _ = observe(BpfProgram("t", insns))
         assert outcome == ("fault", "VmFault: unknown jump op 0xe0")
+
+
+#: operands at the edges of every width, shift amount and sign
+EDGE_OPERANDS = (0, 1, 31, 32, 33, 63, 64, 65, 1 << 31, (1 << 32) - 1,
+                 1 << 63, U64)
+
+#: every ALU operation but END, and every jump condition
+_ALU_OPS = [name for name in op.ALU_OP_BY_NAME if name != "end"]
+_CONDITIONS = [name for name in op.JMP_OP_BY_NAME
+               if name not in ("ja", "call", "exit")]
+
+
+def _run_on(insn: Instruction, a: int, b: int) -> int:
+    """r0 after ``r0 = a; r1 = b; insn``; a jump (offset 1) leaves 1
+    in r0 if taken, 0 if not."""
+    body = [insn]
+    if insn.is_jump:
+        body = [ins.mov64_imm(2, 1), insn, ins.mov64_imm(2, 0),
+                ins.mov64_reg(0, 2)]
+    insns = [ins.ld_imm64(0, a), ins.ld_imm64(1, b), *body, ins.exit_()]
+    outcome, _, _ = observe(BpfProgram("t", insns))
+    assert outcome[0] == "ok", (insn, a, b, outcome)
+    return outcome[1]
+
+
+def _env(a: int, b: int) -> dict:
+    """TV's environment for r0 = *a*, r1 = *b*."""
+    return {initial_reg(0): a, initial_reg(1): b}
+
+
+def _imm_operand(value: int, bits: int):
+    """The s32 immediate that reads as *value* at *bits* width, if any."""
+    imm = value & ((1 << bits) - 1)
+    imm = imm - (1 << bits) if imm >> (bits - 1) else imm
+    return imm if -(1 << 31) <= imm < (1 << 31) else None
+
+
+@pytest.mark.tv
+def test_vm_tv_and_superopt_agree_on_every_operation():
+    """Every ALU operation and jump condition at both widths, and every
+    byte swap, run as one instruction over edge operands: the VM's r0
+    equals TV's evaluation of the instruction's term, and for a 64-bit
+    operation with two s32 constants, what ``fold_constant_pair``
+    folds.  This covers the glue each caller keeps around the shared
+    arithmetic: operand masking, immediate sign extension and the maps
+    from operation names to codes."""
+    assert len(_ALU_OPS) == 13 and len(_CONDITIONS) == 11
+    checked = 0
+    for bits, make_alu, make_jump in ((64, ins.alu64, ins.jump),
+                                      (32, ins.alu32, ins.jump32)):
+        for a in EDGE_OPERANDS:
+            for b in EDGE_OPERANDS:
+                imm = _imm_operand(b, bits)
+                forms = [{"src": 1}] + ([{"imm": imm}] if imm is not None
+                                        else [])
+                for form in forms:
+                    for name in _ALU_OPS:
+                        insn = make_alu(name, 0, **form)
+                        got = _run_on(insn, a, b)
+                        term = run_region([insn]).regs[0]
+                        assert evaluate(term, _env(a, b)) == got, \
+                            (insn, a, b)
+                        checked += 1
+                    for name in _CONDITIONS:
+                        insn = make_jump(name, 0, off=1, **form)
+                        got = _run_on(insn, a, b)
+                        term = _condition_expr(SymState(), insn)
+                        assert evaluate(term, _env(a, b)) == got, \
+                            (insn, a, b)
+                        checked += 1
+    for value in EDGE_OPERANDS + (0x1122334455667788,):
+        for width in (16, 32, 64):
+            for opcode in (op.BPF_ALU | op.BPF_END | op.BPF_K,
+                           op.BPF_ALU | op.BPF_END | op.BPF_X):
+                insn = Instruction(opcode, dst=0, imm=width)
+                got = _run_on(insn, value, 0)
+                term = run_region([insn]).regs[0]
+                assert evaluate(term, _env(value, 0)) == got, (insn, value)
+                checked += 1
+    for a in EDGE_OPERANDS:
+        first = _imm_operand(a, 64)
+        for b in EDGE_OPERANDS:
+            second = _imm_operand(b, 64)
+            if first is None or second is None:
+                continue
+            for aop in _FOLDABLE:
+                insn = ins.alu64(op.ALU_OP_NAMES[aop], 0, imm=second)
+                got = _run_on(insn, a, b)
+                folded = fold_constant_pair(ins.mov64_imm(0, first), insn)
+                want = _imm_operand(got, 64)
+                assert folded == (None if want is None
+                                  else ins.mov64_imm(0, want)), (insn, a)
+                checked += 1
+    assert checked > 10_000
 
 
 class TestCrossEngineMemory:

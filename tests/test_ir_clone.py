@@ -24,6 +24,7 @@ from repro.frontend import compile_source
 from repro.ir import BasicBlock, Value, clone_function, parse_function, \
     print_function
 
+from tests.test_ir_parser import forward_gep_function
 from tests.test_output_digest import _cases
 
 
@@ -207,6 +208,14 @@ def test_use_before_textual_definition():
     func = _shuffled(USE_BEFORE_DEF)
     assert_clone_is_round_trip(func)
     assert _users(_value(clone_function(func), "d")) == ["x", "u", "w"]
+
+
+def test_gep_base_defined_in_a_later_block():
+    """A forward reference through a gep's base, which the text gives
+    without its type, orders its users like any other."""
+    func = forward_gep_function()
+    assert_clone_is_round_trip(func)
+    assert _users(clone_function(func).blocks[2].instructions[0]) == ["2"]
 
 
 def test_phi_incoming_defined_in_a_later_block():

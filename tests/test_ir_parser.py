@@ -4,6 +4,7 @@ import pytest
 
 from repro import ir
 from repro.ir import (
+    IRBuilder,
     IRParseError,
     parse_function,
     parse_type,
@@ -22,6 +23,25 @@ entry:
   ret i64 %3
 }
 """
+
+
+def forward_gep_function() -> ir.Function:
+    """entry -> def -> use, with the blocks listed entry, use, def: the
+    ``gep`` in ``use`` takes as its base a pointer that ``def``, printed
+    after it, defines."""
+    func = ir.Function("f", ir.I64, [ir.pointer(ir.I8)], ["ctx"])
+    entry, use, define = (func.add_block(name)
+                          for name in ("entry", "use", "def"))
+    builder = IRBuilder(entry)
+    builder.br(define)
+    builder.position_at_end(define)
+    base = builder.gep_const(func.args[0], 4, ir.I32)
+    builder.br(use)
+    builder.position_at_end(use)
+    field = builder.gep_const(base, 2, ir.I16)
+    builder.ret(builder.zext(builder.load(field), ir.I64))
+    validate_function(func)
+    return func
 
 
 class TestParseType:
@@ -145,6 +165,34 @@ later:
         # and the function round-trips
         assert print_function(parse_function(print_function(func))) == \
             print_function(func)
+
+    def test_forward_gep_base(self):
+        """The text names a gep's result type, not its base's, so a base
+        defined in a block printed later resolves to the pointer its
+        definition has."""
+        text = print_function(forward_gep_function())
+        assert "gep i16* %1, i64 2" in text
+        func = parse_function(text)
+        validate_function(func)
+        gep = func.blocks[1].instructions[0]
+        assert gep.ptr is func.blocks[2].instructions[0]
+        assert gep.ptr.type == ir.pointer(ir.I32)
+        assert print_function(func) == text
+
+    def test_forward_gep_base_must_be_a_pointer(self):
+        with pytest.raises(IRParseError, match="used as a pointer"):
+            parse_function("""
+define i64 @bad() {
+entry:
+  br label %later
+use:
+  %2 = gep i8* %1, i64 1
+  ret i64 0
+later:
+  %1 = add i64 40, 1
+  br label %use
+}
+""")
 
     def test_undefined_forward_reference_rejected(self):
         with pytest.raises(IRParseError, match="undefined value %nope"):

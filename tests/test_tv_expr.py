@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa import assemble
 from repro.tv.expr import (
     Const,
     Op,
@@ -17,6 +18,7 @@ from repro.tv.expr import (
     symbols_of,
     tnum_decide,
 )
+from repro.tv.state import run_region
 
 pytestmark = pytest.mark.tv
 
@@ -51,6 +53,15 @@ class TestEvaluate:
 
     def test_env_lookup(self):
         assert evaluate(mkop("xor", 64, X, Y), {X: 0xFF, Y: 0x0F}) == 0xF0
+
+    def test_bswap64_keeps_the_high_half(self):
+        """The term ``run_region`` builds for ``be64``/``le64`` reads
+        what the VM returns (``tests/test_vm.py``)."""
+        env = {Sym(("r", 0)): 0x1122334455667788}
+        for asm, want in (("r0 = be64 r0", 0x8877665544332211),
+                          ("r0 = le64 r0", 0x1122334455667788)):
+            term = run_region(assemble(asm)).regs[0]
+            assert evaluate(term, env) == want
 
 
 class TestNormalize:

@@ -84,6 +84,13 @@ class TestAlu32:
     def test_bswap16(self):
         assert run("r0 = 0x1234\nr0 = be16 r0\nexit") == 0x3412
 
+    def test_bswap64_keeps_the_high_half(self):
+        # END sits in the 32-bit class but swaps the low imm bits of the
+        # 64-bit register, as the kernel's htobe64/htole64 do
+        value = "r0 = 0x1122334455667788 ll\n"
+        assert run(value + "r0 = be64 r0\nexit") == 0x8877665544332211
+        assert run(value + "r0 = le64 r0\nexit") == 0x1122334455667788
+
 
 class TestJumps:
     def test_taken_and_not_taken(self):
