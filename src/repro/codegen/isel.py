@@ -20,7 +20,7 @@ material of the paper's optimizations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import ir
 from ..ir import instructions as iri
@@ -223,17 +223,51 @@ class InstructionSelector:
 
     def _is_dirty(self, value: ir.Value) -> bool:
         """True when the 64-bit register holding *value* may carry garbage
-        above the value's width."""
-        if not self._is_narrow(value):
-            return False
-        if value in self._dirty_cache:
-            return self._dirty_cache[value]
-        self._dirty_cache[value] = True  # breaks phi cycles pessimistically
-        result = self._compute_dirty(value)
-        self._dirty_cache[value] = result
+        above the value's width.
+
+        Depth first over the operands that decide it, short-circuiting
+        as ``and``/``or`` do, on an explicit stack: a chain of thousands
+        of phis is far past Python's recursion limit.  A value still
+        being computed reads as dirty, which breaks phi cycles
+        pessimistically; every answer is cached, that one included.
+        """
+        stack: List[Tuple[ir.Value, Iterator[ir.Value], bool]] = []
+        result = self._start_dirty(value, stack)
+        while stack:
+            node, operands, stop = stack[-1]
+            if result is not stop:
+                operand = next(operands, None)
+                if operand is not None:
+                    result = self._start_dirty(operand, stack)
+                    continue
+                result = not stop
+            stack.pop()
+            self._dirty_cache[node] = result
         return result
 
-    def _compute_dirty(self, value: ir.Value) -> bool:
+    def _start_dirty(self, value: ir.Value, stack: list) -> Optional[bool]:
+        """*value*'s answer when no operand decides it; otherwise None,
+        after pushing (value, the operands that decide it, the operand
+        answer that decides it at once)."""
+        if not self._is_narrow(value):
+            return False
+        cache = self._dirty_cache
+        known = cache.get(value)
+        if known is not None:
+            return known
+        cache[value] = True  # breaks phi cycles pessimistically
+        rule = self._dirty_rule(value)
+        if rule is True or rule is False:
+            cache[value] = rule
+            return rule
+        operands, stop = rule
+        stack.append((value, iter(operands), stop))
+        return None
+
+    @staticmethod
+    def _dirty_rule(value: ir.Value):
+        """*value*'s answer, or (operands, stop): dirty when one operand
+        is (stop True) or when every operand is (stop False)."""
         if isinstance(value, (ir.Constant, ir.Argument)):
             return False
         if isinstance(value, iri.Load):
@@ -247,24 +281,22 @@ class InstructionSelector:
                 return False
             if value.opcode == "trunc":
                 return True
-            return self._is_dirty(value.value)
+            return [value.value], True
         if isinstance(value, iri.BinaryOp):
             if value.opcode == "and":
                 # AND with a zero-extended operand clears the upper bits
-                return self._is_dirty(value.lhs) and self._is_dirty(value.rhs)
+                return [value.lhs, value.rhs], False
             if value.opcode in ("or", "xor"):
-                return self._is_dirty(value.lhs) or self._is_dirty(value.rhs)
+                return [value.lhs, value.rhs], True
             if value.opcode in ("lshr", "udiv", "urem"):
                 # our lowering cleans the operands first, so these always
                 # produce zero-extended results
                 return False
             return True  # add/sub/mul/shl results may overflow the width
         if isinstance(value, iri.Select):
-            return self._is_dirty(value.operands[1]) or self._is_dirty(
-                value.operands[2]
-            )
+            return value.operands[1:3], True
         if isinstance(value, iri.Phi):
-            return any(self._is_dirty(v) for v, _ in value.incoming())
+            return [v for v, _ in value.incoming()], True
         return True
 
     def _emit_zero_extend(self, reg: int, bits: int) -> None:

@@ -70,6 +70,15 @@ ACTION_CONSTS = {
 }
 
 
+#: mini-C comparison and arithmetic operators -> IR predicate and op
+#: (``x op= y`` is ``x = x op y``)
+_COMPARISONS = {"==": "eq", "!=": "ne", "<": "ult", ">": "ugt",
+                "<=": "ule", ">=": "uge"}
+_ARITHMETIC = {"+": "add", "-": "sub", "*": "mul", "/": "udiv",
+               "%": "urem", "&": "and", "|": "or", "^": "xor",
+               "<<": "shl", ">>": "lshr"}
+
+
 class CompileError(Exception):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -87,8 +96,78 @@ def _lower_type(tname: ast.TypeName) -> ir.Type:
     return base
 
 
+class _Merge:
+    """A sealed block with several predecessors whose value of one
+    variable a read is still resolving.
+
+    Braun's construction places a phi here at once and erases it when
+    its operands turn out all the same.  The read instead takes the
+    phi's name when Braun's would (so every later name is unchanged),
+    collects the operands first and builds the phi only when they
+    differ, or as soon as a loop leads back here before they are all
+    known.  Each operand's ``mark`` is the length of its use list when
+    Braun's phi would have joined it, so a phi built later still sits in
+    every use list where Braun's did.
+    """
+
+    __slots__ = ("block", "name", "preds", "chain", "values", "marks", "phi")
+
+    def __init__(self, block: ir.BasicBlock, name: str,
+                 preds: List[ir.BasicBlock], chain: List[ir.BasicBlock]):
+        self.block = block
+        self.name = name
+        self.preds = preds
+        #: single-predecessor blocks the walk passed to get here: they
+        #: take the merge's value once it is known
+        self.chain = chain
+        self.values: List[ir.Value] = []
+        self.marks: List[int] = []
+        self.phi: Optional[iri.Phi] = None
+
+    def add(self, value: ir.Value) -> Optional[ir.BasicBlock]:
+        """The value of the next predecessor; returns the predecessor
+        after it, or None once every one is known."""
+        phi = self.phi
+        if phi is None:
+            values = self.values
+            values.append(value)
+            self.marks.append(len(value.uses))
+            resolved = len(values)
+        else:
+            phi.add_incoming(value, self.preds[len(phi.operands)])
+            resolved = len(phi.operands)
+        preds = self.preds
+        return preds[resolved] if resolved < len(preds) else None
+
+    def build_phi(self, ty: ir.Type) -> iri.Phi:
+        """Put the phi where Braun's construction placed it, with the
+        operands collected so far."""
+        phi = iri.Phi(ty, self.name)
+        block = self.block
+        block.insert(len(block.phis()), phi)
+        inserted: Dict[int, int] = {}
+        for value, mark, pred in zip(self.values, self.marks, self.preds):
+            if value.type != ty:
+                raise TypeError("phi incoming type mismatch")
+            earlier = inserted.get(id(value), 0)
+            value.uses.insert(mark + earlier, phi)
+            inserted[id(value)] = earlier + 1
+            phi.operands.append(value)
+            phi.incoming_blocks.append(pred)
+        self.phi = phi
+        return phi
+
+
 class _SSA:
-    """Braun-style on-the-fly SSA construction for scalar variables."""
+    """Braun-style on-the-fly SSA construction for scalar variables.
+
+    A read at a sealed block with several predecessors resolves them
+    before it builds a phi there (:class:`_Merge`), so a merge whose
+    predecessors all give one value gets no phi at all.  Names, phi
+    order and use lists come out as Braun's place-then-erase gives them.
+    Reads and trivial-phi removal keep explicit stacks: a chain of
+    thousands of ``if``s is far past Python's recursion limit.
+    """
 
     def __init__(self, func: ir.Function):
         self.func = func
@@ -101,6 +180,8 @@ class _SSA:
         #: phi retargets its defs without scanning all of ``defs``; an
         #: entry may be stale (overwritten since), which ``defs`` tells
         self.phi_sites: Dict[iri.Phi, List[Tuple[str, ir.BasicBlock]]] = {}
+        #: blocks the reads have visited, each read's own block included
+        self.steps = 0
 
     def add_edge(self, pred: ir.BasicBlock, succ: ir.BasicBlock) -> None:
         self.preds.setdefault(succ, []).append(pred)
@@ -111,43 +192,95 @@ class _SSA:
         if isinstance(value, iri.Phi):
             self.phi_sites.setdefault(value, []).append(key)
 
-    def read(self, var: str, block: ir.BasicBlock, line: int) -> ir.Value:
-        """Braun-style variable read.
+    def _write_all(self, var: str, blocks: List[ir.BasicBlock],
+                   value: ir.Value) -> None:
+        """:meth:`write` *value* to *var* in each of *blocks*."""
+        defs = self.defs
+        for block in blocks:
+            defs[(var, block)] = value
+        if isinstance(value, iri.Phi):
+            self.phi_sites.setdefault(value, []).extend(
+                (var, block) for block in blocks)
 
-        The walk up single-predecessor chains is iterative — long
-        straight-line functions produce thousands of sequential blocks,
-        far past Python's recursion limit.
-        """
+    def read(self, var: str, block: ir.BasicBlock, line: int) -> ir.Value:
+        """Braun-style variable read, with the merges it meets resolved
+        depth first on an explicit stack."""
+        defs = self.defs
+        value = defs.get((var, block))
+        if value is not None:
+            self.steps += 1
+            return value
         ty = self.types.get(var)
-        if ty is None and (var, block) not in self.defs:
+        if ty is None:
             raise CompileError(line, f"use of undeclared variable {var!r}")
+        sealed = self.sealed
+        preds_of = self.preds
+        merges: List[_Merge] = []
         chain: List[ir.BasicBlock] = []
         current = block
+        steps = 0
         while True:
-            if (var, current) in self.defs:
-                value = self.defs[(var, current)]
-                break
-            if current not in self.sealed:
-                phi = self._place_phi(current, ty)
-                self.incomplete.setdefault(current, {})[var] = phi
-                value = phi
-                self.write(var, current, value)
-                break
-            preds = self.preds.get(current, [])
-            if len(preds) == 1:
-                chain.append(current)
+            # walk up to the value at the end of ``current``
+            while True:
+                steps += 1
+                value = defs.get((var, current))
+                if value is not None:
+                    if value.__class__ is _Merge:
+                        # a loop led back to a merge still resolving:
+                        # its phi is needed as a placeholder now
+                        merge = value
+                        value = merge.build_phi(ty)
+                        self.write(var, merge.block, value)
+                    break
+                if current not in sealed:
+                    value = self._place_phi(current, ty)
+                    self.incomplete.setdefault(current, {})[var] = value
+                    self.write(var, current, value)
+                    break
+                preds = preds_of.get(current, ())
+                if len(preds) == 1:
+                    chain.append(current)
+                    current = preds[0]
+                    continue
+                if not preds:
+                    raise CompileError(
+                        line, f"variable {var!r} may be used uninitialized"
+                    )
+                merge = _Merge(current, self.func.next_name(), preds, chain)
+                defs[(var, current)] = merge
+                merges.append(merge)
+                chain = []
                 current = preds[0]
-                continue
-            if not preds:
-                raise CompileError(
-                    line, f"variable {var!r} may be used uninitialized"
-                )
-            phi = self._place_phi(current, ty)
-            self.write(var, current, phi)
-            value = self._add_phi_operands(var, phi, current, line)
-            break
-        for visited in chain:
-            self.write(var, visited, value)
+            if chain:
+                self._write_all(var, chain, value)
+            # hand the value to the innermost merge; finish every merge
+            # whose predecessors are all resolved
+            while merges:
+                merge = merges[-1]
+                current = merge.add(value)
+                if current is not None:
+                    chain = []
+                    break
+                merges.pop()
+                value = self._finish(var, merge, ty)
+                if merge.chain:
+                    self._write_all(var, merge.chain, value)
+            else:
+                self.steps += steps
+                return value
+
+    def _finish(self, var: str, merge: _Merge, ty: ir.Type) -> ir.Value:
+        """The merge's value once every predecessor's is known."""
+        if merge.phi is not None:
+            return self._try_remove_trivial(merge.phi)
+        first = merge.values[0]
+        for value in merge.values:
+            if value is not first:
+                value = merge.build_phi(ty)
+                break
+        else:
+            value = first  # Braun's phi here is trivial and erased
+        self.write(var, merge.block, value)
         return value
 
     def _place_phi(self, block: ir.BasicBlock, ty: ir.Type) -> iri.Phi:
@@ -161,16 +294,40 @@ class _SSA:
             phi.add_incoming(self.read(var, pred, line), pred)
         return self._try_remove_trivial(phi)
 
-    def _try_remove_trivial(self, phi: iri.Phi) -> ir.Value:
+    @staticmethod
+    def _trivial_value(phi: iri.Phi) -> Optional[ir.Value]:
+        """The one value *phi* merges besides itself, or None when it
+        merges two or more (or none)."""
         same: Optional[ir.Value] = None
-        for value, _ in phi.incoming():
+        for value in phi.operands:
             if value is phi or value is same:
                 continue
             if same is not None:
-                return phi  # merges at least two distinct values
+                return None
             same = value
+        return same
+
+    def _try_remove_trivial(self, phi: iri.Phi) -> ir.Value:
+        """Erase *phi* if it is trivial, then each phi that uses it and
+        so became trivial, depth first in use order."""
+        same = self._trivial_value(phi)
         if same is None:
             return phi
+        pending = [iter(self._remove_phi(phi, same))]
+        while pending:
+            for user in pending[-1]:
+                if isinstance(user, iri.Phi):
+                    user_same = self._trivial_value(user)
+                    if user_same is not None:
+                        pending.append(iter(self._remove_phi(user, user_same)))
+                        break
+            else:
+                pending.pop()
+        return same
+
+    def _remove_phi(self, phi: iri.Phi,
+                    same: ir.Value) -> List[iri.IRInstruction]:
+        """Replace *phi* by *same* everywhere; returns its former users."""
         users = [u for u in phi.uses if u is not phi]
         phi.replace_all_uses_with(same)
         # fix stale defs pointing at the removed phi
@@ -178,10 +335,7 @@ class _SSA:
             if self.defs[(var, block)] is phi:
                 self.write(var, block, same)
         phi.erase()
-        for user in users:
-            if isinstance(user, iri.Phi):
-                self._try_remove_trivial(user)
-        return same
+        return users
 
     def seal(self, block: ir.BasicBlock) -> None:
         for var, phi in self.incomplete.pop(block, {}).items():
@@ -599,9 +753,7 @@ class FunctionCompiler:
             return self._short_circuit(expr)
         lhs = self._expr(expr.lhs)
         rhs = self._expr(expr.rhs)
-        cmp_ops = {"==": "eq", "!=": "ne", "<": "ult", ">": "ugt",
-                   "<=": "ule", ">=": "uge"}
-        if expr.op in cmp_ops:
+        if expr.op in _COMPARISONS:
             lhs, rhs = self._promote_pair(lhs, rhs)
             if isinstance(lhs.type, ir.PointerType):
                 lhs = self.builder.ptrtoint(lhs)
@@ -610,17 +762,15 @@ class FunctionCompiler:
             if isinstance(rhs.type, ir.PointerType):
                 rhs = self.builder.ptrtoint(rhs)
                 lhs = self._coerce(lhs, ir.I64)
-            return self.builder.icmp(cmp_ops[expr.op], lhs, rhs)
+            return self.builder.icmp(_COMPARISONS[expr.op], lhs, rhs)
         # pointer arithmetic: ptr + int scales by element size
         if isinstance(lhs.type, ir.PointerType) and expr.op in ("+", "-"):
             return self._pointer_offset(lhs, rhs, expr.op)
-        arith = {"+": "add", "-": "sub", "*": "mul", "/": "udiv",
-                 "%": "urem", "&": "and", "|": "or", "^": "xor",
-                 "<<": "shl", ">>": "lshr"}
-        if expr.op not in arith:
+        binop = _ARITHMETIC.get(expr.op)
+        if binop is None:
             raise CompileError(expr.line, f"unsupported operator {expr.op!r}")
         lhs, rhs = self._promote_pair(lhs, rhs)
-        return self.builder.binop(arith[expr.op], lhs, rhs)
+        return self.builder.binop(binop, lhs, rhs)
 
     def _pointer_offset(self, ptr: ir.Value, offset: ir.Value,
                         op: str) -> ir.Value:
@@ -727,11 +877,8 @@ class FunctionCompiler:
         value = self._coerce(self._expr(expr.value), ty)
         if expr.op == "=":
             return value
-        ops = {"+=": "add", "-=": "sub", "*=": "mul", "/=": "udiv",
-               "%=": "urem", "&=": "and", "|=": "or", "^=": "xor",
-               "<<=": "shl", ">>=": "lshr"}
         old = read_old()
-        return self.builder.binop(ops[expr.op], old, value)
+        return self.builder.binop(_ARITHMETIC[expr.op[:-1]], old, value)
 
     def _cast(self, expr: ast.Cast) -> ir.Value:
         target = _lower_type(expr.type)

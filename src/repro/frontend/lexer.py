@@ -21,20 +21,21 @@ PUNCTUATION = [
     "(", ")", "{", "}", "[", "]", ",", ";", ".", "?", ":",
 ]
 
-#: one token with the whitespace and comments before it.  The last two
-#: alternatives match any character (``bad``) and the end of the input
-#: (``eof``), so a match never fails once the skip has taken all it can,
-#: and never backtracks into the skip (``/* x */ $`` is an error at
-#: ``$``, not a ``/`` token).
+#: one token with the whitespace and comments before it, as the groups
+#: (skip, num, name, punct, bad); a match with all four token groups
+#: empty is the end of the input.  ``bad`` matches any character, so a
+#: match never fails once the skip has taken all it can, and never
+#: backtracks into the skip (``/* x */ $`` is an error at ``$``, not a
+#: ``/`` token).
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s+|//[^\n]*|/\*.*?\*/)*
+    (?P<skip>(?:\s+|//[^\n]*|/\*.*?\*/)*)
     (?:
       (?P<num>0[xX][0-9a-fA-F]+|\d+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>""" + "|".join(re.escape(p) for p in PUNCTUATION) + r""")
     | (?P<bad>.)
-    | (?P<eof>\Z)
+    | \Z
     )
     """,
     re.VERBOSE | re.DOTALL,
@@ -59,26 +60,25 @@ _make_token = partial(tuple.__new__, Token)
 
 
 def tokenize(source: str) -> List[Token]:
+    """Every token of *source*, then an ``eof`` token; the regex engine
+    splits the whole input in one call."""
     tokens: List[Token] = []
     append = tokens.append
-    match = _TOKEN_RE.match
+    make = _make_token
     keywords = KEYWORDS
-    pos = 0
     line = 1
-    while True:
-        found = match(source, pos)
-        kind = found.lastgroup
-        text = found[kind]
-        end = found.end()
-        start = end - len(text)
-        if start != pos:  # skipped space and comments; a token has no newline
-            line += source.count("\n", pos, start)
-        if kind == "name":
-            if text in keywords:
-                kind = "kw"
-        elif kind == "bad":
-            raise LexError(f"line {line}: unexpected character {text!r}")
-        append(_make_token((kind, text, line)))
-        if kind == "eof":
-            return tokens
-        pos = end
+    for skip, num, name, punct, bad in _TOKEN_RE.findall(source):
+        if skip and "\n" in skip:  # a token holds no newline
+            line += skip.count("\n")
+        if punct:
+            append(make(("punct", punct, line)))
+        elif name:
+            append(make(("kw" if name in keywords else "name", name, line)))
+        elif num:
+            append(make(("num", num, line)))
+        elif bad:
+            raise LexError(f"line {line}: unexpected character {bad!r}")
+        else:
+            break
+    append(make(("eof", "", line)))
+    return tokens

@@ -39,6 +39,9 @@ _BINARY_PREC = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=",
                ">>="}
+_PREFIX_OPS = {"-", "!", "~", "*", "&"}
+#: ``++x``/``x++`` and ``--``: the compound assignment each stands for
+_STEP_OPS = {"++": "+=", "--": "-="}
 
 
 class ParseError(SyntaxError):
@@ -154,7 +157,8 @@ class Parser:
         if token.text not in _TYPE_NAMES:
             raise ParseError(token, f"expected a type, got {token.text!r}")
         depth = 0
-        while self.accept("punct", "*"):
+        while self.tokens[self.pos].text == "*":
+            self.pos += 1
             depth += 1
         return ast.TypeName(line=token.line, base=token.text,
                             pointer_depth=depth)
@@ -163,8 +167,10 @@ class Parser:
     def _block(self) -> ast.Block:
         line = self.expect("punct", "{").line
         statements: List[object] = []
-        while not self.accept("punct", "}"):
+        tokens = self.tokens
+        while tokens[self.pos].text != "}":
             statements.append(self._statement())
+        self.pos += 1
         return ast.Block(line=line, statements=statements)
 
     def _statement(self):
@@ -256,109 +262,120 @@ class Parser:
         return ast.For(line=line, init=init, cond=cond, step=step, body=body)
 
     # --- expressions -------------------------------------------------------------
-    def _expression(self):
-        return self._assignment()
-
+    # Operators and keywords are told apart by their text alone: no name
+    # or number token spells one, and the end token's text is empty.
     def _assignment(self):
-        lhs = self._conditional()
+        lhs = self._binary(0)
         token = self.tokens[self.pos]
-        if token.kind == "punct" and token.text in _ASSIGN_OPS:
-            self.advance()
+        if token.text == "?":
+            lhs = self._conditional_rest(lhs)
+            token = self.tokens[self.pos]
+        if token.text in _ASSIGN_OPS:
+            self.pos += 1
             value = self._assignment()
             return ast.Assign(line=token.line, op=token.text, target=lhs,
                               value=value)
         return lhs
 
+    _expression = _assignment
+
     def _conditional(self):
         cond = self._binary(0)
-        if self.accept("punct", "?"):
-            if_true = self._expression()
-            self.expect("punct", ":")
-            if_false = self._conditional()
-            return ast.Conditional(line=cond.line, cond=cond, if_true=if_true,
-                                   if_false=if_false)
+        if self.tokens[self.pos].text == "?":
+            return self._conditional_rest(cond)
         return cond
+
+    def _conditional_rest(self, cond):
+        """``? if_true : if_false`` after *cond*."""
+        self.pos += 1
+        if_true = self._assignment()
+        self.expect("punct", ":")
+        if_false = self._conditional()
+        return ast.Conditional(line=cond.line, cond=cond, if_true=if_true,
+                               if_false=if_false)
 
     def _binary(self, min_prec: int):
         lhs = self._unary()
+        tokens = self.tokens
         while True:
-            token = self.tokens[self.pos]
-            prec = _BINARY_PREC.get(token.text) if token.kind == "punct" else None
+            token = tokens[self.pos]
+            prec = _BINARY_PREC.get(token.text)
             if prec is None or prec < min_prec:
                 return lhs
-            self.advance()
+            self.pos += 1
             rhs = self._binary(prec + 1)
             lhs = ast.Binary(line=token.line, op=token.text, lhs=lhs, rhs=rhs)
 
     def _unary(self):
         token = self.tokens[self.pos]
-        if token.kind == "punct" and token.text in ("-", "!", "~", "*", "&"):
-            self.advance()
+        text = token.text
+        if text in _PREFIX_OPS:
+            self.pos += 1
             operand = self._unary()
-            if token.text == "&" and isinstance(operand, ast.Name):
+            if text == "&" and isinstance(operand, ast.Name):
                 self._address_taken.add(operand.ident)
-            return ast.Unary(line=token.line, op=token.text, operand=operand)
-        if token.kind == "punct" and token.text in ("++", "--"):
-            self.advance()
+            return ast.Unary(line=token.line, op=text, operand=operand)
+        if text in _STEP_OPS:
+            self.pos += 1
             target = self._unary()
             one = ast.Number(line=token.line, value=1)
-            return ast.Assign(line=token.line,
-                              op="+=" if token.text == "++" else "-=",
+            return ast.Assign(line=token.line, op=_STEP_OPS[text],
                               target=target, value=one)
         # cast: '(' type ')' unary
-        if token.kind == "punct" and token.text == "(" and \
-                self.peek().kind == "kw" and self.peek().text in _TYPE_NAMES:
-            self.advance()
+        if text == "(" and self.peek().text in _TYPE_NAMES:
+            self.pos += 1
             ctype = self._type()
             self.expect("punct", ")")
             value = self._unary()
             return ast.Cast(line=token.line, type=ctype, value=value)
-        return self._postfix()
+        return self._postfix(self._primary(token))
 
-    def _postfix(self):
-        expr = self._primary()
+    def _postfix(self, expr):
+        tokens = self.tokens
         while True:
-            token = self.tokens[self.pos]
-            if token.kind != "punct":
-                return expr
-            if token.text == "[":
+            token = tokens[self.pos]
+            text = token.text
+            if text == "[":
                 self.pos += 1
                 index = self._expression()
                 self.expect("punct", "]")
                 expr = ast.Index(line=getattr(expr, "line", 0), base=expr,
                                  index=index)
-            elif token.text == "->":
+            elif text == "->":
                 self.pos += 1
                 name = self.expect("name").text
                 expr = ast.Member(line=getattr(expr, "line", 0), base=expr,
                                   name=name, arrow=True)
-            elif token.text in ("++", "--"):
+            elif text in _STEP_OPS:
                 self.pos += 1
                 one = ast.Number(line=token.line, value=1)
-                expr = ast.Assign(line=token.line,
-                                  op="+=" if token.text == "++" else "-=",
+                expr = ast.Assign(line=token.line, op=_STEP_OPS[text],
                                   target=expr, value=one)
             else:
                 return expr
 
-    def _primary(self):
-        token = self.tokens[self.pos]
-        if token.kind == "num":
-            self.advance()
-            return ast.Number(line=token.line, value=int(token.text, 0))
-        if token.kind == "name":
-            self.advance()
-            if self.accept("punct", "("):
+    def _primary(self, token: Token):
+        kind = token.kind
+        if kind == "name":
+            self.pos += 1
+            tokens = self.tokens
+            if tokens[self.pos].text == "(":
+                self.pos += 1
                 args: List[object] = []
-                if not self.accept("punct", ")"):
-                    while True:
+                if tokens[self.pos].text == ")":
+                    self.pos += 1
+                else:
+                    args.append(self._expression())
+                    while tokens[self.pos].text == ",":
+                        self.pos += 1
                         args.append(self._expression())
-                        if not self.accept("punct", ","):
-                            break
                     self.expect("punct", ")")
                 return ast.Call(line=token.line, callee=token.text, args=args)
             return ast.Name(line=token.line, ident=token.text)
-        if token.kind == "kw" and token.text == "sizeof":
+        if kind == "num":
+            self.pos += 1
+            return ast.Number(line=token.line, value=int(token.text, 0))
+        if kind == "kw" and token.text == "sizeof":
             self.advance()
             self.expect("punct", "(")
             stype = self._type()
@@ -366,7 +383,7 @@ class Parser:
             sizes = {"u8": 1, "u16": 2, "u32": 4, "u64": 8, "void": 0}
             size = 8 if stype.pointer_depth else sizes[stype.base]
             return ast.Number(line=token.line, value=size)
-        if token.kind == "punct" and token.text == "(":
+        if token.text == "(":
             self.advance()
             expr = self._expression()
             self.expect("punct", ")")

@@ -71,6 +71,10 @@ class Function:
         #: the names of the blocks in ``blocks``, kept by
         #: :meth:`append_block` and :meth:`remove_block`
         self._block_names: Set[str] = set()
+        #: per base name given to :meth:`add_block`, a suffix below
+        #: which every ``base<n>`` (n >= 1) names a block; forgotten by
+        #: :meth:`remove_block`
+        self._next_suffix: Dict[str, int] = {}
         self._name_counter = 0
         #: how many of this function's values hold each name: the
         #: arguments plus the instructions in ``blocks``.  Kept where a
@@ -88,13 +92,16 @@ class Function:
         return self.blocks[0]
 
     def add_block(self, name: str = "") -> BasicBlock:
+        """Append a new block called *name*, or, when a block already
+        is, the first of ``name1``, ``name2``, ... that none is."""
         name = name or self.next_name("bb")
         existing = self._block_names
         if name in existing:
             base = name
-            counter = 1
+            counter = self._next_suffix.get(base, 1)
             while f"{base}{counter}" in existing:
                 counter += 1
+            self._next_suffix[base] = counter + 1
             name = f"{base}{counter}"
         return self.append_block(BasicBlock(name, self))
 
@@ -164,6 +171,7 @@ class Function:
         block.instructions.clear()
         self.blocks.remove(block)
         self._block_names.discard(block.name)
+        self._next_suffix.clear()
 
     def renumber(self) -> None:
         """Give every unnamed value a fresh sequential name (printing aid)."""

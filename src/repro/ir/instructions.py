@@ -49,12 +49,15 @@ class IRInstruction(Value):
 
     opcode: str = "?"
 
+    #: whether this instruction ends a block; set by the terminators
+    is_terminator = False
+
     def __init__(self, ty: Type, operands: Sequence[Value], name: str = ""):
         super().__init__(ty, name)
-        self.operands: List[Value] = []
+        self.operands: List[Value] = list(operands)
         self.parent: Optional["BasicBlock"] = None
-        for operand in operands:
-            self._add_operand(operand)
+        for operand in self.operands:
+            operand.uses.append(self)
 
     def _add_operand(self, operand: Value) -> None:
         self.operands.append(operand)
@@ -88,10 +91,6 @@ class IRInstruction(Value):
                 self.parent.parent.release_name(self.name)
             self.parent = None
 
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Br, CondBr, Ret, Unreachable))
-
     def has_side_effects(self) -> bool:
         return isinstance(self, (Store, AtomicRMW, Call, Br, CondBr, Ret, Unreachable))
 
@@ -119,10 +118,8 @@ class BinaryOp(IRInstruction):
         return self.operands[1]
 
     def render(self) -> str:
-        return (
-            f"{self.ref} = {self.opcode} {self.type} "
-            f"{self.lhs.ref}, {self.rhs.ref}"
-        )
+        lhs, rhs = self.operands
+        return f"{self.ref} = {self.opcode} {self.type} {lhs.ref}, {rhs.ref}"
 
 
 class ICmp(IRInstruction):
@@ -147,9 +144,10 @@ class ICmp(IRInstruction):
         return self.operands[1]
 
     def render(self) -> str:
+        lhs, rhs = self.operands
         return (
-            f"{self.ref} = icmp {self.predicate} {self.lhs.type} "
-            f"{self.lhs.ref}, {self.rhs.ref}"
+            f"{self.ref} = icmp {self.predicate} {lhs.type} "
+            f"{lhs.ref}, {rhs.ref}"
         )
 
 
@@ -174,9 +172,10 @@ class Load(IRInstruction):
         return self.operands[0]
 
     def render(self) -> str:
+        ptr = self.operands[0]
         return (
-            f"{self.ref} = load {self.type}, {self.ptr.type} "
-            f"{self.ptr.ref}, align {self.align}"
+            f"{self.ref} = load {self.type}, {ptr.type} "
+            f"{ptr.ref}, align {self.align}"
         )
 
 
@@ -204,9 +203,10 @@ class Store(IRInstruction):
         return self.operands[1]
 
     def render(self) -> str:
+        value, ptr = self.operands
         return (
-            f"store {self.value.type} {self.value.ref}, {self.ptr.type} "
-            f"{self.ptr.ref}, align {self.align}"
+            f"store {value.type} {value.ref}, {ptr.type} "
+            f"{ptr.ref}, align {self.align}"
         )
 
 
@@ -289,9 +289,10 @@ class Gep(IRInstruction):
         return self.operands[1]
 
     def render(self) -> str:
+        ptr, offset = self.operands
         return (
-            f"{self.ref} = gep {self.type} {self.ptr.ref}, "
-            f"{self.offset.type} {self.offset.ref}"
+            f"{self.ref} = gep {self.type} {ptr.ref}, "
+            f"{offset.type} {offset.ref}"
         )
 
 
@@ -309,9 +310,10 @@ class Cast(IRInstruction):
         return self.operands[0]
 
     def render(self) -> str:
+        value = self.operands[0]
         return (
-            f"{self.ref} = {self.opcode} {self.value.type} "
-            f"{self.value.ref} to {self.type}"
+            f"{self.ref} = {self.opcode} {value.type} "
+            f"{value.ref} to {self.type}"
         )
 
 
@@ -388,7 +390,8 @@ class Phi(IRInstruction):
 
     def render(self) -> str:
         pairs = ", ".join(
-            f"[ {v.ref}, %{b.name} ]" for v, b in self.incoming()
+            f"[ {v.ref}, %{b.name} ]"
+            for v, b in zip(self.operands, self.incoming_blocks)
         )
         return f"{self.ref} = phi {self.type} {pairs}"
 
@@ -397,6 +400,7 @@ class Br(IRInstruction):
     """Unconditional branch."""
 
     opcode = "br"
+    is_terminator = True
 
     def __init__(self, target: "BasicBlock"):
         super().__init__(VOID, [])
@@ -410,6 +414,7 @@ class CondBr(IRInstruction):
     """Conditional branch on an i1."""
 
     opcode = "condbr"
+    is_terminator = True
 
     def __init__(self, cond: Value, if_true: "BasicBlock", if_false: "BasicBlock"):
         super().__init__(VOID, [cond])
@@ -422,7 +427,7 @@ class CondBr(IRInstruction):
 
     def render(self) -> str:
         return (
-            f"br i1 {self.cond.ref}, label %{self.if_true.name}, "
+            f"br i1 {self.operands[0].ref}, label %{self.if_true.name}, "
             f"label %{self.if_false.name}"
         )
 
@@ -431,6 +436,7 @@ class Ret(IRInstruction):
     """Return, optionally with a value."""
 
     opcode = "ret"
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None):
         super().__init__(VOID, [] if value is None else [value])
@@ -447,6 +453,7 @@ class Ret(IRInstruction):
 
 class Unreachable(IRInstruction):
     opcode = "unreachable"
+    is_terminator = True
 
     def __init__(self) -> None:
         super().__init__(VOID, [])

@@ -12,7 +12,17 @@ from typing import List, Tuple
 
 
 class Type:
-    """Base class of all IR types."""
+    """Base class of all IR types.
+
+    A type's text is computed once, when it is made (``_text``): the IR
+    printer renders one per operand, and cache keys hash that text."""
+
+    #: whether this is ``void``; ``VoidType`` says so
+    is_void = False
+    _text = ""
+
+    def __str__(self) -> str:
+        return self._text
 
     @property
     def size_bytes(self) -> int:
@@ -22,15 +32,11 @@ class Type:
     def is_pointer(self) -> bool:
         return isinstance(self, PointerType)
 
-    @property
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
-
 
 @dataclass(frozen=True)
 class VoidType(Type):
-    def __str__(self) -> str:
-        return "void"
+    is_void = True
+    _text = "void"
 
     @property
     def size_bytes(self) -> int:
@@ -46,9 +52,7 @@ class IntType(Type):
     def __post_init__(self) -> None:
         if self.bits not in (1, 8, 16, 32, 64):
             raise ValueError(f"unsupported integer width: {self.bits}")
-
-    def __str__(self) -> str:
-        return f"i{self.bits}"
+        object.__setattr__(self, "_text", f"i{self.bits}")
 
     @property
     def size_bytes(self) -> int:
@@ -65,8 +69,8 @@ class PointerType(Type):
 
     pointee: Type
 
-    def __str__(self) -> str:
-        return f"{self.pointee}*"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", f"{self.pointee}*")
 
     @property
     def size_bytes(self) -> int:
@@ -78,8 +82,8 @@ class ArrayType(Type):
     element: Type
     count: int
 
-    def __str__(self) -> str:
-        return f"[{self.count} x {self.element}]"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", f"[{self.count} x {self.element}]")
 
     @property
     def size_bytes(self) -> int:
@@ -101,8 +105,8 @@ class StructType(Type):
     name: str
     fields: Tuple[StructField, ...]
 
-    def __str__(self) -> str:
-        return f"%struct.{self.name}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", f"%struct.{self.name}")
 
     @property
     def size_bytes(self) -> int:

@@ -21,6 +21,7 @@ instruction: out of bounds, or the second slot of an ``ld_imm64``.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import opcodes as op
@@ -48,6 +49,9 @@ def _kind(opcode: int) -> str:
 KIND: Tuple[str, ...] = tuple(_kind(opcode) for opcode in range(256))
 #: whether each opcode ends a basic block: jumps and exits, not calls
 ENDS_BLOCK: Tuple[bool, ...] = tuple(kind is not FALL for kind in KIND)
+#: whether each opcode jumps to an offset (JA and the conditions)
+HAS_TARGET: Tuple[bool, ...] = tuple(kind is JA or kind is COND
+                                     for kind in KIND)
 
 
 def expand_slots(insns: Sequence[Instruction]) -> List[Optional[Instruction]]:
@@ -66,22 +70,17 @@ def slot_targets(insns: Sequence[Instruction]) -> List[Optional[int]]:
     one slot past the last instruction, :data:`FAULT` for any other slot
     that starts no instruction, None for an instruction with no target
     (not a jump, a call or an exit)."""
-    index_at = {}
-    slot = 0
-    for index, insn in enumerate(insns):
-        index_at[slot] = index
-        slot += op.SLOTS[insn.opcode]
-    index_at[slot] = len(insns)
-    targets: List[Optional[int]] = []
-    slot = 0
-    for insn in insns:
-        opcode = insn.opcode
-        width = op.SLOTS[opcode]
-        if KIND[opcode] in (JA, COND):
-            targets.append(index_at.get(slot + width + insn.off, FAULT))
-        else:
-            targets.append(None)
-        slot += width
+    n = len(insns)
+    targets: List[Optional[int]] = [None] * n
+    jumps = [index for index, insn in enumerate(insns)
+             if HAS_TARGET[insn.opcode]]
+    if jumps:
+        slot_of = list(accumulate([op.SLOTS[insn.opcode] for insn in insns],
+                                  initial=0))
+        index_at = dict(zip(slot_of, range(n + 1)))
+        for index in jumps:  # a jump takes one slot
+            targets[index] = index_at.get(
+                slot_of[index] + 1 + insns[index].off, FAULT)
     return targets
 
 

@@ -177,8 +177,15 @@ class SymState:
             result = mkop("neg", bits, dst)
         elif aop == op.BPF_END:
             # in either class, END swaps the low imm bits of the 64-bit
-            # register and zero-extends the result
-            result = mkop("le" if insn.uses_imm else "be", insn.imm, dst)
+            # register and zero-extends the result: to-LE/to-BE in the
+            # 32-bit class, unconditionally in the 64-bit one, whose
+            # to-BE is reserved
+            if insn.imm not in (16, 32, 64) or \
+                    bits == 64 and not insn.uses_imm:
+                raise Unsupported(f"reserved END {insn.opcode:#x} "
+                                  f"imm {insn.imm}")
+            swap = bits == 64 or not insn.uses_imm
+            result = mkop("be" if swap else "le", insn.imm, dst)
         else:
             name = op.ALU_OP_NAMES.get(aop)
             if name is None:

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa import BpfProgram, Instruction
 from ..isa import opcodes as op
-from ..isa.cfg import Cfg, expand_slots
-from ..isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_NAMES
+from ..isa.cfg import Cfg, expand_slots, slot_targets
+from ..isa.helpers import BPF_PSEUDO_MAP_FD, HELPER_IDS, HELPER_NAMES
 from ..isa.semantics import condition
 from .kernels import DEFAULT_KERNEL, KernelConfig
 from .state import (
@@ -36,6 +36,59 @@ _DECIDED_ON_CONSTANTS = (op.BPF_JEQ, op.BPF_JNE, op.BPF_JGT, op.BPF_JGE,
 #: slots are immutable, so every initialized byte shares one of these
 _MISC_SLOT, _ZERO_SLOT = StackSlot(SlotKind.MISC), StackSlot(SlotKind.ZERO)
 _PACKET_FAMILY = (_PTR_TO_PACKET, _PTR_TO_PACKET_END)
+
+#: what a step does with each opcode, so a step reads one table
+(_ALU_STEP, _MEMORY_STEP, _BRANCH_STEP, _JA_STEP, _CALL_STEP,
+ _LD_IMM64_STEP, _EXIT_STEP, _UNKNOWN_STEP) = range(8)
+
+
+def _step(opcode: int) -> int:
+    if op.IS_EXIT[opcode]:
+        return _EXIT_STEP
+    if op.IS_CALL[opcode]:
+        return _CALL_STEP
+    if op.IS_JUMP[opcode]:
+        return _JA_STEP if op.OP_CODE[opcode] == op.BPF_JA else _BRANCH_STEP
+    if op.IS_LD_IMM64[opcode]:
+        return _LD_IMM64_STEP
+    if op.IS_ALU[opcode]:
+        return _ALU_STEP
+    if op.IS_MEMORY[opcode]:
+        return _MEMORY_STEP
+    return _UNKNOWN_STEP
+
+
+_STEP = tuple(_step(opcode) for opcode in range(256))
+
+
+#: how each opcode moves the critical mask backward: kill dst (a load,
+#: ld_imm64 or move of an immediate), move a critical dst to src (move
+#: by register), make src critical when dst is (other ALU ops by
+#: register), make both critical (ALU64 add/sub by register: variable
+#: pointer arithmetic), a helper call, or nothing
+_KILL, _MOV, _SRC_IF_DST, _BOTH, _CALL, _NONE = (
+    "kill", "mov", "src_if_dst", "both", "call", "none")
+
+
+def _critical_rule(opcode: int) -> str:
+    if op.IS_CALL[opcode]:
+        return _CALL
+    if op.IS_LD_IMM64[opcode] or op.IS_LOAD[opcode]:
+        return _KILL
+    if not op.IS_ALU[opcode]:
+        return _NONE
+    aop = op.OP_CODE[opcode]
+    by_reg = not op.USES_IMM[opcode]
+    if aop == op.BPF_MOV:
+        return _MOV if by_reg else _KILL
+    if by_reg and op.IS_ALU64[opcode] and aop in (op.BPF_ADD, op.BPF_SUB):
+        return _BOTH
+    if by_reg and aop not in (op.BPF_NEG, op.BPF_END):
+        return _SRC_IF_DST
+    return _NONE
+
+
+_CRITICAL_RULE = tuple(_critical_rule(opcode) for opcode in range(256))
 
 
 class VerificationError(Exception):
@@ -72,7 +125,10 @@ class Verifier:
     def __init__(self, program: BpfProgram, config: KernelConfig = DEFAULT_KERNEL):
         self.program = program
         self.config = config
-        self.slots = expand_slots(program.insns)
+        insns = program.insns
+        self.slots = expand_slots(insns)
+        targets = slot_targets(insns)
+        slot_of = program.slot_offsets()
         self.map_specs = list(program.maps.values())
         self.npi = 0
         self.total_states = 0
@@ -81,18 +137,16 @@ class Verifier:
         self.visited: Dict[int, List[VerifierState]] = {}
         #: states held in ``visited``, kept as they are stored and evicted
         self._stored = 0
-        cfg = Cfg(program.insns)
-        slot_of = program.slot_offsets()
         #: slots some jump lands on, and those a backward jump lands on
         self.branch_targets = set()
         self.backedge_targets = set()
-        for insn, target in zip(program.insns, cfg.targets):
+        for index, target in enumerate(targets):
             if target is not None and 0 <= target < len(slot_of):
                 self.branch_targets.add(slot_of[target])
-                if insn.off < 0:
+                if insns[index].off < 0:
                     self.backedge_targets.add(slot_of[target])
         self._next_ref = 0
-        self.critical_live = self._solve_critical_liveness(cfg, slot_of)
+        self.critical_live = self._solve_critical_liveness(targets, slot_of)
 
     #: helper id -> registers whose (size) bounds the helper checks
     _HELPER_SIZE_ARGS = {
@@ -104,8 +158,13 @@ class Verifier:
         "ringbuf_output": (op.R3,),
         "csum_diff": (op.R2, op.R4),
     }
+    #: the same as masks, by helper id
+    _HELPER_SIZE_MASKS = {
+        HELPER_IDS[name]: sum(1 << reg for reg in regs)
+        for name, regs in _HELPER_SIZE_ARGS.items()
+    }
 
-    def _solve_critical_liveness(self, cfg: Cfg,
+    def _solve_critical_liveness(self, targets: List[Optional[int]],
                                  slot_of: List[int]) -> List[int]:
         """Per-slot masks of the registers whose scalar *bounds* may
         still feed a safety decision (variable pointer arithmetic or a
@@ -116,52 +175,48 @@ class Verifier:
         registers are compared precisely; every other scalar matches any
         scalar, which is what keeps path exploration polynomial on
         programs with value-divergent accumulator registers.
+
+        The backward transfer over one instruction: a def kills; a
+        critical def makes its sources critical; ALU64 add/sub by
+        register and helper size arguments become critical.  With none
+        of those two, no register is ever critical.
         """
-        insns, first, last = cfg.insns, cfg.first, cfg.last
-        rule = self._critical_in
+        insns = self.program.insns
+        rules = _CRITICAL_RULE
+        size_args = self._HELPER_SIZE_MASKS
         critical = [0] * len(self.slots)
+        if not any(rules[insn.opcode] is _BOTH
+                   or rules[insn.opcode] is _CALL and insn.imm in size_args
+                   for insn in insns):
+            return critical
+        cfg = Cfg(insns, targets)
+        first, last = cfg.first, cfg.last
 
         # ``Cfg.solve`` ends with a round that changes nothing and so
         # passes every block its final out-mask: the masks that round
         # records are the solution's
         def transfer(b: int, live: int) -> int:
             for index in range(last[b], first[b] - 1, -1):
-                live = rule(insns[index], live)
+                insn = insns[index]
+                rule = rules[insn.opcode]
+                if rule is _KILL:
+                    live &= ~(1 << insn.dst)
+                elif rule is _MOV:
+                    if live >> insn.dst & 1:
+                        live = live & ~(1 << insn.dst) | 1 << insn.src
+                elif rule is _SRC_IF_DST:
+                    if live >> insn.dst & 1:
+                        live |= 1 << insn.src
+                elif rule is _BOTH:
+                    live |= 1 << insn.dst | 1 << insn.src
+                elif rule is _CALL:
+                    live = live & ~_CALLER_SAVED_MASK \
+                        | size_args.get(insn.imm, 0)
                 critical[slot_of[index]] = live
             return live
 
         cfg.solve(transfer)
         return critical
-
-    @classmethod
-    def _critical_in(cls, insn: Instruction, live: int) -> int:
-        """Backward transfer of the critical mask over one instruction:
-        a def kills; a critical def makes its sources critical; ALU64
-        add/sub by register and helper size arguments become critical."""
-        opcode = insn.opcode
-        if op.IS_CALL[opcode]:
-            live &= ~_CALLER_SAVED_MASK
-            name = HELPER_NAMES.get(insn.imm, "")
-            for reg in cls._HELPER_SIZE_ARGS.get(name, ()):
-                live |= 1 << reg
-            return live
-        if op.IS_LD_IMM64[opcode] or op.IS_LOAD[opcode]:
-            return live & ~(1 << insn.dst)
-        if not op.IS_ALU[opcode]:
-            return live
-        aop = op.OP_CODE[opcode]
-        by_reg = not op.USES_IMM[opcode]
-        dst = 1 << insn.dst
-        if aop == op.BPF_MOV:
-            if by_reg and live & dst:
-                return (live & ~dst) | (1 << insn.src)
-            return live & ~dst
-        # variable pointer arithmetic: both operands' bounds matter
-        if by_reg and op.IS_ALU64[opcode] and aop in (op.BPF_ADD, op.BPF_SUB):
-            return live | dst | (1 << insn.src)
-        if by_reg and live & dst and aop not in (op.BPF_NEG, op.BPF_END):
-            return live | (1 << insn.src)
-        return live
 
     # ------------------------------------------------------------------ api
     def verify(self) -> VerificationResult:
@@ -217,95 +272,100 @@ class Verifier:
         worklist: List[Tuple[int, VerifierState]],
     ) -> None:
         slots = self.slots
+        n = len(slots)
         branch_targets = (self.branch_targets
                           if self.config.prune_at_branch_targets else ())
         store_interval = self.config.state_store_interval
         max_processed = self.config.max_processed
+        visited = self.visited
+        backedge_targets = self.backedge_targets
+        critical_live = self.critical_live
         since_stored = 0
-        while True:
-            if pc < 0 or pc >= len(slots):
-                raise VerificationError(pc, "jump out of program bounds")
-            insn = slots[pc]
-            if insn is None:
-                raise VerificationError(pc, "jump into the middle of ld_imm64")
+        npi = self.npi
+        try:
+            while True:
+                if pc < 0 or pc >= n:
+                    raise VerificationError(pc, "jump out of program bounds")
+                insn = slots[pc]
+                if insn is None:
+                    raise VerificationError(
+                        pc, "jump into the middle of ld_imm64")
 
-            if pc in branch_targets or since_stored >= store_interval:
-                since_stored = 0
-                stored = self.visited.setdefault(pc, [])
-                # loop headers compare precisely (the kernel re-derives
-                # precision along back-edges): an infinite loop then
-                # keeps producing fresh states until the NPI limit trips
-                # instead of being pruned "safe"
-                critical = (
-                    None if pc in self.backedge_targets
-                    else self.critical_live[pc]
-                )
-                for old in stored:
-                    if old.subsumes(state, critical):
-                        self.pruned += 1
-                        return
-                stored.append(state.copy())
-                if len(stored) > 32:
-                    # bound the comparison list like the kernel's
-                    # sl->miss_cnt-based eviction: drop the oldest state
-                    stored.pop(0)
-                else:
-                    self._stored += 1
-                self.total_states += 1
-                self.peak_states = max(self.peak_states,
-                                       len(worklist) + self._stored)
-            since_stored += 1
-
-            self.npi += 1
-            if self.npi > max_processed:
-                raise VerificationError(
-                    pc,
-                    f"BPF program is too large: processed "
-                    f"{self.npi} insns (limit {max_processed})",
-                )
-
-            opcode = insn.opcode
-            if op.IS_EXIT[opcode]:
-                self._check_exit(pc, state)
-                return
-            if op.IS_CALL[opcode]:
-                self._do_call(pc, insn, state)
-                pc += 1
-                continue
-            if op.IS_JUMP[opcode]:
-                if op.OP_CODE[opcode] == op.BPF_JA:
-                    pc = pc + 1 + insn.off
-                    continue
-                outcome = self._branch(pc, insn, state)
-                taken_state, fallthrough_state = outcome
-                target = pc + 1 + insn.off
-                if taken_state is not None and fallthrough_state is not None:
-                    worklist.append((target, taken_state))
+                if pc in branch_targets or since_stored >= store_interval:
+                    since_stored = 0
+                    stored = visited.setdefault(pc, [])
+                    # loop headers compare precisely (the kernel re-derives
+                    # precision along back-edges): an infinite loop then
+                    # keeps producing fresh states until the NPI limit
+                    # trips instead of being pruned "safe"
+                    critical = (
+                        None if pc in backedge_targets else critical_live[pc]
+                    )
+                    for old in stored:
+                        if old.subsumes(state, critical):
+                            self.pruned += 1
+                            return
+                    stored.append(state.copy())
+                    if len(stored) > 32:
+                        # bound the comparison list like the kernel's
+                        # sl->miss_cnt-based eviction: drop the oldest
+                        stored.pop(0)
+                    else:
+                        self._stored += 1
                     self.total_states += 1
-                    state = fallthrough_state
+                    self.peak_states = max(self.peak_states,
+                                           len(worklist) + self._stored)
+                since_stored += 1
+
+                npi += 1
+                if npi > max_processed:
+                    raise VerificationError(
+                        pc,
+                        f"BPF program is too large: processed "
+                        f"{npi} insns (limit {max_processed})",
+                    )
+
+                step = _STEP[insn.opcode]
+                if step == _ALU_STEP:
+                    self._do_alu(pc, insn, state)
                     pc += 1
-                elif taken_state is not None:
-                    state = taken_state
-                    pc = target
-                elif fallthrough_state is not None:
-                    state = fallthrough_state
+                elif step == _MEMORY_STEP:
+                    self._do_memory(pc, insn, state)
                     pc += 1
-                else:  # pragma: no cover - defensive
+                elif step == _BRANCH_STEP:
+                    taken_state, fallthrough_state = self._branch(
+                        pc, insn, state)
+                    target = pc + 1 + insn.off
+                    if taken_state is not None and \
+                            fallthrough_state is not None:
+                        worklist.append((target, taken_state))
+                        self.total_states += 1
+                        state = fallthrough_state
+                        pc += 1
+                    elif taken_state is not None:
+                        state = taken_state
+                        pc = target
+                    elif fallthrough_state is not None:
+                        state = fallthrough_state
+                        pc += 1
+                    else:  # pragma: no cover - defensive
+                        return
+                elif step == _JA_STEP:
+                    pc = pc + 1 + insn.off
+                elif step == _CALL_STEP:
+                    self._do_call(pc, insn, state)
+                    pc += 1
+                elif step == _LD_IMM64_STEP:
+                    self._do_ld_imm64(insn, state)
+                    pc += 2
+                elif step == _EXIT_STEP:
+                    self._check_exit(pc, state)
                     return
-                continue
-            if op.IS_LD_IMM64[opcode]:
-                self._do_ld_imm64(insn, state)
-                pc += 2
-                continue
-            if op.IS_ALU[opcode]:
-                self._do_alu(pc, insn, state)
-                pc += 1
-                continue
-            if op.IS_MEMORY[opcode]:
-                self._do_memory(pc, insn, state)
-                pc += 1
-                continue
-            raise VerificationError(pc, f"unknown opcode {opcode:#x}")
+                else:
+                    raise VerificationError(
+                        pc, f"unknown opcode {insn.opcode:#x}")
+        finally:
+            self.npi = npi
 
     # --------------------------------------------------------------- pieces
     def _check_exit(self, pc: int, state: VerifierState) -> None:
@@ -346,11 +406,16 @@ class Verifier:
         aop = op.OP_CODE[opcode]
         uses_imm = op.USES_IMM[opcode]
         dst_reg = insn.dst
+        if aop == op.BPF_END and (
+                insn.src or insn.off or insn.imm not in (16, 32, 64)
+                or not is32):
+            # kernels up to 6.5 know only the 32-bit class's byte swaps
+            raise VerificationError(pc, "BPF_END uses reserved fields")
         if dst_reg == op.R10:
             raise VerificationError(pc, "frame pointer is read only")
 
         if aop == op.BPF_END:
-            value = self._reg(pc, state, dst_reg)
+            self._reg(pc, state, dst_reg)
             state.regs[dst_reg] = RegState.scalar()
             return
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional
 
 from ..isa import opcodes as op
@@ -78,19 +79,20 @@ class RegState(NamedTuple):
     @staticmethod
     def scalar(tnum: Optional[Tnum] = None, umin: int = 0,
                umax: int = _U64) -> "RegState":
-        t = tnum if tnum is not None else _UNKNOWN
-        return RegState(
-            _SCALAR,
-            tnum=t,
-            umin=max(umin, t.umin),
-            umax=min(umax, t.umax),
-        )
+        if tnum is None:
+            if umin == 0 and umax == _U64:
+                return _UNKNOWN_SCALAR
+            tnum = _UNKNOWN
+        value, mask = tnum
+        bound = (value | mask) & _U64
+        return _reg((_SCALAR, tnum, umin if umin > value else value,
+                     umax if umax < bound else bound, 0, 0, 0, 0, 0))
 
     @staticmethod
     def const(value: int) -> "RegState":
         value &= _U64
-        return RegState(_SCALAR, tnum=Tnum.const(value), umin=value,
-                        umax=value)
+        return _reg((_SCALAR, Tnum.const(value), value, value, 0, 0, 0, 0,
+                     0))
 
     @staticmethod
     def pointer(ptype: RegType, off: int = 0, **kwargs) -> "RegState":
@@ -155,6 +157,12 @@ class RegState(NamedTuple):
         return True
 
 
+#: ``RegState`` from a tuple of all nine fields, positionally
+_reg = partial(tuple.__new__, RegState)
+#: every unknown scalar is this one (a state is immutable)
+_UNKNOWN_SCALAR = _reg((_SCALAR, _UNKNOWN, 0, _U64, 0, 0, 0, 0, 0))
+
+
 class SlotKind(enum.Enum):
     INVALID = 0
     MISC = 1  # initialized scalar bytes
@@ -198,8 +206,12 @@ class VerifierState:
                  critical: Optional[int] = None) -> bool:
         """*critical* is the mask of registers compared precisely (bit
         n = rn); None compares every register precisely."""
+        # copies share their registers and slots, and a register or a
+        # slot subsumes itself
         theirs = other.regs
         for index, mine in enumerate(self.regs):
+            if mine is theirs[index]:
+                continue
             precise = critical is None or bool(critical >> index & 1)
             if not mine.subsumes(theirs[index], precise):
                 return False
@@ -209,6 +221,8 @@ class VerifierState:
             if kind is _INVALID:
                 continue
             other_slot = other_stack.get(offset)
+            if other_slot is slot:
+                continue
             if other_slot is None:
                 return False
             if kind is not other_slot.kind:

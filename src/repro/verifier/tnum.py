@@ -7,28 +7,38 @@ are unknown.  Ported from the kernel's ``kernel/bpf/tnum.c``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 _U64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class Tnum:
+class _Fields(NamedTuple):
     value: int
     mask: int
 
-    def __post_init__(self) -> None:
-        if self.value & self.mask:
+
+class Tnum(_Fields):
+    """An immutable (value, mask) pair.  A tuple, because the verifier
+    builds several per step; ``Tnum(value, mask)`` checks that the two
+    do not overlap, and the operations here, whose results never
+    overlap, build theirs without the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, mask: int) -> "Tnum":
+        if value & mask:
             raise ValueError("tnum value and mask must not overlap")
+        return tuple.__new__(cls, (value, mask))
 
     # --- constructors ------------------------------------------------------
     @staticmethod
     def const(value: int) -> "Tnum":
-        return Tnum(value & _U64, 0)
+        return _tnum((value & _U64, 0))
 
     @staticmethod
     def unknown() -> "Tnum":
-        return Tnum(0, _U64)
+        return _tnum((0, _U64))
 
     @staticmethod
     def range(lo: int, hi: int) -> "Tnum":
@@ -38,7 +48,7 @@ class Tnum:
         if bits > 63:
             return Tnum.unknown()
         delta = (1 << bits) - 1
-        return Tnum(lo & ~delta & _U64, delta)
+        return _tnum((lo & ~delta & _U64, delta))
 
     # --- queries -------------------------------------------------------------
     @property
@@ -69,7 +79,7 @@ class Tnum:
         sigma = (sm + sv) & _U64
         chi = sigma ^ sv
         mu = (chi | self.mask | other.mask) & _U64
-        return Tnum(sv & ~mu & _U64, mu)
+        return _tnum((sv & ~mu & _U64, mu))
 
     def sub(self, other: "Tnum") -> "Tnum":
         dv = (self.value - other.value) & _U64
@@ -77,31 +87,32 @@ class Tnum:
         beta = (dv - other.mask) & _U64
         chi = alpha ^ beta
         mu = (chi | self.mask | other.mask) & _U64
-        return Tnum(dv & ~mu & _U64, mu)
+        return _tnum((dv & ~mu & _U64, mu))
 
     def and_(self, other: "Tnum") -> "Tnum":
         alpha = self.value | self.mask
         beta = other.value | other.mask
         v = self.value & other.value
-        return Tnum(v, (alpha & beta & ~v) & _U64)
+        return _tnum((v, (alpha & beta & ~v) & _U64))
 
     def or_(self, other: "Tnum") -> "Tnum":
         v = self.value | other.value
         mu = self.mask | other.mask
-        return Tnum(v & _U64, (mu & ~v) & _U64)
+        return _tnum((v & _U64, (mu & ~v) & _U64))
 
     def xor(self, other: "Tnum") -> "Tnum":
         v = self.value ^ other.value
         mu = self.mask | other.mask
-        return Tnum((v & ~mu) & _U64, mu & _U64)
+        return _tnum(((v & ~mu) & _U64, mu & _U64))
 
     def lshift(self, shift: int) -> "Tnum":
         shift %= 64
-        return Tnum((self.value << shift) & _U64, (self.mask << shift) & _U64)
+        return _tnum(((self.value << shift) & _U64,
+                      (self.mask << shift) & _U64))
 
     def rshift(self, shift: int) -> "Tnum":
         shift %= 64
-        return Tnum(self.value >> shift, self.mask >> shift)
+        return _tnum((self.value >> shift, self.mask >> shift))
 
     def arshift(self, shift: int, insn_bits: int = 64) -> "Tnum":
         shift %= insn_bits
@@ -119,7 +130,7 @@ class Tnum:
             high = ((1 << insn_bits) - 1) ^ ((1 << max(insn_bits - shift, 0)) - 1)
             mask |= high
             value &= ~mask & _U64
-        return Tnum(value & ~mask & _U64, mask & _U64)
+        return _tnum((value & ~mask & _U64, mask & _U64))
 
     def mul(self, other: "Tnum") -> "Tnum":
         """Kernel-style conservative multiply."""
@@ -139,26 +150,30 @@ class Tnum:
                 acc_value, acc_mask = acc_value & ~mu & _U64, mu
             a_value, a_mask = a_value >> 1, a_mask >> 1
             b_value, b_mask = (b_value << 1) & _U64, (b_mask << 1) & _U64
-        return Tnum.const(acc_v).add(Tnum(acc_value, acc_mask))
+        return Tnum.const(acc_v).add(_tnum((acc_value, acc_mask)))
 
     def intersect(self, other: "Tnum") -> "Tnum":
         v = self.value | other.value
         mu = self.mask & other.mask
-        return Tnum(v & ~mu & _U64, mu)
+        return _tnum((v & ~mu & _U64, mu))
 
     def union(self, other: "Tnum") -> "Tnum":
         """Smallest tnum containing both (kernel's tnum_union/hma join)."""
         mu = (self.mask | other.mask | (self.value ^ other.value)) & _U64
-        return Tnum(self.value & ~mu & _U64, mu)
+        return _tnum((self.value & ~mu & _U64, mu))
 
     def cast(self, size_bytes: int) -> "Tnum":
         """Truncate to *size_bytes* (zero upper bits)."""
         if size_bytes >= 8:
             return self
         keep = (1 << (size_bytes * 8)) - 1
-        return Tnum(self.value & keep, self.mask & keep)
+        return _tnum((self.value & keep, self.mask & keep))
 
     def __repr__(self) -> str:
         if self.is_const:
             return f"Tnum({self.value:#x})"
         return f"Tnum(value={self.value:#x}, mask={self.mask:#x})"
+
+
+#: ``Tnum`` from a (value, mask) pair known not to overlap
+_tnum = partial(tuple.__new__, Tnum)

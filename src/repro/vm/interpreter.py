@@ -229,7 +229,14 @@ class Machine:
                 if result is None:
                     if aop != _END:
                         raise VmFault(f"unknown ALU op {aop:#x}")
-                    result = bswap(regs[dst], insn.imm, not uses_imm[opcode])
+                    # to-LE/to-BE in the 32-bit class; the 64-bit class
+                    # swaps unconditionally, and its to-BE is reserved
+                    swap = cls == _ALU64 or not uses_imm[opcode]
+                    if insn.imm not in (16, 32, 64) or \
+                            cls == _ALU64 and not uses_imm[opcode]:
+                        raise VmFault(f"reserved END {opcode:#x} "
+                                      f"imm {insn.imm}")
+                    result = bswap(regs[dst], insn.imm, swap)
                 regs[dst] = result  # ALU32 zero-extends into the register
                 pc += 1
             elif cls == _LDX:

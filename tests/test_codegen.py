@@ -468,3 +468,103 @@ class TestEachInstructionBuiltOnce:
                        if where == "to_insns"]
             assert all(op.IS_JUMP[code] for code in rebuilt), name
             assert len(rebuilt) <= jumps, name
+
+
+# ------------------------------------------------------ dirty upper bits
+class RecursiveDirtySelector:
+    """``InstructionSelector._is_dirty`` as first written: a recursion
+    that caches a pessimistic True for the value it is computing, so a
+    phi cycle reads as dirty."""
+
+    @staticmethod
+    def is_dirty(self, value):
+        if not self._is_narrow(value):
+            return False
+        if value in self._dirty_cache:
+            return self._dirty_cache[value]
+        self._dirty_cache[value] = True  # breaks phi cycles pessimistically
+        result = RecursiveDirtySelector.compute_dirty(self, value)
+        self._dirty_cache[value] = result
+        return result
+
+    @staticmethod
+    def compute_dirty(self, value):
+        from repro.ir import instructions as iri
+
+        if isinstance(value, (ir.Constant, ir.Argument)):
+            return False
+        if isinstance(value, (iri.Load, iri.Call, iri.ICmp)):
+            return False
+        if isinstance(value, iri.Cast):
+            if value.opcode == "zext":
+                return False
+            if value.opcode == "trunc":
+                return True
+            return self._is_dirty(value.value)
+        if isinstance(value, iri.BinaryOp):
+            if value.opcode == "and":
+                return self._is_dirty(value.lhs) and self._is_dirty(value.rhs)
+            if value.opcode in ("or", "xor"):
+                return self._is_dirty(value.lhs) or self._is_dirty(value.rhs)
+            if value.opcode in ("lshr", "udiv", "urem"):
+                return False
+            return True
+        if isinstance(value, iri.Select):
+            return self._is_dirty(value.operands[1]) or self._is_dirty(
+                value.operands[2])
+        if isinstance(value, iri.Phi):
+            return any(self._is_dirty(v) for v, _ in value.incoming())
+        return True
+
+
+NARROW_LOOPS = """
+u64 f(u8* ctx) {
+    u32 acc = 0;
+    u16 mix = *(u16*)(ctx + 2);
+    u8 b = *(u8*)(ctx + 1);
+    for (u32 i = 0; i < 8; i += 1) {
+        acc = acc * 3 + b;
+        if (acc > 100) { acc = acc ^ i; } else { mix = mix | (u16)acc; }
+        u32 j = 0;
+        while (j < i) { mix = (mix & (u16)j) | 1; j += 1; }
+    }
+    return acc + mix;
+}
+"""
+
+
+def _dirty_answers(source, entry, selector_is_dirty=None):
+    """Every (value, answer) the selector cached while lowering *entry*."""
+    from repro.codegen import InstructionSelector
+    from repro.frontend import compile_source
+
+    module = compile_source(source)
+    func = module.get(entry)
+    selector = InstructionSelector(func, module)
+    if selector_is_dirty is not None:
+        selector._is_dirty = selector_is_dirty.__get__(selector)
+    selector.run()
+    where = {id(insn): (block.name, index) for block in func.blocks
+             for index, insn in enumerate(block.instructions)}
+    return sorted(
+        (repr(where.get(id(value), (type(value).__name__, value.ref,
+                                    str(value.type)))), answer)
+        for value, answer in selector._dirty_cache.items())
+
+
+def test_dirty_bits_match_the_recursion():
+    from repro.fuzz.generator import generate
+    from repro.workloads.xdp import ALL_XDP
+
+    sources = [(w.source, w.entry) for w in ALL_XDP]
+    sources.append((NARROW_LOOPS, "f"))
+    fuzz = [generate("source", seed) for seed in range(120)]
+    sources += [(case.text, case.name) for case in fuzz
+                if "for (" in case.text]
+    checked = 0
+    for source, entry in sources:
+        expected = _dirty_answers(source, entry,
+                                  RecursiveDirtySelector.is_dirty)
+        assert _dirty_answers(source, entry) == expected
+        checked += len(expected)
+    assert len(sources) > 60 and checked > 250

@@ -220,7 +220,8 @@ def test_vm_tv_and_superopt_agree_on_every_operation():
     for value in EDGE_OPERANDS + (0x1122334455667788,):
         for width in (16, 32, 64):
             for opcode in (op.BPF_ALU | op.BPF_END | op.BPF_K,
-                           op.BPF_ALU | op.BPF_END | op.BPF_X):
+                           op.BPF_ALU | op.BPF_END | op.BPF_X,
+                           op.BPF_ALU64 | op.BPF_END | op.BPF_K):
                 insn = Instruction(opcode, dst=0, imm=width)
                 got = _run_on(insn, value, 0)
                 term = run_region([insn]).regs[0]

@@ -297,3 +297,86 @@ class TestOptimizedSemantics:
         ctx = bytes(range(64))
         assert run_expr(body, ctx=ctx) == run_expr(body, ctx=ctx,
                                                    optimize=True)
+
+
+# ------------------------------------------------ long chains of ``if``s
+def if_chain(n: int, shape: str) -> str:
+    """*n* sequential ``if``s over a u64 loaded from ctx offset 0:
+    ``reads`` increments ``y`` in each and then reads ``z``, defined
+    before them all; ``writes`` sets ``x`` in each and then reads it."""
+    if shape == "reads":
+        body = "\n".join(f"    if (c > {i}) {{ y = y + 1; }}"
+                         for i in range(n))
+        return (f"u64 f(u8* ctx) {{\n    u64 c = *(u64*)(ctx + 0);\n"
+                f"    u64 y = 0;\n    u64 z = 7;\n{body}\n"
+                f"    return z + y;\n}}")
+    body = "\n".join(f"    if (c > {i}) {{ x = {i}; }}" for i in range(n))
+    return (f"u64 f(u8* ctx) {{\n    u64 c = *(u64*)(ctx + 0);\n"
+            f"    u64 x = 0;\n{body}\n    return x;\n}}")
+
+
+class TestLongIfChains:
+    """A read after thousands of ``if``s resolves on explicit stacks,
+    in steps linear in the chain, building only the phis it keeps."""
+
+    @pytest.mark.parametrize("shape", ["reads", "writes"])
+    def test_a_thousand_ifs_compile(self, shape):
+        module = compile_source(if_chain(1000, shape))
+        validate_module(module)
+        phis = [i for i in module.get("f").instructions()
+                if i.opcode == "phi"]
+        assert len(phis) == 1000
+
+    @pytest.mark.parametrize("shape", ["reads", "writes"])
+    def test_ssa_steps_grow_linearly(self, monkeypatch, shape):
+        from repro.frontend import codegen
+
+        built = []
+
+        class Counting(codegen._SSA):
+            def __init__(self, func):
+                super().__init__(func)
+                built.append(self)
+
+        monkeypatch.setattr(codegen, "_SSA", Counting)
+        steps = {}
+        for n in (250, 500):
+            built.clear()
+            compile_source(if_chain(n, shape))
+            steps[n] = sum(ssa.steps for ssa in built)
+        assert steps[500] <= 2.2 * steps[250], steps
+
+
+def test_phi_construction_count(monkeypatch):
+    """Phis built and kept over the 19 XDP programs and the first 20 by
+    name of each suite at scale 0.05.  Braun's place-then-erase built
+    2,682 and kept 526 (1,814 and 352 on programs without loops)."""
+    from repro.ir import instructions as iri
+    from repro.workloads.suites import generate_suite
+    from repro.workloads.xdp import ALL_XDP
+
+    built = [0]
+    real_init = iri.Phi.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(iri.Phi, "__init__", counting)
+    sources = [(w.name, w.source) for w in ALL_XDP]
+    for suite in ("sysdig", "tetragon", "tracee"):
+        programs = sorted(generate_suite(suite, scale=0.05),
+                          key=lambda p: p.name)[:20]
+        sources += [(p.name, p.source) for p in programs]
+    totals = {False: [0, 0], True: [0, 0]}  # loops? -> [built, kept]
+    for name, source in sources:
+        before = built[0]
+        module = compile_source(source, name)
+        blocks = [b for func in module for b in func.blocks]
+        loops = any(b.name.startswith(("while.", "for.")) for b in blocks)
+        totals[loops][0] += built[0] - before
+        totals[loops][1] += sum(i.opcode == "phi" for b in blocks
+                                for i in b.instructions)
+    assert len(sources) == 79
+    assert totals[False] == [352, 352]
+    assert totals[True] == [268, 174]

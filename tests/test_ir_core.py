@@ -177,6 +177,38 @@ class TestBuilderAndUses:
         b2 = func.add_block("loop")
         assert b1.name != b2.name
 
+    def test_block_names_match_a_probe_from_one(self):
+        """``add_block`` keeps a suffix per base name; its names must be
+        the first free of ``name``, ``name1``, ``name2``, ... as a probe
+        from 1 finds, after any mix of adds, direct appends and
+        removals."""
+        import random
+
+        def reference(names, name):
+            if name not in names:
+                return name
+            counter = 1
+            while f"{name}{counter}" in names:
+                counter += 1
+            return f"{name}{counter}"
+
+        rng = random.Random(7)
+        func = Function("g", I64)
+        for _ in range(3000):
+            names = {block.name for block in func.blocks}
+            roll = rng.random()
+            if roll < 0.6:
+                base = rng.choice(["x", "x1", "if.then", "bb0", "y"])
+                expected = reference(names, base)
+                assert func.add_block(base).name == expected
+            elif roll < 0.7:
+                name = rng.choice(["x", "x1", "y"]) + str(rng.randrange(30))
+                if name not in names:
+                    func.append_block(ir.BasicBlock(name, func))
+            elif func.blocks:
+                func.remove_block(rng.choice(func.blocks))
+        assert len(func.blocks) > 100
+
     def test_predecessors(self):
         func, b = _simple_function()
         exit_blk = func.add_block("exit")

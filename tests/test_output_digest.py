@@ -1,10 +1,13 @@
 """Pinned compiler output over a wide corpus.
 
 ``golden_compile.json`` pins 31 small programs.  This test covers the
-sizes where a quadratic path would bite, with five sha256 digests:
+sizes where a quadratic path would bite, with six sha256 digests:
 
 * ``print_module`` of every program's frontend output (cache keys hash
   this IR text);
+* the use lists of that output: for every value (arguments, then
+  instructions in order, then constants and symbols in order of first
+  use), its users as (block, index) pairs in use-list order;
 * the ``(ok, reason, npi, total_states, peak_states, pruned)`` verdict of
   the verifier on every program's ``compile_function`` baseline build;
 * the encoded bytes of that baseline build (codegen: isel, register
@@ -27,8 +30,9 @@ each suite at scale 0.2 (by source length, then name; 16-24k
 characters); and the source-layer fuzz programs of seeds 0-99
 (``repro.fuzz.generator.generate("source", seed)``).  The first two
 digests were computed before the frontend and verifier fast paths
-existed, the next two before the codegen and bytecode-tier ones, and the
-VM's before its run loop read the opcode tables.  Print
+existed, the next two before the codegen and bytecode-tier ones, the
+VM's before its run loop read the opcode tables, and the use lists'
+before the frontend stopped building throwaway phis.  Print
 the current ones, from the repository root, with::
 
     PYTHONPATH=src python tests/test_output_digest.py
@@ -66,6 +70,8 @@ PIPELINE_SHA256 = \
     "bf1ddba5247b44082f570003debe0311c8d3e7ace5c934b894b61c98af177f9e"
 VM_SHA256 = \
     "f6ab164b06dcb3df1082abc46a65ead24d87b6fa9c817aef717835593c1ac30d"
+USES_SHA256 = \
+    "129c0fa950bbcdf58684d03a8935f8f1fd5cc222c8c549ea5923e619a42c9f03"
 
 #: packets per XDP stream, as in one event-stream pass, and their seed
 STREAM_PACKETS = 200
@@ -103,8 +109,29 @@ def _stream_runs(program, seed: int = STREAM_SEED):
     yield repr(observable_state(machine))
 
 
+def use_lists(module):
+    """One line per value of *module*: its users as (block, index)
+    pairs, in the order of its use list."""
+    for func in module:
+        where = {}
+        for block in func.blocks:
+            for index, insn in enumerate(block.instructions):
+                where[id(insn)] = (block.name, index)
+        values = [*func.args, *func.instructions()]
+        seen = {id(value) for value in values}
+        for insn in func.instructions():
+            for operand in insn.operands:
+                if id(operand) not in seen:
+                    seen.add(id(operand))
+                    values.append(operand)
+        for position, value in enumerate(values):
+            users = [where.get(id(user)) for user in value.uses]
+            yield f"{func.name} {position} {value.ref} {users}"
+
+
 def digests() -> dict:
     ir_text = hashlib.sha256()
+    uses = hashlib.sha256()
     verdicts = hashlib.sha256()
     baseline_bytes = hashlib.sha256()
     pipeline_output = hashlib.sha256()
@@ -113,6 +140,9 @@ def digests() -> dict:
     for name, source, entry, prog_type, mcpu, ctx_size in _cases():
         module = compile_source(source, name)
         ir_text.update(f"{name}\n{print_module(module)}\n".encode())
+        uses.update(f"{name}\n".encode())
+        for line in use_lists(module):
+            uses.update(line.encode() + b"\n")
         func = module.get(entry)
         program = compile_function(func, module, prog_type=prog_type,
                                    mcpu=mcpu, ctx_size=ctx_size)
@@ -135,7 +165,8 @@ def digests() -> dict:
         if prog_type == ProgramType.XDP:
             for line in _stream_runs(optimized):
                 vm_runs.update(line.encode() + b"\n")
-    return {"ir": ir_text.hexdigest(), "verdicts": verdicts.hexdigest(),
+    return {"ir": ir_text.hexdigest(), "uses": uses.hexdigest(),
+            "verdicts": verdicts.hexdigest(),
             "baseline": baseline_bytes.hexdigest(),
             "pipeline": pipeline_output.hexdigest(),
             "vm": vm_runs.hexdigest()}
@@ -148,6 +179,10 @@ def current():
 
 def test_frontend_and_verifier_output_is_unchanged(current):
     assert (current["ir"], current["verdicts"]) == (IR_SHA256, VERDICT_SHA256)
+
+
+def test_frontend_use_lists_are_unchanged(current):
+    assert current["uses"] == USES_SHA256
 
 
 def test_codegen_and_bytecode_tier_output_is_unchanged(current):

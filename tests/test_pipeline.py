@@ -349,3 +349,69 @@ class TestOneBytecodeTier:
                 prog_type=ProgramType.XDP, ctx_size=24)
             assert counts == {"analyses": 3, "conversions": 1}, \
                 workload.name
+
+
+class TestLongPrograms:
+    """Programs past Python's recursion limit in every layer that walks
+    a chain of merges: the SSA reads, codegen's dirty-bits test and
+    the phis they leave go through the pipeline, the verifier and the
+    VM."""
+
+    @staticmethod
+    def _rules(n: int) -> str:
+        """*n* rules on u32 context words counting into a u32 verdict;
+        returning it as u64 asks codegen whether its upper bits are
+        clean, through a chain of *n* phis."""
+        body = "\n".join(
+            f"    if (ctx_load_u32(ctx, {4 * (i % 16)}) == {i}) "
+            f"{{ verdict += 1; }}" for i in range(n))
+        return (f"u64 f(u8* ctx) {{\n    u32 verdict = 0;\n{body}\n"
+                f"    return verdict;\n}}")
+
+    @staticmethod
+    def _load(source: str):
+        import struct
+
+        module = compile_source(source)
+        program, _ = MerlinPipeline().compile(
+            module.get("f"), module, prog_type=ProgramType.TRACEPOINT,
+            ctx_size=64)
+        # context word k holds k; offset 0 also reads as the u64 500
+        ctx = struct.pack("<Q", 500) + b"".join(
+            struct.pack("<I", k) for k in range(2, 16))
+        return program, Machine(program).run(ctx=ctx).return_value
+
+    def test_a_thousand_rules(self):
+        program, verdict = self._load(self._rules(1000))
+        result = verify(program)
+        assert (program.ni, result.ok, result.npi) == (6003, True, 6003)
+        # rules 2-15 match their own word; words 0 and 1 hold 500 and 0
+        assert verdict == 14
+
+    def test_a_thousand_ifs(self):
+        from tests.test_frontend import if_chain
+
+        program, value = self._load(if_chain(1000, "writes"))
+        assert verify(program).ok
+        assert value == 499
+        # the verifier walks this shape's paths in quadratic time (see
+        # the next test), so at 1,000 ifs it is only compiled and run
+        program, value = self._load(if_chain(1000, "reads"))
+        assert value == 7 + 500
+
+    def test_the_reads_shape_verifies_without_a_prune(self):
+        """Pins the verifier on the shape it cannot take at 1,000 ifs.
+
+        Precision liveness makes both operands of the closing ``z + y``
+        critical, so the accumulator stays critical back through every
+        ``if``, each state is compared precisely and none prunes: NPI
+        grows quadratically (243,006 at 400 ifs; at 1,000 the program
+        is rejected as too large).  A change to precision tracking
+        moves these numbers."""
+        from tests.test_frontend import if_chain
+
+        program, value = self._load(if_chain(100, "reads"))
+        result = verify(program)
+        assert (program.ni, result.ok, result.npi, result.pruned) == \
+            (506, True, 15756, 0)
+        assert value == 7 + 100

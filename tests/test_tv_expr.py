@@ -63,6 +63,19 @@ class TestEvaluate:
             term = run_region(assemble(asm)).regs[0]
             assert evaluate(term, env) == want
 
+    def test_end_encodings_read_as_the_vm_runs_them(self):
+        """0xd7 (64-bit class) swaps unconditionally; where the VM
+        faults (0xdf, a width other than 16, 32 or 64), TV gives up."""
+        from repro.isa import Instruction
+        from repro.tv.state import Unsupported
+
+        env = {Sym(("r", 0)): 0x1234}
+        term = run_region([Instruction(0xd7, dst=0, imm=16)]).regs[0]
+        assert evaluate(term, env) == 0x3412
+        for opcode, imm in ((0xdf, 16), (0xdc, 12), (0xd4, 24), (0xd7, 8)):
+            with pytest.raises(Unsupported, match="reserved END"):
+                run_region([Instruction(opcode, dst=0, imm=imm)])
+
 
 class TestNormalize:
     def test_const_folding(self):

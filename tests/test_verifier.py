@@ -334,3 +334,33 @@ class TestMetrics:
         result = check(GOOD_PACKET_READ)
         assert result.peak_states >= 1
         assert result.total_states >= 1
+
+
+class TestEndReservedFields:
+    """Kernels 4.15-6.5 reject an END with a source register, an offset,
+    a width other than 16, 32 or 64, or the 64-bit class."""
+
+    @staticmethod
+    def _verdict(opcode: int, imm: int, src: int = 0, off: int = 0):
+        from repro.isa import Instruction
+
+        insns = assemble("r0 = 0x1234") + [
+            Instruction(opcode, dst=0, src=src, off=off, imm=imm)
+        ] + assemble("exit")
+        return verify(BpfProgram("t", insns))
+
+    @pytest.mark.parametrize("opcode", [0xd4, 0xdc])
+    @pytest.mark.parametrize("imm", [16, 32, 64])
+    def test_32_bit_class_swaps_verify(self, opcode, imm):
+        assert self._verdict(opcode, imm).ok
+
+    @pytest.mark.parametrize("fields", [
+        {"opcode": 0xdc, "imm": 12}, {"opcode": 0xdc, "imm": 24},
+        {"opcode": 0xd4, "imm": 0}, {"opcode": 0xd4, "imm": 16, "src": 1},
+        {"opcode": 0xdc, "imm": 32, "off": 2}, {"opcode": 0xd7, "imm": 16},
+        {"opcode": 0xdf, "imm": 64},
+    ])
+    def test_reserved_fields_rejected(self, fields):
+        result = self._verdict(**fields)
+        assert not result.ok
+        assert result.reason == "at insn 1: BPF_END uses reserved fields"

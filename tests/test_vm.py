@@ -92,6 +92,37 @@ class TestAlu32:
         assert run(value + "r0 = le64 r0\nexit") == 0x1122334455667788
 
 
+def _run_end(opcode: int, imm: int, src: int = 0) -> int:
+    """r0 after ``r0 = 0x1234`` and one END instruction."""
+    insns = assemble("r0 = 0x1234") + [
+        Instruction(opcode, dst=0, src=src, imm=imm)] + assemble("exit")
+    return Machine(BpfProgram("t", insns)).run().return_value
+
+
+class TestEndEncodings:
+    """END is 0xd4 (to LE) and 0xdc (to BE) in the 32-bit class and
+    0xd7 (swap) in the 64-bit class, with imm 16, 32 or 64; 0xdf and
+    every other width are reserved."""
+
+    @pytest.mark.parametrize("opcode", [0xd4, 0xdc, 0xd7])
+    @pytest.mark.parametrize("imm", [0, 8, 12, 24, 48, 128])
+    def test_reserved_width_faults(self, opcode, imm):
+        with pytest.raises(VmFault, match="reserved END"):
+            _run_end(opcode, imm)
+
+    @pytest.mark.parametrize("imm", [16, 32, 64])
+    def test_64_bit_to_be_is_reserved(self, imm):
+        with pytest.raises(VmFault, match="reserved END"):
+            _run_end(0xdf, imm)
+
+    def test_64_bit_class_swaps_unconditionally(self):
+        assert _run_end(0xd7, 16) == 0x3412
+        assert _run_end(0xd7, 32) == 0x34120000
+        assert _run_end(0xd7, 64) == 0x3412 << 48
+        assert _run_end(0xd4, 16) == 0x1234
+        assert _run_end(0xdc, 16) == 0x3412
+
+
 class TestJumps:
     def test_taken_and_not_taken(self):
         asm = """
