@@ -32,7 +32,7 @@ Quickstart::
 from typing import Optional, Tuple
 
 from . import codegen, core, frontend, hw, ir, isa, verifier, vm
-from .core import MerlinPipeline, MerlinReport, compile_with_merlin
+from .core import MerlinPipeline, MerlinReport
 from .frontend import compile_source as compile_bpf
 from .isa import BpfProgram, ProgramType
 from .verifier import KERNELS, verify
@@ -99,7 +99,6 @@ __all__ = [
     "vm",
     "MerlinPipeline",
     "MerlinReport",
-    "compile_with_merlin",
     "compile_bpf",
     "BpfProgram",
     "ProgramType",

@@ -10,7 +10,7 @@ A key digests everything that determines the output of
 * the **enabled optimizer set** (sorted short names);
 * the **kernel configuration** (every field: the gate decisions, limits
   and verifier cost model all feed the result);
-* **mcpu**, **program type**, **ctx size**, ``verify_after``, and
+* **mcpu**, **program type**, **ctx size**, and
   whether **translation validation** ran (a validated entry carries
   per-pass certificates in its report; an unvalidated one does not, so
   the two must never share an entry);
@@ -77,7 +77,6 @@ def compose_key(
     prog_type: ProgramType = ProgramType.XDP,
     mcpu: str = "v2",
     ctx_size: int = 64,
-    verify_after: bool = False,
     validate: bool = False,
     pgo: Optional[str] = None,
     superopt: Optional[str] = None,
@@ -97,7 +96,10 @@ def compose_key(
         f"prog_type={prog_type.value}",
         f"mcpu={mcpu}",
         f"ctx_size={ctx_size}",
-        f"verify_after={int(verify_after)}",
+        # the pipeline no longer verifies (the option went); the part
+        # stays so every key, which tests/test_golden_compile.py pins,
+        # is unchanged
+        "verify_after=0",
         f"validate={int(validate)}",
         f"pgo={pgo if pgo is not None else '-'}",
         f"superopt={superopt if superopt is not None else '-'}",
@@ -133,7 +135,6 @@ def key_for_function(
     prog_type: ProgramType = ProgramType.XDP,
     mcpu: str = "v2",
     ctx_size: int = 64,
-    verify_after: bool = False,
     validate: bool = False,
     pgo: Optional[str] = None,
     superopt: Optional[str] = None,
@@ -141,5 +142,4 @@ def key_for_function(
     """Key an IR function directly (renders its canonical text first)."""
     return compose_key(canonical_text(func, module), enabled, kernel,
                        prog_type=prog_type, mcpu=mcpu, ctx_size=ctx_size,
-                       verify_after=verify_after, validate=validate,
-                       pgo=pgo, superopt=superopt)
+                       validate=validate, pgo=pgo, superopt=superopt)

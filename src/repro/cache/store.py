@@ -166,15 +166,13 @@ class CompilationCache:
                          enabled: FrozenSet[str], kernel: KernelConfig,
                          prog_type: ProgramType = ProgramType.XDP,
                          mcpu: str = "v2", ctx_size: int = 64,
-                         verify_after: bool = False,
                          validate: bool = False,
                          pgo: Optional[str] = None,
                          superopt: Optional[str] = None) -> str:
         return _keys.key_for_function(
             func, module, enabled=enabled, kernel=kernel,
             prog_type=prog_type, mcpu=mcpu, ctx_size=ctx_size,
-            verify_after=verify_after, validate=validate, pgo=pgo,
-            superopt=superopt)
+            validate=validate, pgo=pgo, superopt=superopt)
 
     # ----------------------------------------------------------- lookup
     def get_object(self, key: str) -> Optional[object]:

@@ -7,7 +7,7 @@ from ..isa import BpfProgram, ProgramType
 from .emitter import EmissionError, emit, resolve_labels
 from .isel import InstructionSelector, SelectionError, select
 from .lowfunc import Label, LowFunction, LowInsn, StackOverflowError, VREG_BASE, is_vreg
-from .regalloc import AllocationError, LinearScanAllocator, allocate
+from .regalloc import LinearScanAllocator, allocate
 
 if TYPE_CHECKING:  # pragma: no cover - repro.core imports codegen
     from ..core.bytecode_passes.symbolic import SymbolicProgram
@@ -72,7 +72,6 @@ __all__ = [
     "StackOverflowError",
     "VREG_BASE",
     "is_vreg",
-    "AllocationError",
     "LinearScanAllocator",
     "allocate",
 ]

@@ -26,9 +26,8 @@ from .. import ir
 from ..ir import instructions as iri
 from ..isa import helpers
 from ..isa import opcodes as op
+from ..isa.semantics import fits_imm32
 from .lowfunc import LowFunction
-
-_S32_MIN, _S32_MAX = -(1 << 31), (1 << 31) - 1
 
 #: IR binary op -> eBPF ALU op name (register/immediate form chosen
 #: later); IR constant propagation folds each op as this one computes
@@ -342,7 +341,7 @@ class InstructionSelector:
         reg = self.low.new_vreg()
         desired = value & ((1 << max(bits, 1)) - 1) if bits < 64 else value
         signed64 = desired - (1 << 64) if desired >> 63 else desired
-        if _S32_MIN <= signed64 <= _S32_MAX:
+        if fits_imm32(signed64):
             self._alu("mov", reg, imm=signed64)
         else:
             self._ld_imm64(reg, desired)
@@ -379,17 +378,7 @@ class InstructionSelector:
     def resolve_address(self, ptr: ir.Value) -> Tuple[int, int]:
         """Fold chains of constant-offset GEPs (and bitcasts):
         -> (base_reg, const_off)."""
-        offset = 0
-        current = ptr
-        while True:
-            if isinstance(current, iri.Gep) and isinstance(current.offset,
-                                                           ir.Constant):
-                offset += current.offset.signed
-                current = current.ptr
-            elif isinstance(current, iri.Cast) and current.opcode == "bitcast":
-                current = current.value
-            else:
-                break
+        current, offset = ir.fold_address(ptr)
         if isinstance(current, iri.Alloca):
             return op.FP, self.alloca_off[current] + offset
         if isinstance(current, iri.Gep):
@@ -468,8 +457,7 @@ class InstructionSelector:
         dst = self._vreg_for(instruction)
         self._mov(dst, lhs_reg)
         name = ALU_NAME_BY_BINOP[opname]
-        if isinstance(rhs, ir.Constant) and \
-                _S32_MIN <= _imm_for(rhs) <= _S32_MAX:
+        if isinstance(rhs, ir.Constant) and fits_imm32(_imm_for(rhs)):
             self._alu(name, dst, imm=_imm_for(rhs))
         else:
             if opname in ("udiv", "urem") and self._is_narrow(rhs):
@@ -521,7 +509,7 @@ class InstructionSelector:
         rhs = instruction.rhs
         if isinstance(rhs, ir.Constant):
             imm = rhs.signed if signed else _imm_for(rhs)
-            if _S32_MIN <= imm <= _S32_MAX:
+            if fits_imm32(imm):
                 return lhs_reg, imm
         return lhs_reg, ("reg", self._clean_reg(rhs, signed=signed))
 

@@ -9,26 +9,25 @@ r10 is the read-only frame pointer.  Spilled virtual registers live in
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa import Instruction
 from ..isa import opcodes as op
+from ..isa.cfg import Cfg
 from .lowfunc import VREG_BASE, Label, LowFunction, LowInsn, is_vreg
 
 #: opcodes of a spill's reload and store (8-byte, through r10)
 _SPILL_LOAD = op.BPF_LDX | op.BYTES_SIZE[8] | op.BPF_MEM
 _SPILL_STORE = op.BPF_STX | op.BYTES_SIZE[8] | op.BPF_MEM
+#: the bits of every virtual register in a register mask
+_VREG_BITS = -1 << VREG_BASE
 
 ALLOCATABLE = (op.R0, op.R1, op.R2, op.R3, op.R4, op.R5, op.R6, op.R7)
 CALL_SAFE = (op.R6, op.R7)
 SCRATCH_DEF = op.R8
 SCRATCH_USE = op.R9
-
-
-class AllocationError(Exception):
-    """Raised when allocation cannot make progress (should not happen)."""
 
 
 @dataclass
@@ -39,36 +38,28 @@ class Interval:
     phys: Optional[int] = None
     slot: Optional[int] = None  # stack offset when spilled
 
-    @property
-    def spilled(self) -> bool:
-        return self.slot is not None
 
-
-@dataclass
-class _Block:
-    first: int
-    last: int
-    succs: List[int] = field(default_factory=list)
-    use: Set[int] = field(default_factory=set)
-    defs: Set[int] = field(default_factory=set)
-    live_in: Set[int] = field(default_factory=set)
-    live_out: Set[int] = field(default_factory=set)
-    #: virtual register -> [first, last] position naming it in the block,
-    #: in the order the block's instructions first name them
-    touched: Dict[int, List[int]] = field(default_factory=dict)
+def _regs(mask: int) -> List[int]:
+    """The registers whose bits are set in *mask*."""
+    regs = []
+    while mask:
+        bit = mask & -mask
+        regs.append(bit.bit_length() - 1)
+        mask ^= bit
+    return regs
 
 
 class LinearScanAllocator:
     """Allocates a :class:`LowFunction` in place.
 
     Each instruction's ``uses()`` and ``defs()`` are read once, and every
-    later phase works from those tuples.  Intervals are created in the
-    order their registers are first touched (block live-in, live-out,
-    then the block's instructions in order): :meth:`_allocate` sorts
-    them by ``(start, end)`` and that order breaks the ties, so it
-    decides which register each interval gets.  The physical registers
-    are written into the instructions in place; the only instructions
-    allocation adds are the reloads and stores of spilled registers.
+    later phase works from those tuples.  Liveness is solved on the
+    shared bytecode CFG (:meth:`repro.isa.cfg.Cfg.liveness`), over the
+    virtual registers' bits.  :meth:`_allocate` takes the intervals in
+    ``(start, end, vreg)`` order, so two intervals with the same extent
+    go to the lower vreg first.  The physical registers are written
+    into the instructions in place; the only instructions allocation
+    adds are the reloads and stores of spilled registers.
     """
 
     def __init__(self, low: LowFunction):
@@ -98,51 +89,43 @@ class LinearScanAllocator:
         uses, defs = Instruction.uses, Instruction.defs
         self.uses = [uses(low) for low in self.insns]
         self.defs = [defs(low) for low in self.insns]
-        blocks = self._build_blocks()
-        self._solve_liveness(blocks)
-        self._build_intervals(blocks)
+        self._build_intervals()
         self._collect_call_regions()
         self._collect_phys_ranges()
         self._allocate()
         self._rewrite()
         return self.low
 
-    # ----------------------------------------------------------------- CFG
-    def _build_blocks(self) -> List[_Block]:
-        n = len(self.insns)
-        leaders = {0} | set(self.label_pos.values())
-        for i, low in enumerate(self.insns):
-            if op.IS_JUMP[low.opcode]:  # jumps, calls and exits
-                leaders.add(i + 1)
-        leaders = sorted(p for p in leaders if p < n)
-        blocks: List[_Block] = []
-        starts = leaders + [n]
-        index_of_start = {s: bi for bi, s in enumerate(leaders)}
-        for bi, start in enumerate(leaders):
-            block = _Block(first=start, last=starts[bi + 1] - 1)
-            last = self.insns[block.last]
-            code = last.opcode
-            if op.IS_EXIT[code]:
-                pass
-            elif op.IS_JUMP[code] and not op.IS_CALL[code]:
-                if last.target is not None:
-                    block.succs.append(
-                        index_of_start[self.label_pos[last.target]])
-                if op.OP_CODE[code] != op.BPF_JA and block.last + 1 < n:
-                    block.succs.append(index_of_start[block.last + 1])
-            elif block.last + 1 < n:
-                block.succs.append(index_of_start[block.last + 1])
-            blocks.append(block)
-        uses, defs = self.uses, self.defs
-        for block in blocks:
-            use, kill, touched = block.use, block.defs, block.touched
-            for i in range(block.first, block.last + 1):
-                for reg in uses[i]:
-                    if reg >= VREG_BASE and reg not in kill:
-                        use.add(reg)
-                for reg in defs[i]:
-                    if reg >= VREG_BASE:
-                        kill.add(reg)
+    # ------------------------------------------------------------ liveness
+    def _build_intervals(self) -> None:
+        """Each virtual register's interval, from the first position to
+        the last where it is named or live at a block's entry or exit.
+
+        Blocks are visited in position order, so a register's start is
+        fixed in the first block it appears in and its end moves up to
+        the last.  Within a block it counts once, at its first and last
+        mention, widened to the block's entry if it is live in and to
+        the block's exit if it is live out.  Only the bits that can
+        move an extent are read one by one: live-in registers not yet
+        started, and live-out ones that no later successor takes in."""
+        insns, label_pos = self.insns, self.label_pos
+        cfg = Cfg(insns, [None if low.target is None else label_pos[low.target]
+                          for low in insns])
+        use_mask = Instruction.use_mask.fget
+        def_mask = Instruction.def_mask.fget
+        live_in, live_out = cfg.liveness([use_mask(low) for low in insns],
+                                         [def_mask(low) for low in insns])
+        uses, defs, succs = self.uses, self.defs, cfg.succs
+        start: Dict[int, int] = {}
+        end: Dict[int, int] = {}
+        unstarted = _VREG_BITS
+        for b, first in enumerate(cfg.first):
+            last = cfg.last[b]
+            for reg in _regs(live_in[b] & unstarted):
+                start[reg] = first
+                unstarted ^= 1 << reg
+            touched: Dict[int, List[int]] = {}
+            for i in range(first, last + 1):
                 for reg in uses[i] + defs[i]:
                     if reg >= VREG_BASE:
                         span = touched.get(reg)
@@ -150,42 +133,22 @@ class LinearScanAllocator:
                             touched[reg] = [i, i]
                         else:
                             span[1] = i
-        return blocks
-
-    def _solve_liveness(self, blocks: List[_Block]) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for block in reversed(blocks):
-                out: Set[int] = set()
-                for si in block.succs:
-                    out |= blocks[si].live_in
-                new_in = block.use | (out - block.defs)
-                if out != block.live_out or new_in != block.live_in:
-                    block.live_out = out
-                    block.live_in = new_in
-                    changed = True
-
-    def _build_intervals(self, blocks: List[_Block]) -> None:
-        intervals = self.intervals
-
-        def touch(reg: int, lo: int, hi: int) -> None:
-            interval = intervals.get(reg)
-            if interval is None:
-                intervals[reg] = Interval(reg, lo, hi)
-            else:
-                if lo < interval.start:
-                    interval.start = lo
-                if hi > interval.end:
-                    interval.end = hi
-
-        for block in blocks:
-            for reg in block.live_in:
-                touch(reg, block.first, block.first)
-            for reg in block.live_out:
-                touch(reg, block.last, block.last)
-            for reg, (lo, hi) in block.touched.items():
-                touch(reg, lo, hi)
+            for reg, (lo, hi) in touched.items():
+                if reg not in start:
+                    start[reg] = lo
+                    unstarted ^= 1 << reg
+                end[reg] = hi
+            # a register live into a later block is named there or live
+            # out of it, which takes its end past this block; only
+            # those live out through a jump back end here
+            back = live_out[b] & _VREG_BITS
+            for s in succs[b]:
+                if s > b:
+                    back &= ~live_in[s]
+            for reg in _regs(back):
+                end[reg] = last
+        self.intervals = {reg: Interval(reg, lo, end[reg])
+                          for reg, lo in start.items()}
 
     def _collect_call_regions(self) -> None:
         groups: Dict[int, Tuple[int, int]] = {}
@@ -243,7 +206,8 @@ class LinearScanAllocator:
         phys = {reg: ([start for start, _ in pairs],
                       list(accumulate((end for _, end in pairs), max)))
                 for reg, pairs in self.phys_ranges.items()}
-        order = sorted(self.intervals.values(), key=lambda iv: (iv.start, iv.end))
+        order = sorted(self.intervals.values(),
+                       key=lambda iv: (iv.start, iv.end, iv.reg))
         active: List[Interval] = []
         for interval in order:
             start, end = interval.start, interval.end

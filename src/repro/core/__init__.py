@@ -18,7 +18,6 @@ from .pipeline import (
     MerlinPipeline,
     MerlinReport,
     OPTIMIZER_NAMES,
-    compile_with_merlin,
 )
 from .superopt import SuperoptSpec, SuperoptimizerPass
 
@@ -49,7 +48,6 @@ __all__ = [
     "MerlinPipeline",
     "MerlinReport",
     "OPTIMIZER_NAMES",
-    "compile_with_merlin",
     "SuperoptSpec",
     "SuperoptimizerPass",
 ]

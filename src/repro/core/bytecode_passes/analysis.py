@@ -149,24 +149,14 @@ class BytecodeAnalysis:
                          for insn in insns]
 
     def _solve(self) -> None:
-        """Least fixpoint of backward liveness over the blocks, then the
+        """Liveness over the blocks (:meth:`Cfg.liveness`), then the
         live-after mask of every position."""
         start = time.perf_counter_ns()
         self._read_masks()
         cfg = self.cfg
         first, last = cfg.first, cfg.last
         uses, defs = self._use, self._def
-        gen = []
-        kill = []
-        for b, end in enumerate(last):
-            g = k = 0
-            for p in range(end, first[b] - 1, -1):
-                d = defs[p]
-                g = uses[p] | (g & ~d)
-                k |= d
-            gen.append(g)
-            kill.append(k)
-        live_out = cfg.solve(lambda b, out: gen[b] | (out & ~kill[b]))
+        _, live_out = cfg.liveness(uses, defs)
         after = self._live_after
         for b, live in enumerate(live_out):
             for p in range(last[b], first[b] - 1, -1):

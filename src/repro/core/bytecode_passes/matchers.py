@@ -14,6 +14,7 @@ from typing import Optional
 from ...isa import Instruction
 from ...isa import instruction as ins
 from ...isa import opcodes as op
+from ...isa.semantics import fits_imm32
 
 
 def collapse_store_imm(first: Instruction,
@@ -30,7 +31,7 @@ def collapse_store_imm(first: Instruction,
         and second.insn_class == op.BPF_STX
         and not second.is_atomic
         and second.src == first.dst
-        and -(1 << 31) <= first.imm < (1 << 31)
+        and fits_imm32(first.imm)
     ):
         return ins.store_imm(second.size_bytes, second.dst, second.off,
                              first.imm)

@@ -18,23 +18,17 @@ register definitions (including self-moves left by register allocation).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...isa import BpfProgram, Instruction
 from ...isa import instruction as ins
 from ...isa import opcodes as op
+from ...isa.semantics import fits_imm32
 from ..pass_manager import BytecodePass
 from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
 
-_S32_MIN, _S32_MAX = -(1 << 31), (1 << 31) - 1
 _MOV64_IMM = op.BPF_ALU64 | op.BPF_MOV | op.BPF_K
-
-
-def _as_signed32(imm: int) -> Optional[int]:
-    if _S32_MIN <= imm <= _S32_MAX:
-        return imm
-    return None
 
 
 class StoreImmediatePass(BytecodePass):
@@ -83,13 +77,13 @@ class StoreImmediatePass(BytecodePass):
                     continue
                 if not analysis.reg_dead_after(nxt, insn.dst):
                     continue
-                imm = _as_signed32(insn.imm)
-                if imm is None:
+                if not fits_imm32(insn.imm):
                     continue
                 snap = self._snapshot(sym)
                 sym.replace(
                     nxt,
-                    ins.store_imm(store.size_bytes, store.dst, store.off, imm),
+                    ins.store_imm(store.size_bytes, store.dst, store.off,
+                                  insn.imm),
                 )
                 sym.delete(index)
                 self._witness_region(sym, snap, index, nxt,

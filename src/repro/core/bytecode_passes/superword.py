@@ -18,12 +18,10 @@ from typing import Optional
 
 from ...isa import BpfProgram
 from ...isa import instruction as ins
-from ...isa.semantics import signed
+from ...isa.semantics import fits_imm32, signed
 from ..pass_manager import BytecodePass
 from .analysis import BytecodeAnalysis
 from .symbolic import SymbolicProgram
-
-_S32_MIN, _S32_MAX = -(1 << 31), (1 << 31) - 1
 
 #: test-only fault injection: when True, merged stores land one byte
 #: past the pair's base offset.  Exists so the differential fuzzer's
@@ -44,7 +42,7 @@ def merged_immediate(lo_value: int, hi_value: int, size: int) -> Optional[int]:
     # the signed immediate that reproduces the pattern; an 8-byte store
     # sign-extends it from 32 bits
     imm = signed(combined, 2 * bits)
-    return imm if _S32_MIN <= imm <= _S32_MAX else None
+    return imm if fits_imm32(imm) else None
 
 
 class SuperwordMergePass(BytecodePass):

@@ -27,24 +27,12 @@ from ..pass_manager import IRPass
 FUSIBLE_OPS = {"add", "and", "or", "xor"}
 
 
-def _resolve(ptr: ir.Value) -> Tuple[int, int]:
-    """(identity of base value, accumulated constant offset)."""
-    offset = 0
-    current = ptr
-    while True:
-        if isinstance(current, iri.Gep) and isinstance(current.offset,
-                                                       ir.Constant):
-            offset += current.offset.signed
-            current = current.ptr
-        elif isinstance(current, iri.Cast) and current.opcode == "bitcast":
-            current = current.value
-        else:
-            break
-    return id(current), offset
-
-
 def _same_address(a: ir.Value, b: ir.Value) -> bool:
-    return a is b or _resolve(a) == _resolve(b)
+    if a is b:
+        return True
+    base, offset = ir.fold_address(a)
+    other, other_offset = ir.fold_address(b)
+    return base is other and offset == other_offset
 
 
 class MacroOpFusionPass(IRPass):

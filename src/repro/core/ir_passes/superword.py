@@ -16,21 +16,10 @@ from ...ir import instructions as iri
 from ..pass_manager import IRPass
 
 
-def _resolve(ptr: ir.Value) -> Optional[Tuple[int, ir.Value, int]]:
-    """(base id, base value, const byte offset), or None if dynamic."""
-    offset = 0
-    current = ptr
-    while True:
-        if isinstance(current, iri.Gep):
-            if not isinstance(current.offset, ir.Constant):
-                return None
-            offset += current.offset.signed
-            current = current.ptr
-        elif isinstance(current, iri.Cast) and current.opcode == "bitcast":
-            current = current.value
-        else:
-            break
-    return id(current), current, offset
+def _resolve(ptr: ir.Value) -> Optional[Tuple[ir.Value, int]]:
+    """(base value, const byte offset), or None if dynamic."""
+    base, offset = ir.fold_address(ptr)
+    return None if isinstance(base, iri.Gep) else (base, offset)
 
 
 class SuperwordMergeIRPass(IRPass):
@@ -72,14 +61,14 @@ class SuperwordMergeIRPass(IRPass):
     def _find_partner(self, insns: List, i: int) -> Optional[int]:
         first = insns[i]
         size = first.value.type.size_bytes
-        base_id, _, off = _resolve(first.ptr)
+        base, off = _resolve(first.ptr)
         for j in range(i + 1, len(insns)):
             insn = insns[j]
             if isinstance(insn, (iri.AtomicRMW, iri.Call)):
                 return None
             if isinstance(insn, iri.Load):
                 resolved = _resolve(insn.ptr)
-                if resolved is None or resolved[0] == base_id:
+                if resolved is None or resolved[0] is base:
                     return None
                 continue
             if not isinstance(insn, iri.Store):
@@ -89,11 +78,11 @@ class SuperwordMergeIRPass(IRPass):
             if not self._is_const_store(insn):
                 # an unknown store could alias: stop the search
                 resolved = _resolve(insn.ptr)
-                if resolved is None or resolved[0] == base_id:
+                if resolved is None or resolved[0] is base:
                     return None
                 continue
-            other_base, _, other_off = _resolve(insn.ptr)
-            if other_base != base_id:
+            other_base, other_off = _resolve(insn.ptr)
+            if other_base is not base:
                 continue
             if insn.value.type.size_bytes != size:
                 return None
@@ -107,8 +96,8 @@ class SuperwordMergeIRPass(IRPass):
                j: int) -> bool:
         first, second = block.instructions[i], block.instructions[j]
         size = first.value.type.size_bytes
-        _, base_value, first_off = _resolve(first.ptr)
-        _, __, second_off = _resolve(second.ptr)
+        base_value, first_off = _resolve(first.ptr)
+        _, second_off = _resolve(second.ptr)
         lo, lo_off = (first, first_off) if first_off < second_off else (
             second, second_off)
         hi = second if lo is first else first

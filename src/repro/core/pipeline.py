@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from .. import ir
 from ..codegen import compile_function
 from ..isa import BpfProgram, ProgramType
-from ..verifier import DEFAULT_KERNEL, KernelConfig, VerificationResult, verify
+from ..verifier import DEFAULT_KERNEL, KernelConfig
 from .bytecode_passes.compaction import CodeCompactionPass
 from .bytecode_passes.peephole import PeepholePass
 from .bytecode_passes.store_imm import StoreImmediatePass
@@ -107,7 +107,6 @@ class MerlinReport:
     ni_original: int
     ni_optimized: int
     pass_stats: List[PassStats] = field(default_factory=list)
-    verification: Optional[VerificationResult] = None
     compile_seconds: float = 0.0
     cached: bool = False  # served from a CompilationCache, not recompiled
     #: the content-addressed cache key this result lives under (None
@@ -146,14 +145,12 @@ class MerlinPipeline:
         self,
         kernel: KernelConfig = DEFAULT_KERNEL,
         enabled: Optional[Iterable[str]] = None,
-        verify_after: bool = False,
     ):
         self.kernel = kernel
         self.enabled = frozenset(enabled) if enabled is not None else ALL_OPTIMIZERS
         unknown = self.enabled - ALL_OPTIMIZERS
         if unknown:
             raise ValueError(f"unknown optimizers: {sorted(unknown)}")
-        self.verify_after = verify_after
 
     # ------------------------------------------------------------------
     def ir_passes(self) -> List[IRPass]:
@@ -215,8 +212,9 @@ class MerlinPipeline:
         superopt=None,
     ) -> Tuple[BpfProgram, MerlinReport]:
         """Full pipeline: baseline compile for reference, IR refinement,
-        re-compile, bytecode refinement, optional superoptimization,
-        optional profile-guided layout, optional verification.
+        re-compile, bytecode refinement, optional superoptimization and
+        optional profile-guided layout.  Verifying the result is the
+        caller's step (:func:`repro.verifier.verify`).
 
         ``pgo`` enables the BOLT-style layout tier: pass a
         :class:`repro.core.bytecode_passes.layout.PgoSpec` (or ``True``
@@ -264,7 +262,7 @@ class MerlinPipeline:
             key = cache.key_for_function(
                 func, module, enabled=self.enabled, kernel=self.kernel,
                 prog_type=prog_type, mcpu=mcpu, ctx_size=ctx_size,
-                verify_after=self.verify_after, validate=bool(validate),
+                validate=bool(validate),
                 pgo=pgo.fingerprint() if pgo is not None else None,
                 superopt=(superopt.fingerprint()
                           if superopt is not None else None),
@@ -325,8 +323,6 @@ class MerlinPipeline:
                 from ..tv import raise_on_alarm
 
                 raise_on_alarm(report.certificates)
-        if self.verify_after:
-            report.verification = verify(program, self.kernel)
         if cache is not None and key is not None:
             cache.put(key, program, report)
         return program, report
@@ -395,16 +391,5 @@ class MerlinPipeline:
                 from ..tv import raise_on_alarm
 
                 raise_on_alarm(report.certificates)
-        if self.verify_after:
-            report.verification = verify(optimized, self.kernel)
         return optimized, report
 
-
-def compile_with_merlin(
-    func: ir.Function,
-    module: Optional[ir.Module] = None,
-    kernel: KernelConfig = DEFAULT_KERNEL,
-    **kwargs,
-) -> Tuple[BpfProgram, MerlinReport]:
-    """One-call convenience API: Merlin with every optimizer enabled."""
-    return MerlinPipeline(kernel=kernel).compile(func, module, **kwargs)

@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from ..isa import BpfProgram, Instruction
 from ..isa import instruction as ins
 from ..isa import opcodes as op
-from ..isa.semantics import alu, signed
+from ..isa.semantics import alu, fits_imm32, signed
 from ..tv.expr import prove_equal
 from ..tv.state import SymState, Unsupported, initial_byte, run_region
 from .bytecode_passes.analysis import BytecodeAnalysis
@@ -319,7 +319,7 @@ def _as_s32(value: int) -> Optional[int]:
     """The signed value whose 64-bit sign extension is *value*, if it
     fits in an s32 immediate."""
     value = signed(value, 64)
-    return value if -(1 << 31) <= value < (1 << 31) else None
+    return value if fits_imm32(value) else None
 
 
 def narrow_ld_imm64(insn: Instruction) -> Optional[Instruction]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .types import I1, IntType, PointerType, Type, VOID
-from .values import Value
+from .values import Constant, Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .basicblock import BasicBlock
@@ -469,3 +469,18 @@ def successors(terminator: IRInstruction) -> List["BasicBlock"]:
     if isinstance(terminator, CondBr):
         return [terminator.if_true, terminator.if_false]
     return []
+
+
+def fold_address(ptr: Value) -> Tuple[Value, int]:
+    """``(base, byte offset)`` of the pointer *ptr*: its chain of
+    constant-offset ``gep``s and ``bitcast``s folded, up to the first
+    value that is neither (a ``gep`` by a variable offset is a base)."""
+    offset = 0
+    while True:
+        if isinstance(ptr, Gep) and isinstance(ptr.offset, Constant):
+            offset += ptr.offset.signed
+            ptr = ptr.ptr
+        elif isinstance(ptr, Cast) and ptr.opcode == "bitcast":
+            ptr = ptr.value
+        else:
+            return ptr, offset

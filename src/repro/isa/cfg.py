@@ -4,7 +4,9 @@ The one owner of the decisions every bytecode consumer shares: how
 ``ld_imm64`` expands to slots, where a jump's offset lands, which
 instructions start and end basic blocks, each block's terminator and
 successors, and a backward dataflow solver over integer register masks
-(bit n = rn).  Dep (:mod:`repro.core.bytecode_passes.analysis`), the
+(bit n = rn) with register liveness written on it.  Dep
+(:mod:`repro.core.bytecode_passes.analysis`), the register allocator
+(:mod:`repro.codegen.regalloc`, over its virtual registers), the
 verifier's precision liveness and the PGO layout pass read a
 :class:`Cfg`; the VM interpreter, the symbolic program, TV's region
 check and the jump peepholes use its slot expansion, target resolution
@@ -177,3 +179,25 @@ class Cfg:
                     live_in[b] = new_in
                     changed = True
         return live_out
+
+    def liveness(self, uses: Sequence[int],
+                 defs: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """Register liveness from each instruction's use and def masks
+        (by index; a def mask holds everything the instruction
+        overwrites): ``(live_in, live_out)``, the registers live at
+        each block's entry and exit.  Each block is summarized once, by
+        the registers it reads before writing and those it writes."""
+        first = self.first
+        gen: List[int] = []
+        kill: List[int] = []
+        for b, end in enumerate(self.last):
+            g = k = 0
+            for p in range(end, first[b] - 1, -1):
+                d = defs[p]
+                g = uses[p] | (g & ~d)
+                k |= d
+            gen.append(g)
+            kill.append(k)
+        live_out = self.solve(lambda b, out: gen[b] | (out & ~kill[b]))
+        live_in = [g | (out & ~k) for g, k, out in zip(gen, kill, live_out)]
+        return live_in, live_out

@@ -6,6 +6,9 @@ translation validation evaluates its terms with it, and the
 superoptimizer, the verifier and IR constant propagation fold constants
 with it; each caller keeps only its own policy (which operations it
 folds or decides, and how it reports one the ISA leaves undefined).
+:func:`fits_imm32` is the one test of whether a value can be an
+instruction's sign-extended 32-bit immediate; instruction selection and
+every pass that makes an immediate ask it.
 
 Values are unsigned integers of the operation width *bits*: callers
 truncate register values and sign-extend immediates to that width
@@ -36,6 +39,12 @@ _MASKS = tuple((1 << bits) - 1 for bits in range(65))
 def signed(value: int, bits: int) -> int:
     """*value*, an unsigned *bits*-wide integer, read as two's complement."""
     return value - (1 << bits) if value >> (bits - 1) else value
+
+
+def fits_imm32(value: int) -> bool:
+    """Whether the signed integer *value* fits an instruction's 32-bit
+    immediate, which the ALU64, JMP and store classes sign-extend."""
+    return -(1 << 31) <= value < (1 << 31)
 
 
 def alu(aop: int, value: int, operand: int, bits: int) -> Optional[int]:

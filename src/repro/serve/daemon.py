@@ -78,6 +78,8 @@ _EOF = object()    # per-connection write-queue sentinel
 
 #: admission backpressure: requests queued beyond this are rejected
 QUEUE_LIMIT = 4096
+#: compiled entries the daemon's cache keeps in memory
+MEMORY_ENTRIES = 4096
 #: how long ``stop(drain=True)`` lets the event loop keep admitting
 #: already-readable sockets before refusing new work — shrinks the
 #: window in which a request racing the stop call is dropped
@@ -95,7 +97,6 @@ class ServeConfig:
     port: int = 0
     jobs: int = 1                       # compiles in flight (processes)
     cache_dir: Optional[str] = None     # shared warm cache (None: temp)
-    max_memory_entries: int = 4096
     kernel: str = "6.5"
 
     def __post_init__(self):
@@ -186,7 +187,7 @@ class OptimizationDaemon:
         self._own_socket_dir: Optional[str] = None
         self.cache = CompilationCache(
             directory=self.config.cache_dir,
-            max_memory_entries=self.config.max_memory_entries)
+            max_memory_entries=MEMORY_ENTRIES)
         self._pipelines: Dict[tuple, MerlinPipeline] = {}
         # LRU memo, request shape -> (cache key, answer): a repeat
         # request skips the frontend and the queue, and is answered

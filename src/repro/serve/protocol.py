@@ -47,10 +47,10 @@ entry no matter who asks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional, Union
 
-from ..core.pipeline import ALL_OPTIMIZERS
+from ..core.pipeline import ALL_OPTIMIZERS, tier_spec
 from ..isa import ProgramType
 from ..verifier import KERNELS
 
@@ -225,8 +225,8 @@ def parse_request(line: Union[bytes, str]) -> Request:
     if not isinstance(asm, bool):
         raise ProtocolError("bad-request", "asm must be a boolean",
                             request_id)
-    pgo = _parse_pgo(obj.get("pgo", False), request_id)
-    superopt = _parse_superopt(obj.get("superopt", False), request_id)
+    pgo = _parse_tier(obj, "pgo", request_id)
+    superopt = _parse_tier(obj, "superopt", request_id)
     tenant = _field(obj, request_id, "tenant", str, "")
     if len(tenant) > MAX_TENANT_CHARS:
         raise ProtocolError(
@@ -244,58 +244,33 @@ def parse_request(line: Union[bytes, str]) -> Request:
                    superopt=superopt, tenant=tenant, priority=priority)
 
 
-def _parse_pgo(value: Any, request_id: Any):
-    """``pgo``: ``false``/absent -> off, ``true`` -> default spec, or an
-    object selecting the training-battery parameters."""
+def _parse_tier(obj: dict, field: str, request_id: Any):
+    """The tier spec of request *field* (``pgo`` for the layout tier,
+    or ``superopt``): ``false``/absent -> off, ``true`` -> the default
+    spec, or an object selecting some of the spec's integer fields."""
+    value = obj.get(field, False)
     if value is False:
         return None
-    from ..core.bytecode_passes.layout import PgoSpec
-
+    tier = "layout" if field == "pgo" else field
+    default = tier_spec(tier, True)
     if value is True:
-        return PgoSpec()
+        return default
     if not isinstance(value, dict):
         raise ProtocolError("bad-request",
-                            "pgo must be a boolean or an object",
+                            f"{field} must be a boolean or an object",
                             request_id)
-    unknown = set(value) - {"tests", "runs", "seed", "max_insns"}
+    unknown = set(value) - {f.name for f in fields(default)}
     if unknown:
         raise ProtocolError("bad-request",
-                            f"unknown pgo fields: {sorted(unknown)}",
+                            f"unknown {field} fields: {sorted(unknown)}",
                             request_id)
     for key, val in value.items():
         if not isinstance(val, int) or isinstance(val, bool) or val < 0:
             raise ProtocolError(
                 "bad-request",
-                f"pgo field {key!r} must be a non-negative integer",
+                f"{field} field {key!r} must be a non-negative integer",
                 request_id)
-    return PgoSpec.from_dict(value)
-
-
-def _parse_superopt(value: Any, request_id: Any):
-    """``superopt``: ``false``/absent -> off, ``true`` -> default spec,
-    or an object selecting the window/search parameters."""
-    if value is False:
-        return None
-    from ..core.superopt import SuperoptSpec
-
-    if value is True:
-        return SuperoptSpec()
-    if not isinstance(value, dict):
-        raise ProtocolError("bad-request",
-                            "superopt must be a boolean or an object",
-                            request_id)
-    unknown = set(value) - {"window", "iterations", "seed"}
-    if unknown:
-        raise ProtocolError("bad-request",
-                            f"unknown superopt fields: {sorted(unknown)}",
-                            request_id)
-    for key, val in value.items():
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise ProtocolError(
-                "bad-request",
-                f"superopt field {key!r} must be a non-negative integer",
-                request_id)
-    return SuperoptSpec.from_dict(value)
+    return tier_spec(tier, value)
 
 
 def ok_response(request_id: Any, result: dict) -> dict:

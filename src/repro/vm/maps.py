@@ -138,7 +138,7 @@ class HashMap(BpfMap):
         region = self.entries.pop(key, None)
         if region is None:
             return -2
-        del self.memory.regions[region.name]
+        self.memory.remove_region(region.name)
         return 0
 
     def _evict(self) -> bool:
@@ -158,7 +158,7 @@ class LruHashMap(HashMap):
         if not self.entries:
             return False
         _, region = self.entries.popitem(last=False)
-        del self.memory.regions[region.name]
+        self.memory.remove_region(region.name)
         return True
 
 

@@ -8,9 +8,9 @@ equivalent of what the static verifier is supposed to rule out.
 Region lookup is O(1) in the common case: regions are indexed by the
 ``addr >> 28`` window they occupy (the bases are laid out on
 ``_WINDOW = 0x1000_0000`` boundaries), so :meth:`Memory.find` probes one
-bucket instead of scanning every region.  The index is invalidated
-whenever the region dict is mutated — including direct
-``del memory.regions[name]`` — and rebuilt lazily on the next lookup.
+bucket instead of scanning every region.  Regions come and go only
+through :meth:`Memory.add_region` and :meth:`Memory.remove_region`;
+both drop the index, and the next lookup rebuilds it.
 """
 
 from __future__ import annotations
@@ -49,50 +49,15 @@ class Region:
         return self.base <= addr and addr + size <= self.end
 
 
-class _RegionDict(dict):
-    """Region table that invalidates the owner's window index on every
-    mutation, so legacy callers mutating ``memory.regions`` directly
-    stay correct."""
-
-    def __init__(self, owner: "Memory") -> None:
-        super().__init__()
-        self._owner = owner
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self._owner._invalidate()
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self._owner._invalidate()
-
-    def pop(self, *args):
-        value = super().pop(*args)
-        self._owner._invalidate()
-        return value
-
-    def clear(self) -> None:
-        super().clear()
-        self._owner._invalidate()
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self._owner._invalidate()
-
-
 class Memory:
     """A collection of disjoint regions addressed by integer pointers."""
 
     def __init__(self) -> None:
-        self.regions: Dict[str, Region] = _RegionDict(self)
+        self.regions: Dict[str, Region] = {}
         self._next_dynamic = MAP_BASE
         self._buckets: Optional[Dict[int, List[Region]]] = None
 
     # ------------------------------------------------------------ index
-    def _invalidate(self) -> None:
-        """Drop the window index; it is rebuilt on the next lookup."""
-        self._buckets = None
-
     def _rebuild(self) -> Dict[int, List[Region]]:
         """Index every region under each window it overlaps (a region
         that straddles a ``_WINDOW`` boundary appears in both)."""
@@ -109,7 +74,13 @@ class Memory:
     def add_region(self, name: str, base: int, size: int) -> Region:
         region = Region(name, base, bytearray(size))
         self.regions[name] = region
+        self._buckets = None
         return region
+
+    def remove_region(self, name: str) -> None:
+        """Unmap region *name*: its addresses fault from now on."""
+        del self.regions[name]
+        self._buckets = None
 
     def add_dynamic(self, name: str, size: int) -> Region:
         """Allocate a region at the next free dynamic address."""

@@ -48,7 +48,7 @@ def build(source=SOURCE, entry="f"):
 def make_key(func, module, **overrides):
     base = dict(enabled=frozenset({"dao", "cc", "po"}),
                 kernel=KERNELS["6.5"], prog_type=ProgramType.TRACEPOINT,
-                mcpu="v2", ctx_size=64, verify_after=False)
+                mcpu="v2", ctx_size=64)
     base.update(overrides)
     return CompilationCache().key_for_function(func, module, **base)
 
@@ -76,10 +76,9 @@ class TestKeyComposition:
         dict(prog_type=ProgramType.XDP),
         dict(mcpu="v3"),
         dict(ctx_size=24),
-        dict(verify_after=True),
         dict(validate=True),
     ], ids=["enabled", "kernel", "prog_type", "mcpu", "ctx_size",
-            "verify_after", "validate"])
+            "validate"])
     def test_each_config_field_invalidates(self, override):
         func, module = build()
         assert make_key(func, module) != make_key(func, module, **override)

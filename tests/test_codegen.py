@@ -6,11 +6,14 @@ from repro import ir
 from repro.codegen import (
     VREG_BASE,
     EmissionError,
+    LinearScanAllocator,
     LowFunction,
+    LowInsn,
     SelectionError,
     StackOverflowError,
     compile_function,
     emit,
+    select,
 )
 from repro.isa import instruction as ins
 from repro.isa import disassemble
@@ -275,6 +278,136 @@ class TestRegisterAllocation:
             assert insn.dst <= op.R10
             if not insn.is_ld_imm64:
                 assert insn.src <= op.R10
+
+
+def reference_intervals(low):
+    """Each virtual register's ``(start, end)`` as the allocator first
+    computed them: its own basic blocks (leaders at every label and
+    after every jump, call and exit), set-based liveness solved to a
+    fixpoint, and an interval from the first to the last position
+    where the register is named or live at a block's entry or exit."""
+    from repro.isa import Instruction
+
+    insns = list(low.insns())
+    label_pos, pos = {}, 0
+    for item in low.items:
+        if isinstance(item, LowInsn):
+            pos += 1
+        else:
+            label_pos[item.name] = pos
+    n = len(insns)
+    leaders = {0, *label_pos.values()}
+    leaders.update(i + 1 for i, low_insn in enumerate(insns)
+                   if op.IS_JUMP[low_insn.opcode])
+    leaders = sorted(p for p in leaders if p < n)
+    block_at = {start: b for b, start in enumerate(leaders)}
+    lasts = [start - 1 for start in leaders[1:]] + [n - 1]
+    uses = [[r for r in Instruction.uses(i) if r >= VREG_BASE]
+            for i in insns]
+    defs = [[r for r in Instruction.defs(i) if r >= VREG_BASE]
+            for i in insns]
+    succs, gen, kill = [], [], []
+    for first, last in zip(leaders, lasts):
+        code = insns[last].opcode
+        out = []
+        if op.IS_EXIT[code]:
+            pass
+        elif op.IS_JUMP[code] and not op.IS_CALL[code]:
+            out.append(block_at[label_pos[insns[last].target]])
+            if op.OP_CODE[code] != op.BPF_JA and last + 1 < n:
+                out.append(block_at[last + 1])
+        elif last + 1 < n:
+            out.append(block_at[last + 1])
+        succs.append(out)
+        g, k = set(), set()
+        for i in range(first, last + 1):
+            g.update(r for r in uses[i] if r not in k)
+            k.update(defs[i])
+        gen.append(g)
+        kill.append(k)
+    live_in = [set() for _ in leaders]
+    live_out = [set() for _ in leaders]
+    changed = True
+    while changed:
+        changed = False
+        for b in reversed(range(len(leaders))):
+            out = set().union(*(live_in[s] for s in succs[b]))
+            new_in = gen[b] | (out - kill[b])
+            if (out, new_in) != (live_out[b], live_in[b]):
+                live_out[b], live_in[b] = out, new_in
+                changed = True
+    spans = {}
+
+    def touch(reg, lo, hi):
+        old = spans.get(reg, (lo, hi))
+        spans[reg] = (min(old[0], lo), max(old[1], hi))
+
+    for b, (first, last) in enumerate(zip(leaders, lasts)):
+        for reg in live_in[b]:
+            touch(reg, first, first)
+        for reg in live_out[b]:
+            touch(reg, last, last)
+        for i in range(first, last + 1):
+            for reg in uses[i] + defs[i]:
+                touch(reg, i, i)
+    return spans
+
+
+def _interval_corpus():
+    """(name, source, entry): the XDP set, every suite program at scale
+    0.05 and the first 200 source-layer fuzz programs with a loop."""
+    from repro.fuzz.generator import generate
+    from repro.workloads.suites import generate_suite
+    from repro.workloads.xdp import ALL_XDP
+
+    cases = [(w.name, w.source, w.entry) for w in ALL_XDP]
+    for suite in ("sysdig", "tetragon", "tracee"):
+        cases += [(p.name, p.source, p.entry)
+                  for p in generate_suite(suite, scale=0.05)]
+    looped = 0
+    seed = 0
+    while looped < 200:
+        case = generate("source", seed)
+        if "for (" in case.text:
+            cases.append((f"fuzz{seed}", case.text, case.name))
+            looped += 1
+        seed += 1
+    return cases
+
+
+class TestIntervalsOnTheSharedCfg:
+    """The allocator solves liveness on :class:`repro.isa.cfg.Cfg`,
+    which splits blocks only at jump targets and after jumps and exits;
+    interval extents do not depend on where blocks split."""
+
+    def test_extents_match_the_set_based_builder(self):
+        from repro.frontend import compile_source
+
+        for name, source, entry in _interval_corpus():
+            module = compile_source(source, name)
+            low = select(module.get(entry), module)
+            expected = reference_intervals(low)
+            allocator = LinearScanAllocator(low)
+            allocator.run()
+            got = {reg: (iv.start, iv.end)
+                   for reg, iv in allocator.intervals.items()}
+            assert got == expected, name
+
+    def test_tied_intervals_go_to_the_lower_vreg_first(self):
+        """v17 (live in) and v16 (defined at 0) both span [0, 1]; v17
+        is named first, but the lower vreg gets the lower register."""
+        low = LowFunction("tie")
+        v16, v17 = low.new_vreg(), low.new_vreg()
+        low.emit(ins.mov64_reg(v16, v17))
+        low.emit(ins.store_reg(8, v17, 0, v16))
+        low.emit(ins.mov64_imm(op.R0, 0))
+        low.emit(ins.exit_())
+        allocator = LinearScanAllocator(low)
+        allocator.run()
+        tied = allocator.intervals
+        assert (tied[v16].start, tied[v16].end) \
+            == (tied[v17].start, tied[v17].end) == (0, 1)
+        assert (tied[v16].phys, tied[v17].phys) == (op.R0, op.R1)
 
 
 class TestControlFlowEmission:

@@ -407,7 +407,7 @@ class TestMemoryIndex:
         memory = Memory()
         region = memory.add_region("a", 0x1000_0000, 64)
         assert memory.find(0x1000_0000, 8) is region
-        del memory.regions["a"]
+        memory.remove_region("a")
         with pytest.raises(MemoryFault):
             memory.find(0x1000_0000, 8)
 

@@ -217,6 +217,35 @@ class TestBuilderAndUses:
         assert preds[exit_blk] == [func.entry]
 
 
+class TestFoldAddress:
+    """``ir.fold_address``: constant-offset geps and bitcasts fold into
+    ``(base, byte offset)``; any other value is the base."""
+
+    def test_negative_offsets_add_up(self):
+        func, b = _simple_function()
+        ctx = func.args[0]
+        inner = b.gep_const(ctx, 16, I8)
+        outer = b.gep_const(inner, -24, I64)
+        assert ir.fold_address(outer) == (ctx, -8)
+
+    def test_folds_through_a_mid_chain_bitcast(self):
+        func, b = _simple_function()
+        ctx = func.args[0]
+        first = b.gep_const(ctx, 4, I32)
+        cast = b.bitcast(first, pointer(I8))
+        last = b.gep_const(cast, 2, I16)
+        assert ir.fold_address(last) == (ctx, 6)
+
+    def test_variable_offset_gep_is_the_base(self):
+        func, b = _simple_function()
+        ctx = func.args[0]
+        index = b.zext(b.load(ctx, align=1), I64)
+        dynamic = b.gep(ctx, index, I8)
+        field = b.gep_const(b.bitcast(dynamic, pointer(I8)), 8, I32)
+        assert ir.fold_address(field) == (dynamic, 8)
+        assert ir.fold_address(dynamic) == (dynamic, 0)
+
+
 class TestValidator:
     def test_valid_function_passes(self):
         func, b = _simple_function()

@@ -320,6 +320,14 @@ _SAMPLED_IMMS = (0, 1, 32, -1, op.BPF_ATOMIC_ADD | op.BPF_FETCH,
 _SAMPLED_REGS = ((0, 0), (1, 2), (5, 0), (10, 9), (3, 3))
 
 
+def test_fits_imm32_is_the_s32_range():
+    from repro.isa.semantics import fits_imm32
+
+    assert fits_imm32(-(1 << 31)) and fits_imm32((1 << 31) - 1)
+    assert not fits_imm32(1 << 31)
+    assert not fits_imm32(-(1 << 31) - 1)
+
+
 class TestOpcodeTables:
     def test_every_opcode_matches_the_field_decode(self):
         checked = 0

@@ -36,6 +36,12 @@ before the frontend stopped building throwaway phis.  Print
 the current ones, from the repository root, with::
 
     PYTHONPATH=src python tests/test_output_digest.py
+
+A seventh digest, marked ``slow``, pins the baseline and Merlin bytes
+of a wider corpus of 811 programs: the 19 XDP programs, every suite
+program at scale 0.1 and the source-layer fuzz programs of seeds
+100-699.  It was computed before the register allocator ran on the
+shared bytecode CFG and liveness.  Print it with ``--wide``.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -72,6 +79,8 @@ VM_SHA256 = \
     "f6ab164b06dcb3df1082abc46a65ead24d87b6fa9c817aef717835593c1ac30d"
 USES_SHA256 = \
     "129c0fa950bbcdf58684d03a8935f8f1fd5cc222c8c549ea5923e619a42c9f03"
+WIDE_SHA256 = \
+    "d7c10982dab6e33270be124dea83ac9a8403202adb3cf1a10ec9b06bb123b894"
 
 #: packets per XDP stream, as in one event-stream pass, and their seed
 STREAM_PACKETS = 200
@@ -92,6 +101,37 @@ def _cases():
         cases.append((f"fuzz{seed}", case.text, case.name, case.prog_type,
                       case.mcpu, case.ctx_size))
     return cases
+
+
+def _wide_cases():
+    """The wide digest's corpus, in the shape of :func:`_cases`."""
+    cases = [(w.name, w.source, w.entry, ProgramType.XDP, "v2", XDP_CTX_SIZE)
+             for w in ALL_XDP]
+    for suite in ("sysdig", "tetragon", "tracee"):
+        cases += [(p.name, p.source, p.entry, ProgramType.TRACEPOINT, "v3",
+                   TRACE_CTX_SIZE) for p in generate_suite(suite, scale=0.1)]
+    for seed in range(100, 700):
+        case = generate("source", seed)
+        cases.append((f"fuzz{seed}", case.text, case.name, case.prog_type,
+                      case.mcpu, case.ctx_size))
+    return cases
+
+
+def wide_digest() -> str:
+    """sha256 of every wide-corpus program's baseline and Merlin bytes."""
+    digest = hashlib.sha256()
+    pipeline = MerlinPipeline()
+    for name, source, entry, prog_type, mcpu, ctx_size in _wide_cases():
+        module = compile_source(source, name)
+        func = module.get(entry)
+        program = compile_function(func, module, prog_type=prog_type,
+                                   mcpu=mcpu, ctx_size=ctx_size)
+        optimized, _ = pipeline.compile(
+            func, module, prog_type=prog_type, mcpu=mcpu, ctx_size=ctx_size)
+        digest.update(json.dumps(
+            [name, program.encode().hex(), optimized.encode().hex()]
+        ).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def _stream_runs(program, seed: int = STREAM_SEED):
@@ -194,5 +234,13 @@ def test_vm_output_is_unchanged(current):
     assert current["vm"] == VM_SHA256
 
 
+@pytest.mark.slow
+def test_wide_baseline_and_merlin_bytes_are_unchanged():
+    assert wide_digest() == WIDE_SHA256
+
+
 if __name__ == "__main__":
-    print(json.dumps(digests(), indent=2))
+    if "--wide" in sys.argv[1:]:
+        print(json.dumps({"wide": wide_digest()}, indent=2))
+    else:
+        print(json.dumps(digests(), indent=2))

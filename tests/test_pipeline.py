@@ -80,14 +80,6 @@ u64 f(u8* ctx) {
         baseline, optimized, _ = compile_pair()
         assert verify(optimized).npi <= verify(baseline).npi
 
-    def test_verify_after_option(self):
-        module = compile_bpf(SOURCE)
-        pipeline = MerlinPipeline(verify_after=True)
-        _, report = pipeline.compile(module.get("entrypoint"), module,
-                                     ctx_size=24)
-        assert report.verification is not None
-        assert report.verification.ok
-
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError):
             MerlinPipeline(enabled={"warp-drive"})
